@@ -7,6 +7,7 @@ bit-exactly against the stored record.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -24,6 +25,11 @@ KINDS = (
     "nominal",
     "hausdorff",
 )
+
+
+class CertificateError(ValueError):
+    """A certificate that cannot be replayed: a malformed payload, an unknown
+    recipe, or parameters that its recipe does not accept."""
 
 
 @dataclass
@@ -54,11 +60,21 @@ class Certificate:
 
     @staticmethod
     def from_payload(payload: dict) -> "Certificate":
+        if not isinstance(payload, dict):
+            raise CertificateError("certificate is not a JSON object")
         if payload.get("schema") != CERT_SCHEMA:
-            raise ValueError("unsupported certificate schema")
+            raise CertificateError("unsupported certificate schema")
+        missing = [k for k in ("kind", "inputs", "verdict", "witness") if k not in payload]
+        if missing:
+            raise CertificateError(f"certificate lacks {', '.join(missing)}")
+        inputs = payload["inputs"]
+        if not isinstance(inputs, dict):
+            raise CertificateError("certificate inputs are not a JSON object")
+        if not isinstance(inputs.get("params", {}), dict):
+            raise CertificateError("certificate params are not a JSON object")
         return Certificate(
             payload["kind"],
-            payload["inputs"],
+            inputs,
             payload["verdict"],
             payload["witness"],
             payload.get("bounds", {}),
@@ -77,11 +93,18 @@ def recipe(name):
 
 
 def recompute(cert: Certificate) -> Certificate:
+    """Rerun the recipe; a recipe that is unknown, or that does not accept
+    the recorded parameters, raises CertificateError before any work."""
     name = cert.inputs.get("recipe")
     fn = RECIPES.get(name)
     if fn is None:
-        raise ValueError(f"unknown recipe {name!r}")
-    return fn(**cert.inputs.get("params", {}))
+        raise CertificateError(f"unknown recipe {name!r}")
+    params = cert.inputs.get("params", {})
+    try:
+        inspect.signature(fn).bind(**params)
+    except TypeError as exc:
+        raise CertificateError(f"recipe {name!r}: {exc}") from None
+    return fn(**params)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .certs import load_certificate, replay
+from .certs import CertificateError, load_certificate, replay
 from .serialize import canonical_dumps
 from .suites import SUITES, run_suite
 
@@ -77,10 +77,14 @@ def main(argv=None) -> int:
     if args.command == "replay":
         try:
             cert = load_certificate(args.certificate)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"cannot load certificate: {exc}", file=sys.stderr)
             return 2
-        result = replay(cert)
+        try:
+            result = replay(cert)
+        except CertificateError as exc:
+            print(f"cannot replay certificate: {exc}", file=sys.stderr)
+            return 2
         if result.match:
             print("replay: match")
             return 0

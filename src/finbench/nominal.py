@@ -21,7 +21,7 @@ from .perms import (
     is_subgroup,
     mulclose,
     subgroups_of_sym,
-    transposition,
+    sym_generators,
     transpositions,
 )
 from .symbolic import SymbolicObject
@@ -44,7 +44,7 @@ class OrbitSpec:
         return _orbit_group(self)
 
     def canon_rep(self, t):
-        return min((tuple(t[s[i]] for i in range(self.n)) for s in self.group),
+        return min((tuple(map(t.__getitem__, s)) for s in self.group),
                    default=tuple(t))
 
     def elements(self, pool: int):
@@ -52,13 +52,16 @@ class OrbitSpec:
 
     def act(self, pi, rep):
         """pi: permutation of the pool as a tuple."""
-        return self.canon_rep(tuple(pi[v] for v in rep))
+        return self.canon_rep(tuple(map(pi.__getitem__, rep)))
 
     def default_pool(self):
         return 2 * self.n + 2
 
 
-@lru_cache(maxsize=None)
+# Both caches are keyed by OrbitSpec values that callers can create without
+# limit, so they are bounded.  The n <= 4 single-orbit classification, the
+# largest user, fills 38 _orbit_group and 29 _orbit_elements entries.
+@lru_cache(maxsize=256)
 def _orbit_group(spec: OrbitSpec):
     if spec.n == 0:
         return frozenset({()})
@@ -68,14 +71,25 @@ def _orbit_group(spec: OrbitSpec):
     return group
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _orbit_elements(spec: OrbitSpec, pool: int):
+    """Canonical representatives, one per class, in elem_key order.
+
+    Classes never mix name sets, so each n-subset is enumerated on its own:
+    permutations of a sorted subset come in lexicographic order, so the first
+    one not yet covered by an earlier class is the minimum of its class,
+    i.e. its canonical representative."""
     if spec.n > pool:
         raise ValueError("pool too small for the support size")
-    reps = {
-        spec.canon_rep(t)
-        for t in itertools.permutations(range(pool), spec.n)
-    }
+    group = spec.group
+    reps = []
+    for names in itertools.combinations(range(pool), spec.n):
+        seen = set()
+        for t in itertools.permutations(names):
+            if t in seen:
+                continue
+            reps.append(t)
+            seen.update(tuple(map(t.__getitem__, s)) for s in group)
     return tuple(sorted(reps, key=elem_key))
 
 
@@ -146,15 +160,16 @@ def _base_rep(spec: OrbitSpec):
 
 def _stabilizer_pool_perms(spec: OrbitSpec, rep, pool):
     """Pool permutations generating the stabilizer of the class [rep]:
-    extensions of rep . sigma . rep^{-1} for sigma in the subgroup, plus
-    transpositions away from the support."""
+    extensions of rep . sigma . rep^{-1} for sigma in the subgroup's
+    generators, plus two generators of the symmetric group on the names
+    away from the support.  An element is fixed by the stabilizer iff it is
+    fixed by each of these."""
     out = []
-    for sigma in spec.group:
+    for sigma in spec.gens:
         dst = tuple(rep[sigma[i]] for i in range(spec.n))
         out.append(_extend_to_pool_perm(rep, dst, pool))
     rest = sorted(set(range(pool)) - set(rep))
-    for a, b in itertools.combinations(rest, 2):
-        out.append(transposition(pool, a, b))
+    out.extend(sym_generators(pool, rest))
     return out
 
 
@@ -197,9 +212,6 @@ class NomMor:
         pi = _extend_to_pool_perm(base, rep, self.pool)
         return self.cod.act(pi, self.images[i])
 
-    def as_dict(self):
-        return {e: self.apply(e) for e in self.dom.elements(self.pool)}
-
 
 def nom_identity(X: NominalSetSpec, pool=None) -> NomMor:
     pool = pool or X.default_pool()
@@ -224,15 +236,15 @@ def all_equivariant_maps(dom: NominalSetSpec, cod: NominalSetSpec, pool=None):
 
 
 def equivariant_map_check(f: dict, dom: NominalSetSpec, cod: NominalSetSpec, pool: int) -> bool:
-    """Explicit element map: true iff it commutes with all pool
-    transpositions (generators suffice)."""
+    """Explicit element map: true iff it commutes with the two generators
+    of the symmetric group on the pool (a transposition and the pool cycle),
+    which is the same as commuting with every pool permutation."""
     if pool < 2 * max(dom.max_support(), cod.max_support()) + 2:
         raise ValueError("pool below the soundness boundary")
     elems = dom.elements(pool)
     if set(f) != set(elems):
         raise ValueError("map not total on the domain elements")
-    for tau in transpositions(pool):
-        pi = tau
+    for pi in sym_generators(pool):
         for e in elems:
             if f[dom.act(pi, e)] != cod.act(pi, f[e]):
                 return False
@@ -255,9 +267,12 @@ def _group_invariant(spec: OrbitSpec):
 def orbit_iso_map(a: OrbitSpec, b: OrbitSpec, pool=None):
     """Equivariant bijection between pool realizations, or None.
 
-    The map is propagated from a single seed image through all pool
-    transpositions; candidate seeds share the base support (equivariant
-    bijections preserve supports exactly)."""
+    The map is propagated from a single seed image along the two generators
+    of the symmetric group on the pool (a transposition and the pool cycle):
+    a map commuting with both commutes with every pool permutation, and the
+    group is transitive on the orbit, so propagation reaches every element.
+    Candidate seeds share the base support (equivariant bijections preserve
+    supports exactly)."""
     if _group_invariant(a) != _group_invariant(b):
         return None
     pool = pool or max(a.default_pool(), b.default_pool())
@@ -266,7 +281,7 @@ def orbit_iso_map(a: OrbitSpec, b: OrbitSpec, pool=None):
     if len(els_a) != len(els_b):
         return None
     e0 = els_a[0]
-    taus = transpositions(pool)
+    gens = sym_generators(pool)
     for cand in els_b:
         if frozenset(cand) != frozenset(e0):
             continue
@@ -275,9 +290,9 @@ def orbit_iso_map(a: OrbitSpec, b: OrbitSpec, pool=None):
         ok = True
         while stack and ok:
             e = stack.pop()
-            for tau in taus:
-                e2 = a.act(tau, e)
-                img2 = b.act(tau, mapping[e])
+            for pi in gens:
+                e2 = a.act(pi, e)
+                img2 = b.act(pi, mapping[e])
                 if e2 in mapping:
                     if mapping[e2] != img2:
                         ok = False
@@ -317,9 +332,10 @@ def subgroup_from_quotient(eq, n: int, pool=None):
     """Recover the subgroup from an equivariant, support-preserving
     equivalence on injective tuples; rejects non-equivariant input.
 
-    Checking that the set of related pairs is closed under pool
-    transpositions is complete for equivariance, and relating any base
-    tuple across different supports falsifies support preservation.
+    Checking that the set of related pairs is closed under the two
+    generators of the symmetric group on the pool (a transposition and the
+    pool cycle) is complete for equivariance, and relating any base tuple
+    across different supports falsifies support preservation.
     """
     pool = pool or 2 * n + 2
     tuples = list(itertools.permutations(range(pool), n))
@@ -332,15 +348,15 @@ def subgroup_from_quotient(eq, n: int, pool=None):
         for u in tuples:
             if eq(r, u) and frozenset(r) != frozenset(u):
                 raise ValueError("equivalence does not preserve supports")
-    # equivariance: related pairs stay related under every transposition
-    taus = transpositions(pool)
+    # equivariance: related pairs stay related under both generators
+    gens = sym_generators(pool)
     for group in by_image.values():
         for t, u in itertools.combinations_with_replacement(group, 2):
             if not eq(t, u):
                 continue
-            for tau in taus:
-                t2 = tuple(tau[v] for v in t)
-                u2 = tuple(tau[v] for v in u)
+            for pi in gens:
+                t2 = tuple(pi[v] for v in t)
+                u2 = tuple(pi[v] for v in u)
                 if not eq(t2, u2):
                     raise ValueError("equivalence is not equivariant")
     t0 = tuple(range(n))

@@ -36,6 +36,22 @@ def transpositions(n):
     return [transposition(n, a, b) for a in range(n) for b in range(a + 1, n)]
 
 
+def sym_generators(n, points=None):
+    """Two generators of the symmetric group on points (default: all n),
+    as permutations of n fixing every other point: the transposition of the
+    first two points and the cycle through all of them in the given order."""
+    points = list(range(n)) if points is None else list(points)
+    if len(points) < 2:
+        return []
+    swap = transposition(n, points[0], points[1])
+    if len(points) == 2:
+        return [swap]
+    cycle = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        cycle[a] = b
+    return [swap, tuple(cycle)]
+
+
 def mulclose(gens, n):
     """Subgroup generated by gens inside the symmetric group on n points."""
     els = {identity_perm(n)}

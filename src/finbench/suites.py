@@ -26,7 +26,7 @@ from .cats import (
     random_gset,
     random_un_surjection,
 )
-from .certs import Certificate, recipe
+from .certs import Certificate, CertificateError, recipe
 from .colimits import FAIL, PASS
 from .core import Mor, category_of
 from .functors import (
@@ -96,7 +96,10 @@ GROUPS = {"triv": TRIVIAL_GPD, "z2": Z2_GPD, "z3": Z3_GPD, "s3": S3_GPD}
 @recipe("no-finitary-endo")
 def r_no_finitary_endo(subject: str, window: int = 32, path_bound: int = 8,
                        prime_bound: int = 23) -> Certificate:
-    sym = {"ray": sy.RAY, "cycle_family": sy.CYCLE_FAMILY}[subject]
+    subjects = {"ray": sy.RAY, "cycle_family": sy.CYCLE_FAMILY}
+    if subject not in subjects:
+        raise CertificateError(f"unknown subject {subject!r}")
+    sym = subjects[subject]
     cert = no_finitary_endo_certificate(
         sym, window=window, path_bound=path_bound, prime_bound=prime_bound
     )

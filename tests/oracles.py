@@ -8,12 +8,13 @@ scan from a depth-first assignment over all map families.
 
 import itertools
 
-from finbench.core import Mor, category_of
+from finbench.core import Mor, category_of, elem_key
 from finbench.perms import (
     all_perms,
     compose_perm,
     identity_perm,
     inverse_perm,
+    transpositions,
 )
 
 
@@ -124,6 +125,47 @@ def subgroups_conjugacy_classes(n):
             continue
         classes.append(H)
     return classes
+
+
+def orbit_elements_brute(spec, pool):
+    """Canonical representative of every injective tuple, in elem_key order."""
+    reps = {spec.canon_rep(t) for t in itertools.permutations(range(pool), spec.n)}
+    return tuple(sorted(reps, key=elem_key))
+
+
+def orbit_iso_map_transpositions(a, b, pool=None):
+    """Equivariant bijection between single orbits, or None: the seed image
+    propagated along every pool transposition over brute element sets."""
+    if a.n != b.n or len(a.group) != len(b.group):
+        return None
+    pool = pool or max(a.default_pool(), b.default_pool())
+    els_a = orbit_elements_brute(a, pool)
+    els_b = orbit_elements_brute(b, pool)
+    if len(els_a) != len(els_b):
+        return None
+    e0 = els_a[0]
+    taus = transpositions(pool)
+    for cand in els_b:
+        if frozenset(cand) != frozenset(e0):
+            continue
+        mapping = {e0: cand}
+        stack = [e0]
+        ok = True
+        while stack and ok:
+            e = stack.pop()
+            for tau in taus:
+                e2 = a.act(tau, e)
+                img2 = b.act(tau, mapping[e])
+                if e2 in mapping:
+                    if mapping[e2] != img2:
+                        ok = False
+                        break
+                else:
+                    mapping[e2] = img2
+                    stack.append(e2)
+        if ok and len(mapping) == len(els_a) and len(set(mapping.values())) == len(els_b):
+            return mapping
+    return None
 
 
 def hausdorff_by_definition(space, M, N):

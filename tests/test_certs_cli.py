@@ -6,7 +6,14 @@ import pytest
 
 import finbench.suites  # registers all recipes
 from finbench.cats import FINSET, GRA, UN, VEC2, Z2_GPD, gset_cat, gset_free_orbit
-from finbench.certs import Certificate, RECIPES, load_certificate, replay, save_certificate
+from finbench.certs import (
+    RECIPES,
+    Certificate,
+    CertificateError,
+    load_certificate,
+    replay,
+    save_certificate,
+)
 from finbench.cli import main
 from finbench.hausdorff import random_metric_space
 from finbench.nominal import NominalSetSpec, pn_orbit
@@ -162,3 +169,50 @@ def test_cli_replay_roundtrip(tmp_path):
     path.write_text(json.dumps(payload))
     assert main(["replay", str(path)]) == 1
     assert main(["replay", str(tmp_path / "missing.json")]) == 2
+
+
+def _malformed_replay(tmp_path, capsys, payload):
+    """Replay a hand-edited certificate; return the exit code and stderr."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code = main(["replay", str(path)])
+    return code, capsys.readouterr().err
+
+
+def _no_finitary_endo_payload():
+    return RECIPES["no-finitary-endo"](subject="ray", prime_bound=5).to_payload()
+
+
+def test_replay_unknown_subject_exits_2(tmp_path, capsys):
+    payload = _no_finitary_endo_payload()
+    payload["inputs"]["params"]["subject"] = "no-such-subject"
+    code, err = _malformed_replay(tmp_path, capsys, payload)
+    assert code == 2
+    assert err.count("\n") == 1 and "no-such-subject" in err
+    assert "Traceback" not in err
+
+
+def test_replay_extra_parameter_exits_2(tmp_path, capsys):
+    payload = _no_finitary_endo_payload()
+    payload["inputs"]["params"]["unexpected"] = 1
+    code, err = _malformed_replay(tmp_path, capsys, payload)
+    assert code == 2
+    assert err.count("\n") == 1 and "unexpected" in err
+    assert "Traceback" not in err
+
+
+def test_replay_top_level_list_exits_2(tmp_path, capsys):
+    code, err = _malformed_replay(tmp_path, capsys, [_no_finitary_endo_payload()])
+    assert code == 2
+    assert err.count("\n") == 1 and "not a JSON object" in err
+    assert "Traceback" not in err
+
+
+def test_from_payload_rejects_non_object_fields():
+    payload = _no_finitary_endo_payload()
+    for key, value in (("inputs", [1]), ("inputs", {"recipe": "x", "params": [1]})):
+        bad = dict(payload, **{key: value})
+        with pytest.raises(CertificateError):
+            Certificate.from_payload(bad)
+    with pytest.raises(CertificateError):
+        Certificate.from_payload({k: v for k, v in payload.items() if k != "witness"})

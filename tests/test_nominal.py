@@ -31,10 +31,15 @@ from finbench.nominal import (
     support_rigidity_check,
     P_SUBSET_FAMILY,
 )
-from finbench.perms import all_perms, transposition
+from finbench.perms import all_perms, mulclose, sym_generators, transposition
 from finbench.colimits import FAIL
 
-from oracles import brute_subgroups, subgroups_conjugacy_classes
+from oracles import (
+    brute_subgroups,
+    orbit_elements_brute,
+    orbit_iso_map_transpositions,
+    subgroups_conjugacy_classes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +99,14 @@ def test_support_equivariance_sampled():
         pi = perms[rng.randrange(len(perms))]
         e = rng.choice(X.elements(pool))
         assert support(X.act(pi, e)) == frozenset(pi[v] for v in support(e))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_orbit_elements_match_brute_canonicalisation(n):
+    pool = 2 * n + 2
+    for H in subgroups_of_Sn(n):
+        spec = OrbitSpec(n, tuple(H))
+        assert spec.elements(pool) == orbit_elements_brute(spec, pool)
 
 
 def test_orbit_support_size_constant():
@@ -164,6 +177,34 @@ def test_non_conjugate_subgroups_distinct_orbits():
     assert orbit_iso_map(ordered, unordered) is None
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_iso_map_agrees_with_transposition_oracle(n):
+    specs = [OrbitSpec(n, tuple(H)) for H in subgroups_of_Sn(n)]
+    for a in specs:
+        for b in specs:
+            assert orbit_iso_map(a, b) == orbit_iso_map_transpositions(a, b)
+
+
+def test_orbit_iso_map_agrees_with_oracle_on_s4_dihedral_class():
+    # the three dihedral subgroups of order 8 in S4 are mutually conjugate
+    specs = [OrbitSpec(4, tuple(H)) for H in subgroups_of_Sn(4) if len(H) == 8]
+    assert len(specs) == 3
+    a = specs[0]
+    for b in specs:
+        found = orbit_iso_map(a, b)
+        assert found is not None
+        assert found == orbit_iso_map_transpositions(a, b)
+
+
+def test_sym_generators_generate_the_symmetric_group():
+    for n in range(5):
+        assert len(mulclose(sym_generators(n), n)) == len(all_perms(n))
+    pool, names = 6, [1, 3, 4, 5]
+    group = mulclose(sym_generators(pool, names), pool)
+    assert len(group) == 24
+    assert all(g[0] == 0 and g[2] == 2 for g in group)
+
+
 # ---------------------------------------------------------------------------
 # equivariant maps
 
@@ -192,6 +233,16 @@ def test_equivariant_image_map_accepted():
     pool = 6
     f = {(0, rep): (0, tuple(sorted(rep))) for _, rep in V2.elements(pool)}
     assert equivariant_map_check(f, V2, P2, pool)
+
+
+def test_equivariant_map_check_rejects_swap_away_from_0_and_1():
+    # swapping the images of names 4 and 5 commutes with the transposition
+    # (0 1) but not with the pool cycle
+    P1 = NominalSetSpec((pn_orbit(1),))
+    pool = 6
+    swap = {4: 5, 5: 4}
+    f = {(0, (a,)): (0, (swap.get(a, a),)) for _, (a,) in P1.elements(pool)}
+    assert not equivariant_map_check(f, P1, P1, pool)
 
 
 def test_pool_too_small_rejected():
@@ -307,6 +358,5 @@ def test_strictness_mixed_orbits():
     assert wit.b_prime.dom.orbit_count == 2  # non-isomorphic orbits both kept
 
 
-@pytest.mark.slow
 def test_single_orbit_classes_n4_against_conjugacy_oracle():
     assert len(single_orbit_enumerate(4)) == len(subgroups_conjugacy_classes(4)) == 11
