@@ -246,7 +246,7 @@ class UnCat(Category):
 
     def cycle(self, p: int) -> Obj:
         """Algebra on p elements whose operation is a single p-cycle."""
-        return self.obj([(p, i) for i in range(p)], lambda e: (e[0], (e[1] + 1) % p))
+        return _un_cycle(p)
 
     def cycles_sum(self, ps) -> Obj:
         """Disjoint union of cycles, kept flat so prefix inclusions are monos."""
@@ -257,7 +257,9 @@ class UnCat(Category):
         return self.obj(elems, lambda e: (e[0], (e[1] + 1) % e[0]))
 
     def preserves_structure(self, f):
-        return all(f(self.op(f.dom, x)) == self.op(f.cod, f(x)) for x in f.dom.carrier)
+        src, dst = _un_op_map(f.dom), _un_op_map(f.cod)
+        img = dict(zip(f.dom.carrier, f.mapping))
+        return all(img[src[x]] == dst[y] for x, y in img.items())
 
     def op_successors(self, X, x):
         return (("op", self.op(X, x)),)
@@ -340,6 +342,11 @@ UN = register_category(UnCat())
 @lru_cache(maxsize=None)
 def _un_op_map(X: Obj):
     return dict(X.structure[1])
+
+
+@lru_cache(maxsize=64)
+def _un_cycle(p: int) -> Obj:
+    return UN.obj([(p, i) for i in range(p)], lambda e: (e[0], (e[1] + 1) % p))
 
 
 # ---------------------------------------------------------------------------

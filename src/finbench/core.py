@@ -47,6 +47,21 @@ class Obj:
         if len(set(self.carrier)) != len(self.carrier):
             raise ValueError("carrier has duplicate elements")
 
+    def __hash__(self):
+        # Objects key the lru_caches of derived structure (operation maps,
+        # subobject lists); hash the whole presentation once, not per lookup.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.cat, self.carrier, self.structure))
+        return h
+
+    @property
+    def carrier_set(self) -> frozenset:
+        s = self.__dict__.get("_carrier_set")
+        if s is None:
+            s = self.__dict__["_carrier_set"] = frozenset(self.carrier)
+        return s
+
     @property
     def size(self):
         return len(self.carrier)
@@ -68,10 +83,10 @@ class Mor:
             raise ValueError("morphism across categories")
         if len(self.mapping) != len(self.dom.carrier):
             raise ValueError("mapping length does not match domain carrier")
-        cod_set = set(self.cod.carrier)
-        for y in self.mapping:
-            if y not in cod_set:
-                raise ValueError(f"image {y!r} outside codomain")
+        cod_set = self.cod.carrier_set
+        if not cod_set.issuperset(self.mapping):
+            y = next(y for y in self.mapping if y not in cod_set)
+            raise ValueError(f"image {y!r} outside codomain")
         if not category_of(self.dom).preserves_structure(self):
             raise ValueError("mapping does not preserve structure")
 
