@@ -33,9 +33,6 @@ class FinSetCat(Category):
     def obj(self, elems) -> Obj:
         return Obj(self.name, canon(elems))
 
-    def std(self, k: int) -> Obj:
-        return self.obj(range(k))
-
     def image_obj(self, f):
         return Obj(self.name, f.image_elems())
 
@@ -396,9 +393,6 @@ class FiniteGroupoid:
 
     def mor_info(self):
         return {m: (d, c) for m, d, c in self.mors}
-
-    def identity_name(self, sort):
-        return dict(self.ids)[sort]
 
 
 def group_groupoid(name, elements) -> FiniteGroupoid:

@@ -10,7 +10,7 @@ tuples of hashable elements; S-sorted categories tag elements with their sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 
 def elem_key(x):
@@ -375,17 +375,3 @@ class Category:
 
     def is_isomorphic(self, X: Obj, Y: Obj) -> bool:
         return self.find_iso(X, Y) is not None
-
-
-@lru_cache(maxsize=None)
-def _struct_map(X: Obj, key):
-    """Cached dict view of a pair-list entry of Obj.structure."""
-    for tag, payload in _struct_items(X):
-        if tag == key:
-            return dict(payload)
-    raise KeyError(key)
-
-
-def _struct_items(X: Obj):
-    it = iter(X.structure)
-    return list(zip(it, it))

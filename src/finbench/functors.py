@@ -296,10 +296,6 @@ class FinitarityCertificate:
     notes: tuple = ()
 
 
-def _obj_size(X):
-    return X.size if isinstance(X, Obj) else None
-
-
 def finitarity_certificate(
     F: FunctorHandle,
     cocone_k: Cocone,

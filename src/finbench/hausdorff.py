@@ -1,46 +1,97 @@
 """Finite metric spaces of diameter at most 1 with exact rational distances,
 nonexpanding maps, and the subset-space functor with the Hausdorff metric.
 
-Rational arithmetic keeps the metric axioms assertable with equality; the
-module desk-models the countable-boundedness argument, where at finite scale
-the dense subsets are the whole carriers.
+A space is stored once, indexed: its points, a point -> index dict, and one
+integer matrix `rows` over a common denominator `den`, so that the distance
+from points[i] to points[j] is rows[i][j] / den.  `den` is the lcm of the
+reduced denominators of the distances, which makes the form canonical: equal
+spaces have equal `den` and `rows`, and hash equal.  Every exact check runs on
+integers: the metric axioms in the constructor, nonexpansion (the two spaces'
+denominators are cross-multiplied), and the Hausdorff table of the subset
+space.
+
+Fractions appear only at the boundary: the constructor takes a matrix of
+Fractions, `d`, `point_set_dist` and `hausdorff_dist` return Fractions, `dist`
+is a Fraction view built on each access, and `serialize.space_to_json` writes
+each distance as "p/q".
+
+The module desk-models the countable-boundedness argument, where at finite
+scale the dense subsets are the whole carriers.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import sub
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinMetricSpace:
     points: tuple
-    dist: tuple  # full matrix of Fractions aligned with points
+    den: int
+    rows: tuple  # integer matrix aligned with points: d = rows[i][j] / den
+    index: dict = field(repr=False, compare=False)  # point -> position
+
+    def __init__(self, points, dist):
+        """The space on `points` whose distances are the full matrix `dist`
+        of Fractions aligned with them."""
+        if not all(isinstance(d, Fraction) for row in dist for d in row):
+            raise ValueError("distances must be Fractions")
+        den = lcm(*(d.denominator for row in dist for d in row))
+        self._store(
+            points, den, [[d.numerator * (den // d.denominator) for d in row] for row in dist]
+        )
+
+    @classmethod
+    def from_ints(cls, points, den, rows):
+        """The space whose distance from points[i] to points[j] is
+        rows[i][j] / den; the form is reduced to the lowest denominator."""
+        space = object.__new__(cls)
+        space._store(points, den, rows)
+        return space
+
+    def _store(self, points, den, rows):
+        g = gcd(den, *itertools.chain.from_iterable(rows))
+        if g > 1:
+            den //= g
+            rows = [[v // g for v in row] for row in rows]
+        points = tuple(points)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "index", {p: i for i, p in enumerate(points)})
+        self.__post_init__()
 
     def __post_init__(self):
-        n = len(self.points)
-        if len(set(self.points)) != n:
+        rows, n = self.rows, len(self.points)
+        if len(self.index) != n:
             raise ValueError("duplicate points")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("distance matrix shape mismatch")
-        for i in range(n):
-            if self.dist[i][i] != 0:
-                raise ValueError("nonzero self distance")
-            for j in range(n):
-                d = self.dist[i][j]
-                if not isinstance(d, Fraction):
-                    raise ValueError("distances must be Fractions")
-                if d != self.dist[j][i]:
-                    raise ValueError("distance matrix not symmetric")
-                if i != j and not (0 < d <= 1):
-                    raise ValueError("distances must lie in (0, 1]")
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if self.dist[i][j] > self.dist[i][k] + self.dist[k][j]:
-                raise ValueError("triangle inequality fails")
+        if any(row[i] for i, row in enumerate(rows)):
+            raise ValueError("nonzero self distance")
+        if rows != tuple(zip(*rows)):
+            raise ValueError("distance matrix not symmetric")
+        # the diagonal is zero, so exactly one zero per row means none off it
+        if any(row.count(0) != 1 or min(row) < 0 or max(row) > self.den for row in rows):
+            raise ValueError("distances must lie in (0, 1]")
+        # d(i, j) <= d(i, k) + d(k, j) for all j  <=>  max_j (d(i, j) - d(k, j)) <= d(i, k)
+        for row_i in rows:
+            for d_ik, row_k in zip(row_i, rows):
+                if max(map(sub, row_i, row_k)) > d_ik:
+                    raise ValueError("triangle inequality fails")
+
+    @property
+    def dist(self):
+        """The full matrix of Fractions aligned with points."""
+        den = self.den
+        return tuple(tuple(Fraction(v, den) for v in row) for row in self.rows)
 
     def d(self, x, y):
-        return self.dist[self.points.index(x)][self.points.index(y)]
+        return Fraction(self.rows[self.index[x]][self.index[y]], self.den)
 
     @property
     def size(self):
@@ -67,26 +118,32 @@ class NonexpandingMap:
     dom: FinMetricSpace
     cod: FinMetricSpace
     mapping: tuple  # images aligned with dom.points
+    img: tuple = field(init=False, repr=False, compare=False)  # cod indices of mapping
 
     def __post_init__(self):
         if len(self.mapping) != self.dom.size:
             raise ValueError("mapping length mismatch")
-        for y in self.mapping:
-            if y not in self.cod.points:
-                raise ValueError("image outside codomain")
-        for x1, y1 in zip(self.dom.points, self.mapping):
-            for x2, y2 in zip(self.dom.points, self.mapping):
-                if self.cod.d(y1, y2) > self.dom.d(x1, x2):
-                    raise ValueError("map is expanding")
+        index = self.cod.index
+        if not all(y in index for y in self.mapping):
+            raise ValueError("image outside codomain")
+        img = tuple(index[y] for y in self.mapping)
+        object.__setattr__(self, "img", img)
+        # d(f x, f x') <= d(x, x') over the two denominators, cross-multiplied
+        dd, cd = self.dom.den, self.cod.den
+        for drow, fi in zip(self.dom.rows, img):
+            crow = self.cod.rows[fi]
+            if any(crow[fj] * dd > v * cd for fj, v in zip(img, drow)):
+                raise ValueError("map is expanding")
 
     def __call__(self, x):
-        return self.mapping[self.dom.points.index(x)]
+        return self.mapping[self.dom.index[x]]
 
     def is_isometric_embedding(self):
+        dd, cd = self.dom.den, self.cod.den
         return all(
-            self.cod.d(self(x1), self(x2)) == self.dom.d(x1, x2)
-            for x1 in self.dom.points
-            for x2 in self.dom.points
+            self.cod.rows[fi][fj] * dd == v * cd
+            for drow, fi in zip(self.dom.rows, self.img)
+            for fj, v in zip(self.img, drow)
         )
 
 
@@ -99,7 +156,8 @@ def point_set_dist(space: FinMetricSpace, x, M) -> Fraction:
     M = list(M)
     if not M:
         raise ValueError("distance to the empty set is undefined")
-    return min(space.d(x, y) for y in M)
+    row, index = space.rows[space.index[x]], space.index
+    return Fraction(min(row[index[y]] for y in M), space.den)
 
 
 def hausdorff_dist(space: FinMetricSpace, M, N) -> Fraction:
@@ -107,23 +165,39 @@ def hausdorff_dist(space: FinMetricSpace, M, N) -> Fraction:
     M, N = list(M), list(N)
     if not M or not N:
         raise ValueError("hausdorff distance needs nonempty subsets")
-    forward = max(point_set_dist(space, x, N) for x in M)
-    backward = max(point_set_dist(space, y, M) for y in N)
-    return max(forward, backward)
+    rows, index = space.rows, space.index
+    A, B = [index[x] for x in M], [index[y] for y in N]
+    forward = max(min(rows[a][b] for b in B) for a in A)
+    backward = max(min(rows[b][a] for a in A) for b in B)
+    return Fraction(max(forward, backward), space.den)
 
 
 def subset_space(space: FinMetricSpace) -> FinMetricSpace:
-    """All nonempty subsets with the Hausdorff metric (2^n - 1 points)."""
-    subs = []
-    for r in range(1, space.size + 1):
-        subs.extend(frozenset(c) for c in itertools.combinations(space.points, r))
-    matrix = tuple(
-        tuple(
-            Fraction(0) if a == b else hausdorff_dist(space, a, b) for b in subs
-        )
-        for a in subs
-    )
-    return FinMetricSpace(tuple(subs), matrix)
+    """All nonempty subsets with the Hausdorff metric (2^n - 1 points).
+
+    Subsets are index tuples in combinations order.  near[S][x] is the
+    distance from point x to S, and far[S][T] = max of near[T][x] over x in S
+    is the directed distance from S to T; the Hausdorff distance of S and T
+    is the larger of far[S][T] and far[T][S]."""
+    subs = [
+        c for r in range(1, space.size + 1)
+        for c in itertools.combinations(range(space.size), r)
+    ]
+    near = _fold_members(min, subs, space.rows)
+    far = _fold_members(max, subs, list(zip(*near)))
+    table = [list(map(max, row, col)) for row, col in zip(far, zip(*far))]
+    points = tuple(frozenset(map(space.points.__getitem__, c)) for c in subs)
+    return FinMetricSpace.from_ints(points, space.den, table)
+
+
+def _fold_members(op, subs, vectors):
+    """For each index tuple c in subs, the elementwise fold by op of
+    vectors[i] over the members i of c.  Each c is folded from c[:-1], which
+    comes earlier in subs."""
+    done = {}
+    for c in subs:
+        done[c] = tuple(map(op, done[c[:-1]], vectors[c[-1]])) if len(c) > 1 else vectors[c[0]]
+    return [done[c] for c in subs]
 
 
 def subset_map(f: NonexpandingMap) -> NonexpandingMap:
@@ -147,7 +221,7 @@ def boundedness_witness(space: FinMetricSpace, members) -> SubsetBoundednessWitn
     """Recover a point set M of X so that every member subset is a direct
     image of a subset of M; at finite scale M is the union of the members."""
     members = tuple(frozenset(m) for m in members)
-    union = sorted(set().union(*members) if members else set(), key=space.points.index)
+    union = sorted(set().union(*members) if members else set(), key=space.index.__getitem__)
     mset = set(union)
     verified = all(set(m) <= mset for m in members)
     if not verified:
@@ -156,19 +230,14 @@ def boundedness_witness(space: FinMetricSpace, members) -> SubsetBoundednessWitn
 
 
 def random_metric_space(rng, size: int) -> FinMetricSpace:
-    """Random rational metric, repaired by min-plus closure and capped at 1."""
-    points = tuple(range(size))
-    d = {}
+    """Random metric in twelfths of (0, 1], repaired by min-plus closure."""
+    m = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            d[(i, j)] = Fraction(rng.randint(1, 12), 12)
-    # Floyd-Warshall closure keeps positivity and enforces the triangle law
+            m[i][j] = m[j][i] = rng.randint(1, 12)
+    # Floyd-Warshall closure only lowers distances, keeps them positive and
+    # enforces the triangle law
     for k, i, j in itertools.product(range(size), repeat=3):
-        if i == j or i == k or j == k:
-            continue
-        a = d.get(tuple(sorted((i, k))))
-        b = d.get(tuple(sorted((k, j))))
-        ij = tuple(sorted((i, j)))
-        if a is not None and b is not None and a + b < d[ij]:
-            d[ij] = a + b
-    return metric_space(points, {k: min(v, Fraction(1)) for k, v in d.items()})
+        if i != j and m[i][k] + m[k][j] < m[i][j]:
+            m[i][j] = m[j][i] = m[i][k] + m[k][j]
+    return FinMetricSpace.from_ints(range(size), 12, m)

@@ -78,7 +78,8 @@ def _orbit_elements(spec: OrbitSpec, pool: int):
     Classes never mix name sets, so each n-subset is enumerated on its own:
     permutations of a sorted subset come in lexicographic order, so the first
     one not yet covered by an earlier class is the minimum of its class,
-    i.e. its canonical representative."""
+    i.e. its canonical representative.  The representatives are equal-length
+    tuples of int names, for which plain tuple order is elem_key order."""
     if spec.n > pool:
         raise ValueError("pool too small for the support size")
     group = spec.group
@@ -90,7 +91,7 @@ def _orbit_elements(spec: OrbitSpec, pool: int):
                 continue
             reps.append(t)
             seen.update(tuple(map(t.__getitem__, s)) for s in group)
-    return tuple(sorted(reps, key=elem_key))
+    return tuple(sorted(reps))
 
 
 def pn_orbit(n: int) -> OrbitSpec:

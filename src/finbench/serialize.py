@@ -118,10 +118,8 @@ def nomset_from_json(j):
 
 def space_to_json(space):
     tri = []
-    for i in range(space.size):
-        tri.append(
-            [f"{d.numerator}/{d.denominator}" for d in space.dist[i][: i]]
-        )
+    for i, row in enumerate(space.dist):
+        tri.append([f"{d.numerator}/{d.denominator}" for d in row[:i]])
     return {"points": [enc_elem(p) for p in space.points], "d": tri}
 
 

@@ -96,10 +96,6 @@ def _apply(pres, k, k2, g, q):
     return imgs[pres.values[k].index(q)]
 
 
-def _act(pres, g, k, k2):
-    return lambda q: _apply(pres, k, k2, g, q)
-
-
 # ---------------------------------------------------------------------------
 # standard presentations
 

@@ -31,6 +31,7 @@ from finbench.nominal import (
     support_rigidity_check,
     P_SUBSET_FAMILY,
 )
+from finbench.core import elem_key
 from finbench.perms import all_perms, mulclose, sym_generators, transposition
 from finbench.colimits import FAIL
 
@@ -107,6 +108,16 @@ def test_orbit_elements_match_brute_canonicalisation(n):
     for H in subgroups_of_Sn(n):
         spec = OrbitSpec(n, tuple(H))
         assert spec.elements(pool) == orbit_elements_brute(spec, pool)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_orbit_elements_plain_order_is_elem_key_order(n):
+    # elements are sorted as plain tuples; for equal-length tuples of int
+    # names that must be the carrier order elem_key defines
+    pool = 2 * n + 2
+    for H in subgroups_of_Sn(n):
+        elems = OrbitSpec(n, tuple(H)).elements(pool)
+        assert list(elems) == sorted(elems, key=elem_key) == sorted(elems)
 
 
 def test_orbit_support_size_constant():
