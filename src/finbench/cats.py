@@ -231,15 +231,19 @@ class UnCat(Category):
         carrier = canon(elems)
         if callable(op):
             op = {x: op(x) for x in carrier}
-        cset = set(carrier)
+        cset = frozenset(carrier)
         for x in carrier:
             if x not in op or op[x] not in cset:
                 raise ValueError("operation not total on carrier")
-        pairs = canon_pairs((x, op[x]) for x in carrier)
-        return Obj(self.name, carrier, ("op", pairs))
+        table = {x: op[x] for x in carrier}
+        # distinct first components in carrier order: already canon_pairs order
+        X = Obj(self.name, carrier, ("op", tuple(table.items())))
+        X.__dict__["_carrier_set"] = cset
+        X.__dict__["_op_tables"] = table
+        return X
 
     def op(self, X, x):
-        return _un_op_map(X)[x]
+        return _un_table(X)[x]
 
     def cycle(self, p: int) -> Obj:
         """Algebra on p elements whose operation is a single p-cycle."""
@@ -254,15 +258,15 @@ class UnCat(Category):
         return self.obj(elems, lambda e: (e[0], (e[1] + 1) % e[0]))
 
     def preserves_structure(self, f):
-        src, dst = _un_op_map(f.dom), _un_op_map(f.cod)
-        img = dict(zip(f.dom.carrier, f.mapping))
+        src, dst = _un_table(f.dom), _un_table(f.cod)
+        img = f._lookup
         return all(img[src[x]] == dst[y] for x, y in img.items())
 
     def op_successors(self, X, x):
-        return (("op", self.op(X, x)),)
+        return (("op", _un_table(X)[x]),)
 
     def op_apply(self, Y, op_id, y):
-        return self.op(Y, y)
+        return _un_table(Y)[y]
 
     def iso_invariant(self, X):
         return (X.size, tuple(sorted(self.cycle_lengths(X))))
@@ -336,9 +340,12 @@ class UnCat(Category):
 UN = register_category(UnCat())
 
 
-@lru_cache(maxsize=None)
-def _un_op_map(X: Obj):
-    return dict(X.structure[1])
+def _un_table(X: Obj) -> dict:
+    """{x: op(x)} of a unary algebra, built once per object and kept on it."""
+    table = X.__dict__.get("_op_tables")
+    if table is None:
+        table = X.__dict__["_op_tables"] = dict(X.structure[1])
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -367,8 +374,10 @@ class FiniteGroupoid:
     ids: tuple  # (sort, mor_name)
 
     def __post_init__(self):
-        comp = dict(self.comp)
+        comp = self.__dict__["_comp"] = dict(self.comp)
         info = {m: (d, c) for m, d, c in self.mors}
+        if len(info) != len(self.mors):
+            raise ValueError("duplicate morphism name")
         idm = dict(self.ids)
         for m, d, c in self.mors:
             if comp[(m, idm[d])] != m or comp[(idm[c], m)] != m:
@@ -389,7 +398,7 @@ class FiniteGroupoid:
                 raise ValueError(f"no inverse for {m}")
 
     def compose_names(self, g, f):
-        return dict(self.comp)[(g, f)]
+        return self._comp[(g, f)]
 
     def mor_info(self):
         return {m: (d, c) for m, d, c in self.mors}
@@ -426,73 +435,81 @@ class PresheafCat(Category):
     def __init__(self, gpd: FiniteGroupoid):
         self.gpd = gpd
         self.name = f"psh({gpd.name})"
-        self._info = gpd.mor_info()
+        self._ids = dict(gpd.ids)
+        # names of the operations defined on each sort, in gpd.mors order
+        self._out = {}
+        for m, d, _ in gpd.mors:
+            self._out.setdefault(d, []).append(m)
+        # (g, f, g o f, dom f) for every composable pair
+        self._laws = [
+            (g, f, gpd.compose_names(g, f), fd)
+            for g, gd, _ in gpd.mors
+            for f, fd, fc in gpd.mors
+            if fc == gd
+        ]
 
     def obj(self, carriers: dict, ops: dict) -> Obj:
         """carriers: sort -> values; ops: mor_name -> {value: value}."""
         carrier = canon((s, v) for s, vs in carriers.items() for v in vs)
-        tagged_ops = []
+        cset = frozenset(carrier)
+        by_sort = {}
+        for x in carrier:
+            by_sort.setdefault(x[0], []).append(x)
+        tables, tagged = {}, []
         for m, d, c in self.gpd.mors:
-            table = ops.get(m, {})
+            given = ops.get(m, {})
             pairs = []
-            for s, v in carrier:
-                if s != d:
-                    continue
-                if v not in table:
+            for x in by_sort.get(d, ()):
+                v = x[1]
+                if v not in given:
                     raise ValueError(f"operation {m} not total")
-                w = table[v]
-                if (c, w) not in set(carrier):
+                y = (c, given[v])
+                if y not in cset:
                     raise ValueError(f"operation {m} leaves the carrier")
-                pairs.append(((d, v), (c, w)))
-            tagged_ops.append((m, canon_pairs(pairs)))
-        X = Obj(self.name, carrier, ("ops", tuple(sorted(tagged_ops, key=elem_key))))
-        self._validate(X)
+                pairs.append((x, y))
+            # distinct first components in carrier order: already canon_pairs order
+            tables[m] = dict(pairs)
+            tagged.append((m, tuple(pairs)))
+        self._check_laws(by_sort, tables)
+        tagged.sort(key=lambda t: elem_key(t[0]))
+        X = Obj(self.name, carrier, ("ops", tuple(tagged)))
+        X.__dict__["_carrier_set"] = cset
+        X.__dict__["_op_tables"] = tables
         return X
 
-    def _validate(self, X):
-        idm = dict(self.gpd.ids)
-        for s, v in X.carrier:
-            if self.op(X, idm[s], (s, v)) != (s, v):
+    def _check_laws(self, by_sort, tables):
+        for s, xs in by_sort.items():
+            ident = tables[self._ids[s]]
+            if any(ident[x] != x for x in xs):
                 raise ValueError("identity operation is not the identity")
-        for g, gd, gc in self.gpd.mors:
-            for f, fd, fc in self.gpd.mors:
-                if fc != gd:
-                    continue
-                h = self.gpd.compose_names(g, f)
-                for x in X.carrier:
-                    if x[0] != fd:
-                        continue
-                    if self.op(X, g, self.op(X, f, x)) != self.op(X, h, x):
-                        raise ValueError("composition equation fails")
+        for g, f, h, fd in self._laws:
+            tg, tf, th = tables[g], tables[f], tables[h]
+            if any(tg[tf[x]] != th[x] for x in by_sort.get(fd, ())):
+                raise ValueError("composition equation fails")
 
     def op(self, X, mor_name, x):
-        return _psh_op_map(X, mor_name).get(x)
-
-    def sort_of(self, x):
-        return x[0]
+        return _psh_tables(X)[mor_name].get(x)
 
     def preserves_structure(self, f):
-        for x in f.dom.carrier:
-            if self.sort_of(f(x)) != self.sort_of(x):
+        img = f._lookup
+        if any(x[0] != y[0] for x, y in img.items()):
+            return False
+        dst = _psh_tables(f.cod)
+        for m, table in _psh_tables(f.dom).items():
+            target = dst[m]
+            if any(img[y] != target.get(img[x]) for x, y in table.items()):
                 return False
-        for m, d, c in self.gpd.mors:
-            for x in f.dom.carrier:
-                if x[0] != d:
-                    continue
-                if f(self.op(f.dom, m, x)) != self.op(f.cod, m, f(x)):
-                    return False
         return True
 
     def candidate_targets(self, X, x, Y):
         return [y for y in Y.carrier if y[0] == x[0]]
 
     def op_successors(self, X, x):
-        return tuple(
-            (m, self.op(X, m, x)) for m, d, c in self.gpd.mors if x[0] == d
-        )
+        tables = _psh_tables(X)
+        return tuple((m, tables[m].get(x)) for m in self._out.get(x[0], ()))
 
     def op_apply(self, Y, op_id, y):
-        return self.op(Y, op_id, y)
+        return _psh_tables(Y)[op_id].get(y)
 
     def iso_invariant(self, X):
         per_sort = {s: 0 for s in self.gpd.sorts}
@@ -604,12 +621,12 @@ class PresheafCat(Category):
         return self._obj_from_tagged(canon(seen), lambda m, e: self.op(X, m, e))
 
 
-@lru_cache(maxsize=None)
-def _psh_op_map(X: Obj, mor_name):
-    for m, pairs in X.structure[1]:
-        if m == mor_name:
-            return dict(pairs)
-    raise KeyError(mor_name)
+def _psh_tables(X: Obj) -> dict:
+    """{mor_name: {x: y}} of a presheaf, built once per object and kept on it."""
+    tables = X.__dict__.get("_op_tables")
+    if tables is None:
+        tables = X.__dict__["_op_tables"] = {m: dict(pairs) for m, pairs in X.structure[1]}
+    return tables
 
 
 _PSH_CACHE: dict[str, PresheafCat] = {}

@@ -39,6 +39,11 @@ def canon_pairs(pairs):
 
 @dataclass(frozen=True)
 class Obj:
+    """A finite object: its category's name, a canonical carrier tuple and a
+    structure tuple.  Derived data (hash, carrier set, the operation tables
+    of unary algebras and presheaves) is built once and kept in the instance
+    dict; it takes no part in equality."""
+
     cat: str
     carrier: tuple
     structure: tuple = ()
@@ -48,8 +53,8 @@ class Obj:
             raise ValueError("carrier has duplicate elements")
 
     def __hash__(self):
-        # Objects key the lru_caches of derived structure (operation maps,
-        # subobject lists); hash the whole presentation once, not per lookup.
+        # Objects and morphisms are set members and dict keys; hash the whole
+        # presentation once, not per lookup.
         h = self.__dict__.get("_hash")
         if h is None:
             h = self.__dict__["_hash"] = hash((self.cat, self.carrier, self.structure))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import elem_key
 from .perms import (
@@ -39,8 +39,9 @@ class OrbitSpec:
             if len(g) != self.n:
                 raise ValueError("generator degree mismatch")
 
-    @property
+    @cached_property
     def group(self):
+        # kept on the instance, so canon_rep does not hash the spec per call
         return _orbit_group(self)
 
     def canon_rep(self, t):
@@ -324,7 +325,8 @@ def equivalence_from_subgroup(S, n):
     S = set(S)
 
     def eq(t, u):
-        return any(tuple(t[s[i]] for i in range(n)) == tuple(u) for s in S)
+        u = tuple(u)
+        return any(tuple(map(t.__getitem__, s)) == u for s in S)
 
     return eq
 

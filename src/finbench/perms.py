@@ -99,7 +99,8 @@ def cycle_type(p):
     return tuple(sorted(lengths))
 
 
-@lru_cache(maxsize=None)
+# Only n <= 5 is accepted (a raised error is not cached), so 6 entries fill it.
+@lru_cache(maxsize=8)
 def subgroups_of_sym(n):
     """Every subgroup of the symmetric group on n points, each exactly once.
 

@@ -86,7 +86,9 @@ def _check_laws(pres: SuperFinPresentation):
                                 raise PresentationError("composition law fails")
 
 
-@lru_cache(maxsize=None)
+# Keyed by presentations, which callers can create without limit; the CLI
+# suites use 5.
+@lru_cache(maxsize=16)
 def _table(pres: SuperFinPresentation):
     return dict(pres.action)
 

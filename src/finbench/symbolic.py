@@ -23,10 +23,6 @@ from .cats import GRA, UN
 WINDOW_DEFAULT = 32
 
 
-class WindowExhausted(Exception):
-    """Raised when a decision genuinely needs data beyond the window bound."""
-
-
 @dataclass(frozen=True)
 class SymbolicObject:
     kind: str

@@ -8,7 +8,7 @@ scan from a depth-first assignment over all map families.
 
 import itertools
 
-from finbench.core import Mor, category_of, elem_key
+from finbench.core import Mor, canon, canon_pairs, category_of, elem_key
 from finbench.perms import (
     all_perms,
     compose_perm,
@@ -228,3 +228,31 @@ def powfin_endo_dfs(m):
             fam[k] = {s: assign[(k, s)] for s in carriers[k]}
         out.append(fam)
     return out
+
+
+def presheaf_structure_by_canon(cat, carriers, ops):
+    """A presheaf's structure as first built: each operation's pairs through
+    canon_pairs, then the tagged operations sorted by elem_key over
+    (name, pairs)."""
+    carrier = canon((s, v) for s, vs in carriers.items() for v in vs)
+    tagged = []
+    for m, d, c in cat.gpd.mors:
+        pairs = [((d, v), (c, ops[m][v])) for s, v in carrier if s == d]
+        tagged.append((m, canon_pairs(pairs)))
+    return ("ops", tuple(sorted(tagged, key=elem_key)))
+
+
+def unary_structure_by_canon(elems, op):
+    """A unary algebra's structure as first built, through canon_pairs."""
+    return ("op", canon_pairs((x, op[x]) for x in canon(elems)))
+
+
+def equivalence_from_subgroup_by_index(S, n):
+    """t ~ u iff t . sigma = u for some sigma in S, indexing t position by
+    position (the first formulation of nominal.equivalence_from_subgroup)."""
+    S = set(S)
+
+    def eq(t, u):
+        return any(tuple(t[s[i]] for i in range(n)) == tuple(u) for s in S)
+
+    return eq

@@ -37,6 +37,7 @@ from finbench.colimits import FAIL
 
 from oracles import (
     brute_subgroups,
+    equivalence_from_subgroup_by_index,
     orbit_elements_brute,
     orbit_iso_map_transpositions,
     subgroups_conjugacy_classes,
@@ -138,6 +139,19 @@ def test_subgroup_equivalence_roundtrip(n):
     for H in subgroups_of_Sn(n):
         eq = equivalence_from_subgroup(H, n)
         assert subgroup_from_quotient(eq, n) == H
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subgroup_equivalence_agrees_with_indexed_formula(n):
+    tuples = list(itertools.permutations(range(n + 2), n))
+    for H in subgroups_of_Sn(n):
+        eq = equivalence_from_subgroup(H, n)
+        ref = equivalence_from_subgroup_by_index(H, n)
+        for t in tuples:
+            for u in tuples:
+                assert eq(t, u) == ref(t, u), (H, t, u)
+        # a list argument is compared as the tuple it lists
+        assert eq(list(tuples[0]), list(tuples[0])) and ref(list(tuples[0]), list(tuples[0]))
 
 
 def test_identity_equivalence_gives_trivial_subgroup():
