@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .serialize import canonical_dumps
@@ -94,7 +95,8 @@ def recipe(name):
 
 def recompute(cert: Certificate) -> Certificate:
     """Rerun the recipe; a recipe that is unknown, or that does not accept
-    the recorded parameters, raises CertificateError before any work."""
+    the recorded parameters or their JSON types, raises CertificateError
+    before any work."""
     name = cert.inputs.get("recipe")
     fn = RECIPES.get(name)
     if fn is None:
@@ -104,6 +106,14 @@ def recompute(cert: Certificate) -> Certificate:
         inspect.signature(fn).bind(**params)
     except TypeError as exc:
         raise CertificateError(f"recipe {name!r}: {exc}") from None
+    hints = typing.get_type_hints(fn)
+    for key, value in params.items():
+        # exact types: JSON true is not an int, nor 1.5 or null
+        if type(value) is not hints[key]:
+            raise CertificateError(
+                f"recipe {name!r}: parameter {key!r} must be {hints[key].__name__}, "
+                f"not {type(value).__name__}"
+            )
     return fn(**params)
 
 

@@ -122,6 +122,57 @@ class Mor:
         return f"Mor({self.dom!r} -> {self.cod!r})"
 
 
+class Partition:
+    """Union-find over a fixed finite element set."""
+
+    def __init__(self, elems):
+        self._parent = {x: x for x in elems}
+
+    def find(self, a):
+        parent = self._parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; False when they were one class."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self._parent[ra] = rb
+        return True
+
+    def close(self, pairs, successors):
+        """Union every pair and, on each merge of a and b, the pairs
+        successors(a, b): the least congruence containing the pairs when
+        successors lists what an identification of a and b forces.
+        Returns self."""
+        queue = list(pairs)
+        while queue:
+            a, b = queue.pop()
+            if self.union(a, b):
+                queue.extend(successors(a, b))
+        return self
+
+    def classes(self) -> list[list]:
+        """The classes in element order, each with its members in element
+        order."""
+        groups = {}
+        for x in self._parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())
+
+    def reps(self) -> dict:
+        """Each element's class representative, the elem_key-least member."""
+        rep = {}
+        for members in self.classes():
+            r = min(members, key=elem_key)
+            for x in members:
+                rep[x] = r
+        return rep
+
+
 _REGISTRY: dict[str, "Category"] = {}
 
 
@@ -159,6 +210,11 @@ class Category:
         """Apply op_id in X, or None when undefined; mirror of op_successors."""
         return None
 
+    def op_pairs(self, X: Obj, a, b):
+        """The pairs (op(a), op(b)) over the operations defined at a: what a
+        congruence must also identify once it identifies a and b."""
+        return [(a2, self.op_apply(X, op_id, b)) for op_id, a2 in self.op_successors(X, a)]
+
     def candidate_targets(self, X: Obj, x, Y: Obj):
         """Codomain elements a hom may send x to (sort filtering etc.)."""
         return Y.carrier
@@ -190,12 +246,17 @@ class Category:
     # ---- hom enumeration ---------------------------------------------------
 
     def hom_set(self, X: Obj, Y: Obj) -> list[Mor]:
-        """All structure-preserving maps X -> Y, duplicate free.
+        """All structure-preserving maps X -> Y, duplicate free, in the
+        lexicographic order of candidate_targets."""
+        return list(self._search(X, Y, injective=False))
+
+    def _search(self, X: Obj, Y: Obj, injective: bool):
+        """Yield the structure-preserving maps X -> Y (only the injective ones
+        when asked) depth first in candidate_targets order.
 
         Backtracking with propagation along unary operations; relational
         constraints are rechecked on partial assignments.
         """
-        results = []
         xs = X.carrier
 
         def propagate(assign, queue):
@@ -213,20 +274,27 @@ class Category:
                         queue.append((a2, b2))
             return True
 
-        def extend(assign):
-            pending = [x for x in xs if x not in assign]
-            if not pending:
-                results.append(Mor(X, Y, tuple(assign[x] for x in xs)))
+        def extend(assign, i):
+            while i < len(xs) and xs[i] in assign:
+                i += 1
+            if i == len(xs):
+                yield Mor(X, Y, tuple(assign[x] for x in xs))
                 return
-            x = pending[0]
+            x = xs[i]
+            used = set(assign.values()) if injective else ()
             for y in self.candidate_targets(X, x, Y):
+                if y in used:
+                    continue
                 trial = dict(assign)
                 trial[x] = y
-                if propagate(trial, [(x, y)]) and self.relations_ok(X, Y, trial):
-                    extend(trial)
+                if not propagate(trial, [(x, y)]):
+                    continue
+                if injective and len(set(trial.values())) < len(trial):
+                    continue
+                if self.relations_ok(X, Y, trial):
+                    yield from extend(trial, i + 1)
 
-        extend({})
-        return results
+        return extend({}, 0)
 
     # ---- mono / epi --------------------------------------------------------
 
@@ -284,33 +352,9 @@ class Category:
         if f.dom != g.dom or f.cod != g.cod:
             raise ValueError("not a parallel pair")
         Y = f.cod
-        parent = {y: y for y in Y.carrier}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        queue = [(f(x), g(x)) for x in f.dom.carrier]
-        while queue:
-            a, b = queue.pop()
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                continue
-            parent[ra] = rb
-            # propagate through unary operations
-            for op_id, a2 in self.op_successors(Y, a):
-                b2 = self.op_apply(Y, op_id, b)
-                queue.append((a2, b2))
-        classes = {}
-        for y in Y.carrier:
-            classes.setdefault(find(y), []).append(y)
-        rep = {}
-        for members in classes.values():
-            r = min(members, key=elem_key)
-            for y in members:
-                rep[y] = r
+        rep = Partition(Y.carrier).close(
+            [(f(x), g(x)) for x in f.dom.carrier], lambda a, b: self.op_pairs(Y, a, b)
+        ).reps()
         Q = self.quotient_obj(Y, rep)
         return Mor(Y, Q, tuple(rep[y] for y in Y.carrier))
 
@@ -329,54 +373,11 @@ class Category:
     # ---- isomorphism search ------------------------------------------------------
 
     def find_iso(self, X: Obj, Y: Obj):
-        """Backtracking search for an isomorphism X -> Y, or None."""
+        """The first injective hom X -> Y in hom_set order that is an
+        isomorphism, or None."""
         if X.size != Y.size or self.iso_invariant(X) != self.iso_invariant(Y):
             return None
-        xs = X.carrier
-
-        def extend(assign, used):
-            pending = [x for x in xs if x not in assign]
-            if not pending:
-                f = Mor(X, Y, tuple(assign[x] for x in xs))
-                if self.is_iso(f):
-                    return f
-                return None
-            x = pending[0]
-            for y in self.candidate_targets(X, x, Y):
-                if y in used:
-                    continue
-                trial = dict(assign)
-                trial[x] = y
-                ok = True
-                queue = [(x, y)]
-                while queue and ok:
-                    a, b = queue.pop()
-                    for op_id, a2 in self.op_successors(X, a):
-                        b2 = self.op_apply(Y, op_id, b)
-                        if b2 is None:
-                            ok = False
-                            break
-                        if a2 in trial:
-                            if trial[a2] != b2:
-                                ok = False
-                                break
-                        else:
-                            if b2 in trial.values():
-                                ok = False
-                                break
-                            trial[a2] = b2
-                            queue.append((a2, b2))
-                if not ok or not self.relations_ok(X, Y, trial):
-                    continue
-                vals = list(trial.values())
-                if len(set(vals)) != len(vals):
-                    continue
-                found = extend(trial, set(vals))
-                if found is not None:
-                    return found
-            return None
-
-        return extend({}, set())
+        return next((f for f in self._search(X, Y, injective=True) if self.is_iso(f)), None)
 
     def is_isomorphic(self, X: Obj, Y: Obj) -> bool:
         return self.find_iso(X, Y) is not None

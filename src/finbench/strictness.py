@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Mor, Obj, category_of, elem_key
+from .core import Mor, Obj, Partition, category_of, elem_key
 from .cats import (
     FINSET,
     GRA,
@@ -305,32 +305,13 @@ def congruences(cat, X: Obj):
     """All op-compatible, sort-respecting equivalences, via pair closure."""
 
     def close(partition, a, b):
-        parent = {}
+        part = Partition(X.carrier)
         for cls in partition:
-            members = sorted(cls, key=elem_key)
-            for x in members:
-                parent[x] = members[0]
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        queue = [(a, b)]
-        while queue:
-            x, y = queue.pop()
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                continue
-            parent[rx] = ry
-            for op_id, x2 in cat.op_successors(X, x):
-                y2 = cat.op_apply(X, op_id, y)
-                queue.append((x2, y2))
-        classes = {}
-        for x in X.carrier:
-            classes.setdefault(find(x), []).append(x)
-        return frozenset(frozenset(c) for c in classes.values())
+            first, *rest = cls
+            for x in rest:
+                part.union(first, x)
+        part.close([(a, b)], lambda x, y: cat.op_pairs(X, x, y))
+        return frozenset(frozenset(c) for c in part.classes())
 
     def same_sort(x, y):
         if isinstance(cat, PresheafCat):

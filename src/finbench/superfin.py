@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Mor, Obj, canon, elem_key
+from .core import Mor, Obj, Partition, canon, elem_key
 from .cats import FINSET
 from .functors import FunctorHandle
 
@@ -150,37 +150,16 @@ def evaluate(pres: SuperFinPresentation, X) -> KanEval:
         for q in pres.values[k]:
             for f in itertools.product(X, repeat=k):
                 elems.append((k, q, f))
-    parent = {e: e for e in elems}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    part = Partition(elems)
     for k in range(pres.n + 1):
         for k2 in range(pres.n + 1):
             for g in small_maps(k, k2):
                 for f in itertools.product(X, repeat=k2):
                     fg = tuple(f[g[i]] for i in range(k))
                     for q in pres.values[k]:
-                        union((k, q, fg), (k2, _apply(pres, k, k2, g, q), f))
-    classes = {}
-    for e in elems:
-        classes.setdefault(find(e), []).append(e)
-    rep_of = {}
-    reps = []
-    for members in classes.values():
-        r = min(members, key=elem_key)
-        reps.append(r)
-        for e in members:
-            rep_of[e] = r
-    return KanEval(pres, X, canon(reps), rep_of)
+                        part.union((k, q, fg), (k2, _apply(pres, k, k2, g, q), f))
+    rep_of = part.reps()
+    return KanEval(pres, X, canon(rep_of.values()), rep_of)
 
 
 def induced_map(ev_x: KanEval, ev_y: KanEval, h) -> Mor:
@@ -318,37 +297,22 @@ def quotient(pres: SuperFinPresentation, seed_pairs) -> SuperFinPresentation:
     through every action map.  Class representatives become the new values,
     so quotient values are elements of the original carriers.
     """
-    parent = {(k, q): (k, q) for k in range(pres.n + 1) for q in pres.values[k]}
+    keys = [(k, q) for k in range(pres.n + 1) for q in pres.values[k]]
+    seeds = [((k, a), (k, b)) for k, a, b in seed_pairs]
+    known = set(keys)
+    for x, y in seeds:
+        if x not in known or y not in known:
+            raise PresentationError(f"seed pair {x} ~ {y} is not two values of one level")
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    queue = [((k, a), (k, b)) for k, a, b in seed_pairs]
-    while queue:
-        x, y = queue.pop()
-        if x[0] != y[0]:
-            raise PresentationError("congruence merging across levels")
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[rx] = ry
+    def successors(x, y):
         k = x[0]
-        for k2 in range(pres.n + 1):
-            for g in small_maps(k, k2):
-                queue.append(
-                    ((k2, _apply(pres, k, k2, g, x[1])), (k2, _apply(pres, k, k2, g, y[1])))
-                )
-    classes = {}
-    for key in parent:
-        classes.setdefault(find(key), []).append(key)
-    rep = {}
-    for members in classes.values():
-        r = min(members, key=elem_key)
-        for key in members:
-            rep[key] = r
+        return [
+            ((k2, _apply(pres, k, k2, g, x[1])), (k2, _apply(pres, k, k2, g, y[1])))
+            for k2 in range(pres.n + 1)
+            for g in small_maps(k, k2)
+        ]
+
+    rep = Partition(keys).close(seeds, successors).reps()
     values = [
         canon({rep[(k, q)][1] for q in pres.values[k]}) for k in range(pres.n + 1)
     ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Mor, Obj, canon, elem_key
+from .core import Mor, Obj, Partition, canon, elem_key
 from .cats import GRA, UN
 
 WINDOW_DEFAULT = 32
@@ -226,23 +226,11 @@ def _prime_divisors(n):
 
 def _un_components(A: Obj):
     """Weak components of a unary algebra with their unique cycle length."""
-    parent = {x: x for x in A.carrier}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    part = Partition(A.carrier)
     for x in A.carrier:
-        ra, rb = find(x), find(UN.op(A, x))
-        if ra != rb:
-            parent[ra] = rb
-    groups = {}
-    for x in A.carrier:
-        groups.setdefault(find(x), []).append(x)
+        part.union(x, UN.op(A, x))
     out = []
-    for elems in groups.values():
+    for elems in part.classes():
         x = elems[0]
         seen = {}
         cur, steps = x, 0
@@ -275,19 +263,6 @@ def _offsets_to_cycle(A: Obj, component):
     if set(offsets) != members:
         raise ValueError("offsets requested across components")
     return offsets
-
-
-def hom_exists_into(sym: SymbolicObject, A: Obj) -> bool:
-    """Exact emptiness decision (window independent)."""
-    if sym.kind == "ray":
-        return all(ok for _, ok in _graph_levels(A))
-    if sym.kind == "loop_ray":
-        return True  # every vertex can collapse onto the loop
-    if sym.kind == "cycle_family":
-        return all(
-            _prime_divisors(cycle_len) for _, cycle_len in _un_components(A)
-        )
-    raise ValueError(sym.kind)
 
 
 # ---------------------------------------------------------------------------

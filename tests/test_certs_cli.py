@@ -201,6 +201,28 @@ def test_replay_extra_parameter_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "recipe, key, value",
+    [
+        ("un-boundedness", "bound", "8"),
+        ("un-boundedness", "max_m0", 1.5),
+        ("un-boundedness", "bound", None),
+        ("un-boundedness", "max_m0", True),
+        ("no-finitary-endo", "subject", 7),
+    ],
+)
+def test_replay_ill_typed_parameter_exits_2(tmp_path, capsys, recipe, key, value):
+    if recipe == "no-finitary-endo":
+        payload = _no_finitary_endo_payload()
+    else:
+        payload = RECIPES[recipe](bound=3, max_m0=2).to_payload()
+    payload["inputs"]["params"][key] = value
+    code, err = _malformed_replay(tmp_path, capsys, payload)
+    assert code == 2
+    assert err.count("\n") == 1 and repr(key) in err
+    assert "Traceback" not in err
+
+
 def test_replay_top_level_list_exits_2(tmp_path, capsys):
     code, err = _malformed_replay(tmp_path, capsys, [_no_finitary_endo_payload()])
     assert code == 2

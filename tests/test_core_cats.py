@@ -1,6 +1,7 @@
 """Category backbone: hom enumeration, factorization, mono/epi, coproducts,
 coequalizers, kernel pairs, subobjects, and isomorphism search."""
 
+import itertools
 import random
 
 import pytest
@@ -26,8 +27,9 @@ from finbench.cats import (
     presheaf_cat,
 )
 from finbench.core import Mor, category_of
+from finbench.perms import compose_perm
 
-from oracles import brute_homs
+from oracles import brute_congruences, brute_homs
 
 
 # ---------------------------------------------------------------------------
@@ -458,3 +460,96 @@ def test_symbolic_subobjects_of_cycle_family_bounded():
     sizes = sorted(M.size for M, _ in subs)
     # empty, single cycles of sizes 2, 3, 5, and the sum 2+3
     assert sizes == [0, 2, 3, 5, 5]
+
+
+# ---------------------------------------------------------------------------
+# differential: hom search, iso search and coequalizers against the oracles
+
+_S3 = gset_cat(S3_GPD)
+_S3_ELS = [m for m, _, _ in S3_GPD.mors]
+# the subgroups of orders 2, 3 and 6, whose coset actions have 3, 2 and 1 points
+_S3_SUBGROUPS = [
+    H
+    for r in (2, 3, 6)
+    for H in itertools.combinations(_S3_ELS, r)
+    if all(compose_perm(a, b) in H for a in H for b in H)
+]
+
+
+@st.composite
+def _small_obj(draw, kind, max_size):
+    """A FINSET, UN, GRA or S3-set object on at most max_size points."""
+    if kind == "s3":
+        points = []
+        for i, H in enumerate(draw(st.lists(st.sampled_from(_S3_SUBGROUPS), max_size=3))):
+            orbit = {frozenset(compose_perm(x, h) for h in H) for x in _S3_ELS}
+            if len(points) + len(orbit) <= max_size:
+                points.extend((i, c) for c in orbit)
+        label = {pt: i for i, pt in enumerate(points)}
+        ops = {
+            g: {label[(i, c)]: label[(i, frozenset(compose_perm(g, x) for x in c))]
+                for i, c in points}
+            for g in _S3_ELS
+        }
+        return _S3.obj({"*": list(range(len(points)))}, ops)
+    n = draw(st.integers(0, max_size))
+    if kind == "finset":
+        return FINSET.obj(range(n))
+    if kind == "un":
+        return UN.obj(range(n), dict(enumerate(draw(st.lists(
+            st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)))))
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    return GRA.obj(range(n), [e for e in pairs if draw(st.booleans())])
+
+
+def _relabel(X, p):
+    """The copy of X along the bijection p of its labels."""
+    cat = category_of(X)
+    if cat is FINSET:
+        return FINSET.obj(p[x] for x in X.carrier)
+    if cat is UN:
+        return UN.obj([p[x] for x in X.carrier], {p[x]: p[UN.op(X, x)] for x in X.carrier})
+    if cat is GRA:
+        return GRA.obj([p[x] for x in X.carrier], [(p[u], p[v]) for u, v in GRA.edges(X)])
+    return _S3.obj(
+        {"*": [p[v] for _, v in X.carrier]},
+        {g: {p[x[1]]: p[_S3.op(X, g, x)[1]] for x in X.carrier} for g in _S3_ELS},
+    )
+
+
+@st.composite
+def _obj_pairs(draw):
+    """(cat, X, Y) with |Y| ** |X| <= 256; Y is often a relabelled copy of X."""
+    kind = draw(st.sampled_from(["finset", "un", "gra", "s3"]))
+    X = draw(_small_obj(kind, 4))
+    if draw(st.booleans()):
+        labels = [x[1] if kind == "s3" else x for x in X.carrier]
+        Y = _relabel(X, dict(zip(labels, draw(st.permutations(labels)))))
+    else:
+        Y = draw(_small_obj(kind, 4))
+    return category_of(X), X, Y
+
+
+@settings(max_examples=120, deadline=None)
+@given(_obj_pairs(), st.data())
+def test_hom_iso_coequalizer_against_brute_oracles(pair, data):
+    cat, X, Y = pair
+    brute = brute_homs(X, Y)
+    # as lists: depth-first search over candidate_targets is lexicographic,
+    # and certificates record homs in this order
+    assert cat.hom_set(X, Y) == brute
+    assert cat.find_iso(X, Y) == next((h for h in brute if cat.is_iso(h)), None)
+    if not brute:
+        return
+    f, g = data.draw(st.sampled_from(brute)), data.draw(st.sampled_from(brute))
+    q = cat.coequalizer(f, g)
+    fibres = {}
+    for y in Y.carrier:
+        fibres.setdefault(q(y), set()).add(y)
+    seeds = [(f(x), g(x)) for x in X.carrier]
+    containing = [
+        part for part in brute_congruences(cat, Y)
+        if all(any(a in cls and b in cls for cls in part) for a, b in seeds)
+    ]
+    # the least congruence containing the seeds has the most classes
+    assert frozenset(frozenset(c) for c in fibres.values()) == max(containing, key=len)

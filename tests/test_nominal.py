@@ -287,7 +287,7 @@ def test_hom_exists_examples():
     assert not hom_exists_Pn(2, NominalSetSpec((pn_orbit(1),)))
 
 
-def test_hom_exists_into_family():
+def test_hom_exists_Pn_family():
     assert hom_exists_Pn(3, P_SUBSET_FAMILY)
 
 

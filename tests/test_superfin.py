@@ -178,6 +178,13 @@ def test_quotient_remains_superfinitary():
     assert verdict.status == PASS
 
 
+def test_quotient_rejects_cross_level_seed():
+    P = truncated_hom(2, 2)
+    # (0, 1) is a level-2 value; level 1 has only the constant map (0, 0)
+    with pytest.raises(PresentationError):
+        quotient(P, [(1, (0, 0), (0, 1))])
+
+
 # ---------------------------------------------------------------------------
 # super-finitarity tests
 
