@@ -83,11 +83,14 @@ class Certificate:
 
 
 RECIPES: dict[str, object] = {}
+# recipe name -> {parameter: (least, greatest)} accepted on replay
+LIMITS: dict[str, dict] = {}
 
 
-def recipe(name):
+def recipe(name, limits=None):
     def deco(fn):
         RECIPES[name] = fn
+        LIMITS[name] = limits or {}
         return fn
 
     return deco
@@ -95,8 +98,8 @@ def recipe(name):
 
 def recompute(cert: Certificate) -> Certificate:
     """Rerun the recipe; a recipe that is unknown, or that does not accept
-    the recorded parameters or their JSON types, raises CertificateError
-    before any work."""
+    the recorded parameters, their JSON types or their values, raises
+    CertificateError before any work."""
     name = cert.inputs.get("recipe")
     fn = RECIPES.get(name)
     if fn is None:
@@ -113,6 +116,12 @@ def recompute(cert: Certificate) -> Certificate:
             raise CertificateError(
                 f"recipe {name!r}: parameter {key!r} must be {hints[key].__name__}, "
                 f"not {type(value).__name__}"
+            )
+    for key, (lo, hi) in LIMITS[name].items():
+        if key in params and not lo <= params[key] <= hi:
+            raise CertificateError(
+                f"recipe {name!r}: parameter {key!r} must be in {lo}..{hi}, "
+                f"not {params[key]}"
             )
     return fn(**params)
 

@@ -210,11 +210,6 @@ class Category:
         """Apply op_id in X, or None when undefined; mirror of op_successors."""
         return None
 
-    def op_pairs(self, X: Obj, a, b):
-        """The pairs (op(a), op(b)) over the operations defined at a: what a
-        congruence must also identify once it identifies a and b."""
-        return [(a2, self.op_apply(X, op_id, b)) for op_id, a2 in self.op_successors(X, a)]
-
     def candidate_targets(self, X: Obj, x, Y: Obj):
         """Codomain elements a hom may send x to (sort filtering etc.)."""
         return Y.carrier
@@ -352,9 +347,13 @@ class Category:
         if f.dom != g.dom or f.cod != g.cod:
             raise ValueError("not a parallel pair")
         Y = f.cod
-        rep = Partition(Y.carrier).close(
-            [(f(x), g(x)) for x in f.dom.carrier], lambda a, b: self.op_pairs(Y, a, b)
-        ).reps()
+        # op(f x) = f(op x) and likewise for g, so the seed pairs are closed
+        # under every operation and their equivalence closure is already a
+        # congruence: nothing needs propagating.
+        part = Partition(Y.carrier)
+        for x in f.dom.carrier:
+            part.union(f(x), g(x))
+        rep = part.reps()
         Q = self.quotient_obj(Y, rep)
         return Mor(Y, Q, tuple(rep[y] for y in Y.carrier))
 

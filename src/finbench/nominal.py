@@ -321,68 +321,39 @@ def single_orbit_enumerate(n: int):
 
 
 def equivalence_from_subgroup(S, n):
-    """The equivariant equivalence t ~ t . sigma for sigma in S."""
-    S = set(S)
-
-    def eq(t, u):
-        u = tuple(u)
-        return any(tuple(map(t.__getitem__, s)) == u for s in S)
-
-    return eq
+    """The quotient map of the equivariant equivalence t ~ t . sigma for
+    sigma in S: each injective tuple goes to the least tuple of its class."""
+    return OrbitSpec(n, tuple(S)).canon_rep
 
 
-def subgroup_from_quotient(eq, n: int, pool=None):
-    """Recover the subgroup from an equivariant, support-preserving
-    equivalence on injective tuples; rejects non-equivariant input.
+def subgroup_from_quotient(quotient, n: int, pool=None):
+    """Recover the subgroup S from the quotient map t -> class label of an
+    equivariant, support-preserving equivalence on the injective n-tuples
+    over the pool; rejects input that is neither.
 
-    Checking that the set of related pairs is closed under the two
-    generators of the symmetric group on the pool (a transposition and the
-    pool cycle) is complete for equivariance, and relating any base tuple
-    across different supports falsifies support preservation.
+    Every class must lie inside one name set, and each of the two generators
+    of the symmetric group on the pool (a transposition and the pool cycle)
+    must map every class into one class; then every pool permutation maps
+    classes onto classes.  Pool permutations act transitively on the tuples
+    and commute with permuting positions, so the classes are exactly the
+    orbits t . S, where S is read off the base tuple's class.
     """
     pool = pool or 2 * n + 2
-    tuples = list(itertools.permutations(range(pool), n))
-    by_image = {}
-    for t in tuples:
-        by_image.setdefault(frozenset(t), []).append(t)
-    # support preservation: representatives related only within their image
-    reps = [group[0] for group in by_image.values()]
-    for r in reps:
-        for u in tuples:
-            if eq(r, u) and frozenset(r) != frozenset(u):
-                raise ValueError("equivalence does not preserve supports")
-    # equivariance: related pairs stay related under both generators
-    gens = sym_generators(pool)
-    for group in by_image.values():
-        for t, u in itertools.combinations_with_replacement(group, 2):
-            if not eq(t, u):
-                continue
-            for pi in gens:
-                t2 = tuple(pi[v] for v in t)
-                u2 = tuple(pi[v] for v in u)
-                if not eq(t2, u2):
-                    raise ValueError("equivalence is not equivariant")
-    t0 = tuple(range(n))
-    S = [s for s in all_perms(n) if eq(tuple(t0[s[i]] for i in range(n)), t0)]
+    label = {t: quotient(t) for t in itertools.permutations(range(pool), n)}
+    names = {}
+    for t, c in label.items():
+        if names.setdefault(c, frozenset(t)) != frozenset(t):
+            raise ValueError("equivalence does not preserve supports")
+    for pi in sym_generators(pool):
+        image = {}
+        for t, c in label.items():
+            c2 = label[tuple(map(pi.__getitem__, t))]
+            if image.setdefault(c, c2) != c2:
+                raise ValueError("equivalence is not equivariant")
+    base = label[tuple(range(n))]
+    S = [s for s in all_perms(n) if label[s] == base]
     if not is_subgroup(S, n):
         raise ValueError("recovered relation is not a subgroup")
-    # one tuple suffices by equivariance; verify on all of them anyway
-    for t in tuples:
-        for s in S:
-            if not eq(tuple(t[s[i]] for i in range(n)), t):
-                raise AssertionError("subgroup criterion not uniform over tuples")
-    # completeness: every related pair is a subgroup translate
-    sset = set(S)
-    for group in by_image.values():
-        for t in group:
-            for u in group:
-                if eq(t, u):
-                    if not any(
-                        tuple(t[s[i]] for i in range(n)) == u for s in sset
-                    ):
-                        raise ValueError(
-                            "equivalence relates pairs outside the subgroup orbit"
-                        )
     return tuple(sorted(S, key=elem_key))
 
 

@@ -304,13 +304,17 @@ def fixed_subobject_witness(m: Mor, bound: int = 8):
 def congruences(cat, X: Obj):
     """All op-compatible, sort-respecting equivalences, via pair closure."""
 
+    def op_pairs(a, b):
+        # what a congruence must also identify once it identifies a and b
+        return [(a2, cat.op_apply(X, op_id, b)) for op_id, a2 in cat.op_successors(X, a)]
+
     def close(partition, a, b):
         part = Partition(X.carrier)
         for cls in partition:
             first, *rest = cls
             for x in rest:
                 part.union(first, x)
-        part.close([(a, b)], lambda x, y: cat.op_pairs(X, x, y))
+        part.close([(a, b)], op_pairs)
         return frozenset(frozenset(c) for c in part.classes())
 
     def same_sort(x, y):

@@ -214,7 +214,7 @@ def r_finitarity_graph(k: int = 3) -> Certificate:
     return _chain_cert_payload(cert)
 
 
-@recipe("finitarity-nom")
+@recipe("finitarity-nom", limits={"k": (1, 3)})
 def r_finitarity_nom(k: int = 3) -> Certificate:
     return _chain_cert_payload(p_chain_certificate(k))
 
@@ -537,12 +537,11 @@ def r_nominal_subgroups() -> Certificate:
     )
 
 
-@recipe("nominal-roundtrip")
+@recipe("nominal-roundtrip", limits={"n": (0, 4)})
 def r_nominal_roundtrip(n: int = 3) -> Certificate:
     failures = []
     for H in subgroups_of_Sn(n):
-        eq = equivalence_from_subgroup(H, n)
-        back = subgroup_from_quotient(eq, n)
+        back = subgroup_from_quotient(equivalence_from_subgroup(H, n), n)
         if back != H:
             failures.append([list(g) for g in H])
     return Certificate(
@@ -553,7 +552,7 @@ def r_nominal_roundtrip(n: int = 3) -> Certificate:
     )
 
 
-@recipe("nominal-orbit-classes")
+@recipe("nominal-orbit-classes", limits={"n_max": (0, 4)})
 def r_nominal_orbit_classes(n_max: int = 3) -> Certificate:
     counts = {str(n): len(single_orbit_enumerate(n)) for n in range(n_max + 1)}
     expected = {"0": 1, "1": 1, "2": 2, "3": 4}

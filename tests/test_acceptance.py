@@ -206,8 +206,7 @@ def test_criterion_06_classification():
     for n in (2, 3, 4):
         assert len(subgroups_of_Sn(n)) == len(brute_subgroups(n))
     for H in subgroups_of_Sn(3):
-        eq = equivalence_from_subgroup(H, 3)
-        assert subgroup_from_quotient(eq, 3) == H
+        assert subgroup_from_quotient(equivalence_from_subgroup(H, 3), 3) == H
     assert [len(single_orbit_enumerate(n)) for n in range(4)] == [1, 1, 2, 4]
 
 

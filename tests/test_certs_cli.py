@@ -223,6 +223,25 @@ def test_replay_ill_typed_parameter_exits_2(tmp_path, capsys, recipe, key, value
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "recipe, key, value",
+    [
+        ("nominal-roundtrip", "n", 6),
+        ("nominal-roundtrip", "n", -1),
+        ("nominal-orbit-classes", "n_max", 5),
+        ("finitarity-nom", "k", 5),
+        ("finitarity-nom", "k", 4),
+    ],
+)
+def test_replay_out_of_range_parameter_exits_2(tmp_path, capsys, recipe, key, value):
+    payload = RECIPES[recipe](**{key: 1}).to_payload()
+    payload["inputs"]["params"][key] = value
+    code, err = _malformed_replay(tmp_path, capsys, payload)
+    assert code == 2
+    assert err.count("\n") == 1 and repr(key) in err and str(value) in err
+    assert "Traceback" not in err
+
+
 def test_replay_top_level_list_exits_2(tmp_path, capsys):
     code, err = _malformed_replay(tmp_path, capsys, [_no_finitary_endo_payload()])
     assert code == 2

@@ -466,6 +466,7 @@ def test_symbolic_subobjects_of_cycle_family_bounded():
 # differential: hom search, iso search and coequalizers against the oracles
 
 _S3 = gset_cat(S3_GPD)
+_PAIR = presheaf_cat(two_object_iso_groupoid())
 _S3_ELS = [m for m, _, _ in S3_GPD.mors]
 # the subgroups of orders 2, 3 and 6, whose coset actions have 3, 2 and 1 points
 _S3_SUBGROUPS = [
@@ -478,7 +479,15 @@ _S3_SUBGROUPS = [
 
 @st.composite
 def _small_obj(draw, kind, max_size):
-    """A FINSET, UN, GRA or S3-set object on at most max_size points."""
+    """A FINSET, UN, GRA, S3-set or pair-groupoid presheaf object on at most
+    max_size points."""
+    if kind == "pair":
+        # u: a -> b is a bijection, so its operations change sort
+        k = draw(st.integers(0, max_size // 2))
+        a, b = list(range(k)), draw(st.permutations(range(k, 2 * k)))
+        ops = {"ia": {x: x for x in a}, "ib": {y: y for y in b},
+               "u": dict(zip(a, b)), "v": dict(zip(b, a))}
+        return _PAIR.obj({"a": a, "b": b}, ops)
     if kind == "s3":
         points = []
         for i, H in enumerate(draw(st.lists(st.sampled_from(_S3_SUBGROUPS), max_size=3))):
@@ -511,26 +520,27 @@ def _relabel(X, p):
         return UN.obj([p[x] for x in X.carrier], {p[x]: p[UN.op(X, x)] for x in X.carrier})
     if cat is GRA:
         return GRA.obj([p[x] for x in X.carrier], [(p[u], p[v]) for u, v in GRA.edges(X)])
-    return _S3.obj(
-        {"*": [p[v] for _, v in X.carrier]},
-        {g: {p[x[1]]: p[_S3.op(X, g, x)[1]] for x in X.carrier} for g in _S3_ELS},
+    return cat.obj(
+        {s: [p[v] for t, v in X.carrier if t == s] for s in cat.gpd.sorts},
+        {m: {p[x[1]]: p[cat.op(X, m, x)[1]] for x in X.carrier if x[0] == d}
+         for m, d, _ in cat.gpd.mors},
     )
 
 
 @st.composite
 def _obj_pairs(draw):
     """(cat, X, Y) with |Y| ** |X| <= 256; Y is often a relabelled copy of X."""
-    kind = draw(st.sampled_from(["finset", "un", "gra", "s3"]))
+    kind = draw(st.sampled_from(["finset", "un", "gra", "s3", "pair"]))
     X = draw(_small_obj(kind, 4))
     if draw(st.booleans()):
-        labels = [x[1] if kind == "s3" else x for x in X.carrier]
+        labels = [x[1] if kind in ("s3", "pair") else x for x in X.carrier]
         Y = _relabel(X, dict(zip(labels, draw(st.permutations(labels)))))
     else:
         Y = draw(_small_obj(kind, 4))
     return category_of(X), X, Y
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_obj_pairs(), st.data())
 def test_hom_iso_coequalizer_against_brute_oracles(pair, data):
     cat, X, Y = pair

@@ -134,49 +134,53 @@ def test_orbit_support_size_constant():
 # quotient correspondence roundtrips
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_subgroup_equivalence_roundtrip(n):
     for H in subgroups_of_Sn(n):
-        eq = equivalence_from_subgroup(H, n)
-        assert subgroup_from_quotient(eq, n) == H
+        assert subgroup_from_quotient(equivalence_from_subgroup(H, n), n) == H
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_subgroup_equivalence_agrees_with_indexed_formula(n):
     tuples = list(itertools.permutations(range(n + 2), n))
     for H in subgroups_of_Sn(n):
-        eq = equivalence_from_subgroup(H, n)
+        q = equivalence_from_subgroup(H, n)
         ref = equivalence_from_subgroup_by_index(H, n)
         for t in tuples:
             for u in tuples:
-                assert eq(t, u) == ref(t, u), (H, t, u)
-        # a list argument is compared as the tuple it lists
-        assert eq(list(tuples[0]), list(tuples[0])) and ref(list(tuples[0]), list(tuples[0]))
+                assert (q(t) == q(u)) == ref(t, u), (H, t, u)
+            # a list argument is mapped as the tuple it lists
+            assert q(list(t)) == q(t)
 
 
 def test_identity_equivalence_gives_trivial_subgroup():
-    eq = lambda t, u: tuple(t) == tuple(u)
-    S = subgroup_from_quotient(eq, 2)
+    S = subgroup_from_quotient(tuple, 2)
     assert S == ((0, 1),)
 
 
 def test_same_image_equivalence_gives_full_group():
-    eq = lambda t, u: frozenset(t) == frozenset(u)
-    S = subgroup_from_quotient(eq, 2)
+    S = subgroup_from_quotient(frozenset, 2)
     assert len(S) == 2
 
 
 def test_non_equivariant_equivalence_rejected():
-    # relating one specific pair only cannot be equivariant
-    special = ((0, 1), (1, 0))
+    # merging one specific pair only cannot be equivariant
+    def q(t):
+        return frozenset(t) if set(t) == {0, 1} else tuple(t)
 
-    def eq(t, u):
-        if tuple(t) == tuple(u):
-            return True
-        return (tuple(t), tuple(u)) in (special, special[::-1])
+    with pytest.raises(ValueError, match="not equivariant"):
+        subgroup_from_quotient(q, 2)
 
-    with pytest.raises(ValueError):
-        subgroup_from_quotient(eq, 2)
+
+def test_cross_support_pair_away_from_representatives_rejected():
+    # two tuples on different name sets, neither the least of its name set
+    merged = {(1, 0, 2), (6, 5, 7)}
+
+    def q(t):
+        return "merged" if tuple(t) in merged else tuple(t)
+
+    with pytest.raises(ValueError, match="preserve supports"):
+        subgroup_from_quotient(q, 3)
 
 
 # ---------------------------------------------------------------------------
