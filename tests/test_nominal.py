@@ -31,12 +31,23 @@ from finbench.nominal import (
     support_rigidity_check,
     P_SUBSET_FAMILY,
 )
+import finbench.nominal as nominal
 from finbench.core import elem_key
-from finbench.perms import all_perms, mulclose, sym_generators, transposition
+from finbench.perms import (
+    all_perms,
+    compose_perm,
+    inverse_perm,
+    is_subgroup,
+    mulclose,
+    subgroups_of_sym,
+    sym_generators,
+    transposition,
+)
 from finbench.colimits import FAIL
 
 from oracles import (
     brute_subgroups,
+    class_min,
     equivalence_from_subgroup_by_index,
     orbit_elements_brute,
     orbit_iso_map_transpositions,
@@ -54,6 +65,23 @@ def test_subgroup_counts_against_oracle(n, count):
     oracle = brute_subgroups(n)
     assert len(ours) == len(oracle) == count
     assert {frozenset(h) for h in ours} == set(oracle)
+
+
+def test_s5_has_156_subgroups_in_19_conjugacy_classes():
+    subs = subgroups_of_sym(5)
+    assert len(subs) == len(set(subs)) == 156
+    assert all(is_subgroup(h, 5) for h in subs)
+    perms = all_perms(5)
+    found = set(subs)
+    classes = set()
+    for H in subs:
+        conjugates = [
+            frozenset(compose_perm(compose_perm(g, h), inverse_perm(g)) for h in H)
+            for g in perms
+        ]
+        assert found.issuperset(conjugates)
+        classes.add(min(tuple(sorted(K)) for K in conjugates))
+    assert len(classes) == 19
 
 
 def test_subgroup_enumeration_rejects_large_n():
@@ -109,6 +137,17 @@ def test_orbit_elements_match_brute_canonicalisation(n):
     for H in subgroups_of_Sn(n):
         spec = OrbitSpec(n, tuple(H))
         assert spec.elements(pool) == orbit_elements_brute(spec, pool)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_canon_rep_is_the_class_minimum(n):
+    tuples = list(itertools.permutations(range(2 * n + 2), n))
+    for H in subgroups_of_Sn(n):
+        spec = OrbitSpec(n, tuple(H))
+        for t in tuples:
+            expected = class_min(spec, t)
+            assert spec.canon_rep(t) == expected, (H, t)
+            assert spec.canon_rep(list(t)) == expected, (H, t)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -192,6 +231,21 @@ def test_single_orbit_class_counts(n, count):
     assert len(single_orbit_enumerate(n)) == count
     # independent oracle: conjugacy classes of subgroups
     assert len(subgroups_conjugacy_classes(n)) == count
+
+
+def test_single_orbit_enumerate_decides_through_orbit_iso_map(monkeypatch):
+    # the benchmark times each classification by rebinding this module global
+    calls = []
+    search = nominal.orbit_iso_map
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(nominal, "orbit_iso_map", counted)
+    assert len(single_orbit_enumerate(3)) == 4
+    # every subgroup after the first is compared with a class found before it
+    assert len(calls) >= len(subgroups_of_Sn(3)) - 1
 
 
 def test_conjugate_subgroups_give_isomorphic_orbits():

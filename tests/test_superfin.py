@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from finbench.cats import FINSET
+from finbench.core import canon
 from finbench.colimits import FAIL, PASS
 from finbench.superfin import (
     PresentationError,
@@ -17,6 +18,7 @@ from finbench.superfin import (
     evaluate,
     generate_FnA,
     induced_map,
+    nonempty_subsets,
     power_functor,
     powfin_endo_probe,
     presentation,
@@ -196,6 +198,19 @@ def test_identity_functor_superfinitary():
         identity_functor("finset"), 1, [FINSET.obj(range(2))]
     )
     assert verdict.status == PASS
+
+
+def test_nonempty_subsets_come_in_canonical_order():
+    # mixed element kinds, so the order is elem_key's across kinds and sizes
+    pool = [-1, 0, 3, "a", "b", (1,), (0, "x"), frozenset(), frozenset({"a", 2})]
+    for r in range(6):
+        for elems in itertools.combinations(pool, r):
+            carrier = canon(elems)
+            subsets = [frozenset(c) for k in range(1, r + 1)
+                       for c in itertools.combinations(elems, k)]
+            assert nonempty_subsets(carrier) == canon(subsets), carrier
+    assert power_functor().on_obj(FINSET.obj("cab")) == FINSET.obj(
+        frozenset(c) for k in (1, 2, 3) for c in itertools.combinations("abc", k))
 
 
 def test_power_functor_not_superfinitary():
