@@ -46,6 +46,12 @@ class OrbitSpec:
         return _orbit_group(self)
 
     @cached_property
+    def invariant(self):
+        """(n, |S|, sorted cycle types of S): equal for conjugate subgroups,
+        so orbits that differ in it are not isomorphic."""
+        return (self.n, len(self.group), tuple(sorted(cycle_type(g) for g in self.group)))
+
+    @cached_property
     def getters(self):
         """One gather t -> t . s per group element s, run in C by canon_rep
         and _orbit_elements.  Below n = 2 the group is trivial and itemgetter
@@ -70,8 +76,8 @@ class OrbitSpec:
 
 
 # Both caches are keyed by OrbitSpec values that callers can create without
-# limit, so they are bounded.  The n <= 4 single-orbit classification, the
-# largest user, fills 38 _orbit_group and 29 _orbit_elements entries.
+# limit, so they are bounded.  The n <= 5 single-orbit classification, the
+# largest user, fills 194 _orbit_group and 24 _orbit_elements entries.
 @lru_cache(maxsize=256)
 def _orbit_group(spec: OrbitSpec):
     if spec.n == 0:
@@ -171,33 +177,27 @@ def _base_rep(spec: OrbitSpec):
 
 
 def _stabilizer_pool_perms(spec: OrbitSpec, rep, pool):
-    """Pool permutations generating the stabilizer of the class [rep]:
-    extensions of rep . sigma . rep^{-1} for sigma in the subgroup's
-    generators, plus two generators of the symmetric group on the names
-    away from the support.  An element is fixed by the stabilizer iff it is
-    fixed by each of these."""
-    out = []
-    for sigma in spec.gens:
-        dst = tuple(rep[sigma[i]] for i in range(spec.n))
-        out.append(_extend_to_pool_perm(rep, dst, pool))
-    rest = sorted(set(range(pool)) - set(rep))
-    out.extend(sym_generators(pool, rest))
-    return out
+    """Extensions of rep . sigma . rep^{-1} for sigma in the subgroup's
+    generators.  With the permutations of the names away from rep they
+    generate the stabilizer of the class [rep]; those fix every element with
+    support inside rep, so such an element is fixed by the stabilizer iff it
+    is fixed by each of these."""
+    return [_extend_to_pool_perm(rep, tuple(rep[i] for i in sigma), pool) for sigma in spec.gens]
 
 
 def orbit_map_candidates(dom_orbit: OrbitSpec, cod: NominalSetSpec, pool: int):
     """Elements of cod that can receive the base representative of the orbit:
-    support contained in the base support and fixed by its stabilizer."""
-    rep = _base_rep(dom_orbit)
-    supp = set(rep)
-    stab = _stabilizer_pool_perms(dom_orbit, rep, pool)
-    found = []
-    for elem in cod.elements(pool):
-        if not support(elem) <= supp:
-            continue
-        if all(cod.act(pi, elem) == elem for pi in stab):
-            found.append(elem)
-    return found
+    support contained in the base support and fixed by its stabilizer.  The
+    base tuple is (0, ..., n-1), so the elements of a codomain orbit with
+    support inside it are that orbit's elements over a pool of n names."""
+    n = dom_orbit.n
+    stab = _stabilizer_pool_perms(dom_orbit, _base_rep(dom_orbit), pool)
+    return [
+        (i, t)
+        for i, o in enumerate(cod.orbits) if o.n <= n
+        for t in o.elements(n)
+        if all(o.act(pi, t) == t for pi in stab)
+    ]
 
 
 @dataclass(frozen=True)
@@ -273,56 +273,25 @@ def subgroups_of_Sn(n: int):
     return [tuple(sorted(h)) for h in subgroups_of_sym(n)]
 
 
-def _group_invariant(spec: OrbitSpec):
-    return (spec.n, len(spec.group), tuple(sorted(cycle_type(g) for g in spec.group)))
-
-
 def orbit_iso_map(a: OrbitSpec, b: OrbitSpec, pool=None):
-    """Equivariant bijection between pool realizations, or None.
+    """Equivariant bijection between pool realizations, as a NomMor, or None.
 
-    The map is propagated from a single seed image along the two generators
-    of the symmetric group on the pool (a transposition and the pool cycle):
-    a map commuting with both commutes with every pool permutation, and the
-    group is transitive on the orbit, so propagation reaches every element.
-    Candidate seeds share the base support (equivariant bijections preserve
-    supports exactly)."""
-    if _group_invariant(a) != _group_invariant(b):
+    An equivariant map out of a single orbit is fixed by the image of the
+    base tuple, and any image that orbit_map_candidates offers gives one.
+    Such a map onto the single orbit b is onto; equal group orders give both
+    orbits the same number of elements over the pool, so it is one-to-one."""
+    if a.invariant != b.invariant:
         return None
     pool = pool or max(a.default_pool(), b.default_pool())
-    els_a = a.elements(pool)
-    els_b = b.elements(pool)
-    if len(els_a) != len(els_b):
+    found = orbit_map_candidates(a, NominalSetSpec((b,)), pool)
+    if not found:
         return None
-    e0 = els_a[0]
-    gens = sym_generators(pool)
-    for cand in els_b:
-        if frozenset(cand) != frozenset(e0):
-            continue
-        mapping = {e0: cand}
-        stack = [e0]
-        ok = True
-        while stack and ok:
-            e = stack.pop()
-            for pi in gens:
-                e2 = a.act(pi, e)
-                img2 = b.act(pi, mapping[e])
-                if e2 in mapping:
-                    if mapping[e2] != img2:
-                        ok = False
-                        break
-                else:
-                    mapping[e2] = img2
-                    stack.append(e2)
-        if ok and len(mapping) == len(els_a) and len(set(mapping.values())) == len(els_b):
-            return mapping
-    return None
+    return NomMor(NominalSetSpec((a,)), NominalSetSpec((b,)), (found[0],), pool)
 
 
 def single_orbit_enumerate(n: int):
-    """One OrbitSpec per isomorphism class, deduplicated by explicit
-    equivariant-bijection search (not by assuming conjugacy)."""
-    if n > 4:
-        raise ValueError("single-orbit enumeration supported for n <= 4")
+    """One OrbitSpec per isomorphism class, deduplicated by deciding
+    equivariant bijection with orbit_iso_map (not by assuming conjugacy)."""
     out = []
     for H in subgroups_of_Sn(n):
         spec = OrbitSpec(n, tuple(H))
@@ -521,7 +490,7 @@ def countable_strictness_witness(b: NomMor) -> NomStrictnessWitness:
     hit = sorted({img[0] for img in b.images})
     rest = [i for i in range(len(A.orbits)) if i not in hit]
     class_reps: list[int] = []
-    fold_to: dict[int, tuple[int, dict]] = {}
+    fold_to: dict[int, tuple[int, NomMor | None]] = {}
     for i in rest:
         target = None
         for r in class_reps:
@@ -544,6 +513,6 @@ def countable_strictness_witness(b: NomMor) -> NomStrictnessWitness:
             f_images.append((position[i], _base_rep(A.orbits[i])))
         else:
             r, m = fold_to[i]
-            f_images.append((position[r], m[_base_rep(A.orbits[i])]))
+            f_images.append((position[r], m.images[0][1]))
     f = NomMor(A, Bp, tuple(f_images), pool)
     return NomStrictnessWitness(b, bp, f)

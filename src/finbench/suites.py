@@ -52,7 +52,6 @@ from .nominal import (
     NominalSetSpec,
     all_equivariant_maps,
     equivalence_from_subgroup,
-    orbit_iso_map,
     p_chain_certificate,
     p_prefix,
     pn_orbit,

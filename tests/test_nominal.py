@@ -20,7 +20,9 @@ from finbench.nominal import (
     nom_counterexample,
     nom_counterexample_mor,
     nom_identity,
+    one_plus,
     orbit_iso_map,
+    orbit_map_candidates,
     p_chain_certificate,
     p_prefix,
     pn_orbit,
@@ -67,18 +69,21 @@ def test_subgroup_counts_against_oracle(n, count):
     assert {frozenset(h) for h in ours} == set(oracle)
 
 
+def _conjugates(H, n):
+    return {
+        frozenset(compose_perm(compose_perm(g, h), inverse_perm(g)) for h in H)
+        for g in all_perms(n)
+    }
+
+
 def test_s5_has_156_subgroups_in_19_conjugacy_classes():
     subs = subgroups_of_sym(5)
     assert len(subs) == len(set(subs)) == 156
     assert all(is_subgroup(h, 5) for h in subs)
-    perms = all_perms(5)
     found = set(subs)
     classes = set()
     for H in subs:
-        conjugates = [
-            frozenset(compose_perm(compose_perm(g, h), inverse_perm(g)) for h in H)
-            for g in perms
-        ]
+        conjugates = _conjugates(H, 5)
         assert found.issuperset(conjugates)
         classes.add(min(tuple(sorted(K)) for K in conjugates))
     assert len(classes) == 19
@@ -260,12 +265,20 @@ def test_non_conjugate_subgroups_distinct_orbits():
     assert orbit_iso_map(ordered, unordered) is None
 
 
+def _iso_element_map(a, f):
+    """The map f between single orbits, element by element over its pool."""
+    if f is None:
+        return None
+    return {t: f.apply((0, t))[1] for t in a.elements(f.pool)}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_iso_map_agrees_with_transposition_oracle(n):
     specs = [OrbitSpec(n, tuple(H)) for H in subgroups_of_Sn(n)]
     for a in specs:
         for b in specs:
-            assert orbit_iso_map(a, b) == orbit_iso_map_transpositions(a, b)
+            found = _iso_element_map(a, orbit_iso_map(a, b))
+            assert found == orbit_iso_map_transpositions(a, b)
 
 
 def test_orbit_iso_map_agrees_with_oracle_on_s4_dihedral_class():
@@ -276,7 +289,53 @@ def test_orbit_iso_map_agrees_with_oracle_on_s4_dihedral_class():
     for b in specs:
         found = orbit_iso_map(a, b)
         assert found is not None
-        assert found == orbit_iso_map_transpositions(a, b)
+        assert _iso_element_map(a, found) == orbit_iso_map_transpositions(a, b)
+
+
+def test_orbit_iso_exists_iff_subgroups_conjugate_n4():
+    subs = [frozenset(H) for H in subgroups_of_Sn(4)]
+    specs = [OrbitSpec(4, tuple(sorted(H))) for H in subs]
+    for H, a in zip(subs, specs):
+        conj = _conjugates(H, 4)
+        for K, b in zip(subs, specs):
+            assert (orbit_iso_map(a, b) is not None) == (K in conj)
+
+
+def test_single_orbit_classes_n5_are_the_19_conjugacy_classes():
+    classes = [spec.group for spec in single_orbit_enumerate(5)]
+    assert len(classes) == 19
+    # brute conjugation: the classes found are pairwise non-conjugate and
+    # every subgroup of S5 is conjugate to one of them
+    covered = [_conjugates(H, 5) for H in classes]
+    assert sum(len(c) for c in covered) == len(set().union(*covered)) == 156
+    assert set().union(*covered) == set(subgroups_of_sym(5))
+
+
+def _candidates_by_filter(dom_orbit, cod, pool):
+    """Every element of cod over the pool with support inside the base
+    support and fixed by generators of the base stabilizer in Sym(pool):
+    the subgroup's generators on the base names, and two generators of the
+    symmetric group on the other names."""
+    n = dom_orbit.n
+    stab = [tuple(sigma) + tuple(range(n, pool)) for sigma in dom_orbit.gens]
+    stab += sym_generators(pool, range(n, pool))
+    return [
+        e for e in cod.elements(pool)
+        if support(e) <= set(range(n)) and all(cod.act(pi, e) == e for pi in stab)
+    ]
+
+
+def test_orbit_map_candidates_agree_with_filtering_every_element():
+    rng = random.Random(8)
+    orbits = [OrbitSpec(n, tuple(H)) for n in range(4) for H in subgroups_of_Sn(n)]
+    cods = [p_prefix(k) for k in range(1, 4)]
+    cods += [one_plus(X) for X in cods]
+    cods += [NominalSetSpec(tuple(rng.sample(orbits, rng.randint(1, 3)))) for _ in range(60)]
+    for _ in range(300):
+        dom_orbit = rng.choice(orbits)
+        cod = rng.choice(cods)
+        pool = max(dom_orbit.default_pool(), cod.default_pool())
+        assert orbit_map_candidates(dom_orbit, cod, pool) == _candidates_by_filter(dom_orbit, cod, pool)
 
 
 def test_sym_generators_generate_the_symmetric_group():
