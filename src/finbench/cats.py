@@ -124,16 +124,6 @@ class GraphCat(Category):
             ind[v] += 1
         return (X.size, len(es), tuple(sorted((outd[v], ind[v]) for v in X.carrier)))
 
-    def is_iso(self, f):
-        if not (f.is_injective() and f.is_surjective()):
-            return False
-        # bijective graph hom is iso only when the inverse preserves edges
-        try:
-            self.inverse(f)
-        except ValueError:
-            return False
-        return True
-
     def is_strong_epi(self, f):
         if not f.is_surjective():
             return False
@@ -269,7 +259,7 @@ class UnCat(Category):
         return _un_table(Y)[y]
 
     def iso_invariant(self, X):
-        return (X.size, tuple(sorted(self.cycle_lengths(X))))
+        return (X.size, tuple(sorted({self.tail_period(X, x)[1] for x in X.carrier})))
 
     def image_obj(self, f):
         elems = f.image_elems()
@@ -320,18 +310,15 @@ class UnCat(Category):
                     )
         return monos
 
-    def cycle_lengths(self, X):
-        """Lengths of the operation's cycles (every finite orbit ends in one)."""
-        lengths = set()
-        for x in X.carrier:
-            seen = {}
-            cur, steps = x, 0
-            while cur not in seen:
-                seen[cur] = steps
-                cur = self.op(X, cur)
-                steps += 1
-            lengths.add(steps - seen[cur])
-        return lengths
+    def tail_period(self, X, x):
+        """(tail, period): the steps from x until the operation enters its
+        cycle, and that cycle's length (every finite orbit ends in one)."""
+        op = _un_table(X)
+        seen = {}
+        while x not in seen:
+            seen[x] = len(seen)
+            x = op[x]
+        return seen[x], len(seen) - seen[x]
 
     def has_fixed_point(self, X):
         return any(self.op(X, x) == x for x in X.carrier)
@@ -962,17 +949,6 @@ def random_un_surjection(rng, max_size=5):
     return UN.identity(X)
 
 
-def _tail_period(X, x):
-    seen = {}
-    cur, steps = x, 0
-    while cur not in seen:
-        seen[cur] = steps
-        cur = UN.op(X, cur)
-        steps += 1
-    tail = seen[cur]
-    return tail, steps - tail
-
-
 def pair_through_chain(X, a, b):
     """Parallel pair u, v from one chain algebra with u(0) = a, v(0) = b.
 
@@ -981,8 +957,8 @@ def pair_through_chain(X, a, b):
     """
     import math
 
-    ta, pa = _tail_period(X, a)
-    tb, pb = _tail_period(X, b)
+    ta, pa = UN.tail_period(X, a)
+    tb, pb = UN.tail_period(X, b)
     t = max(ta, tb)
     p = pa * pb // math.gcd(pa, pb)
     total = t + p

@@ -7,6 +7,7 @@ bit-exactly against the stored record.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import typing
@@ -87,11 +88,29 @@ RECIPES: dict[str, object] = {}
 LIMITS: dict[str, dict] = {}
 
 
-def recipe(name, limits=None):
+def recipe(name, kind, bounds=(), limits=None):
+    """Register a function returning (verdict, witness) as recipe name.
+
+    The registered function returns the call's Certificate: its inputs are
+    the recipe name and every argument, defaults included, and its bounds are
+    the arguments named in bounds.
+    """
+
     def deco(fn):
-        RECIPES[name] = fn
+        signature = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def certify(*args, **kwargs):
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            params = dict(call.arguments)
+            verdict, witness = fn(*args, **kwargs)
+            return Certificate(kind, {"recipe": name, "params": params}, verdict, witness,
+                               {k: params[k] for k in bounds})
+
+        RECIPES[name] = certify
         LIMITS[name] = limits or {}
-        return fn
+        return certify
 
     return deco
 
@@ -133,18 +152,42 @@ class ReplayResult:
     recomputed: Certificate
 
 
+_ABSENT = object()
+
+
+def _first_difference(stored, recomputed, path):
+    """(path, stored value, recomputed value) at the first JSON path, in key
+    and index order, where two unequal JSON values differ; a key or index
+    that one side lacks holds _ABSENT there."""
+    if isinstance(stored, dict) and isinstance(recomputed, dict):
+        steps = [(stored.get(k, _ABSENT), recomputed.get(k, _ABSENT), f"{path}.{k}")
+                 for k in sorted(stored.keys() | recomputed.keys())]
+    elif isinstance(stored, list) and isinstance(recomputed, list):
+        steps = [(stored[i] if i < len(stored) else _ABSENT,
+                  recomputed[i] if i < len(recomputed) else _ABSENT, f"{path}[{i}]")
+                 for i in range(max(len(stored), len(recomputed)))]
+    else:
+        return path, stored, recomputed
+    return next(_first_difference(a, b, at) for a, b, at in steps if _differ(a, b))
+
+
+def _differ(a, b):
+    return a is _ABSENT or b is _ABSENT or canonical_dumps(a) != canonical_dumps(b)
+
+
+def _shown(value):
+    return "absent" if value is _ABSENT else canonical_dumps(value)
+
+
 def replay(cert: Certificate) -> ReplayResult:
     fresh = recompute(cert)
     diffs = []
-    for fieldname in ("kind", "verdict"):
-        a, b = getattr(cert, fieldname), getattr(fresh, fieldname)
-        if a != b:
-            diffs.append(f"{fieldname}: stored {a!r} recomputed {b!r}")
-    for fieldname in ("witness", "bounds", "inputs"):
+    for fieldname in ("kind", "verdict", "witness", "bounds", "inputs"):
         a = canonical_dumps(getattr(cert, fieldname))
         b = canonical_dumps(getattr(fresh, fieldname))
         if a != b:
-            diffs.append(f"{fieldname}: stored and recomputed payloads differ")
+            path, x, y = _first_difference(json.loads(a), json.loads(b), fieldname)
+            diffs.append(f"{path}: stored {_shown(x)} recomputed {_shown(y)}")
     return ReplayResult(not diffs, tuple(diffs), fresh)
 
 

@@ -105,27 +105,23 @@ class ColimitVerdict:
 
 
 def _factorizations(f, leg):
-    """All q with leg . q = f; per-element fiber products filtered to homs."""
+    """Every q with leg . q = f, in the order of the per-element fiber
+    products that are homs."""
     import itertools
 
-    A = f.dom
-    D = leg.dom
-    cat = category_of(D)
+    A, D = f.dom, leg.dom
     look = dict(zip(D.carrier, leg.mapping))
     fibers = []
     for x in A.carrier:
         want = f(x)
-        fib = [d for d in D.carrier if look[d] == want]
-        if not fib:
-            return []
-        fibers.append(fib)
-    out = []
+        fibers.append([d for d in D.carrier if look[d] == want])
+        if not fibers[-1]:
+            return
     for combo in itertools.product(*fibers):
         try:
-            out.append(Mor(A, D, tuple(combo)))
+            yield Mor(A, D, tuple(combo))
         except ValueError:
             continue
-    return out
 
 
 def reflect_colimit_test(cocone: Cocone, probes, window: int = WINDOW_DEFAULT) -> ColimitVerdict:

@@ -10,12 +10,11 @@ the finite prefix colimit against the value on the formal colimit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .core import Mor, Obj, category_of, lookup_category
 from .cats import GRA, UN
-from .colimits import FAIL, PASS, Cocone, chain_colimit, reflect_colimit_test
+from .colimits import FAIL, PASS, Cocone, _factorizations, chain_colimit, reflect_colimit_test
 from .symbolic import (
     CYCLE_FAMILY,
     RAY,
@@ -88,7 +87,7 @@ def _un_missing_prime(X: Obj):
     so for prime p only fixed points and p-cycles matter.  The search is
     bounded: only cycle lengths occurring in X can absorb primes.
     """
-    lengths = UN.cycle_lengths(X)
+    lengths = {UN.tail_period(X, x)[1] for x in X.carrier}
     if 1 in lengths:
         return None
     for p in primes_upto(2 * max(lengths | {2}) + 3):
@@ -233,15 +232,13 @@ def finitely_bounded_witness(F: FunctorHandle, A, m0: Mor, bound: int):
     Returns a BoundednessWitness (triangle verified on carriers) or an
     Exhaustion carrying the bound reached.
     """
-    tgt = lookup_category(F.target)
     FA = F.on_obj(A)
     if m0.cod != FA:
         raise ValueError("m0 must land in F(A)")
     candidates = sorted(subobjects_of(A, bound), key=lambda pair: pair[0].size)
     for M, m in candidates:
         Fm = F.on_mor(m) if not isinstance(m, SymMor) else _apply_to_symmono(F, m)
-        FM = Fm.dom
-        mediating = _mediate(m0, Fm)
+        mediating = next(_factorizations(m0, Fm), None)
         if mediating is not None:
             wit = BoundednessWitness(m0, m, mediating)
             if not wit.triangle_commutes(Fm):
@@ -259,25 +256,6 @@ def _apply_to_symmono(F: FunctorHandle, m: SymMor) -> Mor:
         tgt = lookup_category(F.target)
         return tgt.mor(FM, FA, lambda x: FA.carrier[0])
     raise ValueError("symbolic mono with non-collapsing functor value")
-
-
-def _mediate(m0: Mor, Fm: Mor):
-    """All maps t with Fm . t = m0 come from per-element fibers; return the
-    first that is a morphism."""
-    fibers = []
-    look = dict(zip(Fm.dom.carrier, Fm.mapping))
-    for x in m0.dom.carrier:
-        want = m0(x)
-        fib = [d for d in Fm.dom.carrier if look[d] == want]
-        if not fib:
-            return None
-        fibers.append(fib)
-    for combo in itertools.product(*fibers):
-        try:
-            return Mor(m0.dom, Fm.dom, tuple(combo))
-        except ValueError:
-            continue
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -291,10 +291,7 @@ def fixed_subobject_witness(m: Mor, bound: int = 8):
         u = cat.identity(A)
     if cat.compose(u, m) != m:
         raise AssertionError("witness does not fix the subobject")
-    wit = finitary_morphism_witness(u, bound)
-    if isinstance(wit, Exhaustion):
-        return wit
-    return wit
+    return finitary_morphism_witness(u, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .cats import (
     FINSET,
-    GRA,
     S3_GPD,
     TRIVIAL_GPD,
     UN,
@@ -26,17 +24,15 @@ from .cats import (
     random_gset,
     random_un_surjection,
 )
-from .certs import Certificate, CertificateError, recipe
-from .colimits import FAIL, PASS
+from .certs import CertificateError, recipe
+from .colimits import FAIL, PASS, reflect_colimit_test
 from .core import Mor, category_of
 from .functors import (
     finitarity_certificate,
     finitely_bounded_witness,
     graph_counterexample,
-    identity_functor,
     path_chain,
     prime_cycle_chain,
-    subobjects_of,
     un_counterexample,
     BoundednessWitness,
 )
@@ -48,13 +44,10 @@ from .hausdorff import (
     subset_space,
 )
 from .nominal import (
-    ONE,
-    NominalSetSpec,
     all_equivariant_maps,
     equivalence_from_subgroup,
     p_chain_certificate,
     p_prefix,
-    pn_orbit,
     single_orbit_enumerate,
     subgroup_from_quotient,
     subgroups_of_Sn,
@@ -70,7 +63,6 @@ from .strictness import (
     strictness_witness,
 )
 from .superfin import (
-    as_functor,
     canonical_epsilon,
     coproduct as pres_coproduct,
     evaluate,
@@ -92,15 +84,16 @@ GROUPS = {"triv": TRIVIAL_GPD, "z2": Z2_GPD, "z3": Z3_GPD, "s3": S3_GPD}
 # recipes: counterexample functors
 
 
-@recipe("no-finitary-endo")
+@recipe("no-finitary-endo", "no-finitary-endo",
+        bounds=("window", "path_bound", "prime_bound"),
+        limits={"window": (0, 512), "path_bound": (0, 64), "prime_bound": (0, 100)})
 def r_no_finitary_endo(subject: str, window: int = 32, path_bound: int = 8,
-                       prime_bound: int = 23) -> Certificate:
+                       prime_bound: int = 23):
     subjects = {"ray": sy.RAY, "cycle_family": sy.CYCLE_FAMILY}
     if subject not in subjects:
         raise CertificateError(f"unknown subject {subject!r}")
-    sym = subjects[subject]
     cert = no_finitary_endo_certificate(
-        sym, window=window, path_bound=path_bound, prime_bound=prime_bound
+        subjects[subject], window=window, path_bound=path_bound, prime_bound=prime_bound
     )
     checked = dict(cert.checked)
     if "prime_hom_table" in checked:
@@ -111,19 +104,12 @@ def r_no_finitary_endo(subject: str, window: int = 32, path_bound: int = 8,
         checked["path_hom_counts"] = sorted(
             [k, n] for k, n in checked["path_hom_counts"].items()
         )
-    return Certificate(
-        "no-finitary-endo",
-        {"recipe": "no-finitary-endo", "params": {
-            "subject": subject, "window": window,
-            "path_bound": path_bound, "prime_bound": prime_bound}},
-        FAIL,
-        {"checked": checked, "inference": cert.inference},
-        {"window": window, "path_bound": path_bound, "prime_bound": prime_bound},
-    )
+    return FAIL, {"checked": checked, "inference": cert.inference}
 
 
-@recipe("un-boundedness")
-def r_un_boundedness(bound: int = 8, max_m0: int = 4) -> Certificate:
+@recipe("un-boundedness", "finitarity", bounds=("bound",),
+        limits={"bound": (0, 512), "max_m0": (0, 64)})
+def r_un_boundedness(bound: int = 8, max_m0: int = 4):
     F = un_counterexample()
     found, searched = [], 0
     for label, A in (("c2+c3", UN.cycles_sum([2, 3])), ("cycle-family", sy.CYCLE_FAMILY)):
@@ -132,118 +118,81 @@ def r_un_boundedness(bound: int = 8, max_m0: int = 4) -> Certificate:
             searched += 1
             wit = finitely_bounded_witness(F, A, m0, bound)
             if not isinstance(wit, BoundednessWitness):
-                return Certificate(
-                    "finitarity",
-                    {"recipe": "un-boundedness",
-                     "params": {"bound": bound, "max_m0": max_m0}},
-                    FAIL,
-                    {"unwitnessed": mor_to_json(m0), "input": label},
-                    {"bound": bound},
-                )
+                return FAIL, {"unwitnessed": mor_to_json(m0), "input": label}
             found.append([label, m0.dom.size, wit.m.dom.size])
-    return Certificate(
-        "finitarity",
-        {"recipe": "un-boundedness", "params": {"bound": bound, "max_m0": max_m0}},
-        "PASS",
-        {"mode": "boundedness-witness", "witnessed": sorted(found), "searched": searched},
-        {"bound": bound},
-    )
+    return "PASS", {"mode": "boundedness-witness", "witnessed": sorted(found),
+                    "searched": searched}
 
 
-def _chain_cert_payload(cert) -> Certificate:
-    return Certificate(
-        "finitarity",
-        {"recipe": cert_recipe_name(cert), "params": {"k": cert.prefix_k}},
-        cert.verdict,
-        {
-            "functor": cert.functor,
-            "chain": cert.chain,
-            "prefix_k": cert.prefix_k,
-            "lhs_size": cert.lhs_size,
-            "rhs_size": cert.rhs_size,
-            "persistence": cert.persistence,
-            "notes": list(cert.notes),
-        },
-    )
+def _chain_witness(cert):
+    return cert.verdict, {
+        "functor": cert.functor,
+        "chain": cert.chain,
+        "prefix_k": cert.prefix_k,
+        "lhs_size": cert.lhs_size,
+        "rhs_size": cert.rhs_size,
+        "persistence": cert.persistence,
+        "notes": list(cert.notes),
+    }
 
 
-def cert_recipe_name(cert):
-    return {
-        "un-counterexample": "finitarity-un",
-        "graph-counterexample": "finitarity-graph",
-        "nom-counterexample": "finitarity-nom",
-    }[cert.functor]
-
-
-@recipe("finitarity-un")
-def r_finitarity_un(k: int = 3) -> Certificate:
-    cert = finitarity_certificate(
+@recipe("finitarity-un", "finitarity", limits={"k": (1, 24)})
+def r_finitarity_un(k: int = 3):
+    return _chain_witness(finitarity_certificate(
         un_counterexample(), prime_cycle_chain(k), prime_cycle_chain(k + 1),
         "prime-cycles",
-    )
-    return _chain_cert_payload(cert)
+    ))
 
 
-@recipe("reflect-prime-chain")
-def r_reflect_prime_chain(k: int = 3) -> Certificate:
-    from .colimits import reflect_colimit_test
-    from .symbolic import primes_upto
-
-    cocone = prime_cycle_chain(k)
-    probes = [UN.cycle(p) for p in primes_upto(100)[:k]]
-    verdict = reflect_colimit_test(cocone, probes)
-    return Certificate(
-        "colimit-test",
-        {"recipe": "reflect-prime-chain", "params": {"k": k}},
-        verdict.status,
-        {
-            "chain": "prime-cycles",
-            "prefix_k": k,
-            "probes": [p.size for p in probes],
-            "notes": list(verdict.notes),
-        },
-    )
+@recipe("reflect-prime-chain", "colimit-test", limits={"k": (1, 20)})
+def r_reflect_prime_chain(k: int = 3):
+    probes = [UN.cycle(p) for p in sy.primes_upto(100)[:k]]
+    verdict = reflect_colimit_test(prime_cycle_chain(k), probes)
+    return verdict.status, {
+        "chain": "prime-cycles",
+        "prefix_k": k,
+        "probes": [p.size for p in probes],
+        "notes": list(verdict.notes),
+    }
 
 
-@recipe("finitarity-graph")
-def r_finitarity_graph(k: int = 3) -> Certificate:
-    cert = finitarity_certificate(
+@recipe("finitarity-graph", "finitarity", limits={"k": (1, 256)})
+def r_finitarity_graph(k: int = 3):
+    return _chain_witness(finitarity_certificate(
         graph_counterexample(), path_chain(k), path_chain(k + 1), "paths"
-    )
-    return _chain_cert_payload(cert)
+    ))
 
 
-@recipe("finitarity-nom", limits={"k": (1, 3)})
-def r_finitarity_nom(k: int = 3) -> Certificate:
-    return _chain_cert_payload(p_chain_certificate(k))
+@recipe("finitarity-nom", "finitarity", limits={"k": (1, 3)})
+def r_finitarity_nom(k: int = 3):
+    return _chain_witness(p_chain_certificate(k))
 
 
-@recipe("nominal-rigidity")
-def r_nominal_rigidity(k: int = 3, pool: int = 10) -> Certificate:
+@recipe("nominal-rigidity", "nominal", bounds=("pool",),
+        limits={"k": (0, 5), "pool": (2, 20)})
+def r_nominal_rigidity(k: int = 3, pool: int = 10):
+    if pool < 2 * k + 2:
+        raise CertificateError(f"parameter 'pool' must be at least 2k+2 = {2 * k + 2} "
+                               f"for 'k' = {k}, not {pool}")
     X = p_prefix(k)
     endos = all_equivariant_maps(X, X, pool=pool)
     reports = [support_rigidity_check(f) for f in endos]
     ok = all(r.preserved for r in reports)
-    return Certificate(
-        "nominal",
-        {"recipe": "nominal-rigidity", "params": {"k": k, "pool": pool}},
-        "PASS" if ok else FAIL,
-        {
-            "endomorphisms": len(endos),
-            "elements_checked": sum(r.checked for r in reports),
-            "supports_preserved": ok,
-            "note": reports[0].note if reports else "",
-        },
-        {"pool": pool},
-    )
+    return "PASS" if ok else FAIL, {
+        "endomorphisms": len(endos),
+        "elements_checked": sum(r.checked for r in reports),
+        "supports_preserved": ok,
+        "note": reports[0].note if reports else "",
+    }
 
 
 # ---------------------------------------------------------------------------
 # recipes: strictness
 
 
-@recipe("strictness-finset")
-def r_strictness_finset(max_dom: int = 4, max_cod: int = 5) -> Certificate:
+@recipe("strictness-finset", "strictness-witness", bounds=("max_dom", "max_cod"),
+        limits={"max_dom": (0, 6), "max_cod": (0, 6)})
+def r_strictness_finset(max_dom: int = 4, max_cod: int = 5):
     total = witnessed = 0
     sample = None
     for d in range(max_dom + 1):
@@ -263,53 +212,39 @@ def r_strictness_finset(max_dom: int = 4, max_cod: int = 5) -> Certificate:
                             "b_prime": mor_to_json(wit.b_prime),
                             "f": mor_to_json(wit.f),
                         }
-    return Certificate(
-        "strictness-witness",
-        {"recipe": "strictness-finset",
-         "params": {"max_dom": max_dom, "max_cod": max_cod}},
-        "PASS" if witnessed == total else FAIL,
-        {"witnessed": witnessed, "total": total, "sample": sample},
-        {"max_dom": max_dom, "max_cod": max_cod},
-    )
+    return "PASS" if witnessed == total else FAIL, {
+        "witnessed": witnessed, "total": total, "sample": sample}
 
 
-@recipe("strictness-presheaf")
-def r_strictness_presheaf() -> Certificate:
+@recipe("strictness-presheaf", "strictness-witness")
+def r_strictness_presheaf():
     cat = gset_cat(Z2_GPD)
     both, injs = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
     wit = strictness_witness(injs[0])
     ok = isinstance(wit, StrictnessWitness)
-    return Certificate(
-        "strictness-witness",
-        {"recipe": "strictness-presheaf", "params": {}},
-        "PASS" if ok else FAIL,
-        {
-            "category": cat.name,
-            "b_prime_size": wit.b_prime.dom.size if ok else None,
-            "witness": {
-                "b": mor_to_json(wit.b),
-                "b_prime": mor_to_json(wit.b_prime),
-                "f": mor_to_json(wit.f),
-            } if ok else None,
-        },
-    )
+    return "PASS" if ok else FAIL, {
+        "category": cat.name,
+        "b_prime_size": wit.b_prime.dom.size if ok else None,
+        "witness": {
+            "b": mor_to_json(wit.b),
+            "b_prime": mor_to_json(wit.b_prime),
+            "f": mor_to_json(wit.f),
+        } if ok else None,
+    }
 
 
-@recipe("strictness-vec")
-def r_strictness_vec(ambient_dim: int = 3, sub_dim: int = 1) -> Certificate:
+@recipe("strictness-vec", "strictness-witness",
+        limits={"ambient_dim": (0, 8), "sub_dim": (0, 8)})
+def r_strictness_vec(ambient_dim: int = 3, sub_dim: int = 1):
+    if sub_dim > ambient_dim:
+        raise CertificateError(f"parameter 'sub_dim' must be at most 'ambient_dim' = "
+                               f"{ambient_dim}, not {sub_dim}")
     cat = VEC2
-    sub = cat.obj(sub_dim)
-    cols = [cat.basis_vectors(ambient_dim)[i] for i in range(sub_dim)]
-    b = cat.from_matrix(sub, cat.obj(ambient_dim), cols)
+    cols = cat.basis_vectors(ambient_dim)[:sub_dim]
+    b = cat.from_matrix(cat.obj(sub_dim), cat.obj(ambient_dim), cols)
     wit = strictness_witness(b)
     ok = isinstance(wit, StrictnessWitness)
-    return Certificate(
-        "strictness-witness",
-        {"recipe": "strictness-vec",
-         "params": {"ambient_dim": ambient_dim, "sub_dim": sub_dim}},
-        "PASS" if ok else FAIL,
-        {"b_prime_dim": cat.dim(wit.b_prime.dom) if ok else None},
-    )
+    return "PASS" if ok else FAIL, {"b_prime_dim": cat.dim(wit.b_prime.dom) if ok else None}
 
 
 def _random_gset_surjection(rng, cat, subgroups):
@@ -340,108 +275,71 @@ def regularity_check(f: Mor) -> bool:
     return cat.is_iso(j) and cat.compose(j, q) == f
 
 
-@recipe("regularity")
-def r_regularity(seed: int = 0, count: int = 100) -> Certificate:
+@recipe("regularity", "colimit-test", limits={"count": (0, 4000)})
+def r_regularity(seed: int = 0, count: int = 100):
     rng = random.Random(seed)
     z2 = gset_cat(Z2_GPD)
     z2_subgroups = [tuple(h) for h in subgroups_of_sym(2)]
+    samplers = (
+        ("finset", lambda: random_finset_mor(rng, surjective=True)),
+        ("un", lambda: random_un_surjection(rng)),
+        ("z2-set", lambda: _random_gset_surjection(rng, z2, z2_subgroups)),
+    )
     checked = {"finset": 0, "un": 0, "z2-set": 0}
     for _ in range(count):
-        f = random_finset_mor(rng, surjective=True)
-        if not regularity_check(f):
-            return _regularity_fail("finset", f, seed, count)
-        checked["finset"] += 1
-        g = random_un_surjection(rng)
-        if not regularity_check(g):
-            return _regularity_fail("un", g, seed, count)
-        checked["un"] += 1
-        h = _random_gset_surjection(rng, z2, z2_subgroups)
-        if not regularity_check(h):
-            return _regularity_fail("z2-set", h, seed, count)
-        checked["z2-set"] += 1
-    return Certificate(
-        "colimit-test",
-        {"recipe": "regularity", "params": {"seed": seed, "count": count}},
-        "PASS",
-        {"mode": "coequalizer-of-kernel-pair", "checked": checked},
-    )
-
-
-def _regularity_fail(catname, f, seed, count):
-    return Certificate(
-        "colimit-test",
-        {"recipe": "regularity", "params": {"seed": seed, "count": count}},
-        FAIL,
-        {"category": catname, "morphism": mor_to_json(f)},
-    )
+        for catname, sample in samplers:
+            f = sample()
+            if not regularity_check(f):
+                return FAIL, {"category": catname, "morphism": mor_to_json(f)}
+            checked[catname] += 1
+    return "PASS", {"mode": "coequalizer-of-kernel-pair", "checked": checked}
 
 
 # ---------------------------------------------------------------------------
 # recipes: atoms
 
 
-@recipe("atoms")
-def r_atoms(group: str = "z2", seed: int = 0, samples: int = 25) -> Certificate:
+@recipe("atoms", "atoms", limits={"samples": (0, 2500)})
+def r_atoms(group: str = "z2", seed: int = 0, samples: int = 25):
+    if group not in GROUPS:
+        raise CertificateError(f"parameter 'group' must be one of "
+                               f"{', '.join(GROUPS)}, not {group!r}")
     gpd = GROUPS[group]
     cat = presheaf_cat(gpd)
     atoms = atoms_of_presheaves(gpd)
     rng = random.Random(seed)
     subgroups = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
-    roundtrips = 0
     for _ in range(samples):
         X = random_gset(rng, cat, subgroups, max_size=8)
         if not decomposition_roundtrip(cat, X):
-            return Certificate(
-                "atoms",
-                {"recipe": "atoms",
-                 "params": {"group": group, "seed": seed, "samples": samples}},
-                FAIL,
-                {"group": group, "failed": obj_to_json(X)},
-            )
-        roundtrips += 1
-    return Certificate(
-        "atoms",
-        {"recipe": "atoms",
-         "params": {"group": group, "seed": seed, "samples": samples}},
-        "PASS",
-        {
-            "group": group,
-            "atom_count": len(atoms),
-            "atom_sizes": sorted(a.size for a in atoms),
-            "roundtrips": roundtrips,
-        },
-    )
+            return FAIL, {"group": group, "failed": obj_to_json(X)}
+    return "PASS", {
+        "group": group,
+        "atom_count": len(atoms),
+        "atom_sizes": sorted(a.size for a in atoms),
+        "roundtrips": samples,
+    }
 
 
 # ---------------------------------------------------------------------------
 # recipes: super-finitary calculus
 
 
-@recipe("superfin-evaluation")
-def r_superfin_evaluation(max_size: int = 4) -> Certificate:
+@recipe("superfin-evaluation", "superfin", limits={"max_size": (0, 32)})
+def r_superfin_evaluation(max_size: int = 4):
     P = truncated_hom(2, 2)
     sizes = {}
     for k in range(max_size + 1):
         sizes[str(k)] = evaluate(P, range(k)).size
         if sizes[str(k)] != k * k:
-            return Certificate(
-                "superfin",
-                {"recipe": "superfin-evaluation", "params": {"max_size": max_size}},
-                FAIL,
-                {"sizes": sizes, "expected": "k^2"},
-            )
+            return FAIL, {"sizes": sizes, "expected": "k^2"}
         if k:
             canonical_epsilon(P, range(k))  # raises unless surjective
-    return Certificate(
-        "superfin",
-        {"recipe": "superfin-evaluation", "params": {"max_size": max_size}},
-        "PASS",
-        {"sizes": sizes, "law": "evaluation of truncated Set(2,-) has k^2 classes"},
-    )
+    return "PASS", {"sizes": sizes, "law": "evaluation of truncated Set(2,-) has k^2 classes"}
 
 
-@recipe("superfin-closure")
-def r_superfin_closure(max_probe: int = 3) -> Certificate:
+@recipe("superfin-closure", "superfin", limits={"max_probe": (0, 24)})
+def r_superfin_closure(max_probe: int = 3):
     hom2 = truncated_hom(2, 2)
     ident = truncated_identity(1)
     results = {}
@@ -471,129 +369,88 @@ def r_superfin_closure(max_probe: int = 3) -> Certificate:
     except SubfunctorError:
         rejected = True
     ok = rejected and all(a == b for a, b in results.values())
-    return Certificate(
-        "superfin",
-        {"recipe": "superfin-closure", "params": {"max_probe": max_probe}},
-        "PASS" if ok else FAIL,
-        {"pointwise": results, "non_closed_predicate_rejected": rejected},
-    )
+    return "PASS" if ok else FAIL, {"pointwise": results,
+                                    "non_closed_predicate_rejected": rejected}
 
 
-@recipe("superfin-powerset")
-def r_superfin_powerset(n_max: int = 4) -> Certificate:
+@recipe("superfin-powerset", "superfin", limits={"n_max": (0, 5)})
+def r_superfin_powerset(n_max: int = 4):
     PW = power_functor()
     witnesses = {}
     for n in range(1, n_max + 1):
         probe = FINSET.obj(range(n + 1))
         verdict = superfinitary_test(PW, n, [probe])
         if verdict.status != FAIL:
-            return Certificate(
-                "superfin",
-                {"recipe": "superfin-powerset", "params": {"n_max": n_max}},
-                PASS,
-                {"unexpected_pass_at": n},
-            )
+            return PASS, {"unexpected_pass_at": n}
         witnesses[str(n)] = sorted(verdict.witness["element"])
-    return Certificate(
-        "superfin",
-        {"recipe": "superfin-powerset", "params": {"n_max": n_max}},
-        FAIL,
-        {
-            "witnesses": witnesses,
-            "statement": "the full subset of an (n+1)-set escapes every image "
-            "from level n",
-        },
-    )
+    return FAIL, {
+        "witnesses": witnesses,
+        "statement": "the full subset of an (n+1)-set escapes every image "
+        "from level n",
+    }
 
 
-@recipe("superfin-endos")
-def r_superfin_endos(m: int = 3) -> Certificate:
+@recipe("superfin-endos", "superfin", limits={"m": (0, 4)})
+def r_superfin_endos(m: int = 3):
     fams = powfin_endo_probe(m)
     only_identity = len(fams) == 1 and all(
         all(k == v for k, v in level.items()) for level in fams[0].values()
     )
-    return Certificate(
-        "superfin",
-        {"recipe": "superfin-endos", "params": {"m": m}},
-        "PASS" if only_identity else FAIL,
-        {"families": len(fams), "identity_only": only_identity, "levels": m},
-    )
+    return "PASS" if only_identity else FAIL, {
+        "families": len(fams), "identity_only": only_identity, "levels": m}
 
 
 # ---------------------------------------------------------------------------
 # recipes: nominal classification
 
 
-@recipe("nominal-subgroups")
-def r_nominal_subgroups() -> Certificate:
+@recipe("nominal-subgroups", "nominal")
+def r_nominal_subgroups():
     counts = {str(n): len(subgroups_of_Sn(n)) for n in range(5)}
     ok = counts == {"0": 1, "1": 1, "2": 2, "3": 6, "4": 30}
-    return Certificate(
-        "nominal",
-        {"recipe": "nominal-subgroups", "params": {}},
-        "PASS" if ok else FAIL,
-        {"subgroup_counts": counts},
-    )
+    return "PASS" if ok else FAIL, {"subgroup_counts": counts}
 
 
-@recipe("nominal-roundtrip", limits={"n": (0, 4)})
-def r_nominal_roundtrip(n: int = 3) -> Certificate:
+@recipe("nominal-roundtrip", "nominal", limits={"n": (0, 4)})
+def r_nominal_roundtrip(n: int = 3):
     failures = []
     for H in subgroups_of_Sn(n):
         back = subgroup_from_quotient(equivalence_from_subgroup(H, n), n)
         if back != H:
             failures.append([list(g) for g in H])
-    return Certificate(
-        "nominal",
-        {"recipe": "nominal-roundtrip", "params": {"n": n}},
-        "PASS" if not failures else FAIL,
-        {"subgroups": len(subgroups_of_Sn(n)), "failures": failures},
-    )
+    return "PASS" if not failures else FAIL, {
+        "subgroups": len(subgroups_of_Sn(n)), "failures": failures}
 
 
-@recipe("nominal-orbit-classes", limits={"n_max": (0, 4)})
-def r_nominal_orbit_classes(n_max: int = 3) -> Certificate:
+@recipe("nominal-orbit-classes", "nominal", limits={"n_max": (0, 4)})
+def r_nominal_orbit_classes(n_max: int = 3):
     counts = {str(n): len(single_orbit_enumerate(n)) for n in range(n_max + 1)}
     expected = {"0": 1, "1": 1, "2": 2, "3": 4}
     ok = all(counts[k] == v for k, v in expected.items() if k in counts)
-    return Certificate(
-        "nominal",
-        {"recipe": "nominal-orbit-classes", "params": {"n_max": n_max}},
-        "PASS" if ok else FAIL,
-        {"class_counts": counts},
-    )
+    return "PASS" if ok else FAIL, {"class_counts": counts}
 
 
 # ---------------------------------------------------------------------------
 # recipes: hausdorff
 
 
-@recipe("hausdorff-axioms")
-def r_hausdorff_axioms(seed: int = 0, count: int = 100, max_size: int = 5) -> Certificate:
+@recipe("hausdorff-axioms", "hausdorff", limits={"count": (0, 1000), "max_size": (1, 6)})
+def r_hausdorff_axioms(seed: int = 0, count: int = 100, max_size: int = 5):
     rng = random.Random(seed)
-    checked = 0
     for _ in range(count):
         X = random_metric_space(rng, rng.randint(1, max_size))
         subset_space(X)  # constructor asserts all axioms exactly
-        checked += 1
-    return Certificate(
-        "hausdorff",
-        {"recipe": "hausdorff-axioms",
-         "params": {"seed": seed, "count": count, "max_size": max_size}},
-        "PASS",
-        {"spaces_checked": checked, "arithmetic": "exact rationals"},
-    )
+    return "PASS", {"spaces_checked": count, "arithmetic": "exact rationals"}
 
 
-@recipe("hausdorff-functoriality")
-def r_hausdorff_functoriality(seed: int = 0, samples: int = 15) -> Certificate:
+@recipe("hausdorff-functoriality", "hausdorff", limits={"samples": (0, 1500)})
+def r_hausdorff_functoriality(seed: int = 0, samples: int = 15):
     rng = random.Random(seed)
-    checked = 0
     for _ in range(samples):
         X = random_metric_space(rng, rng.randint(1, 4))
         idX = nonexpanding(X, X, lambda x: x)
         if subset_map(idX).mapping != subset_space(X).points:
-            return _hausdorff_fail("functoriality", seed, samples, "identity")
+            return FAIL, {"violated": "identity"}
         Y = random_metric_space(rng, rng.randint(1, 3))
         f = _random_nonexpanding(rng, X, Y)
         g = _random_nonexpanding(rng, Y, X)
@@ -601,21 +458,14 @@ def r_hausdorff_functoriality(seed: int = 0, samples: int = 15) -> Certificate:
         rhs_f, rhs_g = subset_map(f), subset_map(g)
         composed = tuple(rhs_g(rhs_f(s)) for s in rhs_f.dom.points)
         if lhs.mapping != composed:
-            return _hausdorff_fail("functoriality", seed, samples, "composition")
+            return FAIL, {"violated": "composition"}
         emb = _far_point_embedding(X)
         if not emb.is_isometric_embedding():
-            return _hausdorff_fail("functoriality", seed, samples, "embedding")
+            return FAIL, {"violated": "embedding"}
         if len(set(subset_map(emb).mapping)) != subset_space(X).size:
-            return _hausdorff_fail("functoriality", seed, samples, "mono")
-        checked += 1
-    return Certificate(
-        "hausdorff",
-        {"recipe": "hausdorff-functoriality",
-         "params": {"seed": seed, "samples": samples}},
-        "PASS",
-        {"samples": checked,
-         "laws": ["identity", "composition", "mono-preservation"]},
-    )
+            return FAIL, {"violated": "mono"}
+    return "PASS", {"samples": samples,
+                    "laws": ["identity", "composition", "mono-preservation"]}
 
 
 def _random_nonexpanding(rng, X, Y):
@@ -647,35 +497,18 @@ def _far_point_embedding(X):
     return nonexpanding(X, Y, lambda x: x)
 
 
-def _hausdorff_fail(which, seed, samples, law):
-    return Certificate(
-        "hausdorff",
-        {"recipe": f"hausdorff-{which}", "params": {"seed": seed, "samples": samples}},
-        FAIL,
-        {"violated": law},
-    )
-
-
-@recipe("hausdorff-bounded")
-def r_hausdorff_bounded(seed: int = 0, samples: int = 20) -> Certificate:
+@recipe("hausdorff-bounded", "hausdorff", limits={"samples": (0, 10000)})
+def r_hausdorff_bounded(seed: int = 0, samples: int = 20):
     rng = random.Random(seed)
-    done = 0
     for _ in range(samples):
         X = random_metric_space(rng, rng.randint(1, 5))
         members = [
             frozenset(rng.sample(X.points, rng.randint(1, X.size)))
             for _ in range(rng.randint(1, 3))
         ]
-        wit = boundedness_witness(X, members)
-        if not wit.verified:
-            return _hausdorff_fail("bounded", seed, samples, "union-recovery")
-        done += 1
-    return Certificate(
-        "hausdorff",
-        {"recipe": "hausdorff-bounded", "params": {"seed": seed, "samples": samples}},
-        "PASS",
-        {"samples": done},
-    )
+        if not boundedness_witness(X, members).verified:
+            return FAIL, {"violated": "union-recovery"}
+    return "PASS", {"samples": samples}
 
 
 # ---------------------------------------------------------------------------

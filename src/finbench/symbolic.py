@@ -229,17 +229,8 @@ def _un_components(A: Obj):
     part = Partition(A.carrier)
     for x in A.carrier:
         part.union(x, UN.op(A, x))
-    out = []
-    for elems in part.classes():
-        x = elems[0]
-        seen = {}
-        cur, steps = x, 0
-        while cur not in seen:
-            seen[cur] = steps
-            cur = UN.op(A, cur)
-            steps += 1
-        out.append((sorted(elems, key=elem_key), steps - seen[cur]))
-    return out
+    return [(sorted(elems, key=elem_key), UN.tail_period(A, elems[0])[1])
+            for elems in part.classes()]
 
 
 def _offsets_to_cycle(A: Obj, component):

@@ -1,12 +1,15 @@
 """Serialization roundtrips, certificate replay, and the CLI contract."""
 
+import inspect
 import json
+import typing
 
 import pytest
 
 import finbench.suites  # registers all recipes
 from finbench.cats import FINSET, GRA, UN, VEC2, Z2_GPD, gset_cat, gset_free_orbit
 from finbench.certs import (
+    LIMITS,
     RECIPES,
     Certificate,
     CertificateError,
@@ -109,7 +112,46 @@ def test_replay_detects_tampered_witness(tmp_path):
     tampered = Certificate.from_payload(payload)
     result = replay(tampered)
     assert not result.match
-    assert any("witness" in d for d in result.diffs)
+    assert result.diffs == (
+        f"witness.lhs_size: stored 99 recomputed {cert.witness['lhs_size']}",
+    )
+
+
+def test_replay_diff_names_the_first_path_inside_lists():
+    fresh = RECIPES["no-finitary-endo"](subject="cycle_family", prime_bound=7)
+    table = fresh.witness["checked"]["prime_hom_table"]
+    i = next(i for i, (p, q, n) in enumerate(table) if p == q)
+
+    def diffs_after(edit):
+        payload = json.loads(fresh.dumps())
+        edit(payload)
+        return replay(Certificate.from_payload(payload)).diffs
+
+    def bump(payload):
+        stored = payload["witness"]["checked"]["prime_hom_table"]
+        stored[i][2] += 1
+        stored[-1][2] += 5  # a later difference is not the one reported
+        payload["verdict"] = "PASS"
+
+    assert diffs_after(bump) == (
+        'verdict: stored "PASS" recomputed "FAIL(certified)"',
+        f"witness.checked.prime_hom_table[{i}][2]: stored {table[i][2] + 1} "
+        f"recomputed {table[i][2]}",
+    )
+
+    def truncate(payload):
+        del payload["witness"]["checked"]["prime_hom_table"][i:]
+        del payload["witness"]["inference"]
+
+    assert diffs_after(truncate) == (
+        f"witness.checked.prime_hom_table[{i}]: stored absent "
+        f"recomputed {canonical_dumps(table[i])}",
+    )
+
+    assert diffs_after(lambda payload: payload["witness"].pop("inference")) == (
+        f"witness.inference: stored absent "
+        f"recomputed {canonical_dumps(fresh.witness['inference'])}",
+    )
 
 
 def test_replay_recomputes_under_recorded_bound():
@@ -223,6 +265,13 @@ def test_replay_ill_typed_parameter_exits_2(tmp_path, capsys, recipe, key, value
     assert "Traceback" not in err
 
 
+def _least(recipe):
+    """The recipe's certificate at the least value of every limited parameter."""
+    params = {"subject": "ray"} if recipe == "no-finitary-endo" else {}
+    params.update((key, lo) for key, (lo, hi) in LIMITS[recipe].items())
+    return RECIPES[recipe](**params)
+
+
 @pytest.mark.parametrize(
     "recipe, key, value",
     [
@@ -231,15 +280,45 @@ def test_replay_ill_typed_parameter_exits_2(tmp_path, capsys, recipe, key, value
         ("nominal-orbit-classes", "n_max", 5),
         ("finitarity-nom", "k", 5),
         ("finitarity-nom", "k", 4),
+        ("finitarity-un", "k", 0),
+        ("finitarity-graph", "k", 0),
+        ("reflect-prime-chain", "k", 0),
+        ("reflect-prime-chain", "k", -1),
+        ("nominal-rigidity", "pool", 1),
+        ("nominal-rigidity", "k", 5),  # pool 2 < 2k+2
+        ("strictness-vec", "sub_dim", 3),  # ambient_dim 0
+        ("hausdorff-axioms", "max_size", 0),
+        ("superfin-endos", "m", 5),
+        ("atoms", "group", "s4"),
+        ("regularity", "count", 10**9),
+        ("hausdorff-axioms", "count", 10**9),
+        ("no-finitary-endo", "prime_bound", 10**9),
     ],
 )
 def test_replay_out_of_range_parameter_exits_2(tmp_path, capsys, recipe, key, value):
-    payload = RECIPES[recipe](**{key: 1}).to_payload()
+    payload = _least(recipe).to_payload()
     payload["inputs"]["params"][key] = value
     code, err = _malformed_replay(tmp_path, capsys, payload)
     assert code == 2
     assert err.count("\n") == 1 and repr(key) in err and str(value) in err
     assert "Traceback" not in err
+
+
+def test_every_int_parameter_but_seed_has_a_replay_limit():
+    suite_params = {}
+    for checks in SUITES.values():
+        for _, recipe, params, _ in checks:
+            suite_params.setdefault(recipe, []).append(params)
+    for recipe, fn in RECIPES.items():
+        hints = typing.get_type_hints(fn)
+        defaults = {key: p.default for key, p in inspect.signature(fn).parameters.items()}
+        ints = {key for key in defaults if hints[key] is int and key != "seed"}
+        assert set(LIMITS[recipe]) == ints, recipe
+        for key, (lo, hi) in LIMITS[recipe].items():
+            values = [defaults[key]] + [p[key] for p in suite_params.get(recipe, ()) if key in p]
+            assert all(lo <= v <= hi for v in values), (recipe, key)
+        least = _least(recipe)
+        assert replay(least).match, recipe
 
 
 def test_finitarity_nom_rejects_k_above_3_up_front():

@@ -226,7 +226,13 @@ def test_empty_coproduct_is_initial():
 def test_un_coproduct_two_cycles():
     out, injs = UN.coproduct([UN.cycle(2), UN.cycle(3)])
     assert out.size == 5
-    assert sorted(UN.cycle_lengths(out)) == [2, 3]
+    assert sorted(UN.tail_period(out, x) for x in out.carrier) == [(0, 2)] * 2 + [(0, 3)] * 3
+
+
+def test_un_tail_period_counts_steps_into_the_cycle():
+    # 0 -> 1 -> 2 -> 3 -> 2: a tail of two steps into a 2-cycle
+    X = UN.obj(range(4), {0: 1, 1: 2, 2: 3, 3: 2})
+    assert [UN.tail_period(X, x) for x in X.carrier] == [(2, 2), (1, 2), (0, 2), (0, 2)]
 
 
 def test_graph_coproduct_edges():

@@ -30,7 +30,7 @@ def test_un_cx_on_two_cycle():
     F = un_counterexample()
     FX = F.on_obj(UN.cycle(2))
     assert FX.size == 3  # one added fixed point plus the cycle
-    assert sorted(UN.cycle_lengths(FX)) == [1, 2]
+    assert sorted(UN.tail_period(FX, x) for x in FX.carrier) == [(0, 1), (0, 2), (0, 2)]
 
 
 def test_un_cx_on_cycle_family_is_terminal():
