@@ -24,54 +24,109 @@ from .perms import compose_perm, identity_perm
 
 
 # ---------------------------------------------------------------------------
+# many-sorted unary algebras: the shared construction layer
+
+
+class UnaryAlgebraCat(Category):
+    """Categories of (many-sorted) unary algebras: finite sets, Un and
+    presheaves on a finite groupoid.  Coproducts, kernel pairs, images,
+    quotients and subalgebras are carrier constructions with the operations
+    restricted, written once here through op_successors/op_apply and three
+    hooks: _build, _tag and _pair."""
+
+    def _build(self, elems, op_of) -> Obj:
+        """The object on canon(elems) whose operation op_id sends x to
+        op_of(op_id, x)."""
+        raise NotImplementedError
+
+    def _tag(self, i, x):
+        """Element x of the i-th summand of a coproduct."""
+        return (i, x)
+
+    def _pair(self, x, y):
+        """Element of a kernel pair for x and y with equal images."""
+        return (x, y)
+
+    def subalgebra(self, X, elems) -> Obj:
+        """The subalgebra of X on elems, a subset closed under every
+        operation."""
+        return self._build(elems, lambda op_id, x: self.op_apply(X, op_id, x))
+
+    def image_obj(self, f):
+        return self.subalgebra(f.cod, set(f.mapping))
+
+    def coproduct(self, objs):
+        home = {self._tag(i, x): (X, i, x) for i, X in enumerate(objs) for x in X.carrier}
+
+        def op_of(op_id, e):
+            X, i, x = home[e]
+            return self._tag(i, self.op_apply(X, op_id, x))
+
+        out = self._build(home, op_of)
+        injections = [
+            Mor(X, out, tuple(self._tag(i, x) for x in X.carrier))
+            for i, X in enumerate(objs)
+        ]
+        return out, injections
+
+    def quotient_obj(self, X, rep):
+        return self._build(set(rep.values()), lambda op_id, r: rep[self.op_apply(X, op_id, r)])
+
+    def kernel_pair(self, f):
+        # homs preserve sorts, so f(x) == f(y) already puts x and y in one sort
+        X = f.dom
+        home = {self._pair(x, y): (x, y) for x in X.carrier for y in X.carrier if f(x) == f(y)}
+
+        def op_of(op_id, e):
+            x, y = home[e]
+            return self._pair(self.op_apply(X, op_id, x), self.op_apply(X, op_id, y))
+
+        P = self._build(home, op_of)
+        p1 = Mor(P, X, tuple(home[e][0] for e in P.carrier))
+        p2 = Mor(P, X, tuple(home[e][1] for e in P.carrier))
+        return p1, p2
+
+    def subobjects_fg(self, X, bound=None):
+        """Subalgebras: the subsets closed under every operation."""
+        monos = []
+        limit = X.size if bound is None else min(bound, X.size)
+        for k in range(limit + 1):
+            for sub in itertools.combinations(X.carrier, k):
+                sset = set(sub)
+                if all(y in sset for x in sub for _, y in self.op_successors(X, x)):
+                    monos.append(self.sub_mono(X, self.subalgebra(X, sub)))
+        return monos
+
+    def generated_subalgebra(self, X, x):
+        """Closure of {x} under every operation."""
+        seen = {x}
+        frontier = [x]
+        while frontier:
+            for _, b in self.op_successors(X, frontier.pop()):
+                if b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+        return self.subalgebra(X, seen)
+
+
+# ---------------------------------------------------------------------------
 # finite sets
 
 
-class FinSetCat(Category):
+class FinSetCat(UnaryAlgebraCat):
     name = "finset"
 
     def obj(self, elems) -> Obj:
         return Obj(self.name, canon(elems))
 
-    def image_obj(self, f):
-        return Obj(self.name, f.image_elems())
+    def _build(self, elems, op_of):
+        return self.obj(elems)
 
     def initial(self):
         return self.obj(())
 
     def terminal(self):
         return self.obj((0,))
-
-    def coproduct(self, objs):
-        carrier = []
-        for i, X in enumerate(objs):
-            carrier.extend((i, x) for x in X.carrier)
-        out = Obj(self.name, canon(carrier))
-        injections = [
-            Mor(X, out, tuple((i, x) for x in X.carrier)) for i, X in enumerate(objs)
-        ]
-        return out, injections
-
-    def quotient_obj(self, X, rep):
-        return Obj(self.name, canon(rep.values()))
-
-    def kernel_pair(self, f):
-        pairs = [
-            (x, y) for x in f.dom.carrier for y in f.dom.carrier if f(x) == f(y)
-        ]
-        P = Obj(self.name, canon(pairs))
-        p1 = Mor(P, f.dom, tuple(p[0] for p in P.carrier))
-        p2 = Mor(P, f.dom, tuple(p[1] for p in P.carrier))
-        return p1, p2
-
-    def subobjects_fg(self, X, bound=None):
-        monos = []
-        n = X.size
-        limit = n if bound is None else min(bound, n)
-        for k in range(limit + 1):
-            for sub in itertools.combinations(X.carrier, k):
-                monos.append(self.sub_mono(X, self.obj(sub)))
-        return monos
 
 
 FINSET = register_category(FinSetCat())
@@ -214,7 +269,7 @@ GRA = register_category(GraphCat())
 # unary algebras (one total unary operation)
 
 
-class UnCat(Category):
+class UnCat(UnaryAlgebraCat):
     name = "un"
 
     def obj(self, elems, op) -> Obj:
@@ -261,54 +316,14 @@ class UnCat(Category):
     def iso_invariant(self, X):
         return (X.size, tuple(sorted({self.tail_period(X, x)[1] for x in X.carrier})))
 
-    def image_obj(self, f):
-        elems = f.image_elems()
-        return self.obj(elems, {x: self.op(f.cod, x) for x in elems})
+    def _build(self, elems, op_of):
+        return self.obj(elems, lambda x: op_of("op", x))
 
     def initial(self):
         return self.obj((), {})
 
     def terminal(self):
         return self.cycle(1)
-
-    def coproduct(self, objs):
-        elems = []
-        for i, X in enumerate(objs):
-            elems.extend((i, x) for x in X.carrier)
-        ops = {}
-        for i, X in enumerate(objs):
-            for x in X.carrier:
-                ops[(i, x)] = (i, self.op(X, x))
-        out = self.obj(elems, ops)
-        injections = [
-            Mor(X, out, tuple((i, x) for x in X.carrier)) for i, X in enumerate(objs)
-        ]
-        return out, injections
-
-    def quotient_obj(self, X, rep):
-        return self.obj(canon(rep.values()), {rep[x]: rep[self.op(X, x)] for x in X.carrier})
-
-    def kernel_pair(self, f):
-        pairs = [
-            (x, y) for x in f.dom.carrier for y in f.dom.carrier if f(x) == f(y)
-        ]
-        P = self.obj(pairs, lambda e: (self.op(f.dom, e[0]), self.op(f.dom, e[1])))
-        p1 = Mor(P, f.dom, tuple(p[0] for p in P.carrier))
-        p2 = Mor(P, f.dom, tuple(p[1] for p in P.carrier))
-        return p1, p2
-
-    def subobjects_fg(self, X, bound=None):
-        """Subalgebras = subsets closed under the operation."""
-        monos = []
-        limit = X.size if bound is None else min(bound, X.size)
-        for k in range(limit + 1):
-            for sub in itertools.combinations(X.carrier, k):
-                sset = set(sub)
-                if all(self.op(X, x) in sset for x in sub):
-                    monos.append(
-                        self.sub_mono(X, self.obj(sub, {x: self.op(X, x) for x in sub}))
-                    )
-        return monos
 
     def tail_period(self, X, x):
         """(tail, period): the steps from x until the operation enters its
@@ -416,7 +431,7 @@ def two_object_iso_groupoid(name="pairgpd") -> FiniteGroupoid:
     return FiniteGroupoid(name, ("a", "b"), mors, comp, (("a", "ia"), ("b", "ib")))
 
 
-class PresheafCat(Category):
+class PresheafCat(UnaryAlgebraCat):
     """Presheaves on a finite groupoid; carrier elements are (sort, value)."""
 
     def __init__(self, gpd: FiniteGroupoid):
@@ -504,18 +519,19 @@ class PresheafCat(Category):
             per_sort[s] += 1
         return (X.size, tuple(sorted(per_sort.items())))
 
-    def _obj_from_tagged(self, elems, op_of):
-        carriers = {}
+    def _build(self, elems, op_of):
+        carriers, ops = {}, {m: {} for m, _, _ in self.gpd.mors}
         for s, v in elems:
             carriers.setdefault(s, []).append(v)
-        ops = {}
-        for m, d, c in self.gpd.mors:
-            ops[m] = {v: op_of(m, (s, v))[1] for s, v in elems if s == d}
+            for m in self._out.get(s, ()):
+                ops[m][v] = op_of(m, (s, v))[1]
         return self.obj(carriers, ops)
 
-    def image_obj(self, f):
-        elems = f.image_elems()
-        return self._obj_from_tagged(elems, lambda m, x: self.op(f.cod, m, x))
+    def _tag(self, i, x):
+        return (x[0], (i, x[1]))
+
+    def _pair(self, x, y):
+        return (x[0], (x[1], y[1]))
 
     def initial(self):
         return self.obj({s: [] for s in self.gpd.sorts}, {})
@@ -524,88 +540,6 @@ class PresheafCat(Category):
         carriers = {s: [0] for s in self.gpd.sorts}
         ops = {m: {0: 0} for m, _, _ in self.gpd.mors}
         return self.obj(carriers, ops)
-
-    def coproduct(self, objs):
-        elems = []
-        for i, X in enumerate(objs):
-            elems.extend((s, (i, v)) for s, v in X.carrier)
-        carriers = {}
-        for s, v in elems:
-            carriers.setdefault(s, []).append(v)
-        ops = {}
-        for m, d, c in self.gpd.mors:
-            table = {}
-            for i, X in enumerate(objs):
-                for s, v in X.carrier:
-                    if s != d:
-                        continue
-                    _, w = self.op(X, m, (s, v))
-                    table[(i, v)] = (i, w)
-            ops[m] = table
-        out = self.obj(carriers, ops)
-        injections = [
-            Mor(X, out, tuple((s, (i, v)) for s, v in X.carrier))
-            for i, X in enumerate(objs)
-        ]
-        return out, injections
-
-    def quotient_obj(self, X, rep):
-        elems = canon(rep.values())
-        return self._obj_from_tagged(elems, lambda m, x: rep[self.op(X, m, x)])
-
-    def kernel_pair(self, f):
-        pairs = [
-            (x[0], (x[1], y[1]))
-            for x in f.dom.carrier
-            for y in f.dom.carrier
-            if x[0] == y[0] and f(x) == f(y)
-        ]
-
-        def op_of(m, e):
-            s, (v, w) = e
-            _, v2 = self.op(f.dom, m, (s, v))
-            c, w2 = self.op(f.dom, m, (s, w))
-            return (c, (v2, w2))
-
-        P = self._obj_from_tagged(pairs, op_of)
-        p1 = Mor(P, f.dom, tuple((s, vw[0]) for s, vw in P.carrier))
-        p2 = Mor(P, f.dom, tuple((s, vw[1]) for s, vw in P.carrier))
-        return p1, p2
-
-    def subobjects_fg(self, X, bound=None):
-        monos = []
-        limit = X.size if bound is None else min(bound, X.size)
-        for k in range(limit + 1):
-            for sub in itertools.combinations(X.carrier, k):
-                sset = set(sub)
-                if all(
-                    self.op(X, m, x) in sset
-                    for x in sub
-                    for m, d, _ in self.gpd.mors
-                    if x[0] == d
-                ):
-                    monos.append(
-                        self.sub_mono(
-                            X,
-                            self._obj_from_tagged(sub, lambda m, x: self.op(X, m, x)),
-                        )
-                    )
-        return monos
-
-    def generated_subalgebra(self, X, x):
-        """Closure of {x} under all operations."""
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            a = frontier.pop()
-            for m, d, _ in self.gpd.mors:
-                if a[0] != d:
-                    continue
-                b = self.op(X, m, a)
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        return self._obj_from_tagged(canon(seen), lambda m, e: self.op(X, m, e))
 
 
 def _psh_tables(X: Obj) -> dict:
@@ -702,30 +636,26 @@ class VecCat(Category):
     def zero(self, dim):
         return (0,) * dim
 
+    def combine(self, u, cols, dim):
+        """The linear combination sum_i u[i] * cols[i] in F_q^dim."""
+        out = self.zero(dim)
+        for c, col in zip(u, cols):
+            out = self.add(out, self.scale(c, col))
+        return out
+
     def preserves_structure(self, f):
-        dom = f.dom.carrier
-        for u in dom:
-            for v in dom:
-                if f(self.add(u, v)) != self.add(f(u), f(v)):
-                    return False
-        for c in range(self.q):
-            for u in dom:
-                if f(self.scale(c, u)) != self.scale(c, f(u)):
-                    return False
-        return True
+        # a map is linear iff it is the linear extension of its basis images
+        dim = self.dim(f.cod)
+        cols = [f(e) for e in self.basis_vectors(self.dim(f.dom))]
+        return all(f(u) == self.combine(u, cols, dim) for u in f.dom.carrier)
 
     def basis_vectors(self, dim):
         return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
 
     def from_matrix(self, dom: Obj, cod: Obj, cols) -> Mor:
         """Linear map sending the i-th standard basis vector to cols[i]."""
-        def apply(u):
-            out = self.zero(self.dim(cod))
-            for c, col in zip(u, cols):
-                out = self.add(out, self.scale(c, col))
-            return out
-
-        return self.mor(dom, cod, apply)
+        dim = self.dim(cod)
+        return self.mor(dom, cod, lambda u: self.combine(u, cols, dim))
 
     def hom_set(self, X, Y):
         n, m = self.dim(X), self.dim(Y)
@@ -795,9 +725,12 @@ class VecCat(Category):
         sub, m = self.subspace_presentation(list(f.mapping), f.cod)
         basis = [m(b) for b in self.basis_vectors(self.dim(sub))]
         dimc = self.dim(f.cod)
-        coord = {v: self.coords_in_basis(basis, v, dimc) for v in set(f.mapping)}
-        e = self.mor(f.dom, sub, lambda u: coord[f(u)])
-        return e, m
+        # coordinates are linear: solve for the basis images only
+        cols = [
+            self.coords_in_basis(basis, f(b), dimc)
+            for b in self.basis_vectors(self.dim(f.dom))
+        ]
+        return self.from_matrix(f.dom, sub, cols), m
 
     def initial(self):
         return self.obj(0)
@@ -832,11 +765,11 @@ class VecCat(Category):
         Q = self.obj(len(comp))
         full = wbasis + comp
 
-        def project(v):
-            coords = self.coords_in_basis(full, v, dimc)
-            return tuple(coords[len(wbasis):])
-
-        return self.mor(f.cod, Q, project)
+        cols = [
+            self.coords_in_basis(full, b, dimc)[len(wbasis):]
+            for b in self.basis_vectors(dimc)
+        ]
+        return self.from_matrix(f.cod, Q, cols)
 
     def kernel_pair(self, f):
         pairs = [
@@ -866,12 +799,11 @@ class VecCat(Category):
         basis = [sub_mono(b) for b in self.basis_vectors(self.dim(sub_mono.dom))]
         comp = self.complement_basis(basis, dim)
         full = basis + comp
-
-        def retract(v):
-            coords = self.coords_in_basis(full, v, dim)
-            return tuple(coords[: len(basis)])
-
-        return self.mor(X, sub_mono.dom, retract)
+        cols = [
+            self.coords_in_basis(full, b, dim)[: len(basis)]
+            for b in self.basis_vectors(dim)
+        ]
+        return self.from_matrix(X, sub_mono.dom, cols)
 
 
 VEC2 = register_category(VecCat(2))

@@ -5,6 +5,20 @@ under a unique name.  Objects and morphisms are immutable value types carrying
 that name, so generic machinery (hom search, factorization, quotients,
 subobject enumeration) dispatches through the registry.  Carriers are plain
 tuples of hashable elements; S-sorted categories tag elements with their sort.
+
+A category supplies these hooks:
+
+- structure: ``preserves_structure``, ``op_successors``/``op_apply`` (unary
+  operations), ``candidate_targets`` (sorts), ``relations_ok`` (edges) and
+  ``iso_invariant``; hom search, ``find_iso`` and ``coequalizer`` are built
+  on them;
+- constructions: ``image_obj``, ``initial``, ``terminal``, ``coproduct``,
+  ``quotient_obj``, ``kernel_pair`` and ``subobjects_fg``.
+
+``cats.UnaryAlgebraCat`` writes the constructions once for finite sets, unary
+algebras and presheaves, from ``op_successors``/``op_apply`` and three hooks
+of its own: ``_build`` (the object on a carrier with given operations),
+``_tag`` (a coproduct element) and ``_pair`` (a kernel-pair element).
 """
 
 from __future__ import annotations
@@ -105,9 +119,6 @@ class Mor:
     @property
     def cat(self):
         return self.dom.cat
-
-    def image_elems(self):
-        return canon(self.mapping)
 
     def is_injective(self):
         return len(set(self.mapping)) == len(self.mapping)

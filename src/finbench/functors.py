@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .core import Mor, Obj, category_of, lookup_category
 from .cats import GRA, UN
 from .colimits import FAIL, PASS, Cocone, _factorizations, chain_colimit, reflect_colimit_test
+from .strictness import Exhaustion
 from .symbolic import (
     CYCLE_FAMILY,
     RAY,
@@ -210,12 +211,6 @@ class BoundednessWitness:
     def triangle_commutes(self, Fm: Mor) -> bool:
         tgt = category_of(self.m0.dom)
         return tgt.compose(Fm, self.mediating) == self.m0
-
-
-@dataclass
-class Exhaustion:
-    bound: int
-    detail: str
 
 
 def subobjects_of(A, bound):

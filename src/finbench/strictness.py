@@ -70,6 +70,9 @@ class StrictnessWitness:
 
 @dataclass
 class Exhaustion:
+    """No witness within the bound; a certificate, when given, shows that
+    none exists at any bound."""
+
     bound: int
     detail: str
     certificate: object = None
@@ -169,27 +172,10 @@ def _finset_strictness(b: Mor):
     return StrictnessWitness(b, m, f)
 
 
-def _presheaf_components(cat: PresheafCat, A: Obj):
-    """Generated-subalgebra components; they partition the carrier."""
-    comps = []
-    seen = set()
-    for x in A.carrier:
-        if x in seen:
-            continue
-        sub = cat.generated_subalgebra(A, x)
-        members = set(sub.carrier)
-        if members & seen:
-            # groupoid actions give disjoint or equal components
-            raise AssertionError("components are not disjoint")
-        seen |= members
-        comps.append(sub)
-    return comps
-
-
 def _presheaf_fold(cat: PresheafCat, A: Obj, keep_elems: set):
     """Subalgebra on the kept components plus a fold of the rest onto
     isomorphic kept components; returns (b_prime, f)."""
-    comps = _presheaf_components(cat, A)
+    comps = decompose_into_atoms(cat, A)
     kept = [K for K in comps if set(K.carrier) & keep_elems]
     rest = [K for K in comps if not (set(K.carrier) & keep_elems)]
     # ensure every isomorphism class is represented among the kept components
@@ -201,8 +187,7 @@ def _presheaf_fold(cat: PresheafCat, A: Obj, keep_elems: set):
             folds[K] = (K, cat.identity(K))
         else:
             folds[K] = (target, cat.find_iso(K, target))
-    carrier = sorted({x for J in kept for x in J.carrier}, key=elem_key)
-    Bp = cat._obj_from_tagged(tuple(carrier), lambda m, x: cat.op(A, m, x))
+    Bp = cat.subalgebra(A, {x for J in kept for x in J.carrier})
     bp = cat.sub_mono(A, Bp)
     mapping = {}
     for J in kept:
@@ -314,11 +299,8 @@ def congruences(cat, X: Obj):
         part.close([(a, b)], op_pairs)
         return frozenset(frozenset(c) for c in part.classes())
 
-    def same_sort(x, y):
-        if isinstance(cat, PresheafCat):
-            return x[0] == y[0]
-        return True
-
+    # only elements a hom could identify: a congruence respects sorts
+    allowed = {x: frozenset(cat.candidate_targets(X, x, X)) for x in X.carrier}
     discrete = frozenset(frozenset([x]) for x in X.carrier)
     found = {discrete}
     queue = [discrete]
@@ -326,7 +308,7 @@ def congruences(cat, X: Obj):
         part = queue.pop()
         lookup = {x: cls for cls in part for x in cls}
         for x, y in itertools.combinations(X.carrier, 2):
-            if lookup[x] is lookup[y] or not same_sort(x, y):
+            if lookup[x] is lookup[y] or y not in allowed[x]:
                 continue
             bigger = close(part, x, y)
             if bigger not in found:
@@ -393,9 +375,21 @@ def atoms_of_presheaves(gpd: FiniteGroupoid):
 
 
 def decompose_into_atoms(cat: PresheafCat, X: Obj):
-    """One generated subalgebra per generation class; their coproduct is
-    isomorphic to X."""
-    return _presheaf_components(cat, X)
+    """One generated subalgebra per generation class; they partition the
+    carrier and their coproduct is isomorphic to X."""
+    comps = []
+    seen = set()
+    for x in X.carrier:
+        if x in seen:
+            continue
+        sub = cat.generated_subalgebra(X, x)
+        members = set(sub.carrier)
+        if members & seen:
+            # groupoid actions give disjoint or equal components
+            raise AssertionError("components are not disjoint")
+        seen |= members
+        comps.append(sub)
+    return comps
 
 
 def decomposition_roundtrip(cat: PresheafCat, X: Obj) -> bool:

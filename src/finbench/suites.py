@@ -242,7 +242,8 @@ def r_strictness_vec(ambient_dim: int = 3, sub_dim: int = 1):
     cat = VEC2
     cols = cat.basis_vectors(ambient_dim)[:sub_dim]
     b = cat.from_matrix(cat.obj(sub_dim), cat.obj(ambient_dim), cols)
-    wit = strictness_witness(b)
+    # a witness may need the whole ambient space
+    wit = strictness_witness(b, cat.q ** ambient_dim)
     ok = isinstance(wit, StrictnessWitness)
     return "PASS" if ok else FAIL, {"b_prime_dim": cat.dim(wit.b_prime.dom) if ok else None}
 

@@ -267,3 +267,147 @@ def equivalence_from_subgroup_by_index(S, n):
         return any(tuple(t[s[i]] for i in range(n)) == tuple(u) for s in S)
 
     return eq
+
+
+# ---------------------------------------------------------------------------
+# unary-algebra constructions by definition: sets, unary algebras and
+# presheaves, each built through its category's public constructor
+
+
+def _is_presheaf(cat):
+    return hasattr(cat, "gpd")
+
+
+def algebra_by_definition(cat, elems, op):
+    """The object of cat on elems whose operation m sends x to op(m, x)."""
+    elems = list(elems)
+    if _is_presheaf(cat):
+        carriers = {s: [v for t, v in elems if t == s] for s in cat.gpd.sorts}
+        ops = {m: {x[1]: op(m, x)[1] for x in elems if x[0] == d}
+               for m, d, _ in cat.gpd.mors}
+        return cat.obj(carriers, ops)
+    if cat.name == "un":
+        return cat.obj(elems, {x: op("op", x) for x in elems})
+    return cat.obj(elems)
+
+
+def restrict_by_definition(cat, X, elems):
+    """The subalgebra of X on the closed subset elems."""
+    return algebra_by_definition(cat, elems, lambda m, x: cat.op_apply(X, m, x))
+
+
+def closed_by_definition(cat, X, sub):
+    """sub contains the image of each of its elements under every operation."""
+    return all(y in sub for x in sub for _, y in cat.op_successors(X, x))
+
+
+def coproduct_by_definition(cat, objs):
+    """(object, injection mappings): summand i tagged by i, with the sort of
+    a presheaf element kept outside the tag."""
+    def tag(i, x):
+        return (x[0], (i, x[1])) if _is_presheaf(cat) else (i, x)
+
+    home = {tag(i, x): (X, i, x) for i, X in enumerate(objs) for x in X.carrier}
+
+    def op(m, e):
+        X, i, x = home[e]
+        return tag(i, cat.op_apply(X, m, x))
+
+    return algebra_by_definition(cat, home, op), [
+        tuple(tag(i, x) for x in X.carrier) for i, X in enumerate(objs)
+    ]
+
+
+def kernel_pair_by_definition(cat, f):
+    """(object, first and second projection mappings) on the pairs that f
+    identifies; a presheaf pair keeps its common sort outside."""
+    def pair(x, y):
+        return (x[0], (x[1], y[1])) if _is_presheaf(cat) else (x, y)
+
+    X = f.dom
+    home = {pair(x, y): (x, y) for x in X.carrier for y in X.carrier if f(x) == f(y)}
+
+    def op(m, e):
+        x, y = home[e]
+        return pair(cat.op_apply(X, m, x), cat.op_apply(X, m, y))
+
+    P = algebra_by_definition(cat, home, op)
+    return (P, tuple(home[e][0] for e in P.carrier),
+            tuple(home[e][1] for e in P.carrier))
+
+
+def quotient_by_definition(cat, Y, classes):
+    """Quotient of Y on the elem_key-least member of each class."""
+    rep = {x: min(cls, key=elem_key) for cls in classes for x in cls}
+    return algebra_by_definition(
+        cat, set(rep.values()), lambda m, r: rep[cat.op_apply(Y, m, r)])
+
+
+def subalgebras_by_definition(cat, X, bound=None):
+    """Inclusions of the closed subsets, by size and then in combinations
+    order of the carrier."""
+    limit = X.size if bound is None else min(bound, X.size)
+    return [
+        Mor(restrict_by_definition(cat, X, sub), X, sub)
+        for k in range(limit + 1)
+        for sub in itertools.combinations(X.carrier, k)
+        if closed_by_definition(cat, X, set(sub))
+    ]
+
+
+def generated_by_definition(cat, X, x):
+    """The least closed subset containing x, among all closed subsets."""
+    closed = [
+        set(sub)
+        for k in range(1, X.size + 1)
+        for sub in itertools.combinations(X.carrier, k)
+        if x in sub and closed_by_definition(cat, X, set(sub))
+    ]
+    return restrict_by_definition(cat, X, min(closed, key=len))
+
+
+# ---------------------------------------------------------------------------
+# F_q vector spaces: linearity by definition, and maps built vector by vector
+
+
+def linear_by_definition(cat, X, Y, images):
+    """The map sending X.carrier[i] to images[i] is additive and homogeneous."""
+    f = dict(zip(X.carrier, images))
+    return all(
+        f[cat.add(u, v)] == cat.add(f[u], f[v]) for u in X.carrier for v in X.carrier
+    ) and all(
+        f[cat.scale(c, u)] == cat.scale(c, f[u]) for c in range(cat.q) for u in X.carrier
+    )
+
+
+def vec_projection_pointwise(cat, sub_mono):
+    """projection_onto with each vector's coordinates solved on its own."""
+    X = sub_mono.cod
+    dim = cat.dim(X)
+    basis = [sub_mono(b) for b in cat.basis_vectors(cat.dim(sub_mono.dom))]
+    full = basis + cat.complement_basis(basis, dim)
+    return cat.mor(
+        X, sub_mono.dom, lambda v: tuple(cat.coords_in_basis(full, v, dim)[: len(basis)])
+    )
+
+
+def vec_coequalizer_pointwise(cat, f, g):
+    """coequalizer: each vector's coordinates along the complement of the
+    span of the differences f(u) - g(u)."""
+    dimc = cat.dim(f.cod)
+    diffs = [cat.add(f(u), cat.scale(cat.q - 1, g(u))) for u in f.dom.carrier]
+    wbasis = cat.reduce_basis(diffs, dimc)
+    comp = cat.complement_basis(wbasis, dimc)
+    full = wbasis + comp
+    return cat.mor(
+        f.cod, cat.obj(len(comp)),
+        lambda v: tuple(cat.coords_in_basis(full, v, dimc)[len(wbasis):]),
+    )
+
+
+def vec_factorize_pointwise(cat, f):
+    """factorize with the coordinates of every image vector solved on its own."""
+    sub, m = cat.subspace_presentation(list(f.mapping), f.cod)
+    basis = [m(b) for b in cat.basis_vectors(cat.dim(sub))]
+    dimc = cat.dim(f.cod)
+    return cat.mor(f.dom, sub, lambda u: cat.coords_in_basis(basis, f(u), dimc)), m

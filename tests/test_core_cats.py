@@ -12,6 +12,7 @@ from finbench.cats import (
     GRA,
     UN,
     VEC2,
+    VEC3,
     Z2_GPD,
     Z3_GPD,
     S3_GPD,
@@ -29,7 +30,20 @@ from finbench.cats import (
 from finbench.core import Mor, category_of
 from finbench.perms import compose_perm
 
-from oracles import brute_congruences, brute_homs
+from oracles import (
+    brute_congruences,
+    brute_homs,
+    coproduct_by_definition,
+    generated_by_definition,
+    kernel_pair_by_definition,
+    linear_by_definition,
+    quotient_by_definition,
+    restrict_by_definition,
+    subalgebras_by_definition,
+    vec_coequalizer_pointwise,
+    vec_factorize_pointwise,
+    vec_projection_pointwise,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +398,41 @@ def test_vec_coequalizer_is_cokernel():
     assert q.is_surjective()
 
 
+@pytest.mark.parametrize("cat, dim", [(VEC2, 3), (VEC3, 2)])
+def test_vec_maps_from_basis_images_match_pointwise_construction(cat, dim):
+    X = cat.obj(dim)
+    for m in cat.subobjects_fg(X):
+        assert cat.projection_onto(m) == vec_projection_pointwise(cat, m)
+        zero = cat.from_matrix(m.dom, X, [cat.zero(dim)] * cat.dim(m.dom))
+        assert cat.coequalizer(m, zero) == vec_coequalizer_pointwise(cat, m, zero)
+        assert cat.coequalizer(zero, m) == vec_coequalizer_pointwise(cat, zero, m)
+        fold = cat.compose(m, cat.projection_onto(m))
+        for f in (m, fold):
+            assert cat.factorize(f) == vec_factorize_pointwise(cat, f)
+
+
+@pytest.mark.parametrize("cat, n, k", [(VEC2, 2, 2), (VEC3, 1, 2)])
+def test_vec_linearity_check_agrees_with_definition(cat, n, k):
+    X, Y = cat.obj(n), cat.obj(k)
+    for images in itertools.product(Y.carrier, repeat=X.size):
+        try:
+            Mor(X, Y, images)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == linear_by_definition(cat, X, Y, images)
+
+
+def test_vec_rejects_nonlinear_maps():
+    X, Y = VEC2.obj(2), VEC2.obj(1)
+    # zero on the basis but 1 on (1, 1): not additive
+    with pytest.raises(ValueError, match="preserve"):
+        VEC2.mor(X, Y, lambda u: (u[0] * u[1],))
+    # sends 0 to 1
+    with pytest.raises(ValueError, match="preserve"):
+        VEC2.mor(X, Y, lambda u: ((u[0] + 1) % 2,))
+
+
 # ---------------------------------------------------------------------------
 # isomorphism search and chains
 
@@ -569,3 +618,37 @@ def test_hom_iso_coequalizer_against_brute_oracles(pair, data):
     ]
     # the least congruence containing the seeds has the most classes
     assert frozenset(frozenset(c) for c in fibres.values()) == max(containing, key=len)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["finset", "un", "s3", "pair"]), st.data())
+def test_unary_algebra_constructions_against_definitions(kind, data):
+    X = data.draw(_small_obj(kind, 4))
+    cat = category_of(X)
+    summands = data.draw(st.lists(_small_obj(kind, 3), max_size=3))
+    out, injections = cat.coproduct(summands)
+    want, want_injections = coproduct_by_definition(cat, summands)
+    assert out == want
+    assert [i.mapping for i in injections] == want_injections
+    # as lists: certificates record subobjects in this order
+    assert cat.subobjects_fg(X) == subalgebras_by_definition(cat, X)
+    bound = data.draw(st.integers(0, 3))
+    assert cat.subobjects_fg(X, bound) == subalgebras_by_definition(cat, X, bound)
+    for x in X.carrier:
+        assert cat.generated_subalgebra(X, x) == generated_by_definition(cat, X, x)
+    Y = X if data.draw(st.booleans()) else data.draw(_small_obj(kind, 4))
+    homs = brute_homs(X, Y) or brute_homs(X, X)
+    f, g = data.draw(st.sampled_from(homs)), data.draw(st.sampled_from(homs))
+    Y = f.cod
+    assert cat.image_obj(f) == restrict_by_definition(cat, Y, set(f.mapping))
+    p1, p2 = cat.kernel_pair(f)
+    P, first, second = kernel_pair_by_definition(cat, f)
+    assert (p1.dom, p1.mapping, p2.dom, p2.mapping) == (P, first, P, second)
+    seeds = [(f(x), g(x)) for x in X.carrier]
+    least = max(
+        (part for part in brute_congruences(cat, Y)
+         if all(any(a in cls and b in cls for cls in part) for a, b in seeds)),
+        key=len,
+    )
+    q = cat.coequalizer(f, g)
+    assert q.cod == quotient_by_definition(cat, Y, least)

@@ -21,6 +21,9 @@ from finbench.cats import (
     gset_from_cosets,
     random_gset,
 )
+import finbench.suites  # registers all recipes
+from finbench import functors
+from finbench.certs import RECIPES
 from finbench.perms import subgroups_of_sym
 from finbench.strictness import (
     Exhaustion,
@@ -122,6 +125,16 @@ def test_vec_complement_projection():
     wit = strictness_witness(b)
     assert isinstance(wit, StrictnessWitness)
     assert v.dim(wit.b_prime.dom) == 1
+
+
+def test_strictness_vec_recipe_passes_above_eight_vectors():
+    # the witness is the 4-dimensional subspace itself: 16 vectors
+    cert = RECIPES["strictness-vec"](ambient_dim=5, sub_dim=4)
+    assert (cert.verdict, cert.witness) == ("PASS", {"b_prime_dim": 4})
+
+
+def test_one_exhaustion_type():
+    assert functors.Exhaustion is Exhaustion
 
 
 def test_generic_strictness_on_graphs():
