@@ -72,6 +72,8 @@ class Certificate:
         inputs = payload["inputs"]
         if not isinstance(inputs, dict):
             raise CertificateError("certificate inputs are not a JSON object")
+        if not isinstance(inputs.get("recipe"), str):
+            raise CertificateError("certificate recipe is not a string")
         if not isinstance(inputs.get("params", {}), dict):
             raise CertificateError("certificate params are not a JSON object")
         return Certificate(
@@ -193,7 +195,11 @@ def replay(cert: Certificate) -> ReplayResult:
 
 def load_certificate(path) -> Certificate:
     with open(path, "r", encoding="utf-8") as fh:
-        return Certificate.from_payload(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise CertificateError("certificate JSON is nested too deeply") from None
+    return Certificate.from_payload(payload)
 
 
 def save_certificate(cert: Certificate, path):

@@ -1,5 +1,5 @@
-"""Executable colimit tests for chains: hom-reflection probing, union tests,
-and image unions.
+"""Executable colimit tests for chains: chain cocones and hom-reflection
+probing.
 
 A PASS verdict over a finite probe family never proves colimit-hood in
 general, so verdicts are labelled ``PASS(probe-limited)``; a FAIL exhibits a
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Mor, Obj, category_of
-from .symbolic import SymMor, SymbolicObject, WindowedHoms, homs_into, WINDOW_DEFAULT
+from .core import Mor, category_of
+from .symbolic import SymMor, SymbolicObject, WindowedHoms, homs_into
 
 PASS = "PASS(probe-limited)"
 FAIL = "FAIL(certified)"
@@ -99,10 +99,6 @@ class ColimitVerdict:
     failure: dict | None = None
     notes: tuple = ()
 
-    @property
-    def passed(self):
-        return self.status == PASS
-
 
 def _factorizations(f, leg):
     """Every q with leg . q = f, in the order of the per-element fiber
@@ -124,19 +120,19 @@ def _factorizations(f, leg):
             continue
 
 
-def reflect_colimit_test(cocone: Cocone, probes, window: int = WINDOW_DEFAULT) -> ColimitVerdict:
+def reflect_colimit_test(cocone: Cocone, probes) -> ColimitVerdict:
     """Check the two reflection conditions over a probe family.
 
     For every probe A and every f: A -> apex, (1) f must factorize through a
     leg, and (2) any two factorizations must be merged by forward link
-    composites.  Symbolic apexes enumerate homs in a window; exhaustion is
-    noted and keeps the verdict probe-limited.
+    composites.  Symbolic apexes enumerate homs in the default window;
+    exhaustion is noted and keeps the verdict probe-limited.
     """
     notes = []
     symbolic = isinstance(cocone.apex, SymbolicObject)
     for A in probes:
         if symbolic:
-            wh: WindowedHoms = homs_into(cocone.apex, A, window)
+            wh: WindowedHoms = homs_into(cocone.apex, A)
             homs = wh.homs
             if not wh.complete:
                 notes.append(f"window exhaustion on probe of size {A.size}")
@@ -183,64 +179,3 @@ def _merged(cocone, factored):
         if other[1] != base[1]:
             return (base[0], other[0])
     return None
-
-
-def union_test(subobjects, target: Obj) -> bool:
-    """True iff the subobjects jointly cover the target.
-
-    Coverage means every carrier element is hit; for graphs every edge must
-    also come from some subobject.
-    """
-    cat = category_of(target)
-    covered = set()
-    for m in subobjects:
-        if m.cod != target:
-            raise ValueError("subobject into a different target")
-        if not cat.is_mono(m):
-            raise ValueError("union test expects monos")
-        covered.update(m.mapping)
-    if covered != set(target.carrier):
-        return False
-    if target.cat == "gra":
-        edge_cover = set()
-        for m in subobjects:
-            edge_cover.update((m(u), m(v)) for u, v in cat.edges(m.dom))
-        if edge_cover != set(cat.edges(target)):
-            return False
-    return True
-
-
-@dataclass
-class ImageUnionResult:
-    images: tuple  # per chain object: mono Im(f . leg_i) -> cod f
-    image_of_f: Mor
-    union_covers: bool
-
-
-def image_union(cocone: Cocone, f: Mor) -> ImageUnionResult:
-    """Images of f restricted along the legs, with the union check.
-
-    Each Im(f . leg_i) embeds into Im(f) by the diagonal fill-in; at desk
-    scale the embedding is the carrier inclusion.
-    """
-    if isinstance(cocone.apex, SymbolicObject):
-        raise ValueError("image union needs a finite apex")
-    if f.dom != cocone.apex:
-        raise ValueError("morphism must start at the apex")
-    cat = category_of(f.dom)
-    _, m = cat.factorize(f)
-    images = []
-    for leg in cocone.legs:
-        _, mi = cat.factorize(cat.compose(f, leg))
-        images.append(mi)
-    covered = set()
-    for mi in images:
-        covered.update(mi.mapping)
-    covers = covered == set(m.mapping)
-    if f.cat == "gra":
-        edges_all = {(u, v) for u, v in cat.edges(m.dom)}
-        edges_cov = set()
-        for mi in images:
-            edges_cov.update((mi(u), mi(v)) for u, v in cat.edges(mi.dom))
-        covers = covers and edges_cov == edges_all
-    return ImageUnionResult(tuple(images), m, covers)

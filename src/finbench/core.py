@@ -307,12 +307,6 @@ class Category:
     def is_mono(self, f: Mor) -> bool:
         return f.is_injective()
 
-    def is_epi(self, f: Mor) -> bool:
-        return f.is_surjective()
-
-    def is_strong_epi(self, f: Mor) -> bool:
-        return f.is_surjective()
-
     def is_iso(self, f: Mor) -> bool:
         if not (f.is_injective() and f.is_surjective()):
             return False

@@ -78,7 +78,25 @@ def check_functor_laws(F: FunctorHandle, composable_pairs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the unary-algebra counterexample
+# the case-split counterexamples
+
+
+def _case_split(name, cat, unit, adds_unit, sym_obj) -> FunctorHandle:
+    """X maps to unit + X when adds_unit(X), and to unit otherwise.  A
+    morphism into the first case maps summandwise (a hom X -> Y puts X in
+    the first case as well); any other morphism is the constant map onto the
+    one element of unit."""
+
+    def on_obj(X):
+        return cat.coproduct([unit, X])[0] if adds_unit(X) else unit
+
+    def on_mor(f):
+        FX, FY = on_obj(f.dom), on_obj(f.cod)
+        if adds_unit(f.cod):
+            return cat.mor(FX, FY, lambda x: x if x[0] == 0 else (1, f(x[1])))
+        return cat.mor(FX, FY, lambda x: unit.carrier[0])
+
+    return FunctorHandle(name, cat.name, cat.name, on_obj, on_mor, sym_obj)
 
 
 def _un_missing_prime(X: Obj):
@@ -103,37 +121,14 @@ def un_counterexample() -> FunctorHandle:
     finitary."""
     c1 = UN.cycle(1)
 
-    def on_obj(X):
-        if _un_missing_prime(X) is None:
-            return c1
-        out, _ = UN.coproduct([c1, X])
-        return out
-
-    def case_added(X):
-        return _un_missing_prime(X) is not None
-
-    def on_mor(f):
-        FX, FY = on_obj(f.dom), on_obj(f.cod)
-        if case_added(f.cod):
-            # a hom X -> Y forces the added-unit case for X as well
-            mapping = {}
-            for x in FX.carrier:
-                i, v = x
-                mapping[x] = (0, v) if i == 0 else (1, f(v))
-            return UN.mor(FX, FY, mapping)
-        return UN.mor(FX, FY, lambda x: c1.carrier[0])
-
     def sym_obj(sobj):
         if sobj.kind != "cycle_family":
             raise ValueError("unary counterexample evaluates cycle families only")
         # every prime cycle admits a hom into the family, so the value is C1
         return c1
 
-    return FunctorHandle("un-counterexample", "un", "un", on_obj, on_mor, sym_obj)
-
-
-# ---------------------------------------------------------------------------
-# the graph counterexample
+    return _case_split("un-counterexample", UN, c1,
+                       lambda X: _un_missing_prime(X) is not None, sym_obj)
 
 
 def graph_counterexample() -> FunctorHandle:
@@ -142,32 +137,14 @@ def graph_counterexample() -> FunctorHandle:
     terminal loop graph."""
     one = GRA.loop()
 
-    def acyclic(X):
-        return not GRA.has_cycle(X)
-
-    def on_obj(X):
-        if acyclic(X):
-            out, _ = GRA.coproduct([one, X])
-            return out
-        return one
-
-    def on_mor(f):
-        FX, FY = on_obj(f.dom), on_obj(f.cod)
-        if acyclic(f.cod):
-            mapping = {}
-            for x in FX.carrier:
-                i, v = x
-                mapping[x] = (0, v) if i == 0 else (1, f(v))
-            return GRA.mor(FX, FY, mapping)
-        return GRA.mor(FX, FY, lambda x: 0)
-
     def sym_obj(sobj):
         if sobj.kind in ("ray", "loop_ray"):
             # an infinite path (and for loop_ray also a cycle) is present
             return one
         raise ValueError("graph counterexample evaluates ray kinds only")
 
-    return FunctorHandle("graph-counterexample", "gra", "gra", on_obj, on_mor, sym_obj)
+    return _case_split("graph-counterexample", GRA, one,
+                       lambda X: not GRA.has_cycle(X), sym_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +251,6 @@ def finitarity_certificate(
     cocone_k: Cocone,
     cocone_k1: Cocone,
     chain_name: str = "chain",
-    probes=None,
 ) -> FinitarityCertificate:
     """Compare the colimit of the F-image prefix with F of the formal colimit.
 
@@ -296,8 +272,7 @@ def finitarity_certificate(
             F_apex,
             tuple(_push_leg(F, leg) for leg in cocone_k.legs),
         )
-        probe_objs = probes if probes is not None else list(image.objects)
-        verdict = reflect_colimit_test(image, probe_objs)
+        verdict = reflect_colimit_test(image, list(image.objects))
         return FinitarityCertificate(
             F.name, chain_name, k, lhs.size, -1, verdict.status,
             notes=tuple(verdict.notes) + ("symbolic functor value: reflection probe only",),

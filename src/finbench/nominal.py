@@ -247,22 +247,6 @@ def all_equivariant_maps(dom: NominalSetSpec, cod: NominalSetSpec, pool=None):
     return out
 
 
-def equivariant_map_check(f: dict, dom: NominalSetSpec, cod: NominalSetSpec, pool: int) -> bool:
-    """Explicit element map: true iff it commutes with the two generators
-    of the symmetric group on the pool (a transposition and the pool cycle),
-    which is the same as commuting with every pool permutation."""
-    if pool < 2 * max(dom.max_support(), cod.max_support()) + 2:
-        raise ValueError("pool below the soundness boundary")
-    elems = dom.elements(pool)
-    if set(f) != set(elems):
-        raise ValueError("map not total on the domain elements")
-    for pi in sym_generators(pool):
-        for e in elems:
-            if f[dom.act(pi, e)] != cod.act(pi, f[e]):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # classification: subgroups, orbit isomorphism, the quotient correspondence
 
@@ -306,10 +290,10 @@ def equivalence_from_subgroup(S, n):
     return OrbitSpec(n, tuple(S)).canon_rep
 
 
-def subgroup_from_quotient(quotient, n: int, pool=None):
+def subgroup_from_quotient(quotient, n: int):
     """Recover the subgroup S from the quotient map t -> class label of an
     equivariant, support-preserving equivalence on the injective n-tuples
-    over the pool; rejects input that is neither.
+    over a pool of 2n+2 names; rejects input that is neither.
 
     Every class must lie inside one name set, and each of the two generators
     of the symmetric group on the pool (a transposition and the pool cycle)
@@ -318,7 +302,7 @@ def subgroup_from_quotient(quotient, n: int, pool=None):
     and commute with permuting positions, so the classes are exactly the
     orbits t . S, where S is read off the base tuple's class.
     """
-    pool = pool or 2 * n + 2
+    pool = 2 * n + 2
     label = {t: quotient(t) for t in itertools.permutations(range(pool), n)}
     names = {}
     for t, c in label.items():
@@ -341,7 +325,7 @@ def subgroup_from_quotient(quotient, n: int, pool=None):
 # hom existence from the n-subset orbits, and the counterexample functor
 
 
-def hom_exists_Pn(n: int, X, pool=None) -> bool:
+def hom_exists_Pn(n: int, X) -> bool:
     """Equivariant map from the n-subset orbit into X exists iff some element
     can receive the base n-subset: support inside it and fixed by its setwise
     stabilizer."""
@@ -352,8 +336,7 @@ def hom_exists_Pn(n: int, X, pool=None) -> bool:
     if n > 5:
         # n = 5 is needed to certify persistence on the prefix chain
         raise ValueError("hom search supported for n <= 5")
-    pool = pool or max(2 * n + 2, X.default_pool())
-    return bool(orbit_map_candidates(pn_orbit(n), X, pool))
+    return bool(orbit_map_candidates(pn_orbit(n), X, max(2 * n + 2, X.default_pool())))
 
 
 @dataclass
@@ -427,7 +410,7 @@ def support_rigidity_check(f: NomMor) -> RigidityReport:
     )
 
 
-def p_chain_certificate(k: int, n_bound: int = 5):
+def p_chain_certificate(k: int):
     """Counterexample functor on the chain of subset-orbit prefixes.
 
     Returns the data of a certified non-finitarity check: orbit counts of the
@@ -442,7 +425,8 @@ def p_chain_certificate(k: int, n_bound: int = 5):
     sizes = {}
     for j in (k, k + 1):
         prefix = p_prefix(j)
-        val = nom_counterexample(prefix, n_bound=max(n_bound, j + 1))
+        # the prefix misses the (j+1)-subset orbit, and j + 1 <= 5
+        val = nom_counterexample(prefix, n_bound=5)
         if not val.added_unit:
             raise AssertionError("prefix unexpectedly admits all subset orbits")
         sizes[j] = val.value.orbit_count

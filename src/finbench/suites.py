@@ -6,6 +6,7 @@ All randomness flows from the seed recorded in the certificate parameters.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 
@@ -24,7 +25,7 @@ from .cats import (
     random_gset,
     random_un_surjection,
 )
-from .certs import CertificateError, recipe
+from .certs import RECIPES, CertificateError, recipe
 from .colimits import FAIL, PASS, reflect_colimit_test
 from .core import Mor, category_of
 from .functors import (
@@ -559,20 +560,15 @@ SUITES = {
     ],
 }
 
-SEEDED_RECIPES = {
-    "regularity",
-    "atoms",
-    "hausdorff-axioms",
-    "hausdorff-functoriality",
-    "hausdorff-bounded",
-}
+# A recipe gets the suite seed exactly when it has a seed parameter.  Read
+# the signatures once, here: callers may rewrap the functions in RECIPES.
+SEEDED_RECIPES = {name for name, fn in RECIPES.items()
+                  if "seed" in inspect.signature(fn).parameters}
 
 
 def run_suite(name: str, seed: int = 0, bound: int = 8, expect_failures: bool = True,
               verbose: bool = False):
     """Execute a suite and return (report dict, all_ok)."""
-    from .certs import RECIPES
-
     if name == "all":
         names = sorted(SUITES)
     elif name in SUITES:

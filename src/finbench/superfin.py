@@ -334,7 +334,6 @@ class SuperFinVerdict:
 def superfinitary_test(F: FunctorHandle, n: int, probes) -> SuperFinVerdict:
     """Check FX = union of Ff[Fn] over f: n -> X on every probe."""
     Nobj = FINSET.obj(range(n))
-    FN = F.on_obj(Nobj)
     for X in probes:
         FX = F.on_obj(X)
         covered = set()
@@ -348,33 +347,6 @@ def superfinitary_test(F: FunctorHandle, n: int, probes) -> SuperFinVerdict:
                 witness={"probe": X, "element": missing[0], "level": n},
             )
     return SuperFinVerdict("PASS(probe-limited)")
-
-
-def generate_FnA(F: FunctorHandle, n: int, A, probes):
-    """Values of the subfunctor generated by A inside F(n) on the probes.
-
-    Returns {probe: carrier tuple}; verifies closure under every map between
-    the probes.
-    """
-    Nobj = FINSET.obj(range(n))
-    FN = F.on_obj(Nobj)
-    if not set(A) <= set(FN.carrier):
-        raise ValueError("generators must live in F(n)")
-    values = {}
-    for X in probes:
-        out = set()
-        for f in itertools.product(X.carrier, repeat=n):
-            mor = FINSET.mor(Nobj, X, dict(zip(range(n), f)))
-            Ff = F.on_mor(mor)
-            out.update(Ff(a) for a in A)
-        values[X] = canon(out)
-    for X in probes:
-        for Y in probes:
-            for h in FINSET.hom_set(X, Y):
-                Fh = F.on_mor(h)
-                if not {Fh(v) for v in values[X]} <= set(values[Y]):
-                    raise AssertionError("generated family not action closed")
-    return values
 
 
 # ---------------------------------------------------------------------------

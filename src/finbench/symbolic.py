@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Mor, Obj, Partition, canon, elem_key
+from .core import Mor, Obj, Partition, elem_key
 from .cats import GRA, UN
 
 WINDOW_DEFAULT = 32
@@ -62,9 +62,6 @@ class SymMor:
         if f.cod != self.dom:
             raise ValueError("not composable")
         return SymMor(f.dom, self.cod, tuple(self(f(x)) for x in f.dom.carrier))
-
-    def image_elems(self):
-        return canon(self.mapping)
 
 
 def _preserves(sm: SymMor) -> bool:

@@ -3,11 +3,13 @@
 These deliberately avoid the library's search machinery: homs come from
 filtering the full function space, subgroups from filtering inverse-closed
 subsets, congruences from filtering all set partitions, and the endomorphism
-scan from a depth-first assignment over all map families.
+scan from a depth-first assignment over all map families.  The module
+also holds fixtures that only tests build, such as a two-sorted groupoid.
 """
 
 import itertools
 
+from finbench.cats import FiniteGroupoid
 from finbench.core import Mor, canon, canon_pairs, category_of, elem_key
 from finbench.perms import (
     all_perms,
@@ -267,6 +269,22 @@ def equivalence_from_subgroup_by_index(S, n):
         return any(tuple(t[s[i]] for i in range(n)) == tuple(u) for s in S)
 
     return eq
+
+
+def two_object_iso_groupoid() -> FiniteGroupoid:
+    """Connected groupoid on two sorts with trivial vertex groups."""
+    mors = (("ia", "a", "a"), ("ib", "b", "b"), ("u", "a", "b"), ("v", "b", "a"))
+    comp = (
+        (("ia", "ia"), "ia"),
+        (("ib", "ib"), "ib"),
+        (("u", "ia"), "u"),
+        (("ib", "u"), "u"),
+        (("v", "ib"), "v"),
+        (("ia", "v"), "v"),
+        (("v", "u"), "ia"),
+        (("u", "v"), "ib"),
+    )
+    return FiniteGroupoid("pairgpd", ("a", "b"), mors, comp, (("a", "ia"), ("b", "ib")))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,131 @@
+"""Every public entry point of the library has a real caller.
+
+Certificates reach users through `finbench run` and `finbench replay`, so a
+public function, class or method that only tests call serves no one.  A name
+counts as used when it appears as an identifier, an attribute or a component
+of a dotted string (a tracer target such as "Category.hom_set") in a real
+caller: the library outside the definition's own body, the experiment
+scripts, or the benchmark.  Docstrings do not count; registered recipes do.
+Names kept without a caller are listed in ALLOWED with the reason.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "finbench"
+CALLERS = (ROOT / "scripts", ROOT / "perfbench")
+
+ALLOWED = {
+    # the JSON formats documented in the README, and the file replay reads
+    "serialize.mor_from_json": "README 'JSON formats': reader for morphisms",
+    "serialize.nomset_to_json": "README 'JSON formats': single orbits",
+    "serialize.nomset_from_json": "README 'JSON formats': single orbits",
+    "serialize.space_to_json": "README 'JSON formats': metric spaces",
+    "serialize.space_from_json": "README 'JSON formats': metric spaces",
+    "certs.save_certificate": "README 'CLI': writes the file that finbench replay reads",
+    # the theorem map consumes or deletes these
+    "functors.identity_functor": "ROADMAP item 6: probe functor for the theorem map",
+    "functors.check_functor_laws": "ROADMAP item 6: runs on each theorem-map row",
+    "functors.hom_functor": "ROADMAP item 6: mono-preserving theorem-map row",
+    "superfin.as_functor": "ROADMAP item 6: superfin presentations as theorem-map rows",
+    "superfin.constant_presentation": "ROADMAP item 6: presentation for a theorem-map row",
+    "cats.probe_objects": "ROADMAP item 6: probe family for mono preservation",
+    "cats.UnCat.has_fixed_point": "ROADMAP item 6: the case split of the mono witness",
+    "nominal.nom_identity": "ROADMAP item 6: nominal row of the theorem map",
+    "nominal.nom_counterexample_mor": "ROADMAP item 6: nominal row of the theorem map",
+    "nominal.countable_strictness_witness": "ROADMAP item 6: strictness column of the theorem map",
+    # the affirmative categories consume or delete these
+    "strictness.semistrictness_witness": "ROADMAP item 7: boolean algebras and representations",
+    "strictness.fixed_subobject_witness": "ROADMAP item 7: boolean algebras and representations",
+    "symbolic.ray_shift": "ROADMAP item 7: symbolic semi-strictness witness",
+    # the aleph-1 application
+    "hausdorff.point_set_dist": "ROADMAP item 12: d(0, X_n) in the completion",
+}
+
+
+def _docstrings(tree):
+    """ids of the string constants that are docstrings."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+                    and isinstance(body[0].value.value, str):
+                out.add(id(body[0].value))
+    return out
+
+
+def _names(tree):
+    """How often each identifier, attribute, imported name and dotted-string
+    component occurs in tree."""
+    docs = _docstrings(tree)
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docs:
+            out.update(part for part in node.value.split(".") if part.isidentifier())
+    return out
+
+
+def _is_recipe(fn):
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "recipe"
+               for d in fn.decorator_list)
+
+
+def _definitions(tree, module):
+    """(qualified name, name, node) of each public module-level function and
+    class, and of each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef) and _is_recipe(node):
+                continue
+            yield f"{module}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def orphans():
+    """Qualified names of the public definitions that no real caller uses."""
+    library = {path.stem: _parse(path) for path in sorted(LIBRARY.glob("*.py"))}
+    outside = set()
+    for folder in CALLERS:
+        for path in folder.rglob("*.py"):
+            if "tests" not in path.relative_to(folder).parts:
+                outside.update(_names(_parse(path)))
+    inside = sum((_names(tree) for tree in library.values()), Counter())
+    found = []
+    for module, tree in library.items():
+        for qualname, name, node in _definitions(tree, module):
+            # uses inside the definition's own body do not count
+            if name not in outside and inside[name] <= _names(node)[name]:
+                found.append(qualname)
+    return found
+
+
+def test_every_public_entry_point_has_a_caller():
+    found = orphans()
+    missing = sorted(set(found) - set(ALLOWED))
+    assert not missing, f"called by no certificate, script or benchmark: {missing}"
+    stale = sorted(set(ALLOWED) - set(found))
+    assert not stale, f"ALLOWED names that are gone or now have a caller: {stale}"
+
+
+def test_allow_list_names_its_consumer():
+    assert len(ALLOWED) <= 20
+    for name, reason in ALLOWED.items():
+        assert reason.startswith(("README", "ROADMAP item 6", "ROADMAP item 7",
+                                  "ROADMAP item 12")), name

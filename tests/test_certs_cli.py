@@ -214,9 +214,10 @@ def test_cli_replay_roundtrip(tmp_path):
 
 
 def _malformed_replay(tmp_path, capsys, payload):
-    """Replay a hand-edited certificate; return the exit code and stderr."""
+    """Replay a hand-edited certificate, given as a JSON value or as raw
+    text; return the exit code and stderr."""
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code = main(["replay", str(path)])
     return code, capsys.readouterr().err
 
@@ -333,9 +334,18 @@ def test_replay_top_level_list_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_replay_deeply_nested_json_exits_2(tmp_path, capsys):
+    code, err = _malformed_replay(tmp_path, capsys, "[" * 100_000)
+    assert code == 2
+    assert err.count("\n") == 1 and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_from_payload_rejects_non_object_fields():
     payload = _no_finitary_endo_payload()
-    for key, value in (("inputs", [1]), ("inputs", {"recipe": "x", "params": [1]})):
+    for key, value in (("inputs", [1]), ("inputs", {"recipe": "x", "params": [1]}),
+                       ("inputs", {"recipe": ["atoms"], "params": {}}),
+                       ("inputs", {"recipe": {"atoms": 1}, "params": {}})):
         bad = dict(payload, **{key: value})
         with pytest.raises(CertificateError):
             Certificate.from_payload(bad)

@@ -1,19 +1,11 @@
-"""Reflection tests for chain cocones, union tests, and image unions."""
+"""Chain cocones and their hom-reflection tests."""
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from finbench.cats import FINSET, GRA, UN, random_finset_mor, random_un_obj
-from finbench.colimits import (
-    FAIL,
-    PASS,
-    chain_colimit,
-    image_union,
-    reflect_colimit_test,
-    union_test,
-)
+from finbench.cats import FINSET, UN
+from finbench.colimits import FAIL, PASS, chain_colimit, reflect_colimit_test
 from finbench.core import Mor
 from finbench import symbolic as sy
 
@@ -28,7 +20,7 @@ def test_reflect_finite_chain_passes():
     c2, c23 = UN.cycles_sum([2]), UN.cycles_sum([2, 3])
     cocone = chain_colimit([UN.mor(c2, c23, lambda x: x)])
     verdict = reflect_colimit_test(cocone, [c2, c23])
-    assert verdict.passed
+    assert verdict.status == PASS
 
 
 def test_reflect_fails_with_extra_point():
@@ -67,7 +59,7 @@ def test_reflect_merging_condition():
     link = FINSET.mor(two, one, lambda x: 0)
     cocone = Cocone((two, one), (link,), one, (link, FINSET.identity(one)))
     verdict = reflect_colimit_test(cocone, [FINSET.obj(range(1))])
-    assert verdict.passed
+    assert verdict.status == PASS
 
 
 def test_reflect_unmerged_factorizations_fail():
@@ -84,63 +76,6 @@ def test_reflect_unmerged_factorizations_fail():
     assert verdict.failure["reason"] == "factorizations not merged by links"
 
 
-def test_union_test_identity():
-    X = UN.cycle(3)
-    assert union_test([UN.identity(X)], X)
-
-
-def test_union_of_proper_subsets_covers():
-    X = FINSET.obj(range(2))
-    singles = [m for m in FINSET.subobjects_fg(X) if m.dom.size == 1]
-    assert union_test(singles, X)
-    assert not union_test(singles[:1], X)
-
-
-def test_union_test_graph_needs_edges():
-    edge = GRA.obj([0, 1], [(0, 1)])
-    pair = GRA.obj([0, 1], [])
-    vertex_cover = GRA.mor(pair, edge, lambda v: v)
-    assert not union_test([vertex_cover], edge)
-    assert union_test([GRA.identity(edge)], edge)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6))
-def test_union_test_monotone(seed):
-    rng = random.Random(seed)
-    X = FINSET.obj(range(rng.randint(1, 4)))
-    monos = FINSET.subobjects_fg(X)
-    rng.shuffle(monos)
-    verdicts = [
-        union_test(monos[: i + 1], X) for i in range(len(monos))
-    ]
-    # once true, adding subobjects never flips it back
-    seen_true = False
-    for v in verdicts:
-        if seen_true:
-            assert v
-        seen_true = seen_true or v
-
-
-def test_image_union_identity():
-    cocone = _finset_chain(random.Random(0), 3)
-    f = FINSET.identity(cocone.apex)
-    result = image_union(cocone, f)
-    assert result.union_covers
-    for leg, im in zip(cocone.legs, result.images):
-        assert set(im.mapping) == set(leg.mapping)
-
-
-def test_image_union_constant():
-    cocone = _finset_chain(random.Random(1), 3)
-    Y = FINSET.obj(range(3))
-    f = FINSET.mor(cocone.apex, Y, lambda x: 0)
-    result = image_union(cocone, f)
-    assert result.union_covers
-    assert result.image_of_f.dom.size == 1
-    assert all(im.dom.size == 1 for im in result.images)
-
-
 def _finset_chain(rng, length):
     sizes = sorted(rng.randint(1, 5) for _ in range(length))
     objs = [FINSET.obj(range(s)) for s in sizes]
@@ -150,41 +85,10 @@ def _finset_chain(rng, length):
     return chain_colimit(links, objects=objs)
 
 
-def _un_chain(rng, length):
-    X = random_un_obj(rng, 5)
-    monos = [m for m in UN.subobjects_fg(X) if m.dom.size > 0]
-    if not monos:
-        return None
-    sub = min(monos, key=lambda m: m.dom.size)
-    mid = UN.obj(sub.dom.carrier, {x: UN.op(X, x) for x in sub.dom.carrier})
-    link = UN.mor(mid, X, lambda x: x)
-    return chain_colimit([link])
-
-
-def test_image_union_randomized_instances():
-    rng = random.Random(42)
-    runs = 0
-    while runs < 200:
-        if runs % 2 == 0:
-            cocone = _finset_chain(rng, rng.randint(1, 4))
-            Y = FINSET.obj(range(rng.randint(1, 4)))
-            f = FINSET.mor(
-                cocone.apex, Y, {x: rng.randrange(Y.size) for x in cocone.apex.carrier}
-            )
-        else:
-            cocone = _un_chain(rng, 2)
-            if cocone is None:
-                continue
-            targets = UN.hom_set(cocone.apex, UN.cycle(1))
-            f = targets[0]
-        assert image_union(cocone, f).union_covers
-        runs += 1
-
-
 def test_reflect_passes_on_random_finite_chains():
     # finite chains with apex the last object pass for every small probe family
     rng = random.Random(13)
     probes = [FINSET.obj(range(k)) for k in range(3)]
     for _ in range(15):
         cocone = _finset_chain(rng, rng.randint(1, 4))
-        assert reflect_colimit_test(cocone, probes).passed
+        assert reflect_colimit_test(cocone, probes).status == PASS

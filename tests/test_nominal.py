@@ -14,7 +14,6 @@ from finbench.nominal import (
     all_equivariant_maps,
     countable_strictness_witness,
     equivalence_from_subgroup,
-    equivariant_map_check,
     hom_exists_Pn,
     nom_compose,
     nom_counterexample,
@@ -345,52 +344,6 @@ def test_sym_generators_generate_the_symmetric_group():
     group = mulclose(sym_generators(pool, names), pool)
     assert len(group) == 24
     assert all(g[0] == 0 and g[2] == 2 for g in group)
-
-
-# ---------------------------------------------------------------------------
-# equivariant maps
-
-
-def test_equivariant_map_check_identity():
-    X = NominalSetSpec((pn_orbit(2),))
-    pool = 6
-    f = {e: e for e in X.elements(pool)}
-    assert equivariant_map_check(f, X, X, pool)
-
-
-def test_equivariant_map_check_rejects_choice_map():
-    # sending {a,b} to {min(a,b)} is not equivariant: a transposition of the
-    # two names moves the value but fixes the argument
-    P2 = NominalSetSpec((pn_orbit(2),))
-    P1 = NominalSetSpec((pn_orbit(1),))
-    pool = 6
-    f = {(0, rep): (0, (min(rep),)) for _, rep in P2.elements(pool)}
-    assert not equivariant_map_check(f, P2, P1, pool)
-
-
-def test_equivariant_image_map_accepted():
-    # tuple to its underlying name set
-    V2 = NominalSetSpec((OrbitSpec(2),))
-    P2 = NominalSetSpec((pn_orbit(2),))
-    pool = 6
-    f = {(0, rep): (0, tuple(sorted(rep))) for _, rep in V2.elements(pool)}
-    assert equivariant_map_check(f, V2, P2, pool)
-
-
-def test_equivariant_map_check_rejects_swap_away_from_0_and_1():
-    # swapping the images of names 4 and 5 commutes with the transposition
-    # (0 1) but not with the pool cycle
-    P1 = NominalSetSpec((pn_orbit(1),))
-    pool = 6
-    swap = {4: 5, 5: 4}
-    f = {(0, (a,)): (0, (swap.get(a, a),)) for _, (a,) in P1.elements(pool)}
-    assert not equivariant_map_check(f, P1, P1, pool)
-
-
-def test_pool_too_small_rejected():
-    X = NominalSetSpec((pn_orbit(2),))
-    with pytest.raises(ValueError):
-        equivariant_map_check({}, X, X, 4)
 
 
 # ---------------------------------------------------------------------------

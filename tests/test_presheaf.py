@@ -18,12 +18,15 @@ from finbench.cats import (
     gset_cat,
     gset_free_orbit,
     presheaf_cat,
-    two_object_iso_groupoid,
 )
 from finbench.perms import compose_perm
 from finbench.serialize import canonical_dumps, obj_from_json, obj_to_json
 
-from oracles import presheaf_structure_by_canon, unary_structure_by_canon
+from oracles import (
+    presheaf_structure_by_canon,
+    two_object_iso_groupoid,
+    unary_structure_by_canon,
+)
 
 Z2 = gset_cat(Z2_GPD)
 E2, S2 = (0, 1), (1, 0)

@@ -16,7 +16,6 @@ from finbench.superfin import (
     constant_presentation,
     coproduct,
     evaluate,
-    generate_FnA,
     induced_map,
     nonempty_subsets,
     power_functor,
@@ -224,36 +223,6 @@ def test_truncated_hom_passes_probes():
     F = as_functor(truncated_hom(2, 2))
     probes = [FINSET.obj(range(k)) for k in range(1, 5)]
     assert superfinitary_test(F, 2, probes).status == PASS
-
-
-# ---------------------------------------------------------------------------
-# generated subfunctors
-
-
-def test_generate_empty_is_empty():
-    PW = power_functor()
-    probes = [FINSET.obj(range(k)) for k in range(1, 4)]
-    values = generate_FnA(PW, 2, [], probes)
-    assert all(v == () for v in values.values())
-
-
-def test_generate_power_pair():
-    PW = power_functor()
-    probes = [FINSET.obj(range(3))]
-    values = generate_FnA(PW, 2, [frozenset({0, 1})], probes)
-    got = values[probes[0]]
-    assert len(got) == 6  # all one- and two-element subsets of a 3-set
-    assert all(len(s) <= 2 for s in got)
-
-
-def test_generate_identity_full():
-    from finbench.functors import identity_functor
-
-    I = identity_functor("finset")
-    probes = [FINSET.obj(range(k)) for k in range(1, 4)]
-    values = generate_FnA(I, 1, [0], probes)
-    for X in probes:
-        assert values[X] == X.carrier
 
 
 # ---------------------------------------------------------------------------
