@@ -7,7 +7,7 @@ Usage: python scripts/run_all_suites.py [outdir] [seed]
 import pathlib
 import sys
 
-from finbench.serialize import canonical_dumps
+from finbench.certs import canonical_dumps
 from finbench.suites import SUITES, run_suite
 
 

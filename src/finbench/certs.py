@@ -3,19 +3,27 @@
 A certificate records the recipe that produced it plus its parameters, so
 replaying recomputes the verdict and witness from scratch and compares them
 bit-exactly against the stored record.
+
+This module owns the canonical JSON text, the verdict labels and the table
+of which layer module registers each recipe, and imports no mathematics: a
+replay imports only the module of its own recipe.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import inspect
 import json
 import typing
 from dataclasses import dataclass, field
 
-from .serialize import canonical_dumps
-
 CERT_SCHEMA = "finbench-cert/1"
+
+# verdict labels: a check that found no counterexample within its probes,
+# and a check that certifies one
+PASS = "PASS(probe-limited)"
+FAIL = "FAIL(certified)"
 
 KINDS = (
     "colimit-test",
@@ -85,6 +93,37 @@ class Certificate:
         )
 
 
+def canonical_dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# recipe name -> the finbench module that registers it.  Replay imports only
+# that module, so a certificate pays for its own layer, not for the package.
+RECIPE_MODULES = {
+    "finitarity-graph": "functors",
+    "finitarity-un": "functors",
+    "reflect-prime-chain": "functors",
+    "un-boundedness": "functors",
+    "finitarity-nom": "nominal",
+    "nominal-orbit-classes": "nominal",
+    "nominal-rigidity": "nominal",
+    "nominal-roundtrip": "nominal",
+    "nominal-subgroups": "nominal",
+    "atoms": "strictness",
+    "no-finitary-endo": "strictness",
+    "regularity": "strictness",
+    "strictness-finset": "strictness",
+    "strictness-presheaf": "strictness",
+    "strictness-vec": "strictness",
+    "superfin-closure": "superfin",
+    "superfin-endos": "superfin",
+    "superfin-evaluation": "superfin",
+    "superfin-powerset": "superfin",
+    "hausdorff-axioms": "hausdorff",
+    "hausdorff-bounded": "hausdorff",
+    "hausdorff-functoriality": "hausdorff",
+}
+
 RECIPES: dict[str, object] = {}
 # recipe name -> {parameter: (least, greatest)} accepted on replay
 LIMITS: dict[str, dict] = {}
@@ -118,13 +157,16 @@ def recipe(name, kind, bounds=(), limits=None):
 
 
 def recompute(cert: Certificate) -> Certificate:
-    """Rerun the recipe; a recipe that is unknown, or that does not accept
-    the recorded parameters, their JSON types or their values, raises
-    CertificateError before any work."""
+    """Rerun the recipe, importing only the module that registers it; a
+    recipe that is unknown raises CertificateError before that import, and
+    one that does not accept the recorded parameters, their JSON types or
+    their values raises it before any work."""
     name = cert.inputs.get("recipe")
-    fn = RECIPES.get(name)
-    if fn is None:
+    module = RECIPE_MODULES.get(name)
+    if module is None:
         raise CertificateError(f"unknown recipe {name!r}")
+    importlib.import_module(f"finbench.{module}")
+    fn = RECIPES[name]
     params = cert.inputs.get("params", {})
     try:
         inspect.signature(fn).bind(**params)

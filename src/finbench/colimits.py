@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .certs import FAIL, PASS
 from .core import Mor, category_of
 from .symbolic import SymMor, SymbolicObject, WindowedHoms, homs_into
-
-PASS = "PASS(probe-limited)"
-FAIL = "FAIL(certified)"
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .certs import FAIL, PASS, recipe
 from .core import Mor, Obj, category_of, lookup_category
 from .cats import GRA, UN
-from .colimits import FAIL, PASS, Cocone, _factorizations, chain_colimit, reflect_colimit_test
+from .colimits import Cocone, _factorizations, chain_colimit, reflect_colimit_test
+from .serialize import mor_to_json
 from .strictness import Exhaustion
 from .symbolic import (
     CYCLE_FAMILY,
@@ -342,3 +344,63 @@ def path_chain(k: int) -> Cocone:
     ]
     legs = [SymMor(D, RAY, tuple(D.carrier)) for D in objects]
     return chain_colimit(links, objects=objects, apex=RAY, legs=legs)
+
+
+# ---------------------------------------------------------------------------
+# recipes: the unary and graph counterexamples
+
+
+@recipe("un-boundedness", "finitarity", bounds=("bound",),
+        limits={"bound": (0, 512), "max_m0": (0, 64)})
+def r_un_boundedness(bound: int = 8, max_m0: int = 4):
+    F = un_counterexample()
+    found, searched = [], 0
+    for label, A in (("c2+c3", UN.cycles_sum([2, 3])), ("cycle-family", CYCLE_FAMILY)):
+        FA = F.on_obj(A)
+        for m0 in UN.subobjects_fg(FA, max_m0):
+            searched += 1
+            wit = finitely_bounded_witness(F, A, m0, bound)
+            if not isinstance(wit, BoundednessWitness):
+                return FAIL, {"unwitnessed": mor_to_json(m0), "input": label}
+            found.append([label, m0.dom.size, wit.m.dom.size])
+    return "PASS", {"mode": "boundedness-witness", "witnessed": sorted(found),
+                    "searched": searched}
+
+
+def _chain_witness(cert: FinitarityCertificate):
+    return cert.verdict, {
+        "functor": cert.functor,
+        "chain": cert.chain,
+        "prefix_k": cert.prefix_k,
+        "lhs_size": cert.lhs_size,
+        "rhs_size": cert.rhs_size,
+        "persistence": cert.persistence,
+        "notes": list(cert.notes),
+    }
+
+
+@recipe("finitarity-un", "finitarity", limits={"k": (1, 24)})
+def r_finitarity_un(k: int = 3):
+    return _chain_witness(finitarity_certificate(
+        un_counterexample(), prime_cycle_chain(k), prime_cycle_chain(k + 1),
+        "prime-cycles",
+    ))
+
+
+@recipe("reflect-prime-chain", "colimit-test", limits={"k": (1, 20)})
+def r_reflect_prime_chain(k: int = 3):
+    probes = [UN.cycle(p) for p in primes_upto(100)[:k]]
+    verdict = reflect_colimit_test(prime_cycle_chain(k), probes)
+    return verdict.status, {
+        "chain": "prime-cycles",
+        "prefix_k": k,
+        "probes": [p.size for p in probes],
+        "notes": list(verdict.notes),
+    }
+
+
+@recipe("finitarity-graph", "finitarity", limits={"k": (1, 256)})
+def r_finitarity_graph(k: int = 3):
+    return _chain_witness(finitarity_certificate(
+        graph_counterexample(), path_chain(k), path_chain(k + 1), "paths"
+    ))

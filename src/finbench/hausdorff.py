@@ -22,10 +22,13 @@ scale the dense subsets are the whole carriers.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import sub
+
+from .certs import FAIL, recipe
 
 
 @dataclass(frozen=True, init=False)
@@ -241,3 +244,80 @@ def random_metric_space(rng, size: int) -> FinMetricSpace:
         if i != j and m[i][k] + m[k][j] < m[i][j]:
             m[i][j] = m[j][i] = m[i][k] + m[k][j]
     return FinMetricSpace.from_ints(range(size), 12, m)
+
+
+# ---------------------------------------------------------------------------
+# recipes: metric axioms, functoriality and boundedness of the subset space
+
+
+@recipe("hausdorff-axioms", "hausdorff", limits={"count": (0, 1000), "max_size": (1, 6)})
+def r_hausdorff_axioms(seed: int = 0, count: int = 100, max_size: int = 5):
+    rng = random.Random(seed)
+    for _ in range(count):
+        X = random_metric_space(rng, rng.randint(1, max_size))
+        subset_space(X)  # constructor asserts all axioms exactly
+    return "PASS", {"spaces_checked": count, "arithmetic": "exact rationals"}
+
+
+@recipe("hausdorff-functoriality", "hausdorff", limits={"samples": (0, 1500)})
+def r_hausdorff_functoriality(seed: int = 0, samples: int = 15):
+    rng = random.Random(seed)
+    for _ in range(samples):
+        X = random_metric_space(rng, rng.randint(1, 4))
+        idX = nonexpanding(X, X, lambda x: x)
+        if subset_map(idX).mapping != subset_space(X).points:
+            return FAIL, {"violated": "identity"}
+        Y = random_metric_space(rng, rng.randint(1, 3))
+        f = _random_nonexpanding(rng, X, Y)
+        g = _random_nonexpanding(rng, Y, X)
+        lhs = subset_map(nonexpanding(X, X, lambda x, g=g, f=f: g(f(x))))
+        rhs_f, rhs_g = subset_map(f), subset_map(g)
+        composed = tuple(rhs_g(rhs_f(s)) for s in rhs_f.dom.points)
+        if lhs.mapping != composed:
+            return FAIL, {"violated": "composition"}
+        emb = _far_point_embedding(X)
+        if not emb.is_isometric_embedding():
+            return FAIL, {"violated": "embedding"}
+        if len(set(subset_map(emb).mapping)) != subset_space(X).size:
+            return FAIL, {"violated": "mono"}
+    return "PASS", {"samples": samples,
+                    "laws": ["identity", "composition", "mono-preservation"]}
+
+
+def _random_nonexpanding(rng, X, Y):
+    """Rejection-sample a nonexpanding map; a constant map always works."""
+    for _ in range(8):
+        images = tuple(rng.choice(Y.points) for _ in X.points)
+        try:
+            return NonexpandingMap(X, Y, images)
+        except ValueError:
+            continue
+    return nonexpanding(X, Y, lambda x: Y.points[0])
+
+
+def _far_point_embedding(X):
+    """Isometric embedding of X into X plus one point at distance 1."""
+    extra = "far"
+    points = tuple(X.points) + (extra,)
+
+    def d(a, b):
+        if extra in (a, b):
+            return 1
+        return X.d(a, b)
+
+    Y = metric_space(points, d)
+    return nonexpanding(X, Y, lambda x: x)
+
+
+@recipe("hausdorff-bounded", "hausdorff", limits={"samples": (0, 10000)})
+def r_hausdorff_bounded(seed: int = 0, samples: int = 20):
+    rng = random.Random(seed)
+    for _ in range(samples):
+        X = random_metric_space(rng, rng.randint(1, 5))
+        members = [
+            frozenset(rng.sample(X.points, rng.randint(1, X.size)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if not boundedness_witness(X, members).verified:
+            return FAIL, {"violated": "union-recovery"}
+    return "PASS", {"samples": samples}

@@ -8,9 +8,9 @@ certificates replayable.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
+from .certs import canonical_dumps  # noqa: F401  (re-exported for callers of serialize)
 from .core import Mor, Obj, elem_key
 from .symbolic import SymMor, SymbolicObject
 
@@ -134,7 +134,3 @@ def space_from_json(j):
             num, den = entry.split("/")
             matrix[i][k] = matrix[k][i] = Fraction(int(num), int(den))
     return FinMetricSpace(points, tuple(tuple(r) for r in matrix))
-
-
-def canonical_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

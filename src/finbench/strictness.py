@@ -11,19 +11,34 @@ documented implication, not machine checked.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
+from .certs import FAIL, CertificateError, recipe
 from .core import Mor, Obj, Partition, category_of, elem_key
 from .cats import (
     FINSET,
     GRA,
+    S3_GPD,
+    TRIVIAL_GPD,
     UN,
+    VEC2,
+    Z2_GPD,
+    Z3_GPD,
     FiniteGroupoid,
     PresheafCat,
     VecCat,
+    gset_cat,
+    gset_free_orbit,
     presheaf_cat,
+    random_finset_mor,
+    random_gset,
+    random_un_surjection,
 )
+from .perms import subgroups_of_sym
+from .serialize import mor_to_json, obj_to_json
 from .symbolic import (
+    CYCLE_FAMILY,
     LOOP_RAY,
     RAY,
     SymEndo,
@@ -456,3 +471,161 @@ def no_finitary_endo_certificate(A: SymbolicObject, window: int = 32, path_bound
             "finitely presentable algebra",
         )
     raise ValueError(f"no certificate procedure for {A.kind}")
+
+
+# ---------------------------------------------------------------------------
+# recipes: negative certificates, strictness, regularity and atoms
+
+
+@recipe("no-finitary-endo", "no-finitary-endo",
+        bounds=("window", "path_bound", "prime_bound"),
+        limits={"window": (0, 512), "path_bound": (0, 64), "prime_bound": (0, 100)})
+def r_no_finitary_endo(subject: str, window: int = 32, path_bound: int = 8,
+                       prime_bound: int = 23):
+    subjects = {"ray": RAY, "cycle_family": CYCLE_FAMILY}
+    if subject not in subjects:
+        raise CertificateError(f"unknown subject {subject!r}")
+    cert = no_finitary_endo_certificate(
+        subjects[subject], window=window, path_bound=path_bound, prime_bound=prime_bound
+    )
+    checked = dict(cert.checked)
+    if "prime_hom_table" in checked:
+        checked["prime_hom_table"] = sorted(
+            [p, q, n] for (p, q), n in checked["prime_hom_table"].items()
+        )
+    if "path_hom_counts" in checked:
+        checked["path_hom_counts"] = sorted(
+            [k, n] for k, n in checked["path_hom_counts"].items()
+        )
+    return FAIL, {"checked": checked, "inference": cert.inference}
+
+
+@recipe("strictness-finset", "strictness-witness", bounds=("max_dom", "max_cod"),
+        limits={"max_dom": (0, 6), "max_cod": (0, 6)})
+def r_strictness_finset(max_dom: int = 4, max_cod: int = 5):
+    total = witnessed = 0
+    sample = None
+    for d in range(max_dom + 1):
+        for c in range(max_cod + 1):
+            if d > 0 and c == 0:
+                continue
+            D, C = FINSET.obj(range(d)), FINSET.obj(range(c))
+            for images in itertools.product(range(c), repeat=d):
+                b = FINSET.mor(D, C, dict(enumerate(images)))
+                total += 1
+                wit = strictness_witness(b, bound=max_cod + 1)
+                if isinstance(wit, StrictnessWitness):
+                    witnessed += 1
+                    if sample is None and d == 2 and c == 3:
+                        sample = {
+                            "b": mor_to_json(wit.b),
+                            "b_prime": mor_to_json(wit.b_prime),
+                            "f": mor_to_json(wit.f),
+                        }
+    return "PASS" if witnessed == total else FAIL, {
+        "witnessed": witnessed, "total": total, "sample": sample}
+
+
+@recipe("strictness-presheaf", "strictness-witness")
+def r_strictness_presheaf():
+    cat = gset_cat(Z2_GPD)
+    both, injs = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
+    wit = strictness_witness(injs[0])
+    ok = isinstance(wit, StrictnessWitness)
+    return "PASS" if ok else FAIL, {
+        "category": cat.name,
+        "b_prime_size": wit.b_prime.dom.size if ok else None,
+        "witness": {
+            "b": mor_to_json(wit.b),
+            "b_prime": mor_to_json(wit.b_prime),
+            "f": mor_to_json(wit.f),
+        } if ok else None,
+    }
+
+
+@recipe("strictness-vec", "strictness-witness",
+        limits={"ambient_dim": (0, 8), "sub_dim": (0, 8)})
+def r_strictness_vec(ambient_dim: int = 3, sub_dim: int = 1):
+    if sub_dim > ambient_dim:
+        raise CertificateError(f"parameter 'sub_dim' must be at most 'ambient_dim' = "
+                               f"{ambient_dim}, not {sub_dim}")
+    cat = VEC2
+    cols = cat.basis_vectors(ambient_dim)[:sub_dim]
+    b = cat.from_matrix(cat.obj(sub_dim), cat.obj(ambient_dim), cols)
+    # a witness may need the whole ambient space
+    wit = strictness_witness(b, cat.q ** ambient_dim)
+    ok = isinstance(wit, StrictnessWitness)
+    return "PASS" if ok else FAIL, {"b_prime_dim": cat.dim(wit.b_prime.dom) if ok else None}
+
+
+def _random_gset_surjection(rng, cat, subgroups):
+    X = random_gset(rng, cat, subgroups, max_size=6)
+    free = gset_free_orbit(cat, "probe")
+    elems = list(X.carrier)
+    a, b = rng.choice(elems), rng.choice(elems)
+
+    def action_map(target):
+        mapping = {}
+        for s, v in free.carrier:
+            _, g = v  # free-orbit values are (tag, group element)
+            mapping[(s, v)] = cat.op(X, g, target)
+        return cat.mor(free, X, mapping)
+
+    return cat.coequalizer(action_map(a), action_map(b))
+
+
+def regularity_check(f: Mor) -> bool:
+    """Coequalizer of the kernel pair reproduces a carrier-surjective map."""
+    cat = category_of(f.dom)
+    p1, p2 = cat.kernel_pair(f)
+    q = cat.coequalizer(p1, p2)
+    try:
+        j = cat.mor(q.cod, f.cod, {q(x): f(x) for x in f.dom.carrier})
+    except (ValueError, KeyError):
+        return False
+    return cat.is_iso(j) and cat.compose(j, q) == f
+
+
+@recipe("regularity", "colimit-test", limits={"count": (0, 4000)})
+def r_regularity(seed: int = 0, count: int = 100):
+    rng = random.Random(seed)
+    z2 = gset_cat(Z2_GPD)
+    z2_subgroups = [tuple(h) for h in subgroups_of_sym(2)]
+    samplers = (
+        ("finset", lambda: random_finset_mor(rng, surjective=True)),
+        ("un", lambda: random_un_surjection(rng)),
+        ("z2-set", lambda: _random_gset_surjection(rng, z2, z2_subgroups)),
+    )
+    checked = {"finset": 0, "un": 0, "z2-set": 0}
+    for _ in range(count):
+        for catname, sample in samplers:
+            f = sample()
+            if not regularity_check(f):
+                return FAIL, {"category": catname, "morphism": mor_to_json(f)}
+            checked[catname] += 1
+    return "PASS", {"mode": "coequalizer-of-kernel-pair", "checked": checked}
+
+
+GROUPS = {"triv": TRIVIAL_GPD, "z2": Z2_GPD, "z3": Z3_GPD, "s3": S3_GPD}
+
+
+@recipe("atoms", "atoms", limits={"samples": (0, 2500)})
+def r_atoms(group: str = "z2", seed: int = 0, samples: int = 25):
+    if group not in GROUPS:
+        raise CertificateError(f"parameter 'group' must be one of "
+                               f"{', '.join(GROUPS)}, not {group!r}")
+    gpd = GROUPS[group]
+    cat = presheaf_cat(gpd)
+    atoms = atoms_of_presheaves(gpd)
+    rng = random.Random(seed)
+    subgroups = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
+    for _ in range(samples):
+        X = random_gset(rng, cat, subgroups, max_size=8)
+        if not decomposition_roundtrip(cat, X):
+            return FAIL, {"group": group, "failed": obj_to_json(X)}
+    return "PASS", {
+        "group": group,
+        "atom_count": len(atoms),
+        "atom_sizes": sorted(a.size for a in atoms),
+        "roundtrips": samples,
+    }

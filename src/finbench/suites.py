@@ -1,520 +1,17 @@
 """Demo suites behind the CLI: each check is produced by a registered recipe
 so that its certificate can be replayed bit-exactly later.
 
+The recipes live at the bottom of the layer modules that do their work;
+importing this module imports those layers and so registers every recipe.
 All randomness flows from the seed recorded in the certificate parameters.
 """
 
 from __future__ import annotations
 
 import inspect
-import itertools
-import random
 
-from .cats import (
-    FINSET,
-    S3_GPD,
-    TRIVIAL_GPD,
-    UN,
-    VEC2,
-    Z2_GPD,
-    Z3_GPD,
-    gset_cat,
-    gset_free_orbit,
-    presheaf_cat,
-    random_finset_mor,
-    random_gset,
-    random_un_surjection,
-)
-from .certs import RECIPES, CertificateError, recipe
-from .colimits import FAIL, PASS, reflect_colimit_test
-from .core import Mor, category_of
-from .functors import (
-    finitarity_certificate,
-    finitely_bounded_witness,
-    graph_counterexample,
-    path_chain,
-    prime_cycle_chain,
-    un_counterexample,
-    BoundednessWitness,
-)
-from .hausdorff import (
-    boundedness_witness,
-    nonexpanding,
-    random_metric_space,
-    subset_map,
-    subset_space,
-)
-from .nominal import (
-    all_equivariant_maps,
-    equivalence_from_subgroup,
-    p_chain_certificate,
-    p_prefix,
-    single_orbit_enumerate,
-    subgroup_from_quotient,
-    subgroups_of_Sn,
-    support_rigidity_check,
-)
-from .perms import subgroups_of_sym
-from .serialize import mor_to_json, obj_to_json
-from .strictness import (
-    StrictnessWitness,
-    atoms_of_presheaves,
-    decomposition_roundtrip,
-    no_finitary_endo_certificate,
-    strictness_witness,
-)
-from .superfin import (
-    canonical_epsilon,
-    coproduct as pres_coproduct,
-    evaluate,
-    power_functor,
-    powfin_endo_probe,
-    product as pres_product,
-    subfunctor_pullback,
-    superfinitary_test,
-    truncated_hom,
-    truncated_identity,
-    SubfunctorError,
-)
-from . import symbolic as sy
-
-GROUPS = {"triv": TRIVIAL_GPD, "z2": Z2_GPD, "z3": Z3_GPD, "s3": S3_GPD}
-
-
-# ---------------------------------------------------------------------------
-# recipes: counterexample functors
-
-
-@recipe("no-finitary-endo", "no-finitary-endo",
-        bounds=("window", "path_bound", "prime_bound"),
-        limits={"window": (0, 512), "path_bound": (0, 64), "prime_bound": (0, 100)})
-def r_no_finitary_endo(subject: str, window: int = 32, path_bound: int = 8,
-                       prime_bound: int = 23):
-    subjects = {"ray": sy.RAY, "cycle_family": sy.CYCLE_FAMILY}
-    if subject not in subjects:
-        raise CertificateError(f"unknown subject {subject!r}")
-    cert = no_finitary_endo_certificate(
-        subjects[subject], window=window, path_bound=path_bound, prime_bound=prime_bound
-    )
-    checked = dict(cert.checked)
-    if "prime_hom_table" in checked:
-        checked["prime_hom_table"] = sorted(
-            [p, q, n] for (p, q), n in checked["prime_hom_table"].items()
-        )
-    if "path_hom_counts" in checked:
-        checked["path_hom_counts"] = sorted(
-            [k, n] for k, n in checked["path_hom_counts"].items()
-        )
-    return FAIL, {"checked": checked, "inference": cert.inference}
-
-
-@recipe("un-boundedness", "finitarity", bounds=("bound",),
-        limits={"bound": (0, 512), "max_m0": (0, 64)})
-def r_un_boundedness(bound: int = 8, max_m0: int = 4):
-    F = un_counterexample()
-    found, searched = [], 0
-    for label, A in (("c2+c3", UN.cycles_sum([2, 3])), ("cycle-family", sy.CYCLE_FAMILY)):
-        FA = F.on_obj(A)
-        for m0 in UN.subobjects_fg(FA, max_m0):
-            searched += 1
-            wit = finitely_bounded_witness(F, A, m0, bound)
-            if not isinstance(wit, BoundednessWitness):
-                return FAIL, {"unwitnessed": mor_to_json(m0), "input": label}
-            found.append([label, m0.dom.size, wit.m.dom.size])
-    return "PASS", {"mode": "boundedness-witness", "witnessed": sorted(found),
-                    "searched": searched}
-
-
-def _chain_witness(cert):
-    return cert.verdict, {
-        "functor": cert.functor,
-        "chain": cert.chain,
-        "prefix_k": cert.prefix_k,
-        "lhs_size": cert.lhs_size,
-        "rhs_size": cert.rhs_size,
-        "persistence": cert.persistence,
-        "notes": list(cert.notes),
-    }
-
-
-@recipe("finitarity-un", "finitarity", limits={"k": (1, 24)})
-def r_finitarity_un(k: int = 3):
-    return _chain_witness(finitarity_certificate(
-        un_counterexample(), prime_cycle_chain(k), prime_cycle_chain(k + 1),
-        "prime-cycles",
-    ))
-
-
-@recipe("reflect-prime-chain", "colimit-test", limits={"k": (1, 20)})
-def r_reflect_prime_chain(k: int = 3):
-    probes = [UN.cycle(p) for p in sy.primes_upto(100)[:k]]
-    verdict = reflect_colimit_test(prime_cycle_chain(k), probes)
-    return verdict.status, {
-        "chain": "prime-cycles",
-        "prefix_k": k,
-        "probes": [p.size for p in probes],
-        "notes": list(verdict.notes),
-    }
-
-
-@recipe("finitarity-graph", "finitarity", limits={"k": (1, 256)})
-def r_finitarity_graph(k: int = 3):
-    return _chain_witness(finitarity_certificate(
-        graph_counterexample(), path_chain(k), path_chain(k + 1), "paths"
-    ))
-
-
-@recipe("finitarity-nom", "finitarity", limits={"k": (1, 3)})
-def r_finitarity_nom(k: int = 3):
-    return _chain_witness(p_chain_certificate(k))
-
-
-@recipe("nominal-rigidity", "nominal", bounds=("pool",),
-        limits={"k": (0, 5), "pool": (2, 20)})
-def r_nominal_rigidity(k: int = 3, pool: int = 10):
-    if pool < 2 * k + 2:
-        raise CertificateError(f"parameter 'pool' must be at least 2k+2 = {2 * k + 2} "
-                               f"for 'k' = {k}, not {pool}")
-    X = p_prefix(k)
-    endos = all_equivariant_maps(X, X, pool=pool)
-    reports = [support_rigidity_check(f) for f in endos]
-    ok = all(r.preserved for r in reports)
-    return "PASS" if ok else FAIL, {
-        "endomorphisms": len(endos),
-        "elements_checked": sum(r.checked for r in reports),
-        "supports_preserved": ok,
-        "note": reports[0].note if reports else "",
-    }
-
-
-# ---------------------------------------------------------------------------
-# recipes: strictness
-
-
-@recipe("strictness-finset", "strictness-witness", bounds=("max_dom", "max_cod"),
-        limits={"max_dom": (0, 6), "max_cod": (0, 6)})
-def r_strictness_finset(max_dom: int = 4, max_cod: int = 5):
-    total = witnessed = 0
-    sample = None
-    for d in range(max_dom + 1):
-        for c in range(max_cod + 1):
-            if d > 0 and c == 0:
-                continue
-            D, C = FINSET.obj(range(d)), FINSET.obj(range(c))
-            for images in itertools.product(range(c), repeat=d):
-                b = FINSET.mor(D, C, dict(enumerate(images)))
-                total += 1
-                wit = strictness_witness(b, bound=max_cod + 1)
-                if isinstance(wit, StrictnessWitness):
-                    witnessed += 1
-                    if sample is None and d == 2 and c == 3:
-                        sample = {
-                            "b": mor_to_json(wit.b),
-                            "b_prime": mor_to_json(wit.b_prime),
-                            "f": mor_to_json(wit.f),
-                        }
-    return "PASS" if witnessed == total else FAIL, {
-        "witnessed": witnessed, "total": total, "sample": sample}
-
-
-@recipe("strictness-presheaf", "strictness-witness")
-def r_strictness_presheaf():
-    cat = gset_cat(Z2_GPD)
-    both, injs = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
-    wit = strictness_witness(injs[0])
-    ok = isinstance(wit, StrictnessWitness)
-    return "PASS" if ok else FAIL, {
-        "category": cat.name,
-        "b_prime_size": wit.b_prime.dom.size if ok else None,
-        "witness": {
-            "b": mor_to_json(wit.b),
-            "b_prime": mor_to_json(wit.b_prime),
-            "f": mor_to_json(wit.f),
-        } if ok else None,
-    }
-
-
-@recipe("strictness-vec", "strictness-witness",
-        limits={"ambient_dim": (0, 8), "sub_dim": (0, 8)})
-def r_strictness_vec(ambient_dim: int = 3, sub_dim: int = 1):
-    if sub_dim > ambient_dim:
-        raise CertificateError(f"parameter 'sub_dim' must be at most 'ambient_dim' = "
-                               f"{ambient_dim}, not {sub_dim}")
-    cat = VEC2
-    cols = cat.basis_vectors(ambient_dim)[:sub_dim]
-    b = cat.from_matrix(cat.obj(sub_dim), cat.obj(ambient_dim), cols)
-    # a witness may need the whole ambient space
-    wit = strictness_witness(b, cat.q ** ambient_dim)
-    ok = isinstance(wit, StrictnessWitness)
-    return "PASS" if ok else FAIL, {"b_prime_dim": cat.dim(wit.b_prime.dom) if ok else None}
-
-
-def _random_gset_surjection(rng, cat, subgroups):
-    X = random_gset(rng, cat, subgroups, max_size=6)
-    free = gset_free_orbit(cat, "probe")
-    elems = list(X.carrier)
-    a, b = rng.choice(elems), rng.choice(elems)
-
-    def action_map(target):
-        mapping = {}
-        for s, v in free.carrier:
-            _, g = v  # free-orbit values are (tag, group element)
-            mapping[(s, v)] = cat.op(X, g, target)
-        return cat.mor(free, X, mapping)
-
-    return cat.coequalizer(action_map(a), action_map(b))
-
-
-def regularity_check(f: Mor) -> bool:
-    """Coequalizer of the kernel pair reproduces a carrier-surjective map."""
-    cat = category_of(f.dom)
-    p1, p2 = cat.kernel_pair(f)
-    q = cat.coequalizer(p1, p2)
-    try:
-        j = cat.mor(q.cod, f.cod, {q(x): f(x) for x in f.dom.carrier})
-    except (ValueError, KeyError):
-        return False
-    return cat.is_iso(j) and cat.compose(j, q) == f
-
-
-@recipe("regularity", "colimit-test", limits={"count": (0, 4000)})
-def r_regularity(seed: int = 0, count: int = 100):
-    rng = random.Random(seed)
-    z2 = gset_cat(Z2_GPD)
-    z2_subgroups = [tuple(h) for h in subgroups_of_sym(2)]
-    samplers = (
-        ("finset", lambda: random_finset_mor(rng, surjective=True)),
-        ("un", lambda: random_un_surjection(rng)),
-        ("z2-set", lambda: _random_gset_surjection(rng, z2, z2_subgroups)),
-    )
-    checked = {"finset": 0, "un": 0, "z2-set": 0}
-    for _ in range(count):
-        for catname, sample in samplers:
-            f = sample()
-            if not regularity_check(f):
-                return FAIL, {"category": catname, "morphism": mor_to_json(f)}
-            checked[catname] += 1
-    return "PASS", {"mode": "coequalizer-of-kernel-pair", "checked": checked}
-
-
-# ---------------------------------------------------------------------------
-# recipes: atoms
-
-
-@recipe("atoms", "atoms", limits={"samples": (0, 2500)})
-def r_atoms(group: str = "z2", seed: int = 0, samples: int = 25):
-    if group not in GROUPS:
-        raise CertificateError(f"parameter 'group' must be one of "
-                               f"{', '.join(GROUPS)}, not {group!r}")
-    gpd = GROUPS[group]
-    cat = presheaf_cat(gpd)
-    atoms = atoms_of_presheaves(gpd)
-    rng = random.Random(seed)
-    subgroups = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
-    for _ in range(samples):
-        X = random_gset(rng, cat, subgroups, max_size=8)
-        if not decomposition_roundtrip(cat, X):
-            return FAIL, {"group": group, "failed": obj_to_json(X)}
-    return "PASS", {
-        "group": group,
-        "atom_count": len(atoms),
-        "atom_sizes": sorted(a.size for a in atoms),
-        "roundtrips": samples,
-    }
-
-
-# ---------------------------------------------------------------------------
-# recipes: super-finitary calculus
-
-
-@recipe("superfin-evaluation", "superfin", limits={"max_size": (0, 32)})
-def r_superfin_evaluation(max_size: int = 4):
-    P = truncated_hom(2, 2)
-    sizes = {}
-    for k in range(max_size + 1):
-        sizes[str(k)] = evaluate(P, range(k)).size
-        if sizes[str(k)] != k * k:
-            return FAIL, {"sizes": sizes, "expected": "k^2"}
-        if k:
-            canonical_epsilon(P, range(k))  # raises unless surjective
-    return "PASS", {"sizes": sizes, "law": "evaluation of truncated Set(2,-) has k^2 classes"}
-
-
-@recipe("superfin-closure", "superfin", limits={"max_probe": (0, 24)})
-def r_superfin_closure(max_probe: int = 3):
-    hom2 = truncated_hom(2, 2)
-    ident = truncated_identity(1)
-    results = {}
-    for k in range(max_probe + 1):
-        X = range(k)
-        results[f"product@{k}"] = [
-            evaluate(pres_product(ident, ident), X).size,
-            evaluate(ident, X).size ** 2,
-        ]
-        results[f"coproduct@{k}"] = [
-            evaluate(pres_coproduct(ident, ident), X).size,
-            2 * evaluate(ident, X).size,
-        ]
-    constants = {
-        0: [],
-        1: list(hom2.values[1]),
-        2: [q for q in hom2.values[2] if q[0] == q[1]],
-    }
-    sub = subfunctor_pullback(hom2, constants)
-    for k in range(max_probe + 1):
-        results[f"subfunctor@{k}"] = [evaluate(sub, range(k)).size, k]
-    try:
-        subfunctor_pullback(
-            hom2, {2: [q for q in hom2.values[2] if q[0] != q[1]]}
-        )
-        rejected = False
-    except SubfunctorError:
-        rejected = True
-    ok = rejected and all(a == b for a, b in results.values())
-    return "PASS" if ok else FAIL, {"pointwise": results,
-                                    "non_closed_predicate_rejected": rejected}
-
-
-@recipe("superfin-powerset", "superfin", limits={"n_max": (0, 5)})
-def r_superfin_powerset(n_max: int = 4):
-    PW = power_functor()
-    witnesses = {}
-    for n in range(1, n_max + 1):
-        probe = FINSET.obj(range(n + 1))
-        verdict = superfinitary_test(PW, n, [probe])
-        if verdict.status != FAIL:
-            return PASS, {"unexpected_pass_at": n}
-        witnesses[str(n)] = sorted(verdict.witness["element"])
-    return FAIL, {
-        "witnesses": witnesses,
-        "statement": "the full subset of an (n+1)-set escapes every image "
-        "from level n",
-    }
-
-
-@recipe("superfin-endos", "superfin", limits={"m": (0, 4)})
-def r_superfin_endos(m: int = 3):
-    fams = powfin_endo_probe(m)
-    only_identity = len(fams) == 1 and all(
-        all(k == v for k, v in level.items()) for level in fams[0].values()
-    )
-    return "PASS" if only_identity else FAIL, {
-        "families": len(fams), "identity_only": only_identity, "levels": m}
-
-
-# ---------------------------------------------------------------------------
-# recipes: nominal classification
-
-
-@recipe("nominal-subgroups", "nominal")
-def r_nominal_subgroups():
-    counts = {str(n): len(subgroups_of_Sn(n)) for n in range(5)}
-    ok = counts == {"0": 1, "1": 1, "2": 2, "3": 6, "4": 30}
-    return "PASS" if ok else FAIL, {"subgroup_counts": counts}
-
-
-@recipe("nominal-roundtrip", "nominal", limits={"n": (0, 4)})
-def r_nominal_roundtrip(n: int = 3):
-    failures = []
-    for H in subgroups_of_Sn(n):
-        back = subgroup_from_quotient(equivalence_from_subgroup(H, n), n)
-        if back != H:
-            failures.append([list(g) for g in H])
-    return "PASS" if not failures else FAIL, {
-        "subgroups": len(subgroups_of_Sn(n)), "failures": failures}
-
-
-@recipe("nominal-orbit-classes", "nominal", limits={"n_max": (0, 4)})
-def r_nominal_orbit_classes(n_max: int = 3):
-    counts = {str(n): len(single_orbit_enumerate(n)) for n in range(n_max + 1)}
-    expected = {"0": 1, "1": 1, "2": 2, "3": 4}
-    ok = all(counts[k] == v for k, v in expected.items() if k in counts)
-    return "PASS" if ok else FAIL, {"class_counts": counts}
-
-
-# ---------------------------------------------------------------------------
-# recipes: hausdorff
-
-
-@recipe("hausdorff-axioms", "hausdorff", limits={"count": (0, 1000), "max_size": (1, 6)})
-def r_hausdorff_axioms(seed: int = 0, count: int = 100, max_size: int = 5):
-    rng = random.Random(seed)
-    for _ in range(count):
-        X = random_metric_space(rng, rng.randint(1, max_size))
-        subset_space(X)  # constructor asserts all axioms exactly
-    return "PASS", {"spaces_checked": count, "arithmetic": "exact rationals"}
-
-
-@recipe("hausdorff-functoriality", "hausdorff", limits={"samples": (0, 1500)})
-def r_hausdorff_functoriality(seed: int = 0, samples: int = 15):
-    rng = random.Random(seed)
-    for _ in range(samples):
-        X = random_metric_space(rng, rng.randint(1, 4))
-        idX = nonexpanding(X, X, lambda x: x)
-        if subset_map(idX).mapping != subset_space(X).points:
-            return FAIL, {"violated": "identity"}
-        Y = random_metric_space(rng, rng.randint(1, 3))
-        f = _random_nonexpanding(rng, X, Y)
-        g = _random_nonexpanding(rng, Y, X)
-        lhs = subset_map(nonexpanding(X, X, lambda x, g=g, f=f: g(f(x))))
-        rhs_f, rhs_g = subset_map(f), subset_map(g)
-        composed = tuple(rhs_g(rhs_f(s)) for s in rhs_f.dom.points)
-        if lhs.mapping != composed:
-            return FAIL, {"violated": "composition"}
-        emb = _far_point_embedding(X)
-        if not emb.is_isometric_embedding():
-            return FAIL, {"violated": "embedding"}
-        if len(set(subset_map(emb).mapping)) != subset_space(X).size:
-            return FAIL, {"violated": "mono"}
-    return "PASS", {"samples": samples,
-                    "laws": ["identity", "composition", "mono-preservation"]}
-
-
-def _random_nonexpanding(rng, X, Y):
-    """Rejection-sample a nonexpanding map; a constant map always works."""
-    from .hausdorff import NonexpandingMap
-
-    for _ in range(8):
-        images = tuple(rng.choice(Y.points) for _ in X.points)
-        try:
-            return NonexpandingMap(X, Y, images)
-        except ValueError:
-            continue
-    return nonexpanding(X, Y, lambda x: Y.points[0])
-
-
-def _far_point_embedding(X):
-    """Isometric embedding of X into X plus one point at distance 1."""
-    from .hausdorff import metric_space
-
-    extra = "far"
-    points = tuple(X.points) + (extra,)
-
-    def d(a, b):
-        if extra in (a, b):
-            return 1
-        return X.d(a, b)
-
-    Y = metric_space(points, d)
-    return nonexpanding(X, Y, lambda x: x)
-
-
-@recipe("hausdorff-bounded", "hausdorff", limits={"samples": (0, 10000)})
-def r_hausdorff_bounded(seed: int = 0, samples: int = 20):
-    rng = random.Random(seed)
-    for _ in range(samples):
-        X = random_metric_space(rng, rng.randint(1, 5))
-        members = [
-            frozenset(rng.sample(X.points, rng.randint(1, X.size)))
-            for _ in range(rng.randint(1, 3))
-        ]
-        if not boundedness_witness(X, members).verified:
-            return FAIL, {"violated": "union-recovery"}
-    return "PASS", {"samples": samples}
-
-
-# ---------------------------------------------------------------------------
-# suite definitions
+from .certs import FAIL, PASS, RECIPES
+from . import functors, hausdorff, nominal, strictness, superfin  # noqa: F401
 
 
 SUITES = {

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .certs import FAIL, PASS, recipe
 from .core import Mor, Obj, Partition, canon, elem_key
 from .cats import FINSET
 from .functors import FunctorHandle
@@ -327,7 +328,7 @@ def quotient(pres: SuperFinPresentation, seed_pairs) -> SuperFinPresentation:
 
 @dataclass
 class SuperFinVerdict:
-    status: str  # "PASS(probe-limited)" or "FAIL(certified)"
+    status: str  # PASS or FAIL
     witness: dict | None = None
 
 
@@ -343,10 +344,10 @@ def superfinitary_test(F: FunctorHandle, n: int, probes) -> SuperFinVerdict:
         missing = [x for x in FX.carrier if x not in covered]
         if missing:
             return SuperFinVerdict(
-                "FAIL(certified)",
+                FAIL,
                 witness={"probe": X, "element": missing[0], "level": n},
             )
-    return SuperFinVerdict("PASS(probe-limited)")
+    return SuperFinVerdict(PASS)
 
 
 # ---------------------------------------------------------------------------
@@ -466,3 +467,82 @@ def _squares_ok(fam, upto, carriers, direct_image):
                     if lhs != rhs:
                         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# recipes: the super-finitary calculus
+
+
+@recipe("superfin-evaluation", "superfin", limits={"max_size": (0, 32)})
+def r_superfin_evaluation(max_size: int = 4):
+    P = truncated_hom(2, 2)
+    sizes = {}
+    for k in range(max_size + 1):
+        sizes[str(k)] = evaluate(P, range(k)).size
+        if sizes[str(k)] != k * k:
+            return FAIL, {"sizes": sizes, "expected": "k^2"}
+        if k:
+            canonical_epsilon(P, range(k))  # raises unless surjective
+    return "PASS", {"sizes": sizes, "law": "evaluation of truncated Set(2,-) has k^2 classes"}
+
+
+@recipe("superfin-closure", "superfin", limits={"max_probe": (0, 24)})
+def r_superfin_closure(max_probe: int = 3):
+    hom2 = truncated_hom(2, 2)
+    ident = truncated_identity(1)
+    results = {}
+    for k in range(max_probe + 1):
+        X = range(k)
+        results[f"product@{k}"] = [
+            evaluate(product(ident, ident), X).size,
+            evaluate(ident, X).size ** 2,
+        ]
+        results[f"coproduct@{k}"] = [
+            evaluate(coproduct(ident, ident), X).size,
+            2 * evaluate(ident, X).size,
+        ]
+    constants = {
+        0: [],
+        1: list(hom2.values[1]),
+        2: [q for q in hom2.values[2] if q[0] == q[1]],
+    }
+    sub = subfunctor_pullback(hom2, constants)
+    for k in range(max_probe + 1):
+        results[f"subfunctor@{k}"] = [evaluate(sub, range(k)).size, k]
+    try:
+        subfunctor_pullback(
+            hom2, {2: [q for q in hom2.values[2] if q[0] != q[1]]}
+        )
+        rejected = False
+    except SubfunctorError:
+        rejected = True
+    ok = rejected and all(a == b for a, b in results.values())
+    return "PASS" if ok else FAIL, {"pointwise": results,
+                                    "non_closed_predicate_rejected": rejected}
+
+
+@recipe("superfin-powerset", "superfin", limits={"n_max": (0, 5)})
+def r_superfin_powerset(n_max: int = 4):
+    PW = power_functor()
+    witnesses = {}
+    for n in range(1, n_max + 1):
+        probe = FINSET.obj(range(n + 1))
+        verdict = superfinitary_test(PW, n, [probe])
+        if verdict.status != FAIL:
+            return PASS, {"unexpected_pass_at": n}
+        witnesses[str(n)] = sorted(verdict.witness["element"])
+    return FAIL, {
+        "witnesses": witnesses,
+        "statement": "the full subset of an (n+1)-set escapes every image "
+        "from level n",
+    }
+
+
+@recipe("superfin-endos", "superfin", limits={"m": (0, 4)})
+def r_superfin_endos(m: int = 3):
+    fams = powfin_endo_probe(m)
+    only_identity = len(fams) == 1 and all(
+        all(k == v for k, v in level.items()) for level in fams[0].values()
+    )
+    return "PASS" if only_identity else FAIL, {
+        "families": len(fams), "identity_only": only_identity, "levels": m}

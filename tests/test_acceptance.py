@@ -61,7 +61,7 @@ from finbench.strictness import (
     regular_presheaf,
     strictness_witness,
 )
-from finbench.suites import regularity_check, _random_gset_surjection
+from finbench.strictness import regularity_check, _random_gset_surjection
 from finbench.superfin import (
     as_functor,
     coproduct as pres_coproduct,

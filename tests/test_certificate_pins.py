@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from finbench.serialize import canonical_dumps
+from finbench.certs import canonical_dumps
 from finbench.suites import run_suite
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"

@@ -13,6 +13,7 @@ from finbench.certs import (
     RECIPES,
     Certificate,
     CertificateError,
+    canonical_dumps,
     load_certificate,
     replay,
     save_certificate,
@@ -21,7 +22,6 @@ from finbench.cli import main
 from finbench.hausdorff import random_metric_space
 from finbench.nominal import NominalSetSpec, pn_orbit
 from finbench.serialize import (
-    canonical_dumps,
     mor_from_json,
     mor_to_json,
     nomset_from_json,
@@ -199,6 +199,13 @@ def test_cli_exit_codes(tmp_path):
     # denying expected failures turns certified counterexamples into mismatches
     assert main(["run", "--suite", "un-counterexample", "--no-expect-failures"]) == 1
     assert main(["run", "--suite", "no-such-suite"]) == 2
+
+
+def test_unknown_suite_message_names_the_suites(capsys):
+    assert main(["run", "--suite", "no-such-suite"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err == f"unknown suite: no-such-suite (one of: {', '.join(sorted(SUITES))}, all)\n"
 
 
 def test_cli_replay_roundtrip(tmp_path):

@@ -296,7 +296,7 @@ def test_kernel_pair_of_cycle_reduction():
 
 
 def test_regularity_small_samples():
-    from finbench.suites import regularity_check
+    from finbench.strictness import regularity_check
 
     rng = random.Random(2)
     for _ in range(25):
@@ -305,7 +305,7 @@ def test_regularity_small_samples():
 
 
 def test_regularity_presheaf_carrier_6():
-    from finbench.suites import regularity_check
+    from finbench.strictness import regularity_check
 
     cat = gset_cat(Z2_GPD)
     both, injs = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])

@@ -19,7 +19,8 @@ from finbench.hausdorff import (
     subset_map,
     subset_space,
 )
-from finbench.serialize import canonical_dumps, space_from_json, space_to_json
+from finbench.certs import canonical_dumps
+from finbench.serialize import space_from_json, space_to_json
 
 from oracles import hausdorff_by_definition
 

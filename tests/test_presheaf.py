@@ -20,7 +20,8 @@ from finbench.cats import (
     presheaf_cat,
 )
 from finbench.perms import compose_perm
-from finbench.serialize import canonical_dumps, obj_from_json, obj_to_json
+from finbench.certs import canonical_dumps
+from finbench.serialize import obj_from_json, obj_to_json
 
 from oracles import (
     presheaf_structure_by_canon,

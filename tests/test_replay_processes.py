@@ -1,0 +1,108 @@
+"""`finbench replay` in fresh interpreters.
+
+In-process tests import `finbench.suites` first, which registers every
+recipe, so they never see the path a real replay takes: `certs.recompute`
+imports only the layer module that its recipe table names.  These tests run
+`finbench.cli` as a new process, the way `python -m finbench.cli replay`
+does (through `runpy`), and print the `finbench` modules loaded at exit.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from finbench.certs import RECIPE_MODULES, RECIPES, save_certificate
+from finbench.suites import SUITES, run_suite  # registers all recipes
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+
+# the seed-0 suite check that each recipe module replays
+MODULE_CHECKS = {
+    "functors": ("un-counterexample", "finitarity-chain"),
+    "nominal": ("nominal-classification", "subgroup-counts"),
+    "strictness": ("strictness", "vec-projection"),
+    "superfin": ("superfin", "powerset-endo-probe"),
+    "hausdorff": ("hausdorff", "boundedness-witnesses"),
+}
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], env=ENV, capture_output=True,
+                          text=True, timeout=60)
+
+
+def _cli_replay(path):
+    return _python("-m", "finbench.cli", "replay", str(path))
+
+
+# `python -m finbench.cli`, then the loaded finbench modules as stderr's last line
+LOADED_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted(m for m in sys.modules
+                                      if m.split(".")[0] == "finbench"), file=sys.stderr))
+runpy.run_module("finbench.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_recipe_table_names_each_recipes_module():
+    assert {name: fn.__module__ for name, fn in RECIPES.items()} == \
+        {name: f"finbench.{module}" for name, module in RECIPE_MODULES.items()}
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_CHECKS))
+def test_fresh_replay_imports_only_its_recipes_layer(tmp_path, module):
+    suite, check = MODULE_CHECKS[module]
+    _, recipe, params, _ = next(c for c in SUITES[suite] if c[0] == check)
+    assert RECIPE_MODULES[recipe] == module
+    path = tmp_path / "cert.json"
+    save_certificate(RECIPES[recipe](**params), path)  # seeded recipes default to seed 0
+    out = _python("-c", LOADED_AT_EXIT, "replay", str(path))
+    assert (out.returncode, out.stdout) == (0, "replay: match\n"), out.stderr
+    loaded = set(out.stderr.splitlines()[-1].split())
+    assert f"finbench.{module}" in loaded
+    assert "finbench.suites" not in loaded
+    if module == "hausdorff":
+        assert not loaded & {"finbench.nominal", "finbench.superfin", "finbench.functors"}
+
+
+def test_fresh_cli_import_loads_no_layer():
+    out = _python("-c", "import sys, finbench.cli\n"
+                        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'finbench'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["finbench", "finbench.cats", "finbench.certs",
+                                  "finbench.cli", "finbench.core", "finbench.perms"]
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded from its file: it makes the benchmark's
+    mutated and malformed certificates."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_seeded_mutations_replay_as_mismatch_or_exit_2(tmp_path, seed):
+    report, _ = run_suite("all", seed)
+    cases = [c for c in _workloads().replay_cases(report, seed) if c[1] != "valid"]
+    assert sorted(kind for _, kind, _ in cases) == ["malformed"] * 3 + ["mutated"] * 4
+    for i, (cid, kind, text) in enumerate(cases):
+        path = tmp_path / f"case-{i}.json"
+        path.write_text(text, encoding="utf-8")
+        out = _cli_replay(path)
+        if kind == "mutated":
+            lines = out.stdout.splitlines()
+            assert out.returncode == 1 and lines[0] == "replay: MISMATCH", (cid, out)
+            assert any(line.strip().startswith("witness.") for line in lines[1:]), cid
+        else:
+            assert (out.returncode, out.stdout) == (2, ""), (cid, out)
+            assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n"), cid
+            assert "Traceback" not in out.stderr, cid
