@@ -122,12 +122,6 @@ class FinSetCat(UnaryAlgebraCat):
     def _build(self, elems, op_of):
         return self.obj(elems)
 
-    def initial(self):
-        return self.obj(())
-
-    def terminal(self):
-        return self.obj((0,))
-
 
 FINSET = register_category(FinSetCat())
 
@@ -183,12 +177,6 @@ class GraphCat(Category):
         # image edges are f-images of edges, not the induced relation
         return self.obj(f.mapping, [(f(u), f(v)) for u, v in self.edges(f.dom)])
 
-    def initial(self):
-        return self.obj((), ())
-
-    def terminal(self):
-        return self.loop()
-
     def coproduct(self, objs):
         vertices, edges = [], []
         for i, X in enumerate(objs):
@@ -204,22 +192,6 @@ class GraphCat(Category):
         return self.obj(
             canon(rep.values()), [(rep[u], rep[v]) for u, v in self.edges(X)]
         )
-
-    def kernel_pair(self, f):
-        verts = [
-            (x, y) for x in f.dom.carrier for y in f.dom.carrier if f(x) == f(y)
-        ]
-        es = set(self.edges(f.dom))
-        edges = [
-            ((u1, u2), (v1, v2))
-            for (u1, u2) in verts
-            for (v1, v2) in verts
-            if (u1, v1) in es and (u2, v2) in es
-        ]
-        P = self.obj(verts, edges)
-        p1 = Mor(P, f.dom, tuple(p[0] for p in P.carrier))
-        p2 = Mor(P, f.dom, tuple(p[1] for p in P.carrier))
-        return p1, p2
 
     def subobjects_fg(self, X, bound=None):
         monos = []
@@ -315,9 +287,6 @@ class UnCat(UnaryAlgebraCat):
 
     def initial(self):
         return self.obj((), {})
-
-    def terminal(self):
-        return self.cycle(1)
 
     def tail_period(self, X, x):
         """(tail, period): the steps from x until the operation enters its
@@ -695,10 +664,6 @@ class VecCat(Category):
                 extra.append(e)
         return extra
 
-    def image_obj(self, f):
-        sub, _ = self.subspace_presentation(list(f.mapping), f.cod)
-        return sub
-
     def factorize(self, f):
         sub, m = self.subspace_presentation(list(f.mapping), f.cod)
         basis = [m(b) for b in self.basis_vectors(self.dim(sub))]
@@ -709,28 +674,6 @@ class VecCat(Category):
             for b in self.basis_vectors(self.dim(f.dom))
         ]
         return self.from_matrix(f.dom, sub, cols), m
-
-    def initial(self):
-        return self.obj(0)
-
-    def terminal(self):
-        return self.obj(0)
-
-    def coproduct(self, objs):
-        dims = [self.dim(X) for X in objs]
-        total = sum(dims)
-        out = self.obj(total)
-        injections = []
-        offset = 0
-        for X, d in zip(objs, dims):
-            lo = offset
-
-            def make(lo=lo, d=d):
-                return lambda u: (0,) * lo + u + (0,) * (total - lo - d)
-
-            injections.append(self.mor(X, out, make()))
-            offset += d
-        return out, injections
 
     def coequalizer(self, f, g):
         """Cokernel of f - g: quotient by the spanned difference subspace."""
@@ -748,16 +691,6 @@ class VecCat(Category):
             for b in self.basis_vectors(dimc)
         ]
         return self.from_matrix(f.cod, Q, cols)
-
-    def kernel_pair(self, f):
-        pairs = [
-            u + v for u in f.dom.carrier for v in f.dom.carrier if f(u) == f(v)
-        ]
-        dimd = self.dim(f.dom)
-        P, m = self.subspace_presentation(pairs, self.obj(2 * dimd))
-        p1 = self.mor(P, f.dom, lambda w: m(w)[:dimd])
-        p2 = self.mor(P, f.dom, lambda w: m(w)[dimd:])
-        return p1, p2
 
     def subobjects_fg(self, X, bound=None):
         dim = self.dim(X)

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 
 CERT_SCHEMA = "finbench-cert/1"
 
-# verdict labels: a check that found no counterexample within its probes,
-# and a check that certifies one
+# verdict labels: a check of a property of infinite objects that found no
+# counterexample within its probes; a check that verified its claim on each
+# instance its witness records; and a check that certifies a counterexample
 PASS = "PASS(probe-limited)"
+PASS_WITNESSED = "PASS"
 FAIL = "FAIL(certified)"
 
 KINDS = (

@@ -10,9 +10,10 @@ diagram data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .certs import FAIL, PASS
-from .core import Mor, category_of
+from .core import category_of
 from .symbolic import SymMor, SymbolicObject, WindowedHoms, homs_into
 
 
@@ -49,13 +50,20 @@ class Cocone:
     def last(self):
         return self.objects[-1]
 
-    def link_composite(self, i, j) -> Mor:
-        """Forward composite objects[i] -> objects[j]."""
-        cat = category_of(self.objects[i])
-        f = cat.identity(self.objects[i])
-        for k in range(i, j):
-            f = cat.compose(self.links[k], f)
-        return f
+    @cached_property
+    def to_last(self) -> tuple:
+        """The forward composites objects[i] -> last, one per chain object."""
+        return _composites_to_last(self.objects, self.links)
+
+
+def _composites_to_last(objects, links):
+    cat = category_of(objects[-1])
+    f = cat.identity(objects[-1])
+    out = [f]
+    for ln in reversed(links):
+        f = cat.compose(f, ln)
+        out.append(f)
+    return tuple(reversed(out))
 
 
 def chain_colimit(links, objects=None, apex=None, legs=None) -> Cocone:
@@ -75,20 +83,14 @@ def chain_colimit(links, objects=None, apex=None, legs=None) -> Cocone:
     for ln in links:
         if not cat.is_mono(ln):
             raise ValueError("chain links must be monos")
-    if apex is None:
-        apex = objects[-1]
-        legs = []
-        for i in range(len(objects)):
-            f = cat.identity(objects[i])
-            for k in range(i, len(links)):
-                f = cat.compose(links[k], f)
-            legs.append(f)
-        legs = tuple(legs)
-    else:
+    if apex is not None:
         if legs is None:
             raise ValueError("symbolic apex needs explicit legs")
-        legs = tuple(legs)
-    return Cocone(objects, links, apex, legs)
+        return Cocone(objects, links, apex, tuple(legs))
+    legs = _composites_to_last(objects, links)
+    cocone = Cocone(objects, links, objects[-1], legs)
+    cocone.__dict__["to_last"] = legs
+    return cocone
 
 
 @dataclass
@@ -96,26 +98,6 @@ class ColimitVerdict:
     status: str
     failure: dict | None = None
     notes: tuple = ()
-
-
-def _factorizations(f, leg):
-    """Every q with leg . q = f, in the order of the per-element fiber
-    products that are homs."""
-    import itertools
-
-    A, D = f.dom, leg.dom
-    look = dict(zip(D.carrier, leg.mapping))
-    fibers = []
-    for x in A.carrier:
-        want = f(x)
-        fibers.append([d for d in D.carrier if look[d] == want])
-        if not fibers[-1]:
-            return
-    for combo in itertools.product(*fibers):
-        try:
-            yield Mor(A, D, tuple(combo))
-        except ValueError:
-            continue
 
 
 def reflect_colimit_test(cocone: Cocone, probes) -> ColimitVerdict:
@@ -127,6 +109,7 @@ def reflect_colimit_test(cocone: Cocone, probes) -> ColimitVerdict:
     exhaustion is noted and keeps the verdict probe-limited.
     """
     notes = []
+    cat = category_of(cocone.last)
     symbolic = isinstance(cocone.apex, SymbolicObject)
     for A in probes:
         if symbolic:
@@ -135,11 +118,11 @@ def reflect_colimit_test(cocone: Cocone, probes) -> ColimitVerdict:
             if not wh.complete:
                 notes.append(f"window exhaustion on probe of size {A.size}")
         else:
-            homs = category_of(A).hom_set(A, cocone.apex)
+            homs = cat.hom_set(A, cocone.apex)
         for f in homs:
             factored = []
             for i, leg in enumerate(cocone.legs):
-                factored.extend((i, q) for q in _factorizations(f, leg))
+                factored.extend((i, q) for q in cat.lifts(f, leg))
             if not factored:
                 return ColimitVerdict(
                     FAIL,
@@ -166,12 +149,8 @@ def reflect_colimit_test(cocone: Cocone, probes) -> ColimitVerdict:
 
 def _merged(cocone, factored):
     """None when all factorizations agree after pushing forward; else a pair."""
-    cat = category_of(cocone.objects[0])
-    last = len(cocone.objects) - 1
-    pushed = []
-    for i, q in factored:
-        fwd = cocone.link_composite(i, last)
-        pushed.append(((i, q), cat.compose(fwd, q)))
+    cat = category_of(cocone.last)
+    pushed = [((i, q), cat.compose(cocone.to_last[i], q)) for i, q in factored]
     base = pushed[0]
     for other in pushed[1:]:
         if other[1] != base[1]:

@@ -2,7 +2,7 @@
 
 Every concrete category subclasses :class:`Category` and registers itself
 under a unique name.  Objects and morphisms are immutable value types carrying
-that name, so generic machinery (hom search, factorization, quotients,
+that name, so generic machinery (hom search, lifts, factorization, quotients,
 subobject enumeration) dispatches through the registry.  Carriers are plain
 tuples of hashable elements; S-sorted categories tag elements with their sort.
 
@@ -10,10 +10,14 @@ A category supplies these hooks:
 
 - structure: ``preserves_structure``, ``op_successors``/``op_apply`` (unary
   operations), ``candidate_targets`` (sorts), ``relations_ok`` (edges) and
-  ``iso_invariant``; hom search, ``find_iso`` and ``coequalizer`` are built
-  on them;
+  ``iso_invariant``; one depth-first search kernel built on them serves
+  ``hom_set``, ``lifts`` (the homs q with g . q = f, which factorization
+  through a leg or a functor image needs) and ``find_iso``, and
+  ``coequalizer`` is generic over ``quotient_obj``;
 - constructions: ``image_obj``, ``initial``, ``terminal``, ``coproduct``,
-  ``quotient_obj``, ``kernel_pair`` and ``subobjects_fg``.
+  ``quotient_obj``, ``kernel_pair`` and ``subobjects_fg``.  A category
+  overrides only the ones something calls; the others raise
+  ``NotImplementedError``.
 
 ``cats.UnaryAlgebraCat`` writes the constructions once for finite sets, unary
 algebras and presheaves, from ``op_successors``/``op_apply`` and three hooks
@@ -256,9 +260,25 @@ class Category:
         lexicographic order of candidate_targets."""
         return list(self._search(X, Y, injective=False))
 
-    def _search(self, X: Obj, Y: Obj, injective: bool):
+    def lifts(self, f, g):
+        """Yield the homs q: dom f -> dom g with g . q = f, in hom_set order.
+
+        f and g share a codomain, which may be a symbolic object.  The search
+        chooses q(x) in the fiber of g over f(x); values that propagation
+        fills in need no check, since f, g and q are homs.
+        """
+        if f.cod != g.cod:
+            raise ValueError("lift of morphisms with different codomains")
+        fiber = {}
+        for y, z in zip(g.dom.carrier, g.mapping):
+            fiber.setdefault(z, set()).add(y)
+        over = {x: fiber.get(f(x), ()) for x in f.dom.carrier}
+        return self._search(f.dom, g.dom, injective=False, over=over)
+
+    def _search(self, X: Obj, Y: Obj, injective: bool, over=None):
         """Yield the structure-preserving maps X -> Y (only the injective ones
-        when asked) depth first in candidate_targets order.
+        when asked) depth first in candidate_targets order; with ``over``, a
+        dict from each x to a set, only the maps choosing x's value in over[x].
 
         Backtracking with propagation along unary operations; relational
         constraints are rechecked on partial assignments.
@@ -288,7 +308,10 @@ class Category:
                 return
             x = xs[i]
             used = set(assign.values()) if injective else ()
-            for y in self.candidate_targets(X, x, Y):
+            targets = self.candidate_targets(X, x, Y)
+            if over is not None:
+                targets = [y for y in targets if y in over[x]]
+            for y in targets:
                 if y in used:
                     continue
                 trial = dict(assign)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .certs import FAIL, PASS, recipe
+from .certs import FAIL, PASS, PASS_WITNESSED, recipe
 from .core import Mor, Obj, category_of, lookup_category
 from .cats import GRA, UN
-from .colimits import Cocone, _factorizations, chain_colimit, reflect_colimit_test
+from .colimits import Cocone, chain_colimit, reflect_colimit_test
 from .serialize import mor_to_json
 from .strictness import Exhaustion
 from .symbolic import (
@@ -84,17 +84,20 @@ def check_functor_laws(F: FunctorHandle, composable_pairs) -> bool:
 
 
 def _case_split(name, cat, unit, adds_unit, sym_obj) -> FunctorHandle:
-    """X maps to unit + X when adds_unit(X), and to unit otherwise.  A
-    morphism into the first case maps summandwise (a hom X -> Y puts X in
-    the first case as well); any other morphism is the constant map onto the
+    """X maps to unit + X when adds_unit(X), and to unit otherwise; sym_obj
+    maps every registered symbolic kind it accepts to unit and raises
+    ValueError on any other.  A morphism into the first case maps summandwise
+    (a hom X -> Y puts X in the first case as well); any other morphism,
+    a SymMor into a symbolic object included, is the constant map onto the
     one element of unit."""
 
     def on_obj(X):
         return cat.coproduct([unit, X])[0] if adds_unit(X) else unit
 
     def on_mor(f):
-        FX, FY = on_obj(f.dom), on_obj(f.cod)
-        if adds_unit(f.cod):
+        FY = sym_obj(f.cod) if isinstance(f, SymMor) else on_obj(f.cod)
+        FX = on_obj(f.dom)
+        if FY != unit:
             return cat.mor(FX, FY, lambda x: x if x[0] == 0 else (1, f(x[1])))
         return cat.mor(FX, FY, lambda x: unit.carrier[0])
 
@@ -183,13 +186,14 @@ def hom_functor(cat_name: str, A: Obj) -> FunctorHandle:
 
 @dataclass
 class BoundednessWitness:
-    m0: Mor
+    m0: object  # mono into F(A) (Mor or SymMor)
     m: object  # mono into A (Mor or SymMor)
     mediating: Mor
 
-    def triangle_commutes(self, Fm: Mor) -> bool:
-        tgt = category_of(self.m0.dom)
-        return tgt.compose(Fm, self.mediating) == self.m0
+    def triangle_commutes(self, Fm) -> bool:
+        if isinstance(Fm, SymMor):
+            return Fm.precompose(self.mediating) == self.m0
+        return category_of(self.m0.dom).compose(Fm, self.mediating) == self.m0
 
 
 def subobjects_of(A, bound):
@@ -210,26 +214,16 @@ def finitely_bounded_witness(F: FunctorHandle, A, m0: Mor, bound: int):
     if m0.cod != FA:
         raise ValueError("m0 must land in F(A)")
     candidates = sorted(subobjects_of(A, bound), key=lambda pair: pair[0].size)
+    lifts = category_of(m0.dom).lifts
     for M, m in candidates:
-        Fm = F.on_mor(m) if not isinstance(m, SymMor) else _apply_to_symmono(F, m)
-        mediating = next(_factorizations(m0, Fm), None)
+        Fm = F.on_mor(m)
+        mediating = next(lifts(m0, Fm), None)
         if mediating is not None:
             wit = BoundednessWitness(m0, m, mediating)
             if not wit.triangle_commutes(Fm):
                 raise AssertionError("witness triangle failed verification")
             return wit
     return Exhaustion(bound, f"no fg subobject of size <= {bound} absorbs m0")
-
-
-def _apply_to_symmono(F: FunctorHandle, m: SymMor) -> Mor:
-    """F on a mono with symbolic codomain; the counterexample functors send
-    the registered symbolic objects to finite values."""
-    FM = F.on_obj(m.dom)
-    FA = F.on_obj(m.cod)
-    if FA.size == 1:
-        tgt = lookup_category(F.target)
-        return tgt.mor(FM, FA, lambda x: FA.carrier[0])
-    raise ValueError("symbolic mono with non-collapsing functor value")
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +266,7 @@ def finitarity_certificate(
             tuple(F.on_obj(D) for D in cocone_k.objects),
             tuple(F.on_mor(ln) for ln in cocone_k.links),
             F_apex,
-            tuple(_push_leg(F, leg) for leg in cocone_k.legs),
+            tuple(F.on_mor(leg) for leg in cocone_k.legs),
         )
         verdict = reflect_colimit_test(image, list(image.objects))
         return FinitarityCertificate(
@@ -280,16 +274,13 @@ def finitarity_certificate(
             notes=tuple(verdict.notes) + ("symbolic functor value: reflection probe only",),
         )
 
-    comparison = _comparison_mor(F, cocone_k)
-    invertible = category_of(lhs).is_iso(comparison) if comparison is not None else False
-    if invertible:
+    if category_of(lhs).is_iso(F.on_mor(cocone_k.legs[-1])):
         return FinitarityCertificate(
             F.name, chain_name, k, lhs.size, F_apex.size, PASS,
             notes=("comparison invertible at this prefix",),
         )
     lhs1 = F.on_obj(cocone_k1.last)
-    comparison1 = _comparison_mor(F, cocone_k1)
-    invertible1 = category_of(lhs1).is_iso(comparison1) if comparison1 is not None else False
+    invertible1 = category_of(lhs1).is_iso(F.on_mor(cocone_k1.legs[-1]))
     persistence = {
         "prefix_k1": len(cocone_k1.objects),
         "lhs_size_k1": lhs1.size,
@@ -303,21 +294,6 @@ def finitarity_certificate(
         F.name, chain_name, k, lhs.size, F_apex.size, verdict,
         persistence=persistence, notes=tuple(notes),
     )
-
-
-def _push_leg(F: FunctorHandle, leg):
-    if isinstance(leg, SymMor) and isinstance(F.on_obj(leg.cod), SymbolicObject):
-        if F.name.startswith("identity"):
-            return leg
-    raise ValueError("no symbolic leg transport for this functor")
-
-
-def _comparison_mor(F: FunctorHandle, cocone: Cocone):
-    """F applied to the last leg, as the comparison out of the prefix colimit."""
-    last_leg = cocone.legs[-1]
-    if isinstance(last_leg, SymMor):
-        return _apply_to_symmono(F, last_leg)
-    return F.on_mor(last_leg)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +339,8 @@ def r_un_boundedness(bound: int = 8, max_m0: int = 4):
             if not isinstance(wit, BoundednessWitness):
                 return FAIL, {"unwitnessed": mor_to_json(m0), "input": label}
             found.append([label, m0.dom.size, wit.m.dom.size])
-    return "PASS", {"mode": "boundedness-witness", "witnessed": sorted(found),
-                    "searched": searched}
+    return PASS_WITNESSED, {"mode": "boundedness-witness", "witnessed": sorted(found),
+                            "searched": searched}
 
 
 def _chain_witness(cert: FinitarityCertificate):

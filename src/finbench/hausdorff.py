@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import sub
 
-from .certs import FAIL, recipe
+from .certs import FAIL, PASS_WITNESSED, recipe
 
 
 @dataclass(frozen=True, init=False)
@@ -256,7 +256,7 @@ def r_hausdorff_axioms(seed: int = 0, count: int = 100, max_size: int = 5):
     for _ in range(count):
         X = random_metric_space(rng, rng.randint(1, max_size))
         subset_space(X)  # constructor asserts all axioms exactly
-    return "PASS", {"spaces_checked": count, "arithmetic": "exact rationals"}
+    return PASS_WITNESSED, {"spaces_checked": count, "arithmetic": "exact rationals"}
 
 
 @recipe("hausdorff-functoriality", "hausdorff", limits={"samples": (0, 1500)})
@@ -280,8 +280,8 @@ def r_hausdorff_functoriality(seed: int = 0, samples: int = 15):
             return FAIL, {"violated": "embedding"}
         if len(set(subset_map(emb).mapping)) != subset_space(X).size:
             return FAIL, {"violated": "mono"}
-    return "PASS", {"samples": samples,
-                    "laws": ["identity", "composition", "mono-preservation"]}
+    return PASS_WITNESSED, {"samples": samples,
+                            "laws": ["identity", "composition", "mono-preservation"]}
 
 
 def _random_nonexpanding(rng, X, Y):
@@ -320,4 +320,4 @@ def r_hausdorff_bounded(seed: int = 0, samples: int = 20):
         ]
         if not boundedness_witness(X, members).verified:
             return FAIL, {"violated": "union-recovery"}
-    return "PASS", {"samples": samples}
+    return PASS_WITNESSED, {"samples": samples}

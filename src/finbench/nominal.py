@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .certs import FAIL, PASS, CertificateError, recipe
+from .certs import FAIL, PASS, PASS_WITNESSED, CertificateError, recipe
 from .core import elem_key
 from .perms import (
     all_perms,
@@ -523,7 +523,7 @@ def r_nominal_rigidity(k: int = 3, pool: int = 10):
     endos = all_equivariant_maps(X, X, pool=pool)
     reports = [support_rigidity_check(f) for f in endos]
     ok = all(r.preserved for r in reports)
-    return "PASS" if ok else FAIL, {
+    return PASS_WITNESSED if ok else FAIL, {
         "endomorphisms": len(endos),
         "elements_checked": sum(r.checked for r in reports),
         "supports_preserved": ok,
@@ -535,7 +535,7 @@ def r_nominal_rigidity(k: int = 3, pool: int = 10):
 def r_nominal_subgroups():
     counts = {str(n): len(subgroups_of_Sn(n)) for n in range(5)}
     ok = counts == {"0": 1, "1": 1, "2": 2, "3": 6, "4": 30}
-    return "PASS" if ok else FAIL, {"subgroup_counts": counts}
+    return PASS_WITNESSED if ok else FAIL, {"subgroup_counts": counts}
 
 
 @recipe("nominal-roundtrip", "nominal", limits={"n": (0, 4)})
@@ -545,7 +545,7 @@ def r_nominal_roundtrip(n: int = 3):
         back = subgroup_from_quotient(equivalence_from_subgroup(H, n), n)
         if back != H:
             failures.append([list(g) for g in H])
-    return "PASS" if not failures else FAIL, {
+    return PASS_WITNESSED if not failures else FAIL, {
         "subgroups": len(subgroups_of_Sn(n)), "failures": failures}
 
 
@@ -554,4 +554,4 @@ def r_nominal_orbit_classes(n_max: int = 3):
     counts = {str(n): len(single_orbit_enumerate(n)) for n in range(n_max + 1)}
     expected = {"0": 1, "1": 1, "2": 2, "3": 4}
     ok = all(counts[k] == v for k, v in expected.items() if k in counts)
-    return "PASS" if ok else FAIL, {"class_counts": counts}
+    return PASS_WITNESSED if ok else FAIL, {"class_counts": counts}

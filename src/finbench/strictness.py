@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .certs import FAIL, CertificateError, recipe
+from .certs import FAIL, PASS_WITNESSED, CertificateError, recipe
 from .core import Mor, Obj, Partition, category_of, elem_key
 from .cats import (
     FINSET,
@@ -522,7 +522,7 @@ def r_strictness_finset(max_dom: int = 4, max_cod: int = 5):
                             "b_prime": mor_to_json(wit.b_prime),
                             "f": mor_to_json(wit.f),
                         }
-    return "PASS" if witnessed == total else FAIL, {
+    return PASS_WITNESSED if witnessed == total else FAIL, {
         "witnessed": witnessed, "total": total, "sample": sample}
 
 
@@ -532,7 +532,7 @@ def r_strictness_presheaf():
     both, injs = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
     wit = strictness_witness(injs[0])
     ok = isinstance(wit, StrictnessWitness)
-    return "PASS" if ok else FAIL, {
+    return PASS_WITNESSED if ok else FAIL, {
         "category": cat.name,
         "b_prime_size": wit.b_prime.dom.size if ok else None,
         "witness": {
@@ -555,7 +555,8 @@ def r_strictness_vec(ambient_dim: int = 3, sub_dim: int = 1):
     # a witness may need the whole ambient space
     wit = strictness_witness(b, cat.q ** ambient_dim)
     ok = isinstance(wit, StrictnessWitness)
-    return "PASS" if ok else FAIL, {"b_prime_dim": cat.dim(wit.b_prime.dom) if ok else None}
+    return PASS_WITNESSED if ok else FAIL, {
+        "b_prime_dim": cat.dim(wit.b_prime.dom) if ok else None}
 
 
 def _random_gset_surjection(rng, cat, subgroups):
@@ -603,7 +604,7 @@ def r_regularity(seed: int = 0, count: int = 100):
             if not regularity_check(f):
                 return FAIL, {"category": catname, "morphism": mor_to_json(f)}
             checked[catname] += 1
-    return "PASS", {"mode": "coequalizer-of-kernel-pair", "checked": checked}
+    return PASS_WITNESSED, {"mode": "coequalizer-of-kernel-pair", "checked": checked}
 
 
 GROUPS = {"triv": TRIVIAL_GPD, "z2": Z2_GPD, "z3": Z3_GPD, "s3": S3_GPD}
@@ -623,7 +624,7 @@ def r_atoms(group: str = "z2", seed: int = 0, samples: int = 25):
         X = random_gset(rng, cat, subgroups, max_size=8)
         if not decomposition_roundtrip(cat, X):
             return FAIL, {"group": group, "failed": obj_to_json(X)}
-    return "PASS", {
+    return PASS_WITNESSED, {
         "group": group,
         "atom_count": len(atoms),
         "atom_sizes": sorted(a.size for a in atoms),

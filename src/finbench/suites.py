@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import inspect
 
-from .certs import FAIL, PASS, RECIPES
+from .certs import FAIL, PASS, PASS_WITNESSED, RECIPES
 from . import functors, hausdorff, nominal, strictness, superfin  # noqa: F401
 
 
 SUITES = {
     "un-counterexample": [
         ("prime-hom-table", "no-finitary-endo", {"subject": "cycle_family"}, FAIL),
-        ("boundedness-witnesses", "un-boundedness", {}, "PASS"),
+        ("boundedness-witnesses", "un-boundedness", {}, PASS_WITNESSED),
         ("reflect-prime-chain", "reflect-prime-chain", {"k": 3}, PASS),
         ("finitarity-chain", "finitarity-un", {"k": 3}, FAIL),
     ],
@@ -26,34 +26,34 @@ SUITES = {
         ("ray-no-finitary-endo", "no-finitary-endo", {"subject": "ray"}, FAIL),
     ],
     "nom-counterexample": [
-        ("rigidity", "nominal-rigidity", {"k": 3, "pool": 10}, "PASS"),
+        ("rigidity", "nominal-rigidity", {"k": 3, "pool": 10}, PASS_WITNESSED),
         ("finitarity-chain", "finitarity-nom", {"k": 3}, FAIL),
     ],
     "strictness": [
-        ("finset-exhaustive", "strictness-finset", {}, "PASS"),
-        ("presheaf-fold", "strictness-presheaf", {}, "PASS"),
-        ("vec-projection", "strictness-vec", {}, "PASS"),
-        ("regularity", "regularity", {}, "PASS"),
+        ("finset-exhaustive", "strictness-finset", {}, PASS_WITNESSED),
+        ("presheaf-fold", "strictness-presheaf", {}, PASS_WITNESSED),
+        ("vec-projection", "strictness-vec", {}, PASS_WITNESSED),
+        ("regularity", "regularity", {}, PASS_WITNESSED),
     ],
     "atoms": [
-        (f"atoms-{g}", "atoms", {"group": g}, "PASS")
+        (f"atoms-{g}", "atoms", {"group": g}, PASS_WITNESSED)
         for g in ("triv", "z2", "z3", "s3")
     ],
     "superfin": [
-        ("kan-evaluation", "superfin-evaluation", {}, "PASS"),
-        ("closure-ops", "superfin-closure", {}, "PASS"),
+        ("kan-evaluation", "superfin-evaluation", {}, PASS_WITNESSED),
+        ("closure-ops", "superfin-closure", {}, PASS_WITNESSED),
         ("powerset-not-superfinitary", "superfin-powerset", {}, FAIL),
-        ("powerset-endo-probe", "superfin-endos", {"m": 3}, "PASS"),
+        ("powerset-endo-probe", "superfin-endos", {"m": 3}, PASS_WITNESSED),
     ],
     "nominal-classification": [
-        ("subgroup-counts", "nominal-subgroups", {}, "PASS"),
-        ("subgroup-roundtrip", "nominal-roundtrip", {"n": 3}, "PASS"),
-        ("orbit-classes", "nominal-orbit-classes", {}, "PASS"),
+        ("subgroup-counts", "nominal-subgroups", {}, PASS_WITNESSED),
+        ("subgroup-roundtrip", "nominal-roundtrip", {"n": 3}, PASS_WITNESSED),
+        ("orbit-classes", "nominal-orbit-classes", {}, PASS_WITNESSED),
     ],
     "hausdorff": [
-        ("metric-axioms", "hausdorff-axioms", {}, "PASS"),
-        ("functoriality", "hausdorff-functoriality", {}, "PASS"),
-        ("boundedness-witnesses", "hausdorff-bounded", {}, "PASS"),
+        ("metric-axioms", "hausdorff-axioms", {}, PASS_WITNESSED),
+        ("functoriality", "hausdorff-functoriality", {}, PASS_WITNESSED),
+        ("boundedness-witnesses", "hausdorff-bounded", {}, PASS_WITNESSED),
     ],
 }
 
@@ -82,7 +82,7 @@ def run_suite(name: str, seed: int = 0, bound: int = 8, expect_failures: bool = 
             cert = RECIPES[recipe_name](**params)
             expected_here = expected
             if not expect_failures and expected == FAIL:
-                expected_here = "PASS"
+                expected_here = PASS_WITNESSED
             ok = cert.verdict == expected_here
             all_ok = all_ok and ok
             checks.append(

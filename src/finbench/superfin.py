@@ -15,10 +15,10 @@ certifies with explicit escaping elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .certs import FAIL, PASS, recipe
+from .certs import FAIL, PASS, PASS_WITNESSED, recipe
 from .core import Mor, Obj, Partition, canon, elem_key
 from .cats import FINSET
 from .functors import FunctorHandle
@@ -38,6 +38,9 @@ class SuperFinPresentation:
     n: int
     values: tuple  # values[k] = carrier tuple of the level-k value
     action: tuple  # sorted (((k, k2, g), images aligned with values[k]), ...)
+    # the same data indexed, built once by presentation():
+    table: dict = field(compare=False)  # (k, k2, g) -> images
+    position: tuple = field(compare=False)  # position[k]: value -> index in values[k]
 
     def __repr__(self):
         sizes = ",".join(str(len(v)) for v in self.values)
@@ -53,17 +56,18 @@ def presentation(n: int, values, act) -> SuperFinPresentation:
     values = tuple(tuple(v) for v in values)
     if len(values) != n + 1:
         raise PresentationError("need one value carrier per level 0..n")
+    position = tuple({q: i for i, q in enumerate(v)} for v in values)
     tables = {}
     for k in range(n + 1):
         for k2 in range(n + 1):
             for g in small_maps(k, k2):
                 imgs = tuple(act(g, k, k2, q) for q in values[k])
-                for y in imgs:
-                    if y not in set(values[k2]):
-                        raise PresentationError("action leaves the carrier")
+                if any(y not in position[k2] for y in imgs):
+                    raise PresentationError("action leaves the carrier")
                 tables[(k, k2, g)] = imgs
     pres = SuperFinPresentation(
-        n, values, tuple(sorted(tables.items(), key=lambda kv: elem_key(kv[0])))
+        n, values, tuple(sorted(tables.items(), key=lambda kv: elem_key(kv[0]))),
+        tables, position,
     )
     _check_laws(pres)
     return pres
@@ -72,7 +76,7 @@ def presentation(n: int, values, act) -> SuperFinPresentation:
 def _check_laws(pres: SuperFinPresentation):
     for k in range(pres.n + 1):
         ident = tuple(range(k))
-        if _table(pres)[(k, k, ident)] != tuple(pres.values[k]):
+        if pres.table[(k, k, ident)] != pres.values[k]:
             raise PresentationError("identity law fails")
     for k in range(pres.n + 1):
         for k2 in range(pres.n + 1):
@@ -80,23 +84,15 @@ def _check_laws(pres: SuperFinPresentation):
                 for g in small_maps(k, k2):
                     for h in small_maps(k2, k3):
                         hg = tuple(h[g[i]] for i in range(k))
-                        for q, img in zip(pres.values[k], _table(pres)[(k, k2, g)]):
+                        for q, img in zip(pres.values[k], pres.table[(k, k2, g)]):
                             via = _apply(pres, k2, k3, h, img)
                             direct = _apply(pres, k, k3, hg, q)
                             if via != direct:
                                 raise PresentationError("composition law fails")
 
 
-# Keyed by presentations, which callers can create without limit; the CLI
-# suites use 5.
-@lru_cache(maxsize=16)
-def _table(pres: SuperFinPresentation):
-    return dict(pres.action)
-
-
 def _apply(pres, k, k2, g, q):
-    imgs = _table(pres)[(k, k2, g)]
-    return imgs[pres.values[k].index(q)]
+    return pres.table[(k, k2, g)][pres.position[k][q]]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +479,8 @@ def r_superfin_evaluation(max_size: int = 4):
             return FAIL, {"sizes": sizes, "expected": "k^2"}
         if k:
             canonical_epsilon(P, range(k))  # raises unless surjective
-    return "PASS", {"sizes": sizes, "law": "evaluation of truncated Set(2,-) has k^2 classes"}
+    return PASS_WITNESSED, {"sizes": sizes,
+                            "law": "evaluation of truncated Set(2,-) has k^2 classes"}
 
 
 @recipe("superfin-closure", "superfin", limits={"max_probe": (0, 24)})
@@ -517,8 +514,8 @@ def r_superfin_closure(max_probe: int = 3):
     except SubfunctorError:
         rejected = True
     ok = rejected and all(a == b for a, b in results.values())
-    return "PASS" if ok else FAIL, {"pointwise": results,
-                                    "non_closed_predicate_rejected": rejected}
+    return PASS_WITNESSED if ok else FAIL, {"pointwise": results,
+                                            "non_closed_predicate_rejected": rejected}
 
 
 @recipe("superfin-powerset", "superfin", limits={"n_max": (0, 5)})
@@ -544,5 +541,5 @@ def r_superfin_endos(m: int = 3):
     only_identity = len(fams) == 1 and all(
         all(k == v for k, v in level.items()) for level in fams[0].values()
     )
-    return "PASS" if only_identity else FAIL, {
+    return PASS_WITNESSED if only_identity else FAIL, {
         "families": len(fams), "identity_only": only_identity, "levels": m}

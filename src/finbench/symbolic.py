@@ -8,14 +8,15 @@ Registered kinds:
 * ``cycle_family``: unary algebra given by the disjoint union of one cycle
   per prime; hom existence from a cycle is decided by divisibility.
 
-These objects expose hom emptiness/enumeration-in-a-window and bounded
-substructure enumeration instead of carriers.
+These objects expose bounded substructure enumeration instead of carriers,
+and the ray and the cycle family also hom enumeration in a window.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import Mor, Obj, Partition, elem_key
 from .cats import GRA, UN
@@ -55,8 +56,12 @@ class SymMor:
         if not _preserves(self):
             raise ValueError("mapping does not preserve structure")
 
+    @cached_property
+    def _lookup(self):
+        return dict(zip(self.dom.carrier, self.mapping))
+
     def __call__(self, x):
-        return dict(zip(self.dom.carrier, self.mapping))[x]
+        return self._lookup[x]
 
     def precompose(self, f: Mor) -> "SymMor":
         if f.cod != self.dom:
@@ -65,7 +70,7 @@ class SymMor:
 
 
 def _preserves(sm: SymMor) -> bool:
-    look = dict(zip(sm.dom.carrier, sm.mapping))
+    look = sm._lookup
     if sm.cod.kind in ("ray", "loop_ray"):
         for u, v in GRA.edges(sm.dom):
             a, b = look[u], look[v]
@@ -113,8 +118,6 @@ class WindowedHoms:
 def homs_into(sym: SymbolicObject, A: Obj, window: int = WINDOW_DEFAULT) -> WindowedHoms:
     if sym.kind == "ray":
         return _homs_into_ray(A, window)
-    if sym.kind == "loop_ray":
-        return _homs_into_loop_ray(A, window)
     if sym.kind == "cycle_family":
         return _homs_into_cycle_family(A, window)
     raise ValueError(sym.kind)
@@ -172,26 +175,6 @@ def _homs_into_ray(A: Obj, window) -> WindowedHoms:
     return WindowedHoms(homs, window, complete=A.size == 0)
 
 
-def _homs_into_loop_ray(A: Obj, window) -> WindowedHoms:
-    """Each weak component either collapses onto the loop vertex or embeds as
-    a shifted grading into the ray part (vertices >= 1)."""
-    per_comp = []
-    for levels, gradable in _graph_levels(A):
-        options = [{v: 0 for v in levels}]
-        if gradable:
-            lo, hi = min(levels.values()), max(levels.values())
-            for s in range(1 - lo, window - hi):
-                options.append({v: l + s for v, l in levels.items()})
-        per_comp.append(options)
-    homs = []
-    for combo in itertools.product(*per_comp):
-        mapping = {}
-        for part in combo:
-            mapping.update(part)
-        homs.append(SymMor(A, LOOP_RAY, tuple(mapping[v] for v in A.carrier)))
-    return WindowedHoms(homs, window, complete=A.size == 0)
-
-
 def _homs_into_cycle_family(A: Obj, window) -> WindowedHoms:
     comps = _un_components(A)
     per_comp = []
@@ -205,12 +188,11 @@ def _homs_into_cycle_family(A: Obj, window) -> WindowedHoms:
             complete = False
         if not targets:
             return WindowedHoms([], window, complete)
-        per_comp.append((elems, targets))
+        per_comp.append((_offsets_to_cycle(A, elems), targets))
     homs = []
     for combo in itertools.product(*(t for _, t in per_comp)):
         mapping = {}
-        for (elems, _), (q, r) in zip(per_comp, combo):
-            offsets = _offsets_to_cycle(A, elems)
+        for (offsets, _), (q, r) in zip(per_comp, combo):
             for v, off in offsets.items():
                 mapping[v] = (q, (r + off) % q)
         homs.append(SymMor(A, CYCLE_FAMILY, tuple(mapping[v] for v in A.carrier)))

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's search machinery: homs come from
-filtering the full function space, subgroups from filtering inverse-closed
+filtering the full function space, factorizations through a morphism from
+filtering the product of its fibers, subgroups from filtering inverse-closed
 subsets, congruences from filtering all set partitions, and the endomorphism
 scan from a depth-first assignment over all map families.  The module
 also holds fixtures that only tests build, such as a two-sorted groupoid.
@@ -26,6 +27,21 @@ def brute_homs(X, Y):
     for images in itertools.product(Y.carrier, repeat=X.size):
         try:
             out.append(Mor(X, Y, images))
+        except ValueError:
+            continue
+    return out
+
+
+def factorizations_by_fibers(f, g):
+    """Every q with g . q = f: each combination of per-element fibers of g
+    over f, in product order, kept when the Mor constructor accepts it.  g
+    may land in a symbolic object."""
+    look = dict(zip(g.dom.carrier, g.mapping))
+    fibers = [[d for d in g.dom.carrier if look[d] == f(x)] for x in f.dom.carrier]
+    out = []
+    for combo in itertools.product(*fibers):
+        try:
+            out.append(Mor(f.dom, g.dom, combo))
         except ValueError:
             continue
     return out

@@ -1,5 +1,5 @@
-"""Category backbone: hom enumeration, factorization, mono/epi, coproducts,
-coequalizers, kernel pairs, subobjects, and isomorphism search."""
+"""Category backbone: hom enumeration, lifts, factorization, mono/epi,
+coproducts, coequalizers, kernel pairs, subobjects, and isomorphism search."""
 
 import itertools
 import random
@@ -28,11 +28,13 @@ from finbench.cats import (
 )
 from finbench.core import Mor, category_of
 from finbench.perms import compose_perm
+from finbench import symbolic as sy
 
 from oracles import (
     brute_congruences,
     brute_homs,
     coproduct_by_definition,
+    factorizations_by_fibers,
     generated_by_definition,
     kernel_pair_by_definition,
     linear_by_definition,
@@ -644,3 +646,49 @@ def test_unary_algebra_constructions_against_definitions(kind, data):
     )
     q = cat.coequalizer(f, g)
     assert q.cod == quotient_by_definition(cat, Y, least)
+
+
+@st.composite
+def _lifting_problem(draw, kind):
+    """(f, g) with a common codomain C: g a mono onto a subobject of C, the
+    non-mono fold C + C -> C, or for "cycle_family" a hom into the symbolic
+    cycle family (a leg of the prime-cycle chain, or a hom from a sum of
+    cycles, often not injective); f often factors through g."""
+    if kind == "cycle_family":
+        from finbench.functors import prime_cycle_chain
+
+        if draw(st.booleans()):
+            g = draw(st.sampled_from(prime_cycle_chain(draw(st.integers(1, 3))).legs))
+        else:
+            ns = draw(st.lists(st.sampled_from([2, 3, 6]), min_size=2, max_size=3))
+            D, _ = UN.coproduct([UN.cycle(n) for n in ns])
+            g = draw(st.sampled_from(sy.homs_into(sy.CYCLE_FAMILY, D, window=5).homs))
+        A = UN.cycles_sum(draw(st.lists(st.sampled_from([2, 3, 5]), min_size=1,
+                                        max_size=2, unique=True)))
+        homs = sy.homs_into(sy.CYCLE_FAMILY, A, window=5).homs
+    else:
+        C = draw(_small_obj(kind, 3))
+        cat = category_of(C)
+        if draw(st.booleans()):
+            g = draw(st.sampled_from(cat.subobjects_fg(C)))
+        else:
+            D, injections = cat.coproduct([C, C])
+            fold = {i(x): x for i in injections for x in C.carrier}
+            g = cat.mor(D, C, fold)
+        A = draw(_small_obj(kind, 3))
+        homs = brute_homs(A, C) or [cat.identity(C)]
+    qs = category_of(A).hom_set(A, g.dom)
+    if qs and draw(st.booleans()):
+        q = draw(st.sampled_from(qs))
+        f = g.precompose(q) if isinstance(g, sy.SymMor) else category_of(A).compose(g, q)
+        return f, g
+    return draw(st.sampled_from(homs)), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["finset", "un", "gra", "s3", "cycle_family"]), st.data())
+def test_lifts_against_fiber_products(kind, data):
+    f, g = data.draw(_lifting_problem(kind))
+    lifts = list(category_of(f.dom).lifts(f, g))
+    # as lists: lifts go in hom_set order, and witnesses record the first one
+    assert lifts == factorizations_by_fibers(f, g)

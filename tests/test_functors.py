@@ -91,6 +91,35 @@ def test_graph_functor_laws_on_probes():
 
 
 # ---------------------------------------------------------------------------
+# morphism values on monos into symbolic objects
+
+
+def test_un_cx_on_mono_into_cycle_family_is_constant():
+    F = un_counterexample()
+    c1 = UN.cycle(1)
+    subobjects = sy.fg_subobjects(sy.CYCLE_FAMILY, 5)
+    for m in list(prime_cycle_chain(3).legs) + [m for _, m in subobjects]:
+        assert F.on_mor(m) == UN.mor(F.on_obj(m.dom), c1, lambda x: c1.carrier[0])
+
+
+def test_graph_cx_on_mono_into_ray_is_constant():
+    G = graph_counterexample()
+    one = GRA.loop()
+    subobjects = sy.fg_subobjects(sy.LOOP_RAY, 2, window=4)
+    for m in list(path_chain(3).legs) + [m for _, m in subobjects]:
+        assert G.on_mor(m) == GRA.mor(G.on_obj(m.dom), one, lambda v: one.carrier[0])
+
+
+def test_mono_into_an_unevaluated_kind_is_rejected():
+    into_ray, into_family = path_chain(2).legs[0], prime_cycle_chain(2).legs[0]
+    for F, m in ((un_counterexample(), into_ray), (graph_counterexample(), into_family)):
+        with pytest.raises(ValueError):
+            F.on_obj(m.cod)
+        with pytest.raises(ValueError):
+            F.on_mor(m)
+
+
+# ---------------------------------------------------------------------------
 # boundedness witnesses
 
 
@@ -101,6 +130,14 @@ def test_witness_for_identity_functor():
         wit = finitely_bounded_witness(I, A, m0, bound=6)
         assert isinstance(wit, BoundednessWitness)
         assert wit.m.dom.size <= m0.dom.size or wit.m.dom.size <= 6
+
+
+def test_witness_for_identity_functor_on_cycle_family():
+    I = identity_functor("un")
+    for _, m0 in sy.fg_subobjects(sy.CYCLE_FAMILY, 5):
+        wit = finitely_bounded_witness(I, sy.CYCLE_FAMILY, m0, bound=5)
+        assert isinstance(wit, BoundednessWitness)
+        assert wit.m == m0 and wit.mediating == UN.identity(m0.dom)
 
 
 def test_witness_un_cx_finite_input():

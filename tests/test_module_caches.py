@@ -17,5 +17,5 @@ def test_every_module_cache_is_bounded():
             seen.append(f"{mod.__name__}.{name}")
             assert params()["maxsize"] is not None, f"{mod.__name__}.{name} is unbounded"
     # the caches this test is written against, so that it cannot pass vacuously
-    assert {"finbench.nominal._orbit_group", "finbench.superfin._table",
+    assert {"finbench.nominal._orbit_group", "finbench.nominal._orbit_elements",
             "finbench.perms.subgroups_of_sym"} <= set(seen)
