@@ -15,6 +15,7 @@ from .core import (
     Category,
     Mor,
     Obj,
+    Partition,
     canon,
     canon_pairs,
     elem_key,
@@ -778,41 +779,15 @@ def random_un_obj(rng, max_size=5):
 
 
 def random_un_surjection(rng):
-    """Random surjective unary-algebra hom, built via a sampled quotient."""
+    """Random surjective unary-algebra hom: the quotient by the least
+    congruence that identifies two sampled elements."""
     X = random_un_obj(rng)
     if X.size >= 2:
         a, b = rng.sample(list(X.carrier), 2)
-        u, v = pair_through_chain(X, a, b)
-        return UN.coequalizer(u, v)
+        rep = Partition(X.carrier).close(
+            [(a, b)], lambda x, y: [(UN.op(X, x), UN.op(X, y))]).reps()
+        return UN.mor(X, UN.quotient_obj(X, rep), rep)
     return UN.identity(X)
-
-
-def pair_through_chain(X, a, b):
-    """Parallel pair u, v from one chain algebra with u(0) = a, v(0) = b.
-
-    A chain with tail t and period p admits a hom picking out any element
-    whose own tail is at most t and whose cycle length divides p.
-    """
-    import math
-
-    ta, pa = UN.tail_period(X, a)
-    tb, pb = UN.tail_period(X, b)
-    t = max(ta, tb)
-    p = pa * pb // math.gcd(pa, pb)
-    total = t + p
-    chain = UN.obj(
-        range(total), {i: (i + 1 if i + 1 < total else t) for i in range(total)}
-    )
-
-    def walk(start):
-        images = {}
-        cur = start
-        for i in range(total):
-            images[i] = cur
-            cur = UN.op(X, cur)
-        return images
-
-    return UN.mor(chain, X, walk(a)), UN.mor(chain, X, walk(b))
 
 
 def random_gset(rng, cat: PresheafCat, subgroups, max_size=8):

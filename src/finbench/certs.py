@@ -39,6 +39,13 @@ KINDS = (
 )
 
 
+# the deepest array and object nesting a certificate may have; the suite's
+# certificates nest at most 23 deep, and a replay compares and prints stored
+# values with recursive JSON code, which this keeps far from the stack limit
+MAX_NESTING = 200
+TOO_DEEP = "certificate JSON is nested too deeply"
+
+
 class CertificateError(ValueError):
     """A certificate that cannot be replayed: a malformed payload, an unknown
     recipe, or parameters that its recipe does not accept."""
@@ -204,17 +211,19 @@ _ABSENT = object()
 def _first_difference(stored, recomputed, path):
     """(path, stored value, recomputed value) at the first JSON path, in key
     and index order, where two unequal JSON values differ; a key or index
-    that one side lacks holds _ABSENT there."""
-    if isinstance(stored, dict) and isinstance(recomputed, dict):
-        steps = [(stored.get(k, _ABSENT), recomputed.get(k, _ABSENT), f"{path}.{k}")
-                 for k in sorted(stored.keys() | recomputed.keys())]
-    elif isinstance(stored, list) and isinstance(recomputed, list):
-        steps = [(stored[i] if i < len(stored) else _ABSENT,
-                  recomputed[i] if i < len(recomputed) else _ABSENT, f"{path}[{i}]")
-                 for i in range(max(len(stored), len(recomputed)))]
-    else:
-        return path, stored, recomputed
-    return next(_first_difference(a, b, at) for a, b, at in steps if _differ(a, b))
+    that one side lacks holds _ABSENT there.  The descent is a loop, so its
+    stack does not grow with the nesting of the values."""
+    while True:
+        if isinstance(stored, dict) and isinstance(recomputed, dict):
+            steps = [(stored.get(k, _ABSENT), recomputed.get(k, _ABSENT), f"{path}.{k}")
+                     for k in sorted(stored.keys() | recomputed.keys())]
+        elif isinstance(stored, list) and isinstance(recomputed, list):
+            steps = [(stored[i] if i < len(stored) else _ABSENT,
+                      recomputed[i] if i < len(recomputed) else _ABSENT, f"{path}[{i}]")
+                     for i in range(max(len(stored), len(recomputed)))]
+        else:
+            return path, stored, recomputed
+        stored, recomputed, path = next(step for step in steps if _differ(*step[:2]))
 
 
 def _differ(a, b):
@@ -242,8 +251,23 @@ def load_certificate(path) -> Certificate:
         try:
             payload = json.load(fh)
         except RecursionError:
-            raise CertificateError("certificate JSON is nested too deeply") from None
+            raise CertificateError(TOO_DEEP) from None
+    if _nesting(payload) > MAX_NESTING:
+        raise CertificateError(TOO_DEEP)
     return Certificate.from_payload(payload)
+
+
+def _nesting(value) -> int:
+    """How deep JSON arrays and objects nest in value, counted without recursion."""
+    deepest, todo = 0, [(value, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            deepest = max(deepest, depth + 1)
+            todo.extend((child, depth + 1) for child in node)
+    return deepest
 
 
 def save_certificate(cert: Certificate, path):

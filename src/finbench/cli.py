@@ -2,8 +2,8 @@
 and replay previously saved certificates.
 
 Exit codes: 0 when every check matches its expectation, 1 when a certified
-check disagrees (counterexample suites expect their FAIL certificates unless
---no-expect-failures is given), 2 on usage errors.
+check disagrees (counterexample suites expect their FAIL certificates), 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ def build_parser():
     runp.add_argument("--bound", type=int, default=8, help="search bound recorded in reports")
     runp.add_argument("--json", dest="json_path", default=None, help="write the report here")
     runp.add_argument("--verbose", action="store_true")
-    runp.add_argument(
-        "--expect-failures",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="treat certified counterexample failures as expected",
-    )
 
     rep = sub.add_parser("replay", help="recompute a certificate and compare")
     rep.add_argument("certificate", help="path to a certificate JSON file")
@@ -56,13 +50,7 @@ def main(argv=None) -> int:
             print(f"unknown suite: {args.suite} (one of: {', '.join(sorted(SUITES))}, all)",
                   file=sys.stderr)
             return 2
-        report, ok = run_suite(
-            args.suite,
-            seed=args.seed,
-            bound=args.bound,
-            expect_failures=args.expect_failures,
-            verbose=args.verbose,
-        )
+        report, ok = run_suite(args.suite, seed=args.seed, bound=args.bound)
         text = canonical_dumps(report)
         if args.json_path:
             with open(args.json_path, "w", encoding="utf-8") as fh:

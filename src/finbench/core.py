@@ -23,6 +23,9 @@ A category supplies these hooks:
 algebras and presheaves, from ``op_successors``/``op_apply`` and three hooks
 of its own: ``_build`` (the object on a carrier with given operations),
 ``_tag`` (a coproduct element) and ``_pair`` (a kernel-pair element).
+
+A :class:`FunctorHandle` is a functor between registered categories given by
+its two maps; every layer that builds or probes functors shares it from here.
 """
 
 from __future__ import annotations
@@ -205,6 +208,19 @@ def category_of(x):
 
 def lookup_category(name):
     return _REGISTRY[name]
+
+
+@dataclass(frozen=True)
+class FunctorHandle:
+    """Functor between the registered categories ``source`` and ``target``,
+    given by its object and morphism maps.  A functor that evaluates
+    symbolic objects does so in its own ``on_obj``."""
+
+    name: str
+    source: str
+    target: str
+    on_obj: object
+    on_mor: object
 
 
 class Category:

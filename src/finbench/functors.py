@@ -1,23 +1,26 @@
-"""Black-box functor handles, boundedness witness search, and finitarity
-certificates for the counterexample endofunctors.
+"""The counterexample endofunctors, boundedness witness search, and
+finitarity certificates on chains.
+
+Functors are ``core.FunctorHandle`` values: a name, two registered categories
+and the object and morphism maps.
 
 The two graph/unary counterexamples share one shape: send X to 1 + X when a
 family of test objects admits no morphism into X, and to the terminal object
 otherwise.  Both are finitely bounded yet fail to preserve the colimit of an
 explicit chain, which the certificate pins down by comparing carrier sizes of
-the finite prefix colimit against the value on the formal colimit.
+the finite prefix colimit against the value on the formal colimit.  A
+certificate is the pair (verdict, witness) that its recipe returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .certs import FAIL, PASS, PASS_WITNESSED, recipe
-from .core import Mor, Obj, category_of, lookup_category
+from .core import FunctorHandle, Mor, Obj, category_of, lookup_category
 from .cats import GRA, UN
 from .colimits import Cocone, chain_colimit, reflect_colimit_test
 from .serialize import mor_to_json
-from .strictness import Exhaustion
 from .symbolic import (
     CYCLE_FAMILY,
     RAY,
@@ -28,37 +31,8 @@ from .symbolic import (
 )
 
 
-@dataclass
-class FunctorHandle:
-    """Functor between registered categories, given by callables.
-
-    ``sym_obj`` evaluates the functor on registered symbolic objects (the
-    counterexample functors collapse them to finite objects).
-    """
-
-    name: str
-    source: str
-    target: str
-    obj_map: object
-    mor_map: object
-    sym_obj: object = None
-
-    def on_obj(self, X):
-        if isinstance(X, SymbolicObject):
-            if self.sym_obj is None:
-                raise ValueError(f"{self.name} has no symbolic evaluator")
-            return self.sym_obj(X)
-        return self.obj_map(X)
-
-    def on_mor(self, f):
-        return self.mor_map(f)
-
-
 def identity_functor(cat_name: str) -> FunctorHandle:
-    return FunctorHandle(
-        f"identity:{cat_name}", cat_name, cat_name, lambda X: X, lambda f: f,
-        sym_obj=lambda s: s,
-    )
+    return FunctorHandle(f"identity:{cat_name}", cat_name, cat_name, lambda X: X, lambda f: f)
 
 
 def check_functor_laws(F: FunctorHandle, composable_pairs) -> bool:
@@ -84,24 +58,26 @@ def check_functor_laws(F: FunctorHandle, composable_pairs) -> bool:
 
 
 def _case_split(name, cat, unit, adds_unit, sym_obj) -> FunctorHandle:
-    """X maps to unit + X when adds_unit(X), and to unit otherwise; sym_obj
-    maps every registered symbolic kind it accepts to unit and raises
-    ValueError on any other.  A morphism into the first case maps summandwise
-    (a hom X -> Y puts X in the first case as well); any other morphism,
-    a SymMor into a symbolic object included, is the constant map onto the
-    one element of unit."""
+    """X maps to unit + X when adds_unit(X), and to unit otherwise; on_obj
+    evaluates a symbolic object through sym_obj, which maps every registered
+    symbolic kind it accepts to unit and raises ValueError on any other.  A
+    morphism into the first case maps summandwise (a hom X -> Y puts X in the
+    first case as well); any other morphism, a SymMor into a symbolic object
+    included, is the constant map onto the one element of unit."""
 
     def on_obj(X):
+        if isinstance(X, SymbolicObject):
+            return sym_obj(X)
         return cat.coproduct([unit, X])[0] if adds_unit(X) else unit
 
     def on_mor(f):
-        FY = sym_obj(f.cod) if isinstance(f, SymMor) else on_obj(f.cod)
+        FY = on_obj(f.cod)
         FX = on_obj(f.dom)
         if FY != unit:
             return cat.mor(FX, FY, lambda x: x if x[0] == 0 else (1, f(x[1])))
         return cat.mor(FX, FY, lambda x: unit.carrier[0])
 
-    return FunctorHandle(name, cat.name, cat.name, on_obj, on_mor, sym_obj)
+    return FunctorHandle(name, cat.name, cat.name, on_obj, on_mor)
 
 
 def _un_missing_prime(X: Obj):
@@ -207,8 +183,8 @@ def subobjects_of(A, bound):
 def finitely_bounded_witness(F: FunctorHandle, A, m0: Mor, bound: int):
     """Search an fg subobject m of A whose F-image absorbs m0.
 
-    Returns a BoundednessWitness (triangle verified on carriers) or an
-    Exhaustion carrying the bound reached.
+    Returns a BoundednessWitness (triangle verified on carriers), or None
+    when no fg subobject of size at most bound absorbs m0.
     """
     FA = F.on_obj(A)
     if m0.cod != FA:
@@ -223,23 +199,11 @@ def finitely_bounded_witness(F: FunctorHandle, A, m0: Mor, bound: int):
             if not wit.triangle_commutes(Fm):
                 raise AssertionError("witness triangle failed verification")
             return wit
-    return Exhaustion(bound, f"no fg subobject of size <= {bound} absorbs m0")
+    return None
 
 
 # ---------------------------------------------------------------------------
 # finitarity certificates on chains with a formal colimit
-
-
-@dataclass
-class FinitarityCertificate:
-    functor: str
-    chain: str
-    prefix_k: int
-    lhs_size: int
-    rhs_size: int
-    verdict: str
-    persistence: dict = field(default_factory=dict)
-    notes: tuple = ()
 
 
 def finitarity_certificate(
@@ -247,19 +211,21 @@ def finitarity_certificate(
     cocone_k: Cocone,
     cocone_k1: Cocone,
     chain_name: str = "chain",
-) -> FinitarityCertificate:
+):
     """Compare the colimit of the F-image prefix with F of the formal colimit.
 
     The prefix colimit of a finite chain is its last object, so the
     comparison morphism is F of the last leg.  A certified FAIL requires the
     obstruction (non-invertible comparison) to persist when the prefix grows
     by one; a symbolic F-value downgrades the check to a probe-limited
-    reflection test.
+    reflection test.  Returns (verdict, witness): the witness holds both
+    sides' sizes at the prefix (rhs_size -1 for a symbolic value), the
+    persistence data of the longer prefix when it was needed, and notes.
     """
-    k = len(cocone_k.objects)  # prefix stages
     F_apex = F.on_obj(cocone_k.apex)
     lhs = F.on_obj(cocone_k.last)
-    notes = []
+    witness = {"functor": F.name, "chain": chain_name, "prefix_k": len(cocone_k.objects),
+               "lhs_size": lhs.size, "rhs_size": -1, "persistence": {}, "notes": []}
 
     if isinstance(F_apex, SymbolicObject):
         image = Cocone(
@@ -269,31 +235,25 @@ def finitarity_certificate(
             tuple(F.on_mor(leg) for leg in cocone_k.legs),
         )
         verdict = reflect_colimit_test(image, list(image.objects))
-        return FinitarityCertificate(
-            F.name, chain_name, k, lhs.size, -1, verdict.status,
-            notes=tuple(verdict.notes) + ("symbolic functor value: reflection probe only",),
-        )
+        witness["notes"] = [*verdict.notes, "symbolic functor value: reflection probe only"]
+        return verdict.status, witness
 
+    witness["rhs_size"] = F_apex.size
     if category_of(lhs).is_iso(F.on_mor(cocone_k.legs[-1])):
-        return FinitarityCertificate(
-            F.name, chain_name, k, lhs.size, F_apex.size, PASS,
-            notes=("comparison invertible at this prefix",),
-        )
+        witness["notes"] = ["comparison invertible at this prefix"]
+        return PASS, witness
     lhs1 = F.on_obj(cocone_k1.last)
     invertible1 = category_of(lhs1).is_iso(F.on_mor(cocone_k1.legs[-1]))
-    persistence = {
+    witness["persistence"] = {
         "prefix_k1": len(cocone_k1.objects),
         "lhs_size_k1": lhs1.size,
         "rhs_size_k1": F.on_obj(cocone_k1.apex).size,
         "still_failing": not invertible1,
     }
-    verdict = FAIL if not invertible1 else PASS
     if invertible1:
-        notes.append("obstruction vanished at the longer prefix")
-    return FinitarityCertificate(
-        F.name, chain_name, k, lhs.size, F_apex.size, verdict,
-        persistence=persistence, notes=tuple(notes),
-    )
+        witness["notes"] = ["obstruction vanished at the longer prefix"]
+        return PASS, witness
+    return FAIL, witness
 
 
 # ---------------------------------------------------------------------------
@@ -336,31 +296,19 @@ def r_un_boundedness(bound: int = 8, max_m0: int = 4):
         for m0 in UN.subobjects_fg(FA, max_m0):
             searched += 1
             wit = finitely_bounded_witness(F, A, m0, bound)
-            if not isinstance(wit, BoundednessWitness):
+            if wit is None:
                 return FAIL, {"unwitnessed": mor_to_json(m0), "input": label}
             found.append([label, m0.dom.size, wit.m.dom.size])
     return PASS_WITNESSED, {"mode": "boundedness-witness", "witnessed": sorted(found),
                             "searched": searched}
 
 
-def _chain_witness(cert: FinitarityCertificate):
-    return cert.verdict, {
-        "functor": cert.functor,
-        "chain": cert.chain,
-        "prefix_k": cert.prefix_k,
-        "lhs_size": cert.lhs_size,
-        "rhs_size": cert.rhs_size,
-        "persistence": cert.persistence,
-        "notes": list(cert.notes),
-    }
-
-
 @recipe("finitarity-un", "finitarity", limits={"k": (1, 24)})
 def r_finitarity_un(k: int = 3):
-    return _chain_witness(finitarity_certificate(
+    return finitarity_certificate(
         un_counterexample(), prime_cycle_chain(k), prime_cycle_chain(k + 1),
         "prime-cycles",
-    ))
+    )
 
 
 @recipe("reflect-prime-chain", "colimit-test", limits={"k": (1, 20)})
@@ -377,6 +325,6 @@ def r_reflect_prime_chain(k: int = 3):
 
 @recipe("finitarity-graph", "finitarity", limits={"k": (1, 256)})
 def r_finitarity_graph(k: int = 3):
-    return _chain_witness(finitarity_certificate(
+    return finitarity_certificate(
         graph_counterexample(), path_chain(k), path_chain(k + 1), "paths"
-    ))
+    )

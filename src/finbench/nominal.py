@@ -414,11 +414,10 @@ def support_rigidity_check(f: NomMor) -> RigidityReport:
 def p_chain_certificate(k: int):
     """Counterexample functor on the chain of subset-orbit prefixes.
 
-    Returns the data of a certified non-finitarity check: orbit counts of the
-    functor on the prefix at k and k+1 against the value on the full family.
+    Returns (verdict, witness) of a certified non-finitarity check: orbit
+    counts of the functor on the prefix at k and k+1 against the value on the
+    full family, in the witness shape of ``functors.finitarity_certificate``.
     """
-    from .functors import FinitarityCertificate
-
     if k > 3:
         raise ValueError("p_chain_certificate supports k <= 3: the k+1 prefix "
                          "needs hom search at support k+2 <= 5")
@@ -433,21 +432,20 @@ def p_chain_certificate(k: int):
     colimit_val = nom_counterexample(P_SUBSET_FAMILY)
     rhs = colimit_val.value.orbit_count
     still = sizes[k + 1] != rhs
-    return FinitarityCertificate(
-        "nom-counterexample",
-        "p-subsets",
-        k,
-        sizes[k],
-        rhs,
-        FAIL if sizes[k] != rhs and still else PASS,
-        persistence={
+    return FAIL if sizes[k] != rhs and still else PASS, {
+        "functor": "nom-counterexample",
+        "chain": "p-subsets",
+        "prefix_k": k,
+        "lhs_size": sizes[k],
+        "rhs_size": rhs,
+        "persistence": {
             "prefix_k1": k + 1,
             "lhs_size_k1": sizes[k + 1],
             "rhs_size_k1": rhs,
             "still_failing": still,
         },
-        notes=("sizes are orbit counts",),
-    )
+        "notes": ["sizes are orbit counts"],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +506,7 @@ def countable_strictness_witness(b: NomMor) -> NomStrictnessWitness:
 
 @recipe("finitarity-nom", "finitarity", limits={"k": (1, 3)})
 def r_finitarity_nom(k: int = 3):
-    from .functors import _chain_witness
-
-    return _chain_witness(p_chain_certificate(k))
+    return p_chain_certificate(k)
 
 
 @recipe("nominal-rigidity", "nominal", bounds=("pool",),

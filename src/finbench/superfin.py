@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .certs import FAIL, PASS, PASS_WITNESSED, recipe
-from .core import Mor, Obj, Partition, canon, elem_key
+from .core import FunctorHandle, Mor, Obj, Partition, canon, elem_key
 from .cats import FINSET
-from .functors import FunctorHandle
 
 
 def small_maps(k: int, k2: int):
@@ -195,14 +194,14 @@ class EpsilonResult:
     surjective: bool
 
 
-def canonical_epsilon(pres: SuperFinPresentation, X) -> EpsilonResult:
-    """The canonical map values[n] x X^n -> evaluate(X); verified surjective.
+def canonical_epsilon(ev: KanEval) -> EpsilonResult:
+    """The canonical map values[n] x X^n -> ev, for the evaluation ev of a
+    presentation at X; verified surjective.
 
     Empty X with positive level bound has no tuples to map; presentations
     whose genuine bound is 0 handle it, anything else is rejected.
     """
-    X = tuple(X)
-    ev = evaluate(pres, X)
+    pres, X = ev.pres, ev.X
     if not X and pres.n > 0 and ev.size:
         raise PresentationError("empty set needs a level-0 presentation")
     pairs = []
@@ -474,11 +473,12 @@ def r_superfin_evaluation(max_size: int = 4):
     P = truncated_hom(2, 2)
     sizes = {}
     for k in range(max_size + 1):
-        sizes[str(k)] = evaluate(P, range(k)).size
+        ev = evaluate(P, range(k))
+        sizes[str(k)] = ev.size
         if sizes[str(k)] != k * k:
             return FAIL, {"sizes": sizes, "expected": "k^2"}
         if k:
-            canonical_epsilon(P, range(k))  # raises unless surjective
+            canonical_epsilon(ev)  # raises unless surjective
     return PASS_WITNESSED, {"sizes": sizes,
                             "law": "evaluation of truncated Set(2,-) has k^2 classes"}
 

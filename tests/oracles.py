@@ -4,13 +4,16 @@ These deliberately avoid the library's search machinery: homs come from
 filtering the full function space, factorizations through a morphism from
 filtering the product of its fibers, subgroups from filtering inverse-closed
 subsets, congruences from filtering all set partitions, and the endomorphism
-scan from a depth-first assignment over all map families.  The module
-also holds fixtures that only tests build, such as a two-sorted groupoid.
+scan from a depth-first assignment over all map families, and a unary
+algebra's quotient by one identification from coequalizing a pair of homs
+out of a chain.  The module also holds fixtures that only tests build, such
+as a two-sorted groupoid.
 """
 
 import itertools
+import math
 
-from finbench.cats import FiniteGroupoid
+from finbench.cats import UN, FiniteGroupoid
 from finbench.core import Mor, canon, canon_pairs, category_of, elem_key
 from finbench.perms import (
     all_perms,
@@ -45,6 +48,32 @@ def factorizations_by_fibers(f, g):
         except ValueError:
             continue
     return out
+
+
+def pair_through_chain(X, a, b):
+    """Parallel pair u, v from one chain algebra with u(0) = a, v(0) = b.
+
+    A chain with tail t and period p admits a hom picking out any element
+    whose own tail is at most t and whose cycle length divides p.
+    """
+    ta, pa = UN.tail_period(X, a)
+    tb, pb = UN.tail_period(X, b)
+    t = max(ta, tb)
+    p = pa * pb // math.gcd(pa, pb)
+    total = t + p
+    chain = UN.obj(
+        range(total), {i: (i + 1 if i + 1 < total else t) for i in range(total)}
+    )
+
+    def walk(start):
+        images = {}
+        cur = start
+        for i in range(total):
+            images[i] = cur
+            cur = UN.op(X, cur)
+        return images
+
+    return UN.mor(chain, X, walk(a)), UN.mor(chain, X, walk(b))
 
 
 def brute_subgroups(n):

@@ -107,26 +107,26 @@ def test_criterion_01_un_counterexample():
         for m0 in m0s:
             wit = finitely_bounded_witness(F, A, m0, bound=8)
             assert isinstance(wit, BoundednessWitness)
-    cert = finitarity_certificate(
+    verdict, witness = finitarity_certificate(
         F, prime_cycle_chain(3), prime_cycle_chain(4), "prime-cycles"
     )
-    assert cert.verdict == FAIL
-    assert cert.prefix_k == 3
-    assert cert.lhs_size == 1 + (2 + 3 + 5) == 11
-    assert cert.rhs_size == 1
-    assert cert.persistence["still_failing"]
+    assert verdict == FAIL
+    assert witness["prefix_k"] == 3
+    assert witness["lhs_size"] == 1 + (2 + 3 + 5) == 11
+    assert witness["rhs_size"] == 1
+    assert witness["persistence"]["still_failing"]
     assert time.monotonic() - start < 1.0
 
 
 @criterion(2, "graph counterexample: certified non-finitarity on the path "
               "chain and the ray advance-by-one certificate up to length 8")
 def test_criterion_02_graph_counterexample():
-    cert = finitarity_certificate(
+    verdict, witness = finitarity_certificate(
         graph_counterexample(), path_chain(3), path_chain(4), "paths"
     )
-    assert cert.verdict == FAIL
-    assert cert.lhs_size == 5 and cert.rhs_size == 1
-    assert cert.persistence["still_failing"]
+    assert verdict == FAIL
+    assert witness["lhs_size"] == 5 and witness["rhs_size"] == 1
+    assert witness["persistence"]["still_failing"]
     ray_cert = no_finitary_endo_certificate(sy.RAY, window=32, path_bound=8)
     counts = ray_cert.checked["path_hom_counts"]
     assert set(counts) == set(range(1, 9))
@@ -222,10 +222,10 @@ def test_criterion_07_nominal():
         assert report.preserved and report.checked == len(X.elements(10))
         for e in X.elements(10):
             assert support(f.apply(e)) == support(e)
-    cert = p_chain_certificate(3)
-    assert cert.verdict == FAIL
-    assert cert.lhs_size == 4 and cert.rhs_size == 1
-    assert cert.persistence["still_failing"]
+    verdict, witness = p_chain_certificate(3)
+    assert verdict == FAIL
+    assert witness["lhs_size"] == 4 and witness["rhs_size"] == 1
+    assert witness["persistence"]["still_failing"]
 
 
 @criterion(8, "presented functors: square law for the evaluation, pointwise "

@@ -1,5 +1,6 @@
 """Serialization roundtrips, certificate replay, and the CLI contract."""
 
+import functools
 import inspect
 import json
 import typing
@@ -9,7 +10,10 @@ import pytest
 import finbench.suites  # registers all recipes
 from finbench.cats import FINSET, GRA, UN, VEC2, Z2_GPD, gset_cat, gset_free_orbit
 from finbench.certs import (
+    FAIL,
     LIMITS,
+    MAX_NESTING,
+    PASS_WITNESSED,
     RECIPES,
     Certificate,
     CertificateError,
@@ -196,9 +200,19 @@ def test_report_deterministic_bytes(tmp_path):
 def test_cli_exit_codes(tmp_path):
     assert main(["run", "--suite", "nominal-classification"]) == 0
     assert main(["run", "--suite", "un-counterexample"]) == 0
-    # denying expected failures turns certified counterexamples into mismatches
-    assert main(["run", "--suite", "un-counterexample", "--no-expect-failures"]) == 1
     assert main(["run", "--suite", "no-such-suite"]) == 2
+
+
+def test_cli_mismatch_exits_1(monkeypatch, capsys):
+    # expect a plain PASS where the recipe certifies its counterexample
+    checks = [(name, recipe, params,
+               PASS_WITNESSED if name == "finitarity-chain" else expected)
+              for name, recipe, params, expected in SUITES["un-counterexample"]]
+    monkeypatch.setitem(SUITES, "un-counterexample", checks)
+    assert main(["run", "--suite", "un-counterexample"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"BAD [un-counterexample] finitarity-chain: {FAIL}" in lines
+    assert lines[-1] == "mismatched checks present"
 
 
 def test_unknown_suite_message_names_the_suites(capsys):
@@ -346,6 +360,18 @@ def test_replay_deeply_nested_json_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1 and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def test_replay_nesting_at_the_cap_mismatches_and_above_it_exits_2(tmp_path, capsys):
+    # the payload nests 2 deep at witness.checked, so the value there may add
+    # MAX_NESTING - 2 levels before the certificate is too deep
+    for extra, expected in ((MAX_NESTING - 2, 1), (MAX_NESTING - 1, 2)):
+        payload = _no_finitary_endo_payload()
+        payload["witness"]["checked"] = functools.reduce(lambda v, _: [v], range(extra - 1), [0])
+        code, err = _malformed_replay(tmp_path, capsys, payload)
+        assert code == expected and "Traceback" not in err
+        if expected == 2:
+            assert err.count("\n") == 1 and "nested too deeply" in err
 
 
 def test_from_payload_rejects_non_object_fields():

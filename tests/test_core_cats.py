@@ -19,7 +19,6 @@ from finbench.cats import (
     gset_cat,
     gset_free_orbit,
     gset_fixed_point,
-    pair_through_chain,
     probe_objects,
     random_finset_mor,
     random_un_obj,
@@ -38,6 +37,7 @@ from oracles import (
     generated_by_definition,
     kernel_pair_by_definition,
     linear_by_definition,
+    pair_through_chain,
     quotient_by_definition,
     restrict_by_definition,
     subalgebras_by_definition,
@@ -474,16 +474,19 @@ def test_split_quotients_of_finite_objects_are_finite():
                 assert r.cod.size <= X.size
 
 
-def test_pair_through_chain_parallel():
-    rng = random.Random(9)
-    for _ in range(10):
-        X = random_un_obj(rng, 5)
-        if X.size < 2:
-            continue
-        a, b = rng.sample(list(X.carrier), 2)
-        u, v = pair_through_chain(X, a, b)
-        assert u.dom == v.dom and u.cod == v.cod == X
-        assert u(0) == a and v(0) == b
+def test_random_un_surjection_matches_chain_coequalizer():
+    # the least congruence identifying a and b is the coequalizer of the
+    # pair of homs from a chain that pick out a and b
+    for seed in range(1000):
+        rng = random.Random(seed)
+        X = random_un_obj(rng)
+        expected = UN.identity(X)
+        if X.size >= 2:
+            a, b = rng.sample(list(X.carrier), 2)
+            u, v = pair_through_chain(X, a, b)
+            assert u.cod == v.cod == X and (u(0), v(0)) == (a, b)
+            expected = UN.coequalizer(u, v)
+        assert random_un_surjection(random.Random(seed)) == expected, seed
 
 
 def test_symbolic_subobjects_of_ray_windowed():

@@ -412,11 +412,11 @@ def test_rigidity_report():
 
 
 def test_p_chain_certificate():
-    cert = p_chain_certificate(3)
-    assert cert.verdict == FAIL
-    assert cert.lhs_size == 4 and cert.rhs_size == 1
-    assert cert.persistence["still_failing"]
-    assert cert.persistence["lhs_size_k1"] == 5
+    verdict, witness = p_chain_certificate(3)
+    assert verdict == FAIL
+    assert witness["lhs_size"] == 4 and witness["rhs_size"] == 1
+    assert witness["persistence"]["still_failing"]
+    assert witness["persistence"]["lhs_size_k1"] == 5
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ recipe, so they never see the path a real replay takes: `certs.recompute`
 imports only the layer module that its recipe table names.  These tests run
 `finbench.cli` as a new process, the way `python -m finbench.cli replay`
 does (through `runpy`), and print the `finbench` modules loaded at exit.
+No layer loads another only to share a result record, so each replay also
+leaves named layers unloaded.
 """
 
 import importlib.util
@@ -22,13 +24,17 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
 
-# the seed-0 suite check that each recipe module replays
-MODULE_CHECKS = {
-    "functors": ("un-counterexample", "finitarity-chain"),
-    "nominal": ("nominal-classification", "subgroup-counts"),
-    "strictness": ("strictness", "vec-projection"),
-    "superfin": ("superfin", "powerset-endo-probe"),
-    "hausdorff": ("hausdorff", "boundedness-witnesses"),
+# seed-0 suite checks replayed fresh: id -> (the recipe's module, suite,
+# check, the finbench modules that the replay must not load)
+REPLAY_CHECKS = {
+    "functors": ("functors", "un-counterexample", "finitarity-chain", {"strictness"}),
+    "nominal": ("nominal", "nominal-classification", "subgroup-counts", set()),
+    "nominal-chain": ("nominal", "nom-counterexample", "finitarity-chain", {"functors"}),
+    "strictness": ("strictness", "strictness", "vec-projection", set()),
+    "superfin": ("superfin", "superfin", "powerset-endo-probe",
+                 {"functors", "strictness", "colimits", "serialize", "symbolic"}),
+    "hausdorff": ("hausdorff", "hausdorff", "boundedness-witnesses",
+                  {"nominal", "superfin", "functors"}),
 }
 
 
@@ -55,9 +61,9 @@ def test_recipe_table_names_each_recipes_module():
         {name: f"finbench.{module}" for name, module in RECIPE_MODULES.items()}
 
 
-@pytest.mark.parametrize("module", sorted(MODULE_CHECKS))
-def test_fresh_replay_imports_only_its_recipes_layer(tmp_path, module):
-    suite, check = MODULE_CHECKS[module]
+@pytest.mark.parametrize("case", sorted(REPLAY_CHECKS))
+def test_fresh_replay_imports_only_its_recipes_layer(tmp_path, case):
+    module, suite, check, not_loaded = REPLAY_CHECKS[case]
     _, recipe, params, _ = next(c for c in SUITES[suite] if c[0] == check)
     assert RECIPE_MODULES[recipe] == module
     path = tmp_path / "cert.json"
@@ -67,8 +73,7 @@ def test_fresh_replay_imports_only_its_recipes_layer(tmp_path, module):
     loaded = set(out.stderr.splitlines()[-1].split())
     assert f"finbench.{module}" in loaded
     assert "finbench.suites" not in loaded
-    if module == "hausdorff":
-        assert not loaded & {"finbench.nominal", "finbench.superfin", "finbench.functors"}
+    assert not loaded & {f"finbench.{m}" for m in not_loaded}
 
 
 def test_fresh_cli_import_loads_no_layer():

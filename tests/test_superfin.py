@@ -85,14 +85,14 @@ def test_presentation_law_check_rejects_bad_action():
 
 def test_epsilon_truncated_identity():
     P = truncated_identity(1)
-    eps = canonical_epsilon(P, range(2))
+    eps = canonical_epsilon(evaluate(P, range(2)))
     assert eps.surjective
     assert len({rep for _, rep in eps.pairs}) == 2
 
 
 def test_epsilon_constant_is_projection():
     P = constant_presentation(1, ["a", "b"])
-    eps = canonical_epsilon(P, range(3))
+    eps = canonical_epsilon(evaluate(P, range(3)))
     classes = {}
     for (q, f), rep in eps.pairs:
         classes.setdefault(q, set()).add(rep)
@@ -101,7 +101,7 @@ def test_epsilon_constant_is_projection():
 
 def test_epsilon_truncated_hom():
     P = truncated_hom(2, 2)
-    eps = canonical_epsilon(P, range(2))
+    eps = canonical_epsilon(evaluate(P, range(2)))
     assert eps.surjective
     assert len({rep for _, rep in eps.pairs}) == 4
 
