@@ -559,8 +559,9 @@ def gset_from_cosets(cat: PresheafCat, subgroup, tag=0) -> Obj:
 
 class VecCat(Category):
     """F_q vector spaces; objects are full coordinate spaces, with vectors as
-    the carrier so that the generic machinery applies.  Subspaces are
-    re-presented as standard spaces through an explicit basis embedding."""
+    the carrier so that the generic machinery applies.  Spans, coordinates,
+    complements and subspace lists come from one Gauss-Jordan kernel,
+    ``echelon``, and a subspace is presented by its reduced echelon basis."""
 
     def __init__(self, q: int):
         if q not in (2, 3):
@@ -612,69 +613,51 @@ class VecCat(Category):
             homs.append(self.from_matrix(X, Y, cols))
         return homs
 
-    def span(self, vectors, dim):
-        """All vectors in the span (q^rank of them)."""
-        basis = self.reduce_basis(vectors, dim)
-        out = {self.zero(dim)}
-        for b in basis:
-            out = {self.add(u, self.scale(c, b)) for u in out for c in range(self.q)}
-        return canon(out)
-
-    def reduce_basis(self, vectors, dim):
-        """Row reduction over F_q; returns an echelon basis."""
-        basis = []
-        pivots = []
-        for v in vectors:
-            v = list(v)
+    def echelon(self, rows):
+        """Gauss-Jordan elimination over F_q: the nonzero rows of the reduced
+        row echelon form of `rows`, sorted by pivot, and their pivot columns.
+        Each new row is cleared at the pivots so far, scaled to a leading 1,
+        and then cleared from the earlier rows."""
+        q = self.q
+        basis, pivots = [], []
+        for v in rows:
             for b, p in zip(basis, pivots):
-                if v[p] != 0:
-                    c = v[p] * pow(b[p], -1, self.q) % self.q
-                    v = [(a - c * bb) % self.q for a, bb in zip(v, b)]
-            if any(v):
-                p = next(i for i, a in enumerate(v) if a)
-                basis.append(v)
-                pivots.append(p)
-        order = sorted(range(len(basis)), key=lambda i: pivots[i])
-        return [tuple(basis[i]) for i in order]
-
-    def subspace_presentation(self, vectors, ambient: Obj):
-        """Standard space of the right dimension plus a mono onto the span."""
-        dim = self.dim(ambient)
-        basis = self.reduce_basis(vectors, dim)
-        sub = self.obj(len(basis))
-        m = self.from_matrix(sub, ambient, basis)
-        return sub, m
-
-    def coords_in_basis(self, basis, v, dim):
-        """Coordinates of v in an independent basis (brute force, small q^k)."""
-        for coeffs in itertools.product(range(self.q), repeat=len(basis)):
-            acc = self.zero(dim)
-            for c, b in zip(coeffs, basis):
-                acc = self.add(acc, self.scale(c, b))
-            if acc == v:
-                return coeffs
-        raise ValueError("vector outside span")
+                c = v[p]
+                v = [(a - c * bb) % q for a, bb in zip(v, b)]
+            p = next((i for i, a in enumerate(v) if a), None)
+            if p is None:
+                continue
+            inv = pow(v[p], -1, q)
+            v = [a * inv % q for a in v]
+            basis = [[(a - b[p] * vv) % q for a, vv in zip(b, v)] for b in basis]
+            basis.append(v)
+            pivots.append(p)
+        order = sorted(range(len(basis)), key=pivots.__getitem__)
+        return [tuple(basis[i]) for i in order], [pivots[i] for i in order]
 
     def complement_basis(self, basis, dim):
-        """Extend an independent set to a basis with standard vectors."""
+        """Extend an independent set to a basis with each standard vector, in
+        turn, that lies outside the span so far."""
         full = list(basis)
-        extra = []
         for e in self.basis_vectors(dim):
-            if len(self.reduce_basis(full + [e], dim)) > len(full):
+            if len(self.echelon(full + [e])[0]) > len(full):
                 full.append(e)
-                extra.append(e)
-        return extra
+        return full[len(basis):]
+
+    def standard_coords(self, basis, dim):
+        """Row i: the coordinates of the i-th standard vector in `basis` and
+        then its complement_basis, the right half of [those rows | I] reduced."""
+        full = basis + self.complement_basis(basis, dim)
+        rows, _ = self.echelon(b + e for b, e in zip(full, self.basis_vectors(dim)))
+        return [r[dim:] for r in rows]
 
     def factorize(self, f):
-        sub, m = self.subspace_presentation(list(f.mapping), f.cod)
-        basis = [m(b) for b in self.basis_vectors(self.dim(sub))]
-        dimc = self.dim(f.cod)
-        # coordinates are linear: solve for the basis images only
-        cols = [
-            self.coords_in_basis(basis, f(b), dimc)
-            for b in self.basis_vectors(self.dim(f.dom))
-        ]
-        return self.from_matrix(f.dom, sub, cols), m
+        """Image presented by its reduced echelon basis; a vector of the
+        image has its entries at the pivot columns as coordinates."""
+        cols = [f(e) for e in self.basis_vectors(self.dim(f.dom))]
+        basis, pivots = self.echelon(cols)
+        m = self.from_matrix(self.obj(len(basis)), f.cod, basis)
+        return self.from_matrix(f.dom, m.dom, [[c[p] for p in pivots] for c in cols]), m
 
     def coequalizer(self, f, g):
         """Cokernel of f - g: quotient by the spanned difference subspace."""
@@ -682,40 +665,32 @@ class VecCat(Category):
             raise ValueError("not a parallel pair")
         dimc = self.dim(f.cod)
         diffs = [self.add(f(u), self.scale(self.q - 1, g(u))) for u in f.dom.carrier]
-        wbasis = self.reduce_basis(diffs, dimc)
-        comp = self.complement_basis(wbasis, dimc)
-        Q = self.obj(len(comp))
-        full = wbasis + comp
-
-        cols = [
-            self.coords_in_basis(full, b, dimc)[len(wbasis):]
-            for b in self.basis_vectors(dimc)
-        ]
-        return self.from_matrix(f.cod, Q, cols)
+        wbasis, _ = self.echelon(diffs)
+        cols = [c[len(wbasis):] for c in self.standard_coords(wbasis, dimc)]
+        return self.from_matrix(f.cod, self.obj(dimc - len(wbasis)), cols)
 
     def subobjects_fg(self, X, bound=None):
-        dim = self.dim(X)
-        seen = {}
-        for r in range(dim + 1):
-            for vecs in itertools.combinations(X.carrier, r):
-                spanned = self.span(list(vecs), dim)
-                if spanned not in seen:
-                    sub, m = self.subspace_presentation(list(vecs), X)
-                    seen[spanned] = m
-        return [seen[k] for k in sorted(seen, key=elem_key)]
+        """One mono per subspace, from its reduced echelon basis: each pivot
+        set with every choice of entries right of a pivot in the non-pivot
+        columns."""
+        n = self.dim(X)
+        monos = []
+        for r in range(n + 1):
+            for pivots in itertools.combinations(range(n), r):
+                free = [(i, c) for i, p in enumerate(pivots)
+                        for c in range(p + 1, n) if c not in pivots]
+                for entries in itertools.product(range(self.q), repeat=len(free)):
+                    rows = [[int(c == p) for c in range(n)] for p in pivots]
+                    for (i, c), a in zip(free, entries):
+                        rows[i][c] = a
+                    monos.append(self.from_matrix(self.obj(r), X, rows))
+        return sorted(monos, key=lambda m: elem_key(canon(m.mapping)))
 
     def projection_onto(self, sub_mono: Mor) -> Mor:
         """Retraction of a subspace embedding along a standard complement."""
-        X = sub_mono.cod
-        dim = self.dim(X)
         basis = [sub_mono(b) for b in self.basis_vectors(self.dim(sub_mono.dom))]
-        comp = self.complement_basis(basis, dim)
-        full = basis + comp
-        cols = [
-            self.coords_in_basis(full, b, dim)[: len(basis)]
-            for b in self.basis_vectors(dim)
-        ]
-        return self.from_matrix(X, sub_mono.dom, cols)
+        cols = [c[: len(basis)] for c in self.standard_coords(basis, self.dim(sub_mono.cod))]
+        return self.from_matrix(sub_mono.cod, sub_mono.dom, cols)
 
 
 VEC2 = register_category(VecCat(2))

@@ -223,6 +223,14 @@ class FunctorHandle:
     on_mor: object
 
 
+def finite_obj(X, functor: str) -> Obj:
+    """X, for a functor that only evaluates finite objects; a ValueError
+    naming X when it is anything else, such as a symbolic object."""
+    if not isinstance(X, Obj):
+        raise ValueError(f"{functor} evaluates finite objects only, not {X!r}")
+    return X
+
+
 class Category:
     """Shared finite-category machinery; subclasses fill in structure hooks."""
 

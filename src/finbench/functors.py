@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certs import FAIL, PASS, PASS_WITNESSED, recipe
-from .core import FunctorHandle, Mor, Obj, category_of, lookup_category
+from .core import FunctorHandle, Mor, Obj, category_of, finite_obj, lookup_category
 from .cats import GRA, UN
 from .colimits import Cocone, chain_colimit, reflect_colimit_test
 from .serialize import mor_to_json
@@ -138,9 +138,10 @@ def hom_functor(cat_name: str, A: Obj) -> FunctorHandle:
         raise TypeError("hom functors of symbolic objects are out of probe scope")
     src = lookup_category(cat_name)
     finset = lookup_category("finset")
+    name = f"hom({cat_name},{A.size})"
 
     def on_obj(X):
-        homs = src.hom_set(A, X)
+        homs = src.hom_set(A, finite_obj(X, name))
         return finset.obj(h.mapping for h in homs)
 
     def on_mor(f):
@@ -153,7 +154,7 @@ def hom_functor(cat_name: str, A: Obj) -> FunctorHandle:
 
         return finset.mor(FX, FY, post)
 
-    return FunctorHandle(f"hom({cat_name},{A.size})", cat_name, "finset", on_obj, on_mor)
+    return FunctorHandle(name, cat_name, "finset", on_obj, on_mor)
 
 
 # ---------------------------------------------------------------------------

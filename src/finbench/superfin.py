@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .certs import FAIL, PASS, PASS_WITNESSED, recipe
-from .core import FunctorHandle, Mor, Obj, Partition, canon, elem_key
+from .core import FunctorHandle, Mor, Obj, Partition, canon, elem_key, finite_obj
 from .cats import FINSET
 
 
@@ -174,16 +174,17 @@ def as_functor(pres: SuperFinPresentation) -> FunctorHandle:
     """Black-box finite-set endofunctor wrapping the evaluation."""
 
     @lru_cache(maxsize=None)
-    def ev(carrier):
+    def ev_carrier(carrier):
         return evaluate(pres, carrier)
 
+    def ev(X):
+        return ev_carrier(finite_obj(X, "kan-extension").carrier)
+
     def on_obj(X: Obj):
-        return ev(X.carrier).as_obj()
+        return ev(X).as_obj()
 
     def on_mor(f: Mor):
-        return induced_map(
-            ev(f.dom.carrier), ev(f.cod.carrier), dict(zip(f.dom.carrier, f.mapping))
-        )
+        return induced_map(ev(f.dom), ev(f.cod), dict(zip(f.dom.carrier, f.mapping)))
 
     return FunctorHandle("kan-extension", "finset", "finset", on_obj, on_mor)
 
@@ -353,7 +354,7 @@ def power_functor() -> FunctorHandle:
     """Nonempty finite subsets with direct images."""
 
     def on_obj(X: Obj):
-        return Obj(FINSET.name, nonempty_subsets(X.carrier))
+        return Obj(FINSET.name, nonempty_subsets(finite_obj(X, "power-finite").carrier))
 
     def on_mor(f: Mor):
         FX, FY = on_obj(f.dom), on_obj(f.cod)

@@ -3,11 +3,13 @@
 These deliberately avoid the library's search machinery: homs come from
 filtering the full function space, factorizations through a morphism from
 filtering the product of its fibers, subgroups from filtering inverse-closed
-subsets, congruences from filtering all set partitions, and the endomorphism
-scan from a depth-first assignment over all map families, and a unary
+subsets, congruences from filtering all set partitions, the endomorphism
+scan from a depth-first assignment over all map families, a unary
 algebra's quotient by one identification from coequalizing a pair of homs
-out of a chain.  The module also holds fixtures that only tests build, such
-as a two-sorted groupoid.
+out of a chain, and F_q linear algebra from enumeration: spans by closing
+under scaled sums, coordinates by trying every coefficient tuple, and
+subspaces by spanning every combination of carrier vectors.  The module also
+holds fixtures that only tests build, such as a two-sorted groupoid.
 """
 
 import itertools
@@ -430,7 +432,8 @@ def generated_by_definition(cat, X, x):
 
 
 # ---------------------------------------------------------------------------
-# F_q vector spaces: linearity by definition, and maps built vector by vector
+# F_q vector spaces: linearity by definition, and spans, coordinates and
+# subspaces by enumeration, with maps built vector by vector
 
 
 def linear_by_definition(cat, X, Y, images):
@@ -443,34 +446,105 @@ def linear_by_definition(cat, X, Y, images):
     )
 
 
+def vec_combination(cat, coeffs, vectors, dim):
+    """sum_i coeffs[i] * vectors[i], added up one scaled vector at a time."""
+    out = cat.zero(dim)
+    for c, v in zip(coeffs, vectors):
+        out = cat.add(out, cat.scale(c, v))
+    return out
+
+
+def vec_span(cat, vectors, dim):
+    """All vectors in the span: zero, closed in turn under adding each
+    multiple of each vector."""
+    out = {cat.zero(dim)}
+    for v in vectors:
+        out = {cat.add(u, cat.scale(c, v)) for u in out for c in range(cat.q)}
+    return canon(out)
+
+
+def vec_coords(cat, basis, v, dim):
+    """Coordinates of v in an independent basis: the coefficient tuple, out
+    of all q^k of them, whose combination is v."""
+    for coeffs in itertools.product(range(cat.q), repeat=len(basis)):
+        if vec_combination(cat, coeffs, basis, dim) == v:
+            return coeffs
+    raise ValueError("vector outside span")
+
+
+def vec_greedy_basis(cat, vectors, dim, basis=()):
+    """Extend basis by each of vectors, in turn, outside the span so far."""
+    out = list(basis)
+    for v in vectors:
+        if v not in vec_span(cat, out, dim):
+            out.append(v)
+    return out
+
+
+def vec_rref_basis(W):
+    """The reduced echelon basis of the subspace with elements W: the pivots
+    are the leading positions of nonzero vectors of W, and the row at pivot p
+    is the one vector of W with a 1 at p and a 0 at every other pivot."""
+    pivots = sorted({next(i for i, a in enumerate(w) if a) for w in W if any(w)})
+    return [
+        next(w for w in W if w[p] == 1 and all(w[o] == 0 for o in pivots if o != p))
+        for p in pivots
+    ]
+
+
+def vec_subspace_mono(cat, W, X):
+    """The embedding of F_q^r onto the subspace W of X by its reduced
+    echelon basis."""
+    rows = vec_rref_basis(W)
+    dim = cat.dim(X)
+    return cat.mor(cat.obj(len(rows)), X, lambda u: vec_combination(cat, u, rows, dim))
+
+
+def vec_subspaces_by_combinations(cat, X):
+    """subobjects_fg of X: the span of every combination of at most dim(X)
+    carrier vectors, once per subspace, in elem_key order of the spans."""
+    dim = cat.dim(X)
+    spans = {
+        vec_span(cat, vecs, dim)
+        for r in range(dim + 1)
+        for vecs in itertools.combinations(X.carrier, r)
+    }
+    return [vec_subspace_mono(cat, W, X) for W in sorted(spans, key=elem_key)]
+
+
+def vec_standard(dim):
+    """The standard basis vectors of F_q^dim."""
+    return [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+
+
 def vec_projection_pointwise(cat, sub_mono):
-    """projection_onto with each vector's coordinates solved on its own."""
+    """projection_onto: each vector's coordinates, found by search, in the
+    subspace basis extended greedily by standard vectors."""
     X = sub_mono.cod
     dim = cat.dim(X)
-    basis = [sub_mono(b) for b in cat.basis_vectors(cat.dim(sub_mono.dom))]
-    full = basis + cat.complement_basis(basis, dim)
-    return cat.mor(
-        X, sub_mono.dom, lambda v: tuple(cat.coords_in_basis(full, v, dim)[: len(basis)])
-    )
+    basis = [sub_mono(e) for e in vec_standard(cat.dim(sub_mono.dom))]
+    full = vec_greedy_basis(cat, vec_standard(dim), dim, basis)
+    return cat.mor(X, sub_mono.dom, lambda v: vec_coords(cat, full, v, dim)[: len(basis)])
 
 
 def vec_coequalizer_pointwise(cat, f, g):
-    """coequalizer: each vector's coordinates along the complement of the
-    span of the differences f(u) - g(u)."""
+    """coequalizer: each vector's coordinates, found by search, along the
+    standard vectors that greedily extend a basis of the span of the
+    differences f(u) - g(u)."""
     dimc = cat.dim(f.cod)
     diffs = [cat.add(f(u), cat.scale(cat.q - 1, g(u))) for u in f.dom.carrier]
-    wbasis = cat.reduce_basis(diffs, dimc)
-    comp = cat.complement_basis(wbasis, dimc)
-    full = wbasis + comp
+    wbasis = vec_greedy_basis(cat, diffs, dimc)
+    full = vec_greedy_basis(cat, vec_standard(dimc), dimc, wbasis)
     return cat.mor(
-        f.cod, cat.obj(len(comp)),
-        lambda v: tuple(cat.coords_in_basis(full, v, dimc)[len(wbasis):]),
+        f.cod, cat.obj(len(full) - len(wbasis)),
+        lambda v: vec_coords(cat, full, v, dimc)[len(wbasis):],
     )
 
 
 def vec_factorize_pointwise(cat, f):
-    """factorize with the coordinates of every image vector solved on its own."""
-    sub, m = cat.subspace_presentation(list(f.mapping), f.cod)
-    basis = [m(b) for b in cat.basis_vectors(cat.dim(sub))]
+    """factorize: the image embedded by its reduced echelon basis, and each
+    image vector's coordinates in that basis found by search."""
     dimc = cat.dim(f.cod)
-    return cat.mor(f.dom, sub, lambda u: cat.coords_in_basis(basis, f(u), dimc)), m
+    m = vec_subspace_mono(cat, vec_span(cat, f.mapping, dimc), f.cod)
+    basis = [m(e) for e in vec_standard(cat.dim(m.dom))]
+    return cat.mor(f.dom, m.dom, lambda u: vec_coords(cat, basis, f(u), dimc)), m

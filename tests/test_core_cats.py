@@ -45,6 +45,7 @@ from oracles import (
     vec_coequalizer_pointwise,
     vec_factorize_pointwise,
     vec_projection_pointwise,
+    vec_subspaces_by_combinations,
 )
 
 
@@ -381,6 +382,9 @@ def test_vec_factorize_and_rank():
 def test_vec_subobjects_count():
     # subspaces of F_2^2: trivial, three lines, whole plane
     assert len(VEC2.subobjects_fg(VEC2.obj(2))) == 5
+    # of F_q^n for n = 0, 1, ...: the Galois numbers, OEIS A006116 and A006117
+    assert [len(VEC2.subobjects_fg(VEC2.obj(n))) for n in range(6)] == [1, 2, 5, 16, 67, 374]
+    assert [len(VEC3.subobjects_fg(VEC3.obj(n))) for n in range(5)] == [1, 2, 6, 28, 212]
 
 
 def test_vec_coequalizer_is_cokernel():
@@ -392,9 +396,14 @@ def test_vec_coequalizer_is_cokernel():
     assert q.is_surjective()
 
 
-@pytest.mark.parametrize("cat, dim", [(VEC2, 3), (VEC3, 2)])
+@pytest.mark.parametrize(
+    "cat, dim",
+    [(VEC2, 3), (VEC3, 2), (VEC2, 0), (VEC2, 1), (VEC2, 2), (VEC2, 4),
+     (VEC3, 0), (VEC3, 1), (VEC3, 3)],
+)
 def test_vec_maps_from_basis_images_match_pointwise_construction(cat, dim):
     X = cat.obj(dim)
+    assert cat.subobjects_fg(X) == vec_subspaces_by_combinations(cat, X)
     for m in cat.subobjects_fg(X):
         assert cat.projection_onto(m) == vec_projection_pointwise(cat, m)
         zero = cat.from_matrix(m.dom, X, [cat.zero(dim)] * cat.dim(m.dom))
@@ -403,6 +412,17 @@ def test_vec_maps_from_basis_images_match_pointwise_construction(cat, dim):
         fold = cat.compose(m, cat.projection_onto(m))
         for f in (m, fold):
             assert cat.factorize(f) == vec_factorize_pointwise(cat, f)
+
+
+@pytest.mark.parametrize("cat, n", [(VEC2, 2), (VEC2, 3), (VEC3, 2)])
+def test_vec_image_has_one_presentation(cat, n):
+    Y = cat.obj(n)
+    subs = cat.subobjects_fg(Y)
+    for k in range(4):
+        for f in cat.hom_set(cat.obj(k), Y):
+            e, m = cat.factorize(f)
+            assert m in subs
+            assert cat.compose(m, e) == f
 
 
 @pytest.mark.parametrize("cat, n, k", [(VEC2, 2, 2), (VEC3, 1, 2)])

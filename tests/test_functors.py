@@ -223,3 +223,11 @@ def test_chain_builders_have_symbolic_legs():
 def test_hom_functor_rejects_symbolic_object():
     with pytest.raises(TypeError):
         hom_functor("un", sy.CYCLE_FAMILY)
+
+
+def test_hom_functor_refuses_to_evaluate_symbolic_object():
+    F = hom_functor("un", UN.cycle(2))
+    with pytest.raises(ValueError, match=r"Symbolic\(cycle_family\)"):
+        F.on_obj(sy.CYCLE_FAMILY)
+    with pytest.raises(ValueError, match=r"Symbolic\(cycle_family\)"):
+        F.on_mor(prime_cycle_chain(2).legs[0])

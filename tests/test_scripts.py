@@ -33,22 +33,32 @@ def test_script_runs(script, line):
 
 
 # The north-star report bytes: `finbench run --suite all --json` for these
-# seeds must not change while the code is refactored or sped up.
+# seeds must not change while the code is refactored or sped up, nor with the
+# interpreter's string hash seed.
+SEED_0_DIGEST = "f962ae129b2ceae6d6575faf30e2f17f24f2e28885f055c8b4d0fe064fa678a2"
+SEED_7_DIGEST = "ef8585f726d9de07b47a4e78ce01044f9462ed29c5ba8fefe4bc750bda190df6"
+
+
 @pytest.mark.parametrize(
-    "seed, digest",
+    "seed, digest, hash_seeds",
     [
-        (0, "f962ae129b2ceae6d6575faf30e2f17f24f2e28885f055c8b4d0fe064fa678a2"),
-        (7, "ef8585f726d9de07b47a4e78ce01044f9462ed29c5ba8fefe4bc750bda190df6"),
+        pytest.param(0, SEED_0_DIGEST, [None], id=f"0-{SEED_0_DIGEST}"),
+        pytest.param(7, SEED_7_DIGEST, [None], id=f"7-{SEED_7_DIGEST}"),
+        pytest.param(0, SEED_0_DIGEST, ["0", "1"], id="0-PYTHONHASHSEED-0-1"),
     ],
 )
-def test_run_all_suites_reports_are_byte_stable(tmp_path, seed, digest):
+def test_run_all_suites_reports_are_byte_stable(tmp_path, seed, digest, hash_seeds):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_all_suites.py"), str(tmp_path), str(seed)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert hashlib.sha256((tmp_path / "all.json").read_bytes()).hexdigest() == digest
+    for hash_seed in hash_seeds:
+        if hash_seed is not None:
+            env["PYTHONHASHSEED"] = hash_seed
+        out_dir = tmp_path / str(hash_seed)
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_all_suites.py"), str(out_dir), str(seed)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert hashlib.sha256((out_dir / "all.json").read_bytes()).hexdigest() == digest

@@ -8,6 +8,7 @@ import pytest
 from finbench.cats import FINSET
 from finbench.core import canon
 from finbench.colimits import FAIL, PASS
+from finbench.functors import path_chain
 from finbench.superfin import (
     PresentationError,
     SubfunctorError,
@@ -29,6 +30,7 @@ from finbench.superfin import (
     truncated_hom,
     truncated_identity,
 )
+from finbench.symbolic import RAY
 
 from oracles import powfin_endo_dfs
 
@@ -210,6 +212,16 @@ def test_nonempty_subsets_come_in_canonical_order():
             assert nonempty_subsets(carrier) == canon(subsets), carrier
     assert power_functor().on_obj(FINSET.obj("cab")) == FINSET.obj(
         frozenset(c) for k in (1, 2, 3) for c in itertools.combinations("abc", k))
+
+
+@pytest.mark.parametrize(
+    "F", [power_functor(), as_functor(truncated_hom(2, 1))], ids=["power", "kan"])
+def test_finite_set_functors_refuse_symbolic_objects(F):
+    leg = path_chain(2).legs[0]
+    with pytest.raises(ValueError, match=r"Symbolic\(ray\)"):
+        F.on_obj(RAY)
+    with pytest.raises(ValueError, match=r"Symbolic\(ray\)"):
+        F.on_mor(leg)
 
 
 def test_power_functor_not_superfinitary():
