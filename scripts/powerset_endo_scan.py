@@ -8,7 +8,8 @@ Usage: python scripts/powerset_endo_scan.py [max_level]
 import sys
 
 from finbench.cats import FINSET
-from finbench.superfin import power_functor, powfin_endo_probe, superfinitary_test
+from finbench.certs import FAIL, PASS
+from finbench.superfin import escaping_element, power_functor, powfin_endo_probe
 
 
 def main():
@@ -22,9 +23,11 @@ def main():
     PW = power_functor()
     for n in range(1, max_level + 1):
         probe = FINSET.obj(range(n + 1))
-        verdict = superfinitary_test(PW, n, [probe])
-        witness = verdict.witness["element"] if verdict.witness else None
-        print(f"bound n = {n}: {verdict.status}, escaping subset: {sorted(witness)}")
+        escaping = escaping_element(PW, n, [probe])
+        if escaping is None:
+            print(f"bound n = {n}: {PASS}, no escaping subset")
+        else:
+            print(f"bound n = {n}: {FAIL}, escaping subset: {sorted(escaping)}")
     return 0
 
 

@@ -17,7 +17,6 @@ from .core import (
     Obj,
     Partition,
     canon,
-    canon_pairs,
     elem_key,
     register_category,
 )
@@ -136,7 +135,7 @@ class GraphCat(Category):
 
     def obj(self, vertices, edges) -> Obj:
         vs = canon(vertices)
-        es = canon_pairs(tuple(e) for e in edges)
+        es = canon(tuple(e) for e in edges)
         vset = set(vs)
         for u, v in es:
             if u not in vset or v not in vset:
@@ -248,7 +247,7 @@ class UnCat(UnaryAlgebraCat):
             if x not in op or op[x] not in cset:
                 raise ValueError("operation not total on carrier")
         table = {x: op[x] for x in carrier}
-        # distinct first components in carrier order: already canon_pairs order
+        # distinct first components in carrier order: already canon order
         X = Obj(self.name, carrier, ("op", tuple(table.items())))
         X.__dict__["_carrier_set"] = cset
         X.__dict__["_op_tables"] = table
@@ -366,9 +365,6 @@ class FiniteGroupoid:
     def compose_names(self, g, f):
         return self._comp[(g, f)]
 
-    def mor_info(self):
-        return {m: (d, c) for m, d, c in self.mors}
-
 
 def group_groupoid(name, elements) -> FiniteGroupoid:
     """One-sorted groupoid from a permutation group (closure assumed)."""
@@ -417,7 +413,7 @@ class PresheafCat(UnaryAlgebraCat):
                 if y not in cset:
                     raise ValueError(f"operation {m} leaves the carrier")
                 pairs.append((x, y))
-            # distinct first components in carrier order: already canon_pairs order
+            # distinct first components in carrier order: already canon order
             tables[m] = dict(pairs)
             tagged.append((m, tuple(pairs)))
         self._check_laws(by_sort, tables)
@@ -498,16 +494,9 @@ def _psh_tables(X: Obj) -> dict:
     return tables
 
 
-_PSH_CACHE: dict[str, PresheafCat] = {}
-
-
 def presheaf_cat(gpd: FiniteGroupoid) -> PresheafCat:
-    cat = _PSH_CACHE.get(gpd.name)
-    if cat is None:
-        cat = PresheafCat(gpd)
-        _PSH_CACHE[gpd.name] = cat
-        register_category(cat)
-    return cat
+    """The registered presheaf category on gpd, built on first request."""
+    return register_category(PresheafCat(gpd))
 
 
 # standard acting groups
@@ -585,33 +574,38 @@ class VecCat(Category):
     def zero(self, dim):
         return (0,) * dim
 
-    def combine(self, u, cols, dim):
-        """The linear combination sum_i u[i] * cols[i] in F_q^dim."""
-        out = self.zero(dim)
-        for c, col in zip(u, cols):
-            out = self.add(out, self.scale(c, col))
-        return out
-
     def preserves_structure(self, f):
         # a map is linear iff it is the linear extension of its basis images
-        dim = self.dim(f.cod)
         cols = [f(e) for e in self.basis_vectors(self.dim(f.dom))]
-        return all(f(u) == self.combine(u, cols, dim) for u in f.dom.carrier)
+        return f.mapping == self._linear_images(f.dom, cols, self.dim(f.cod))
+
+    def _linear_images(self, X, cols, dim):
+        """The images of X.carrier, in order, under the linear map into F_q^dim
+        sending the i-th standard basis vector to cols[i].  One step per
+        vector: f(u) = f(u - u_p e_p) + u_p f(e_p) at the last nonzero
+        coordinate p of u, and u - u_p e_p comes earlier in the
+        lexicographic carrier."""
+        image = {}
+        for u in X.carrier:
+            nonzero = [i for i, a in enumerate(u) if a]
+            if not nonzero:
+                image[u] = self.zero(dim)
+                continue
+            p = nonzero[-1]
+            before = image[u[:p] + (0,) * (len(u) - p)]
+            image[u] = self.add(before, self.scale(u[p], cols[p]))
+        return tuple(image.values())
 
     def basis_vectors(self, dim):
         return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
 
     def from_matrix(self, dom: Obj, cod: Obj, cols) -> Mor:
         """Linear map sending the i-th standard basis vector to cols[i]."""
-        dim = self.dim(cod)
-        return self.mor(dom, cod, lambda u: self.combine(u, cols, dim))
+        return Mor(dom, cod, self._linear_images(dom, cols, self.dim(cod)))
 
     def hom_set(self, X, Y):
-        n, m = self.dim(X), self.dim(Y)
-        homs = []
-        for cols in itertools.product(Y.carrier, repeat=n):
-            homs.append(self.from_matrix(X, Y, cols))
-        return homs
+        return [self.from_matrix(X, Y, cols)
+                for cols in itertools.product(Y.carrier, repeat=self.dim(X))]
 
     def echelon(self, rows):
         """Gauss-Jordan elimination over F_q: the nonzero rows of the reduced

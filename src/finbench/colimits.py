@@ -4,7 +4,8 @@ probing.
 A PASS verdict over a finite probe family never proves colimit-hood in
 general, so verdicts are labelled ``PASS(probe-limited)``; a FAIL exhibits a
 concrete offending morphism or pair and is certified for the presented
-diagram data.
+diagram data.  The test returns (verdict, witness), with the obstruction of
+a FAIL written in the JSON formats of ``serialize``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import cached_property
 
 from .certs import FAIL, PASS
 from .core import category_of
+from .serialize import mor_to_json, obj_to_json
 from .symbolic import SymMor, SymbolicObject, WindowedHoms, homs_into
 
 
@@ -93,20 +95,18 @@ def chain_colimit(links, objects=None, apex=None, legs=None) -> Cocone:
     return cocone
 
 
-@dataclass
-class ColimitVerdict:
-    status: str
-    failure: dict | None = None
-    notes: tuple = ()
-
-
-def reflect_colimit_test(cocone: Cocone, probes) -> ColimitVerdict:
+def reflect_colimit_test(cocone: Cocone, probes):
     """Check the two reflection conditions over a probe family.
 
     For every probe A and every f: A -> apex, (1) f must factorize through a
     leg, and (2) any two factorizations must be merged by forward link
     composites.  Symbolic apexes enumerate homs in the default window;
     exhaustion is noted and keeps the verdict probe-limited.
+
+    Returns (verdict, witness).  The witness holds the notes; a FAIL adds the
+    reason, the probe and the obstruction in the JSON formats: the
+    unfactorizable "morphism", or the "pair" [[leg index, morphism], [leg
+    index, morphism]] of factorizations that the links do not merge.
     """
     notes = []
     cat = category_of(cocone.last)
@@ -124,27 +124,14 @@ def reflect_colimit_test(cocone: Cocone, probes) -> ColimitVerdict:
             for i, leg in enumerate(cocone.legs):
                 factored.extend((i, q) for q in cat.lifts(f, leg))
             if not factored:
-                return ColimitVerdict(
-                    FAIL,
-                    failure={
-                        "reason": "unfactorizable morphism",
-                        "probe": A,
-                        "morphism": f,
-                    },
-                    notes=tuple(notes),
-                )
+                return FAIL, {"notes": notes, "reason": "unfactorizable morphism",
+                              "probe": obj_to_json(A), "morphism": mor_to_json(f)}
             merged = _merged(cocone, factored)
             if merged is not None:
-                return ColimitVerdict(
-                    FAIL,
-                    failure={
-                        "reason": "factorizations not merged by links",
-                        "probe": A,
-                        "pair": merged,
-                    },
-                    notes=tuple(notes),
-                )
-    return ColimitVerdict(PASS, notes=tuple(notes))
+                return FAIL, {"notes": notes, "reason": "factorizations not merged by links",
+                              "probe": obj_to_json(A),
+                              "pair": [[i, mor_to_json(q)] for i, q in merged]}
+    return PASS, {"notes": notes}
 
 
 def _merged(cocone, factored):

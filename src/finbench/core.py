@@ -54,10 +54,6 @@ def canon(elems):
     return tuple(sorted(set(elems), key=elem_key))
 
 
-def canon_pairs(pairs):
-    return tuple(sorted(set(pairs), key=elem_key))
-
-
 @dataclass(frozen=True)
 class Obj:
     """A finite object: its category's name, a canonical carrier tuple and a

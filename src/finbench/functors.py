@@ -221,7 +221,8 @@ def finitarity_certificate(
     by one; a symbolic F-value downgrades the check to a probe-limited
     reflection test.  Returns (verdict, witness): the witness holds both
     sides' sizes at the prefix (rhs_size -1 for a symbolic value), the
-    persistence data of the longer prefix when it was needed, and notes.
+    persistence data of the longer prefix when it was needed, and notes; a
+    symbolic value adds the reflection test's obstruction on FAIL.
     """
     F_apex = F.on_obj(cocone_k.apex)
     lhs = F.on_obj(cocone_k.last)
@@ -235,9 +236,10 @@ def finitarity_certificate(
             F_apex,
             tuple(F.on_mor(leg) for leg in cocone_k.legs),
         )
-        verdict = reflect_colimit_test(image, list(image.objects))
-        witness["notes"] = [*verdict.notes, "symbolic functor value: reflection probe only"]
-        return verdict.status, witness
+        verdict, reflection = reflect_colimit_test(image, list(image.objects))
+        reflection["notes"].append("symbolic functor value: reflection probe only")
+        witness.update(reflection)
+        return verdict, witness
 
     witness["rhs_size"] = F_apex.size
     if category_of(lhs).is_iso(F.on_mor(cocone_k.legs[-1])):
@@ -315,13 +317,9 @@ def r_finitarity_un(k: int = 3):
 @recipe("reflect-prime-chain", "colimit-test", limits={"k": (1, 20)})
 def r_reflect_prime_chain(k: int = 3):
     probes = [UN.cycle(p) for p in primes_upto(100)[:k]]
-    verdict = reflect_colimit_test(prime_cycle_chain(k), probes)
-    return verdict.status, {
-        "chain": "prime-cycles",
-        "prefix_k": k,
-        "probes": [p.size for p in probes],
-        "notes": list(verdict.notes),
-    }
+    verdict, witness = reflect_colimit_test(prime_cycle_chain(k), probes)
+    return verdict, {"chain": "prime-cycles", "prefix_k": k,
+                     "probes": [p.size for p in probes], **witness}
 
 
 @recipe("finitarity-graph", "finitarity", limits={"k": (1, 256)})

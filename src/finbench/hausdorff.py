@@ -213,23 +213,16 @@ def subset_map(f: NonexpandingMap) -> NonexpandingMap:
     )
 
 
-@dataclass
-class SubsetBoundednessWitness:
-    members: tuple  # the chosen subsets of X (points of the subspace of H X)
-    union: tuple  # carrier of the recovering subspace M of X
-    verified: bool
-
-
-def boundedness_witness(space: FinMetricSpace, members) -> SubsetBoundednessWitness:
-    """Recover a point set M of X so that every member subset is a direct
-    image of a subset of M; at finite scale M is the union of the members."""
+def boundedness_witness(space: FinMetricSpace, members) -> tuple:
+    """Recover a point set M of X, in point order, so that every member
+    subset is a direct image of a subset of M; at finite scale M is the union
+    of the members."""
     members = tuple(frozenset(m) for m in members)
     union = sorted(set().union(*members) if members else set(), key=space.index.__getitem__)
     mset = set(union)
-    verified = all(set(m) <= mset for m in members)
-    if not verified:
+    if not all(m <= mset for m in members):
         raise AssertionError("union failed to cover a member subset")
-    return SubsetBoundednessWitness(members, tuple(union), verified)
+    return tuple(union)
 
 
 def random_metric_space(rng, size: int) -> FinMetricSpace:
@@ -318,6 +311,5 @@ def r_hausdorff_bounded(seed: int = 0, samples: int = 20):
             frozenset(rng.sample(X.points, rng.randint(1, X.size)))
             for _ in range(rng.randint(1, 3))
         ]
-        if not boundedness_witness(X, members).verified:
-            return FAIL, {"violated": "union-recovery"}
+        boundedness_witness(X, members)  # raises unless the union covers them
     return PASS_WITNESSED, {"samples": samples}

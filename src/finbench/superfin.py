@@ -8,8 +8,8 @@ closure of (k, q, f o g) ~ (k2, action(g)(q), f) for g: k -> k2.
 
 A functor with such a presentation is super-finitary: the level-n values
 cover every evaluation through the canonical surjection (q, f) -> [n, q, f].
-The finite power functor has no such bound, which `superfinitary_test`
-certifies with explicit escaping elements.
+The finite power functor has no such bound, which `escaping_element`
+certifies with an explicit element that no level-n image reaches.
 """
 
 from __future__ import annotations
@@ -189,15 +189,10 @@ def as_functor(pres: SuperFinPresentation) -> FunctorHandle:
     return FunctorHandle("kan-extension", "finset", "finset", on_obj, on_mor)
 
 
-@dataclass
-class EpsilonResult:
-    pairs: tuple  # ((q, f), class rep) for q in values[n], f: n -> X
-    surjective: bool
-
-
-def canonical_epsilon(ev: KanEval) -> EpsilonResult:
+def canonical_epsilon(ev: KanEval) -> tuple:
     """The canonical map values[n] x X^n -> ev, for the evaluation ev of a
-    presentation at X; verified surjective.
+    presentation at X, as the pairs ((q, f), class rep); raises
+    PresentationError unless it is surjective.
 
     Empty X with positive level bound has no tuples to map; presentations
     whose genuine bound is 0 handle it, anything else is rejected.
@@ -212,10 +207,9 @@ def canonical_epsilon(ev: KanEval) -> EpsilonResult:
             rep = ev.class_of(pres.n, q, f)
             pairs.append(((q, f), rep))
             hit.add(rep)
-    surjective = hit == set(ev.reps)
-    if not surjective:
+    if hit != set(ev.reps):
         raise PresentationError("canonical surjection misses classes")
-    return EpsilonResult(tuple(pairs), surjective)
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,49 +281,14 @@ def subfunctor_pullback(pres: SuperFinPresentation, preds) -> SuperFinPresentati
     return presentation(pres.n, values, lambda g, k, k2, q: _apply(pres, k, k2, g, q))
 
 
-def quotient(pres: SuperFinPresentation, seed_pairs) -> SuperFinPresentation:
-    """Quotient by the congruence generated by level-tagged pairs.
-
-    ``seed_pairs``: iterable of (level, value, value); closure propagates
-    through every action map.  Class representatives become the new values,
-    so quotient values are elements of the original carriers.
-    """
-    keys = [(k, q) for k in range(pres.n + 1) for q in pres.values[k]]
-    seeds = [((k, a), (k, b)) for k, a, b in seed_pairs]
-    known = set(keys)
-    for x, y in seeds:
-        if x not in known or y not in known:
-            raise PresentationError(f"seed pair {x} ~ {y} is not two values of one level")
-
-    def successors(x, y):
-        k = x[0]
-        return [
-            ((k2, _apply(pres, k, k2, g, x[1])), (k2, _apply(pres, k, k2, g, y[1])))
-            for k2 in range(pres.n + 1)
-            for g in small_maps(k, k2)
-        ]
-
-    rep = Partition(keys).close(seeds, successors).reps()
-    values = [
-        canon({rep[(k, q)][1] for q in pres.values[k]}) for k in range(pres.n + 1)
-    ]
-    return presentation(
-        pres.n, values, lambda g, k, k2, q: rep[(k2, _apply(pres, k, k2, g, q))][1]
-    )
-
-
 # ---------------------------------------------------------------------------
 # super-finitarity tests on black-box functors
 
 
-@dataclass
-class SuperFinVerdict:
-    status: str  # PASS or FAIL
-    witness: dict | None = None
-
-
-def superfinitary_test(F: FunctorHandle, n: int, probes) -> SuperFinVerdict:
-    """Check FX = union of Ff[Fn] over f: n -> X on every probe."""
+def escaping_element(F: FunctorHandle, n: int, probes):
+    """The first element of some F(X), X a probe, that no F(f) for f: n -> X
+    reaches, or None when FX is the union of the images Ff[Fn] on every
+    probe."""
     Nobj = FINSET.obj(range(n))
     for X in probes:
         FX = F.on_obj(X)
@@ -339,11 +298,8 @@ def superfinitary_test(F: FunctorHandle, n: int, probes) -> SuperFinVerdict:
             covered.update(F.on_mor(mor).mapping)
         missing = [x for x in FX.carrier if x not in covered]
         if missing:
-            return SuperFinVerdict(
-                FAIL,
-                witness={"probe": X, "element": missing[0], "level": n},
-            )
-    return SuperFinVerdict(PASS)
+            return missing[0]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +340,9 @@ def powfin_endo_probe(m: int):
     to every function between cardinals <= m.
 
     Naturality along injections k-1 into k forces alpha_k on proper subsets,
-    leaving only the full set free; the final filter re-checks every square,
-    so the search stays exhaustive.
+    leaving only the full set free; each level's trial is kept only if every
+    square between cardinals up to k commutes, so the last level's check
+    covers every square and the search stays exhaustive.
     """
     if m > 4:
         raise ValueError("endomorphism probe supported for m <= 4")
@@ -404,19 +361,13 @@ def powfin_endo_probe(m: int):
                 if _squares_ok(trial, k, carriers, direct_image):
                     new.append(trial)
         families = new
-    # full verification pass over all squares
-    out = []
-    for fam in families:
-        if all(
-            _squares_ok(fam, k, carriers, direct_image) for k in range(m + 1)
-        ):
-            out.append({k: dict(zip(carriers[k], fam[k])) for k in range(m + 1)})
-    return out
+    return [{k: dict(zip(carriers[k], fam[k])) for k in range(m + 1)} for fam in families]
 
 
 def _level_candidates(fam, k, carriers, direct_image):
     """Candidate tuples for alpha_k: forced on proper subsets via an
-    injection from k-1, free on the full set."""
+    injection from k-1, free on the full set.  A forced value is the direct
+    image of a nonempty subset, so it lies in the carrier."""
     carrier = carriers[k]
     if k == 0:
         yield ()
@@ -432,28 +383,14 @@ def _level_candidates(fam, k, carriers, direct_image):
         if direct_image(inj, pre) != s:
             raise AssertionError("injection construction broken")
         forced[s] = direct_image(inj, prev[pre])
-    carrier_set = set(carrier)
     for choice in carrier:
-        images = []
-        good = True
-        for s in carrier:
-            img = choice if s == full else forced[s]
-            if img not in carrier_set:
-                good = False
-                break
-            images.append(img)
-        if good:
-            yield tuple(images)
+        yield tuple(choice if s == full else forced[s] for s in carrier)
 
 
 def _squares_ok(fam, upto, carriers, direct_image):
-    """Check alpha natural for every g: i -> j with i, j <= upto defined."""
+    """Check alpha natural for every g: i -> j with i, j <= upto."""
     for i in range(upto + 1):
-        if i not in fam:
-            return False
         for j in range(upto + 1):
-            if j not in fam:
-                continue
             ai = dict(zip(carriers[i], fam[i]))
             aj = dict(zip(carriers[j], fam[j]))
             for g in small_maps(i, j):
@@ -525,10 +462,10 @@ def r_superfin_powerset(n_max: int = 4):
     witnesses = {}
     for n in range(1, n_max + 1):
         probe = FINSET.obj(range(n + 1))
-        verdict = superfinitary_test(PW, n, [probe])
-        if verdict.status != FAIL:
+        escaping = escaping_element(PW, n, [probe])
+        if escaping is None:
             return PASS, {"unexpected_pass_at": n}
-        witnesses[str(n)] = sorted(verdict.witness["element"])
+        witnesses[str(n)] = sorted(escaping)
     return FAIL, {
         "witnesses": witnesses,
         "statement": "the full subset of an (n+1)-set escapes every image "

@@ -16,7 +16,7 @@ import itertools
 import math
 
 from finbench.cats import UN, FiniteGroupoid
-from finbench.core import Mor, canon, canon_pairs, category_of, elem_key
+from finbench.core import Mor, canon, category_of, elem_key
 from finbench.perms import (
     all_perms,
     compose_perm,
@@ -292,19 +292,19 @@ def powfin_endo_dfs(m):
 
 def presheaf_structure_by_canon(cat, carriers, ops):
     """A presheaf's structure as first built: each operation's pairs through
-    canon_pairs, then the tagged operations sorted by elem_key over
+    canon, then the tagged operations sorted by elem_key over
     (name, pairs)."""
     carrier = canon((s, v) for s, vs in carriers.items() for v in vs)
     tagged = []
     for m, d, c in cat.gpd.mors:
         pairs = [((d, v), (c, ops[m][v])) for s, v in carrier if s == d]
-        tagged.append((m, canon_pairs(pairs)))
+        tagged.append((m, canon(pairs)))
     return ("ops", tuple(sorted(tagged, key=elem_key)))
 
 
 def unary_structure_by_canon(elems, op):
-    """A unary algebra's structure as first built, through canon_pairs."""
-    return ("op", canon_pairs((x, op[x]) for x in canon(elems)))
+    """A unary algebra's structure as first built, through canon."""
+    return ("op", canon((x, op[x]) for x in canon(elems)))
 
 
 def equivalence_from_subgroup_by_index(S, n):

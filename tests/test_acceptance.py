@@ -65,12 +65,12 @@ from finbench.strictness import regularity_check, _random_gset_surjection
 from finbench.superfin import (
     as_functor,
     coproduct as pres_coproduct,
+    escaping_element,
     evaluate,
     power_functor,
     powfin_endo_probe,
     product as pres_product,
     subfunctor_pullback,
-    superfinitary_test,
     truncated_hom,
     truncated_identity,
 )
@@ -128,7 +128,7 @@ def test_criterion_02_graph_counterexample():
     assert witness["lhs_size"] == 5 and witness["rhs_size"] == 1
     assert witness["persistence"]["still_failing"]
     ray_cert = no_finitary_endo_certificate(sy.RAY, window=32, path_bound=8)
-    counts = ray_cert.checked["path_hom_counts"]
+    counts = {k: n for k, n in ray_cert["checked"]["path_hom_counts"]}
     assert set(counts) == set(range(1, 9))
     # the certificate constructor re-verifies every hom advances by one;
     # cross-check the counts: one hom per admissible start position
@@ -218,8 +218,7 @@ def test_criterion_07_nominal():
     endos = all_equivariant_maps(X, X, pool=10)
     assert endos, "enumeration found no endomorphisms"
     for f in endos:
-        report = support_rigidity_check(f)
-        assert report.preserved and report.checked == len(X.elements(10))
+        assert support_rigidity_check(f) == ()
         for e in X.elements(10):
             assert support(f.apply(e)) == support(e)
     verdict, witness = p_chain_certificate(3)
@@ -248,9 +247,7 @@ def test_criterion_08_superfin():
         assert evaluate(sub, range(size)).size == size
     PW = power_functor()
     for n in range(1, 5):
-        verdict = superfinitary_test(PW, n, [FINSET.obj(range(n + 1))])
-        assert verdict.status == FAIL
-        assert verdict.witness["element"] == frozenset(range(n + 1))
+        assert escaping_element(PW, n, [FINSET.obj(range(n + 1))]) == frozenset(range(n + 1))
     fams = powfin_endo_probe(3)
     assert len(fams) == 1
     assert all(k == v for level in fams[0].values() for k, v in level.items())
@@ -288,7 +285,8 @@ def test_criterion_09_hausdorff():
             frozenset(rng.sample(X.points, rng.randint(1, X.size)))
             for _ in range(rng.randint(1, 3))
         ]
-        assert boundedness_witness(X, members).verified
+        union = set(boundedness_witness(X, members))
+        assert all(m <= union for m in members)
 
 
 @criterion(10, "regularity: the coequalizer of the kernel pair reproduces "

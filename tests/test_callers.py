@@ -57,14 +57,24 @@ def _docstrings(tree):
     return out
 
 
+def _params(node):
+    args = node.args
+    return {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                            args.vararg, args.kwarg) if a is not None}
+
+
 def _names(tree):
     """How often each identifier, attribute, imported name and dotted-string
-    component occurs in tree."""
+    component occurs in tree.  A name that refers to a parameter of an
+    enclosing function or lambda is a local value, not a use of the
+    module-level definition it may shadow."""
     docs = _docstrings(tree)
     out = Counter()
-    for node in ast.walk(tree):
+
+    def visit(node, params):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            if node.id not in params:
+                out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
         elif isinstance(node, ast.alias):
@@ -72,6 +82,17 @@ def _names(tree):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and id(node) not in docs:
             out.update(part for part in node.value.split(".") if part.isidentifier())
+        # decorators, defaults and annotations are evaluated outside the body
+        body = ()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+        elif isinstance(node, ast.Lambda):
+            body = [node.body]
+        inner = params | _params(node) if body else params
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner if any(child is b for b in body) else params)
+
+    visit(tree, frozenset())
     return out
 
 

@@ -425,16 +425,23 @@ def test_vec_image_has_one_presentation(cat, n):
             assert cat.compose(m, e) == f
 
 
-@pytest.mark.parametrize("cat, n, k", [(VEC2, 2, 2), (VEC3, 1, 2)])
+@pytest.mark.parametrize("cat, n, k", [(VEC2, 2, 2), (VEC3, 1, 2), (VEC2, 2, 1)])
 def test_vec_linearity_check_agrees_with_definition(cat, n, k):
+    # every function F_q^n -> F_q^k: the check accepts exactly the linear
+    # ones, and from_matrix rebuilds each of those from its basis images
     X, Y = cat.obj(n), cat.obj(k)
+    linear = 0
     for images in itertools.product(Y.carrier, repeat=X.size):
         try:
-            Mor(X, Y, images)
+            f = Mor(X, Y, images)
             accepted = True
         except ValueError:
             accepted = False
         assert accepted == linear_by_definition(cat, X, Y, images)
+        if accepted:
+            linear += 1
+            assert cat.from_matrix(X, Y, [f(e) for e in cat.basis_vectors(n)]) == f
+    assert linear == cat.q ** (n * k)
 
 
 def test_vec_rejects_nonlinear_maps():

@@ -189,6 +189,24 @@ def test_identity_functor_passes_prime_chain():
     assert verdict == PASS
 
 
+def test_symbolic_value_fail_carries_the_reflection_obstruction():
+    # the identity keeps the ray symbolic, and a hom of the 1-edge path into
+    # the ray at vertices 2, 3 escapes the 2-stage prefix, so the reflection
+    # test fails on that prefix (this branch does not check that the
+    # obstruction persists at the longer prefix, as the finite branch does)
+    from finbench.serialize import mor_from_json
+
+    verdict, witness = finitarity_certificate(
+        identity_functor("gra"), path_chain(2), path_chain(3), "paths"
+    )
+    assert verdict == FAIL
+    assert witness["rhs_size"] == -1
+    assert witness["notes"][-1] == "symbolic functor value: reflection probe only"
+    assert witness["reason"] == "unfactorizable morphism"
+    f = mor_from_json(witness["morphism"])
+    assert f.dom == GRA.path(1) and f.cod == sy.RAY and f.mapping == (2, 3)
+
+
 def test_un_cx_fails_prime_chain():
     verdict, witness = finitarity_certificate(
         un_counterexample(), prime_cycle_chain(3), prime_cycle_chain(4),

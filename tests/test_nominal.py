@@ -362,25 +362,23 @@ def test_hom_exists_Pn_family():
 
 
 def test_nom_cx_on_p1():
-    r = nom_counterexample(NominalSetSpec((pn_orbit(1),)))
-    assert r.added_unit and r.witness_n == 2
-    assert r.value.orbit_count == 2
+    value, n = nom_counterexample(NominalSetSpec((pn_orbit(1),)))
+    assert n == 2
+    assert value.orbit_count == 2
 
 
 def test_nom_cx_on_terminal():
-    r = nom_counterexample(ONE)
-    assert not r.added_unit and r.value == ONE
+    assert nom_counterexample(ONE) == (ONE, None)
 
 
 def test_nom_cx_on_prefix():
-    r = nom_counterexample(p_prefix(3))
-    assert r.added_unit and r.witness_n == 4
-    assert r.value.orbit_count == 4
+    value, n = nom_counterexample(p_prefix(3))
+    assert n == 4
+    assert value.orbit_count == 4
 
 
 def test_nom_cx_on_family():
-    r = nom_counterexample(P_SUBSET_FAMILY)
-    assert r.value == ONE
+    assert nom_counterexample(P_SUBSET_FAMILY) == (ONE, None)
 
 
 def test_nom_cx_morphism_action():
@@ -406,9 +404,7 @@ def test_only_endo_of_prefix_is_identity():
 def test_rigidity_report():
     X = p_prefix(3)
     for f in all_equivariant_maps(X, X, pool=10):
-        report = support_rigidity_check(f)
-        assert report.preserved
-        assert report.checked == len(X.elements(10))
+        assert support_rigidity_check(f) == ()
 
 
 def test_p_chain_certificate():

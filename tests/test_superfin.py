@@ -7,7 +7,6 @@ import pytest
 
 from finbench.cats import FINSET
 from finbench.core import canon
-from finbench.colimits import FAIL, PASS
 from finbench.functors import path_chain
 from finbench.superfin import (
     PresentationError,
@@ -16,6 +15,7 @@ from finbench.superfin import (
     canonical_epsilon,
     constant_presentation,
     coproduct,
+    escaping_element,
     evaluate,
     induced_map,
     nonempty_subsets,
@@ -23,10 +23,8 @@ from finbench.superfin import (
     powfin_endo_probe,
     presentation,
     product,
-    quotient,
     small_maps,
     subfunctor_pullback,
-    superfinitary_test,
     truncated_hom,
     truncated_identity,
 )
@@ -87,25 +85,22 @@ def test_presentation_law_check_rejects_bad_action():
 
 def test_epsilon_truncated_identity():
     P = truncated_identity(1)
-    eps = canonical_epsilon(evaluate(P, range(2)))
-    assert eps.surjective
-    assert len({rep for _, rep in eps.pairs}) == 2
+    pairs = canonical_epsilon(evaluate(P, range(2)))
+    assert len({rep for _, rep in pairs}) == 2
 
 
 def test_epsilon_constant_is_projection():
     P = constant_presentation(1, ["a", "b"])
-    eps = canonical_epsilon(evaluate(P, range(3)))
     classes = {}
-    for (q, f), rep in eps.pairs:
+    for (q, f), rep in canonical_epsilon(evaluate(P, range(3))):
         classes.setdefault(q, set()).add(rep)
     assert all(len(v) == 1 for v in classes.values())
 
 
 def test_epsilon_truncated_hom():
     P = truncated_hom(2, 2)
-    eps = canonical_epsilon(evaluate(P, range(2)))
-    assert eps.surjective
-    assert len({rep for _, rep in eps.pairs}) == 4
+    pairs = canonical_epsilon(evaluate(P, range(2)))
+    assert len({rep for _, rep in pairs}) == 4
 
 
 def test_epsilon_naturality_on_probes():
@@ -165,29 +160,6 @@ def test_subfunctor_injective_predicate_rejected():
         subfunctor_pullback(P, {2: [q for q in P.values[2] if q[0] != q[1]]})
 
 
-def test_quotient_remains_superfinitary():
-    # identify each map with its swap: unordered pairs with repetition
-    P = truncated_hom(2, 2)
-    pairs = []
-    for k in range(P.n + 1):
-        for q in P.values[k]:
-            pairs.append((k, q, (q[1], q[0])))
-    Q = quotient(P, pairs)
-    sizes = [evaluate(Q, range(k)).size for k in range(4)]
-    assert sizes == [0, 1, 3, 6]  # multisets of size two
-    verdict = superfinitary_test(
-        as_functor(Q), 2, [FINSET.obj(range(k)) for k in range(1, 4)]
-    )
-    assert verdict.status == PASS
-
-
-def test_quotient_rejects_cross_level_seed():
-    P = truncated_hom(2, 2)
-    # (0, 1) is a level-2 value; level 1 has only the constant map (0, 0)
-    with pytest.raises(PresentationError):
-        quotient(P, [(1, (0, 0), (0, 1))])
-
-
 # ---------------------------------------------------------------------------
 # super-finitarity tests
 
@@ -195,10 +167,7 @@ def test_quotient_rejects_cross_level_seed():
 def test_identity_functor_superfinitary():
     from finbench.functors import identity_functor
 
-    verdict = superfinitary_test(
-        identity_functor("finset"), 1, [FINSET.obj(range(2))]
-    )
-    assert verdict.status == PASS
+    assert escaping_element(identity_functor("finset"), 1, [FINSET.obj(range(2))]) is None
 
 
 def test_nonempty_subsets_come_in_canonical_order():
@@ -226,15 +195,13 @@ def test_finite_set_functors_refuse_symbolic_objects(F):
 
 def test_power_functor_not_superfinitary():
     PW = power_functor()
-    verdict = superfinitary_test(PW, 2, [FINSET.obj(range(3))])
-    assert verdict.status == FAIL
-    assert verdict.witness["element"] == frozenset({0, 1, 2})
+    assert escaping_element(PW, 2, [FINSET.obj(range(3))]) == frozenset({0, 1, 2})
 
 
 def test_truncated_hom_passes_probes():
     F = as_functor(truncated_hom(2, 2))
     probes = [FINSET.obj(range(k)) for k in range(1, 5)]
-    assert superfinitary_test(F, 2, probes).status == PASS
+    assert escaping_element(F, 2, probes) is None
 
 
 # ---------------------------------------------------------------------------
