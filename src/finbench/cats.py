@@ -31,17 +31,27 @@ class UnaryAlgebraCat(Category):
     """Categories of (many-sorted) unary algebras: finite sets, Un and
     presheaves on a finite groupoid.  Coproducts, kernel pairs, images,
     quotients and subalgebras are carrier constructions with the operations
-    restricted, written once here through op_successors/op_apply and three
-    hooks: _build, _tag and _pair."""
+    restricted, written once here through op_successors/op_apply and four
+    hooks: _build, _tag, _coproduct_order and _pair.
 
-    def _build(self, elems, op_of) -> Obj:
-        """The object on canon(elems) whose operation op_id sends x to
-        op_of(op_id, x)."""
+    Each construction lists its carrier in elem_key order as it builds it,
+    so nothing is re-sorted: a subalgebra, an image or a quotient keeps the
+    parent's order, and coproducts and kernel pairs come out summand by
+    summand and pair by pair, which is the elem_key order of the tags."""
+
+    def _build(self, carrier, op_of) -> Obj:
+        """The object on the carrier tuple, already in elem_key order, whose
+        operation op_id sends x to op_of(op_id, x); validated as obj does."""
         raise NotImplementedError
 
     def _tag(self, i, x):
         """Element x of the i-th summand of a coproduct."""
         return (i, x)
+
+    def _coproduct_order(self, objs):
+        """The pairs (i, x), x in the i-th summand, in elem_key order of
+        their tags: summand by summand."""
+        return [(i, x) for i, X in enumerate(objs) for x in X.carrier]
 
     def _pair(self, x, y):
         """Element of a kernel pair for x and y with equal images."""
@@ -50,19 +60,23 @@ class UnaryAlgebraCat(Category):
     def subalgebra(self, X, elems) -> Obj:
         """The subalgebra of X on elems, a subset closed under every
         operation."""
-        return self._build(elems, lambda op_id, x: self.op_apply(X, op_id, x))
+        keep = set(elems)
+        carrier = tuple(x for x in X.carrier if x in keep)
+        if len(carrier) != len(keep):
+            raise ValueError("subalgebra elements outside the carrier")
+        return self._build(carrier, lambda op_id, x: self.op_apply(X, op_id, x))
 
     def image_obj(self, f):
-        return self.subalgebra(f.cod, set(f.mapping))
+        return self.subalgebra(f.cod, f.mapping)
 
     def coproduct(self, objs):
-        home = {self._tag(i, x): (X, i, x) for i, X in enumerate(objs) for x in X.carrier}
+        home = {self._tag(i, x): (objs[i], i, x) for i, x in self._coproduct_order(objs)}
 
         def op_of(op_id, e):
             X, i, x = home[e]
             return self._tag(i, self.op_apply(X, op_id, x))
 
-        out = self._build(home, op_of)
+        out = self._build(tuple(home), op_of)
         injections = [
             Mor(X, out, tuple(self._tag(i, x) for x in X.carrier))
             for i, X in enumerate(objs)
@@ -70,10 +84,15 @@ class UnaryAlgebraCat(Category):
         return out, injections
 
     def quotient_obj(self, X, rep):
-        return self._build(set(rep.values()), lambda op_id, r: rep[self.op_apply(X, op_id, r)])
+        reps = set(rep.values())
+        if not X.carrier_set.issuperset(reps):
+            raise ValueError("class representatives outside the carrier")
+        return self._build(tuple(x for x in X.carrier if x in reps),
+                           lambda op_id, r: rep[self.op_apply(X, op_id, r)])
 
     def kernel_pair(self, f):
-        # homs preserve sorts, so f(x) == f(y) already puts x and y in one sort
+        # homs preserve sorts, so f(x) == f(y) already puts x and y in one
+        # sort; the nested loop lists the pairs in elem_key order
         X = f.dom
         home = {self._pair(x, y): (x, y) for x in X.carrier for y in X.carrier if f(x) == f(y)}
 
@@ -81,9 +100,9 @@ class UnaryAlgebraCat(Category):
             x, y = home[e]
             return self._pair(self.op_apply(X, op_id, x), self.op_apply(X, op_id, y))
 
-        P = self._build(home, op_of)
-        p1 = Mor(P, X, tuple(home[e][0] for e in P.carrier))
-        p2 = Mor(P, X, tuple(home[e][1] for e in P.carrier))
+        P = self._build(tuple(home), op_of)
+        p1 = Mor(P, X, tuple(x for x, _ in home.values()))
+        p2 = Mor(P, X, tuple(y for _, y in home.values()))
         return p1, p2
 
     def subobjects_fg(self, X, bound=None):
@@ -119,8 +138,8 @@ class FinSetCat(UnaryAlgebraCat):
     def obj(self, elems) -> Obj:
         return Obj(self.name, canon(elems))
 
-    def _build(self, elems, op_of):
-        return self.obj(elems)
+    def _build(self, carrier, op_of):
+        return Obj(self.name, carrier)
 
 
 FINSET = register_category(FinSetCat())
@@ -239,14 +258,22 @@ class UnCat(UnaryAlgebraCat):
     name = "un"
 
     def obj(self, elems, op) -> Obj:
-        carrier = canon(elems)
-        if callable(op):
-            op = {x: op(x) for x in carrier}
+        """The algebra on elems whose operation is the callable or dict op."""
+        return self._algebra(canon(elems), op if callable(op) else op.get)
+
+    def _build(self, carrier, op_of):
+        return self._algebra(carrier, lambda x: op_of("op", x))
+
+    def _algebra(self, carrier, op):
+        """The algebra on a carrier in elem_key order, checking that op (None
+        where undefined) is total on it and stays in it."""
         cset = frozenset(carrier)
+        table = {}
         for x in carrier:
-            if x not in op or op[x] not in cset:
+            y = op(x)
+            if y not in cset:
                 raise ValueError("operation not total on carrier")
-        table = {x: op[x] for x in carrier}
+            table[x] = y
         # distinct first components in carrier order: already canon order
         X = Obj(self.name, carrier, ("op", tuple(table.items())))
         X.__dict__["_carrier_set"] = cset
@@ -281,9 +308,6 @@ class UnCat(UnaryAlgebraCat):
 
     def iso_invariant(self, X):
         return (X.size, tuple(sorted({self.tail_period(X, x)[1] for x in X.carrier})))
-
-    def _build(self, elems, op_of):
-        return self.obj(elems, lambda x: op_of("op", x))
 
     def initial(self):
         return self.obj((), {})
@@ -382,6 +406,10 @@ class PresheafCat(UnaryAlgebraCat):
         self.gpd = gpd
         self.name = f"psh({gpd.name})"
         self._ids = dict(gpd.ids)
+        # operation names in elem_key order, the order of the structure tuple
+        self._names = sorted((m for m, _, _ in gpd.mors), key=elem_key)
+        self._sorts = sorted(gpd.sorts, key=elem_key)
+        self._cod = {m: c for m, _, c in gpd.mors}
         # names of the operations defined on each sort, in gpd.mors order
         self._out = {}
         for m, d, _ in gpd.mors:
@@ -396,29 +424,38 @@ class PresheafCat(UnaryAlgebraCat):
 
     def obj(self, carriers: dict, ops: dict) -> Obj:
         """carriers: sort -> values; ops: mor_name -> {value: value}."""
-        carrier = canon((s, v) for s, vs in carriers.items() for v in vs)
+        def image(m, x):
+            given = ops.get(m, {})
+            return (self._cod[m], given[x[1]]) if x[1] in given else None
+
+        return self._presheaf(canon((s, v) for s, vs in carriers.items() for v in vs), image)
+
+    def _build(self, carrier, op_of):
+        return self._presheaf(carrier, op_of)
+
+    def _presheaf(self, carrier, image):
+        """The presheaf on a carrier in elem_key order whose operation m
+        sends x to image(m, x), None where undefined; checks totality, that
+        each image lies in the carrier at m's codomain sort, and the
+        groupoid laws."""
         cset = frozenset(carrier)
         by_sort = {}
         for x in carrier:
             by_sort.setdefault(x[0], []).append(x)
-        tables, tagged = {}, []
+        tables = {}
         for m, d, c in self.gpd.mors:
-            given = ops.get(m, {})
-            pairs = []
+            table = tables[m] = {}
             for x in by_sort.get(d, ()):
-                v = x[1]
-                if v not in given:
+                y = image(m, x)
+                if y is None:
                     raise ValueError(f"operation {m} not total")
-                y = (c, given[v])
-                if y not in cset:
+                if y not in cset or y[0] != c:
                     raise ValueError(f"operation {m} leaves the carrier")
-                pairs.append((x, y))
-            # distinct first components in carrier order: already canon order
-            tables[m] = dict(pairs)
-            tagged.append((m, tuple(pairs)))
+                table[x] = y
         self._check_laws(by_sort, tables)
-        tagged.sort(key=lambda t: elem_key(t[0]))
-        X = Obj(self.name, carrier, ("ops", tuple(tagged)))
+        # distinct first components in carrier order: already canon order
+        tagged = tuple((m, tuple(tables[m].items())) for m in self._names)
+        X = Obj(self.name, carrier, ("ops", tagged))
         X.__dict__["_carrier_set"] = cset
         X.__dict__["_op_tables"] = tables
         return X
@@ -463,16 +500,13 @@ class PresheafCat(UnaryAlgebraCat):
             per_sort[s] += 1
         return (X.size, tuple(sorted(per_sort.items())))
 
-    def _build(self, elems, op_of):
-        carriers, ops = {}, {m: {} for m, _, _ in self.gpd.mors}
-        for s, v in elems:
-            carriers.setdefault(s, []).append(v)
-            for m in self._out.get(s, ()):
-                ops[m][v] = op_of(m, (s, v))[1]
-        return self.obj(carriers, ops)
-
     def _tag(self, i, x):
         return (x[0], (i, x[1]))
+
+    def _coproduct_order(self, objs):
+        # tags (sort, (i, value)): sort by sort, then summand, then value
+        return [(i, x) for s in self._sorts for i, X in enumerate(objs)
+                for x in X.carrier if x[0] == s]
 
     def _pair(self, x, y):
         return (x[0], (x[1], y[1]))

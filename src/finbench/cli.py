@@ -9,6 +9,8 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 
 from .certs import CertificateError, canonical_dumps, load_certificate, replay
@@ -31,11 +33,32 @@ def build_parser():
     runp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
     runp.add_argument("--bound", type=int, default=8, help="search bound recorded in reports")
     runp.add_argument("--json", dest="json_path", default=None, help="write the report here")
+    runp.add_argument("--metrics", dest="metrics_path", default=None,
+                      help="write each check's wall time, the Python version and nproc "
+                      "here as JSON; the report does not change")
     runp.add_argument("--verbose", action="store_true")
 
     rep = sub.add_parser("replay", help="recompute a certificate and compare")
     rep.add_argument("certificate", help="path to a certificate JSON file")
     return parser
+
+
+def write_metrics(path, suite, seed, timings):
+    """The sidecar of a run: per-check wall times and the machine they were
+    measured on.  Times vary from run to run, so they stay out of the
+    deterministic report."""
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    metrics = {
+        "schema": "finbench-metrics/1",
+        "suite": suite,
+        "seed": seed,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "nproc": nproc,
+        "checks": timings,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(metrics, fh, indent=1)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:
@@ -50,8 +73,11 @@ def main(argv=None) -> int:
             print(f"unknown suite: {args.suite} (one of: {', '.join(sorted(SUITES))}, all)",
                   file=sys.stderr)
             return 2
-        report, ok = run_suite(args.suite, seed=args.seed, bound=args.bound)
+        timings = [] if args.metrics_path else None
+        report, ok = run_suite(args.suite, seed=args.seed, bound=args.bound, timings=timings)
         text = canonical_dumps(report)
+        if args.metrics_path:
+            write_metrics(args.metrics_path, args.suite, args.seed, timings)
         if args.json_path:
             with open(args.json_path, "w", encoding="utf-8") as fh:
                 fh.write(text)

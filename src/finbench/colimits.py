@@ -108,6 +108,17 @@ def reflect_colimit_test(cocone: Cocone, probes):
     unfactorizable "morphism", or the "pair" [[leg index, morphism], [leg
     index, morphism]] of factorizations that the links do not merge.
     """
+    notes, found = reflection_obstruction(cocone, probes)
+    if found is None:
+        return PASS, {"notes": notes}
+    A, _, obstruction = found
+    return FAIL, {"notes": notes, "probe": obj_to_json(A), **obstruction}
+
+
+def reflection_obstruction(cocone: Cocone, probes):
+    """(notes, found): found is None when every probe morphism into the apex
+    passes both reflection conditions, else (probe, f, obstruction_of(f))
+    for the first f that does not."""
     notes = []
     cat = category_of(cocone.last)
     symbolic = isinstance(cocone.apex, SymbolicObject)
@@ -120,18 +131,27 @@ def reflect_colimit_test(cocone: Cocone, probes):
         else:
             homs = cat.hom_set(A, cocone.apex)
         for f in homs:
-            factored = []
-            for i, leg in enumerate(cocone.legs):
-                factored.extend((i, q) for q in cat.lifts(f, leg))
-            if not factored:
-                return FAIL, {"notes": notes, "reason": "unfactorizable morphism",
-                              "probe": obj_to_json(A), "morphism": mor_to_json(f)}
-            merged = _merged(cocone, factored)
-            if merged is not None:
-                return FAIL, {"notes": notes, "reason": "factorizations not merged by links",
-                              "probe": obj_to_json(A),
-                              "pair": [[i, mor_to_json(q)] for i, q in merged]}
-    return PASS, {"notes": notes}
+            obstruction = obstruction_of(cocone, f)
+            if obstruction is not None:
+                return notes, (A, f, obstruction)
+    return notes, None
+
+
+def obstruction_of(cocone: Cocone, f):
+    """None when f: A -> apex factors through a leg and the links merge all
+    its factorizations; else the reason and the unfactorizable "morphism" or
+    the unmerged "pair", in the JSON formats."""
+    cat = category_of(cocone.last)
+    factored = []
+    for i, leg in enumerate(cocone.legs):
+        factored.extend((i, q) for q in cat.lifts(f, leg))
+    if not factored:
+        return {"reason": "unfactorizable morphism", "morphism": mor_to_json(f)}
+    merged = _merged(cocone, factored)
+    if merged is not None:
+        return {"reason": "factorizations not merged by links",
+                "pair": [[i, mor_to_json(q)] for i, q in merged]}
+    return None
 
 
 def _merged(cocone, factored):

@@ -6,6 +6,14 @@ that name, so generic machinery (hom search, lifts, factorization, quotients,
 subobject enumeration) dispatches through the registry.  Carriers are plain
 tuples of hashable elements; S-sorted categories tag elements with their sort.
 
+Every ``Obj`` carrier is in ``elem_key`` order.  A carrier built outside the
+library gets that order from ``canon`` in a category's public ``obj(...)``.
+The unary-algebra constructions keep it by construction (a subalgebra, image
+or quotient filters its parent's carrier, and coproducts and kernel pairs
+list their tags in order), so they never sort; graphs and vector spaces,
+off the hot paths, still build theirs through ``obj``.  Otherwise
+``elem_key`` stays at the JSON boundary and for carriers from outside.
+
 A category supplies these hooks:
 
 - structure: ``preserves_structure``, ``op_successors``/``op_apply`` (unary
@@ -20,9 +28,11 @@ A category supplies these hooks:
   ``NotImplementedError``.
 
 ``cats.UnaryAlgebraCat`` writes the constructions once for finite sets, unary
-algebras and presheaves, from ``op_successors``/``op_apply`` and three hooks
-of its own: ``_build`` (the object on a carrier with given operations),
-``_tag`` (a coproduct element) and ``_pair`` (a kernel-pair element).
+algebras and presheaves, from ``op_successors``/``op_apply`` and four hooks
+of its own: ``_build`` (the object on a carrier, already in ``elem_key``
+order, with given operations), ``_tag`` (a coproduct element),
+``_coproduct_order`` (the summands' elements in the order of their tags) and
+``_pair`` (a kernel-pair element).
 
 A :class:`FunctorHandle` is a functor between registered categories given by
 its two maps; every layer that builds or probes functors shares it from here.
@@ -50,7 +60,9 @@ def elem_key(x):
 
 
 def canon(elems):
-    """Deduplicate and sort into a canonical carrier tuple."""
+    """Deduplicate and sort into a canonical carrier tuple, in elem_key
+    order: the entry point for carriers built outside the library.
+    Constructions on objects keep that order without calling it."""
     return tuple(sorted(set(elems), key=elem_key))
 
 
@@ -178,13 +190,10 @@ class Partition:
         return list(groups.values())
 
     def reps(self) -> dict:
-        """Each element's class representative, the elem_key-least member."""
-        rep = {}
-        for members in self.classes():
-            r = min(members, key=elem_key)
-            for x in members:
-                rep[x] = r
-        return rep
+        """Each element's class representative, the first member in element
+        order: the elem_key-least one when the elements came in elem_key
+        order, as an Obj carrier does."""
+        return {x: members[0] for members in self.classes() for x in members}
 
 
 _REGISTRY: dict[str, "Category"] = {}

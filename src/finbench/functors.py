@@ -19,8 +19,14 @@ from dataclasses import dataclass
 from .certs import FAIL, PASS, PASS_WITNESSED, recipe
 from .core import FunctorHandle, Mor, Obj, category_of, finite_obj, lookup_category
 from .cats import GRA, UN
-from .colimits import Cocone, chain_colimit, reflect_colimit_test
-from .serialize import mor_to_json
+from .colimits import (
+    Cocone,
+    chain_colimit,
+    obstruction_of,
+    reflect_colimit_test,
+    reflection_obstruction,
+)
+from .serialize import mor_to_json, obj_to_json
 from .symbolic import (
     CYCLE_FAMILY,
     RAY,
@@ -218,8 +224,11 @@ def finitarity_certificate(
     The prefix colimit of a finite chain is its last object, so the
     comparison morphism is F of the last leg.  A certified FAIL requires the
     obstruction (non-invertible comparison) to persist when the prefix grows
-    by one; a symbolic F-value downgrades the check to a probe-limited
-    reflection test.  Returns (verdict, witness): the witness holds both
+    by one.  A symbolic F-value downgrades the check to a probe-limited
+    reflection test of the F-image of the prefix, with the same rule: the
+    obstruction f it finds must still be one for the F-image of the longer
+    prefix (f factors through none of its legs, or the links do not merge
+    its factorizations).  Returns (verdict, witness): the witness holds both
     sides' sizes at the prefix (rhs_size -1 for a symbolic value), the
     persistence data of the longer prefix when it was needed, and notes; a
     symbolic value adds the reflection test's obstruction on FAIL.
@@ -230,16 +239,23 @@ def finitarity_certificate(
                "lhs_size": lhs.size, "rhs_size": -1, "persistence": {}, "notes": []}
 
     if isinstance(F_apex, SymbolicObject):
-        image = Cocone(
-            tuple(F.on_obj(D) for D in cocone_k.objects),
-            tuple(F.on_mor(ln) for ln in cocone_k.links),
-            F_apex,
-            tuple(F.on_mor(leg) for leg in cocone_k.legs),
-        )
-        verdict, reflection = reflect_colimit_test(image, list(image.objects))
-        reflection["notes"].append("symbolic functor value: reflection probe only")
-        witness.update(reflection)
-        return verdict, witness
+        image = _image_cocone(F, cocone_k)
+        notes, found = reflection_obstruction(image, list(image.objects))
+        notes.append("symbolic functor value: reflection probe only")
+        witness["notes"] = notes
+        if found is None:
+            return PASS, witness
+        probe, f, obstruction = found
+        image1 = _image_cocone(F, cocone_k1)
+        still_failing = obstruction_of(image1, f) is not None
+        witness["persistence"] = {"prefix_k1": len(cocone_k1.objects),
+                                  "lhs_size_k1": image1.last.size, "rhs_size_k1": -1,
+                                  "still_failing": still_failing}
+        if not still_failing:
+            notes.append("obstruction vanished at the longer prefix")
+            return PASS, witness
+        witness.update(probe=obj_to_json(probe), **obstruction)
+        return FAIL, witness
 
     witness["rhs_size"] = F_apex.size
     if category_of(lhs).is_iso(F.on_mor(cocone_k.legs[-1])):
@@ -257,6 +273,16 @@ def finitarity_certificate(
         witness["notes"] = ["obstruction vanished at the longer prefix"]
         return PASS, witness
     return FAIL, witness
+
+
+def _image_cocone(F: FunctorHandle, cocone: Cocone) -> Cocone:
+    """F applied to a chain cocone: objects, links, apex and legs."""
+    return Cocone(
+        tuple(F.on_obj(D) for D in cocone.objects),
+        tuple(F.on_mor(ln) for ln in cocone.links),
+        F.on_obj(cocone.apex),
+        tuple(F.on_mor(leg) for leg in cocone.legs),
+    )
 
 
 # ---------------------------------------------------------------------------

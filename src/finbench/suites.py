@@ -9,6 +9,7 @@ All randomness flows from the seed recorded in the certificate parameters.
 from __future__ import annotations
 
 import inspect
+import time
 
 from .certs import FAIL, PASS, PASS_WITNESSED, RECIPES
 from . import functors, hausdorff, nominal, strictness, superfin  # noqa: F401
@@ -63,8 +64,10 @@ SEEDED_RECIPES = {name for name, fn in RECIPES.items()
                   if "seed" in inspect.signature(fn).parameters}
 
 
-def run_suite(name: str, seed: int = 0, bound: int = 8):
-    """Execute a suite and return (report dict, all_ok)."""
+def run_suite(name: str, seed: int = 0, bound: int = 8, *, timings=None):
+    """Execute a suite and return (report dict, all_ok).  With a list as
+    timings, append {"suite", "name", "recipe", "wall_s"} for each check,
+    its recipe call timed by perf_counter; the report does not change."""
     if name == "all":
         names = sorted(SUITES)
     elif name in SUITES:
@@ -78,7 +81,11 @@ def run_suite(name: str, seed: int = 0, bound: int = 8):
             params = dict(params)
             if recipe_name in SEEDED_RECIPES:
                 params.setdefault("seed", seed)
+            start = time.perf_counter()
             cert = RECIPES[recipe_name](**params)
+            if timings is not None:
+                timings.append({"suite": suite, "name": check_name, "recipe": recipe_name,
+                                "wall_s": time.perf_counter() - start})
             ok = cert.verdict == expected
             all_ok = all_ok and ok
             checks.append(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .certs import FAIL, PASS, PASS_WITNESSED, recipe
-from .core import FunctorHandle, Mor, Obj, Partition, canon, elem_key, finite_obj
+from .core import FunctorHandle, Mor, Obj, Partition, elem_key, finite_obj
 from .cats import FINSET
 
 
@@ -141,10 +141,13 @@ class KanEval:
 def evaluate(pres: SuperFinPresentation, X) -> KanEval:
     """Zig-zag classes of triples (k, q, f: k -> X)."""
     X = tuple(X)
+    # listed in elem_key order (k, then q, then f lexicographically over
+    # the sorted points), so each class's first member is its least
+    xs = sorted(X, key=elem_key)
     elems = []
     for k in range(pres.n + 1):
-        for q in pres.values[k]:
-            for f in itertools.product(X, repeat=k):
+        for q in sorted(pres.values[k], key=elem_key):
+            for f in itertools.product(xs, repeat=k):
                 elems.append((k, q, f))
     part = Partition(elems)
     for k in range(pres.n + 1):
@@ -155,7 +158,7 @@ def evaluate(pres: SuperFinPresentation, X) -> KanEval:
                     for q in pres.values[k]:
                         part.union((k, q, fg), (k2, _apply(pres, k, k2, g, q), f))
     rep_of = part.reps()
-    return KanEval(pres, X, canon(rep_of.values()), rep_of)
+    return KanEval(pres, X, tuple(dict.fromkeys(rep_of.values())), rep_of)
 
 
 def induced_map(ev_x: KanEval, ev_y: KanEval, h) -> Mor:

@@ -336,7 +336,10 @@ def two_object_iso_groupoid() -> FiniteGroupoid:
 
 # ---------------------------------------------------------------------------
 # unary-algebra constructions by definition: sets, unary algebras and
-# presheaves, each built through its category's public constructor
+# presheaves, each built through its category's public constructor.  That
+# constructor sorts the carrier with canon, so these are also the
+# canon-through-obj path that the library's constructions replace by keeping
+# the elem_key order of their inputs.
 
 
 def _is_presheaf(cat):
@@ -399,6 +402,27 @@ def kernel_pair_by_definition(cat, f):
     P = algebra_by_definition(cat, home, op)
     return (P, tuple(home[e][0] for e in P.carrier),
             tuple(home[e][1] for e in P.carrier))
+
+
+def image_by_definition(cat, f):
+    """The subalgebra of cod f on the values of f."""
+    return restrict_by_definition(cat, f.cod, set(f.mapping))
+
+
+def coequalizer_by_definition(cat, f, g):
+    """(quotient object, class representative of each element of cod f):
+    the classes of the equivalence generated by f(x) ~ g(x), merged as sets
+    pair by pair; that equivalence is already a congruence, since f and g
+    commute with every operation."""
+    classes = [{y} for y in f.cod.carrier]
+    for x in f.dom.carrier:
+        a = next(c for c in classes if f(x) in c)
+        b = next(c for c in classes if g(x) in c)
+        if a is not b:
+            a |= b
+            classes.remove(b)
+    rep = {y: min(cls, key=elem_key) for cls in classes for y in cls}
+    return quotient_by_definition(cat, f.cod, classes), rep
 
 
 def quotient_by_definition(cat, Y, classes):

@@ -32,9 +32,11 @@ from finbench import symbolic as sy
 from oracles import (
     brute_congruences,
     brute_homs,
+    coequalizer_by_definition,
     coproduct_by_definition,
     factorizations_by_fibers,
     generated_by_definition,
+    image_by_definition,
     kernel_pair_by_definition,
     linear_by_definition,
     pair_through_chain,
@@ -331,6 +333,14 @@ def test_finset_subobjects_of_pair():
 def test_un_subalgebras_of_cycle():
     monos = UN.subobjects_fg(UN.cycle(4))
     assert sorted(m.dom.size for m in monos) == [0, 4]
+
+
+def test_constructions_reject_elements_outside_the_carrier():
+    X = UN.cycle(2)
+    with pytest.raises(ValueError, match="outside the carrier"):
+        UN.subalgebra(X, [(2, 0), (2, 1), (3, 0)])
+    with pytest.raises(ValueError, match="outside the carrier"):
+        UN.quotient_obj(X, {(2, 0): (3, 0), (2, 1): (3, 0)})
 
 
 def test_graph_subobjects_not_induced():
@@ -676,6 +686,132 @@ def test_unary_algebra_constructions_against_definitions(kind, data):
     )
     q = cat.coequalizer(f, g)
     assert q.cod == quotient_by_definition(cat, Y, least)
+
+
+# ---------------------------------------------------------------------------
+# carrier order: constructions list their carriers in elem_key order without
+# sorting, and build the same objects as the canon-through-obj path
+
+# carrier labels of every kind elem_key orders: ints, strings, tuples and
+# frozensets, mixed
+_LABELS = [0, 1, 5, -2, "a", "b", "ab", (0,), (1, "a"), (0, 0, 0), frozenset(),
+           frozenset({0, 2}), frozenset({"a", 1}), (frozenset({1}), "x")]
+_GROUPS = {"z2": Z2_GPD, "z3": Z3_GPD, "s3": S3_GPD}
+
+
+def _subgroups(gpd):
+    els = [m for m, _, _ in gpd.mors]
+    return [H for r in range(1, len(els) + 1) for H in itertools.combinations(els, r)
+            if all(compose_perm(a, b) in H for a in H for b in H)]
+
+
+def _coset_gset(cat, subgroups):
+    """The G-set that is the union of the coset actions of the subgroups,
+    the i-th on values (i, coset) with each coset a frozenset."""
+    els = [m for m, _, _ in cat.gpd.mors]
+    values, ops = [], {g: {} for g in els}
+    for i, H in enumerate(subgroups):
+        for c in {frozenset(compose_perm(x, h) for h in H) for x in els}:
+            values.append((i, c))
+            for g in els:
+                ops[g][(i, c)] = (i, frozenset(compose_perm(g, x) for x in c))
+    return cat.obj({"*": values}, ops)
+
+
+@st.composite
+def _labelled_obj(draw, kind, max_size):
+    """A FINSET, UN or Z2/Z3/S3-set object on at most max_size points: a
+    G-set is a union of coset actions, and its frozenset coset values are
+    often relabelled, like set and algebra points, by mixed labels."""
+    labels = draw(st.permutations(_LABELS))
+    if kind in _GROUPS:
+        cat = gset_cat(_GROUPS[kind])
+        subgroups, size = [], 0
+        for H in draw(st.lists(st.sampled_from(_subgroups(cat.gpd)), max_size=3)):
+            if size + len(cat.gpd.mors) // len(H) <= max_size:
+                subgroups.append(H)
+                size += len(cat.gpd.mors) // len(H)
+        X = _coset_gset(cat, subgroups)
+        if not draw(st.booleans()):
+            return X
+        p = dict(zip((v for _, v in X.carrier), labels))
+        return cat.obj({"*": list(p.values())},
+                       {m: {p[x[1]]: p[cat.op(X, m, x)[1]] for x in X.carrier}
+                        for m, _, _ in cat.gpd.mors})
+    n = draw(st.integers(0, max_size))
+    points = labels[:n]
+    if kind == "finset":
+        return FINSET.obj(points)
+    return UN.obj(points, {x: draw(st.sampled_from(points)) for x in points})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["finset", "un", "z2", "z3", "s3"]), st.data())
+def test_constructions_match_the_canon_path(kind, data):
+    X = data.draw(_labelled_obj(kind, 5))
+    cat = category_of(X)
+    start = data.draw(st.sets(st.sampled_from(X.carrier))) if X.size else set()
+    closed = set().union(*(cat.generated_subalgebra(X, x).carrier for x in start))
+    assert cat.subalgebra(X, closed) == restrict_by_definition(cat, X, closed)
+    for x in X.carrier:
+        assert cat.generated_subalgebra(X, x) == generated_by_definition(cat, X, x)
+    summands = data.draw(st.lists(_labelled_obj(kind, 3), max_size=3))
+    out, injections = cat.coproduct(summands)
+    want, want_injections = coproduct_by_definition(cat, summands)
+    assert out == want
+    assert [i.mapping for i in injections] == want_injections
+    Y = X if data.draw(st.booleans()) else data.draw(_labelled_obj(kind, 4))
+    homs = cat.hom_set(X, Y) or [cat.identity(X)]
+    f, g = data.draw(st.sampled_from(homs)), data.draw(st.sampled_from(homs))
+    assert cat.image_obj(f) == image_by_definition(cat, f)
+    p1, p2 = cat.kernel_pair(f)
+    P, first, second = kernel_pair_by_definition(cat, f)
+    assert (p1.dom, p1.mapping, p2.dom, p2.mapping) == (P, first, P, second)
+    Q, rep = coequalizer_by_definition(cat, f, g)
+    assert cat.quotient_obj(f.cod, rep) == Q
+    q = cat.coequalizer(f, g)
+    assert (q.cod, q.mapping) == (Q, tuple(rep[y] for y in f.cod.carrier))
+
+
+def test_constructions_do_not_sort(monkeypatch):
+    # a later change must not bring back a re-sort by elem_key: build the
+    # inputs, then count elem_key calls while the constructions run
+    import finbench.cats as cats_module
+    import finbench.core as core_module
+
+    orders = {len(H): H for H in _subgroups(S3_GPD)}
+    inputs = [
+        FINSET.obj([3, "b", (0, "a"), frozenset({1})]),
+        UN.obj([0, "a", (1,), "b"], {0: "a", "a": (1,), (1,): "a", "b": 0}),
+        _coset_gset(gset_cat(S3_GPD), [orders[2], orders[3]]),
+    ]
+    jobs = []
+    for X in inputs:
+        cat = category_of(X)
+        f = cat.hom_set(X, X)[-1]
+        g = cat.identity(X)
+        jobs.append((cat, X, f, g, cat.coequalizer(f, g)))
+    calls = []
+    key = core_module.elem_key
+
+    def counting(x):
+        calls.append(x)
+        return key(x)
+
+    monkeypatch.setattr(core_module, "elem_key", counting)
+    monkeypatch.setattr(cats_module, "elem_key", counting)
+    for cat, X, f, g, q in jobs:
+        cat.subalgebra(X, X.carrier)
+        cat.generated_subalgebra(X, X.carrier[-1])
+        cat.image_obj(f)
+        cat.quotient_obj(X, dict(zip(X.carrier, q.mapping)))
+        cat.coproduct([X, f.cod, X])
+        cat.kernel_pair(f)
+        cat.coequalizer(f, g)
+    assert calls == []
+    # the counter sees a sort by elem_key: an outside carrier goes through canon
+    FINSET.obj(["b", "a"])
+    assert calls
 
 
 @st.composite

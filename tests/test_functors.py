@@ -189,18 +189,32 @@ def test_identity_functor_passes_prime_chain():
     assert verdict == PASS
 
 
-def test_symbolic_value_fail_carries_the_reflection_obstruction():
+def test_symbolic_value_obstruction_that_vanishes_at_the_longer_prefix_passes():
     # the identity keeps the ray symbolic, and a hom of the 1-edge path into
-    # the ray at vertices 2, 3 escapes the 2-stage prefix, so the reflection
-    # test fails on that prefix (this branch does not check that the
-    # obstruction persists at the longer prefix, as the finite branch does)
-    from finbench.serialize import mor_from_json
-
+    # the ray at vertices 2, 3 escapes the 2-stage prefix but factors
+    # through the 3-stage one: the identity is finitary, and no FAIL is
+    # certified
     verdict, witness = finitarity_certificate(
         identity_functor("gra"), path_chain(2), path_chain(3), "paths"
     )
+    assert verdict == PASS
+    assert witness["persistence"] == {"prefix_k1": 3, "lhs_size_k1": 4,
+                                      "rhs_size_k1": -1, "still_failing": False}
+    assert witness["notes"][-1] == "obstruction vanished at the longer prefix"
+    assert "reason" not in witness
+
+
+def test_symbolic_value_fail_carries_the_reflection_obstruction():
+    # the same escaping hom, with a "longer" prefix that does not grow: the
+    # obstruction persists, and the FAIL carries it
+    from finbench.serialize import mor_from_json
+
+    verdict, witness = finitarity_certificate(
+        identity_functor("gra"), path_chain(2), path_chain(2), "paths"
+    )
     assert verdict == FAIL
     assert witness["rhs_size"] == -1
+    assert witness["persistence"]["still_failing"]
     assert witness["notes"][-1] == "symbolic functor value: reflection probe only"
     assert witness["reason"] == "unfactorizable morphism"
     f = mor_from_json(witness["morphism"])

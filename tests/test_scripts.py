@@ -62,3 +62,23 @@ def test_run_all_suites_reports_are_byte_stable(tmp_path, seed, digest, hash_see
         )
         assert out.returncode == 0, out.stdout + out.stderr
         assert hashlib.sha256((out_dir / "all.json").read_bytes()).hexdigest() == digest
+
+
+def test_metrics_sidecar_leaves_report_bytes_unchanged(tmp_path, capsys):
+    import json
+    import platform
+
+    from finbench.cli import main
+
+    plain, timed, sidecar = tmp_path / "plain.json", tmp_path / "timed.json", tmp_path / "m.json"
+    assert main(["run", "--suite", "all", "--json", str(plain)]) == 0
+    assert main(["run", "--suite", "all", "--json", str(timed), "--metrics", str(sidecar)]) == 0
+    for path in (plain, timed):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SEED_0_DIGEST
+    metrics = json.loads(sidecar.read_text())
+    report = json.loads(timed.read_text())
+    assert [(c["suite"], c["name"]) for c in metrics["checks"]] == [
+        (c["suite"], c["name"]) for c in report["checks"]]
+    assert all(c["wall_s"] > 0 for c in metrics["checks"])
+    assert metrics["python"] == platform.python_version()
+    assert metrics["nproc"] >= 1

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from finbench.cats import FINSET
-from finbench.core import canon
+from finbench.core import canon, elem_key
 from finbench.functors import path_chain
 from finbench.superfin import (
     PresentationError,
@@ -55,6 +55,22 @@ def test_evaluation_truncated_identity():
     for size in range(5):
         assert evaluate(P, range(size)).size == size
 
+
+@pytest.mark.parametrize("P", [
+    constant_presentation(2, ["b", 2, (0,), "a"]),
+    truncated_hom(2, 1),
+    coproduct(truncated_identity(2), constant_presentation(2, ["z", 1])),
+])
+def test_evaluation_represents_each_class_by_its_least_triple(P):
+    # values and points out of elem_key order: the representatives are the
+    # elem_key-least triples of their classes, listed in elem_key order
+    for X in [(), ("b", 0), ("z", (1,), 3, "a")]:
+        ev = evaluate(P, X)
+        classes = {}
+        for triple, rep in ev.rep_of.items():
+            classes.setdefault(rep, []).append(triple)
+        assert all(rep == min(members, key=elem_key) for rep, members in classes.items())
+        assert ev.reps == canon(classes)
 
 def test_evaluation_is_functorial_on_probes():
     P = truncated_hom(2, 2)
