@@ -349,6 +349,8 @@ def _un_cycle(p: int) -> Obj:
 @dataclass(frozen=True)
 class FiniteGroupoid:
     """Finite groupoid: sorts, morphisms (name, dom, cod), composition table.
+    The table is checked to be typed, unital, associative and invertible on
+    every composable pair.
 
     Presheaves are encoded as covariant functors on the groupoid (equivalent
     to presheaves, since every morphism is invertible): one carrier per sort
@@ -368,17 +370,28 @@ class FiniteGroupoid:
         if len(info) != len(self.mors):
             raise ValueError("duplicate morphism name")
         idm = dict(self.ids)
-        for m, d, c in self.mors:
-            if comp[(m, idm[d])] != m or comp[(idm[c], m)] != m:
-                raise ValueError("identity law fails")
+        if any(info.get(idm.get(s)) != (s, s) for s in self.sorts):
+            raise ValueError("every sort needs an identity morphism on it")
         for g, gd, gc in self.mors:
             for f, fd, fc in self.mors:
                 if fc != gd:
                     continue
-                h = comp[(g, f)]
-                hd, hc = info[h]
-                if (hd, hc) != (fd, gc):
+                h = comp.get((g, f))
+                if h not in info:
+                    raise ValueError(f"composite of {g} and {f} is not a morphism")
+                if info[h] != (fd, gc):
                     raise ValueError("composition types broken")
+        for m, d, c in self.mors:
+            if comp[(m, idm[d])] != m or comp[(idm[c], m)] != m:
+                raise ValueError("identity law fails")
+        for h, hd, _ in self.mors:
+            for g, gd, gc in self.mors:
+                if gc != hd:
+                    continue
+                hg = comp[(h, g)]
+                for f, _, fc in self.mors:
+                    if fc == gd and comp[(hg, f)] != comp[(h, comp[(g, f)])]:
+                        raise ValueError("composition is not associative")
         for m, d, c in self.mors:
             if not any(
                 info[n] == (c, d) and comp[(n, m)] == idm[d] and comp[(m, n)] == idm[c]
@@ -391,7 +404,8 @@ class FiniteGroupoid:
 
 
 def group_groupoid(name, elements) -> FiniteGroupoid:
-    """One-sorted groupoid from a permutation group (closure assumed)."""
+    """One-sorted groupoid from a permutation group; a ValueError when the
+    elements are not closed under composition."""
     els = sorted(set(elements), key=elem_key)
     n = len(els[0])
     mors = tuple((g, "*", "*") for g in els)
@@ -409,17 +423,40 @@ class PresheafCat(UnaryAlgebraCat):
         # operation names in elem_key order, the order of the structure tuple
         self._names = sorted((m for m, _, _ in gpd.mors), key=elem_key)
         self._sorts = sorted(gpd.sorts, key=elem_key)
+        self._dom = {m: d for m, d, _ in gpd.mors}
         self._cod = {m: c for m, _, c in gpd.mors}
         # names of the operations defined on each sort, in gpd.mors order
         self._out = {}
         for m, d, _ in gpd.mors:
             self._out.setdefault(d, []).append(m)
-        # (g, f, g o f, dom f) for every composable pair
+        # Generators in gpd.mors order: each morphism that the identities,
+        # closed under left composition with the generators so far, miss.
+        # Every morphism is then a word in the generators after an identity,
+        # so by associativity and the identity laws the composition laws
+        # with a generator on the left imply all the others, by induction on
+        # the word: op_(g o a) op_f = op_g op_a op_f = op_(g o (a o f)).
+        self.generators = []
+        reached = set(self._ids.values())
+        for m, _, _ in gpd.mors:
+            if m in reached:
+                continue
+            self.generators.append(m)
+            frontier = list(reached)
+            while frontier:
+                f = frontier.pop()
+                for g in self.generators:
+                    if self._cod[f] != self._dom[g]:
+                        continue
+                    h = gpd.compose_names(g, f)
+                    if h not in reached:
+                        reached.add(h)
+                        frontier.append(h)
+        # (g, f, g o f, dom f) for each generator g and each f composable with it
         self._laws = [
             (g, f, gpd.compose_names(g, f), fd)
-            for g, gd, _ in gpd.mors
+            for g in self.generators
             for f, fd, fc in gpd.mors
-            if fc == gd
+            if fc == self._dom[g]
         ]
 
     def obj(self, carriers: dict, ops: dict) -> Obj:
@@ -793,22 +830,33 @@ def random_un_surjection(rng):
     return UN.identity(X)
 
 
-def random_gset(rng, cat: PresheafCat, subgroups, max_size=8):
-    """Random disjoint union of coset actions with carrier at most max_size."""
-    parts = []
-    total = 0
-    tag = 0
-    while True:
-        H = subgroups[rng.randrange(len(subgroups))]
-        orbit = gset_from_cosets(cat, H, tag)
-        if total + orbit.size > max_size:
-            break
-        parts.append(orbit)
-        total += orbit.size
-        tag += 1
-        if total == max_size or rng.random() < 0.3:
-            break
-    if not parts:
-        return gset_fixed_point(cat)
-    out, _ = cat.coproduct(parts)
-    return out
+def gset_sampler(rng, cat: PresheafCat, subgroups, max_size):
+    """A function that draws a random disjoint union of coset actions with
+    carrier at most max_size.  A draw picks subgroups with rng until the next
+    orbit would overflow, the carrier is full or a 0.3 coin stops it.  The
+    orbit of each (subgroup, tag) pair is built once and kept by the sampler,
+    so the orbits live as long as the sampler does."""
+    orbits = {}
+
+    def orbit(i, tag):
+        if (i, tag) not in orbits:
+            orbits[(i, tag)] = gset_from_cosets(cat, subgroups[i], tag)
+        return orbits[(i, tag)]
+
+    def draw():
+        parts = []
+        total = 0
+        while True:
+            X = orbit(rng.randrange(len(subgroups)), len(parts))
+            if total + X.size > max_size:
+                break
+            parts.append(X)
+            total += X.size
+            if total == max_size or rng.random() < 0.3:
+                break
+        if not parts:
+            return gset_fixed_point(cat)
+        out, _ = cat.coproduct(parts)
+        return out
+
+    return draw

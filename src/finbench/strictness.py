@@ -30,9 +30,9 @@ from .cats import (
     VecCat,
     gset_cat,
     gset_free_orbit,
+    gset_sampler,
     presheaf_cat,
     random_finset_mor,
-    random_gset,
     random_un_surjection,
 )
 from .perms import subgroups_of_sym
@@ -542,20 +542,27 @@ def r_strictness_vec(ambient_dim: int = 3, sub_dim: int = 1):
         "b_prime_dim": cat.dim(wit.b_prime.dom) if ok else None}
 
 
-def _random_gset_surjection(rng, cat, subgroups):
-    X = random_gset(rng, cat, subgroups, max_size=6)
+def _gset_surjection_sampler(rng, cat, subgroups):
+    """A function that draws a random surjection of G-sets: the coequalizer
+    of the action maps at two random elements of a random G-set, out of the
+    free orbit, which is built once for the sampler."""
+    draw = gset_sampler(rng, cat, subgroups, 6)
     free = gset_free_orbit(cat, "probe")
-    elems = list(X.carrier)
-    a, b = rng.choice(elems), rng.choice(elems)
 
-    def action_map(target):
+    def action_map(X, target):
         mapping = {}
         for s, v in free.carrier:
             _, g = v  # free-orbit values are (tag, group element)
             mapping[(s, v)] = cat.op(X, g, target)
         return cat.mor(free, X, mapping)
 
-    return cat.coequalizer(action_map(a), action_map(b))
+    def sample():
+        X = draw()
+        elems = list(X.carrier)
+        a, b = rng.choice(elems), rng.choice(elems)
+        return cat.coequalizer(action_map(X, a), action_map(X, b))
+
+    return sample
 
 
 def regularity_check(f: Mor) -> bool:
@@ -578,7 +585,7 @@ def r_regularity(seed: int = 0, count: int = 100):
     samplers = (
         ("finset", lambda: random_finset_mor(rng, surjective=True)),
         ("un", lambda: random_un_surjection(rng)),
-        ("z2-set", lambda: _random_gset_surjection(rng, z2, z2_subgroups)),
+        ("z2-set", _gset_surjection_sampler(rng, z2, z2_subgroups)),
     )
     checked = {"finset": 0, "un": 0, "z2-set": 0}
     for _ in range(count):
@@ -603,8 +610,9 @@ def r_atoms(group: str = "z2", seed: int = 0, samples: int = 25):
     atoms = atoms_of_presheaves(gpd)
     rng = random.Random(seed)
     subgroups = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
+    draw = gset_sampler(rng, cat, subgroups, 8)
     for _ in range(samples):
-        X = random_gset(rng, cat, subgroups, max_size=8)
+        X = draw()
         if not decomposition_roundtrip(cat, X):
             return FAIL, {"group": group, "failed": obj_to_json(X)}
     return PASS_WITNESSED, {

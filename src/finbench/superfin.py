@@ -173,10 +173,14 @@ def induced_map(ev_x: KanEval, ev_y: KanEval, h) -> Mor:
     return FINSET.mor(ev_x.as_obj(), ev_y.as_obj(), send)
 
 
+# carriers whose values a functor handle keeps
+_HANDLE_CACHE_SIZE = 64
+
+
 def as_functor(pres: SuperFinPresentation) -> FunctorHandle:
     """Black-box finite-set endofunctor wrapping the evaluation."""
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=_HANDLE_CACHE_SIZE)
     def ev_carrier(carrier):
         return evaluate(pres, carrier)
 
@@ -312,8 +316,12 @@ def escaping_element(F: FunctorHandle, n: int, probes):
 def power_functor() -> FunctorHandle:
     """Nonempty finite subsets with direct images."""
 
+    @lru_cache(maxsize=_HANDLE_CACHE_SIZE)
+    def power_obj(carrier):
+        return Obj(FINSET.name, nonempty_subsets(carrier))
+
     def on_obj(X: Obj):
-        return Obj(FINSET.name, nonempty_subsets(finite_obj(X, "power-finite").carrier))
+        return power_obj(finite_obj(X, "power-finite").carrier)
 
     def on_mor(f: Mor):
         FX, FY = on_obj(f.dom), on_obj(f.cod)

@@ -8,14 +8,16 @@ scan from a depth-first assignment over all map families, a unary
 algebra's quotient by one identification from coequalizing a pair of homs
 out of a chain, and F_q linear algebra from enumeration: spans by closing
 under scaled sums, coordinates by trying every coefficient tuple, and
-subspaces by spanning every combination of carrier vectors.  The module also
-holds fixtures that only tests build, such as a two-sorted groupoid.
+subspaces by spanning every combination of carrier vectors.  Presheaf laws
+are checked on every composable pair, and random G-sets are drawn by
+rebuilding each coset orbit on every draw.  The module also holds fixtures
+that only tests build, such as a two-sorted groupoid.
 """
 
 import itertools
 import math
 
-from finbench.cats import UN, FiniteGroupoid
+from finbench.cats import UN, FiniteGroupoid, gset_fixed_point, gset_from_cosets
 from finbench.core import Mor, canon, category_of, elem_key
 from finbench.perms import (
     all_perms,
@@ -316,6 +318,46 @@ def equivalence_from_subgroup_by_index(S, n):
         return any(tuple(t[s[i]] for i in range(n)) == tuple(u) for s in S)
 
     return eq
+
+
+def presheaf_laws_broken(gpd, carriers, ops):
+    """The groupoid laws that total operation tables break: ("id", s) when
+    the identity of sort s moves a value, and (g, f) for every composable
+    pair with op_g(op_f(x)) != op_(g o f)(x) for some x.  carriers maps a
+    sort to its values and ops a morphism name to {value: value}, as
+    PresheafCat.obj takes them."""
+    comp = dict(gpd.comp)
+    broken = [("id", s) for s, m in gpd.ids
+              if any(ops[m][x] != x for x in carriers.get(s, ()))]
+    for g, gd, _ in gpd.mors:
+        for f, fd, fc in gpd.mors:
+            if fc == gd and any(ops[g][ops[f][x]] != ops[comp[(g, f)]][x]
+                                for x in carriers.get(fd, ())):
+                broken.append((g, f))
+    return broken
+
+
+def random_gset(rng, cat, subgroups, max_size=8):
+    """Random disjoint union of coset actions with carrier at most max_size,
+    each orbit built afresh: the reference for cats.gset_sampler's draws and
+    rng use."""
+    parts = []
+    total = 0
+    tag = 0
+    while True:
+        H = subgroups[rng.randrange(len(subgroups))]
+        orbit = gset_from_cosets(cat, H, tag)
+        if total + orbit.size > max_size:
+            break
+        parts.append(orbit)
+        total += orbit.size
+        tag += 1
+        if total == max_size or rng.random() < 0.3:
+            break
+    if not parts:
+        return gset_fixed_point(cat)
+    out, _ = cat.coproduct(parts)
+    return out
 
 
 def two_object_iso_groupoid() -> FiniteGroupoid:

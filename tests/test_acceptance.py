@@ -18,8 +18,8 @@ from finbench.cats import (
     Z2_GPD,
     Z3_GPD,
     gset_cat,
+    gset_sampler,
     random_finset_mor,
-    random_gset,
     random_un_surjection,
 )
 from finbench.colimits import FAIL, PASS
@@ -61,7 +61,7 @@ from finbench.strictness import (
     regular_presheaf,
     strictness_witness,
 )
-from finbench.strictness import regularity_check, _random_gset_surjection
+from finbench.strictness import regularity_check, _gset_surjection_sampler
 from finbench.superfin import (
     as_functor,
     coproduct as pres_coproduct,
@@ -180,8 +180,9 @@ def test_criterion_05_atoms():
     ):
         cat = gset_cat(gpd)
         subs = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
+        draw = gset_sampler(rng, cat, subs, 8)
         for _ in range(100):
-            X = random_gset(rng, cat, subs, max_size=8)
+            X = draw()
             assert X.size <= 8
             assert decomposition_roundtrip(cat, X)
         atoms = atoms_of_presheaves(gpd)
@@ -295,7 +296,8 @@ def test_criterion_10_regularity():
     rng = random.Random(1)
     z2 = gset_cat(Z2_GPD)
     subs = [tuple(h) for h in subgroups_of_sym(2)]
+    gset_surjection = _gset_surjection_sampler(rng, z2, subs)
     for _ in range(100):
         assert regularity_check(random_finset_mor(rng, surjective=True))
         assert regularity_check(random_un_surjection(rng))
-        assert regularity_check(_random_gset_surjection(rng, z2, subs))
+        assert regularity_check(gset_surjection())

@@ -4,6 +4,8 @@ construction and with objects rebuilt from JSON."""
 
 import itertools
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from finbench.cats import (
     Z2_GPD,
     Z3_GPD,
     FiniteGroupoid,
+    group_groupoid,
     gset_cat,
     gset_free_orbit,
     presheaf_cat,
@@ -24,7 +27,9 @@ from finbench.certs import canonical_dumps
 from finbench.serialize import obj_from_json, obj_to_json
 
 from oracles import (
+    presheaf_laws_broken,
     presheaf_structure_by_canon,
+    random_gset,
     two_object_iso_groupoid,
     unary_structure_by_canon,
 )
@@ -86,6 +91,24 @@ def test_groupoid_rejects_duplicate_morphism_names():
             "dup", ("*",), (("e", "*", "*"), ("e", "*", "*")), ((("e", "e"), "e"),),
             (("*", "e"),),
         )
+
+
+def test_groupoid_rejects_non_associative_table():
+    # an order-5 loop: a Latin square with identity e, so every element has
+    # an inverse, but (a a) b = e b = b while a (a b) = a c = d
+    rows = ("eabcd", "aecdb", "bdeac", "cbdea", "dcabe")
+    els = "eabcd"
+    comp = tuple(((g, f), rows[i][j]) for i, g in enumerate(els) for j, f in enumerate(els))
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroupoid("loop5", ("*",), tuple((x, "*", "*") for x in els), comp, (("*", "e"),))
+
+
+def test_groupoid_rejects_composites_outside_and_missing_identities():
+    # (1,2,0) o (1,2,0) = (2,0,1) is not among the elements
+    with pytest.raises(ValueError, match="is not a morphism"):
+        group_groupoid("bad", [(0, 1, 2), (1, 2, 0)])
+    with pytest.raises(ValueError, match="identity morphism"):
+        FiniteGroupoid("noid", ("*",), (("e", "*", "*"),), ((("e", "e"), "e"),), ())
 
 
 def test_unary_rejects_partial_and_escaping_operations():
@@ -225,3 +248,95 @@ def test_unary_structure_matches_canonical_construction(data):
     assert [UN.op(Y, x) for x in X.carrier] == [op[x] for x in X.carrier]
     assert len(UN.hom_set(Y, Y)) == len(UN.hom_set(X, X))
     assert len(UN.hom_set(UN.cycle(2), Y)) == len(UN.hom_set(UN.cycle(2), X))
+
+
+# ---------------------------------------------------------------------------
+# composition laws checked on generators, against every composable pair
+
+
+LAW_GROUPOIDS = {"z2": Z2_GPD, "z3": Z3_GPD, "s3": S3_GPD, "pair": _PAIR}
+
+
+@pytest.mark.parametrize("gpd, laws", [(TRIVIAL_GPD, 0), (Z2_GPD, 2), (Z3_GPD, 3), (S3_GPD, 12),
+                                       (_PAIR, 4), (_PAIR_REVERSED, 4)])
+def test_generators_reach_every_morphism(gpd, laws):
+    cat = presheaf_cat(gpd)
+    assert len(cat._laws) == laws
+    dom = {m: d for m, d, _ in gpd.mors}
+    cod = {m: c for m, _, c in gpd.mors}
+    reached = {m for _, m in gpd.ids}
+    frontier = list(reached)
+    while frontier:
+        f = frontier.pop()
+        for g in cat.generators:
+            if cod[f] != dom[g]:
+                continue
+            h = gpd.compose_names(g, f)
+            if h not in reached:
+                reached.add(h)
+                frontier.append(h)
+    assert reached == {m for m, _, _ in gpd.mors}
+
+
+def _lawful_tables(rng, gpd):
+    """(carriers, ops) of a presheaf on gpd: a random union of coset actions
+    for a group, a random bijection and its inverse for the pair groupoid."""
+    if gpd is _PAIR:
+        a = list(range(rng.randint(1, 3)))
+        b = rng.sample(a, len(a))
+        return {"a": a, "b": b}, {"ia": {x: x for x in a}, "ib": {y: y for y in b},
+                                  "u": dict(zip(a, b)), "v": dict(zip(b, a))}
+    cat = gset_cat(gpd)
+    subs = [tuple(h) for h in _subgroups([m for m, _, _ in gpd.mors])]
+    X = random_gset(rng, cat, subs, max_size=6)
+    ops = {m: {x[1]: cat.op(X, m, x)[1] for x in X.carrier} for m, _, _ in gpd.mors}
+    return {"*": [x[1] for x in X.carrier]}, ops
+
+
+def _accepts(cat, carriers, ops):
+    try:
+        cat.obj(carriers, ops)
+    except ValueError as exc:
+        assert "composition equation fails" in str(exc) or "identity" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(LAW_GROUPOIDS))
+def test_generator_laws_accept_exactly_the_lawful_tables(name):
+    """Random total tables of three kinds: lawful ones; lawful ones with one
+    entry of one non-generator operation changed; and identities with every
+    other operation random.  The constructor, which checks the laws with a
+    generator on the left, accepts exactly what the all-pairs oracle
+    accepts.  A table that breaks a law breaks one with a generator on the
+    left or an identity law: the reduction's claim, seen by the oracle."""
+    gpd = LAW_GROUPOIDS[name]
+    cat = presheaf_cat(gpd)
+    cod = {m: c for m, _, c in gpd.mors}
+    non_generators = [m for m, _, _ in gpd.mors if m not in cat.generators]
+    rng = random.Random(name)
+    outcomes = Counter()
+    for trial in range(300):
+        carriers, ops = _lawful_tables(rng, gpd)
+        kind = trial % 3
+        if kind == 1:
+            m = rng.choice(non_generators)
+            targets = carriers[cod[m]]
+            if len(targets) < 2:
+                continue
+            x = rng.choice(list(ops[m]))
+            ops[m][x] = rng.choice([y for y in targets if y != ops[m][x]])
+        elif kind == 2:
+            ids = {m for _, m in gpd.ids}
+            ops = {m: table if m in ids else {x: rng.choice(carriers[cod[m]]) for x in table}
+                   for m, table in ops.items()}
+        broken = presheaf_laws_broken(gpd, carriers, ops)
+        assert _accepts(cat, carriers, ops) == (not broken)
+        if broken:
+            assert any(g == "id" or g in cat.generators for g, _ in broken)
+        outcomes[(kind, not broken)] += 1
+    # lawful tables pass, one changed entry always breaks a law, and random
+    # operations are seen both accepted and rejected
+    assert outcomes[(1, True)] == 0 and outcomes[(1, False)] > 0
+    assert outcomes[(0, True)] > 0 and outcomes[(0, False)] == 0
+    assert outcomes[(2, True)] > 0 and outcomes[(2, False)] > 0

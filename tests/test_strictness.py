@@ -3,6 +3,7 @@ negative certificates."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,10 +20,11 @@ from finbench.cats import (
     gset_fixed_point,
     gset_free_orbit,
     gset_from_cosets,
-    random_gset,
+    gset_sampler,
 )
 import finbench.suites  # registers all recipes
-from finbench.certs import RECIPES
+from finbench import cats, strictness
+from finbench.certs import PASS_WITNESSED, RECIPES
 from finbench.perms import subgroups_of_sym
 from finbench.strictness import (
     Exhaustion,
@@ -45,7 +47,7 @@ from finbench.strictness import (
 )
 from finbench import symbolic as sy
 
-from oracles import brute_congruences
+from oracles import brute_congruences, random_gset
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +261,52 @@ def test_decomposition_roundtrip_random():
     for gpd in (Z2_GPD, Z3_GPD, S3_GPD):
         cat = gset_cat(gpd)
         subs = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
+        draw = gset_sampler(rng, cat, subs, 8)
         for _ in range(25):
-            X = random_gset(rng, cat, subs, max_size=8)
-            assert decomposition_roundtrip(cat, X)
+            assert decomposition_roundtrip(cat, draw())
+
+
+@pytest.mark.parametrize("group", sorted(strictness.GROUPS))
+def test_gset_sampler_matches_fresh_orbits(group):
+    # the same draws and the same rng state as building every orbit afresh,
+    # at both carrier bounds the recipes use
+    gpd = strictness.GROUPS[group]
+    cat = gset_cat(gpd)
+    subs = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
+    for seed in range(20):
+        max_size = (6, 8)[seed % 2]
+        rng, ref = random.Random(seed), random.Random(seed)
+        draw = gset_sampler(rng, cat, subs, max_size)
+        for _ in range(25):
+            assert draw() == random_gset(ref, cat, subs, max_size)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_atoms_builds_each_coset_orbit_once(monkeypatch):
+    built = Counter()
+    real = cats.gset_from_cosets
+
+    def counting(cat, subgroup, tag=0):
+        built[(tuple(subgroup), tag)] += 1
+        return real(cat, subgroup, tag)
+
+    monkeypatch.setattr(cats, "gset_from_cosets", counting)
+    assert RECIPES["atoms"]("s3", 0).verdict == PASS_WITNESSED
+    assert built and max(built.values()) == 1
+
+
+def test_regularity_builds_the_probe_orbit_once(monkeypatch):
+    probes = []
+    real = strictness.gset_free_orbit
+
+    def counting(cat, tag=0):
+        if tag == "probe":
+            probes.append(cat.name)
+        return real(cat, tag)
+
+    monkeypatch.setattr(strictness, "gset_free_orbit", counting)
+    assert RECIPES["regularity"](0).verdict == PASS_WITNESSED
+    assert probes == ["psh(z2)"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import itertools
 
 import pytest
 
+from finbench import superfin
 from finbench.cats import FINSET
+from finbench.certs import FAIL
 from finbench.core import canon, elem_key
 from finbench.functors import path_chain
 from finbench.superfin import (
@@ -207,6 +209,22 @@ def test_finite_set_functors_refuse_symbolic_objects(F):
         F.on_obj(RAY)
     with pytest.raises(ValueError, match=r"Symbolic\(ray\)"):
         F.on_mor(leg)
+
+
+def test_powerset_recipe_builds_each_power_set_once(monkeypatch):
+    # escaping_element asks for P(n) and P(n + 1) once per map n -> n + 1
+    built = []
+    real = superfin.nonempty_subsets
+
+    def counting(carrier):
+        built.append(carrier)
+        return real(carrier)
+
+    monkeypatch.setattr(superfin, "nonempty_subsets", counting)
+    n_max = 4
+    assert superfin.r_superfin_powerset(n_max).verdict == FAIL
+    assert 0 < len(built) <= 2 * n_max
+    assert len(set(built)) == len(built)
 
 
 def test_power_functor_not_superfinitary():
