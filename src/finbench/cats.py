@@ -164,6 +164,13 @@ class GraphCat(Category):
     def edges(self, X):
         return X.structure[1]
 
+    def edge_set(self, X) -> frozenset:
+        """The edges as a frozenset, built once per object and kept on it."""
+        es = X.__dict__.get("_edge_set")
+        if es is None:
+            es = X.__dict__["_edge_set"] = frozenset(X.structure[1])
+        return es
+
     def path(self, k: int) -> Obj:
         """Directed path on vertices 0..k with edges i -> i+1."""
         return self.obj(range(k + 1), [(i, i + 1) for i in range(k)])
@@ -172,16 +179,17 @@ class GraphCat(Category):
         return self.obj([0], [(0, 0)])
 
     def preserves_structure(self, f):
-        target = set(self.edges(f.cod))
-        return all((f(u), f(v)) in target for u, v in self.edges(f.dom))
+        target, img = self.edge_set(f.cod), f._lookup
+        return all((img[u], img[v]) in target for u, v in self.edges(f.dom))
 
-    def relations_ok(self, X, Y, assign):
-        target = set(self.edges(Y))
-        for u, v in self.edges(X):
-            if u in assign and v in assign:
-                if (assign[u], assign[v]) not in target:
-                    return False
-        return True
+    def relation_check(self, X, Y):
+        target, incident = self.edge_set(Y), {x: set() for x in X.carrier}
+        for e in self.edges(X):  # the edges at each vertex, loops included
+            incident[e[0]].add(e)
+            incident[e[1]].add(e)
+        return lambda assign, new: all(
+            u not in assign or v not in assign or (assign[u], assign[v]) in target
+            for x in new for u, v in incident[x])
 
     def iso_invariant(self, X):
         es = self.edges(X)
@@ -227,24 +235,14 @@ class GraphCat(Category):
 
     def has_cycle(self, X) -> bool:
         """Directed cycle detection; a finite graph has an infinite path iff
-        it has a cycle."""
-        adj = {v: [] for v in X.carrier}
-        for u, v in self.edges(X):
-            adj[u].append(v)
-        WHITE, GREY, BLACK = 0, 1, 2
-        state = {v: WHITE for v in X.carrier}
-
-        def visit(v):
-            state[v] = GREY
-            for w in adj[v]:
-                if state[w] == GREY:
-                    return True
-                if state[w] == WHITE and visit(w):
-                    return True
-            state[v] = BLACK
-            return False
-
-        return any(state[v] == WHITE and visit(v) for v in X.carrier)
+        it has a cycle, iff dropping the vertices with no edge into the rest
+        until none is left to drop leaves a vertex."""
+        rest = set(X.carrier)
+        while True:
+            keep = {u for u, v in self.edges(X) if u in rest and v in rest}
+            if keep == rest:
+                return bool(rest)
+            rest = keep
 
 
 GRA = register_category(GraphCat())
@@ -277,11 +275,17 @@ class UnCat(UnaryAlgebraCat):
         # distinct first components in carrier order: already canon order
         X = Obj(self.name, carrier, ("op", tuple(table.items())))
         X.__dict__["_carrier_set"] = cset
-        X.__dict__["_op_tables"] = table
+        X.__dict__["_op_tables"] = {"op": table}
         return X
 
+    def op_tables(self, X):
+        tables = X.__dict__.get("_op_tables")
+        if tables is None:
+            tables = X.__dict__["_op_tables"] = {"op": dict(X.structure[1])}
+        return tables
+
     def op(self, X, x):
-        return _un_table(X)[x]
+        return self.op_tables(X)["op"][x]
 
     def cycle(self, p: int) -> Obj:
         """Algebra on p elements whose operation is a single p-cycle."""
@@ -296,15 +300,9 @@ class UnCat(UnaryAlgebraCat):
         return self.obj(elems, lambda e: (e[0], (e[1] + 1) % e[0]))
 
     def preserves_structure(self, f):
-        src, dst = _un_table(f.dom), _un_table(f.cod)
+        src, dst = self.op_tables(f.dom)["op"], self.op_tables(f.cod)["op"]
         img = f._lookup
         return all(img[src[x]] == dst[y] for x, y in img.items())
-
-    def op_successors(self, X, x):
-        return (("op", _un_table(X)[x]),)
-
-    def op_apply(self, Y, op_id, y):
-        return _un_table(Y)[y]
 
     def iso_invariant(self, X):
         return (X.size, tuple(sorted({self.tail_period(X, x)[1] for x in X.carrier})))
@@ -315,7 +313,7 @@ class UnCat(UnaryAlgebraCat):
     def tail_period(self, X, x):
         """(tail, period): the steps from x until the operation enters its
         cycle, and that cycle's length (every finite orbit ends in one)."""
-        op = _un_table(X)
+        op = self.op_tables(X)["op"]
         seen = {}
         while x not in seen:
             seen[x] = len(seen)
@@ -327,14 +325,6 @@ class UnCat(UnaryAlgebraCat):
 
 
 UN = register_category(UnCat())
-
-
-def _un_table(X: Obj) -> dict:
-    """{x: op(x)} of a unary algebra, built once per object and kept on it."""
-    table = X.__dict__.get("_op_tables")
-    if table is None:
-        table = X.__dict__["_op_tables"] = dict(X.structure[1])
-    return table
 
 
 @lru_cache(maxsize=64)
@@ -425,10 +415,6 @@ class PresheafCat(UnaryAlgebraCat):
         self._sorts = sorted(gpd.sorts, key=elem_key)
         self._dom = {m: d for m, d, _ in gpd.mors}
         self._cod = {m: c for m, _, c in gpd.mors}
-        # names of the operations defined on each sort, in gpd.mors order
-        self._out = {}
-        for m, d, _ in gpd.mors:
-            self._out.setdefault(d, []).append(m)
         # Generators in gpd.mors order: each morphism that the identities,
         # closed under left composition with the generators so far, miss.
         # Every morphism is then a word in the generators after an identity,
@@ -490,8 +476,10 @@ class PresheafCat(UnaryAlgebraCat):
                     raise ValueError(f"operation {m} leaves the carrier")
                 table[x] = y
         self._check_laws(by_sort, tables)
-        # distinct first components in carrier order: already canon order
-        tagged = tuple((m, tuple(tables[m].items())) for m in self._names)
+        # in _names order, as op_tables reads them back from the structure;
+        # each table lists the carrier in order: already canon order
+        tables = {m: tables[m] for m in self._names}
+        tagged = tuple((m, tuple(t.items())) for m, t in tables.items())
         X = Obj(self.name, carrier, ("ops", tagged))
         X.__dict__["_carrier_set"] = cset
         X.__dict__["_op_tables"] = tables
@@ -507,15 +495,21 @@ class PresheafCat(UnaryAlgebraCat):
             if any(tg[tf[x]] != th[x] for x in by_sort.get(fd, ())):
                 raise ValueError("composition equation fails")
 
+    def op_tables(self, X):
+        tables = X.__dict__.get("_op_tables")
+        if tables is None:
+            tables = X.__dict__["_op_tables"] = {m: dict(pairs) for m, pairs in X.structure[1]}
+        return tables
+
     def op(self, X, mor_name, x):
-        return _psh_tables(X)[mor_name].get(x)
+        return self.op_tables(X)[mor_name].get(x)
 
     def preserves_structure(self, f):
         img = f._lookup
         if any(x[0] != y[0] for x, y in img.items()):
             return False
-        dst = _psh_tables(f.cod)
-        for m, table in _psh_tables(f.dom).items():
+        dst = self.op_tables(f.cod)
+        for m, table in self.op_tables(f.dom).items():
             target = dst[m]
             if any(img[y] != target.get(img[x]) for x, y in table.items()):
                 return False
@@ -523,13 +517,6 @@ class PresheafCat(UnaryAlgebraCat):
 
     def candidate_targets(self, X, x, Y):
         return [y for y in Y.carrier if y[0] == x[0]]
-
-    def op_successors(self, X, x):
-        tables = _psh_tables(X)
-        return tuple((m, tables[m].get(x)) for m in self._out.get(x[0], ()))
-
-    def op_apply(self, Y, op_id, y):
-        return _psh_tables(Y)[op_id].get(y)
 
     def iso_invariant(self, X):
         per_sort = {s: 0 for s in self.gpd.sorts}
@@ -555,14 +542,6 @@ class PresheafCat(UnaryAlgebraCat):
         carriers = {s: [0] for s in self.gpd.sorts}
         ops = {m: {0: 0} for m, _, _ in self.gpd.mors}
         return self.obj(carriers, ops)
-
-
-def _psh_tables(X: Obj) -> dict:
-    """{mor_name: {x: y}} of a presheaf, built once per object and kept on it."""
-    tables = X.__dict__.get("_op_tables")
-    if tables is None:
-        tables = X.__dict__["_op_tables"] = {m: dict(pairs) for m, pairs in X.structure[1]}
-    return tables
 
 
 def presheaf_cat(gpd: FiniteGroupoid) -> PresheafCat:

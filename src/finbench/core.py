@@ -16,12 +16,12 @@ off the hot paths, still build theirs through ``obj``.  Otherwise
 
 A category supplies these hooks:
 
-- structure: ``preserves_structure``, ``op_successors``/``op_apply`` (unary
-  operations), ``candidate_targets`` (sorts), ``relations_ok`` (edges) and
-  ``iso_invariant``; one depth-first search kernel built on them serves
-  ``hom_set``, ``lifts`` (the homs q with g . q = f, which factorization
-  through a leg or a functor image needs) and ``find_iso``, and
-  ``coequalizer`` is generic over ``quotient_obj``;
+- structure: ``preserves_structure``, ``op_successors``/``op_tables`` (unary
+  operations, which ``op_apply`` reads), ``candidate_targets`` (sorts),
+  ``relation_check`` (edges) and ``iso_invariant``; one depth-first search
+  kernel built on them serves ``hom_set``, ``lifts`` (the homs q with
+  g . q = f, which factorization through a leg or a functor image needs)
+  and ``find_iso``, and ``coequalizer`` is generic over ``quotient_obj``;
 - constructions: ``image_obj``, ``initial``, ``terminal``, ``coproduct``,
   ``quotient_obj``, ``kernel_pair`` and ``subobjects_fg``.  A category
   overrides only the ones something calls; the others raise
@@ -246,21 +246,27 @@ class Category:
     def preserves_structure(self, f: Mor) -> bool:
         return True
 
+    def op_tables(self, X: Obj) -> dict:
+        """{op_id: {x: op(x)}} over the elements where op is defined."""
+        return {}
+
     def op_successors(self, X: Obj, x):
         """Functional constraints: pairs (op_id, op(x)) for unary operations."""
-        return ()
+        return tuple((op_id, t[x]) for op_id, t in self.op_tables(X).items() if x in t)
 
     def op_apply(self, X: Obj, op_id, x):
         """Apply op_id in X, or None when undefined; mirror of op_successors."""
-        return None
+        return self.op_tables(X)[op_id].get(x)
 
     def candidate_targets(self, X: Obj, x, Y: Obj):
         """Codomain elements a hom may send x to (sort filtering etc.)."""
         return Y.carrier
 
-    def relations_ok(self, X: Obj, Y: Obj, assign: dict) -> bool:
-        """Relational constraints (edges) among currently assigned elements."""
-        return True
+    def relation_check(self, X: Obj, Y: Obj):
+        """Relational constraints (edges), built once per search: None, or
+        ok(assign, new) checking those among assigned elements that involve
+        an element of the list new."""
+        return None
 
     def iso_invariant(self, X: Obj):
         return X.size
@@ -309,50 +315,64 @@ class Category:
         when asked) depth first in candidate_targets order; with ``over``, a
         dict from each x to a set, only the maps choosing x's value in over[x].
 
-        Backtracking with propagation along unary operations; relational
-        constraints are rechecked on partial assignments.
+        Backtracking on one assignment, with propagation along unary
+        operations; each step checks relations and injectivity only for the
+        elements it assigned, and is undone on return.
         """
         xs = X.carrier
+        tables = self.op_tables(Y)
+        # each x's successors, paired with the table of their operation in Y
+        succ = {x: [] for x in xs}
+        for op_id, table in self.op_tables(X).items():
+            for a, a2 in table.items():
+                succ[a].append((tables[op_id], a2))
+        check = self.relation_check(X, Y)
+        assign, used = {}, set()  # used: the values taken, when injective
 
-        def propagate(assign, queue):
-            while queue:
-                a, b = queue.pop()
-                for op_id, a2 in self.op_successors(X, a):
-                    b2 = self.op_apply(Y, op_id, b)
-                    if b2 is None:
-                        return False
-                    if a2 in assign:
-                        if assign[a2] != b2:
-                            return False
-                    else:
+        def step(x, y):
+            # assign x -> y and what the operations force: (new elements, ok)
+            assign[x] = y
+            new = [x]
+            if injective:
+                used.add(y)
+            for a in new:  # new grows while this runs
+                b = assign[a]
+                for table, a2 in succ[a]:
+                    b2 = table.get(b)
+                    c = assign.get(a2)
+                    if c is None:
+                        if b2 is None or injective and b2 in used:
+                            return new, False
                         assign[a2] = b2
-                        queue.append((a2, b2))
-            return True
+                        new.append(a2)
+                        if injective:
+                            used.add(b2)
+                    elif c != b2:
+                        return new, False
+            return new, check is None or check(assign, new)
 
-        def extend(assign, i):
+        def extend(i):
             while i < len(xs) and xs[i] in assign:
                 i += 1
             if i == len(xs):
                 yield Mor(X, Y, tuple(assign[x] for x in xs))
                 return
             x = xs[i]
-            used = set(assign.values()) if injective else ()
             targets = self.candidate_targets(X, x, Y)
             if over is not None:
                 targets = [y for y in targets if y in over[x]]
             for y in targets:
                 if y in used:
                     continue
-                trial = dict(assign)
-                trial[x] = y
-                if not propagate(trial, [(x, y)]):
-                    continue
-                if injective and len(set(trial.values())) < len(trial):
-                    continue
-                if self.relations_ok(X, Y, trial):
-                    yield from extend(trial, i + 1)
+                new, ok = step(x, y)
+                if ok:
+                    yield from extend(i + 1)
+                if injective:
+                    used.difference_update([assign[a] for a in new])
+                for a in new:
+                    del assign[a]
 
-        return extend({}, 0)
+        return extend(0)
 
     # ---- mono / epi --------------------------------------------------------
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .certs import FAIL, PASS_WITNESSED, CertificateError, recipe
-from .core import Mor, Obj, Partition, category_of, elem_key
+from .core import Mor, Obj, Partition, category_of
 from .cats import (
     FINSET,
     GRA,
@@ -329,13 +329,18 @@ def congruences(cat, X: Obj):
             if bigger not in found:
                 found.add(bigger)
                 queue.append(bigger)
-    return sorted(found, key=lambda p: (len(p), sorted(sorted(c, key=elem_key)[0] for c in p)))
+    # X.carrier is in elem_key order, so a position stands for its element
+    pos = {x: i for i, x in enumerate(X.carrier)}
+    return sorted(found, key=lambda p: (len(p), sorted(min(map(pos.__getitem__, c)) for c in p)))
 
 
 def quotient_by_partition(cat, X: Obj, partition) -> Mor:
+    """The quotient map onto the classes of partition, each sent to its
+    first element in X.carrier, the elem_key-least one."""
+    pos = {x: i for i, x in enumerate(X.carrier)}
     rep = {}
     for cls in partition:
-        r = min(cls, key=elem_key)
+        r = min(cls, key=pos.__getitem__)
         for x in cls:
             rep[x] = r
     Q = cat.quotient_obj(X, rep)
@@ -611,9 +616,12 @@ def r_atoms(group: str = "z2", seed: int = 0, samples: int = 25):
     rng = random.Random(seed)
     subgroups = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
     draw = gset_sampler(rng, cat, subgroups, 8)
+    verdicts = {}  # a draw equal to an earlier one has its verdict
     for _ in range(samples):
         X = draw()
-        if not decomposition_roundtrip(cat, X):
+        if X not in verdicts:
+            verdicts[X] = decomposition_roundtrip(cat, X)
+        if not verdicts[X]:
             return FAIL, {"group": group, "failed": obj_to_json(X)}
     return PASS_WITNESSED, {
         "group": group,

@@ -858,3 +858,116 @@ def test_lifts_against_fiber_products(kind, data):
     lifts = list(category_of(f.dom).lifts(f, g))
     # as lists: lifts go in hom_set order, and witnesses record the first one
     assert lifts == factorizations_by_fibers(f, g)
+
+
+# ---------------------------------------------------------------------------
+# the search kernel: per-search tables and incremental checks
+
+
+def _fold(cat, C):
+    """The codiagonal C + C -> C, a non-mono to lift along."""
+    D, injections = cat.coproduct([C, C])
+    return cat.mor(D, C, {i(x): x for i in injections for x in C.carrier})
+
+
+def _search_cases():
+    """(name, search, |domain|): hom_set, find_iso and lifts on Un, S3-set
+    and graph inputs, each search with an answer to find."""
+    s3 = gset_cat(S3_GPD)
+    cases = []
+    for cat, X, Y in [
+        (UN, UN.cycles_sum([2, 3]), UN.coproduct([UN.cycle(6), UN.cycle(1)])[0]),
+        (s3, _coset_gset(s3, _S3_SUBGROUPS[:2]), _coset_gset(s3, _S3_SUBGROUPS[1:3])),
+        (GRA, GRA.obj(range(4), [(0, 0), (1, 2), (2, 1), (2, 3)]),
+         GRA.obj(range(3), [(0, 0), (0, 1), (1, 0), (1, 2)])),
+    ]:
+        labels = [x[1] if cat is s3 else x for x in X.carrier]
+        copy = _relabel(X, dict(zip(labels, reversed(labels))))
+        g = _fold(cat, Y)
+        f = cat.hom_set(X, Y)[-1]
+        cases += [
+            (f"{cat.name} hom_set", lambda cat=cat, X=X, Y=Y: cat.hom_set(X, Y), X.size),
+            (f"{cat.name} find_iso", lambda cat=cat, X=X, c=copy: cat.find_iso(X, c), X.size),
+            (f"{cat.name} lifts", lambda cat=cat, f=f, g=g: list(cat.lifts(f, g)), X.size),
+        ]
+    return cases
+
+
+def test_search_reads_successors_once_and_applies_no_operation(monkeypatch):
+    # propagation reads Y's tables directly: op_successors at most once per
+    # element of the domain, op_apply never
+    calls = {"op_successors": 0, "op_apply": 0}
+    for cls in (type(UN), type(gset_cat(S3_GPD)), type(GRA)):
+        for name in calls:
+            def counting(self, *args, _real=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+    for name, search, size in _search_cases():
+        calls.update(op_successors=0, op_apply=0)
+        assert search(), name
+        assert calls["op_successors"] <= size, name
+        assert calls["op_apply"] == 0, name
+
+
+def _injective_brute(X, Y):
+    """brute_homs restricted to the injective maps: every injective function
+    on carriers in product order, kept when the Mor constructor accepts it."""
+    out = []
+    for images in itertools.permutations(Y.carrier, X.size):
+        try:
+            out.append(Mor(X, Y, images))
+        except ValueError:
+            continue
+    return out
+
+
+@st.composite
+def _graph_with_loop_and_two_cycle(draw):
+    n = draw(st.integers(5, 7))
+    vertex = st.integers(0, n - 1)
+    a, b, c = draw(st.permutations(range(n)))[:3]
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return GRA.obj(range(n), edges + [(a, a), (b, c), (c, b)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_incremental_checks_against_brute_oracles(data):
+    # graphs for the edge check; S3-sets and unary algebras for injectivity
+    # across propagation, which a G-set's homogeneous orbits cannot break alone
+    kind = data.draw(st.sampled_from(["gra", "s3", "un"]))
+    if kind == "gra":
+        X, Y = (data.draw(_graph_with_loop_and_two_cycle()) for _ in range(2))
+    else:
+        X, Y = data.draw(_small_obj(kind, 6)), data.draw(_small_obj(kind, 6))
+    cat = category_of(X)
+    injective = _injective_brute(X, Y)
+    if Y.size ** X.size <= 3125:
+        brute = brute_homs(X, Y)
+        assert cat.hom_set(X, Y) == brute
+        assert injective == [h for h in brute if h.is_injective()]
+    assert list(cat._search(X, Y, injective=True)) == injective
+    # a relabelled copy: the first isomorphism in product order, a bijection
+    # carrying edges onto edges
+    labels = [x[1] if kind == "s3" else x for x in X.carrier]
+    copy = _relabel(X, dict(zip(labels, data.draw(st.permutations(labels)))))
+    iso = cat.find_iso(X, copy)
+    assert iso == next(h for h in _injective_brute(X, copy) if cat.is_iso(h))
+    assert sorted(iso.mapping) == list(copy.carrier)
+    if cat is GRA:
+        assert {(iso(u), iso(v)) for u, v in GRA.edges(X)} == GRA.edge_set(copy)
+
+
+def test_has_cycle_matches_walks_as_long_as_the_carrier():
+    # by pigeonhole, a finite graph has a cycle iff it has a walk with as
+    # many edges as vertices
+    for n in range(4):
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            edges = [e for e, bit in zip(pairs, bits) if bit]
+            ends = set(range(n))
+            for _ in range(n):
+                ends = {v for u, v in edges if u in ends}
+            assert GRA.has_cycle(GRA.obj(range(n), edges)) == bool(ends)

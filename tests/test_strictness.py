@@ -25,6 +25,7 @@ from finbench.cats import (
 import finbench.suites  # registers all recipes
 from finbench import cats, strictness
 from finbench.certs import PASS_WITNESSED, RECIPES
+from finbench.core import category_of, elem_key
 from finbench.perms import subgroups_of_sym
 from finbench.strictness import (
     Exhaustion,
@@ -307,6 +308,54 @@ def test_regularity_builds_the_probe_orbit_once(monkeypatch):
     monkeypatch.setattr(strictness, "gset_free_orbit", counting)
     assert RECIPES["regularity"](0).verdict == PASS_WITNESSED
     assert probes == ["psh(z2)"]
+
+
+def test_atoms_runs_the_roundtrip_once_per_distinct_draw(monkeypatch):
+    # seed-0 triv draws repeat: 25 samples, far fewer distinct G-sets
+    cat = gset_cat(TRIVIAL_GPD)
+    draw = gset_sampler(random.Random(0), cat, [tuple(h) for h in subgroups_of_sym(1)], 8)
+    distinct = list(dict.fromkeys(draw() for _ in range(25)))
+    assert len(distinct) < 25
+    seen = []
+    real = strictness.decomposition_roundtrip
+
+    def counting(cat, X):
+        seen.append(X)
+        return real(cat, X)
+
+    monkeypatch.setattr(strictness, "decomposition_roundtrip", counting)
+    cert = RECIPES["atoms"]("triv", 0)
+    assert cert.verdict == PASS_WITNESSED and cert.witness["roundtrips"] == 25
+    assert seen == distinct
+
+
+def _congruence_samples():
+    """Un, FinSet and S3-set objects with integer labels, so the old key's
+    plain comparison of class minima is defined."""
+    rng = random.Random(5)
+    out = [FINSET.obj(range(n)) for n in range(5)]
+    out += [cats.random_un_obj(rng, 5) for _ in range(12)]
+    s3 = gset_cat(S3_GPD)
+    draw = gset_sampler(rng, s3, [tuple(h) for h in subgroups_of_sym(3)], 6)
+    for _ in range(8):
+        X = draw()
+        label = {x: i for i, x in enumerate(X.carrier)}
+        out.append(s3.obj({"*": range(X.size)}, {
+            g: {label[x]: label[s3.op(X, g, x)] for x in X.carrier} for g, _, _ in S3_GPD.mors}))
+    return out
+
+
+@pytest.mark.parametrize("X", _congruence_samples(), ids=repr)
+def test_congruences_keep_the_elem_key_order(X):
+    # the partitions and quotient representatives come out as they did with
+    # minima and sorting by elem_key
+    cat = category_of(X)
+    found = congruences(cat, X)
+    old_key = lambda p: (len(p), sorted(sorted(c, key=elem_key)[0] for c in p))
+    assert found == sorted(found, key=old_key)
+    for part in found:
+        q = quotient_by_partition(cat, X, part)
+        assert all(q(x) == min(cls, key=elem_key) for cls in part for x in cls)
 
 
 # ---------------------------------------------------------------------------
