@@ -716,10 +716,12 @@ class VecCat(Category):
     def subobjects_fg(self, X, bound=None):
         """One mono per subspace, from its reduced echelon basis: each pivot
         set with every choice of entries right of a pivot in the non-pivot
-        columns."""
+        columns; with a bound, the subspaces of at most bound vectors."""
         n = self.dim(X)
         monos = []
         for r in range(n + 1):
+            if bound is not None and self.q ** r > bound:
+                break
             for pivots in itertools.combinations(range(n), r):
                 free = [(i, c) for i, p in enumerate(pivots)
                         for c in range(p + 1, n) if c not in pivots]

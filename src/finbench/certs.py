@@ -26,6 +26,7 @@ CERT_SCHEMA = "finbench-cert/1"
 PASS = "PASS(probe-limited)"
 PASS_WITNESSED = "PASS"
 FAIL = "FAIL(certified)"
+VERDICTS = (PASS, PASS_WITNESSED, FAIL)
 
 KINDS = (
     "colimit-test",
@@ -93,6 +94,11 @@ class Certificate:
             raise CertificateError("certificate recipe is not a string")
         if not isinstance(inputs.get("params", {}), dict):
             raise CertificateError("certificate params are not a JSON object")
+        if payload["verdict"] not in VERDICTS:
+            raise CertificateError(f"certificate verdict is not one of {', '.join(VERDICTS)}")
+        for key in ("witness", "bounds"):
+            if not isinstance(payload.get(key, {}), dict):
+                raise CertificateError(f"certificate {key} is not a JSON object")
         return Certificate(
             payload["kind"],
             inputs,
@@ -198,13 +204,6 @@ def recompute(cert: Certificate) -> Certificate:
     return fn(**params)
 
 
-@dataclass
-class ReplayResult:
-    match: bool
-    diffs: tuple
-    recomputed: Certificate
-
-
 _ABSENT = object()
 
 
@@ -234,7 +233,9 @@ def _shown(value):
     return "absent" if value is _ABSENT else canonical_dumps(value)
 
 
-def replay(cert: Certificate) -> ReplayResult:
+def replay(cert: Certificate) -> list:
+    """One line per top-level field where the recomputed certificate
+    differs, naming the first differing JSON path; empty on a match."""
     fresh = recompute(cert)
     diffs = []
     for fieldname in ("kind", "verdict", "witness", "bounds", "inputs"):
@@ -243,7 +244,7 @@ def replay(cert: Certificate) -> ReplayResult:
         if a != b:
             path, x, y = _first_difference(json.loads(a), json.loads(b), fieldname)
             diffs.append(f"{path}: stored {_shown(x)} recomputed {_shown(y)}")
-    return ReplayResult(not diffs, tuple(diffs), fresh)
+    return diffs
 
 
 def load_certificate(path) -> Certificate:

@@ -97,15 +97,15 @@ def main(argv=None) -> int:
             print(f"cannot load certificate: {exc}", file=sys.stderr)
             return 2
         try:
-            result = replay(cert)
+            diffs = replay(cert)
         except CertificateError as exc:
             print(f"cannot replay certificate: {exc}", file=sys.stderr)
             return 2
-        if result.match:
+        if not diffs:
             print("replay: match")
             return 0
         print("replay: MISMATCH")
-        for d in result.diffs:
+        for d in diffs:
             print("  " + d)
         return 1
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from .certs import FAIL, PASS
 from .core import category_of
 from .serialize import mor_to_json, obj_to_json
-from .symbolic import SymMor, SymbolicObject, WindowedHoms, homs_into
+from .symbolic import SymMor, SymbolicObject, homs_into
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,8 @@ def reflection_obstruction(cocone: Cocone, probes):
     symbolic = isinstance(cocone.apex, SymbolicObject)
     for A in probes:
         if symbolic:
-            wh: WindowedHoms = homs_into(cocone.apex, A)
-            homs = wh.homs
-            if not wh.complete:
+            homs, complete = homs_into(cocone.apex, A)
+            if not complete:
                 notes.append(f"window exhaustion on probe of size {A.size}")
         else:
             homs = cat.hom_set(A, cocone.apex)

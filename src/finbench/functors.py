@@ -14,8 +14,6 @@ certificate is the pair (verdict, witness) that its recipe returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .certs import FAIL, PASS, PASS_WITNESSED, recipe
 from .core import FunctorHandle, Mor, Obj, category_of, finite_obj, lookup_category
 from .cats import GRA, UN
@@ -167,18 +165,6 @@ def hom_functor(cat_name: str, A: Obj) -> FunctorHandle:
 # boundedness witnesses
 
 
-@dataclass
-class BoundednessWitness:
-    m0: object  # mono into F(A) (Mor or SymMor)
-    m: object  # mono into A (Mor or SymMor)
-    mediating: Mor
-
-    def triangle_commutes(self, Fm) -> bool:
-        if isinstance(Fm, SymMor):
-            return Fm.precompose(self.mediating) == self.m0
-        return category_of(self.m0.dom).compose(Fm, self.mediating) == self.m0
-
-
 def subobjects_of(A, bound):
     """Uniform fg-subobject enumeration for finite and symbolic objects."""
     if isinstance(A, SymbolicObject):
@@ -190,22 +176,25 @@ def subobjects_of(A, bound):
 def finitely_bounded_witness(F: FunctorHandle, A, m0: Mor, bound: int):
     """Search an fg subobject m of A whose F-image absorbs m0.
 
-    Returns a BoundednessWitness (triangle verified on carriers), or None
-    when no fg subobject of size at most bound absorbs m0.
+    Returns (m, mediating), m a mono into A (a Mor or SymMor) and
+    mediating: dom(m0) -> dom(F(m)) with F(m) . mediating = m0, the triangle
+    verified on carriers; or None when no fg subobject of size at most bound
+    absorbs m0.
     """
     FA = F.on_obj(A)
     if m0.cod != FA:
         raise ValueError("m0 must land in F(A)")
     candidates = sorted(subobjects_of(A, bound), key=lambda pair: pair[0].size)
-    lifts = category_of(m0.dom).lifts
+    cat = category_of(m0.dom)
     for M, m in candidates:
         Fm = F.on_mor(m)
-        mediating = next(lifts(m0, Fm), None)
+        mediating = next(cat.lifts(m0, Fm), None)
         if mediating is not None:
-            wit = BoundednessWitness(m0, m, mediating)
-            if not wit.triangle_commutes(Fm):
+            through = (Fm.precompose(mediating) if isinstance(Fm, SymMor)
+                       else cat.compose(Fm, mediating))
+            if through != m0:
                 raise AssertionError("witness triangle failed verification")
-            return wit
+            return m, mediating
     return None
 
 
@@ -327,7 +316,7 @@ def r_un_boundedness(bound: int = 8, max_m0: int = 4):
             wit = finitely_bounded_witness(F, A, m0, bound)
             if wit is None:
                 return FAIL, {"unwitnessed": mor_to_json(m0), "input": label}
-            found.append([label, m0.dom.size, wit.m.dom.size])
+            found.append([label, m0.dom.size, wit[0].dom.size])
     return PASS_WITNESSED, {"mode": "boundedness-witness", "witnessed": sorted(found),
                             "searched": searched}
 

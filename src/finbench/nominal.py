@@ -423,21 +423,10 @@ def p_chain_certificate(k: int):
 # strictness construction for orbit-finite nominal sets
 
 
-@dataclass
-class NomStrictnessWitness:
-    b: NomMor
-    b_prime: NomMor
-    f: NomMor
-
-    def __post_init__(self):
-        through = nom_compose(self.b_prime, nom_compose(self.f, self.b))
-        if through.images != self.b.images:
-            raise ValueError("strictness square does not commute")
-
-
-def countable_strictness_witness(b: NomMor) -> NomStrictnessWitness:
-    """Split the codomain into the image orbits plus the rest, fold the rest
-    onto one orbit per isomorphism class, and verify b = b' . f . b."""
+def countable_strictness_witness(b: NomMor):
+    """(b_prime, f): split the codomain into the image orbits plus the rest
+    and fold the rest onto one orbit per isomorphism class; returned when
+    b = b_prime . f . b holds, else None."""
     A = b.cod
     pool = b.pool
     hit = sorted({img[0] for img in b.images})
@@ -468,7 +457,9 @@ def countable_strictness_witness(b: NomMor) -> NomStrictnessWitness:
             r, m = fold_to[i]
             f_images.append((position[r], m.images[0][1]))
     f = NomMor(A, Bp, tuple(f_images), pool)
-    return NomStrictnessWitness(b, bp, f)
+    if nom_compose(bp, nom_compose(f, b)).images != b.images:
+        return None
+    return bp, f
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Witness search for finitary morphisms and strictness squares, atom
+"""Witnesses for finitary morphisms and strictness squares, atom
 decompositions of presheaf categories, and negative certificates for the
 symbolic objects.
+
+A witness function returns a plain value that it has checked, or None.
 
 Negative certificates are lemma-schema checks: the universally quantified
 structural facts are verified on all instances up to the stated bounds, and
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .certs import FAIL, PASS_WITNESSED, CertificateError, recipe
 from .core import Mor, Obj, Partition, category_of
@@ -50,196 +51,96 @@ from .symbolic import (
 )
 
 
-@dataclass
-class FinitaryMorWitness:
-    """u = w . v through a finite intermediate object."""
-
-    u: Mor
-    v: Mor
-    w: Mor
-
-    def __post_init__(self):
-        cat = category_of(self.u.dom)
-        if cat.compose(self.w, self.v) != self.u:
-            raise ValueError("factorization does not compose to u")
-
-    @property
-    def mid(self):
-        return self.v.cod
-
-
-@dataclass
-class StrictnessWitness:
-    """b = b_prime . f . b with finitely presentable dom(b_prime)."""
-
-    b: Mor
-    b_prime: Mor
-    f: Mor
-
-    def __post_init__(self):
-        cat = category_of(self.b.dom)
-        through = cat.compose(self.b_prime, cat.compose(self.f, self.b))
-        if through != self.b:
-            raise ValueError("strictness square does not commute")
-
-
-@dataclass
-class Exhaustion:
-    """No witness within the bound; a certificate, when given, shows that
-    none exists at any bound."""
-
-    bound: int
-    detail: str
-    certificate: object = None
-
-
-@dataclass
-class SymEndoWitness:
-    """Factorization of a symbolic endomorphism through a finite object,
-    verified pointwise on a window."""
-
-    endo: SymEndo
-    mid: Obj
-    from_mid: SymMor
-    window: int
-
-    def __post_init__(self):
-        if self.endo.kind != "const0":
-            raise ValueError("only the constant endomorphism factorizes")
-        img = self.from_mid(self.mid.carrier[0])
-        for x in range(self.window):
-            if self.endo.apply(x) != img:
-                raise ValueError("window verification failed")
-
-
 # ---------------------------------------------------------------------------
 # finitary morphisms
 
 
 def finitary_morphism_witness(u, bound: int = 8, window: int = 32):
-    """Factor an endomorphism through an object within the size bound.
+    """(mid, w): a finite object mid of at most bound elements and a map
+    w: mid -> cod(u) with u = w . v for some v: dom(u) -> mid, or None.
 
-    For finite morphisms the image is the smallest possible intermediate
-    object, so exhaustion there is certified.  Symbolic shifts on the ray get
-    the structural certificate instead.
+    A finite u factors through its image, the smallest possible mid, with v
+    its corestriction, and the composite is checked.  The constant
+    endomorphism of the loop ray factors through the loop, checked pointwise
+    on the window.  A shift of the ray has infinite image (see
+    no_finitary_endo_certificate), so no bound admits it.
     """
     if isinstance(u, SymEndo):
-        if u.obj.kind == "loop_ray" and u.kind == "const0":
-            loop = GRA.loop()
-            return SymEndoWitness(u, loop, SymMor(loop, LOOP_RAY, (0,)), window)
         if u.obj.kind == "ray":
-            cert = no_finitary_endo_certificate(RAY, window=window)
-            return Exhaustion(
-                bound,
-                "every hom from a finite path advances by one, so endomorphism "
-                "images are infinite and cannot factor through a bounded object",
-                certificate=cert,
-            )
-        raise ValueError(f"no witness procedure for {u}")
-    cat = category_of(u.dom)
-    e, m = cat.factorize(u)
-    if m.dom.size <= bound:
-        return FinitaryMorWitness(u, e, m)
-    return Exhaustion(
-        bound,
-        f"any factorization needs at least {m.dom.size} elements "
-        "(the image embeds in the intermediate object)",
-    )
+            return None
+        if u.obj.kind != "loop_ray" or u.kind != "const0":
+            raise ValueError(f"no witness procedure for {u}")
+        mid = GRA.loop()
+        w = SymMor(mid, LOOP_RAY, (0,))
+        holds = all(u.apply(x) == w(0) for x in range(window))
+    else:
+        cat = category_of(u.dom)
+        v, w = cat.factorize(u)
+        mid = w.dom
+        holds = cat.compose(w, v) == u
+    return (mid, w) if holds and mid.size <= bound else None
 
 
 # ---------------------------------------------------------------------------
 # strictness witnesses
 
 
-def strictness_witness(b: Mor, bound: int = 8):
-    """Constructive witness per category, generic search as fallback."""
+def _retraction(b: Mor):
+    """(b_prime, f): b_prime a mono from a finite subobject of cod(b) that
+    holds the image of b, and f: cod(b) -> dom(b_prime) with f . b_prime = id.
+
+    FinSet keeps the image, or one point when it is empty, and sends the
+    rest to its least point; G-sets fold the other orbits onto isomorphic
+    kept ones; F_q projects onto the echelon image along a standard
+    complement.  Other categories raise ValueError.
+    """
     cat = category_of(b.dom)
-    if cat is FINSET:
-        wit = _finset_strictness(b)
-    elif isinstance(cat, PresheafCat):
-        wit = _presheaf_strictness(cat, b)
-    elif isinstance(cat, VecCat):
-        wit = _vec_strictness(cat, b)
-    else:
-        wit = _generic_strictness(cat, b, bound)
-    if isinstance(wit, Exhaustion):
-        return wit
-    if wit.b_prime.dom.size > bound:
-        return Exhaustion(bound, f"witness needs {wit.b_prime.dom.size} elements")
-    return wit
-
-
-def _finset_strictness(b: Mor):
     A = b.cod
-    if b.dom.size == 0:
-        if A.size == 0:
-            ident = FINSET.identity(A)
-            return StrictnessWitness(b, ident, ident)
-        point = FINSET.obj([A.carrier[0]])
-        bp = FINSET.mor(point, A, lambda x: x)
-        f = FINSET.mor(A, point, lambda x: A.carrier[0])
-        return StrictnessWitness(b, bp, f)
-    e, m = FINSET.factorize(b)
-    im = m.dom
-    default = im.carrier[0]
-    im_set = set(im.carrier)
-    f = FINSET.mor(A, im, lambda a: a if a in im_set else default)
-    return StrictnessWitness(b, m, f)
+    if cat is FINSET:
+        keep = set(b.mapping) or set(A.carrier[:1])
+        B = cat.subalgebra(A, keep)
+        f = cat.mor(A, B, {a: a if a in keep else B.carrier[0] for a in A.carrier})
+        return cat.sub_mono(A, B), f
+    if isinstance(cat, PresheafCat):
+        return _presheaf_fold(cat, A, set(b.mapping))
+    if isinstance(cat, VecCat):
+        m = cat.factorize(b)[1]
+        return m, cat.projection_onto(m)
+    raise ValueError(f"no retraction procedure for {cat.name}")
 
 
 def _presheaf_fold(cat: PresheafCat, A: Obj, keep_elems: set):
-    """Subalgebra on the kept components plus a fold of the rest onto
-    isomorphic kept components; returns (b_prime, f)."""
+    """Subalgebra on the components that meet keep_elems plus one component
+    per other isomorphism class, and the fold of every other component onto
+    the first kept one isomorphic to it; returns (b_prime, f)."""
     comps = decompose_into_atoms(cat, A)
     kept = [K for K in comps if set(K.carrier) & keep_elems]
-    rest = [K for K in comps if not (set(K.carrier) & keep_elems)]
-    # ensure every isomorphism class is represented among the kept components
-    folds = {}
-    for K in rest:
-        target = next((J for J in kept if cat.is_isomorphic(K, J)), None)
-        if target is None:
-            kept.append(K)
-            folds[K] = (K, cat.identity(K))
+    folds = []
+    for K in comps:
+        if set(K.carrier) & keep_elems:
+            continue
+        for J in kept:
+            iso = cat.find_iso(K, J)
+            if iso is not None:
+                folds.append((K, iso))
+                break
         else:
-            folds[K] = (target, cat.find_iso(K, target))
+            kept.append(K)
     Bp = cat.subalgebra(A, {x for J in kept for x in J.carrier})
-    bp = cat.sub_mono(A, Bp)
-    mapping = {}
-    for J in kept:
-        for x in J.carrier:
-            mapping[x] = x
-    for K, (target, iso) in folds.items():
-        if K in kept:
-            continue
-        for x in K.carrier:
-            mapping[x] = iso(x)
-    f = cat.mor(A, Bp, mapping)
-    return bp, f
+    mapping = {x: x for J in kept for x in J.carrier}
+    for K, iso in folds:
+        mapping.update((x, iso(x)) for x in K.carrier)
+    return cat.sub_mono(A, Bp), cat.mor(A, Bp, mapping)
 
 
-def _presheaf_strictness(cat: PresheafCat, b: Mor):
-    bp, f = _presheaf_fold(cat, b.cod, set(b.mapping))
-    return StrictnessWitness(b, bp, f)
-
-
-def _vec_strictness(cat: VecCat, b: Mor):
-    e, m = cat.factorize(b)
-    f = cat.projection_onto(m)
-    return StrictnessWitness(b, m, f)
-
-
-def _generic_strictness(cat, b: Mor, bound: int):
-    A = b.cod
-    image = set(b.mapping)
-    for m in cat.subobjects_fg(A, bound):
-        if not image <= set(m.mapping):
-            continue
-        for f in cat.hom_set(A, m.dom):
-            try:
-                return StrictnessWitness(b, m, f)
-            except ValueError:
-                continue
-    return Exhaustion(bound, "no subobject-inclusion witness within the bound")
+def strictness_witness(b: Mor):
+    """(b_prime, f) from the category's retraction when the strictness
+    square b = b_prime . f . b commutes, else None."""
+    cat = category_of(b.dom)
+    b_prime, f = _retraction(b)
+    if cat.compose(b_prime, cat.compose(f, b)) != b:
+        return None
+    return b_prime, f
 
 
 # ---------------------------------------------------------------------------
@@ -247,50 +148,37 @@ def _generic_strictness(cat, b: Mor, bound: int):
 
 
 def semistrictness_witness(A, bound: int = 8, window: int = 32):
-    """A finitary endomorphism with its factorization, or exhaustion."""
+    """A finitary endomorphism of A as finitary_morphism_witness gives it,
+    or None: the identity when A has at most bound elements, else the first
+    endomorphism of least image.  Of the symbolic objects only the loop ray
+    has one; no_finitary_endo_certificate covers the others."""
     if isinstance(A, SymbolicObject):
-        if A.kind == "loop_ray":
-            return finitary_morphism_witness(loop_ray_const0(), bound, window)
-        cert = no_finitary_endo_certificate(A, window=window)
-        return Exhaustion(
-            bound,
-            f"no finitary endomorphism of {A.kind} within bound {bound}",
-            certificate=cert,
-        )
+        if A.kind != "loop_ray":
+            return None
+        return finitary_morphism_witness(loop_ray_const0(), bound, window)
     cat = category_of(A)
     if A.size <= bound:
-        ident = cat.identity(A)
-        return FinitaryMorWitness(ident, ident, ident)
-    endos = sorted(cat.hom_set(A, A), key=lambda u: len(set(u.mapping)))
-    for u in endos:
-        if len(set(u.mapping)) <= bound:
-            return finitary_morphism_witness(u, bound)
-    return Exhaustion(bound, "every endomorphism has image above the bound")
+        u = cat.identity(A)
+    else:
+        u = min(cat.hom_set(A, A), key=lambda h: len(set(h.mapping)))
+    return finitary_morphism_witness(u, bound)
 
 
 def fixed_subobject_witness(m: Mor, bound: int = 8):
-    """Finitary endomorphism u with u . m = m."""
+    """The endomorphism u = b_prime . f of the retraction onto the mono m,
+    which fixes m, as finitary_morphism_witness gives it, or None.  Unary
+    algebras and graphs have no retraction procedure and take u = id."""
     cat = category_of(m.dom)
     if not cat.is_mono(m):
         raise ValueError("expected a mono")
-    A = m.cod
-    if cat is FINSET:
-        if m.dom.size == 0:
-            u = cat.identity(A) if A.size == 0 else cat.mor(A, A, lambda a: A.carrier[0])
-        else:
-            im = set(m.mapping)
-            default = m.mapping[0]
-            u = cat.mor(A, A, lambda a: a if a in im else default)
-    elif isinstance(cat, VecCat):
-        proj = cat.projection_onto(m)
-        u = cat.compose(m, proj)
-    elif isinstance(cat, PresheafCat):
-        bp, f = _presheaf_fold(cat, A, set(m.mapping))
-        u = cat.compose(bp, f)
+    try:
+        b_prime, f = _retraction(m)
+    except ValueError:
+        u = cat.identity(m.cod)
     else:
-        u = cat.identity(A)
+        u = cat.compose(b_prime, f)
     if cat.compose(u, m) != m:
-        raise AssertionError("witness does not fix the subobject")
+        return None
     return finitary_morphism_witness(u, bound)
 
 
@@ -440,12 +328,12 @@ def no_finitary_endo_certificate(A: SymbolicObject, window: int = 32, path_bound
     if A.kind == "ray":
         table = []
         for k in range(1, path_bound + 1):
-            wh = homs_into(RAY, GRA.path(k), window)
-            for h in wh.homs:
+            homs, _ = homs_into(RAY, GRA.path(k), window)
+            for h in homs:
                 positions = [h(v) for v in sorted(h.dom.carrier)]
                 if any(b != a + 1 for a, b in zip(positions, positions[1:])):
                     raise AssertionError("a path hom fails to advance by one")
-            table.append([k, len(wh.homs)])
+            table.append([k, len(homs)])
         return {
             "checked": {"path_hom_counts": table, "window": window, "path_bound": path_bound},
             "inference": "every hom from a finite path advances positions by exactly one, "
@@ -501,15 +389,12 @@ def r_strictness_finset(max_dom: int = 4, max_cod: int = 5):
             for images in itertools.product(range(c), repeat=d):
                 b = FINSET.mor(D, C, dict(enumerate(images)))
                 total += 1
-                wit = strictness_witness(b, bound=max_cod + 1)
-                if isinstance(wit, StrictnessWitness):
+                wit = strictness_witness(b)
+                if wit is not None:
                     witnessed += 1
                     if sample is None and d == 2 and c == 3:
-                        sample = {
-                            "b": mor_to_json(wit.b),
-                            "b_prime": mor_to_json(wit.b_prime),
-                            "f": mor_to_json(wit.f),
-                        }
+                        sample = {"b": mor_to_json(b), "b_prime": mor_to_json(wit[0]),
+                                  "f": mor_to_json(wit[1])}
     return PASS_WITNESSED if witnessed == total else FAIL, {
         "witnessed": witnessed, "total": total, "sample": sample}
 
@@ -519,15 +404,14 @@ def r_strictness_presheaf():
     cat = gset_cat(Z2_GPD)
     both, injs = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
     wit = strictness_witness(injs[0])
-    ok = isinstance(wit, StrictnessWitness)
-    return PASS_WITNESSED if ok else FAIL, {
+    if wit is None:
+        return FAIL, {"category": cat.name, "b_prime_size": None, "witness": None}
+    b_prime, f = wit
+    return PASS_WITNESSED, {
         "category": cat.name,
-        "b_prime_size": wit.b_prime.dom.size if ok else None,
-        "witness": {
-            "b": mor_to_json(wit.b),
-            "b_prime": mor_to_json(wit.b_prime),
-            "f": mor_to_json(wit.f),
-        } if ok else None,
+        "b_prime_size": b_prime.dom.size,
+        "witness": {"b": mor_to_json(injs[0]), "b_prime": mor_to_json(b_prime),
+                    "f": mor_to_json(f)},
     }
 
 
@@ -540,11 +424,10 @@ def r_strictness_vec(ambient_dim: int = 3, sub_dim: int = 1):
     cat = VEC2
     cols = cat.basis_vectors(ambient_dim)[:sub_dim]
     b = cat.from_matrix(cat.obj(sub_dim), cat.obj(ambient_dim), cols)
-    # a witness may need the whole ambient space
-    wit = strictness_witness(b, cat.q ** ambient_dim)
-    ok = isinstance(wit, StrictnessWitness)
-    return PASS_WITNESSED if ok else FAIL, {
-        "b_prime_dim": cat.dim(wit.b_prime.dom) if ok else None}
+    wit = strictness_witness(b)
+    if wit is None:
+        return FAIL, {"b_prime_dim": None}
+    return PASS_WITNESSED, {"b_prime_dim": cat.dim(wit[0].dom)}
 
 
 def _gset_surjection_sampler(rng, cat, subgroups):

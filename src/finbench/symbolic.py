@@ -104,18 +104,13 @@ def primes_upto(n):
     return [p for p in range(2, n + 1) if _is_prime(p)]
 
 
-@dataclass
-class WindowedHoms:
-    homs: list
-    window: int
-    complete: bool  # False when shifts outside the window exist
-
-
 # ---------------------------------------------------------------------------
 # hom enumeration into symbolic objects
 
 
-def homs_into(sym: SymbolicObject, A: Obj, window: int = WINDOW_DEFAULT) -> WindowedHoms:
+def homs_into(sym: SymbolicObject, A: Obj, window: int = WINDOW_DEFAULT):
+    """(homs, complete): the homs A -> sym inside the window, and whether
+    they are all of them (False when shifts outside the window exist)."""
     if sym.kind == "ray":
         return _homs_into_ray(A, window)
     if sym.kind == "cycle_family":
@@ -153,17 +148,17 @@ def _graph_levels(A: Obj):
     return components
 
 
-def _homs_into_ray(A: Obj, window) -> WindowedHoms:
+def _homs_into_ray(A: Obj, window):
     comps = _graph_levels(A)
     if any(not ok for _, ok in comps):
-        return WindowedHoms([], window, True)
+        return [], True
     per_comp = []
     for levels, _ in comps:
         lo = min(levels.values())
         hi = max(levels.values())
         options = [{v: l + s for v, l in levels.items()} for s in range(-lo, window - hi)]
         if not options:
-            return WindowedHoms([], window, False)
+            return [], False
         per_comp.append(options)
     homs = []
     for combo in itertools.product(*per_comp):
@@ -172,10 +167,10 @@ def _homs_into_ray(A: Obj, window) -> WindowedHoms:
             mapping.update(part)
         homs.append(SymMor(A, RAY, tuple(mapping[v] for v in A.carrier)))
     # shifts beyond the window always exist for nonempty graphs
-    return WindowedHoms(homs, window, complete=A.size == 0)
+    return homs, A.size == 0
 
 
-def _homs_into_cycle_family(A: Obj, window) -> WindowedHoms:
+def _homs_into_cycle_family(A: Obj, window):
     comps = _un_components(A)
     per_comp = []
     complete = True
@@ -187,7 +182,7 @@ def _homs_into_cycle_family(A: Obj, window) -> WindowedHoms:
         if any(p > window for p in _prime_divisors(cycle_len)):
             complete = False
         if not targets:
-            return WindowedHoms([], window, complete)
+            return [], complete
         per_comp.append((_offsets_to_cycle(A, elems), targets))
     homs = []
     for combo in itertools.product(*(t for _, t in per_comp)):
@@ -196,7 +191,7 @@ def _homs_into_cycle_family(A: Obj, window) -> WindowedHoms:
             for v, off in offsets.items():
                 mapping[v] = (q, (r + off) % q)
         homs.append(SymMor(A, CYCLE_FAMILY, tuple(mapping[v] for v in A.carrier)))
-    return WindowedHoms(homs, window, complete)
+    return homs, complete
 
 
 def _prime_divisors(n):

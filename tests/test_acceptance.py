@@ -24,7 +24,6 @@ from finbench.cats import (
 )
 from finbench.colimits import FAIL, PASS
 from finbench.functors import (
-    BoundednessWitness,
     finitarity_certificate,
     finitely_bounded_witness,
     graph_counterexample,
@@ -52,7 +51,6 @@ from finbench.nominal import (
 )
 from finbench.perms import subgroups_of_sym
 from finbench.strictness import (
-    StrictnessWitness,
     atoms_of_presheaves,
     congruences,
     decomposition_roundtrip,
@@ -105,8 +103,8 @@ def test_criterion_01_un_counterexample():
         m0s = UN.subobjects_fg(FA, 4)
         assert m0s, "no subobjects to witness"
         for m0 in m0s:
-            wit = finitely_bounded_witness(F, A, m0, bound=8)
-            assert isinstance(wit, BoundednessWitness)
+            m, mediating = finitely_bounded_witness(F, A, m0, bound=8)
+            assert m.dom.size <= 8
     verdict, witness = finitarity_certificate(
         F, prime_cycle_chain(3), prime_cycle_chain(4), "prime-cycles"
     )
@@ -163,10 +161,11 @@ def test_criterion_04_finset_strictness():
             D, C = FINSET.obj(range(d)), FINSET.obj(range(c))
             for images in itertools.product(range(c), repeat=d):
                 total += 1
-                wit = strictness_witness(
-                    FINSET.mor(D, C, dict(enumerate(images))), bound=6
-                )
-                witnessed += isinstance(wit, StrictnessWitness)
+                b = FINSET.mor(D, C, dict(enumerate(images)))
+                b_prime, f = strictness_witness(b)
+                assert FINSET.compose(b_prime, FINSET.compose(f, b)) == b
+                assert b_prime.dom.size <= 6
+                witnessed += 1
     assert total == 1280
     assert witnessed == total
 

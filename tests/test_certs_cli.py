@@ -104,7 +104,7 @@ def test_replay_fresh_certificates_match():
     ):
         params = {"subject": "ray"} if name == "no-finitary-endo" else {}
         cert = RECIPES[name](**params)
-        assert replay(cert).match, name
+        assert replay(cert) == [], name
 
 
 def test_replay_detects_tampered_witness(tmp_path):
@@ -114,11 +114,9 @@ def test_replay_detects_tampered_witness(tmp_path):
     payload = json.loads(path.read_text())
     payload["witness"]["lhs_size"] = 99
     tampered = Certificate.from_payload(payload)
-    result = replay(tampered)
-    assert not result.match
-    assert result.diffs == (
+    assert replay(tampered) == [
         f"witness.lhs_size: stored 99 recomputed {cert.witness['lhs_size']}",
-    )
+    ]
 
 
 def test_replay_diff_names_the_first_path_inside_lists():
@@ -129,7 +127,7 @@ def test_replay_diff_names_the_first_path_inside_lists():
     def diffs_after(edit):
         payload = json.loads(fresh.dumps())
         edit(payload)
-        return replay(Certificate.from_payload(payload)).diffs
+        return tuple(replay(Certificate.from_payload(payload)))
 
     def bump(payload):
         stored = payload["witness"]["checked"]["prime_hom_table"]
@@ -161,7 +159,7 @@ def test_replay_diff_names_the_first_path_inside_lists():
 def test_replay_recomputes_under_recorded_bound():
     cert = RECIPES["un-boundedness"](bound=12)
     assert cert.bounds["bound"] == 12
-    assert replay(cert).match
+    assert replay(cert) == []
 
 
 def test_certificate_schema_guard():
@@ -340,7 +338,7 @@ def test_every_int_parameter_but_seed_has_a_replay_limit():
             values = [defaults[key]] + [p[key] for p in suite_params.get(recipe, ()) if key in p]
             assert all(lo <= v <= hi for v in values), (recipe, key)
         least = _least(recipe)
-        assert replay(least).match, recipe
+        assert replay(least) == [], recipe
 
 
 def test_finitarity_nom_rejects_k_above_3_up_front():
@@ -384,3 +382,32 @@ def test_from_payload_rejects_non_object_fields():
             Certificate.from_payload(bad)
     with pytest.raises(CertificateError):
         Certificate.from_payload({k: v for k, v in payload.items() if k != "witness"})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("verdict", 5), ("verdict", "MAYBE"), ("verdict", None), ("verdict", ["PASS"]),
+    ("witness", [1]), ("witness", "x"), ("witness", None),
+    ("bounds", [1]), ("bounds", 3), ("bounds", None),
+])
+def test_replay_malformed_verdict_witness_or_bounds_exits_2(tmp_path, capsys, key, value):
+    payload = _no_finitary_endo_payload()
+    payload[key] = value
+    with pytest.raises(CertificateError):
+        Certificate.from_payload(payload)
+    code, err = _malformed_replay(tmp_path, capsys, payload)
+    assert code == 2
+    assert err.count("\n") == 1 and key in err
+    assert "Traceback" not in err
+
+
+def test_replay_changed_witness_leaf_or_label_still_mismatches(tmp_path, capsys):
+    # a well-formed certificate whose values differ is a disagreement, exit 1
+    payload = _no_finitary_endo_payload()
+    payload["witness"]["checked"]["window"] += 1
+    assert _malformed_replay(tmp_path, capsys, payload)[0] == 1
+    payload = _no_finitary_endo_payload()
+    payload["verdict"] = PASS_WITNESSED
+    assert _malformed_replay(tmp_path, capsys, payload)[0] == 1
+    payload = _no_finitary_endo_payload()
+    del payload["bounds"]
+    assert _malformed_replay(tmp_path, capsys, payload)[0] == 1

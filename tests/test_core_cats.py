@@ -397,6 +397,17 @@ def test_vec_subobjects_count():
     assert [len(VEC3.subobjects_fg(VEC3.obj(n))) for n in range(5)] == [1, 2, 6, 28, 212]
 
 
+
+@pytest.mark.parametrize("cat, n", [(VEC2, 3), (VEC3, 2)])
+def test_vec_subobjects_bound_by_size(cat, n):
+    # as in every other category, the bound caps the subobject's carrier
+    X = cat.obj(n)
+    every = cat.subobjects_fg(X)
+    for bound in (0, 1, 2, 3, 4, 8, 9, 26, 27):
+        assert cat.subobjects_fg(X, bound) == [m for m in every if m.dom.size <= bound]
+    assert len(cat.subobjects_fg(X, 1)) == 1  # the zero subspace alone
+
+
 def test_vec_coequalizer_is_cokernel():
     v = VEC2
     f = v.from_matrix(v.obj(1), v.obj(2), [(1, 0)])
@@ -828,10 +839,10 @@ def _lifting_problem(draw, kind):
         else:
             ns = draw(st.lists(st.sampled_from([2, 3, 6]), min_size=2, max_size=3))
             D, _ = UN.coproduct([UN.cycle(n) for n in ns])
-            g = draw(st.sampled_from(sy.homs_into(sy.CYCLE_FAMILY, D, window=5).homs))
+            g = draw(st.sampled_from(sy.homs_into(sy.CYCLE_FAMILY, D, window=5)[0]))
         A = UN.cycles_sum(draw(st.lists(st.sampled_from([2, 3, 5]), min_size=1,
                                         max_size=2, unique=True)))
-        homs = sy.homs_into(sy.CYCLE_FAMILY, A, window=5).homs
+        homs, _ = sy.homs_into(sy.CYCLE_FAMILY, A, window=5)
     else:
         C = draw(_small_obj(kind, 3))
         cat = category_of(C)

@@ -7,7 +7,6 @@ import pytest
 from finbench.cats import FINSET, GRA, UN, random_un_obj
 from finbench.colimits import FAIL, PASS
 from finbench.functors import (
-    BoundednessWitness,
     check_functor_laws,
     finitarity_certificate,
     finitely_bounded_witness,
@@ -126,17 +125,15 @@ def test_witness_for_identity_functor():
     I = identity_functor("un")
     A = UN.cycles_sum([2, 3])
     for m0 in UN.subobjects_fg(A):
-        wit = finitely_bounded_witness(I, A, m0, bound=6)
-        assert isinstance(wit, BoundednessWitness)
-        assert wit.m.dom.size <= m0.dom.size or wit.m.dom.size <= 6
+        m, _ = finitely_bounded_witness(I, A, m0, bound=6)
+        assert m.dom.size <= m0.dom.size or m.dom.size <= 6
 
 
 def test_witness_for_identity_functor_on_cycle_family():
     I = identity_functor("un")
     for _, m0 in sy.fg_subobjects(sy.CYCLE_FAMILY, 5):
-        wit = finitely_bounded_witness(I, sy.CYCLE_FAMILY, m0, bound=5)
-        assert isinstance(wit, BoundednessWitness)
-        assert wit.m == m0 and wit.mediating == UN.identity(m0.dom)
+        m, mediating = finitely_bounded_witness(I, sy.CYCLE_FAMILY, m0, bound=5)
+        assert m == m0 and mediating == UN.identity(m0.dom)
 
 
 def test_witness_un_cx_finite_input():
@@ -144,8 +141,8 @@ def test_witness_un_cx_finite_input():
     A = UN.cycles_sum([2, 3])
     FA = F.on_obj(A)
     for m0 in UN.subobjects_fg(FA, 4):
-        wit = finitely_bounded_witness(F, A, m0, bound=6)
-        assert isinstance(wit, BoundednessWitness)
+        m, mediating = finitely_bounded_witness(F, A, m0, bound=6)
+        assert UN.compose(F.on_mor(m), mediating) == m0
 
 
 def test_witness_un_cx_cycle_family():
@@ -153,9 +150,8 @@ def test_witness_un_cx_cycle_family():
     FA = F.on_obj(sy.CYCLE_FAMILY)
     assert FA.size == 1
     for m0 in UN.subobjects_fg(FA):
-        wit = finitely_bounded_witness(F, sy.CYCLE_FAMILY, m0, bound=8)
-        assert isinstance(wit, BoundednessWitness)
-        assert wit.m.dom.size == 0  # the empty subalgebra absorbs everything
+        m, _ = finitely_bounded_witness(F, sy.CYCLE_FAMILY, m0, bound=8)
+        assert m.dom.size == 0  # the empty subalgebra absorbs everything
 
 
 def test_witness_hom_functor():
@@ -164,8 +160,8 @@ def test_witness_hom_functor():
     A = UN.cycles_sum([2, 4])
     HA = H.on_obj(A)
     for m0 in FINSET.subobjects_fg(HA, 2):
-        wit = finitely_bounded_witness(H, A, m0, bound=8)
-        assert isinstance(wit, BoundednessWitness)
+        m, mediating = finitely_bounded_witness(H, A, m0, bound=8)
+        assert FINSET.compose(H.on_mor(m), mediating) == m0
 
 
 def test_witness_exhaustion_reports_bound():

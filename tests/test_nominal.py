@@ -422,31 +422,31 @@ def test_p_chain_certificate():
 def test_strictness_identity():
     X = p_prefix(2)
     b = nom_identity(X, pool=10)
-    wit = countable_strictness_witness(b)
-    assert wit.b_prime.dom.orbit_count == X.orbit_count
+    b_prime, _ = countable_strictness_witness(b)
+    assert b_prime.dom.orbit_count == X.orbit_count
 
 
 def test_strictness_duplicate_orbit_folds():
     A = NominalSetSpec((pn_orbit(1), pn_orbit(1)))
     b = NomMor(NominalSetSpec((pn_orbit(1),)), A, ((0, (0,)),), 10)
-    wit = countable_strictness_witness(b)
-    assert wit.b_prime.dom.orbit_count == 2
+    b_prime, f = countable_strictness_witness(b)
+    assert b_prime.dom.orbit_count == 2
     # the fold sends the duplicate orbit onto its isomorphic representative
-    assert wit.f.images[1][0] in (0, 1)
+    assert f.images[1][0] in (0, 1)
 
 
 def test_strictness_triple_duplicate_folds_to_two():
     A = NominalSetSpec((pn_orbit(1), pn_orbit(1), pn_orbit(1)))
     b = NomMor(NominalSetSpec((pn_orbit(1),)), A, ((0, (0,)),), 10)
-    wit = countable_strictness_witness(b)
-    assert wit.b_prime.dom.orbit_count == 2  # image orbit plus one class rep
+    b_prime, _ = countable_strictness_witness(b)
+    assert b_prime.dom.orbit_count == 2  # image orbit plus one class rep
 
 
 def test_strictness_mixed_orbits():
     A = NominalSetSpec((pn_orbit(1), pn_orbit(2)))
     b = NomMor(NominalSetSpec((pn_orbit(1),)), A, ((0, (0,)),), 10)
-    wit = countable_strictness_witness(b)
-    assert wit.b_prime.dom.orbit_count == 2  # non-isomorphic orbits both kept
+    b_prime, _ = countable_strictness_witness(b)
+    assert b_prime.dom.orbit_count == 2  # non-isomorphic orbits both kept
 
 
 def test_single_orbit_classes_n4_against_conjugacy_oracle():

@@ -14,6 +14,7 @@ from finbench.cats import (
     TRIVIAL_GPD,
     UN,
     VEC2,
+    VEC3,
     Z2_GPD,
     Z3_GPD,
     gset_cat,
@@ -28,11 +29,7 @@ from finbench.certs import PASS_WITNESSED, RECIPES
 from finbench.core import category_of, elem_key
 from finbench.perms import subgroups_of_sym
 from finbench.strictness import (
-    Exhaustion,
     FinitaryEndoExists,
-    FinitaryMorWitness,
-    StrictnessWitness,
-    SymEndoWitness,
     atoms_of_presheaves,
     congruences,
     decompose_into_atoms,
@@ -57,45 +54,54 @@ from oracles import brute_congruences, random_gset
 
 def test_identity_on_finite_object_is_finitary():
     X = UN.cycle(3)
-    wit = finitary_morphism_witness(UN.identity(X), bound=5)
-    assert isinstance(wit, FinitaryMorWitness)
-    assert wit.mid == X
+    mid, w = finitary_morphism_witness(UN.identity(X), bound=5)
+    assert mid == X and w == UN.identity(X)
 
 
 def test_constant_endo_of_loop_ray_factors_through_loop():
-    wit = finitary_morphism_witness(sy.loop_ray_const0(), bound=4)
-    assert isinstance(wit, SymEndoWitness)
-    assert wit.mid == GRA.loop()
+    mid, w = finitary_morphism_witness(sy.loop_ray_const0(), bound=4)
+    assert mid == GRA.loop()
+    assert w == sy.SymMor(mid, sy.LOOP_RAY, (0,))
+    assert finitary_morphism_witness(sy.loop_ray_const0(), bound=0) is None
 
 
 def test_ray_shift_has_no_witness():
-    wit = finitary_morphism_witness(sy.ray_shift(1), bound=8)
-    assert isinstance(wit, Exhaustion)
-    assert wit.certificate == no_finitary_endo_certificate(sy.RAY, window=32)
+    # the negative certificate shows that no bound admits one
+    assert finitary_morphism_witness(sy.ray_shift(1), bound=8) is None
+    assert no_finitary_endo_certificate(sy.RAY, window=32)["inference"]
 
 
 def test_finite_exhaustion_when_image_exceeds_bound():
     X = FINSET.obj(range(5))
-    wit = finitary_morphism_witness(FINSET.identity(X), bound=3)
-    assert isinstance(wit, Exhaustion)
+    assert finitary_morphism_witness(FINSET.identity(X), bound=3) is None
+    assert finitary_morphism_witness(FINSET.identity(X), bound=5)[0] == X
 
 
 # ---------------------------------------------------------------------------
 # strictness witnesses
 
 
+def _assert_retraction(b):
+    """The retraction (b_prime, f) splits, and the square through it holds."""
+    cat = category_of(b.dom)
+    b_prime, f = strictness._retraction(b)
+    assert cat.is_mono(b_prime) and b_prime.cod == b.cod
+    assert cat.compose(f, b_prime) == cat.identity(b_prime.dom)
+    assert cat.compose(b_prime, cat.compose(f, b)) == b
+    assert strictness_witness(b) == (b_prime, f)
+    return b_prime, f
+
+
 def test_finset_injective_witness():
     b = FINSET.mor(FINSET.obj(range(2)), FINSET.obj(range(3)), lambda x: x)
-    wit = strictness_witness(b)
-    assert isinstance(wit, StrictnessWitness)
-    assert wit.b_prime.dom.size == 2  # the image, embedded back
+    b_prime, f = strictness_witness(b)
+    assert b_prime.dom.size == 2  # the image, embedded back
 
 
 def test_finset_empty_domain_witness():
     b = FINSET.mor(FINSET.obj(()), FINSET.obj(range(3)), {})
-    wit = strictness_witness(b)
-    assert isinstance(wit, StrictnessWitness)
-    assert wit.b_prime.dom.size == 1  # any point
+    b_prime, f = strictness_witness(b)
+    assert b_prime.dom.size == 1  # any point
 
 
 def test_finset_exhaustive_small():
@@ -107,25 +113,63 @@ def test_finset_exhaustive_small():
             D, C = FINSET.obj(range(d)), FINSET.obj(range(c))
             for images in itertools.product(range(c), repeat=d):
                 total += 1
-                wit = strictness_witness(FINSET.mor(D, C, dict(enumerate(images))))
-                found += isinstance(wit, StrictnessWitness)
+                found += strictness_witness(FINSET.mor(D, C, dict(enumerate(images)))) is not None
     assert total == 1280 and found == total
+
+
+def test_finset_retraction_on_random_maps():
+    rng = random.Random(3)
+    for _ in range(300):
+        d = rng.randint(0, 5)
+        c = rng.randint(1 if d else 0, 6)
+        b = FINSET.mor(FINSET.obj(range(d)), FINSET.obj(range(c)),
+                       {i: rng.randrange(c) for i in range(d)})
+        b_prime, f = _assert_retraction(b)
+        image = set(b.mapping)
+        assert b_prime.dom.size == (max(len(image), 1) if c else 0)
+        assert image <= set(b_prime.mapping)
+
+
+@pytest.mark.parametrize("gpd", [Z2_GPD, Z3_GPD, S3_GPD], ids=lambda g: g.name)
+def test_gset_retraction_on_random_maps(gpd):
+    rng = random.Random(11)
+    cat = gset_cat(gpd)
+    draw = gset_sampler(rng, cat, [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))], 6)
+    tried = 0
+    for _ in range(40):
+        X, A = draw(), draw()
+        homs = cat.hom_set(X, A)
+        if homs:
+            tried += 1
+            b_prime, _ = _assert_retraction(rng.choice(homs))
+            assert b_prime.dom.size <= A.size
+        _assert_retraction(cat.identity(A))
+    assert tried >= 10
+
+
+@pytest.mark.parametrize("cat", [VEC2, VEC3], ids=lambda c: c.name)
+def test_vec_retraction_on_random_maps(cat):
+    rng = random.Random(7)
+    for _ in range(60):
+        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        cols = [tuple(rng.randrange(cat.q) for _ in range(m)) for _ in range(n)]
+        b = cat.from_matrix(cat.obj(n), cat.obj(m), cols)
+        b_prime, _ = _assert_retraction(b)
+        assert cat.dim(b_prime.dom) == len(cat.echelon(cols)[0])  # the rank of b
 
 
 def test_presheaf_orbit_fold():
     cat = gset_cat(Z2_GPD)
     both, injs = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
-    wit = strictness_witness(injs[0])
-    assert isinstance(wit, StrictnessWitness)
-    assert wit.b_prime.dom.size == 2  # one free orbit
+    b_prime, f = _assert_retraction(injs[0])
+    assert b_prime.dom.size == 2  # one free orbit
 
 
 def test_vec_complement_projection():
     v = VEC2
     b = v.from_matrix(v.obj(1), v.obj(3), [(1, 1, 0)])
-    wit = strictness_witness(b)
-    assert isinstance(wit, StrictnessWitness)
-    assert v.dim(wit.b_prime.dom) == 1
+    b_prime, f = _assert_retraction(b)
+    assert v.dim(b_prime.dom) == 1
 
 
 def test_strictness_vec_recipe_passes_above_eight_vectors():
@@ -134,11 +178,11 @@ def test_strictness_vec_recipe_passes_above_eight_vectors():
     assert (cert.verdict, cert.witness) == ("PASS", {"b_prime_dim": 4})
 
 
-def test_generic_strictness_on_graphs():
+def test_unary_algebras_and_graphs_have_no_retraction():
     edge = GRA.obj([0, 1], [(0, 1)])
-    b = GRA.identity(edge)
-    wit = strictness_witness(b)
-    assert isinstance(wit, StrictnessWitness)
+    for b in (GRA.identity(edge), UN.identity(UN.cycle(2))):
+        with pytest.raises(ValueError):
+            strictness_witness(b)
 
 
 # ---------------------------------------------------------------------------
@@ -146,55 +190,56 @@ def test_generic_strictness_on_graphs():
 
 
 def test_semistrictness_finite_identity():
-    wit = semistrictness_witness(UN.cycle(3), bound=5)
-    assert isinstance(wit, FinitaryMorWitness)
+    mid, w = semistrictness_witness(UN.cycle(3), bound=5)
+    assert mid == UN.cycle(3)
 
 
 def test_semistrictness_loop_ray():
-    wit = semistrictness_witness(sy.LOOP_RAY, bound=4)
-    assert isinstance(wit, SymEndoWitness)
+    mid, _ = semistrictness_witness(sy.LOOP_RAY, bound=4)
+    assert mid == GRA.loop()
 
 
 @pytest.mark.parametrize("bound", [2, 4, 8])
 def test_semistrictness_ray_exhausts(bound):
-    wit = semistrictness_witness(sy.RAY, bound=bound)
-    assert isinstance(wit, Exhaustion)
-    assert wit.certificate == no_finitary_endo_certificate(sy.RAY, window=32)
+    assert semistrictness_witness(sy.RAY, bound=bound) is None
 
 
 def test_semistrictness_cycle_family_exhausts():
-    wit = semistrictness_witness(sy.CYCLE_FAMILY, bound=8)
-    assert isinstance(wit, Exhaustion)
-    assert wit.certificate == no_finitary_endo_certificate(sy.CYCLE_FAMILY, window=32)
+    assert semistrictness_witness(sy.CYCLE_FAMILY, bound=8) is None
+
+
+def test_semistrictness_least_image_above_the_bound():
+    # a 2-cycle plus a fixed point: the least endomorphism image is the point
+    A = UN.obj(range(3), {0: 1, 1: 0, 2: 2})
+    mid, _ = semistrictness_witness(A, bound=1)
+    assert mid.size == 1
+    assert semistrictness_witness(UN.cycle(3), bound=2) is None
 
 
 def test_fixed_subobject_identity():
     X = UN.cycle(2)
-    wit = fixed_subobject_witness(UN.identity(X))
-    assert isinstance(wit, FinitaryMorWitness)
+    mid, _ = fixed_subobject_witness(UN.identity(X))
+    assert mid == X
 
 
 def test_fixed_subobject_point_in_finset():
     m = FINSET.mor(FINSET.obj([0]), FINSET.obj(range(3)), lambda x: 0)
-    wit = fixed_subobject_witness(m)
-    assert isinstance(wit, FinitaryMorWitness)
-    assert wit.mid.size == 1  # constant at the image point
+    mid, _ = fixed_subobject_witness(m)
+    assert mid.size == 1  # constant at the image point
 
 
 def test_fixed_subobject_vec_projection():
     v = VEC2
     m = v.from_matrix(v.obj(1), v.obj(3), [(1, 0, 0)])
-    wit = fixed_subobject_witness(m)
-    assert isinstance(wit, FinitaryMorWitness)
-    assert v.dim(wit.mid) == 1
+    mid, _ = fixed_subobject_witness(m)
+    assert v.dim(mid) == 1
 
 
 def test_fixed_subobject_presheaf():
     cat = gset_cat(Z3_GPD)
     X, injs = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
-    wit = fixed_subobject_witness(injs[0])
-    assert isinstance(wit, FinitaryMorWitness)
-    assert wit.mid.size == 3
+    mid, _ = fixed_subobject_witness(injs[0])
+    assert mid.size == 3
 
 
 # ---------------------------------------------------------------------------
