@@ -305,20 +305,17 @@ class UnCat(UnaryAlgebraCat):
         return all(img[src[x]] == dst[y] for x, y in img.items())
 
     def iso_invariant(self, X):
-        return (X.size, tuple(sorted({self.tail_period(X, x)[1] for x in X.carrier})))
+        """The size and the sorted multiset of (tail, period) pairs."""
+        return (X.size, tuple(sorted(sig[0] for sig in self.cycle_signatures(X).values())))
 
     def initial(self):
         return self.obj((), {})
 
     def tail_period(self, X, x):
         """(tail, period): the steps from x until the operation enters its
-        cycle, and that cycle's length (every finite orbit ends in one)."""
-        op = self.op_tables(X)["op"]
-        seen = {}
-        while x not in seen:
-            seen[x] = len(seen)
-            x = op[x]
-        return seen[x], len(seen) - seen[x]
+        cycle, and that cycle's length (every finite orbit ends in one);
+        read from cycle_signatures."""
+        return self.cycle_signatures(X)[x][0]
 
     def has_fixed_point(self, X):
         return any(self.op(X, x) == x for x in X.carrier)

@@ -27,6 +27,17 @@ A category supplies these hooks:
   overrides only the ones something calls; the others raise
   ``NotImplementedError``.
 
+The search prunes by cycle equations.  Under one operation, an element x's
+orbit has a tail t and a period p, so op^(t + p)(x) = op^t(x), and a hom
+sends x only to an element y whose own tail is at most t and whose period
+divides p.  ``cycle_signatures`` keeps each element's (tail, period) per
+operation on the object, from one walk of each operation's functional
+graph; an orbit that leaves the operation's domain, as a cross-sort
+presheaf operation does, gives no equation.  At a branch point the search
+applies the rule only after one of x's targets has failed propagation, so a
+search that never fails builds no signatures.  ``candidate_targets`` stays a
+sort-level filter.
+
 ``cats.UnaryAlgebraCat`` writes the constructions once for finite sets, unary
 algebras and presheaves, from ``op_successors``/``op_apply`` and four hooks
 of its own: ``_build`` (the object on a carrier, already in ``elem_key``
@@ -196,6 +207,50 @@ class Partition:
         return {x: members[0] for members in self.classes() for x in members}
 
 
+def _orbit_shapes(carrier, index, table) -> list:
+    """The (tail, period) of each element's orbit under the operation
+    table, in carrier order, or None when the orbit leaves the table's
+    domain; one walk of the functional graph on carrier positions (index
+    maps each element to its position), which enters each element once."""
+    nxt = list(map(index.get, map(table.get, carrier)))  # None: undefined
+    shape = [None] * len(nxt)
+    at = [-1] * len(nxt)  # the step, counted over all walks, that entered it
+    steps = 0
+    for i in range(len(nxt)):
+        if at[i] >= 0:
+            continue
+        path, j, first = [], i, steps
+        while j is not None and at[j] < 0:
+            at[j] = steps
+            steps += 1
+            path.append(j)
+            j = nxt[j]
+        if j is None:  # the orbit leaves the domain
+            end = None
+        elif at[j] >= first:  # this walk closed a new cycle at j
+            k = at[j] - first
+            end = (0, len(path) - k)
+            for m in path[k:]:
+                shape[m] = end
+            del path[k:]
+        else:
+            end = shape[j]
+        for m in reversed(path):
+            if end is not None:
+                end = (end[0] + 1, end[1])
+            shape[m] = end
+    return shape
+
+
+def _fits(sx, sy) -> bool:
+    """Whether an element with cycle signature sy satisfies every cycle
+    equation op^(t + p) = op^t of signature sx: its own tail is at most t
+    and its period divides p, for each operation that gives sx an
+    equation."""
+    return all(b is not None and b[0] <= a[0] and a[1] % b[1] == 0
+               for a, b in zip(sx, sy) if a is not None)
+
+
 _REGISTRY: dict[str, "Category"] = {}
 
 
@@ -258,8 +313,25 @@ class Category:
         """Apply op_id in X, or None when undefined; mirror of op_successors."""
         return self.op_tables(X)[op_id].get(x)
 
+    def cycle_signatures(self, X: Obj) -> dict:
+        """{x: signature}, built once per object: for each operation in
+        op_tables order, which is the same for every object of a category,
+        the (tail, period) of x's orbit under that operation alone, so
+        op^(tail + period)(x) = op^tail(x), or None when the orbit leaves the
+        operation's domain and gives no such equation."""
+        sigs = X.__dict__.get("_cycle_sigs")
+        if sigs is None:
+            index = {x: i for i, x in enumerate(X.carrier)}
+            cols = [_orbit_shapes(X.carrier, index, t) for t in self.op_tables(X).values()]
+            sigs = X.__dict__["_cycle_sigs"] = (
+                dict(zip(X.carrier, zip(*cols))) if cols else dict.fromkeys(X.carrier, ()))
+        return sigs
+
     def candidate_targets(self, X: Obj, x, Y: Obj):
-        """Codomain elements a hom may send x to (sort filtering etc.)."""
+        """Codomain elements a hom may send x to (sort filtering etc.).  It
+        stays a sort-level filter, never a structural one:
+        ``strictness.congruences`` reads it as the pairs a congruence may
+        identify."""
         return Y.carrier
 
     def relation_check(self, X: Obj, Y: Obj):
@@ -317,7 +389,10 @@ class Category:
 
         Backtracking on one assignment, with propagation along unary
         operations; each step checks relations and injectivity only for the
-        elements it assigned, and is undone on return.
+        elements it assigned, and is undone on return.  Once a target of x
+        has failed, the remaining targets y must also pass the cycle rule
+        (``_fits`` on the cycle signatures of x and y), which every hom
+        satisfies; its verdicts are memoised per pair of signatures.
         """
         xs = X.carrier
         tables = self.op_tables(Y)
@@ -328,6 +403,19 @@ class Category:
                 succ[a].append((tables[op_id], a2))
         check = self.relation_check(X, Y)
         assign, used = {}, set()  # used: the values taken, when injective
+        prune = bool(tables)  # without operations there are no cycle equations
+        sig_x = sig_y = None  # the cycle signatures, read once needed
+        fit = {}
+
+        def fits(x, y):
+            nonlocal sig_x, sig_y
+            if sig_x is None:
+                sig_x, sig_y = self.cycle_signatures(X), self.cycle_signatures(Y)
+            key = (sig_x[x], sig_y[y])
+            ok = fit.get(key)
+            if ok is None:
+                ok = fit[key] = _fits(*key)
+            return ok
 
         def step(x, y):
             # assign x -> y and what the operations force: (new elements, ok)
@@ -361,12 +449,15 @@ class Category:
             targets = self.candidate_targets(X, x, Y)
             if over is not None:
                 targets = [y for y in targets if y in over[x]]
+            failed = False
             for y in targets:
-                if y in used:
+                if y in used or failed and not fits(x, y):
                     continue
                 new, ok = step(x, y)
                 if ok:
                     yield from extend(i + 1)
+                else:
+                    failed = prune
                 if injective:
                     used.difference_update([assign[a] for a in new])
                 for a in new:

@@ -4,7 +4,8 @@ These deliberately avoid the library's search machinery: homs come from
 filtering the full function space, factorizations through a morphism from
 filtering the product of its fibers, subgroups from filtering inverse-closed
 subsets, congruences from filtering all set partitions, the endomorphism
-scan from a depth-first assignment over all map families, a unary
+scan from a depth-first assignment over all map families, an orbit's tail
+and period from applying its operation until an element repeats, a unary
 algebra's quotient by one identification from coequalizing a pair of homs
 out of a chain, and F_q linear algebra from enumeration: spans by closing
 under scaled sums, coordinates by trying every coefficient tuple, and
@@ -54,14 +55,28 @@ def factorizations_by_fibers(f, g):
     return out
 
 
+def orbit_by_iteration(table, x):
+    """(tail, period) of x under the operation table {x: op(x)}, by applying
+    it until an element repeats, or None when the orbit leaves the table's
+    domain."""
+    seen = []
+    while x not in seen:
+        if x not in table:
+            return None
+        seen.append(x)
+        x = table[x]
+    return seen.index(x), len(seen) - seen.index(x)
+
+
 def pair_through_chain(X, a, b):
     """Parallel pair u, v from one chain algebra with u(0) = a, v(0) = b.
 
     A chain with tail t and period p admits a hom picking out any element
     whose own tail is at most t and whose cycle length divides p.
     """
-    ta, pa = UN.tail_period(X, a)
-    tb, pb = UN.tail_period(X, b)
+    op = {x: UN.op(X, x) for x in X.carrier}
+    ta, pa = orbit_by_iteration(op, a)
+    tb, pb = orbit_by_iteration(op, b)
     t = max(ta, tb)
     p = pa * pb // math.gcd(pa, pb)
     total = t + p

@@ -25,7 +25,7 @@ from finbench.cats import (
     random_un_surjection,
     presheaf_cat,
 )
-from finbench.core import Mor, category_of
+from finbench.core import Mor, _fits, category_of
 from finbench.perms import compose_perm
 from finbench import symbolic as sy
 
@@ -39,6 +39,7 @@ from oracles import (
     image_by_definition,
     kernel_pair_by_definition,
     linear_by_definition,
+    orbit_by_iteration,
     pair_through_chain,
     quotient_by_definition,
     restrict_by_definition,
@@ -484,6 +485,15 @@ def test_iso_search_un():
     b, _ = UN.coproduct([UN.cycle(3), UN.cycle(2)])
     assert UN.is_isomorphic(a, b)
     assert not UN.is_isomorphic(a, UN.cycle(5))
+
+
+def test_un_iso_invariant_counts_tails_not_only_periods():
+    # both have only fixed-point cycles, so the periods agree; the tails do not
+    chain = UN.obj(range(3), {0: 1, 1: 2, 2: 2})
+    star = UN.obj(range(3), {0: 2, 1: 2, 2: 2})
+    assert UN.iso_invariant(chain) == (3, ((0, 1), (1, 1), (2, 1)))
+    assert UN.iso_invariant(star) == (3, ((0, 1), (1, 1), (1, 1)))
+    assert UN.find_iso(chain, star) is None
 
 
 def test_iso_graph_requires_edge_reflection():
@@ -969,6 +979,61 @@ def test_incremental_checks_against_brute_oracles(data):
     assert sorted(iso.mapping) == list(copy.carrier)
     if cat is GRA:
         assert {(iso(u), iso(v)) for u, v in GRA.edges(X)} == GRA.edge_set(copy)
+
+
+def _iterate(table, x, n):
+    """op^n(x) for the operation table, or None where it is undefined."""
+    for _ in range(n):
+        x = table.get(x)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["un", "s3", "pair"]), st.data())
+def test_cycle_signatures_against_iteration_and_every_hom(kind, data):
+    X, Y = data.draw(_small_obj(kind, 5)), data.draw(_small_obj(kind, 4))
+    cat = category_of(X)
+    for Z in (X, Y):
+        tables = list(cat.op_tables(Z).values())
+        assert cat.cycle_signatures(Z) == {
+            z: tuple(orbit_by_iteration(t, z) for t in tables) for z in Z.carrier}
+    # the rule holds at y exactly when y satisfies each equation
+    # op^(t + p)(x) = op^t(x), both sides defined
+    sx, sy = cat.cycle_signatures(X), cat.cycle_signatures(Y)
+    for x, y in itertools.product(X.carrier, Y.carrier):
+        assert _fits(sx[x], sy[y]) == all(
+            _iterate(t, y, s[0] + s[1]) == _iterate(t, y, s[0]) is not None
+            for t, s in zip(cat.op_tables(Y).values(), sx[x]) if s is not None)
+    # soundness: every hom sends each x to an element passing x's cycle rule
+    for h in brute_homs(X, Y):
+        assert all(_fits(sx[x], sy[h(x)]) for x in X.carrier)
+
+
+class _CountingTable(dict):
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def test_search_skips_targets_that_break_a_cycle_equation():
+    # a hom sends the 12-cycle's first point to a point whose period divides
+    # 12: once its first target in the 5-cycle has failed, the other four
+    # are skipped, so one 12-step propagation reads the table, not five
+    X = UN.obj(range(12), lambda i: (i + 1) % 12)
+    Y = UN.obj(range(5), lambda i: (i + 1) % 5)
+    UN.cycle_signatures(Y)  # built once per object, before the count
+    table = Y.__dict__["_op_tables"]["op"] = _CountingTable(UN.op_tables(Y)["op"])
+    assert UN.hom_set(X, Y) == []
+    assert table.reads == 12
+    # no signature is built before a target fails: every target of the
+    # 12-cycle's first point in a 6-cycle gives a hom
+    X, six = UN.obj(range(12), lambda i: (i + 1) % 12), UN.obj(range(6), lambda i: (i + 1) % 6)
+    assert len(UN.hom_set(X, six)) == 6
+    assert "_cycle_sigs" not in X.__dict__ and "_cycle_sigs" not in six.__dict__
 
 
 def test_has_cycle_matches_walks_as_long_as_the_carrier():
