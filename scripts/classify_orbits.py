@@ -3,8 +3,9 @@
 
 For each support size n: the subgroups of the symmetric group, and the orbit
 isomorphism classes, decided by the stabilizer criterion at the base support.
-Up to n = 4 the whole table takes about 0.03 s; n = 5 takes about 2.6 s, most
-of it enumerating the subgroups of S5 (Python 3.11, 2 cores).
+Up to n = 4 the whole table takes about 0.01 s; n = 5 takes about 0.22 s, a
+little over half of it enumerating the subgroups of S5 (medians of 5 cold
+runs, Python 3.11.7, 2 cores).
 
 Usage: python scripts/classify_orbits.py [max_n]
 """

@@ -1,7 +1,9 @@
 """Single-orbit classification, equivariance decisions, the subset-orbit
 counterexample functor, and the strictness construction for nominal sets."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -35,6 +37,7 @@ from finbench.nominal import (
 import finbench.nominal as nominal
 from finbench.core import elem_key
 from finbench.perms import (
+    _join,
     all_perms,
     compose_perm,
     inverse_perm,
@@ -86,6 +89,54 @@ def test_s5_has_156_subgroups_in_19_conjugacy_classes():
         assert found.issuperset(conjugates)
         classes.add(min(tuple(sorted(K)) for K in conjugates))
     assert len(classes) == 19
+
+
+# sha256 of json.dumps(subgroups_of_Sn(n)), fixed when the enumeration moved
+# to coset joins: the recipes and samplers read this list in this order.
+SUBGROUP_LIST_SHA256 = {
+    0: "33ea8a78f520f45513d314e76cf1b97ee8354c1d6317ec35e7c54cad0c9694f7",
+    1: "7ae717c9aac47e3aed392515ac52ae17e50da8555c618e0ace9ee7b86985afea",
+    2: "7d3f7d5d7c27c5df43888ac69c81af7fbc74f3f2f2cdea4545a15edab0fd8aec",
+    3: "dc1ed16355cc5d7ba632c6e68e1b7c9124f1af62c5b6dd067a3a4031229802d8",
+    4: "51781ecbeaa74cd38c83642907cbd667466d76f82dda2af8cb9a80e0697c6507",
+    5: "02b0dd4710eb8677fcd0561880b7deee759e2f0e77ccbe1c37dd0ede632ef5f4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SUBGROUP_LIST_SHA256))
+def test_subgroup_list_bytes_are_pinned(n):
+    text = json.dumps(subgroups_of_Sn(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUBGROUP_LIST_SHA256[n]
+
+
+def _join_pairs(n):
+    """(subgroup, generators of it, cyclic generator) for every subgroup of
+    S_n and one generator of each cyclic subgroup."""
+    cyclic = {}
+    for g in all_perms(n):
+        cyclic.setdefault(mulclose((g,), n), g)
+    pairs = []
+    for h in subgroups_of_sym(n):
+        gens, span = (), mulclose((), n)
+        for x in sorted(h):
+            if x not in span:
+                gens += (x,)
+                span = mulclose(gens, n)
+        pairs += [(h, gens, g) for g in cyclic.values()]
+    return pairs
+
+
+def test_coset_join_matches_closure_on_every_s4_pair():
+    pairs = _join_pairs(4)
+    assert len(pairs) == 30 * 17
+    for h, gens, g in pairs:
+        assert _join(h, gens, g) == mulclose(gens + (g,), 4)
+
+
+def test_coset_join_matches_closure_on_sampled_s5_pairs():
+    pairs = random.Random(0).sample(_join_pairs(5), 200)
+    for h, gens, g in pairs:
+        assert _join(h, gens, g) == mulclose(gens + (g,), 5)
 
 
 def test_subgroup_enumeration_rejects_large_n():
