@@ -501,12 +501,20 @@ class PresheafCat(UnaryAlgebraCat):
     def op(self, X, mor_name, x):
         return self.op_tables(X)[mor_name].get(x)
 
+    def generator_tables(self, X):
+        tables = self.op_tables(X)
+        return {m: tables[m] for m in self.generators}
+
     def preserves_structure(self, f):
+        # Naturality on the generators gives it on every composite of them,
+        # by the composition laws of f.dom and f.cod, and on the identities
+        # because f keeps sorts: every morphism is a word in the generators
+        # after an identity (see __init__).
         img = f._lookup
         if any(x[0] != y[0] for x, y in img.items()):
             return False
         dst = self.op_tables(f.cod)
-        for m, table in self.op_tables(f.dom).items():
+        for m, table in self.generator_tables(f.dom).items():
             target = dst[m]
             if any(img[y] != target.get(img[x]) for x, y in table.items()):
                 return False

@@ -17,7 +17,9 @@ off the hot paths, still build theirs through ``obj``.  Otherwise
 A category supplies these hooks:
 
 - structure: ``preserves_structure``, ``op_successors``/``op_tables`` (unary
-  operations, which ``op_apply`` reads), ``candidate_targets`` (sorts),
+  operations, which ``op_apply`` reads), ``generator_tables`` (the
+  operations the others are composites of, which the search propagates
+  along), ``candidate_targets`` (sorts),
   ``relation_check`` (edges) and ``iso_invariant``; one depth-first search
   kernel built on them serves ``hom_set``, ``lifts`` (the homs q with
   g . q = f, which factorization through a leg or a functor image needs)
@@ -31,9 +33,9 @@ The search prunes by cycle equations.  Under one operation, an element x's
 orbit has a tail t and a period p, so op^(t + p)(x) = op^t(x), and a hom
 sends x only to an element y whose own tail is at most t and whose period
 divides p.  ``cycle_signatures`` keeps each element's (tail, period) per
-operation on the object, from one walk of each operation's functional
-graph; an orbit that leaves the operation's domain, as a cross-sort
-presheaf operation does, gives no equation.  At a branch point the search
+generating operation on the object, from one walk of each operation's
+functional graph; an orbit that leaves the operation's domain, as a
+cross-sort presheaf operation does, gives no equation.  At a branch point the search
 applies the rule only after one of x's targets has failed propagation, so a
 search that never fails builds no signatures.  ``candidate_targets`` stays a
 sort-level filter.
@@ -52,7 +54,6 @@ its two maps; every layer that builds or probes functors shares it from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 
 def elem_key(x):
@@ -117,6 +118,17 @@ class Obj:
         return f"Obj({self.cat}, |{self.size}|)"
 
 
+class _MappingLookup:
+    """Mor._lookup, the dict x -> f(x): built on the first read and stored in
+    the instance dict, which every later read finds first.  A non-data
+    descriptor like functools.cached_property, without the lock that one
+    takes on each first read."""
+
+    def __get__(self, f, owner=None):
+        look = f.__dict__["_lookup"] = dict(zip(f.dom.carrier, f.mapping))
+        return look
+
+
 @dataclass(frozen=True)
 class Mor:
     dom: Obj
@@ -135,9 +147,7 @@ class Mor:
         if not category_of(self.dom).preserves_structure(self):
             raise ValueError("mapping does not preserve structure")
 
-    @cached_property
-    def _lookup(self):
-        return dict(zip(self.dom.carrier, self.mapping))
+    _lookup = _MappingLookup()
 
     def __call__(self, x):
         return self._lookup[x]
@@ -305,6 +315,12 @@ class Category:
         """{op_id: {x: op(x)}} over the elements where op is defined."""
         return {}
 
+    def generator_tables(self, X: Obj) -> dict:
+        """The op_tables, or those of them that the others are composites
+        of, so that a map commuting with these commutes with all; the same
+        ids for every object of a category."""
+        return self.op_tables(X)
+
     def op_successors(self, X: Obj, x):
         """Functional constraints: pairs (op_id, op(x)) for unary operations."""
         return tuple((op_id, t[x]) for op_id, t in self.op_tables(X).items() if x in t)
@@ -315,14 +331,15 @@ class Category:
 
     def cycle_signatures(self, X: Obj) -> dict:
         """{x: signature}, built once per object: for each operation in
-        op_tables order, which is the same for every object of a category,
-        the (tail, period) of x's orbit under that operation alone, so
-        op^(tail + period)(x) = op^tail(x), or None when the orbit leaves the
-        operation's domain and gives no such equation."""
+        generator_tables order, which is the same for every object of a
+        category, the (tail, period) of x's orbit under that operation
+        alone, so op^(tail + period)(x) = op^tail(x), or None when the orbit
+        leaves the operation's domain and gives no such equation."""
         sigs = X.__dict__.get("_cycle_sigs")
         if sigs is None:
             index = {x: i for i, x in enumerate(X.carrier)}
-            cols = [_orbit_shapes(X.carrier, index, t) for t in self.op_tables(X).values()]
+            cols = [_orbit_shapes(X.carrier, index, t)
+                    for t in self.generator_tables(X).values()]
             sigs = X.__dict__["_cycle_sigs"] = (
                 dict(zip(X.carrier, zip(*cols))) if cols else dict.fromkeys(X.carrier, ()))
         return sigs
@@ -351,7 +368,7 @@ class Category:
     def compose(self, g: Mor, f: Mor) -> Mor:
         if f.cod != g.dom:
             raise ValueError("morphisms not composable")
-        return Mor(f.dom, g.cod, tuple(g(f(x)) for x in f.dom.carrier))
+        return Mor(f.dom, g.cod, tuple(map(g._lookup.__getitem__, f.mapping)))
 
     def mor(self, dom: Obj, cod: Obj, mapping) -> Mor:
         if callable(mapping):
@@ -387,18 +404,21 @@ class Category:
         when asked) depth first in candidate_targets order; with ``over``, a
         dict from each x to a set, only the maps choosing x's value in over[x].
 
-        Backtracking on one assignment, with propagation along unary
-        operations; each step checks relations and injectivity only for the
-        elements it assigned, and is undone on return.  Once a target of x
+        Backtracking on one assignment, with propagation along the
+        generating unary operations, which reaches the same elements as
+        propagation along all of them and, by their composition laws,
+        checks the same equations; each step checks relations and
+        injectivity only for the elements it assigned, and is undone on
+        return.  Once a target of x
         has failed, the remaining targets y must also pass the cycle rule
         (``_fits`` on the cycle signatures of x and y), which every hom
         satisfies; its verdicts are memoised per pair of signatures.
         """
         xs = X.carrier
-        tables = self.op_tables(Y)
+        tables = self.generator_tables(Y)
         # each x's successors, paired with the table of their operation in Y
         succ = {x: [] for x in xs}
-        for op_id, table in self.op_tables(X).items():
+        for op_id, table in self.generator_tables(X).items():
             for a, a2 in table.items():
                 succ[a].append((tables[op_id], a2))
         check = self.relation_check(X, Y)

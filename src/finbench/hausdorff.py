@@ -6,9 +6,10 @@ integer matrix `rows` over a common denominator `den`, so that the distance
 from points[i] to points[j] is rows[i][j] / den.  `den` is the lcm of the
 reduced denominators of the distances, which makes the form canonical: equal
 spaces have equal `den` and `rows`, and hash equal.  Every exact check runs on
-integers: the metric axioms in the constructor, nonexpansion (the two spaces'
-denominators are cross-multiplied), and the Hausdorff table of the subset
-space.
+integers: the metric axioms in the constructor (the triangle law on rows
+packed into one integer each, one pair of rows per step), nonexpansion (the
+two spaces' denominators are cross-multiplied), and the Hausdorff table of
+the subset space.
 
 Fractions appear only at the boundary: the constructor takes a matrix of
 Fractions, `d`, `point_set_dist` and `hausdorff_dist` return Fractions, `dist`
@@ -26,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
+from operator import lshift
 
 from .certs import FAIL, PASS_WITNESSED, recipe
 
@@ -81,10 +82,21 @@ class FinMetricSpace:
         # the diagonal is zero, so exactly one zero per row means none off it
         if any(row.count(0) != 1 or min(row) < 0 or max(row) > self.den for row in rows):
             raise ValueError("distances must lie in (0, 1]")
-        # d(i, j) <= d(i, k) + d(k, j) for all j  <=>  max_j (d(i, j) - d(k, j)) <= d(i, k)
-        for row_i in rows:
-            for d_ik, row_k in zip(row_i, rows):
-                if max(map(sub, row_i, row_k)) > d_ik:
+        # The triangle law on packed rows.  Row k is one integer with a field
+        # of nb bytes per column j holding d(k, j); the top bit G of a field
+        # exceeds 2 * den.  Field j of row_k + (d(i, k) + G) * ones - row_i
+        # is d(i, k) + d(k, j) + G - d(i, j), which lies in [0, 2G), so no
+        # field carries or borrows, and its G bit is set exactly when
+        # d(i, j) <= d(i, k) + d(k, j).
+        nb = (2 * self.den).bit_length() // 8 + 1
+        shifts = range(0, 8 * nb * n, 8 * nb)  # the fields' offsets in bits
+        packed = [sum(map(lshift, row, shifts)) for row in rows]
+        ones = sum(map(lshift, itertools.repeat(1), shifts))
+        guards = ones << (8 * nb - 1)
+        for row_i, p_i in zip(rows, packed):
+            base = guards - p_i
+            for d_ik, p_k in zip(row_i, packed):
+                if (p_k + base + d_ik * ones) & guards != guards:
                     raise ValueError("triangle inequality fails")
 
     @property

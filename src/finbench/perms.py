@@ -147,7 +147,8 @@ def subgroups_of_sym(n):
         cyclic.setdefault(mulclose((g,), n), g)
     joins = list(cyclic.values())
     conjugators = [(s.__getitem__, inverse_perm(s)) for s in sym_generators(n)]
-    start = frozenset({identity_perm(n)})
+    e = identity_perm(n)
+    start = frozenset({e})
     known = {start}
     queue = [(start, ())]
     while queue:
@@ -158,6 +159,13 @@ def subgroups_of_sym(n):
             k = _join(h, gens, g)
             if k in known:
                 continue
+            # A new representative must contain the identity and be closed
+            # under left multiplication by its generators; a faulty join
+            # would otherwise make the enumeration run away.  This costs
+            # |k| * (len(gens) + 1) products, against |k|^2 for is_subgroup.
+            maps = [a.__getitem__ for a in gens + (g,)]
+            if e not in k or any(tuple(map(a, x)) not in k for a in maps for x in k):
+                raise AssertionError("a join is not closed under its generators")
             known.add(k)
             queue.append((k, gens + (g,)))
             conjugates = [k]

@@ -10,13 +10,16 @@ algebra's quotient by one identification from coequalizing a pair of homs
 out of a chain, and F_q linear algebra from enumeration: spans by closing
 under scaled sums, coordinates by trying every coefficient tuple, and
 subspaces by spanning every combination of carrier vectors.  Presheaf laws
-are checked on every composable pair, and random G-sets are drawn by
-rebuilding each coset orbit on every draw.  The module also holds fixtures
+are checked on every composable pair, naturality of a map of presheaves on
+every operation table, the triangle law of an integer distance matrix by a
+maximum per pair of rows, and random G-sets are drawn by rebuilding each
+coset orbit on every draw.  The module also holds fixtures
 that only tests build, such as a two-sorted groupoid.
 """
 
 import itertools
 import math
+from operator import sub
 
 from finbench.cats import UN, FiniteGroupoid, gset_fixed_point, gset_from_cosets
 from finbench.core import Mor, canon, category_of, elem_key
@@ -245,6 +248,17 @@ def orbit_iso_map_transpositions(a, b, pool=None):
     return None
 
 
+def triangle_by_pairs(rows):
+    """Whether the integer distance matrix rows satisfies the triangle law,
+    one pair of rows at a time: d(i, j) <= d(i, k) + d(k, j) for every j
+    exactly when max_j (d(i, j) - d(k, j)) <= d(i, k)."""
+    for row_i in rows:
+        for d_ik, row_k in zip(row_i, rows):
+            if max(map(sub, row_i, row_k)) > d_ik:
+                return False
+    return True
+
+
 def hausdorff_by_definition(space, M, N):
     """Literal max of the two directed point-to-set infima."""
     d = space.d
@@ -350,6 +364,18 @@ def presheaf_laws_broken(gpd, carriers, ops):
                                 for x in carriers.get(fd, ())):
                 broken.append((g, f))
     return broken
+
+
+def natural_on_all_tables(X, Y, mapping):
+    """Whether mapping, aligned with X's carrier, keeps sorts and commutes
+    with every operation of the presheaves X and Y, each table read from the
+    objects' structure tuples."""
+    look = dict(zip(X.carrier, mapping))
+    if any(x[0] != y[0] for x, y in look.items()):
+        return False
+    target = {m: dict(pairs) for m, pairs in Y.structure[1]}
+    return all(look[ox] == target[m].get(look[x])
+               for m, pairs in X.structure[1] for x, ox in pairs)
 
 
 def random_gset(rng, cat, subgroups, max_size=8):

@@ -994,7 +994,7 @@ def test_cycle_signatures_against_iteration_and_every_hom(kind, data):
     X, Y = data.draw(_small_obj(kind, 5)), data.draw(_small_obj(kind, 4))
     cat = category_of(X)
     for Z in (X, Y):
-        tables = list(cat.op_tables(Z).values())
+        tables = list(cat.generator_tables(Z).values())
         assert cat.cycle_signatures(Z) == {
             z: tuple(orbit_by_iteration(t, z) for t in tables) for z in Z.carrier}
     # the rule holds at y exactly when y satisfies each equation
@@ -1003,7 +1003,7 @@ def test_cycle_signatures_against_iteration_and_every_hom(kind, data):
     for x, y in itertools.product(X.carrier, Y.carrier):
         assert _fits(sx[x], sy[y]) == all(
             _iterate(t, y, s[0] + s[1]) == _iterate(t, y, s[0]) is not None
-            for t, s in zip(cat.op_tables(Y).values(), sx[x]) if s is not None)
+            for t, s in zip(cat.generator_tables(Y).values(), sx[x]) if s is not None)
     # soundness: every hom sends each x to an element passing x's cycle rule
     for h in brute_homs(X, Y):
         assert all(_fits(sx[x], sy[h(x)]) for x in X.carrier)

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from finbench.hausdorff import (
 from finbench.certs import canonical_dumps
 from finbench.serialize import space_from_json, space_to_json
 
-from oracles import hausdorff_by_definition
+from oracles import hausdorff_by_definition, triangle_by_pairs
 
 
 def _half_space():
@@ -342,3 +344,112 @@ def test_integer_form_is_canonical():
     assert twelfths.den == 2 and twelfths.rows == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     assert twelfths.dist == halves.dist
     assert FinMetricSpace((7,), ((F(0),),)).den == 1
+
+
+# ---------------------------------------------------------------------------
+# the packed triangle check against the per-pair loop.  A field holds
+# 2 * den and a guard bit above it: 12, 420 and 2^17 - 1 take fields of 1, 2
+# and 3 bytes, and 100 and 2^15 - 1, whose 2 * den fills whole bytes, take
+# one byte more than 2 * den alone would
+
+DENS = [12, 100, 420, 2**15 - 1, 2**17 - 1]
+
+
+def _builds(den, rows):
+    """Whether from_ints accepts rows over den; any other error than the
+    triangle law's fails the test."""
+    try:
+        FinMetricSpace.from_ints(range(len(rows)), den, rows)
+    except ValueError as exc:
+        assert str(exc) == "triangle inequality fails"
+        return False
+    return True
+
+
+def _band(rng, n, den):
+    """(rows, lo): a random distance matrix on n points whose entries lie in
+    [lo, 2 lo], so any two sum to at least any third; gcd(lo, den) = 1, so a
+    matrix holding lo is in lowest terms over den."""
+    lo = den // 3
+    while gcd(lo, den) > 1:
+        lo -= 1
+    rows = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = rng.randint(lo, 2 * lo)
+    return rows, lo
+
+
+def _set(rows, i, j, v):
+    rows[i][j] = rows[j][i] = v
+
+
+def _shortest_detour(rows, i, j):
+    return min(rows[i][k] + rows[k][j] for k in range(len(rows)) if k not in (i, j))
+
+
+@pytest.mark.parametrize("den", DENS)
+def test_packed_triangle_check_matches_the_pair_loop(den):
+    rng = random.Random(den)
+    verdicts = Counter()
+    for trial in range(36):
+        if trial % 4 == 0:
+            # a subset space over a base of 1 to 5 points: many equalities
+            H = subset_space(random_metric_space(rng, rng.randint(1, 5)))
+            rows, den_t = [list(r) for r in H.rows], H.den
+        else:
+            rows, _ = _band(rng, rng.choice([1, 2, 3, rng.randint(4, 63)]), den)
+            den_t = den
+        n = len(rows)
+        for _ in range(rng.randint(0, 2) if n > 2 else 0):
+            i, j = rng.sample(range(n), 2)
+            if rng.random() < 0.5:  # at the law's boundary, or one past it
+                v = _shortest_detour(rows, i, j) + rng.randint(0, 1)
+            else:
+                v = rng.randint(1, den_t)
+            _set(rows, i, j, min(v, den_t))
+        expected = triangle_by_pairs(rows)
+        assert _builds(den_t, rows) == expected
+        verdicts[expected] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+@pytest.mark.parametrize("den", DENS)
+def test_planted_triangle_equality_passes_and_one_more_fails(den):
+    rng = random.Random(f"planted/{den}")
+    assert _builds(den, [[0]])
+    assert _builds(den, [[0, den], [den, 0]]) and _builds(den, [[0, 1], [1, 0]])
+    for n in (3, 4, 17, 63):
+        for _ in range(4):
+            rows, lo = _band(rng, n, den)
+            i, k, j = rng.sample(range(n), 3)
+            _set(rows, i, k, lo)
+            _set(rows, k, j, lo)
+            _set(rows, i, j, 2 * lo)  # d(i, j) = d(i, k) + d(k, j) exactly
+            X = FinMetricSpace.from_ints(range(n), den, rows)
+            assert X.den == den and triangle_by_pairs(rows)
+            _set(rows, i, j, 2 * lo + 1)  # one more, 1/den too far
+            with pytest.raises(ValueError, match="^triangle inequality fails$"):
+                FinMetricSpace.from_ints(range(n), den, rows)
+
+
+def test_eight_point_base_builds_and_rejects_a_planted_violation():
+    # 255 points: the constructor checks the triangle law on 255^3 triples
+    rng = random.Random(8)
+    X = random_metric_space(rng, 8)
+    H = subset_space(X)
+    assert H.size == 255
+    for _ in range(500):
+        a, b = rng.choice(H.points), rng.choice(H.points)
+        expected = 0 if a == b else hausdorff_by_definition(X, a, b)
+        assert H.d(a, b) == expected
+    rows = [list(r) for r in H.rows]
+    while True:
+        i, j = rng.sample(range(H.size), 2)
+        detour = _shortest_detour(rows, i, j)
+        if detour < H.den:
+            break
+    _set(rows, i, j, detour)  # raises d(i, j) to the shortest detour: still a metric
+    FinMetricSpace.from_ints(H.points, H.den, rows)
+    _set(rows, i, j, detour + 1)
+    with pytest.raises(ValueError, match="^triangle inequality fails$"):
+        FinMetricSpace.from_ints(H.points, H.den, rows)

@@ -35,6 +35,7 @@ from finbench.nominal import (
     P_SUBSET_FAMILY,
 )
 import finbench.nominal as nominal
+import finbench.perms as perms
 from finbench.core import elem_key
 from finbench.perms import (
     _join,
@@ -137,6 +138,27 @@ def test_coset_join_matches_closure_on_sampled_s5_pairs():
     pairs = random.Random(0).sample(_join_pairs(5), 200)
     for h, gens, g in pairs:
         assert _join(h, gens, g) == mulclose(gens + (g,), 5)
+
+
+def _join_first_coset_only(h, gens, g):
+    """_join with a fault: it walks only the first coset representative."""
+    els = set(h)
+    r = tuple(range(len(g)))
+    for a in gens + (g,):
+        c = compose_perm(a, r)
+        if c not in els:
+            els.update(compose_perm(c, x) for x in h)
+    return frozenset(els)
+
+
+def test_faulty_join_raises_instead_of_running_away(monkeypatch):
+    subgroups_of_sym.cache_clear()
+    monkeypatch.setattr(perms, "_join", _join_first_coset_only)
+    try:
+        with pytest.raises(AssertionError, match="not closed"):
+            subgroups_of_sym(4)
+    finally:
+        subgroups_of_sym.cache_clear()
 
 
 def test_subgroup_enumeration_rejects_large_n():

@@ -22,11 +22,14 @@ from finbench.cats import (
     gset_free_orbit,
     presheaf_cat,
 )
+from finbench.core import Mor
 from finbench.perms import compose_perm
 from finbench.certs import canonical_dumps
 from finbench.serialize import obj_from_json, obj_to_json
 
 from oracles import (
+    brute_homs,
+    natural_on_all_tables,
     presheaf_laws_broken,
     presheaf_structure_by_canon,
     random_gset,
@@ -340,3 +343,56 @@ def test_generator_laws_accept_exactly_the_lawful_tables(name):
     assert outcomes[(1, True)] == 0 and outcomes[(1, False)] > 0
     assert outcomes[(0, True)] > 0 and outcomes[(0, False)] == 0
     assert outcomes[(2, True)] > 0 and outcomes[(2, False)] > 0
+
+
+# ---------------------------------------------------------------------------
+# naturality checked on the generators, and the hom search that propagates
+# along them only
+
+
+def _unchecked_mor(X, Y, mapping):
+    """The Mor X -> Y with this mapping, built without the constructor's
+    checks."""
+    f = object.__new__(Mor)
+    for name, value in (("dom", X), ("cod", Y), ("mapping", tuple(mapping))):
+        object.__setattr__(f, name, value)
+    return f
+
+
+@pytest.mark.parametrize("name", ["z3", "s3", "pair"])
+def test_naturality_on_generators_agrees_with_every_table(name):
+    """Random maps between random presheaves: homs, homs with one image
+    moved, and arbitrary maps, which on the pair groupoid may break sorts."""
+    gpd = LAW_GROUPOIDS[name]
+    cat = presheaf_cat(gpd)
+    rng = random.Random(f"natural/{name}")
+    verdicts = Counter()
+    for _ in range(40):
+        X, Y = (cat.obj(*_lawful_tables(rng, gpd)) for _ in range(2))
+        maps = [h.mapping for h in cat.hom_set(X, Y)[:3]]
+        for mapping in maps[:]:
+            moved = list(mapping)
+            i = rng.randrange(len(moved))
+            moved[i] = rng.choice([y for y in Y.carrier if y[0] == moved[i][0]])
+            maps.append(moved)
+        maps += [[rng.choice(Y.carrier) for _ in X.carrier] for _ in range(4)]
+        for mapping in maps:
+            expected = natural_on_all_tables(X, Y, mapping)
+            assert cat.preserves_structure(_unchecked_mor(X, Y, mapping)) == expected
+            verdicts[expected] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+@pytest.mark.parametrize("name", ["z3", "s3"])
+def test_search_on_generators_gives_the_brute_homs_in_order(name):
+    gpd = LAW_GROUPOIDS[name]
+    cat = gset_cat(gpd)
+    assert len(cat.generator_tables(gset_free_orbit(cat))) < len(gpd.mors) - 1
+    subs = [tuple(h) for h in _subgroups([m for m, _, _ in gpd.mors])]
+    rng = random.Random(f"homs/{name}")
+    for _ in range(15):
+        X = random_gset(rng, cat, subs, max_size=5)
+        Y = random_gset(rng, cat, subs, max_size=4)
+        assert cat.hom_set(X, Y) == brute_homs(X, Y)
+        bijections = [h for h in brute_homs(Y, Y) if h.is_injective()]
+        assert cat.find_iso(Y, Y) == bijections[0]
