@@ -308,17 +308,11 @@ class UnCat(UnaryAlgebraCat):
         """The size and the sorted multiset of (tail, period) pairs."""
         return (X.size, tuple(sorted(sig[0] for sig in self.cycle_signatures(X).values())))
 
-    def initial(self):
-        return self.obj((), {})
-
     def tail_period(self, X, x):
         """(tail, period): the steps from x until the operation enters its
         cycle, and that cycle's length (every finite orbit ends in one);
         read from cycle_signatures."""
         return self.cycle_signatures(X)[x][0]
-
-    def has_fixed_point(self, X):
-        return any(self.op(X, x) == x for x in X.carrier)
 
 
 UN = register_category(UnCat())
@@ -540,15 +534,6 @@ class PresheafCat(UnaryAlgebraCat):
     def _pair(self, x, y):
         return (x[0], (x[1], y[1]))
 
-    def initial(self):
-        return self.obj({s: [] for s in self.gpd.sorts}, {})
-
-    def terminal(self):
-        carriers = {s: [0] for s in self.gpd.sorts}
-        ops = {m: {0: 0} for m, _, _ in self.gpd.mors}
-        return self.obj(carriers, ops)
-
-
 def presheaf_cat(gpd: FiniteGroupoid) -> PresheafCat:
     """The registered presheaf category on gpd, built on first request."""
     return register_category(PresheafCat(gpd))
@@ -749,40 +734,7 @@ VEC3 = register_category(VecCat(3))
 
 
 # ---------------------------------------------------------------------------
-# probe families and samplers
-
-
-def probe_objects(cat, max_size=3):
-    """Small probe objects for universal-property and cancellation checks.
-
-    Exhaustive for finite sets and unary algebras; graphs stop at 2 vertices
-    (the 512 graphs on 3 vertices would blow up probe products).
-    """
-    if cat is FINSET:
-        return [cat.obj(range(k)) for k in range(max_size + 1)]
-    if cat is UN:
-        out = []
-        for k in range(max_size + 1):
-            for images in itertools.product(range(k), repeat=k):
-                out.append(cat.obj(range(k), dict(enumerate(images))))
-        return out
-    if cat is GRA:
-        out = []
-        for k in range(min(max_size, 2) + 1):
-            pairs = [(i, j) for i in range(k) for j in range(k)]
-            for r in range(len(pairs) + 1):
-                for es in itertools.combinations(pairs, r):
-                    out.append(cat.obj(range(k), es))
-        return out
-    if isinstance(cat, PresheafCat):
-        out = [cat.initial(), cat.terminal()]
-        if cat.gpd.sorts == ("*",):
-            out.append(gset_free_orbit(cat))
-            out.append(gset_fixed_point(cat))
-        return out
-    if isinstance(cat, VecCat):
-        return [cat.obj(d) for d in range(min(max_size, 2) + 1)]
-    raise ValueError(f"no probe family for {cat.name}")
+# samplers
 
 
 def random_finset_mor(rng, max_dom=4, max_cod=4, surjective=False):

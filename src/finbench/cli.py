@@ -76,11 +76,15 @@ def main(argv=None) -> int:
         timings = [] if args.metrics_path else None
         report, ok = run_suite(args.suite, seed=args.seed, bound=args.bound, timings=timings)
         text = canonical_dumps(report)
-        if args.metrics_path:
-            write_metrics(args.metrics_path, args.suite, args.seed, timings)
-        if args.json_path:
-            with open(args.json_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        try:
+            if args.metrics_path:
+                write_metrics(args.metrics_path, args.suite, args.seed, timings)
+            if args.json_path:
+                with open(args.json_path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return 2
         if args.verbose or not args.json_path:
             for check in report["checks"]:
                 mark = "ok " if check["ok"] else "BAD"

@@ -517,12 +517,6 @@ class Category:
 
     # ---- colimits ------------------------------------------------------------
 
-    def initial(self) -> Obj:
-        raise NotImplementedError
-
-    def terminal(self) -> Obj:
-        raise NotImplementedError
-
     def coproduct(self, objs):
         raise NotImplementedError
 

@@ -15,7 +15,7 @@ certificate is the pair (verdict, witness) that its recipe returns.
 from __future__ import annotations
 
 from .certs import FAIL, PASS, PASS_WITNESSED, recipe
-from .core import FunctorHandle, Mor, Obj, category_of, finite_obj, lookup_category
+from .core import FunctorHandle, Mor, Obj, category_of
 from .cats import GRA, UN
 from .colimits import (
     Cocone,
@@ -33,28 +33,6 @@ from .symbolic import (
     fg_subobjects,
     primes_upto,
 )
-
-
-def identity_functor(cat_name: str) -> FunctorHandle:
-    return FunctorHandle(f"identity:{cat_name}", cat_name, cat_name, lambda X: X, lambda f: f)
-
-
-def check_functor_laws(F: FunctorHandle, composable_pairs) -> bool:
-    """F(id) = id and F(g . f) = F(g) . F(f) on the supplied probe pairs."""
-    src = lookup_category(F.source)
-    tgt = lookup_category(F.target)
-    seen_objs = set()
-    for g, f in composable_pairs:
-        for X in (f.dom, f.cod, g.cod):
-            if X not in seen_objs:
-                seen_objs.add(X)
-                if F.on_mor(src.identity(X)) != tgt.identity(F.on_obj(X)):
-                    return False
-        lhs = F.on_mor(src.compose(g, f))
-        rhs = tgt.compose(F.on_mor(g), F.on_mor(f))
-        if lhs != rhs:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -130,35 +108,6 @@ def graph_counterexample() -> FunctorHandle:
 
     return _case_split("graph-counterexample", GRA, one,
                        lambda X: not GRA.has_cycle(X), sym_obj)
-
-
-# ---------------------------------------------------------------------------
-# hom functors into finite sets
-
-
-def hom_functor(cat_name: str, A: Obj) -> FunctorHandle:
-    """Covariant hom-functor from a finite object, landing in finite sets."""
-    if isinstance(A, SymbolicObject):
-        raise TypeError("hom functors of symbolic objects are out of probe scope")
-    src = lookup_category(cat_name)
-    finset = lookup_category("finset")
-    name = f"hom({cat_name},{A.size})"
-
-    def on_obj(X):
-        homs = src.hom_set(A, finite_obj(X, name))
-        return finset.obj(h.mapping for h in homs)
-
-    def on_mor(f):
-        FX = on_obj(f.dom)
-        FY = on_obj(f.cod)
-
-        def post(h_mapping):
-            h = Mor(A, f.dom, h_mapping)
-            return src.compose(f, h).mapping
-
-        return finset.mor(FX, FY, post)
-
-    return FunctorHandle(name, cat_name, "finset", on_obj, on_mor)
 
 
 # ---------------------------------------------------------------------------

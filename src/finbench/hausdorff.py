@@ -12,9 +12,9 @@ two spaces' denominators are cross-multiplied), and the Hausdorff table of
 the subset space.
 
 Fractions appear only at the boundary: the constructor takes a matrix of
-Fractions, `d`, `point_set_dist` and `hausdorff_dist` return Fractions, `dist`
-is a Fraction view built on each access, and `serialize.space_to_json` writes
-each distance as "p/q".
+Fractions, `d` and `hausdorff_dist` return Fractions, `dist` is a Fraction
+view built on each access, and `serialize.space_to_json` writes each distance
+as "p/q".
 
 The module desk-models the countable-boundedness argument, where at finite
 scale the dense subsets are the whole carriers.
@@ -164,15 +164,6 @@ class NonexpandingMap:
 
 def nonexpanding(dom, cod, f) -> NonexpandingMap:
     return NonexpandingMap(dom, cod, tuple(f(x) for x in dom.points))
-
-
-def point_set_dist(space: FinMetricSpace, x, M) -> Fraction:
-    """Distance from a point to a nonempty subset (a minimum here)."""
-    M = list(M)
-    if not M:
-        raise ValueError("distance to the empty set is undefined")
-    row, index = space.rows[space.index[x]], space.index
-    return Fraction(min(row[index[y]] for y in M), space.den)
 
 
 def hausdorff_dist(space: FinMetricSpace, M, N) -> Fraction:

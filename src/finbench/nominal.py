@@ -6,6 +6,10 @@ pool modulo t ~ t . sigma for sigma in S.  A nominal set is a finite list of
 orbits.  All equivariance decisions run over a pool of size 2n+2, which is
 the documented soundness boundary: any violation for elements of support at
 most n is witnessed by a permutation moving at most 2n+2 names.
+
+On top of this sit equivariant maps, the single-orbit classification, the
+subset-orbit counterexample functor with its chain certificate, and support
+rigidity.
 """
 
 from __future__ import annotations
@@ -226,17 +230,6 @@ class NomMor:
         return self.cod.act(pi, self.images[i])
 
 
-def nom_identity(X: NominalSetSpec, pool=None) -> NomMor:
-    pool = pool or X.default_pool()
-    return NomMor(X, X, tuple((i, _base_rep(o)) for i, o in enumerate(X.orbits)), pool)
-
-
-def nom_compose(g: NomMor, f: NomMor) -> NomMor:
-    if f.cod != g.dom or f.pool != g.pool:
-        raise ValueError("not composable")
-    return NomMor(f.dom, g.cod, tuple(g.apply(img) for img in f.images), f.pool)
-
-
 def all_equivariant_maps(dom: NominalSetSpec, cod: NominalSetSpec, pool=None):
     """Exhaustive enumeration: one candidate image per orbit, by the
     stabilizer criterion."""
@@ -351,23 +344,6 @@ def nom_counterexample(X, n_bound: int = 4):
     return ONE, None
 
 
-def nom_counterexample_mor(f: NomMor, n_bound: int = 4) -> NomMor:
-    """Unit-plus-f when the codomain case adds the unit, else the unique map
-    to the terminal value."""
-    FX, nx = nom_counterexample(f.dom, n_bound)
-    FY, ny = nom_counterexample(f.cod, n_bound)
-    if ny is not None:
-        if nx is None:
-            raise AssertionError("domain case must add the unit as well")
-        images = [(0, ())]
-        for i, img in enumerate(f.images):
-            j, rep = img
-            images.append((j + 1, rep))
-        return NomMor(FX, FY, tuple(images), f.pool)
-    images = tuple((0, ()) for _ in FX.orbits)
-    return NomMor(FX, FY, images, f.pool)
-
-
 # ---------------------------------------------------------------------------
 # support rigidity and the chain certificate
 
@@ -417,49 +393,6 @@ def p_chain_certificate(k: int):
         },
         "notes": ["sizes are orbit counts"],
     }
-
-
-# ---------------------------------------------------------------------------
-# strictness construction for orbit-finite nominal sets
-
-
-def countable_strictness_witness(b: NomMor):
-    """(b_prime, f): split the codomain into the image orbits plus the rest
-    and fold the rest onto one orbit per isomorphism class; returned when
-    b = b_prime . f . b holds, else None."""
-    A = b.cod
-    pool = b.pool
-    hit = sorted({img[0] for img in b.images})
-    rest = [i for i in range(len(A.orbits)) if i not in hit]
-    class_reps: list[int] = []
-    fold_to: dict[int, tuple[int, NomMor | None]] = {}
-    for i in rest:
-        target = None
-        for r in class_reps:
-            m = orbit_iso_map(A.orbits[i], A.orbits[r], pool)
-            if m is not None:
-                target = (r, m)
-                break
-        if target is None:
-            class_reps.append(i)
-            fold_to[i] = (i, None)
-        else:
-            fold_to[i] = target
-    keep = sorted(hit + class_reps)
-    position = {orig: pos for pos, orig in enumerate(keep)}
-    Bp = NominalSetSpec(tuple(A.orbits[i] for i in keep))
-    bp = NomMor(Bp, A, tuple((i, _base_rep(A.orbits[i])) for i in keep), pool)
-    f_images = []
-    for i in range(len(A.orbits)):
-        if i in position:
-            f_images.append((position[i], _base_rep(A.orbits[i])))
-        else:
-            r, m = fold_to[i]
-            f_images.append((position[r], m.images[0][1]))
-    f = NomMor(A, Bp, tuple(f_images), pool)
-    if nom_compose(bp, nom_compose(f, b)).images != b.images:
-        return None
-    return bp, f
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Witnesses for finitary morphisms and strictness squares, atom
-decompositions of presheaf categories, and negative certificates for the
-symbolic objects.
+"""Strictness squares, atom decompositions of presheaf categories, and
+negative certificates for the symbolic objects.
 
 A witness function returns a plain value that it has checked, or None.
 
@@ -40,45 +39,11 @@ from .perms import subgroups_of_sym
 from .serialize import mor_to_json, obj_to_json
 from .symbolic import (
     CYCLE_FAMILY,
-    LOOP_RAY,
     RAY,
-    SymEndo,
-    SymMor,
     SymbolicObject,
     homs_into,
-    loop_ray_const0,
     primes_upto,
 )
-
-
-# ---------------------------------------------------------------------------
-# finitary morphisms
-
-
-def finitary_morphism_witness(u, bound: int = 8, window: int = 32):
-    """(mid, w): a finite object mid of at most bound elements and a map
-    w: mid -> cod(u) with u = w . v for some v: dom(u) -> mid, or None.
-
-    A finite u factors through its image, the smallest possible mid, with v
-    its corestriction, and the composite is checked.  The constant
-    endomorphism of the loop ray factors through the loop, checked pointwise
-    on the window.  A shift of the ray has infinite image (see
-    no_finitary_endo_certificate), so no bound admits it.
-    """
-    if isinstance(u, SymEndo):
-        if u.obj.kind == "ray":
-            return None
-        if u.obj.kind != "loop_ray" or u.kind != "const0":
-            raise ValueError(f"no witness procedure for {u}")
-        mid = GRA.loop()
-        w = SymMor(mid, LOOP_RAY, (0,))
-        holds = all(u.apply(x) == w(0) for x in range(window))
-    else:
-        cat = category_of(u.dom)
-        v, w = cat.factorize(u)
-        mid = w.dom
-        holds = cat.compose(w, v) == u
-    return (mid, w) if holds and mid.size <= bound else None
 
 
 # ---------------------------------------------------------------------------
@@ -141,45 +106,6 @@ def strictness_witness(b: Mor):
     if cat.compose(b_prime, cat.compose(f, b)) != b:
         return None
     return b_prime, f
-
-
-# ---------------------------------------------------------------------------
-# semi-strictness
-
-
-def semistrictness_witness(A, bound: int = 8, window: int = 32):
-    """A finitary endomorphism of A as finitary_morphism_witness gives it,
-    or None: the identity when A has at most bound elements, else the first
-    endomorphism of least image.  Of the symbolic objects only the loop ray
-    has one; no_finitary_endo_certificate covers the others."""
-    if isinstance(A, SymbolicObject):
-        if A.kind != "loop_ray":
-            return None
-        return finitary_morphism_witness(loop_ray_const0(), bound, window)
-    cat = category_of(A)
-    if A.size <= bound:
-        u = cat.identity(A)
-    else:
-        u = min(cat.hom_set(A, A), key=lambda h: len(set(h.mapping)))
-    return finitary_morphism_witness(u, bound)
-
-
-def fixed_subobject_witness(m: Mor, bound: int = 8):
-    """The endomorphism u = b_prime . f of the retraction onto the mono m,
-    which fixes m, as finitary_morphism_witness gives it, or None.  Unary
-    algebras and graphs have no retraction procedure and take u = id."""
-    cat = category_of(m.dom)
-    if not cat.is_mono(m):
-        raise ValueError("expected a mono")
-    try:
-        b_prime, f = _retraction(m)
-    except ValueError:
-        u = cat.identity(m.cod)
-    else:
-        u = cat.compose(b_prime, f)
-    if cat.compose(u, m) != m:
-        return None
-    return finitary_morphism_witness(u, bound)
 
 
 # ---------------------------------------------------------------------------

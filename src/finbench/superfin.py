@@ -111,11 +111,6 @@ def truncated_identity(n: int) -> SuperFinPresentation:
     return presentation(n, values, lambda g, k, k2, q: g[q])
 
 
-def constant_presentation(n: int, elems) -> SuperFinPresentation:
-    elems = tuple(elems)
-    return presentation(n, [elems] * (n + 1), lambda g, k, k2, q: q)
-
-
 # ---------------------------------------------------------------------------
 # evaluation by the colimit formula
 
@@ -126,9 +121,6 @@ class KanEval:
     X: tuple
     reps: tuple  # canonical class representatives (k, q, f)
     rep_of: dict  # every element triple -> its representative
-
-    def as_obj(self) -> Obj:
-        return Obj("finset", self.reps)
 
     def class_of(self, k, q, f):
         return self.rep_of[(k, q, tuple(f))]
@@ -159,41 +151,6 @@ def evaluate(pres: SuperFinPresentation, X) -> KanEval:
                         part.union((k, q, fg), (k2, _apply(pres, k, k2, g, q), f))
     rep_of = part.reps()
     return KanEval(pres, X, tuple(dict.fromkeys(rep_of.values())), rep_of)
-
-
-def induced_map(ev_x: KanEval, ev_y: KanEval, h) -> Mor:
-    """Action on a map h: X -> Y by postcomposing the f component."""
-    if callable(h):
-        h = {x: h(x) for x in ev_x.X}
-
-    def send(rep):
-        k, q, f = rep
-        return ev_y.class_of(k, q, tuple(h[v] for v in f))
-
-    return FINSET.mor(ev_x.as_obj(), ev_y.as_obj(), send)
-
-
-# carriers whose values a functor handle keeps
-_HANDLE_CACHE_SIZE = 64
-
-
-def as_functor(pres: SuperFinPresentation) -> FunctorHandle:
-    """Black-box finite-set endofunctor wrapping the evaluation."""
-
-    @lru_cache(maxsize=_HANDLE_CACHE_SIZE)
-    def ev_carrier(carrier):
-        return evaluate(pres, carrier)
-
-    def ev(X):
-        return ev_carrier(finite_obj(X, "kan-extension").carrier)
-
-    def on_obj(X: Obj):
-        return ev(X).as_obj()
-
-    def on_mor(f: Mor):
-        return induced_map(ev(f.dom), ev(f.cod), dict(zip(f.dom.carrier, f.mapping)))
-
-    return FunctorHandle("kan-extension", "finset", "finset", on_obj, on_mor)
 
 
 def canonical_epsilon(ev: KanEval) -> tuple:
@@ -311,6 +268,10 @@ def escaping_element(F: FunctorHandle, n: int, probes):
 
 # ---------------------------------------------------------------------------
 # the finite power functor and its endomorphism scan
+
+
+# carriers whose values a functor handle keeps
+_HANDLE_CACHE_SIZE = 64
 
 
 def power_functor() -> FunctorHandle:

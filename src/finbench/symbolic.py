@@ -265,32 +265,3 @@ def fg_subobjects(sym: SymbolicObject, bound: int, window: int = WINDOW_DEFAULT)
         return out
     raise ValueError(sym.kind)
 
-
-# ---------------------------------------------------------------------------
-# symbolic endomorphisms (used by the strictness certificates)
-
-
-@dataclass(frozen=True)
-class SymEndo:
-    """Endomorphism of a symbolic object given in closed form."""
-
-    obj: SymbolicObject
-    kind: str  # "shift" or "const0"
-    offset: int = 0
-
-    def apply(self, v):
-        if self.kind == "shift":
-            return v + self.offset
-        if self.kind == "const0":
-            return 0
-        raise ValueError(self.kind)
-
-
-def ray_shift(offset: int) -> SymEndo:
-    if offset < 0:
-        raise ValueError("ray shifts move forward")
-    return SymEndo(RAY, "shift", offset)
-
-
-def loop_ray_const0() -> SymEndo:
-    return SymEndo(LOOP_RAY, "const0")

@@ -14,15 +14,18 @@ are checked on every composable pair, naturality of a map of presheaves on
 every operation table, the triangle law of an integer distance matrix by a
 maximum per pair of rows, and random G-sets are drawn by rebuilding each
 coset orbit on every draw.  The module also holds fixtures
-that only tests build, such as a two-sorted groupoid.
+that only tests build, such as a two-sorted groupoid, and test inputs for
+the live kernels: probe objects, identity and hom functors, the functor-law
+check, constant presentations and the maps that evaluations induce.
 """
 
 import itertools
 import math
 from operator import sub
 
-from finbench.cats import UN, FiniteGroupoid, gset_fixed_point, gset_from_cosets
-from finbench.core import Mor, canon, category_of, elem_key
+from finbench.cats import FINSET, UN, FiniteGroupoid, gset_fixed_point, gset_from_cosets
+from finbench.core import FunctorHandle, Mor, canon, category_of, elem_key, lookup_category
+from finbench.nominal import NomMor
 from finbench.perms import (
     all_perms,
     compose_perm,
@@ -30,6 +33,7 @@ from finbench.perms import (
     inverse_perm,
     transpositions,
 )
+from finbench.superfin import evaluate, presentation
 
 
 def brute_homs(X, Y):
@@ -415,6 +419,83 @@ def two_object_iso_groupoid() -> FiniteGroupoid:
         (("u", "v"), "ib"),
     )
     return FiniteGroupoid("pairgpd", ("a", "b"), mors, comp, (("a", "ia"), ("b", "ib")))
+
+
+def finset_probes(max_size):
+    """The finite sets 0, 1, ..., max_size, as probes for universal
+    properties and cancellation."""
+    return [FINSET.obj(range(k)) for k in range(max_size + 1)]
+
+
+def presheaf_terminal(cat):
+    """One point per sort, fixed by every operation."""
+    return cat.obj({s: [0] for s in cat.gpd.sorts}, {m: {0: 0} for m, _, _ in cat.gpd.mors})
+
+
+def un_has_fixed_point(X):
+    return any(UN.op(X, x) == x for x in X.carrier)
+
+
+def identity_functor(cat_name):
+    return FunctorHandle(f"identity:{cat_name}", cat_name, cat_name, lambda X: X, lambda f: f)
+
+
+def hom_functor(cat_name, A):
+    """The covariant hom functor from a finite object, into finite sets,
+    acting on maps by postcomposition."""
+    src = lookup_category(cat_name)
+
+    def on_obj(X):
+        return FINSET.obj(h.mapping for h in src.hom_set(A, X))
+
+    def on_mor(f):
+        return FINSET.mor(on_obj(f.dom), on_obj(f.cod),
+                          lambda h: src.compose(f, Mor(A, f.dom, h)).mapping)
+
+    return FunctorHandle(f"hom({cat_name},{A.size})", cat_name, FINSET.name, on_obj, on_mor)
+
+
+def functor_laws_hold(F, composable_pairs):
+    """F(id) = id and F(g . f) = F(g) . F(f) on the given pairs (g, f)."""
+    src, tgt = lookup_category(F.source), lookup_category(F.target)
+    for g, f in composable_pairs:
+        for X in (f.dom, f.cod, g.cod):
+            if F.on_mor(src.identity(X)) != tgt.identity(F.on_obj(X)):
+                return False
+        if F.on_mor(src.compose(g, f)) != tgt.compose(F.on_mor(g), F.on_mor(f)):
+            return False
+    return True
+
+
+def constant_presentation(n, elems):
+    """The constant set functor on elems, presented up to level n."""
+    elems = tuple(elems)
+    return presentation(n, [elems] * (n + 1), lambda g, k, k2, q: q)
+
+
+def induced_map(ev_x, ev_y, h):
+    """The map of evaluations that a map h: X -> Y (a dict) induces, by
+    postcomposing the f component of each class representative (k, q, f)."""
+    return FINSET.mor(FINSET.obj(ev_x.reps), FINSET.obj(ev_y.reps),
+                      lambda rep: ev_y.class_of(rep[0], rep[1], tuple(h[v] for v in rep[2])))
+
+
+def kan_functor(pres):
+    """The finite-set endofunctor that evaluates a presentation."""
+
+    def on_mor(f):
+        return induced_map(evaluate(pres, f.dom.carrier), evaluate(pres, f.cod.carrier),
+                           dict(zip(f.dom.carrier, f.mapping)))
+
+    return FunctorHandle("kan-extension", FINSET.name, FINSET.name,
+                         lambda X: FINSET.obj(evaluate(pres, X.carrier).reps), on_mor)
+
+
+def nom_identity(X, pool):
+    """The identity of a nominal set: each orbit's base representative goes
+    to itself."""
+    return NomMor(X, X, tuple((i, o.canon_rep(tuple(range(o.n))))
+                              for i, o in enumerate(X.orbits)), pool)
 
 
 # ---------------------------------------------------------------------------

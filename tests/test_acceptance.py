@@ -61,7 +61,6 @@ from finbench.strictness import (
 )
 from finbench.strictness import regularity_check, _gset_surjection_sampler
 from finbench.superfin import (
-    as_functor,
     coproduct as pres_coproduct,
     escaping_element,
     evaluate,

@@ -25,23 +25,6 @@ ALLOWED = {
     "serialize.space_to_json": "README 'JSON formats': metric spaces",
     "serialize.space_from_json": "README 'JSON formats': metric spaces",
     "certs.save_certificate": "README 'CLI': writes the file that finbench replay reads",
-    # the theorem map consumes or deletes these
-    "functors.identity_functor": "ROADMAP item 6: probe functor for the theorem map",
-    "functors.check_functor_laws": "ROADMAP item 6: runs on each theorem-map row",
-    "functors.hom_functor": "ROADMAP item 6: mono-preserving theorem-map row",
-    "superfin.as_functor": "ROADMAP item 6: superfin presentations as theorem-map rows",
-    "superfin.constant_presentation": "ROADMAP item 6: presentation for a theorem-map row",
-    "cats.probe_objects": "ROADMAP item 6: probe family for mono preservation",
-    "cats.UnCat.has_fixed_point": "ROADMAP item 6: the case split of the mono witness",
-    "nominal.nom_identity": "ROADMAP item 6: nominal row of the theorem map",
-    "nominal.nom_counterexample_mor": "ROADMAP item 6: nominal row of the theorem map",
-    "nominal.countable_strictness_witness": "ROADMAP item 6: strictness column of the theorem map",
-    # the affirmative categories consume or delete these
-    "strictness.semistrictness_witness": "ROADMAP item 7: boolean algebras and representations",
-    "strictness.fixed_subobject_witness": "ROADMAP item 7: boolean algebras and representations",
-    "symbolic.ray_shift": "ROADMAP item 7: symbolic semi-strictness witness",
-    # the aleph-1 application
-    "hausdorff.point_set_dist": "ROADMAP item 12: d(0, X_n) in the completion",
 }
 
 
@@ -146,7 +129,40 @@ def test_every_public_entry_point_has_a_caller():
 
 
 def test_allow_list_names_its_consumer():
-    assert len(ALLOWED) <= 20
+    assert len(ALLOWED) <= 6
     for name, reason in ALLOWED.items():
-        assert reason.startswith(("README", "ROADMAP item 6", "ROADMAP item 7",
-                                  "ROADMAP item 12")), name
+        assert reason.startswith("README"), name
+
+
+def _unused_imports(path):
+    """(line, name) of each name that the module imports but never uses.
+    A name listed in __all__ is exported, so used.  A line marked '# noqa' is
+    exempt, for other re-exports and imports made for their side effects."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    tree = _parse(path)
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                  for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1)):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_every_import_is_used():
+    # an unused import counts as a use in _names, so it can hide an orphan
+    unused = {path.name: found for path in sorted(LIBRARY.glob("*.py"))
+              if (found := _unused_imports(path))}
+    assert not unused, f"imported but never used: {unused}"

@@ -201,6 +201,15 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", "--suite", "no-such-suite"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--json", "--metrics"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "out.json"
+    assert main(["run", "--suite", "hausdorff", flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_cli_mismatch_exits_1(monkeypatch, capsys):
     # expect a plain PASS where the recipe certifies its counterexample
     checks = [(name, recipe, params,

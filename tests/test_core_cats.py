@@ -19,7 +19,6 @@ from finbench.cats import (
     gset_cat,
     gset_free_orbit,
     gset_fixed_point,
-    probe_objects,
     random_finset_mor,
     random_un_obj,
     random_un_surjection,
@@ -35,12 +34,14 @@ from oracles import (
     coequalizer_by_definition,
     coproduct_by_definition,
     factorizations_by_fibers,
+    finset_probes,
     generated_by_definition,
     image_by_definition,
     kernel_pair_by_definition,
     linear_by_definition,
     orbit_by_iteration,
     pair_through_chain,
+    presheaf_terminal,
     quotient_by_definition,
     restrict_by_definition,
     subalgebras_by_definition,
@@ -210,7 +211,7 @@ def _cancellation_mono(cat, f, probes):
 
 
 def test_epi_agrees_with_cancellation():
-    probes = probe_objects(FINSET, 3)
+    probes = finset_probes(3)
     rng = random.Random(1)
     for _ in range(15):
         f = random_finset_mor(rng, 3, 3)
@@ -232,7 +233,7 @@ def test_un_epi_agrees_with_cancellation():
 
 def test_empty_coproduct_is_initial():
     out, injs = UN.coproduct([])
-    assert out == UN.initial() and injs == []
+    assert out == UN.obj((), {}) and injs == []
 
 
 def test_un_coproduct_two_cycles():
@@ -256,7 +257,7 @@ def test_graph_coproduct_edges():
 def test_coproduct_universal_property_probes():
     A, B = FINSET.obj(range(2)), FINSET.obj(range(1))
     S, (ia, ib) = FINSET.coproduct([A, B])
-    for Z in probe_objects(FINSET, 2):
+    for Z in finset_probes(2):
         for f in FINSET.hom_set(A, Z):
             for g in FINSET.hom_set(B, Z):
                 pairing = {}
@@ -367,7 +368,7 @@ def test_presheaf_ops_satisfy_composition():
 def test_presheaf_two_sorted_groupoid():
     gpd = two_object_iso_groupoid()
     cat = presheaf_cat(gpd)
-    T = cat.terminal()
+    T = presheaf_terminal(cat)
     assert T.size == 2  # one point per sort
     free = cat.obj({"a": [0], "b": [1]}, {"ia": {0: 0}, "ib": {1: 1}, "u": {0: 1}, "v": {1: 0}})
     assert cat.is_isomorphic(free, T)

@@ -14,7 +14,7 @@ import finbench
 DATA_TYPES = {
     "core.py": {"Obj", "Mor", "FunctorHandle"},
     "cats.py": {"FiniteGroupoid"},
-    "symbolic.py": {"SymbolicObject", "SymMor", "SymEndo"},
+    "symbolic.py": {"SymbolicObject", "SymMor"},
     "colimits.py": {"Cocone"},
     "nominal.py": {"OrbitSpec", "NominalSetSpec", "NomMor"},
     "superfin.py": {"SuperFinPresentation", "KanEval"},

@@ -16,7 +16,6 @@ from finbench.hausdorff import (
     hausdorff_dist,
     metric_space,
     nonexpanding,
-    point_set_dist,
     random_metric_space,
     subset_map,
     subset_space,
@@ -29,29 +28,6 @@ from oracles import hausdorff_by_definition, triangle_by_pairs
 
 def _half_space():
     return metric_space([0, 1], lambda x, y: Fraction(1, 2))
-
-
-def test_point_in_set_distance_zero():
-    X = _half_space()
-    assert point_set_dist(X, 0, [0, 1]) == 0
-
-
-def test_point_set_distance_half():
-    X = _half_space()
-    assert point_set_dist(X, 0, [1]) == Fraction(1, 2)
-
-
-def test_point_set_distance_is_min():
-    X = metric_space(
-        [0, 1, 2],
-        {(0, 1): Fraction(1, 5), (0, 2): Fraction(2, 5), (1, 2): Fraction(1, 2)},
-    )
-    assert point_set_dist(X, 0, [1, 2]) == Fraction(1, 5)
-
-
-def test_point_set_distance_empty_rejected():
-    with pytest.raises(ValueError):
-        point_set_dist(_half_space(), 0, [])
 
 
 def test_hausdorff_identity_symmetry():

@@ -1,5 +1,5 @@
-"""Single-orbit classification, equivariance decisions, the subset-orbit
-counterexample functor, and the strictness construction for nominal sets."""
+"""Single-orbit classification, equivariance decisions and the subset-orbit
+counterexample functor for nominal sets."""
 
 import hashlib
 import itertools
@@ -10,17 +10,12 @@ import pytest
 
 from finbench.nominal import (
     ONE,
-    NomMor,
     NominalSetSpec,
     OrbitSpec,
     all_equivariant_maps,
-    countable_strictness_witness,
     equivalence_from_subgroup,
     hom_exists_Pn,
-    nom_compose,
     nom_counterexample,
-    nom_counterexample_mor,
-    nom_identity,
     one_plus,
     orbit_iso_map,
     orbit_map_candidates,
@@ -54,6 +49,7 @@ from oracles import (
     brute_subgroups,
     class_min,
     equivalence_from_subgroup_by_index,
+    nom_identity,
     orbit_elements_brute,
     orbit_iso_map_transpositions,
     subgroups_conjugacy_classes,
@@ -454,14 +450,6 @@ def test_nom_cx_on_family():
     assert nom_counterexample(P_SUBSET_FAMILY) == (ONE, None)
 
 
-def test_nom_cx_morphism_action():
-    X, Y = p_prefix(1), p_prefix(2)
-    inc = NomMor(X, Y, ((0, (0,)),), 10)
-    Ff = nom_counterexample_mor(inc, n_bound=3)
-    assert Ff.dom.orbit_count == 2 and Ff.cod.orbit_count == 3
-    assert Ff.images[0] == (0, ())  # the added unit maps to the added unit
-
-
 # ---------------------------------------------------------------------------
 # rigidity and the chain certificate
 
@@ -486,40 +474,6 @@ def test_p_chain_certificate():
     assert witness["lhs_size"] == 4 and witness["rhs_size"] == 1
     assert witness["persistence"]["still_failing"]
     assert witness["persistence"]["lhs_size_k1"] == 5
-
-
-# ---------------------------------------------------------------------------
-# strictness construction
-
-
-def test_strictness_identity():
-    X = p_prefix(2)
-    b = nom_identity(X, pool=10)
-    b_prime, _ = countable_strictness_witness(b)
-    assert b_prime.dom.orbit_count == X.orbit_count
-
-
-def test_strictness_duplicate_orbit_folds():
-    A = NominalSetSpec((pn_orbit(1), pn_orbit(1)))
-    b = NomMor(NominalSetSpec((pn_orbit(1),)), A, ((0, (0,)),), 10)
-    b_prime, f = countable_strictness_witness(b)
-    assert b_prime.dom.orbit_count == 2
-    # the fold sends the duplicate orbit onto its isomorphic representative
-    assert f.images[1][0] in (0, 1)
-
-
-def test_strictness_triple_duplicate_folds_to_two():
-    A = NominalSetSpec((pn_orbit(1), pn_orbit(1), pn_orbit(1)))
-    b = NomMor(NominalSetSpec((pn_orbit(1),)), A, ((0, (0,)),), 10)
-    b_prime, _ = countable_strictness_witness(b)
-    assert b_prime.dom.orbit_count == 2  # image orbit plus one class rep
-
-
-def test_strictness_mixed_orbits():
-    A = NominalSetSpec((pn_orbit(1), pn_orbit(2)))
-    b = NomMor(NominalSetSpec((pn_orbit(1),)), A, ((0, (0,)),), 10)
-    b_prime, _ = countable_strictness_witness(b)
-    assert b_prime.dom.orbit_count == 2  # non-isomorphic orbits both kept
 
 
 def test_single_orbit_classes_n4_against_conjugacy_oracle():

@@ -1,5 +1,4 @@
-"""Strictness witnesses, finitary-morphism factorizations, atoms, and the
-negative certificates."""
+"""Strictness witnesses, atoms, and the negative certificates."""
 
 import itertools
 import random
@@ -20,7 +19,6 @@ from finbench.cats import (
     gset_cat,
     gset_fixed_point,
     gset_free_orbit,
-    gset_from_cosets,
     gset_sampler,
 )
 import finbench.suites  # registers all recipes
@@ -34,47 +32,15 @@ from finbench.strictness import (
     congruences,
     decompose_into_atoms,
     decomposition_roundtrip,
-    finitary_morphism_witness,
-    fixed_subobject_witness,
     is_atom,
     no_finitary_endo_certificate,
     quotient_by_partition,
     regular_presheaf,
-    semistrictness_witness,
     strictness_witness,
 )
 from finbench import symbolic as sy
 
 from oracles import brute_congruences, random_gset
-
-
-# ---------------------------------------------------------------------------
-# finitary morphisms
-
-
-def test_identity_on_finite_object_is_finitary():
-    X = UN.cycle(3)
-    mid, w = finitary_morphism_witness(UN.identity(X), bound=5)
-    assert mid == X and w == UN.identity(X)
-
-
-def test_constant_endo_of_loop_ray_factors_through_loop():
-    mid, w = finitary_morphism_witness(sy.loop_ray_const0(), bound=4)
-    assert mid == GRA.loop()
-    assert w == sy.SymMor(mid, sy.LOOP_RAY, (0,))
-    assert finitary_morphism_witness(sy.loop_ray_const0(), bound=0) is None
-
-
-def test_ray_shift_has_no_witness():
-    # the negative certificate shows that no bound admits one
-    assert finitary_morphism_witness(sy.ray_shift(1), bound=8) is None
-    assert no_finitary_endo_certificate(sy.RAY, window=32)["inference"]
-
-
-def test_finite_exhaustion_when_image_exceeds_bound():
-    X = FINSET.obj(range(5))
-    assert finitary_morphism_witness(FINSET.identity(X), bound=3) is None
-    assert finitary_morphism_witness(FINSET.identity(X), bound=5)[0] == X
 
 
 # ---------------------------------------------------------------------------
@@ -183,63 +149,6 @@ def test_unary_algebras_and_graphs_have_no_retraction():
     for b in (GRA.identity(edge), UN.identity(UN.cycle(2))):
         with pytest.raises(ValueError):
             strictness_witness(b)
-
-
-# ---------------------------------------------------------------------------
-# semi-strictness and fixed subobjects
-
-
-def test_semistrictness_finite_identity():
-    mid, w = semistrictness_witness(UN.cycle(3), bound=5)
-    assert mid == UN.cycle(3)
-
-
-def test_semistrictness_loop_ray():
-    mid, _ = semistrictness_witness(sy.LOOP_RAY, bound=4)
-    assert mid == GRA.loop()
-
-
-@pytest.mark.parametrize("bound", [2, 4, 8])
-def test_semistrictness_ray_exhausts(bound):
-    assert semistrictness_witness(sy.RAY, bound=bound) is None
-
-
-def test_semistrictness_cycle_family_exhausts():
-    assert semistrictness_witness(sy.CYCLE_FAMILY, bound=8) is None
-
-
-def test_semistrictness_least_image_above_the_bound():
-    # a 2-cycle plus a fixed point: the least endomorphism image is the point
-    A = UN.obj(range(3), {0: 1, 1: 0, 2: 2})
-    mid, _ = semistrictness_witness(A, bound=1)
-    assert mid.size == 1
-    assert semistrictness_witness(UN.cycle(3), bound=2) is None
-
-
-def test_fixed_subobject_identity():
-    X = UN.cycle(2)
-    mid, _ = fixed_subobject_witness(UN.identity(X))
-    assert mid == X
-
-
-def test_fixed_subobject_point_in_finset():
-    m = FINSET.mor(FINSET.obj([0]), FINSET.obj(range(3)), lambda x: 0)
-    mid, _ = fixed_subobject_witness(m)
-    assert mid.size == 1  # constant at the image point
-
-
-def test_fixed_subobject_vec_projection():
-    v = VEC2
-    m = v.from_matrix(v.obj(1), v.obj(3), [(1, 0, 0)])
-    mid, _ = fixed_subobject_witness(m)
-    assert v.dim(mid) == 1
-
-
-def test_fixed_subobject_presheaf():
-    cat = gset_cat(Z3_GPD)
-    X, injs = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
-    mid, _ = fixed_subobject_witness(injs[0])
-    assert mid.size == 3
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +331,7 @@ def test_ray_certificate_counts():
     assert set(counts) == set(range(1, 9))
     for k, n in counts.items():
         assert n == 32 - k  # one hom per start position inside the window
+    assert cert["inference"]
 
 
 def test_loop_ray_certificate_refused():

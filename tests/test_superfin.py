@@ -13,26 +13,28 @@ from finbench.functors import path_chain
 from finbench.superfin import (
     PresentationError,
     SubfunctorError,
-    as_functor,
     canonical_epsilon,
-    constant_presentation,
     coproduct,
     escaping_element,
     evaluate,
-    induced_map,
     nonempty_subsets,
     power_functor,
     powfin_endo_probe,
     presentation,
     product,
-    small_maps,
     subfunctor_pullback,
     truncated_hom,
     truncated_identity,
 )
 from finbench.symbolic import RAY
 
-from oracles import powfin_endo_dfs
+from oracles import (
+    constant_presentation,
+    identity_functor,
+    induced_map,
+    kan_functor,
+    powfin_endo_dfs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +87,7 @@ def test_evaluation_is_functorial_on_probes():
             comp = {x: dict(zip(Y, h2))[dict(zip(X, h1))[x]] for x in X}
             assert FINSET.compose(g, f) == induced_map(ev["x"], ev["z"], comp)
     idm = induced_map(ev["y"], ev["y"], {y: y for y in Y})
-    assert idm == FINSET.identity(ev["y"].as_obj())
+    assert idm == FINSET.identity(FINSET.obj(ev["y"].reps))
 
 
 def test_presentation_law_check_rejects_bad_action():
@@ -183,8 +185,6 @@ def test_subfunctor_injective_predicate_rejected():
 
 
 def test_identity_functor_superfinitary():
-    from finbench.functors import identity_functor
-
     assert escaping_element(identity_functor("finset"), 1, [FINSET.obj(range(2))]) is None
 
 
@@ -201,8 +201,7 @@ def test_nonempty_subsets_come_in_canonical_order():
         frozenset(c) for k in (1, 2, 3) for c in itertools.combinations("abc", k))
 
 
-@pytest.mark.parametrize(
-    "F", [power_functor(), as_functor(truncated_hom(2, 1))], ids=["power", "kan"])
+@pytest.mark.parametrize("F", [power_functor()], ids=["power"])
 def test_finite_set_functors_refuse_symbolic_objects(F):
     leg = path_chain(2).legs[0]
     with pytest.raises(ValueError, match=r"Symbolic\(ray\)"):
@@ -233,7 +232,7 @@ def test_power_functor_not_superfinitary():
 
 
 def test_truncated_hom_passes_probes():
-    F = as_functor(truncated_hom(2, 2))
+    F = kan_functor(truncated_hom(2, 2))
     probes = [FINSET.obj(range(k)) for k in range(1, 5)]
     assert escaping_element(F, 2, probes) is None
 
