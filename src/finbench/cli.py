@@ -43,6 +43,23 @@ def build_parser():
     return parser
 
 
+def check_outputs(paths):
+    """Open every output path before any work, so a bad path costs no run.
+    Appending creates a missing file without truncating an existing one;
+    when one path fails, the files created here are removed again."""
+    created = []
+    try:
+        for path in paths:
+            existed = os.path.exists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+
+
 def write_metrics(path, suite, seed, timings):
     """The sidecar of a run: per-check wall times and the machine they were
     measured on.  Times vary from run to run, so they stay out of the
@@ -72,6 +89,11 @@ def main(argv=None) -> int:
         if args.suite != "all" and args.suite not in SUITES:
             print(f"unknown suite: {args.suite} (one of: {', '.join(sorted(SUITES))}, all)",
                   file=sys.stderr)
+            return 2
+        try:
+            check_outputs([p for p in (args.metrics_path, args.json_path) if p])
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
             return 2
         timings = [] if args.metrics_path else None
         report, ok = run_suite(args.suite, seed=args.seed, bound=args.bound, timings=timings)

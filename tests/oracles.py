@@ -12,11 +12,13 @@ under scaled sums, coordinates by trying every coefficient tuple, and
 subspaces by spanning every combination of carrier vectors.  Presheaf laws
 are checked on every composable pair, naturality of a map of presheaves on
 every operation table, the triangle law of an integer distance matrix by a
-maximum per pair of rows, and random G-sets are drawn by rebuilding each
-coset orbit on every draw.  The module also holds fixtures
-that only tests build, such as a two-sorted groupoid, and test inputs for
-the live kernels: probe objects, identity and hom functors, the functor-law
-check, constant presentations and the maps that evaluations induce.
+maximum per pair of rows, random G-sets are drawn by rebuilding each coset
+orbit on every draw, and the maps of a subset orbit into a nominal set come
+from the stabilizer criterion at the base support.  The module also holds
+fixtures that only tests build, such as a two-sorted groupoid, and test
+inputs for the live kernels: probe objects, identity and hom functors, the
+functor-law check, constant presentations and the maps that evaluations
+induce.
 """
 
 import itertools
@@ -25,7 +27,7 @@ from operator import sub
 
 from finbench.cats import FINSET, UN, FiniteGroupoid, gset_fixed_point, gset_from_cosets
 from finbench.core import FunctorHandle, Mor, canon, category_of, elem_key, lookup_category
-from finbench.nominal import NomMor
+from finbench.nominal import NomMor, orbit_map_candidates, pn_orbit
 from finbench.perms import (
     all_perms,
     compose_perm,
@@ -34,6 +36,7 @@ from finbench.perms import (
     transpositions,
 )
 from finbench.superfin import evaluate, presentation
+from finbench.symbolic import SymbolicObject
 
 
 def brute_homs(X, Y):
@@ -489,6 +492,18 @@ def kan_functor(pres):
 
     return FunctorHandle("kan-extension", FINSET.name, FINSET.name,
                          lambda X: FINSET.obj(evaluate(pres, X.carrier).reps), on_mor)
+
+
+def hom_exists_Pn(n: int, X) -> bool:
+    """An equivariant map from the n-subset orbit into X exists iff some
+    element can receive the base n-subset: support inside it and fixed by
+    its setwise stabilizer (the search that nominal.nom_counterexample's
+    rule replaces)."""
+    if isinstance(X, SymbolicObject):
+        if X.kind == "p_subset_family":
+            return True  # the n-subset orbit itself receives the identity
+        raise ValueError(f"no hom procedure for {X.kind}")
+    return bool(orbit_map_candidates(pn_orbit(n), X, max(2 * n + 2, X.default_pool())))
 
 
 def nom_identity(X, pool):

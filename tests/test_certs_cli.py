@@ -202,12 +202,19 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--json", "--metrics"])
-def test_unwritable_output_path_exits_2(tmp_path, capsys, flag):
+def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, flag):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the suite ran before the output paths were checked")
+
+    monkeypatch.setattr(finbench.suites, "run_suite", no_run)
     path = tmp_path / "missing" / "out.json"
-    assert main(["run", "--suite", "hausdorff", flag, str(path)]) == 2
+    other = tmp_path / "other.json"
+    other_flag = "--metrics" if flag == "--json" else "--json"
+    assert main(["run", "--suite", "hausdorff", other_flag, str(other), flag, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(path) in err
     assert "Traceback" not in err
+    assert not path.exists() and not other.exists()
 
 
 def test_cli_mismatch_exits_1(monkeypatch, capsys):
@@ -308,7 +315,7 @@ def _least(recipe):
         ("nominal-roundtrip", "n", -1),
         ("nominal-orbit-classes", "n_max", 5),
         ("finitarity-nom", "k", 5),
-        ("finitarity-nom", "k", 4),
+        ("finitarity-nom", "k", 6),
         ("finitarity-un", "k", 0),
         ("finitarity-graph", "k", 0),
         ("reflect-prime-chain", "k", 0),
@@ -350,9 +357,16 @@ def test_every_int_parameter_but_seed_has_a_replay_limit():
         assert replay(least) == [], recipe
 
 
-def test_finitarity_nom_rejects_k_above_3_up_front():
-    with pytest.raises(ValueError, match="k <= 3"):
-        RECIPES["finitarity-nom"](k=4)
+def test_finitarity_nom_rejects_k_above_4_up_front():
+    with pytest.raises(ValueError, match="k <= 4"):
+        RECIPES["finitarity-nom"](k=5)
+
+
+def test_finitarity_nom_at_k_4_replays():
+    cert = RECIPES["finitarity-nom"](k=4)
+    assert cert.verdict == FAIL
+    assert cert.witness["lhs_size"] == 5 and cert.witness["persistence"]["lhs_size_k1"] == 6
+    assert replay(cert) == []
 
 
 def test_replay_top_level_list_exits_2(tmp_path, capsys):

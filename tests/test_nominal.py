@@ -14,7 +14,6 @@ from finbench.nominal import (
     OrbitSpec,
     all_equivariant_maps,
     equivalence_from_subgroup,
-    hom_exists_Pn,
     nom_counterexample,
     one_plus,
     orbit_iso_map,
@@ -49,6 +48,7 @@ from oracles import (
     brute_subgroups,
     class_min,
     equivalence_from_subgroup_by_index,
+    hom_exists_Pn,
     nom_identity,
     orbit_elements_brute,
     orbit_iso_map_transpositions,
@@ -448,6 +448,41 @@ def test_nom_cx_on_prefix():
 
 def test_nom_cx_on_family():
     assert nom_counterexample(P_SUBSET_FAMILY) == (ONE, None)
+
+
+def test_nom_cx_on_prefix_4_needs_support_5():
+    X = p_prefix(4)
+    assert nom_counterexample(X) == (one_plus(X), 5)
+
+
+def _cx_by_search(X, n_max=5):
+    """nom_counterexample by the hom search over n = 1..n_max: exact on
+    orbits of support below n_max, which no P_{n_max} maps into unless one
+    of them is a fixed point."""
+    for n in range(1, n_max + 1):
+        if not hom_exists_Pn(n, X):
+            return one_plus(X), n
+    return ONE, None
+
+
+_SINGLE_ORBITS = [OrbitSpec(n, tuple(H)) for n in range(5) for H in subgroups_of_Sn(n)]
+
+
+def test_rule_agrees_with_hom_search_on_every_single_orbit():
+    assert len(_SINGLE_ORBITS) == 40
+    for o in _SINGLE_ORBITS:
+        X = NominalSetSpec((o,))
+        for n in range(1, 6):
+            full = o.n == 0 or (o.n == n and len(o.group) == len(all_perms(n)))
+            assert hom_exists_Pn(n, X) == full, (o, n)
+        assert nom_counterexample(X) == _cx_by_search(X), o
+
+
+def test_rule_agrees_with_hom_search_on_sums_of_orbits():
+    rng = random.Random(26)
+    for _ in range(60):
+        X = NominalSetSpec(tuple(rng.choice(_SINGLE_ORBITS) for _ in range(rng.randint(2, 3))))
+        assert nom_counterexample(X) == _cx_by_search(X), X
 
 
 # ---------------------------------------------------------------------------
