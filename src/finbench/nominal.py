@@ -18,18 +18,18 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .certs import FAIL, PASS, PASS_WITNESSED, CertificateError, recipe
 from .core import elem_key
 from .perms import (
     all_perms,
+    closed_under,
     cycle_type,
     is_subgroup,
     mulclose,
     subgroups_of_sym,
     sym_generators,
-    transpositions,
 )
 from .symbolic import SymbolicObject
 
@@ -42,14 +42,18 @@ class OrbitSpec:
     gens: tuple = ()
 
     def __post_init__(self):
+        points = list(range(self.n))
         for g in self.gens:
-            if len(g) != self.n:
-                raise ValueError("generator degree mismatch")
+            if not all(type(i) is int for i in g) or sorted(g) != points:
+                raise ValueError(f"generator {list(g)!r} is not a permutation of "
+                                 f"0..{self.n - 1} in one-line notation")
 
     @cached_property
     def group(self):
-        # kept on the instance, so repeated reads do not hash the spec
-        return _orbit_group(self)
+        group = mulclose(self.gens, self.n)
+        if not closed_under(group, self.gens, self.n):
+            raise AssertionError("closure failed to produce a subgroup")
+        return group
 
     @cached_property
     def invariant(self):
@@ -70,8 +74,16 @@ class OrbitSpec:
         """The least tuple of the class of t, for a tuple or list t."""
         return min([g(t) for g in self.getters])
 
+    @cached_property
+    def _elements(self):
+        return {}
+
     def elements(self, pool: int):
-        return _orbit_elements(self, pool)
+        """_orbit_elements over the pool, built once per pool and kept on
+        the instance."""
+        if pool not in self._elements:
+            self._elements[pool] = _orbit_elements(self, pool)
+        return self._elements[pool]
 
     def act(self, pi, rep):
         """pi: permutation of the pool as a tuple."""
@@ -81,20 +93,6 @@ class OrbitSpec:
         return 2 * self.n + 2
 
 
-# Both caches are keyed by OrbitSpec values that callers can create without
-# limit, so they are bounded.  The n <= 5 single-orbit classification, the
-# largest user, fills 194 _orbit_group and 24 _orbit_elements entries.
-@lru_cache(maxsize=256)
-def _orbit_group(spec: OrbitSpec):
-    if spec.n == 0:
-        return frozenset({()})
-    group = mulclose(spec.gens, spec.n)
-    if not is_subgroup(group, spec.n):
-        raise AssertionError("closure failed to produce a subgroup")
-    return group
-
-
-@lru_cache(maxsize=256)
 def _orbit_elements(spec: OrbitSpec, pool: int):
     """Canonical representatives, one per class, in elem_key order.
 
@@ -119,8 +117,7 @@ def _orbit_elements(spec: OrbitSpec, pool: int):
 
 def pn_orbit(n: int) -> OrbitSpec:
     """The orbit of n-element name sets: full symmetric group on n points."""
-    gens = tuple(transpositions(n)) if n >= 2 else ()
-    return OrbitSpec(n, gens)
+    return OrbitSpec(n, tuple(sym_generators(n)))
 
 
 @dataclass(frozen=True)
@@ -362,14 +359,7 @@ def p_chain_certificate(k: int):
     The prefix P_1 + ... + P_j has no fixed point, so by the rule of
     nom_counterexample its value is 1 + the prefix (P_{j+1} has no map into
     it), while the full family, which receives every P_n, gives ONE.
-    The rule builds the group Sym(j) of each orbit P_j of the k+1 prefix,
-    and _orbit_group checks each group it builds with is_subgroup, in
-    |group|^2 compositions: for Sym(k+1) about 0.6 s at k = 5 and 26 s at
-    k = 6, so k stops at 4.
     """
-    if k > 4:
-        raise ValueError("p_chain_certificate supports k <= 4: the k+1 prefix "
-                         "builds and checks Sym(k+1) in (k+1)!^2 steps")
     sizes = {j: nom_counterexample(p_prefix(j))[0].orbit_count for j in (k, k + 1)}
     rhs = nom_counterexample(P_SUBSET_FAMILY)[0].orbit_count
     still = sizes[k + 1] != rhs
@@ -393,7 +383,7 @@ def p_chain_certificate(k: int):
 # recipes: the nominal counterexample and the single-orbit classification
 
 
-@recipe("finitarity-nom", "finitarity", limits={"k": (1, 4)})
+@recipe("finitarity-nom", "finitarity", limits={"k": (1, 6)})
 def r_finitarity_nom(k: int = 3):
     return p_chain_certificate(k)
 

@@ -32,10 +32,6 @@ def transposition(n, a, b):
     return tuple(p)
 
 
-def transpositions(n):
-    return [transposition(n, a, b) for a in range(n) for b in range(a + 1, n)]
-
-
 def sym_generators(n, points=None):
     """Two generators of the symmetric group on points (default: all n),
     as permutations of n fixing every other point: the transposition of the
@@ -69,6 +65,15 @@ def mulclose(gens, n):
         frontier = new
     # generated sets are inverse-closed for finite order elements
     return frozenset(els)
+
+
+def closed_under(k, gens, n):
+    """Whether k holds the identity and a*x for every generator a and x in k,
+    in |k| * len(gens) products, against |k|^2 for is_subgroup.  Then k
+    contains the group that gens generate, so a k built from products of
+    gens is that group."""
+    maps = [a.__getitem__ for a in gens]
+    return identity_perm(n) in k and all(tuple(map(a, x)) in k for a in maps for x in k)
 
 
 def is_subgroup(els, n):
@@ -147,8 +152,7 @@ def subgroups_of_sym(n):
         cyclic.setdefault(mulclose((g,), n), g)
     joins = list(cyclic.values())
     conjugators = [(s.__getitem__, inverse_perm(s)) for s in sym_generators(n)]
-    e = identity_perm(n)
-    start = frozenset({e})
+    start = frozenset({identity_perm(n)})
     known = {start}
     queue = [(start, ())]
     while queue:
@@ -159,12 +163,8 @@ def subgroups_of_sym(n):
             k = _join(h, gens, g)
             if k in known:
                 continue
-            # A new representative must contain the identity and be closed
-            # under left multiplication by its generators; a faulty join
-            # would otherwise make the enumeration run away.  This costs
-            # |k| * (len(gens) + 1) products, against |k|^2 for is_subgroup.
-            maps = [a.__getitem__ for a in gens + (g,)]
-            if e not in k or any(tuple(map(a, x)) not in k for a in maps for x in k):
+            # a faulty join would otherwise make the enumeration run away
+            if not closed_under(k, gens + (g,), n):
                 raise AssertionError("a join is not closed under its generators")
             known.add(k)
             queue.append((k, gens + (g,)))

@@ -33,7 +33,7 @@ from finbench.perms import (
     compose_perm,
     identity_perm,
     inverse_perm,
-    transpositions,
+    transposition,
 )
 from finbench.superfin import evaluate, presentation
 from finbench.symbolic import SymbolicObject
@@ -213,6 +213,10 @@ def orbit_elements_brute(spec, pool):
     """Class minimum of every injective tuple, in elem_key order."""
     reps = {class_min(spec, t) for t in itertools.permutations(range(pool), spec.n)}
     return tuple(sorted(reps, key=elem_key))
+
+
+def transpositions(n):
+    return [transposition(n, a, b) for a in range(n) for b in range(a + 1, n)]
 
 
 def orbit_iso_map_transpositions(a, b, pool=None):

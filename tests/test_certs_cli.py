@@ -314,8 +314,8 @@ def _least(recipe):
         ("nominal-roundtrip", "n", 6),
         ("nominal-roundtrip", "n", -1),
         ("nominal-orbit-classes", "n_max", 5),
-        ("finitarity-nom", "k", 5),
-        ("finitarity-nom", "k", 6),
+        ("finitarity-nom", "k", 7),
+        ("finitarity-nom", "k", 0),
         ("finitarity-un", "k", 0),
         ("finitarity-graph", "k", 0),
         ("reflect-prime-chain", "k", 0),
@@ -357,15 +357,10 @@ def test_every_int_parameter_but_seed_has_a_replay_limit():
         assert replay(least) == [], recipe
 
 
-def test_finitarity_nom_rejects_k_above_4_up_front():
-    with pytest.raises(ValueError, match="k <= 4"):
-        RECIPES["finitarity-nom"](k=5)
-
-
-def test_finitarity_nom_at_k_4_replays():
-    cert = RECIPES["finitarity-nom"](k=4)
+def test_finitarity_nom_at_k_6_replays():
+    cert = RECIPES["finitarity-nom"](k=6)
     assert cert.verdict == FAIL
-    assert cert.witness["lhs_size"] == 5 and cert.witness["persistence"]["lhs_size_k1"] == 6
+    assert cert.witness["lhs_size"] == 7 and cert.witness["persistence"]["lhs_size_k1"] == 8
     assert replay(cert) == []
 
 

@@ -43,6 +43,7 @@ from finbench.perms import (
     transposition,
 )
 from finbench.colimits import FAIL
+from finbench.serialize import orbit_from_json
 
 from oracles import (
     brute_subgroups,
@@ -155,6 +156,43 @@ def test_faulty_join_raises_instead_of_running_away(monkeypatch):
             subgroups_of_sym(4)
     finally:
         subgroups_of_sym.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# orbit groups: closure under generators against the |G|^2 subgroup test
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_orbit_group_is_the_subgroup_it_is_given(n):
+    for H in subgroups_of_Sn(n):
+        group = OrbitSpec(n, H).group
+        assert group == frozenset(H)
+        assert is_subgroup(group, n)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_pn_orbit_group_is_the_symmetric_group(n):
+    assert pn_orbit(n).group == frozenset(all_perms(n))
+
+
+def _mulclose_one_round(gens, n):
+    """mulclose stopped after its first round: the identity, the generators
+    and their pairwise products."""
+    first = {tuple(range(n)), *gens}
+    return frozenset(first | {compose_perm(a, b) for a in gens for b in gens})
+
+
+def test_orbit_group_raises_when_closure_stops_early(monkeypatch):
+    monkeypatch.setattr(nominal, "mulclose", _mulclose_one_round)
+    with pytest.raises(AssertionError, match="closure failed"):
+        pn_orbit(4).group
+
+
+@pytest.mark.parametrize("gen", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [0, 1, -1],
+                                 [0, 1, "2"], [0, 1, 2.0], [True, 0, 2]])
+def test_orbit_from_json_rejects_a_generator_that_is_not_a_permutation(gen):
+    with pytest.raises(ValueError, match="not a permutation"):
+        orbit_from_json({"n": 3, "generators": [[1, 0, 2], gen]})
 
 
 def test_subgroup_enumeration_rejects_large_n():
