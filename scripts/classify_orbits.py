@@ -2,10 +2,12 @@
 """Print the single-orbit classification tables.
 
 For each support size n: the subgroups of the symmetric group, and the orbit
-isomorphism classes, decided by the stabilizer criterion at the base support.
-Up to n = 4 the whole table takes about 0.01 s; n = 5 takes about 0.22 s, a
-little over half of it enumerating the subgroups of S5 (medians of 5 cold
-runs, Python 3.11.7, 2 cores).
+isomorphism classes, decided by the stabilizer criterion at the base support,
+each printed with the generating set its orbit is built from.  Up to n = 4
+the whole table takes about 0.005 s; n = 5 about 0.04 s more, and n = 6
+(1,455 subgroups, 56 classes) about 1.4 s more, a little over a third of it
+enumerating the subgroups of S6 (medians of 5 cold runs, Python 3.11.7,
+2 cores).
 
 Usage: python scripts/classify_orbits.py [max_n]
 """

@@ -267,10 +267,12 @@ def orbit_iso_map(a: OrbitSpec, b: OrbitSpec, pool=None):
 
 def single_orbit_enumerate(n: int):
     """One OrbitSpec per isomorphism class, deduplicated by deciding
-    equivariant bijection with orbit_iso_map (not by assuming conjugacy)."""
+    equivariant bijection with orbit_iso_map (not by assuming conjugacy).
+    Each orbit is built from the generating set that subgroups_of_sym gives
+    its subgroup, in the order of subgroups_of_Sn."""
     out = []
-    for H in subgroups_of_Sn(n):
-        spec = OrbitSpec(n, tuple(H))
+    for gens in subgroups_of_sym(n).values():
+        spec = OrbitSpec(n, gens)
         if not any(orbit_iso_map(spec, seen) is not None for seen in out):
             out.append(spec)
     return out
@@ -278,7 +280,8 @@ def single_orbit_enumerate(n: int):
 
 def equivalence_from_subgroup(S, n):
     """The quotient map of the equivariant equivalence t ~ t . sigma for
-    sigma in S: each injective tuple goes to the least tuple of its class."""
+    sigma in the subgroup that S generates (S may list all of it): each
+    injective tuple goes to the least tuple of its class."""
     return OrbitSpec(n, tuple(S)).canon_rep
 
 
@@ -416,12 +419,13 @@ def r_nominal_subgroups():
 @recipe("nominal-roundtrip", "nominal", limits={"n": (0, 4)})
 def r_nominal_roundtrip(n: int = 3):
     failures = []
-    for H in subgroups_of_Sn(n):
-        back = subgroup_from_quotient(equivalence_from_subgroup(H, n), n)
-        if back != H:
+    subgroups = subgroups_of_sym(n)
+    for group, gens in subgroups.items():
+        H = tuple(sorted(group))
+        if subgroup_from_quotient(equivalence_from_subgroup(gens, n), n) != H:
             failures.append([list(g) for g in H])
     return PASS_WITNESSED if not failures else FAIL, {
-        "subgroups": len(subgroups_of_Sn(n)), "failures": failures}
+        "subgroups": len(subgroups), "failures": failures}
 
 
 @recipe("nominal-orbit-classes", "nominal", limits={"n_max": (0, 4)})

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
+from types import MappingProxyType
 
 
 def identity_perm(n):
@@ -53,12 +55,11 @@ def mulclose(gens, n):
     els = {identity_perm(n)}
     frontier = [g for g in gens]
     els.update(frontier)
-    maps = [a.__getitem__ for a in gens]
     while frontier:
         new = []
-        for a in maps:
+        for a in gens:
             for b in frontier:
-                c = tuple(map(a, b))  # compose_perm(a, b)
+                c = tuple([a[i] for i in b])  # compose_perm(a, b)
                 if c not in els:
                     els.add(c)
                     new.append(c)
@@ -72,8 +73,7 @@ def closed_under(k, gens, n):
     in |k| * len(gens) products, against |k|^2 for is_subgroup.  Then k
     contains the group that gens generate, so a k built from products of
     gens is that group."""
-    maps = [a.__getitem__ for a in gens]
-    return identity_perm(n) in k and all(tuple(map(a, x)) in k for a in maps for x in k)
+    return identity_perm(n) in k and all(tuple([a[i] for i in x]) in k for a in gens for x in k)
 
 
 def is_subgroup(els, n):
@@ -116,64 +116,109 @@ def _join(h, gens, g):
     the len(gens) + 1 tests per representative.
     """
     els = set(h)
-    maps = [a.__getitem__ for a in gens + (g,)]
     reps = [identity_perm(len(g))]
     for r in reps:
-        for a in maps:
-            c = tuple(map(a, r))  # compose_perm(a, r)
+        for a in gens + (g,):
+            c = tuple([a[i] for i in r])  # compose_perm(a, r)
             if c not in els:
-                els.update([tuple(map(c.__getitem__, x)) for x in h])
+                els.update([tuple([c[i] for i in x]) for x in h])
                 reps.append(c)
     return frozenset(els)
 
 
-# Only n <= 5 is accepted (a raised error is not cached), so 6 entries fill it.
+def _conjugate(s, s_inv, x):
+    """s*x*s^-1, given s and its inverse."""
+    return tuple([s[x[i]] for i in s_inv])
+
+
+def _normaliser(h, gens, conjugators):
+    """The (s, s^-1) pairs among conjugators with s*x*s^-1 in h for each
+    generator x of h: the normaliser N(h), when conjugators lists all of
+    the symmetric group."""
+    for x in gens:
+        conjugators = [(s, s_inv) for s, s_inv in conjugators if _conjugate(s, s_inv, x) in h]
+    return conjugators
+
+
+# Only n <= 6 is accepted (a raised error is not cached), so 7 entries fill it.
 @lru_cache(maxsize=8)
 def subgroups_of_sym(n):
     """Every subgroup of the symmetric group on n points, each exactly once,
-    sorted by (order, sorted elements).
+    as a read-only mapping from the subgroup to a generating set of it, in
+    the order of (order, sorted elements).
 
-    One representative per conjugacy class is joined with one generator g of
-    each cyclic subgroup not inside it (`_join`); a join not seen before is
-    queued as the representative of its class, and the whole class is filled
-    in by conjugating with the two generators of the symmetric group.  Every
-    class is reached, by induction on the order: a subgroup K > 1 is the join
-    of a maximal subgroup L and one x outside it.  Conjugating by a suitable
-    permutation turns L into its class representative, which was reached
-    because L is smaller, and <x> into a cyclic subgroup with a listed
-    generator g, so that representative joined with g is conjugate to K.
-    S5's 156 subgroups in 19 classes take about 0.12 s (median of 5 cold
-    runs, Python 3.11.7, 2 cores).
+    One representative h per conjugacy class is joined (`_join`) with one
+    generator of prime-power order from each orbit of the normaliser N(h)
+    on the cyclic subgroups outside h: for s in N(h), joining s*g*s^-1
+    gives the join with g conjugated by s.  A join not seen before is queued
+    as the representative of its class with the join's generators, and the
+    whole class is filled in by conjugating subgroup and generators with the
+    two generators of the symmetric group.  Every class is reached, by
+    induction on the order: a subgroup K > 1 is the join of a maximal
+    subgroup L and one x outside it, and x can be taken of prime-power
+    order, because x is a product of such powers of itself.  Conjugating by
+    a suitable permutation turns L into its class representative, which was
+    reached because L is smaller, and <x> into a cyclic subgroup in the
+    orbit of a listed one under that representative's normaliser.  Each
+    join at least doubles the order, so a generating set has at most
+    log2 |h| members.  By orbit and stabiliser the class of h has
+    n!/|N(h)| members, which is checked for every representative.
+    S5's 156 subgroups in 19 classes take about 0.02 s, S6's 1,455 subgroups
+    in 56 classes about 0.5 s (medians of 5 cold runs, Python 3.11.7,
+    2 cores).
     """
-    if n > 5:
-        raise ValueError("subgroup enumeration supported for n <= 5 only")
-    cyclic = {}
-    for g in all_perms(n):
-        cyclic.setdefault(mulclose((g,), n), g)
-    joins = list(cyclic.values())
-    conjugators = [(s.__getitem__, inverse_perm(s)) for s in sym_generators(n)]
-    start = frozenset({identity_perm(n)})
-    known = {start}
-    queue = [(start, ())]
+    if n > 6:
+        raise ValueError("subgroup enumeration supported for n <= 6 only")
+    perms = all_perms(n)
+    e = identity_perm(n)
+    # each permutation -> the first permutation, in all_perms order, that
+    # generates the same cyclic subgroup; those of prime-power order are joined
+    cyclic, inverse, joins = {}, {}, []
+    for g in perms:
+        if g in cyclic:
+            continue
+        powers = [g]
+        while powers[-1] != e:
+            powers.append(compose_perm(g, powers[-1]))
+        m = len(powers)
+        for k, x in enumerate(powers, 1):
+            if math.gcd(k, m) == 1:
+                cyclic[x] = g
+                inverse[x] = powers[m - k - 1]  # g^(m-k), the identity when m = k = 1
+        # m is a power of its least prime factor p exactly when m divides p**m
+        least = next((d for d in range(2, m + 1) if m % d == 0), m)
+        if m > 1 and least ** m % m == 0:
+            joins.append(g)
+    everything = [(s, inverse[s]) for s in perms]
+    conjugators = [(s, inverse[s]) for s in sym_generators(n)]
+    start = frozenset({e})
+    known = {start: ()}
+    queue = [(start, (), 1)]
     while queue:
-        h, gens = queue.pop()
+        h, gens, size = queue.pop()
+        normaliser = _normaliser(h, gens, everything)
+        if len(normaliser) * size != len(perms):
+            raise AssertionError("the normaliser does not match the size of the class")
+        covered = set()
         for g in joins:
-            if g in h:
+            if g in h or g in covered:
                 continue
-            k = _join(h, gens, g)
+            covered.update([cyclic[_conjugate(s, s_inv, g)] for s, s_inv in normaliser])
+            k, k_gens = _join(h, gens, g), gens + (g,)
             if k in known:
                 continue
             # a faulty join would otherwise make the enumeration run away
-            if not closed_under(k, gens + (g,), n):
+            if not closed_under(k, k_gens, n):
                 raise AssertionError("a join is not closed under its generators")
-            known.add(k)
-            queue.append((k, gens + (g,)))
-            conjugates = [k]
-            for c in conjugates:
+            known[k] = k_gens
+            conjugates = [(k, k_gens)]
+            for c, c_gens in conjugates:
                 for s, s_inv in conjugators:
-                    # s * x * s^-1 for every x in c
-                    d = frozenset(tuple(s(x[i]) for i in s_inv) for x in c)
+                    d = frozenset([_conjugate(s, s_inv, x) for x in c])
                     if d not in known:
-                        known.add(d)
-                        conjugates.append(d)
-    return sorted(known, key=lambda s: (len(s), sorted(s)))
+                        d_gens = tuple(_conjugate(s, s_inv, x) for x in c_gens)
+                        known[d] = d_gens
+                        conjugates.append((d, d_gens))
+            queue.append((k, k_gens, len(conjugates)))
+    order = sorted(known, key=lambda s: (len(s), sorted(s)))
+    return MappingProxyType({h: known[h] for h in order})

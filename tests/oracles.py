@@ -14,7 +14,8 @@ are checked on every composable pair, naturality of a map of presheaves on
 every operation table, the triangle law of an integer distance matrix by a
 maximum per pair of rows, random G-sets are drawn by rebuilding each coset
 orbit on every draw, and the maps of a subset orbit into a nominal set come
-from the stabilizer criterion at the base support.  The module also holds
+from the stabilizer criterion at the base support, and the single-orbit
+classes from orbits generated by whole subgroups.  The module also holds
 fixtures that only tests build, such as a two-sorted groupoid, and test
 inputs for the live kernels: probe objects, identity and hom functors, the
 functor-law check, constant presentations and the maps that evaluations
@@ -27,7 +28,14 @@ from operator import sub
 
 from finbench.cats import FINSET, UN, FiniteGroupoid, gset_fixed_point, gset_from_cosets
 from finbench.core import FunctorHandle, Mor, canon, category_of, elem_key, lookup_category
-from finbench.nominal import NomMor, orbit_map_candidates, pn_orbit
+from finbench.nominal import (
+    NomMor,
+    OrbitSpec,
+    orbit_iso_map,
+    orbit_map_candidates,
+    pn_orbit,
+    subgroups_of_Sn,
+)
 from finbench.perms import (
     all_perms,
     compose_perm,
@@ -201,6 +209,19 @@ def subgroups_conjugacy_classes(n):
             continue
         classes.append(H)
     return classes
+
+
+def single_orbit_enumerate_whole(n):
+    """The single-orbit classification with every element of each subgroup
+    as the orbit's generators (the first formulation of
+    nominal.single_orbit_enumerate): one OrbitSpec per class, in the order
+    of subgroups_of_Sn, deduplicated by orbit_iso_map."""
+    out = []
+    for H in subgroups_of_Sn(n):
+        spec = OrbitSpec(n, tuple(H))
+        if not any(orbit_iso_map(spec, seen) is not None for seen in out):
+            out.append(spec)
+    return out
 
 
 def class_min(spec, t):

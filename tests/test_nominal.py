@@ -33,6 +33,7 @@ import finbench.perms as perms
 from finbench.core import elem_key
 from finbench.perms import (
     _join,
+    _normaliser,
     all_perms,
     compose_perm,
     inverse_perm,
@@ -42,6 +43,7 @@ from finbench.perms import (
     sym_generators,
     transposition,
 )
+from finbench.certs import RECIPES
 from finbench.colimits import FAIL
 from finbench.serialize import orbit_from_json
 
@@ -53,6 +55,7 @@ from oracles import (
     nom_identity,
     orbit_elements_brute,
     orbit_iso_map_transpositions,
+    single_orbit_enumerate_whole,
     subgroups_conjugacy_classes,
 )
 
@@ -89,8 +92,60 @@ def test_s5_has_156_subgroups_in_19_conjugacy_classes():
     assert len(classes) == 19
 
 
+def _classes_by_generators(subs, n):
+    """The number of conjugacy classes among subs, conjugating by the two
+    generators of the symmetric group; every conjugate must be in subs."""
+    conjugators = [(s, inverse_perm(s)) for s in sym_generators(n)]
+    seen, classes = set(), 0
+    for H in subs:
+        if H in seen:
+            continue
+        classes += 1
+        seen.add(H)
+        todo = [H]
+        for K in todo:
+            for s, s_inv in conjugators:
+                L = frozenset(compose_perm(compose_perm(s, x), s_inv) for x in K)
+                assert L in subs
+                if L not in seen:
+                    seen.add(L)
+                    todo.append(L)
+    return classes
+
+
+def test_s6_has_1455_subgroups_in_56_conjugacy_classes():
+    # OEIS A005432 and A000638; that each is a subgroup is checked below
+    subs = subgroups_of_sym(6)
+    assert len(subs) == len(set(subs)) == 1455
+    assert _classes_by_generators(subs, 6) == 56
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_generating_sets_generate_their_subgroups(n):
+    for H, gens in subgroups_of_sym(n).items():
+        assert mulclose(gens, n) == H
+        # each member at least doubles the subgroup the earlier ones generate
+        assert 2 ** len(gens) <= len(H)
+
+
+def _normaliser_by_definition(H, n):
+    return {s for s in all_perms(n)
+            if frozenset(compose_perm(compose_perm(s, x), inverse_perm(s)) for x in H) == H}
+
+
+@pytest.mark.parametrize("n,sample", [(4, None), (5, 40)])
+def test_normaliser_matches_its_definition(n, sample):
+    everything = [(s, inverse_perm(s)) for s in all_perms(n)]
+    items = list(subgroups_of_sym(n).items())
+    if sample:
+        items = random.Random(28).sample(items, sample)
+    for H, gens in items:
+        assert {s for s, _ in _normaliser(H, gens, everything)} == _normaliser_by_definition(H, n)
+
+
 # sha256 of json.dumps(subgroups_of_Sn(n)), fixed when the enumeration moved
-# to coset joins: the recipes and samplers read this list in this order.
+# to coset joins: the recipes and samplers read this list in this order.  The
+# n = 6 list matched that enumeration, run with its n <= 5 guard lifted.
 SUBGROUP_LIST_SHA256 = {
     0: "33ea8a78f520f45513d314e76cf1b97ee8354c1d6317ec35e7c54cad0c9694f7",
     1: "7ae717c9aac47e3aed392515ac52ae17e50da8555c618e0ace9ee7b86985afea",
@@ -98,6 +153,7 @@ SUBGROUP_LIST_SHA256 = {
     3: "dc1ed16355cc5d7ba632c6e68e1b7c9124f1af62c5b6dd067a3a4031229802d8",
     4: "51781ecbeaa74cd38c83642907cbd667466d76f82dda2af8cb9a80e0697c6507",
     5: "02b0dd4710eb8677fcd0561880b7deee759e2f0e77ccbe1c37dd0ede632ef5f4",
+    6: "7b2aa922d0d3b5e54dd9c4b16ca119b60a7b87d298a0d4d29a12e5b8abbf0fbf",
 }
 
 
@@ -113,15 +169,7 @@ def _join_pairs(n):
     cyclic = {}
     for g in all_perms(n):
         cyclic.setdefault(mulclose((g,), n), g)
-    pairs = []
-    for h in subgroups_of_sym(n):
-        gens, span = (), mulclose((), n)
-        for x in sorted(h):
-            if x not in span:
-                gens += (x,)
-                span = mulclose(gens, n)
-        pairs += [(h, gens, g) for g in cyclic.values()]
-    return pairs
+    return [(h, gens, g) for h, gens in subgroups_of_sym(n).items() for g in cyclic.values()]
 
 
 def test_coset_join_matches_closure_on_every_s4_pair():
@@ -153,6 +201,25 @@ def test_faulty_join_raises_instead_of_running_away(monkeypatch):
     monkeypatch.setattr(perms, "_join", _join_first_coset_only)
     try:
         with pytest.raises(AssertionError, match="not closed"):
+            subgroups_of_sym(4)
+    finally:
+        subgroups_of_sym.cache_clear()
+
+
+def _normaliser_without_inverse(h, gens, conjugators):
+    """_normaliser with a fault: it tests s*x in h in place of s*x*s^-1."""
+    for x in gens:
+        conjugators = [(s, s_inv) for s, s_inv in conjugators if compose_perm(s, x) in h]
+    return conjugators
+
+
+def test_faulty_normaliser_raises_instead_of_passing_silently(monkeypatch):
+    # the faulty test gives h itself, a subgroup of N(h); pruning by it would
+    # still list every subgroup, so only the class-size check can see it
+    subgroups_of_sym.cache_clear()
+    monkeypatch.setattr(perms, "_normaliser", _normaliser_without_inverse)
+    try:
+        with pytest.raises(AssertionError, match="normaliser"):
             subgroups_of_sym(4)
     finally:
         subgroups_of_sym.cache_clear()
@@ -197,7 +264,7 @@ def test_orbit_from_json_rejects_a_generator_that_is_not_a_permutation(gen):
 
 def test_subgroup_enumeration_rejects_large_n():
     with pytest.raises(ValueError):
-        subgroups_of_Sn(6)
+        subgroups_of_Sn(7)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +370,23 @@ def test_subgroup_equivalence_agrees_with_indexed_formula(n):
             assert q(list(t)) == q(t)
 
 
+def test_roundtrip_recipe_builds_from_generating_sets(monkeypatch):
+    seen = []
+    build = nominal.equivalence_from_subgroup
+
+    def recorded(S, n):
+        seen.append(S)
+        return build(S, n)
+
+    monkeypatch.setattr(nominal, "equivalence_from_subgroup", recorded)
+    assert RECIPES["nominal-roundtrip"](n=4).witness == {"subgroups": 30, "failures": []}
+    assert seen == list(subgroups_of_sym(4).values())
+    # a failure records the subgroup's elements, not its generators
+    monkeypatch.setattr(nominal, "subgroup_from_quotient", lambda quotient, n: ())
+    failures = RECIPES["nominal-roundtrip"](n=2).witness["failures"]
+    assert failures == [[[0, 1]], [[0, 1], [1, 0]]]
+
+
 def test_identity_equivalence_gives_trivial_subgroup():
     S = subgroup_from_quotient(tuple, 2)
     assert S == ((0, 1),)
@@ -342,6 +426,13 @@ def test_single_orbit_class_counts(n, count):
     assert len(single_orbit_enumerate(n)) == count
     # independent oracle: conjugacy classes of subgroups
     assert len(subgroups_conjugacy_classes(n)) == count
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_single_orbit_classes_match_whole_subgroup_orbits(n):
+    ours = single_orbit_enumerate(n)
+    assert [spec.group for spec in ours] == [spec.group for spec in single_orbit_enumerate_whole(n)]
+    assert [spec.gens for spec in ours] == [subgroups_of_sym(n)[spec.group] for spec in ours]
 
 
 def test_single_orbit_enumerate_decides_through_orbit_iso_map(monkeypatch):
