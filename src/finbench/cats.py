@@ -138,6 +138,11 @@ class FinSetCat(UnaryAlgebraCat):
     def obj(self, elems) -> Obj:
         return Obj(self.name, canon(elems))
 
+    def rebuild(self, carrier, structure) -> Obj:
+        """The object obj(...) builds from the arguments that the carrier
+        and structure of an object of this category come from."""
+        return self.obj(carrier)
+
     def _build(self, carrier, op_of):
         return Obj(self.name, carrier)
 
@@ -160,6 +165,9 @@ class GraphCat(Category):
             if u not in vset or v not in vset:
                 raise ValueError(f"edge {(u, v)} outside vertex set")
         return Obj(self.name, vs, ("edges", es))
+
+    def rebuild(self, carrier, structure) -> Obj:
+        return self.obj(carrier, structure[1])
 
     def edges(self, X):
         return X.structure[1]
@@ -259,6 +267,9 @@ class UnCat(UnaryAlgebraCat):
         """The algebra on elems whose operation is the callable or dict op."""
         return self._algebra(canon(elems), op if callable(op) else op.get)
 
+    def rebuild(self, carrier, structure) -> Obj:
+        return self.obj(carrier, dict(structure[1]))
+
     def _build(self, carrier, op_of):
         return self._algebra(carrier, lambda x: op_of("op", x))
 
@@ -279,10 +290,7 @@ class UnCat(UnaryAlgebraCat):
         return X
 
     def op_tables(self, X):
-        tables = X.__dict__.get("_op_tables")
-        if tables is None:
-            tables = X.__dict__["_op_tables"] = {"op": dict(X.structure[1])}
-        return tables
+        return X.__dict__["_op_tables"]  # built by _algebra
 
     def op(self, X, x):
         return self.op_tables(X)["op"][x]
@@ -444,6 +452,12 @@ class PresheafCat(UnaryAlgebraCat):
 
         return self._presheaf(canon((s, v) for s, vs in carriers.items() for v in vs), image)
 
+    def rebuild(self, carrier, structure) -> Obj:
+        carriers = {}
+        for s, v in carrier:
+            carriers.setdefault(s, []).append(v)
+        return self.obj(carriers, {m: {x[1]: y[1] for x, y in pairs} for m, pairs in structure[1]})
+
     def _build(self, carrier, op_of):
         return self._presheaf(carrier, op_of)
 
@@ -487,10 +501,7 @@ class PresheafCat(UnaryAlgebraCat):
                 raise ValueError("composition equation fails")
 
     def op_tables(self, X):
-        tables = X.__dict__.get("_op_tables")
-        if tables is None:
-            tables = X.__dict__["_op_tables"] = {m: dict(pairs) for m, pairs in X.structure[1]}
-        return tables
+        return X.__dict__["_op_tables"]  # built by _presheaf
 
     def op(self, X, mor_name, x):
         return self.op_tables(X)[mor_name].get(x)
@@ -545,6 +556,11 @@ TRIVIAL_GPD = group_groupoid("triv", [(0,)])
 Z2_GPD = group_groupoid("z2", [(0, 1), (1, 0)])
 Z3_GPD = group_groupoid("z3", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
 S3_GPD = group_groupoid("s3", list(itertools.permutations(range(3))))
+
+# registered on import, so that their objects read back from JSON in a
+# process that has not built them yet
+for _gpd in (TRIVIAL_GPD, Z2_GPD, Z3_GPD, S3_GPD):
+    presheaf_cat(_gpd)
 
 
 def gset_cat(gpd) -> PresheafCat:
@@ -601,6 +617,13 @@ class VecCat(Category):
     def obj(self, dim: int) -> Obj:
         carrier = canon(itertools.product(range(self.q), repeat=dim))
         return Obj(self.name, carrier, ("q", self.q, "dim", dim))
+
+    def rebuild(self, carrier, structure) -> Obj:
+        # build no more vectors than the carrier lists
+        dim = structure[3]
+        if dim not in range(len(carrier).bit_length()) or self.q ** dim != len(carrier):
+            raise ValueError("carrier is not a whole coordinate space")
+        return self.obj(dim)
 
     def dim(self, X):
         return X.structure[3]

@@ -101,10 +101,10 @@ def graph_counterexample() -> FunctorHandle:
     one = GRA.loop()
 
     def sym_obj(sobj):
-        if sobj.kind in ("ray", "loop_ray"):
-            # an infinite path (and for loop_ray also a cycle) is present
+        if sobj.kind == "ray":
+            # an infinite path is present
             return one
-        raise ValueError("graph counterexample evaluates ray kinds only")
+        raise ValueError("graph counterexample evaluates the ray only")
 
     return _case_split("graph-counterexample", GRA, one,
                        lambda X: not GRA.has_cycle(X), sym_obj)

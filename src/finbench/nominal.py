@@ -26,7 +26,6 @@ from .perms import (
     all_perms,
     closed_under,
     cycle_type,
-    is_subgroup,
     mulclose,
     subgroups_of_sym,
     sym_generators,
@@ -311,7 +310,7 @@ def subgroup_from_quotient(quotient, n: int):
                 raise ValueError("equivalence is not equivariant")
     base = label[tuple(range(n))]
     S = [s for s in all_perms(n) if label[s] == base]
-    if not is_subgroup(S, n):
+    if not closed_under(set(S), S, n):
         raise ValueError("recovered relation is not a subgroup")
     return tuple(sorted(S, key=elem_key))
 

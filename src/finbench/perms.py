@@ -14,14 +14,7 @@ def identity_perm(n):
 
 def compose_perm(p, q):
     """p after q: (p*q)(i) = p(q(i))."""
-    return tuple(map(p.__getitem__, q))
-
-
-def inverse_perm(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
+    return tuple([p[i] for i in q])
 
 
 def all_perms(n):
@@ -70,23 +63,10 @@ def mulclose(gens, n):
 
 def closed_under(k, gens, n):
     """Whether k holds the identity and a*x for every generator a and x in k,
-    in |k| * len(gens) products, against |k|^2 for is_subgroup.  Then k
-    contains the group that gens generate, so a k built from products of
-    gens is that group."""
+    in |k| * len(gens) products.  Then k contains the group that gens
+    generate, so a k built from products of gens is that group, and a
+    finite k closed under its own products (gens = k) is a subgroup."""
     return identity_perm(n) in k and all(tuple([a[i] for i in x]) in k for a in gens for x in k)
-
-
-def is_subgroup(els, n):
-    els = set(els)
-    if identity_perm(n) not in els:
-        return False
-    for a in els:
-        if inverse_perm(a) not in els:
-            return False
-        for b in els:
-            if compose_perm(a, b) not in els:
-                return False
-    return True
 
 
 def cycle_type(p):

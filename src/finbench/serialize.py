@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certs import canonical_dumps  # noqa: F401  (re-exported for callers of serialize)
-from .core import Mor, Obj, elem_key
-from .symbolic import SymMor, SymbolicObject
+from .core import Mor, elem_key, lookup_category
+from .symbolic import CYCLE_FAMILY, RAY, SymMor, SymbolicObject
 
 
 def enc_elem(x):
@@ -58,22 +58,30 @@ def obj_to_json(X):
 
 
 def obj_from_json(j):
+    """The object j presents, rebuilt by its category's obj(...) so that it is
+    validated as every constructed object is; a ValueError when the rebuilt
+    carrier or structure differs from j's, or the category or symbolic kind
+    is unknown."""
     if "symbolic" in j:
-        from . import symbolic
+        from .nominal import P_SUBSET_FAMILY
 
-        return {
-            "ray": symbolic.RAY,
-            "loop_ray": symbolic.LOOP_RAY,
-            "cycle_family": symbolic.CYCLE_FAMILY,
-            "p_subset_family": __import__(
-                "finbench.nominal", fromlist=["P_SUBSET_FAMILY"]
-            ).P_SUBSET_FAMILY,
-        }[j["symbolic"]]
-    return Obj(
-        j["category"],
-        tuple(dec_elem(x) for x in j["carrier"]),
-        dec_elem(j["structure"]),
-    )
+        kinds = {s.kind: s for s in (RAY, CYCLE_FAMILY, P_SUBSET_FAMILY)}
+        if j["symbolic"] not in kinds:
+            raise ValueError(f"unknown symbolic kind {j['symbolic']!r}")
+        return kinds[j["symbolic"]]
+    try:
+        cat = lookup_category(j["category"])
+    except KeyError:
+        raise ValueError(f"unknown category {j['category']!r}") from None
+    carrier = tuple(dec_elem(x) for x in j["carrier"])
+    structure = dec_elem(j["structure"])
+    try:
+        X = cat.rebuild(carrier, structure)
+    except (TypeError, IndexError, KeyError) as exc:
+        raise ValueError(f"not a valid {cat.name} object: {exc!r}") from None
+    if X.carrier != carrier or X.structure != structure:
+        raise ValueError(f"not a valid {cat.name} object")
+    return X
 
 
 def mor_to_json(f):

@@ -237,20 +237,11 @@ def decomposition_roundtrip(cat: PresheafCat, X: Obj) -> bool:
 # negative certificates
 
 
-class FinitaryEndoExists(ValueError):
-    """Raised when a negative certificate is requested for an object that
-    does have a finitary endomorphism."""
-
-
 def no_finitary_endo_certificate(A: SymbolicObject, window: int = 32, path_bound: int = 8,
                                  prime_bound: int = 23) -> dict:
     """The lemma-schema certificate {"checked", "inference"} that A has no
     finitary endomorphism: the hom tables checked up to the bounds, as sorted
     [k, count] and [p, q, count] rows, and the documented inference."""
-    if A.kind == "loop_ray":
-        raise FinitaryEndoExists(
-            "the constant self-map at the loop vertex is finitary"
-        )
     if A.kind == "ray":
         table = []
         for k in range(1, path_bound + 1):

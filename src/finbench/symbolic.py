@@ -3,13 +3,11 @@
 Registered kinds:
 
 * ``ray``: graph on the naturals with edges n -> n+1 and nothing else.
-* ``loop_ray``: the ray plus an isolated loop vertex 0 (edges n -> n+1 start
-  at vertex 1); the constant-0 self-map is its only finitary endomorphism.
 * ``cycle_family``: unary algebra given by the disjoint union of one cycle
   per prime; hom existence from a cycle is decided by divisibility.
 
-These objects expose bounded substructure enumeration instead of carriers,
-and the ray and the cycle family also hom enumeration in a window.
+These objects expose bounded substructure enumeration and hom enumeration
+in a window instead of carriers.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Mor, Obj, Partition, elem_key
+from .core import Mor, Obj
 from .cats import GRA, UN
 
 WINDOW_DEFAULT = 32
@@ -34,7 +32,6 @@ class SymbolicObject:
 
 
 RAY = SymbolicObject("ray", "gra")
-LOOP_RAY = SymbolicObject("loop_ray", "gra")
 CYCLE_FAMILY = SymbolicObject("cycle_family", "un")
 
 
@@ -42,8 +39,8 @@ CYCLE_FAMILY = SymbolicObject("cycle_family", "un")
 class SymMor:
     """Morphism from a finite object into a symbolic object.
 
-    Symbolic elements: ints for ray/loop_ray vertices, (prime, index) pairs
-    for cycle family points.
+    Symbolic elements: ints for ray vertices, (prime, index) pairs for cycle
+    family points.
     """
 
     dom: Obj
@@ -71,17 +68,8 @@ class SymMor:
 
 def _preserves(sm: SymMor) -> bool:
     look = sm._lookup
-    if sm.cod.kind in ("ray", "loop_ray"):
-        for u, v in GRA.edges(sm.dom):
-            a, b = look[u], look[v]
-            if sm.cod.kind == "loop_ray" and a == 0:
-                if b != 0:
-                    return False
-            elif b != a + 1:
-                return False
-            if sm.cod.kind == "ray" and (a < 0 or b < 0):
-                return False
-        return True
+    if sm.cod.kind == "ray":
+        return all(look[v] == look[u] + 1 and look[u] >= 0 for u, v in GRA.edges(sm.dom))
     if sm.cod.kind == "cycle_family":
         for x in sm.dom.carrier:
             q, i = look[x]
@@ -171,63 +159,20 @@ def _homs_into_ray(A: Obj, window):
 
 
 def _homs_into_cycle_family(A: Obj, window):
-    comps = _un_components(A)
-    per_comp = []
-    complete = True
-    for elems, cycle_len in comps:
-        targets = []
-        for q in primes_upto(window):
-            if cycle_len % q == 0:
-                targets.extend((q, r) for r in range(q))
-        if any(p > window for p in _prime_divisors(cycle_len)):
-            complete = False
-        if not targets:
-            return [], complete
-        per_comp.append((_offsets_to_cycle(A, elems), targets))
-    homs = []
-    for combo in itertools.product(*(t for _, t in per_comp)):
-        mapping = {}
-        for (offsets, _), (q, r) in zip(per_comp, combo):
-            for v, off in offsets.items():
-                mapping[v] = (q, (r + off) % q)
-        homs.append(SymMor(A, CYCLE_FAMILY, tuple(mapping[v] for v in A.carrier)))
-    return homs, complete
+    """The homs into the finite truncation UN.cycles_sum(ps), ps the primes
+    in the window that divide a cycle length of A: a hom sends each
+    component into one prime cycle whose prime divides the component's cycle
+    length.  Complete when A has a fixed point, which maps into no prime
+    cycle, or when no prime outside the window divides a cycle length."""
+    lengths = {UN.tail_period(A, x)[1] for x in A.carrier}
+    divisors = {p for n in lengths for p in _prime_divisors(n)}
+    ps = sorted(p for p in divisors if p <= window)
+    homs = [SymMor(A, CYCLE_FAMILY, h.mapping) for h in UN.hom_set(A, UN.cycles_sum(ps))]
+    return homs, 1 in lengths or all(p <= window for p in divisors)
 
 
 def _prime_divisors(n):
     return [p for p in primes_upto(n) if n % p == 0]
-
-
-def _un_components(A: Obj):
-    """Weak components of a unary algebra with their unique cycle length."""
-    part = Partition(A.carrier)
-    for x in A.carrier:
-        part.union(x, UN.op(A, x))
-    return [(sorted(elems, key=elem_key), UN.tail_period(A, elems[0])[1])
-            for elems in part.classes()]
-
-
-def _offsets_to_cycle(A: Obj, component):
-    """Offsets o(v) with f(v) = rotate(f(anchor), o(v)) for any hom into a
-    cycle; well defined since the target operation is invertible."""
-    anchor = component[0]
-    members = set(component)
-    offsets = {anchor: 0}
-    frontier = [anchor]
-    while frontier:
-        a = frontier.pop()
-        b = UN.op(A, a)
-        if b not in offsets:
-            offsets[b] = offsets[a] + 1
-            frontier.append(b)
-        # backward edges
-        for c in component:
-            if UN.op(A, c) == a and c not in offsets:
-                offsets[c] = offsets[a] - 1
-                frontier.append(c)
-    if set(offsets) != members:
-        raise ValueError("offsets requested across components")
-    return offsets
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +183,11 @@ def fg_subobjects(sym: SymbolicObject, bound: int, window: int = WINDOW_DEFAULT)
     """Finitely generated substructures up to the size bound, as pairs
     (object, embedding); enumeration is windowed for translated copies."""
     out = []
-    if sym.kind in ("ray", "loop_ray"):
-        base = 0 if sym.kind == "ray" else 1
+    if sym.kind == "ray":
         empty = GRA.obj((), ())
         out.append((empty, SymMor(empty, sym, ())))
-        if sym.kind == "loop_ray":
-            loop = GRA.loop()
-            out.append((loop, SymMor(loop, sym, (0,))))
         for length in range(0, bound):
-            for start in range(base, window - length):
+            for start in range(window - length):
                 seg = GRA.path(length)
                 out.append(
                     (seg, SymMor(seg, sym, tuple(start + i for i in range(length + 1))))

@@ -14,8 +14,9 @@ are checked on every composable pair, naturality of a map of presheaves on
 every operation table, the triangle law of an integer distance matrix by a
 maximum per pair of rows, random G-sets are drawn by rebuilding each coset
 orbit on every draw, and the maps of a subset orbit into a nominal set come
-from the stabilizer criterion at the base support, and the single-orbit
-classes from orbits generated by whole subgroups.  The module also holds
+from the stabilizer criterion at the base support, the single-orbit
+classes from orbits generated by whole subgroups, and the homs into the
+prime cycle family from anchor offsets per component.  The module also holds
 fixtures that only tests build, such as a two-sorted groupoid, and test
 inputs for the live kernels: probe objects, identity and hom functors, the
 functor-law check, constant presentations and the maps that evaluations
@@ -27,7 +28,15 @@ import math
 from operator import sub
 
 from finbench.cats import FINSET, UN, FiniteGroupoid, gset_fixed_point, gset_from_cosets
-from finbench.core import FunctorHandle, Mor, canon, category_of, elem_key, lookup_category
+from finbench.core import (
+    FunctorHandle,
+    Mor,
+    Partition,
+    canon,
+    category_of,
+    elem_key,
+    lookup_category,
+)
 from finbench.nominal import (
     NomMor,
     OrbitSpec,
@@ -40,11 +49,10 @@ from finbench.perms import (
     all_perms,
     compose_perm,
     identity_perm,
-    inverse_perm,
     transposition,
 )
 from finbench.superfin import evaluate, presentation
-from finbench.symbolic import SymbolicObject
+from finbench.symbolic import CYCLE_FAMILY, SymbolicObject, SymMor, primes_upto
 
 
 def brute_homs(X, Y):
@@ -150,6 +158,26 @@ def _closed(members):
     for a in members:
         for b in members:
             if compose_perm(a, b) not in members:
+                return False
+    return True
+
+
+def inverse_perm(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def is_subgroup(els, n):
+    els = set(els)
+    if identity_perm(n) not in els:
+        return False
+    for a in els:
+        if inverse_perm(a) not in els:
+            return False
+        for b in els:
+            if compose_perm(a, b) not in els:
                 return False
     return True
 
@@ -462,6 +490,72 @@ def presheaf_terminal(cat):
 
 def un_has_fixed_point(X):
     return any(UN.op(X, x) == x for x in X.carrier)
+
+
+def homs_into_cycle_family_by_offsets(A, window):
+    """(homs, complete) for A into the prime cycle family without the hom
+    search: per weak component, the offsets of its elements from an anchor
+    along the operation, and one hom per choice of a target point (q, r) for
+    each anchor, q a prime in the window dividing the component's cycle
+    length.  Complete unless a prime outside the window divides a cycle
+    length of a component met before one with no target."""
+    comps = _un_components(A)
+    per_comp = []
+    complete = True
+    for elems, cycle_len in comps:
+        targets = []
+        for q in primes_upto(window):
+            if cycle_len % q == 0:
+                targets.extend((q, r) for r in range(q))
+        if any(p > window for p in _prime_divisors(cycle_len)):
+            complete = False
+        if not targets:
+            return [], complete
+        per_comp.append((_offsets_to_cycle(A, elems), targets))
+    homs = []
+    for combo in itertools.product(*(t for _, t in per_comp)):
+        mapping = {}
+        for (offsets, _), (q, r) in zip(per_comp, combo):
+            for v, off in offsets.items():
+                mapping[v] = (q, (r + off) % q)
+        homs.append(SymMor(A, CYCLE_FAMILY, tuple(mapping[v] for v in A.carrier)))
+    return homs, complete
+
+
+def _prime_divisors(n):
+    return [p for p in primes_upto(n) if n % p == 0]
+
+
+def _un_components(A):
+    """Weak components of a unary algebra with their unique cycle length."""
+    part = Partition(A.carrier)
+    for x in A.carrier:
+        part.union(x, UN.op(A, x))
+    return [(sorted(elems, key=elem_key), UN.tail_period(A, elems[0])[1])
+            for elems in part.classes()]
+
+
+def _offsets_to_cycle(A, component):
+    """Offsets o(v) with f(v) = rotate(f(anchor), o(v)) for any hom into a
+    cycle; well defined since the target operation is invertible."""
+    anchor = component[0]
+    members = set(component)
+    offsets = {anchor: 0}
+    frontier = [anchor]
+    while frontier:
+        a = frontier.pop()
+        b = UN.op(A, a)
+        if b not in offsets:
+            offsets[b] = offsets[a] + 1
+            frontier.append(b)
+        # backward edges
+        for c in component:
+            if UN.op(A, c) == a and c not in offsets:
+                offsets[c] = offsets[a] - 1
+                frontier.append(c)
+    if set(offsets) != members:
+        raise ValueError("offsets requested across components")
+    return offsets
 
 
 def identity_functor(cat_name):

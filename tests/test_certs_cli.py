@@ -66,8 +66,31 @@ def test_mor_roundtrip():
 
 
 def test_symbolic_obj_roundtrip():
-    for sobj in (sy.RAY, sy.LOOP_RAY, sy.CYCLE_FAMILY):
+    for sobj in (sy.RAY, sy.CYCLE_FAMILY):
         assert obj_from_json(obj_to_json(sobj)) == sobj
+
+
+@pytest.mark.parametrize("j", [
+    # the operation sends 0 outside the carrier
+    {"category": "un", "carrier": [0, 1], "structure": {"t": ["op", {"t": [
+        {"t": [0, 5]}, {"t": [1, 0]}]}]}},
+    # an edge leaves the vertex set
+    {"category": "gra", "carrier": [0, 1], "structure": {"t": ["edges", {"t": [
+        {"t": [0, 2]}]}]}},
+    # a carrier out of elem_key order
+    {"category": "finset", "carrier": [1, 0], "structure": {"t": []}},
+    # a structure of the wrong shape
+    {"category": "un", "carrier": [0], "structure": {"t": []}},
+    {"category": "psh(z2)", "carrier": [{"t": ["*", 0]}], "structure": {"t": []}},
+    # a dimension far beyond the carrier, refused before the space is built
+    {"category": "vec2", "carrier": [], "structure": {"t": ["q", 2, "dim", 200]}},
+    {"category": "nowhere", "carrier": [], "structure": {"t": []}},
+    {"category": "gra", "symbolic": "loop_ray"},
+], ids=["un-op-outside", "gra-edge-outside", "unsorted", "un-shape", "psh-shape", "vec-dim",
+        "unknown-category", "unknown-kind"])
+def test_malformed_obj_is_refused(j):
+    with pytest.raises(ValueError):
+        obj_from_json(j)
 
 
 def test_symmor_roundtrip():

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from finbench.cats import FINSET, UN
+from finbench.cats import FINSET, UN, random_un_obj
 from finbench.colimits import FAIL, PASS, chain_colimit, reflect_colimit_test
 from finbench.core import Mor
 from finbench.serialize import mor_from_json, obj_to_json
 from finbench import symbolic as sy
+
+from oracles import homs_into_cycle_family_by_offsets, un_has_fixed_point
 
 
 def _prefix_cocone(k):
@@ -126,3 +128,46 @@ def test_unmerged_pair_witness_reads_back_to_the_offending_maps():
     assert q0 == FINSET.mor(one, two, lambda x: 0)
     assert q1 == FINSET.mor(one, two, lambda x: 1)
     assert FINSET.compose(collapse, q0) == FINSET.compose(collapse, q1)
+
+
+# ---------------------------------------------------------------------------
+# homs into the cycle family from the hom search on its finite truncation
+
+
+def _cycles_with_tails(rng):
+    """Up to three cycles, of length 1 (a fixed point) or with prime factors
+    inside and outside the small windows, and up to three tail elements, each
+    sent to an element built before it."""
+    op, n = {}, 0
+    for _ in range(rng.randint(0, 3)):
+        length = rng.choice([1, 2, 3, 4, 5, 6, 9, 10, 11, 13])
+        op.update({n + i: n + (i + 1) % length for i in range(length)})
+        n += length
+    for _ in range(rng.randint(0, 3) if n else 0):
+        op[n] = rng.randrange(n)
+        n += 1
+    return UN.obj(range(n), op)
+
+
+def test_homs_into_cycle_family_match_the_offset_oracle():
+    rng = random.Random(0)
+    algebras = [UN.obj((), {})]
+    algebras += [_cycles_with_tails(rng) for _ in range(150)]
+    algebras += [random_un_obj(rng, 8) for _ in range(50)]
+    kinds = {"tail": 0, "components": 0, "fixed point": 0}
+    for A in algebras:
+        tails = {x: UN.tail_period(A, x)[0] for x in A.carrier}
+        kinds["tail"] += any(tails.values())
+        # a cycle point generates its own cycle, one per component
+        cycles = {UN.generated_subalgebra(A, x) for x, t in tails.items() if t == 0}
+        kinds["components"] += len(cycles) > 1
+        kinds["fixed point"] += un_has_fixed_point(A)
+        for window in (2, 3, 5, 7, 12):
+            homs, complete = sy.homs_into(sy.CYCLE_FAMILY, A, window)
+            want, want_complete = homs_into_cycle_family_by_offsets(A, window)
+            assert [h.mapping for h in homs] == [h.mapping for h in want], (A, window)
+            if un_has_fixed_point(A):
+                assert homs == [] and complete
+            else:
+                assert complete == want_complete, (A, window)
+    assert min(kinds.values()) >= 20, kinds

@@ -56,7 +56,6 @@ def test_graph_cx_values():
     FP2 = G.on_obj(GRA.path(2))
     assert FP2.size == 4  # terminal loop vertex plus the three path vertices
     assert G.on_obj(sy.RAY).size == 1
-    assert G.on_obj(sy.LOOP_RAY).size == 1
     cycle3 = GRA.obj(range(3), [(0, 1), (1, 2), (2, 0)])
     assert G.on_obj(cycle3).size == 1
 
@@ -102,7 +101,7 @@ def test_un_cx_on_mono_into_cycle_family_is_constant():
 def test_graph_cx_on_mono_into_ray_is_constant():
     G = graph_counterexample()
     one = GRA.loop()
-    subobjects = sy.fg_subobjects(sy.LOOP_RAY, 2, window=4)
+    subobjects = sy.fg_subobjects(sy.RAY, 2, window=4)
     for m in list(path_chain(3).legs) + [m for _, m in subobjects]:
         assert G.on_mor(m) == GRA.mor(G.on_obj(m.dom), one, lambda v: one.carrier[0])
 

@@ -36,8 +36,6 @@ from finbench.perms import (
     _normaliser,
     all_perms,
     compose_perm,
-    inverse_perm,
-    is_subgroup,
     mulclose,
     subgroups_of_sym,
     sym_generators,
@@ -52,6 +50,8 @@ from oracles import (
     class_min,
     equivalence_from_subgroup_by_index,
     hom_exists_Pn,
+    inverse_perm,
+    is_subgroup,
     nom_identity,
     orbit_elements_brute,
     orbit_iso_map_transpositions,

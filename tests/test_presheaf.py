@@ -203,7 +203,7 @@ def pair_groupoid_objects(draw):
 def _rebuilt(X):
     Y = obj_from_json(json.loads(canonical_dumps(obj_to_json(X))))
     assert Y == X and hash(Y) == hash(X)
-    assert "_op_tables" not in Y.__dict__  # the tables are built on first use
+    assert "_op_tables" in Y.__dict__  # the reader rebuilds through cat.obj
     return Y
 
 

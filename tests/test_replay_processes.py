@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from finbench.certs import RECIPE_MODULES, RECIPES, save_certificate
+from finbench.cats import Z2_GPD, gset_cat, gset_free_orbit
+from finbench.certs import RECIPE_MODULES, RECIPES, canonical_dumps, save_certificate
+from finbench.serialize import mor_from_json
 from finbench.suites import SUITES, run_suite  # registers all recipes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,6 +84,20 @@ def test_fresh_cli_import_loads_no_layer():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["finbench", "finbench.cats", "finbench.certs",
                                   "finbench.cli", "finbench.core", "finbench.perms"]
+
+
+def test_presheaf_witness_reads_back_in_a_fresh_process():
+    # the reader alone must know psh(z2): nothing in the fresh process builds it
+    b = RECIPES["strictness-presheaf"]().witness["witness"]["b"]
+    out = _python("-c", "import json, sys\n"
+                        "from finbench.serialize import canonical_dumps, mor_from_json, mor_to_json\n"
+                        "print(canonical_dumps(mor_to_json(mor_from_json(json.loads(sys.argv[1])))))",
+                  canonical_dumps(b))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == canonical_dumps(b) + "\n"
+    cat = gset_cat(Z2_GPD)
+    _, injections = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
+    assert mor_from_json(b) == injections[0]
 
 
 def _workloads():

@@ -27,7 +27,6 @@ from finbench.certs import PASS_WITNESSED, RECIPES
 from finbench.core import category_of, elem_key
 from finbench.perms import subgroups_of_sym
 from finbench.strictness import (
-    FinitaryEndoExists,
     atoms_of_presheaves,
     congruences,
     decompose_into_atoms,
@@ -332,8 +331,3 @@ def test_ray_certificate_counts():
     for k, n in counts.items():
         assert n == 32 - k  # one hom per start position inside the window
     assert cert["inference"]
-
-
-def test_loop_ray_certificate_refused():
-    with pytest.raises(FinitaryEndoExists):
-        no_finitary_endo_certificate(sy.LOOP_RAY)
