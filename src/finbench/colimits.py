@@ -16,7 +16,7 @@ from functools import cached_property
 from .certs import FAIL, PASS
 from .core import category_of
 from .serialize import mor_to_json, obj_to_json
-from .symbolic import SymMor, SymbolicObject, homs_into
+from .symbolic import SymbolicObject, homs_into
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,7 @@ class Cocone:
             if leg.dom != self.objects[i]:
                 raise ValueError("leg domain mismatch")
         for i, ln in enumerate(self.links):
-            nxt = self.legs[i + 1]
-            composed = (
-                nxt.precompose(ln) if isinstance(nxt, SymMor) else
-                category_of(ln.dom).compose(nxt, ln)
-            )
-            if composed != self.legs[i]:
+            if category_of(ln.dom).compose(self.legs[i + 1], ln) != self.legs[i]:
                 raise ValueError("legs do not commute with links")
 
     @property

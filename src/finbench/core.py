@@ -366,9 +366,10 @@ class Category:
         return Mor(X, X, tuple(X.carrier))
 
     def compose(self, g: Mor, f: Mor) -> Mor:
+        """g . f, of g's class: a SymMor when g maps into a symbolic object."""
         if f.cod != g.dom:
             raise ValueError("morphisms not composable")
-        return Mor(f.dom, g.cod, tuple(map(g._lookup.__getitem__, f.mapping)))
+        return type(g)(f.dom, g.cod, tuple(map(g._lookup.__getitem__, f.mapping)))
 
     def mor(self, dom: Obj, cod: Obj, mapping) -> Mor:
         if callable(mapping):

@@ -31,6 +31,7 @@ from .symbolic import (
     SymMor,
     SymbolicObject,
     fg_subobjects,
+    first_primes,
     primes_upto,
 )
 
@@ -39,17 +40,19 @@ from .symbolic import (
 # the case-split counterexamples
 
 
-def _case_split(name, cat, unit, adds_unit, sym_obj) -> FunctorHandle:
+def _case_split(name, cat, unit, adds_unit, kinds) -> FunctorHandle:
     """X maps to unit + X when adds_unit(X), and to unit otherwise; on_obj
-    evaluates a symbolic object through sym_obj, which maps every registered
-    symbolic kind it accepts to unit and raises ValueError on any other.  A
-    morphism into the first case maps summandwise (a hom X -> Y puts X in the
-    first case as well); any other morphism, a SymMor into a symbolic object
-    included, is the constant map onto the one element of unit."""
+    sends a symbolic object whose kind is in kinds to unit and raises
+    ValueError on any other.  A morphism into the first case maps summandwise
+    (a hom X -> Y puts X in the first case as well); any other morphism, a
+    SymMor into a symbolic object included, is the constant map onto the one
+    element of unit."""
 
     def on_obj(X):
         if isinstance(X, SymbolicObject):
-            return sym_obj(X)
+            if X.kind not in kinds:
+                raise ValueError(f"{name} does not evaluate {X!r}")
+            return unit
         return cat.coproduct([unit, X])[0] if adds_unit(X) else unit
 
     def on_mor(f):
@@ -80,46 +83,23 @@ def _un_missing_prime(X: Obj):
 
 def un_counterexample() -> FunctorHandle:
     """Endofunctor of unary algebras: X maps to C1 + X when some prime cycle
-    admits no hom into X, and to C1 otherwise.  Finitely bounded, not
+    admits no hom into X, and to C1 otherwise; every prime cycle admits a hom
+    into the cycle family, so it maps to C1.  Finitely bounded, not
     finitary."""
-    c1 = UN.cycle(1)
-
-    def sym_obj(sobj):
-        if sobj.kind != "cycle_family":
-            raise ValueError("unary counterexample evaluates cycle families only")
-        # every prime cycle admits a hom into the family, so the value is C1
-        return c1
-
-    return _case_split("un-counterexample", UN, c1,
-                       lambda X: _un_missing_prime(X) is not None, sym_obj)
+    return _case_split("un-counterexample", UN, UN.cycle(1),
+                       lambda X: _un_missing_prime(X) is not None, {"cycle_family"})
 
 
 def graph_counterexample() -> FunctorHandle:
     """Endofunctor of graphs: X maps to 1 + X when X has no cycle and no
     infinite path (for finite X both reduce to acyclicity), else to the
-    terminal loop graph."""
-    one = GRA.loop()
-
-    def sym_obj(sobj):
-        if sobj.kind == "ray":
-            # an infinite path is present
-            return one
-        raise ValueError("graph counterexample evaluates the ray only")
-
-    return _case_split("graph-counterexample", GRA, one,
-                       lambda X: not GRA.has_cycle(X), sym_obj)
+    terminal loop graph; the ray has an infinite path, so it maps to the loop."""
+    return _case_split("graph-counterexample", GRA, GRA.loop(),
+                       lambda X: not GRA.has_cycle(X), {"ray"})
 
 
 # ---------------------------------------------------------------------------
 # boundedness witnesses
-
-
-def subobjects_of(A, bound):
-    """Uniform fg-subobject enumeration for finite and symbolic objects."""
-    if isinstance(A, SymbolicObject):
-        return fg_subobjects(A, bound)
-    cat = category_of(A)
-    return [(m.dom, m) for m in cat.subobjects_fg(A, bound)]
 
 
 def finitely_bounded_witness(F: FunctorHandle, A, m0: Mor, bound: int):
@@ -133,15 +113,14 @@ def finitely_bounded_witness(F: FunctorHandle, A, m0: Mor, bound: int):
     FA = F.on_obj(A)
     if m0.cod != FA:
         raise ValueError("m0 must land in F(A)")
-    candidates = sorted(subobjects_of(A, bound), key=lambda pair: pair[0].size)
+    monos = (fg_subobjects(A, bound) if isinstance(A, SymbolicObject)
+             else category_of(A).subobjects_fg(A, bound))
     cat = category_of(m0.dom)
-    for M, m in candidates:
+    for m in sorted(monos, key=lambda m: m.dom.size):
         Fm = F.on_mor(m)
         mediating = next(cat.lifts(m0, Fm), None)
         if mediating is not None:
-            through = (Fm.precompose(mediating) if isinstance(Fm, SymMor)
-                       else cat.compose(Fm, mediating))
-            if through != m0:
+            if cat.compose(Fm, mediating) != m0:
                 raise AssertionError("witness triangle failed verification")
             return m, mediating
     return None
@@ -230,7 +209,7 @@ def _image_cocone(F: FunctorHandle, cocone: Cocone) -> Cocone:
 def prime_cycle_chain(k: int) -> Cocone:
     """C_2 into C_2+C_3 into ... (k objects) with the cycle family as formal
     colimit."""
-    ps = primes_upto(100)[:k]
+    ps = first_primes(k)
     objects = [UN.cycles_sum(ps[: i + 1]) for i in range(k)]
     links = [
         UN.mor(objects[i], objects[i + 1], lambda x: x) for i in range(k - 1)
@@ -280,8 +259,10 @@ def r_finitarity_un(k: int = 3):
 
 @recipe("reflect-prime-chain", "colimit-test", limits={"k": (1, 20)})
 def r_reflect_prime_chain(k: int = 3):
-    probes = [UN.cycle(p) for p in primes_upto(100)[:k]]
-    verdict, witness = reflect_colimit_test(prime_cycle_chain(k), probes)
+    chain = prime_cycle_chain(k)
+    # the chain's last object is the sum of the first k prime cycles
+    probes = [UN.cycle(q) for q in dict.fromkeys(q for q, _ in chain.last.carrier)]
+    verdict, witness = reflect_colimit_test(chain, probes)
     return verdict, {"chain": "prime-cycles", "prefix_k": k,
                      "probes": [p.size for p in probes], **witness}
 

@@ -34,6 +34,10 @@ def enc_elem(x):
 
 
 def dec_elem(j):
+    """The carrier element that j encodes; a ValueError when j has the shape
+    of no encoding, as a JSON boolean or float has not."""
+    if isinstance(j, bool):
+        raise ValueError("booleans are not carrier elements")
     if isinstance(j, (int, str)) or j is None:
         return j
     if isinstance(j, dict):
@@ -44,7 +48,7 @@ def dec_elem(j):
         if "q" in j:
             num, den = j["q"].split("/")
             return Fraction(int(num), int(den))
-    raise TypeError(f"cannot decode {j!r}")
+    raise ValueError(f"cannot decode {j!r}")
 
 
 def obj_to_json(X):
@@ -99,9 +103,7 @@ def mor_from_json(j):
     cod = obj_from_json(j["cod"])
     mapping = {dec_elem(x): dec_elem(y) for x, y in j["maps"]}
     images = tuple(mapping[x] for x in dom.carrier)
-    if isinstance(cod, SymbolicObject):
-        return SymMor(dom, cod, images)
-    return Mor(dom, cod, images)
+    return (SymMor if isinstance(cod, SymbolicObject) else Mor)(dom, cod, images)
 
 
 def orbit_to_json(spec):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import Mor, Obj
 from .cats import GRA, UN
@@ -36,49 +35,34 @@ CYCLE_FAMILY = SymbolicObject("cycle_family", "un")
 
 
 @dataclass(frozen=True)
-class SymMor:
-    """Morphism from a finite object into a symbolic object.
-
-    Symbolic elements: ints for ray vertices, (prime, index) pairs for cycle
-    family points.
-    """
-
-    dom: Obj
-    cod: SymbolicObject
-    mapping: tuple
+class SymMor(Mor):
+    """A Mor from a finite object into a symbolic object, which has no
+    carrier: each image must be a point of the symbolic object, a
+    non-negative int on the ray and a pair (q, i) with q prime and
+    0 <= i < q in the cycle family, and the map must preserve structure."""
 
     def __post_init__(self):
+        if self.dom.cat != self.cod.cat:
+            raise ValueError("morphism across categories")
         if len(self.mapping) != len(self.dom.carrier):
-            raise ValueError("mapping length mismatch")
+            raise ValueError("mapping length does not match domain carrier")
         if not _preserves(self):
             raise ValueError("mapping does not preserve structure")
 
-    @cached_property
-    def _lookup(self):
-        return dict(zip(self.dom.carrier, self.mapping))
-
-    def __call__(self, x):
-        return self._lookup[x]
-
-    def precompose(self, f: Mor) -> "SymMor":
-        if f.cod != self.dom:
-            raise ValueError("not composable")
-        return SymMor(f.dom, self.cod, tuple(self(f(x)) for x in f.dom.carrier))
-
 
 def _preserves(sm: SymMor) -> bool:
-    look = sm._lookup
+    """Whether every image is a point of sm.cod and sm preserves structure."""
+    look, images = sm._lookup, sm.mapping
     if sm.cod.kind == "ray":
-        return all(look[v] == look[u] + 1 and look[u] >= 0 for u, v in GRA.edges(sm.dom))
+        return (all(type(n) is int and n >= 0 for n in images)
+                and all(look[v] == look[u] + 1 for u, v in GRA.edges(sm.dom)))
     if sm.cod.kind == "cycle_family":
-        for x in sm.dom.carrier:
-            q, i = look[x]
-            if not _is_prime(q):
-                return False
-            q2, i2 = look[UN.op(sm.dom, x)]
-            if (q2, i2) != (q, (i + 1) % q):
-                return False
-        return True
+        if not all(type(y) is tuple and len(y) == 2 and type(y[0]) is int
+                   and type(y[1]) is int and 0 <= y[1] < y[0] for y in images):
+            return False
+        op = UN.op_tables(sm.dom)["op"]
+        return (all(map(_is_prime, {q for q, _ in images}))
+                and all(look[op[x]] == (q, (i + 1) % q) for x, (q, i) in look.items()))
     raise ValueError(sm.cod.kind)
 
 
@@ -90,6 +74,10 @@ def _is_prime(n):
 
 def primes_upto(n):
     return [p for p in range(2, n + 1) if _is_prime(p)]
+
+
+def first_primes(k):
+    return list(itertools.islice(filter(_is_prime, itertools.count(2)), k))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +141,7 @@ def _homs_into_ray(A: Obj, window):
         mapping = {}
         for part in combo:
             mapping.update(part)
-        homs.append(SymMor(A, RAY, tuple(mapping[v] for v in A.carrier)))
+        homs.append(SymMor(A, RAY, tuple(map(mapping.__getitem__, A.carrier))))
     # shifts beyond the window always exist for nonempty graphs
     return homs, A.size == 0
 
@@ -180,29 +168,22 @@ def _prime_divisors(n):
 
 
 def fg_subobjects(sym: SymbolicObject, bound: int, window: int = WINDOW_DEFAULT):
-    """Finitely generated substructures up to the size bound, as pairs
-    (object, embedding); enumeration is windowed for translated copies."""
-    out = []
+    """Monos into sym, one per finitely generated substructure up to the size
+    bound, as subobjects_fg gives them; windowed for translated copies."""
     if sym.kind == "ray":
-        empty = GRA.obj((), ())
-        out.append((empty, SymMor(empty, sym, ())))
-        for length in range(0, bound):
-            for start in range(window - length):
-                seg = GRA.path(length)
-                out.append(
-                    (seg, SymMor(seg, sym, tuple(start + i for i in range(length + 1))))
-                )
+        out = [SymMor(GRA.obj((), ()), sym, ())]
+        for length in range(bound):
+            seg = GRA.path(length)
+            out.extend(SymMor(seg, sym, tuple(range(start, start + length + 1)))
+                       for start in range(window - length))
         return out
     if sym.kind == "cycle_family":
         prims = primes_upto(window)
-        empty = UN.obj((), {})
-        out.append((empty, SymMor(empty, sym, ())))
-        for r in range(1, len(prims) + 1):
+        out = []
+        for r in range(len(prims) + 1):
             for ps in itertools.combinations(prims, r):
-                if sum(ps) > bound:
-                    continue
-                sub = UN.cycles_sum(ps)
-                out.append((sub, SymMor(sub, sym, tuple(sub.carrier))))
+                if sum(ps) <= bound:
+                    sub = UN.cycles_sum(ps)
+                    out.append(SymMor(sub, sym, sub.carrier))
         return out
     raise ValueError(sym.kind)
-

@@ -86,18 +86,45 @@ def test_symbolic_obj_roundtrip():
     {"category": "vec2", "carrier": [], "structure": {"t": ["q", 2, "dim", 200]}},
     {"category": "nowhere", "carrier": [], "structure": {"t": []}},
     {"category": "gra", "symbolic": "loop_ray"},
+    # JSON booleans are not carrier elements, as enc_elem refuses them
+    {"category": "finset", "carrier": [0, True], "structure": {"t": []}},
 ], ids=["un-op-outside", "gra-edge-outside", "unsorted", "un-shape", "psh-shape", "vec-dim",
-        "unknown-category", "unknown-kind"])
+        "unknown-category", "unknown-kind", "boolean"])
 def test_malformed_obj_is_refused(j):
     with pytest.raises(ValueError):
         obj_from_json(j)
 
 
+_POINT = GRA.obj([0], [])
+_TAIL = UN.obj([0, 1, 2], {0: 1, 1: 2, 2: 1})  # 0 -> 1, and 1, 2 a 2-cycle
+
+
 def test_symmor_roundtrip():
-    seg = GRA.path(2)
-    f = sy.SymMor(seg, sy.RAY, (4, 5, 6))
-    j = json.loads(canonical_dumps(mor_to_json(f)))
-    assert mor_from_json(j) == f
+    for f in (sy.SymMor(GRA.path(2), sy.RAY, (4, 5, 6)),
+              sy.SymMor(_TAIL, sy.CYCLE_FAMILY, ((2, 1), (2, 0), (2, 1)))):
+        j = json.loads(canonical_dumps(mor_to_json(f)))
+        assert mor_from_json(j) == f
+
+
+@pytest.mark.parametrize("dom, cod, images", [
+    (_POINT, sy.RAY, (-5,)),
+    (_POINT, sy.RAY, ("x",)),
+    (_POINT, sy.RAY, (True,)),
+    # the tail's first element has no preimage, so only the point check sees it
+    (_TAIL, sy.CYCLE_FAMILY, ((2, 7), (2, 0), (2, 1))),
+    (_TAIL, sy.CYCLE_FAMILY, ((2, -1), (2, 0), (2, 1))),
+    (UN.cycle(1), sy.RAY, (0,)),
+], ids=["ray-negative", "ray-string", "ray-bool", "family-index-past-prime",
+        "family-negative-index", "across-categories"])
+def test_symmor_refuses_images_outside_its_codomain(dom, cod, images):
+    with pytest.raises(ValueError):
+        sy.SymMor(dom, cod, images)
+    maps = [[x, {"t": list(y)} if isinstance(y, tuple) else y]
+            for x, y in zip(obj_to_json(dom)["carrier"], images)]
+    j = json.loads(json.dumps({"category": dom.cat, "dom": obj_to_json(dom),
+                               "cod": obj_to_json(cod), "maps": maps}))
+    with pytest.raises(ValueError):
+        mor_from_json(j)
 
 
 def test_nomset_roundtrip():

@@ -554,10 +554,10 @@ def test_symbolic_subobjects_of_ray_windowed():
 
     window = 10
     subs = fg_subobjects(RAY, bound=4, window=window)
-    paths = [(M, m) for M, m in subs if M.size > 0]
-    assert all(M.size <= 4 for M, _ in paths)
+    paths = [m.dom for m in subs if m.dom.size > 0]
+    assert all(M.size <= 4 for M in paths)
     lengths = {}
-    for M, m in paths:
+    for M in paths:
         lengths.setdefault(M.size - 1, 0)
         lengths[M.size - 1] += 1
     # one segment per start position: window - length of them
@@ -568,7 +568,7 @@ def test_symbolic_subobjects_of_cycle_family_bounded():
     from finbench.symbolic import CYCLE_FAMILY, fg_subobjects
 
     subs = fg_subobjects(CYCLE_FAMILY, bound=5, window=12)
-    sizes = sorted(M.size for M, _ in subs)
+    sizes = sorted(m.dom.size for m in subs)
     # empty, single cycles of sizes 2, 3, 5, and the sum 2+3
     assert sizes == [0, 2, 3, 5, 5]
 
@@ -868,7 +868,7 @@ def _lifting_problem(draw, kind):
     qs = category_of(A).hom_set(A, g.dom)
     if qs and draw(st.booleans()):
         q = draw(st.sampled_from(qs))
-        f = g.precompose(q) if isinstance(g, sy.SymMor) else category_of(A).compose(g, q)
+        f = category_of(A).compose(g, q)
         return f, g
     return draw(st.sampled_from(homs)), g
 

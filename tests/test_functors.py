@@ -5,6 +5,7 @@ import random
 import pytest
 
 from finbench.cats import FINSET, GRA, UN, random_un_obj
+from finbench.core import category_of
 from finbench.colimits import FAIL, PASS
 from finbench.functors import (
     finitarity_certificate,
@@ -90,19 +91,32 @@ def test_graph_functor_laws_on_probes():
 # morphism values on monos into symbolic objects
 
 
+def _monos_into_symbolic(chain, subobjects):
+    """The chain's legs and the subobject monos, checked through the shared
+    Mor API: each is a mono, and each link composes with the next leg to
+    the leg before it, a SymMor."""
+    cat = category_of(chain.last)
+    for i, ln in enumerate(chain.links):
+        composed = cat.compose(chain.legs[i + 1], ln)
+        assert type(composed) is sy.SymMor and composed == chain.legs[i]
+    monos = list(chain.legs) + subobjects
+    assert all(category_of(m.dom).is_mono(m) for m in monos)
+    return monos
+
+
 def test_un_cx_on_mono_into_cycle_family_is_constant():
     F = un_counterexample()
     c1 = UN.cycle(1)
-    subobjects = sy.fg_subobjects(sy.CYCLE_FAMILY, 5)
-    for m in list(prime_cycle_chain(3).legs) + [m for _, m in subobjects]:
+    subobjects = sy.fg_subobjects(sy.CYCLE_FAMILY, 8)
+    for m in _monos_into_symbolic(prime_cycle_chain(3), subobjects):
         assert F.on_mor(m) == UN.mor(F.on_obj(m.dom), c1, lambda x: c1.carrier[0])
 
 
 def test_graph_cx_on_mono_into_ray_is_constant():
     G = graph_counterexample()
     one = GRA.loop()
-    subobjects = sy.fg_subobjects(sy.RAY, 2, window=4)
-    for m in list(path_chain(3).legs) + [m for _, m in subobjects]:
+    subobjects = sy.fg_subobjects(sy.RAY, 3, window=6)
+    for m in _monos_into_symbolic(path_chain(3), subobjects):
         assert G.on_mor(m) == GRA.mor(G.on_obj(m.dom), one, lambda v: one.carrier[0])
 
 
@@ -129,7 +143,7 @@ def test_witness_for_identity_functor():
 
 def test_witness_for_identity_functor_on_cycle_family():
     I = identity_functor("un")
-    for _, m0 in sy.fg_subobjects(sy.CYCLE_FAMILY, 5):
+    for m0 in sy.fg_subobjects(sy.CYCLE_FAMILY, 5):
         m, mediating = finitely_bounded_witness(I, sy.CYCLE_FAMILY, m0, bound=5)
         assert m == m0 and mediating == UN.identity(m0.dom)
 
