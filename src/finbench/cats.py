@@ -8,7 +8,6 @@ its structure into the generic hom/factorization/colimit machinery.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -16,6 +15,7 @@ from .core import (
     Mor,
     Obj,
     Partition,
+    Value,
     canon,
     elem_key,
     register_category,
@@ -335,8 +335,7 @@ def _un_cycle(p: int) -> Obj:
 # presheaves on a finite groupoid, presented as S-sorted unary algebras
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
+class FiniteGroupoid(Value):
     """Finite groupoid: sorts, morphisms (name, dom, cod), composition table.
     The table is checked to be typed, unital, associative and invertible on
     every composable pair.
@@ -347,11 +346,13 @@ class FiniteGroupoid:
     op_g(op_f(x)) = op_{g o f}(x) and op_id(x) = x.
     """
 
-    name: str
-    sorts: tuple
-    mors: tuple  # (mor_name, dom_sort, cod_sort)
-    comp: tuple  # ((g_name, f_name), h_name) with h = g o f
-    ids: tuple  # (sort, mor_name)
+    _fields = ("name", "sorts", "mors", "comp", "ids")
+
+    def __init__(self, name: str, sorts: tuple, mors: tuple, comp: tuple, ids: tuple):
+        # mors: (mor_name, dom_sort, cod_sort); comp: ((g_name, f_name), h_name)
+        # with h = g o f; ids: (sort, mor_name)
+        self.__dict__.update(name=name, sorts=sorts, mors=mors, comp=comp, ids=ids)
+        self.__post_init__()
 
     def __post_init__(self):
         comp = self.__dict__["_comp"] = dict(self.comp)

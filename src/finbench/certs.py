@@ -4,8 +4,9 @@ A certificate records the recipe that produced it plus its parameters, so
 replaying recomputes the verdict and witness from scratch and compares them
 bit-exactly against the stored record.
 
-This module owns the canonical JSON text, the verdict labels and the table
-of which layer module registers each recipe, and imports no mathematics: a
+This module owns the canonical JSON text, the verdict labels, the table
+of which layer module registers each recipe and the table of each recipe's
+parameters, and imports no mathematics (from core, only the Value base): a
 replay imports only the module of its own recipe.
 """
 
@@ -13,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import importlib
-import inspect
 import json
-import typing
-from dataclasses import dataclass, field
+
+from .core import Value
 
 CERT_SCHEMA = "finbench-cert/1"
 
@@ -52,14 +52,17 @@ class CertificateError(ValueError):
     recipe, or parameters that its recipe does not accept."""
 
 
-@dataclass
-class Certificate:
-    kind: str
-    inputs: dict  # {"recipe": name, "params": {...}}, JSON-able
-    verdict: str
-    witness: dict
-    bounds: dict = field(default_factory=dict)
-    schema: str = CERT_SCHEMA
+class Certificate(Value):
+    _fields = ("kind", "inputs", "verdict", "witness", "bounds", "schema")
+    __hash__ = None  # its fields are dicts
+
+    def __init__(self, kind: str, inputs: dict, verdict: str, witness: dict,
+                 bounds: dict | None = None, schema: str = CERT_SCHEMA):
+        # inputs: {"recipe": name, "params": {...}}, JSON-able; a certificate
+        # given no bounds gets a dict of its own
+        self.__dict__.update(kind=kind, inputs=inputs, verdict=verdict, witness=witness,
+                             bounds={} if bounds is None else bounds, schema=schema)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -142,6 +145,37 @@ RECIPE_MODULES = {
 RECIPES: dict[str, object] = {}
 # recipe name -> {parameter: (least, greatest)} accepted on replay
 LIMITS: dict[str, dict] = {}
+# recipe name -> {parameter: (JSON type, default)} in signature order, read
+# once at registration; a parameter without a default has REQUIRED there
+PARAMS: dict[str, dict] = {}
+REQUIRED = object()
+
+# the annotations a recipe parameter may carry, written as strings, and the
+# exact type each asks of a value
+PARAM_TYPES = {"int": int, "str": str}
+_CO_VARARGS, _CO_VARKEYWORDS = 0x04, 0x08  # code flags, as in the inspect module
+
+
+def _parameters(name, fn) -> dict:
+    """fn's entry of PARAMS, read off its code object, defaults and
+    annotations; a TypeError unless every parameter can be passed by
+    keyword and is annotated "int" or "str"."""
+    code = fn.__code__
+    if (code.co_posonlyargcount or code.co_kwonlyargcount
+            or code.co_flags & (_CO_VARARGS | _CO_VARKEYWORDS)):
+        raise TypeError(f"recipe {name!r}: parameters must be plain, "
+                        "not positional-only, keyword-only, *args or **kwargs")
+    names = code.co_varnames[:code.co_argcount]
+    defaults = fn.__defaults__ or ()
+    defaults = (REQUIRED,) * (len(names) - len(defaults)) + defaults
+    table = {}
+    for key, default in zip(names, defaults):
+        annotation = fn.__annotations__.get(key)
+        if annotation not in PARAM_TYPES:
+            raise TypeError(f"recipe {name!r}: parameter {key!r} must be annotated "
+                            f"{' or '.join(map(repr, PARAM_TYPES))}, not {annotation!r}")
+        table[key] = (PARAM_TYPES[annotation], default)
+    return table
 
 
 def recipe(name, kind, bounds=(), limits=None):
@@ -149,23 +183,24 @@ def recipe(name, kind, bounds=(), limits=None):
 
     The registered function returns the call's Certificate: its inputs are
     the recipe name and every argument, defaults included, and its bounds are
-    the arguments named in bounds.
+    the arguments named in bounds.  PARAMS records fn's parameters, and
+    registration refuses fn unless _parameters can read them.
     """
 
     def deco(fn):
-        signature = inspect.signature(fn)
+        table = _parameters(name, fn)
 
         @functools.wraps(fn)
         def certify(*args, **kwargs):
-            call = signature.bind(*args, **kwargs)
-            call.apply_defaults()
-            params = dict(call.arguments)
             verdict, witness = fn(*args, **kwargs)
+            given = dict(zip(table, args), **kwargs)
+            params = {k: given.get(k, default) for k, (_, default) in table.items()}
             return Certificate(kind, {"recipe": name, "params": params}, verdict, witness,
                                {k: params[k] for k in bounds})
 
         RECIPES[name] = certify
         LIMITS[name] = limits or {}
+        PARAMS[name] = table
         return certify
 
     return deco
@@ -181,18 +216,22 @@ def recompute(cert: Certificate) -> Certificate:
     if module is None:
         raise CertificateError(f"unknown recipe {name!r}")
     importlib.import_module(f"finbench.{module}")
-    fn = RECIPES[name]
+    table = PARAMS[name]
     params = cert.inputs.get("params", {})
-    try:
-        inspect.signature(fn).bind(**params)
-    except TypeError as exc:
-        raise CertificateError(f"recipe {name!r}: {exc}") from None
-    hints = typing.get_type_hints(fn)
+    # the messages that binding params to the recipe's signature gives
+    for key, (_, default) in table.items():
+        if default is REQUIRED and key not in params:
+            raise CertificateError(f"recipe {name!r}: missing a required argument: {key!r}")
+    for key in params:
+        if key not in table:
+            raise CertificateError(
+                f"recipe {name!r}: got an unexpected keyword argument {key!r}")
     for key, value in params.items():
         # exact types: JSON true is not an int, nor 1.5 or null
-        if type(value) is not hints[key]:
+        kind = table[key][0]
+        if type(value) is not kind:
             raise CertificateError(
-                f"recipe {name!r}: parameter {key!r} must be {hints[key].__name__}, "
+                f"recipe {name!r}: parameter {key!r} must be {kind.__name__}, "
                 f"not {type(value).__name__}"
             )
     for key, (lo, hi) in LIMITS[name].items():
@@ -201,7 +240,7 @@ def recompute(cert: Certificate) -> Certificate:
                 f"recipe {name!r}: parameter {key!r} must be in {lo}..{hi}, "
                 f"not {params[key]}"
             )
-    return fn(**params)
+    return RECIPES[name](**params)
 
 
 _ABSENT = object()

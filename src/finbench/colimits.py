@@ -10,23 +10,24 @@ a FAIL written in the JSON formats of ``serialize``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .certs import FAIL, PASS
-from .core import category_of
+from .core import Value, category_of
 from .serialize import mor_to_json, obj_to_json
 from .symbolic import SymbolicObject, homs_into
 
 
-@dataclass(frozen=True)
-class Cocone:
+class Cocone(Value):
     """A finite chain with a cocone over it; apex may be symbolic."""
 
-    objects: tuple
-    links: tuple  # links[i]: objects[i] -> objects[i+1]
-    apex: object  # Obj or SymbolicObject
-    legs: tuple  # legs[i]: objects[i] -> apex
+    _fields = ("objects", "links", "apex", "legs")
+
+    def __init__(self, objects: tuple, links: tuple, apex, legs: tuple):
+        # links[i]: objects[i] -> objects[i+1]; apex: Obj or SymbolicObject;
+        # legs[i]: objects[i] -> apex
+        self.__dict__.update(objects=objects, links=links, apex=apex, legs=legs)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.links) != len(self.objects) - 1:

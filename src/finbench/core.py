@@ -49,11 +49,14 @@ order, with given operations), ``_tag`` (a coproduct element),
 
 A :class:`FunctorHandle` is a functor between registered categories given by
 its two maps; every layer that builds or probes functors shares it from here.
+
+The library's data types, here and in the other modules, are :class:`Value`
+subclasses: plain classes with an explicit ``__init__``.  Unlike a
+dataclass, which execs the methods it generates, defining one compiles
+nothing at import time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def elem_key(x):
@@ -78,20 +81,69 @@ def canon(elems):
     return tuple(sorted(set(elems), key=elem_key))
 
 
-@dataclass(frozen=True)
-class Obj:
+class Value:
+    """An immutable value type.  Its ``__init__`` stores the fields in the
+    instance dict and calls ``__post_init__``, where a type has checks.
+    Equality, hash and repr read the fields named in ``_fields``, in order:
+    two values are equal when their classes are the same and those fields
+    are equal, and a value of another class compares as NotImplemented.
+    Data kept in the instance dict under other names (derived data, indexes)
+    takes no part in them.  Assigning or deleting an attribute raises
+    AttributeError.
+
+    Obj and Mor, built by the thousand, store each field with _setfield
+    (object.__setattr__), which keeps an instance as small as a frozen
+    dataclass's; the other types call self.__dict__.update."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+_setfield = object.__setattr__
+
+
+class Obj(Value):
     """A finite object: its category's name, a canonical carrier tuple and a
     structure tuple.  Derived data (hash, carrier set, the operation tables
     of unary algebras and presheaves) is built once and kept in the instance
     dict; it takes no part in equality."""
 
-    cat: str
-    carrier: tuple
-    structure: tuple = ()
+    _fields = ("cat", "carrier", "structure")
+
+    def __init__(self, cat: str, carrier: tuple, structure: tuple = ()):
+        _setfield(self, "cat", cat)
+        _setfield(self, "carrier", carrier)
+        _setfield(self, "structure", structure)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(set(self.carrier)) != len(self.carrier):
             raise ValueError("carrier has duplicate elements")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cat, self.carrier, self.structure) == \
+            (other.cat, other.carrier, other.structure)
 
     def __hash__(self):
         # Objects and morphisms are set members and dict keys; hash the whole
@@ -129,11 +181,14 @@ class _MappingLookup:
         return look
 
 
-@dataclass(frozen=True)
-class Mor:
-    dom: Obj
-    cod: Obj
-    mapping: tuple  # images aligned with dom.carrier
+class Mor(Value):
+    _fields = ("dom", "cod", "mapping")
+
+    def __init__(self, dom: Obj, cod: Obj, mapping: tuple):
+        _setfield(self, "dom", dom)
+        _setfield(self, "cod", cod)
+        _setfield(self, "mapping", mapping)  # images aligned with dom.carrier
+        self.__post_init__()
 
     def __post_init__(self):
         if self.dom.cat != self.cod.cat:
@@ -146,6 +201,14 @@ class Mor:
             raise ValueError(f"image {y!r} outside codomain")
         if not category_of(self.dom).preserves_structure(self):
             raise ValueError("mapping does not preserve structure")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dom, self.cod, self.mapping) == (other.dom, other.cod, other.mapping)
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.mapping))
 
     _lookup = _MappingLookup()
 
@@ -280,17 +343,16 @@ def lookup_category(name):
     return _REGISTRY[name]
 
 
-@dataclass(frozen=True)
-class FunctorHandle:
+class FunctorHandle(Value):
     """Functor between the registered categories ``source`` and ``target``,
     given by its object and morphism maps.  A functor that evaluates
     symbolic objects does so in its own ``on_obj``."""
 
-    name: str
-    source: str
-    target: str
-    on_obj: object
-    on_mor: object
+    _fields = ("name", "source", "target", "on_obj", "on_mor")
+
+    def __init__(self, name: str, source: str, target: str, on_obj, on_mor):
+        self.__dict__.update(name=name, source=source, target=target,
+                             on_obj=on_obj, on_mor=on_mor)
 
 
 def finite_obj(X, functor: str) -> Obj:

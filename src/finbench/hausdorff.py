@@ -24,20 +24,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import lshift
 
 from .certs import FAIL, PASS_WITNESSED, recipe
+from .core import Value
 
 
-@dataclass(frozen=True, init=False)
-class FinMetricSpace:
-    points: tuple
-    den: int
-    rows: tuple  # integer matrix aligned with points: d = rows[i][j] / den
-    index: dict = field(repr=False, compare=False)  # point -> position
+class FinMetricSpace(Value):
+    """Fields points, den and rows, the integer matrix aligned with points:
+    d = rows[i][j] / den; the index point -> position takes no part in
+    equality."""
+
+    _fields = ("points", "den", "rows")
 
     def __init__(self, points, dist):
         """The space on `points` whose distances are the full matrix `dist`
@@ -63,10 +63,8 @@ class FinMetricSpace:
             den //= g
             rows = [[v // g for v in row] for row in rows]
         points = tuple(points)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "index", {p: i for i, p in enumerate(points)})
+        self.__dict__.update(points=points, den=den, rows=tuple(map(tuple, rows)),
+                             index={p: i for i, p in enumerate(points)})
         self.__post_init__()
 
     def __post_init__(self):
@@ -128,12 +126,15 @@ def metric_space(points, d) -> FinMetricSpace:
     return FinMetricSpace(points, matrix)
 
 
-@dataclass(frozen=True)
-class NonexpandingMap:
-    dom: FinMetricSpace
-    cod: FinMetricSpace
-    mapping: tuple  # images aligned with dom.points
-    img: tuple = field(init=False, repr=False, compare=False)  # cod indices of mapping
+class NonexpandingMap(Value):
+    """Fields dom, cod and mapping, the images aligned with dom.points; img,
+    the cod indices of mapping, takes no part in equality."""
+
+    _fields = ("dom", "cod", "mapping")
+
+    def __init__(self, dom: FinMetricSpace, cod: FinMetricSpace, mapping: tuple):
+        self.__dict__.update(dom=dom, cod=cod, mapping=mapping)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.mapping) != self.dom.size:
@@ -141,8 +142,7 @@ class NonexpandingMap:
         index = self.cod.index
         if not all(y in index for y in self.mapping):
             raise ValueError("image outside codomain")
-        img = tuple(index[y] for y in self.mapping)
-        object.__setattr__(self, "img", img)
+        img = self.__dict__["img"] = tuple(index[y] for y in self.mapping)
         # d(f x, f x') <= d(x, x') over the two denominators, cross-multiplied
         dd, cd = self.dom.den, self.cod.den
         for drow, fi in zip(self.dom.rows, img):

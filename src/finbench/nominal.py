@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 from .certs import FAIL, PASS, PASS_WITNESSED, CertificateError, recipe
-from .core import elem_key
+from .core import Value, elem_key
 from .perms import (
     all_perms,
     closed_under,
@@ -35,10 +34,12 @@ from .symbolic import SymbolicObject
 P_SUBSET_FAMILY = SymbolicObject("p_subset_family", "nom")
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
-    n: int
-    gens: tuple = ()
+class OrbitSpec(Value):
+    _fields = ("n", "gens")
+
+    def __init__(self, n: int, gens: tuple = ()):
+        self.__dict__.update(n=n, gens=gens)
+        self.__post_init__()
 
     def __post_init__(self):
         points = list(range(self.n))
@@ -119,9 +120,11 @@ def pn_orbit(n: int) -> OrbitSpec:
     return OrbitSpec(n, tuple(sym_generators(n)))
 
 
-@dataclass(frozen=True)
-class NominalSetSpec:
-    orbits: tuple
+class NominalSetSpec(Value):
+    _fields = ("orbits",)
+
+    def __init__(self, orbits: tuple):
+        self.__dict__.update(orbits=orbits)
 
     def max_support(self):
         return max((o.n for o in self.orbits), default=0)
@@ -202,12 +205,13 @@ def orbit_map_candidates(dom_orbit: OrbitSpec, cod: NominalSetSpec, pool: int):
     ]
 
 
-@dataclass(frozen=True)
-class NomMor:
-    dom: NominalSetSpec
-    cod: NominalSetSpec
-    images: tuple  # per dom orbit: element of cod receiving the base rep
-    pool: int
+class NomMor(Value):
+    _fields = ("dom", "cod", "images", "pool")
+
+    def __init__(self, dom: NominalSetSpec, cod: NominalSetSpec, images: tuple, pool: int):
+        # images: per dom orbit, the element of cod receiving the base rep
+        self.__dict__.update(dom=dom, cod=cod, images=images, pool=pool)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.images) != len(self.dom.orbits):

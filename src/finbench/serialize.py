@@ -46,8 +46,11 @@ def dec_elem(j):
         if "f" in j:
             return frozenset(dec_elem(v) for v in j["f"])
         if "q" in j:
-            num, den = j["q"].split("/")
-            return Fraction(int(num), int(den))
+            try:
+                num, den = j["q"].split("/")
+                return Fraction(int(num), int(den))
+            except (AttributeError, ValueError, ZeroDivisionError):
+                pass  # not a string "p/q" of two ints with q nonzero
     raise ValueError(f"cannot decode {j!r}")
 
 
@@ -99,10 +102,15 @@ def mor_to_json(f):
 
 
 def mor_from_json(j):
+    """The morphism j presents; a ValueError when its maps give some domain
+    element no image, or the morphism's own checks fail."""
     dom = obj_from_json(j["dom"])
     cod = obj_from_json(j["cod"])
     mapping = {dec_elem(x): dec_elem(y) for x, y in j["maps"]}
-    images = tuple(mapping[x] for x in dom.carrier)
+    try:
+        images = tuple(mapping[x] for x in dom.carrier)
+    except KeyError as exc:
+        raise ValueError(f"maps gives no image for {exc.args[0]!r}") from None
     return (SymMor if isinstance(cod, SymbolicObject) else Mor)(dom, cod, images)
 
 

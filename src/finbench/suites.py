@@ -8,10 +8,9 @@ All randomness flows from the seed recorded in the certificate parameters.
 
 from __future__ import annotations
 
-import inspect
 import time
 
-from .certs import FAIL, PASS, PASS_WITNESSED, RECIPES
+from .certs import FAIL, PARAMS, PASS, PASS_WITNESSED, RECIPES
 from . import functors, hausdorff, nominal, strictness, superfin  # noqa: F401
 
 
@@ -58,10 +57,8 @@ SUITES = {
     ],
 }
 
-# A recipe gets the suite seed exactly when it has a seed parameter.  Read
-# the signatures once, here: callers may rewrap the functions in RECIPES.
-SEEDED_RECIPES = {name for name, fn in RECIPES.items()
-                  if "seed" in inspect.signature(fn).parameters}
+# A recipe gets the suite seed exactly when it has a seed parameter.
+SEEDED_RECIPES = {name for name, params in PARAMS.items() if "seed" in params}
 
 
 def run_suite(name: str, seed: int = 0, bound: int = 8, *, timings=None):

@@ -15,11 +15,10 @@ certifies with an explicit element that no level-n image reaches.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .certs import FAIL, PASS, PASS_WITNESSED, recipe
-from .core import FunctorHandle, Mor, Obj, Partition, elem_key, finite_obj
+from .core import FunctorHandle, Mor, Obj, Partition, Value, elem_key, finite_obj
 from .cats import FINSET
 
 
@@ -32,14 +31,16 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SuperFinPresentation:
-    n: int
-    values: tuple  # values[k] = carrier tuple of the level-k value
-    action: tuple  # sorted (((k, k2, g), images aligned with values[k]), ...)
-    # the same data indexed, built once by presentation():
-    table: dict = field(compare=False)  # (k, k2, g) -> images
-    position: tuple = field(compare=False)  # position[k]: value -> index in values[k]
+class SuperFinPresentation(Value):
+    _fields = ("n", "values", "action")
+
+    def __init__(self, n: int, values: tuple, action: tuple, table: dict, position: tuple):
+        # values[k]: carrier tuple of the level-k value; action: sorted
+        # (((k, k2, g), images aligned with values[k]), ...); the same data
+        # indexed, built once by presentation(), outside equality: table
+        # (k, k2, g) -> images, and position[k]: value -> index in values[k]
+        self.__dict__.update(n=n, values=values, action=action, table=table,
+                             position=position)
 
     def __repr__(self):
         sizes = ",".join(str(len(v)) for v in self.values)
@@ -115,12 +116,14 @@ def truncated_identity(n: int) -> SuperFinPresentation:
 # evaluation by the colimit formula
 
 
-@dataclass
-class KanEval:
-    pres: SuperFinPresentation
-    X: tuple
-    reps: tuple  # canonical class representatives (k, q, f)
-    rep_of: dict  # every element triple -> its representative
+class KanEval(Value):
+    _fields = ("pres", "X", "reps", "rep_of")
+    __hash__ = None  # rep_of is a dict
+
+    def __init__(self, pres: SuperFinPresentation, X: tuple, reps: tuple, rep_of: dict):
+        # reps: canonical class representatives (k, q, f); rep_of: every
+        # element triple -> its representative
+        self.__dict__.update(pres=pres, X=X, reps=reps, rep_of=rep_of)
 
     def class_of(self, k, q, f):
         return self.rep_of[(k, q, tuple(f))]

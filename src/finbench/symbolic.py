@@ -13,18 +13,18 @@ in a window instead of carriers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .core import Mor, Obj
+from .core import Mor, Obj, Value
 from .cats import GRA, UN
 
 WINDOW_DEFAULT = 32
 
 
-@dataclass(frozen=True)
-class SymbolicObject:
-    kind: str
-    cat: str
+class SymbolicObject(Value):
+    _fields = ("kind", "cat")
+
+    def __init__(self, kind: str, cat: str):
+        self.__dict__.update(kind=kind, cat=cat)
 
     def __repr__(self):
         return f"Symbolic({self.kind})"
@@ -34,7 +34,6 @@ RAY = SymbolicObject("ray", "gra")
 CYCLE_FAMILY = SymbolicObject("cycle_family", "un")
 
 
-@dataclass(frozen=True)
 class SymMor(Mor):
     """A Mor from a finite object into a symbolic object, which has no
     carrier: each image must be a point of the symbolic object, a
@@ -48,6 +47,8 @@ class SymMor(Mor):
             raise ValueError("mapping length does not match domain carrier")
         if not _preserves(self):
             raise ValueError("mapping does not preserve structure")
+
+    __repr__ = Value.__repr__
 
 
 def _preserves(sm: SymMor) -> bool:

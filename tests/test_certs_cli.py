@@ -13,12 +13,15 @@ from finbench.certs import (
     FAIL,
     LIMITS,
     MAX_NESTING,
+    PARAMS,
     PASS_WITNESSED,
     RECIPES,
+    REQUIRED,
     Certificate,
     CertificateError,
     canonical_dumps,
     load_certificate,
+    recipe,
     replay,
     save_certificate,
 )
@@ -26,6 +29,7 @@ from finbench.cli import main
 from finbench.hausdorff import random_metric_space
 from finbench.nominal import NominalSetSpec, pn_orbit
 from finbench.serialize import (
+    dec_elem,
     mor_from_json,
     mor_to_json,
     nomset_from_json,
@@ -125,6 +129,20 @@ def test_symmor_refuses_images_outside_its_codomain(dom, cod, images):
                                "cod": obj_to_json(cod), "maps": maps}))
     with pytest.raises(ValueError):
         mor_from_json(j)
+
+
+def test_mor_reader_refuses_maps_without_an_image_for_a_domain_element():
+    path = obj_to_json(GRA.path(1))
+    j = {"category": "gra", "dom": path, "cod": path, "maps": [[0, 0]]}
+    with pytest.raises(ValueError, match="no image for 1"):
+        mor_from_json(j)
+
+
+@pytest.mark.parametrize("j", [{"q": 5}, {"q": "1/0"}, {"q": "a/b"}, {"q": "1/2/3"},
+                               {"q": None}, True, 1.5, {}])
+def test_element_reader_refuses_malformed_encodings(j):
+    with pytest.raises(ValueError):
+        dec_elem(j)
 
 
 def test_nomset_roundtrip():
@@ -405,6 +423,60 @@ def test_every_int_parameter_but_seed_has_a_replay_limit():
             assert all(lo <= v <= hi for v in values), (recipe, key)
         least = _least(recipe)
         assert replay(least) == [], recipe
+
+
+def test_parameter_table_agrees_with_the_signatures():
+    # the slow path as oracle: what inspect and typing read off each recipe
+    assert set(PARAMS) == set(RECIPES)
+    for name, fn in RECIPES.items():
+        hints = typing.get_type_hints(fn)
+        expected = {key: (hints[key], REQUIRED if p.default is p.empty else p.default)
+                    for key, p in inspect.signature(fn).parameters.items()}
+        assert PARAMS[name] == expected, name
+        assert list(PARAMS[name]) == list(expected), name
+
+
+# annotations as the library's modules write them, strings under
+# `from __future__ import annotations`
+def _kw_only(*, k: "int" = 1): ...
+def _var_args(k: "int" = 1, *rest: "int"): ...
+def _var_kwargs(k: "int" = 1, **rest: "int"): ...
+def _pos_only(k: "int" = 1, /): ...
+def _float(x: "float" = 0.5): ...
+def _unannotated(k=1): ...
+def _type_object(k: int = 1): ...
+
+
+@pytest.mark.parametrize("fn, reason", [
+    (_kw_only, "must be plain"), (_var_args, "must be plain"), (_var_kwargs, "must be plain"),
+    (_pos_only, "must be plain"), (_float, "must be annotated 'int' or 'str', not 'float'"),
+    (_unannotated, "not None"), (_type_object, "not <class 'int'>"),
+])
+def test_registration_refuses_parameters_that_replay_cannot_pass(fn, reason):
+    with pytest.raises(TypeError, match="no-such-recipe") as err:
+        recipe("no-such-recipe", "atoms")(fn)
+    assert reason in str(err.value)
+    assert "no-such-recipe" not in RECIPES and "no-such-recipe" not in PARAMS
+
+
+def test_recipe_called_positionally_records_its_parameters():
+    by_position = RECIPES["un-boundedness"](3, 2)
+    assert by_position.inputs["params"] == {"bound": 3, "max_m0": 2}
+    assert by_position.dumps() == RECIPES["un-boundedness"](max_m0=2, bound=3).dumps()
+
+
+@pytest.mark.parametrize("params, message", [
+    ({}, "missing a required argument: 'subject'"),
+    ({"subject": "ray", "unexpected": 1, "window": "8"},
+     "got an unexpected keyword argument 'unexpected'"),
+    ({"subject": "ray", "window": "8"}, "parameter 'window' must be int, not str"),
+])
+def test_replay_parameter_errors_name_the_parameter(params, message):
+    payload = _no_finitary_endo_payload()
+    payload["inputs"]["params"] = params
+    with pytest.raises(CertificateError) as err:
+        replay(Certificate.from_payload(payload))
+    assert str(err.value) == f"recipe 'no-finitary-endo': {message}"
 
 
 def test_finitarity_nom_at_k_6_replays():

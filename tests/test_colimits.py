@@ -106,7 +106,7 @@ def test_unfactorizable_witness_reads_back_to_the_offending_map():
     assert witness["reason"] == "unfactorizable morphism"
     assert witness["probe"] == obj_to_json(probe)
     f = mor_from_json(witness["morphism"])
-    # dataclass equality compares classes too, so f is a SymMor
+    # value equality compares classes too, so f is a SymMor
     assert f == sy.homs_into(sy.CYCLE_FAMILY, probe)[0][0]
     assert not any(next(UN.lifts(f, leg), None) for leg in cocone.legs)
 

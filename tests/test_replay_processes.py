@@ -9,6 +9,7 @@ No layer loads another only to share a result record, so each replay also
 leaves named layers unloaded.
 """
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -49,11 +50,16 @@ def _cli_replay(path):
     return _python("-m", "finbench.cli", "replay", str(path))
 
 
-# `python -m finbench.cli`, then the loaded finbench modules as stderr's last line
-LOADED_AT_EXIT = """
+# Modules that no finbench process may load: importing dataclasses pulls in
+# inspect, ast, dis and tokenize, which cost a replay more than its own layer.
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+# `python -m finbench.cli`, then the loaded finbench modules and slow imports
+# as stderr's last line
+LOADED_AT_EXIT = f"""
 import atexit, runpy, sys
-atexit.register(lambda: print(*sorted(m for m in sys.modules
-                                      if m.split(".")[0] == "finbench"), file=sys.stderr))
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m.split(".")[0]
+                                      in ("finbench", *{SLOW_IMPORTS!r})), file=sys.stderr))
 runpy.run_module("finbench.cli", run_name="__main__", alter_sys=True)
 """
 
@@ -76,14 +82,30 @@ def test_fresh_replay_imports_only_its_recipes_layer(tmp_path, case):
     assert f"finbench.{module}" in loaded
     assert "finbench.suites" not in loaded
     assert not loaded & {f"finbench.{m}" for m in not_loaded}
+    assert not loaded & set(SLOW_IMPORTS)
 
 
 def test_fresh_cli_import_loads_no_layer():
     out = _python("-c", "import sys, finbench.cli\n"
-                        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'finbench'))")
+                        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'finbench'))\n"
+                        f"print(*sorted(set(sys.modules) & set({SLOW_IMPORTS!r})))")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["finbench", "finbench.cats", "finbench.certs",
-                                  "finbench.cli", "finbench.core", "finbench.perms"]
+    finbench_modules, slow = out.stdout.split("\n")[:2]
+    assert finbench_modules.split() == ["finbench", "finbench.cats", "finbench.certs",
+                                        "finbench.cli", "finbench.core", "finbench.perms"]
+    assert slow == ""
+
+
+def test_no_library_module_imports_dataclasses_inspect_or_typing():
+    for path in sorted((ROOT / "src" / "finbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not {n.split(".")[0] for n in names} & {*SLOW_IMPORTS, "typing"}, path.name
 
 
 def test_presheaf_witness_reads_back_in_a_fresh_process():
