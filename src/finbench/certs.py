@@ -128,7 +128,7 @@ RECIPE_MODULES = {
     "nominal-roundtrip": "nominal",
     "nominal-subgroups": "nominal",
     "atoms": "strictness",
-    "no-finitary-endo": "strictness",
+    "no-finitary-endo": "symbolic",
     "regularity": "strictness",
     "strictness-finset": "strictness",
     "strictness-presheaf": "strictness",

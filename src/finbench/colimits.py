@@ -13,9 +13,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .certs import FAIL, PASS
-from .core import Value, category_of
+from .core import SymbolicObject, Value, category_of
 from .serialize import mor_to_json, obj_to_json
-from .symbolic import SymbolicObject, homs_into
+from .symbolic import homs_into
 
 
 class Cocone(Value):

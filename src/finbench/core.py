@@ -3,7 +3,9 @@
 Every concrete category subclasses :class:`Category` and registers itself
 under a unique name.  Objects and morphisms are immutable value types carrying
 that name, so generic machinery (hom search, lifts, factorization, quotients,
-subobject enumeration) dispatches through the registry.  Carriers are plain
+subobject enumeration) dispatches through the registry.  A category whose
+module is loaded only on use, as the F_q spaces of ``finbench.vec`` are, is
+named in ``CATEGORY_MODULES``, and ``lookup_category`` loads it by name.  Carriers are plain
 tuples of hashable elements; S-sorted categories tag elements with their sort.
 
 Every ``Obj`` carrier is in ``elem_key`` order.  A carrier built outside the
@@ -57,6 +59,8 @@ nothing at import time.
 """
 
 from __future__ import annotations
+
+import importlib
 
 
 def elem_key(x):
@@ -168,6 +172,20 @@ class Obj(Value):
         if self.size <= 6:
             return f"Obj({self.cat}, {list(self.carrier)})"
         return f"Obj({self.cat}, |{self.size}|)"
+
+
+class SymbolicObject(Value):
+    """An infinite object given by name: its kind and its category's name.
+    finbench.symbolic decides homs into the ray and the prime cycle family,
+    and finbench.nominal has the subset-orbit family."""
+
+    _fields = ("kind", "cat")
+
+    def __init__(self, kind: str, cat: str):
+        self.__dict__.update(kind=kind, cat=cat)
+
+    def __repr__(self):
+        return f"Symbolic({self.kind})"
 
 
 class _MappingLookup:
@@ -335,12 +353,25 @@ def register_category(cat):
     return cat
 
 
+# category name -> the finbench module that registers it, for the categories
+# that no module of finbench.cli's start-up registers.  A closed table, as
+# certs.RECIPE_MODULES is: a name read from JSON never chooses a module.
+CATEGORY_MODULES = {"vec2": "vec", "vec3": "vec"}
+
+
 def category_of(x):
     return _REGISTRY[x.cat]
 
 
 def lookup_category(name):
-    return _REGISTRY[name]
+    """The category registered as name, first importing the module that
+    CATEGORY_MODULES names for it if it is not registered yet; a KeyError
+    for any other name."""
+    cat = _REGISTRY.get(name)
+    if cat is None:
+        importlib.import_module(f"finbench.{CATEGORY_MODULES[name]}")
+        cat = _REGISTRY[name]
+    return cat
 
 
 class FunctorHandle(Value):
@@ -613,6 +644,12 @@ class Category:
 
     def sub_mono(self, X: Obj, sub: Obj) -> Mor:
         return Mor(sub, X, tuple(sub.carrier))
+
+    def retraction(self, b: Mor):
+        """(b_prime, f): b_prime a mono from a finite subobject holding the
+        image of b, and f: cod(b) -> dom(b_prime) with f . b_prime = id; a
+        ValueError in a category with no such procedure."""
+        raise ValueError(f"no retraction procedure for {self.name}")
 
     # ---- isomorphism search ------------------------------------------------------
 

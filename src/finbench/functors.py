@@ -15,7 +15,7 @@ certificate is the pair (verdict, witness) that its recipe returns.
 from __future__ import annotations
 
 from .certs import FAIL, PASS, PASS_WITNESSED, recipe
-from .core import FunctorHandle, Mor, Obj, category_of
+from .core import FunctorHandle, Mor, Obj, SymbolicObject, category_of
 from .cats import GRA, UN
 from .colimits import (
     Cocone,
@@ -29,7 +29,6 @@ from .symbolic import (
     CYCLE_FAMILY,
     RAY,
     SymMor,
-    SymbolicObject,
     fg_subobjects,
     first_primes,
     primes_upto,

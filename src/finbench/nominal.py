@@ -20,7 +20,7 @@ import operator
 from functools import cached_property
 
 from .certs import FAIL, PASS, PASS_WITNESSED, CertificateError, recipe
-from .core import Value, elem_key
+from .core import SymbolicObject, Value, elem_key
 from .perms import (
     all_perms,
     closed_under,
@@ -29,7 +29,6 @@ from .perms import (
     subgroups_of_sym,
     sym_generators,
 )
-from .symbolic import SymbolicObject
 
 P_SUBSET_FAMILY = SymbolicObject("p_subset_family", "nom")
 

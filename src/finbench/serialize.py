@@ -4,15 +4,18 @@ Carrier elements map to JSON as: ints and strings directly, tuples as
 {"t": [...]}, frozensets as {"f": [...]} with sorted members, rationals as
 {"q": "p/q"}.  Everything decodes back bit-exactly, which is what makes
 certificates replayable.
+
+A writer needs no layer module.  The readers import the modules they decode
+into only on the branch that needs them (finbench.symbolic and
+finbench.nominal for symbolic objects, finbench.hausdorff for metric
+spaces), and fractions only where they decode a rational, so a replay that
+writes its witness loads none of them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .certs import canonical_dumps  # noqa: F401  (re-exported for callers of serialize)
-from .core import Mor, elem_key, lookup_category
-from .symbolic import CYCLE_FAMILY, RAY, SymMor, SymbolicObject
+from .core import Mor, Obj, SymbolicObject, elem_key, lookup_category
 
 
 def enc_elem(x):
@@ -26,10 +29,12 @@ def enc_elem(x):
         return {"t": [enc_elem(v) for v in x]}
     if isinstance(x, frozenset):
         return {"f": [enc_elem(v) for v in sorted(x, key=elem_key)]}
-    if isinstance(x, Fraction):
-        return {"q": f"{x.numerator}/{x.denominator}"}
     if x is None:
         return None
+    import numbers
+
+    if isinstance(x, numbers.Rational):
+        return {"q": f"{x.numerator}/{x.denominator}"}
     raise TypeError(f"cannot encode {x!r}")
 
 
@@ -46,6 +51,8 @@ def dec_elem(j):
         if "f" in j:
             return frozenset(dec_elem(v) for v in j["f"])
         if "q" in j:
+            from fractions import Fraction
+
             try:
                 num, den = j["q"].split("/")
                 return Fraction(int(num), int(den))
@@ -71,6 +78,7 @@ def obj_from_json(j):
     is unknown."""
     if "symbolic" in j:
         from .nominal import P_SUBSET_FAMILY
+        from .symbolic import CYCLE_FAMILY, RAY
 
         kinds = {s.kind: s for s in (RAY, CYCLE_FAMILY, P_SUBSET_FAMILY)}
         if j["symbolic"] not in kinds:
@@ -102,16 +110,38 @@ def mor_to_json(f):
 
 
 def mor_from_json(j):
-    """The morphism j presents; a ValueError when its maps give some domain
-    element no image, or the morphism's own checks fail."""
+    """The morphism j presents.  A ValueError unless its domain is a finite
+    object of j's "category" and its "maps" is a list of [element, image]
+    pairs that lists each domain element once and nothing else, or when the
+    morphism's own checks fail."""
     dom = obj_from_json(j["dom"])
     cod = obj_from_json(j["cod"])
-    mapping = {dec_elem(x): dec_elem(y) for x, y in j["maps"]}
-    try:
-        images = tuple(mapping[x] for x in dom.carrier)
-    except KeyError as exc:
-        raise ValueError(f"maps gives no image for {exc.args[0]!r}") from None
-    return (SymMor if isinstance(cod, SymbolicObject) else Mor)(dom, cod, images)
+    if not isinstance(dom, Obj):
+        raise ValueError("the domain of a morphism is a finite object")
+    if j.get("category") != dom.cat:
+        raise ValueError(f"category {j.get('category')!r} is not the domain's, {dom.cat!r}")
+    maps = j.get("maps")
+    if not isinstance(maps, list):
+        raise ValueError("maps is not a list of [element, image] pairs")
+    mapping = {}
+    for entry in maps:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValueError(f"maps entry {entry!r} is not an [element, image] pair")
+        x = dec_elem(entry[0])
+        if x not in dom.carrier_set:
+            raise ValueError(f"maps lists {x!r}, which is outside the domain")
+        if x in mapping:
+            raise ValueError(f"maps lists {x!r} twice")
+        mapping[x] = dec_elem(entry[1])
+    if len(mapping) != dom.size:
+        x = next(x for x in dom.carrier if x not in mapping)
+        raise ValueError(f"maps gives no image for {x!r}")
+    images = tuple(map(mapping.__getitem__, dom.carrier))
+    if isinstance(cod, SymbolicObject):
+        from .symbolic import SymMor
+
+        return SymMor(dom, cod, images)
+    return Mor(dom, cod, images)
 
 
 def orbit_to_json(spec):
@@ -142,6 +172,8 @@ def space_to_json(space):
 
 
 def space_from_json(j):
+    from fractions import Fraction
+
     from .hausdorff import FinMetricSpace
 
     points = tuple(dec_elem(p) for p in j["points"])

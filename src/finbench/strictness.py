@@ -1,12 +1,6 @@
-"""Strictness squares, atom decompositions of presheaf categories, and
-negative certificates for the symbolic objects.
+"""Strictness squares and atom decompositions of presheaf categories.
 
 A witness function returns a plain value that it has checked, or None.
-
-Negative certificates are lemma-schema checks: the universally quantified
-structural facts are verified on all instances up to the stated bounds, and
-the final inference (which quantifies over infinite objects) is recorded as a
-documented implication, not machine checked.
 """
 
 from __future__ import annotations
@@ -15,19 +9,15 @@ import itertools
 import random
 
 from .certs import FAIL, PASS_WITNESSED, CertificateError, recipe
-from .core import Mor, Obj, Partition, category_of
+from .core import Mor, Obj, Partition, category_of, lookup_category
 from .cats import (
     FINSET,
-    GRA,
     S3_GPD,
     TRIVIAL_GPD,
-    UN,
-    VEC2,
     Z2_GPD,
     Z3_GPD,
     FiniteGroupoid,
     PresheafCat,
-    VecCat,
     gset_cat,
     gset_free_orbit,
     gset_sampler,
@@ -37,13 +27,6 @@ from .cats import (
 )
 from .perms import subgroups_of_sym
 from .serialize import mor_to_json, obj_to_json
-from .symbolic import (
-    CYCLE_FAMILY,
-    RAY,
-    SymbolicObject,
-    homs_into,
-    primes_upto,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +39,9 @@ def _retraction(b: Mor):
 
     FinSet keeps the image, or one point when it is empty, and sends the
     rest to its least point; G-sets fold the other orbits onto isomorphic
-    kept ones; F_q projects onto the echelon image along a standard
-    complement.  Other categories raise ValueError.
+    kept ones.  Any other category gives its own ``Category.retraction``:
+    F_q projects onto the echelon image along a standard complement, and a
+    category without one raises ValueError.
     """
     cat = category_of(b.dom)
     A = b.cod
@@ -68,10 +52,7 @@ def _retraction(b: Mor):
         return cat.sub_mono(A, B), f
     if isinstance(cat, PresheafCat):
         return _presheaf_fold(cat, A, set(b.mapping))
-    if isinstance(cat, VecCat):
-        m = cat.factorize(b)[1]
-        return m, cat.projection_onto(m)
-    raise ValueError(f"no retraction procedure for {cat.name}")
+    return cat.retraction(b)
 
 
 def _presheaf_fold(cat: PresheafCat, A: Obj, keep_elems: set):
@@ -234,63 +215,7 @@ def decomposition_roundtrip(cat: PresheafCat, X: Obj) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# negative certificates
-
-
-def no_finitary_endo_certificate(A: SymbolicObject, window: int = 32, path_bound: int = 8,
-                                 prime_bound: int = 23) -> dict:
-    """The lemma-schema certificate {"checked", "inference"} that A has no
-    finitary endomorphism: the hom tables checked up to the bounds, as sorted
-    [k, count] and [p, q, count] rows, and the documented inference."""
-    if A.kind == "ray":
-        table = []
-        for k in range(1, path_bound + 1):
-            homs, _ = homs_into(RAY, GRA.path(k), window)
-            for h in homs:
-                positions = [h(v) for v in sorted(h.dom.carrier)]
-                if any(b != a + 1 for a, b in zip(positions, positions[1:])):
-                    raise AssertionError("a path hom fails to advance by one")
-            table.append([k, len(homs)])
-        return {
-            "checked": {"path_hom_counts": table, "window": window, "path_bound": path_bound},
-            "inference": "every hom from a finite path advances positions by exactly one, "
-            "so every endomorphism is a forward shift with infinite image and "
-            "cannot factor through a finitely presentable graph",
-        }
-    if A.kind == "cycle_family":
-        ps = primes_upto(prime_bound)
-        table = []
-        for p in ps:
-            for q in ps:
-                n_homs = len(UN.hom_set(UN.cycle(p), UN.cycle(q)))
-                table.append([p, q, n_homs])
-                if (n_homs > 0) != (p % q == 0):
-                    raise AssertionError("divisibility law violated")
-        return {
-            "checked": {"prime_hom_table": table, "prime_bound": prime_bound},
-            "inference": "distinct prime cycles admit no homomorphisms between one another, "
-            "so every endomorphism preserves each summand and its image meets "
-            "all of them; the image is infinite and cannot factor through a "
-            "finitely presentable algebra",
-        }
-    raise ValueError(f"no certificate procedure for {A.kind}")
-
-
-# ---------------------------------------------------------------------------
-# recipes: negative certificates, strictness, regularity and atoms
-
-
-@recipe("no-finitary-endo", "no-finitary-endo",
-        bounds=("window", "path_bound", "prime_bound"),
-        limits={"window": (0, 512), "path_bound": (0, 64), "prime_bound": (0, 100)})
-def r_no_finitary_endo(subject: str, window: int = 32, path_bound: int = 8,
-                       prime_bound: int = 23):
-    subjects = {"ray": RAY, "cycle_family": CYCLE_FAMILY}
-    if subject not in subjects:
-        raise CertificateError(f"unknown subject {subject!r}")
-    return FAIL, no_finitary_endo_certificate(
-        subjects[subject], window=window, path_bound=path_bound, prime_bound=prime_bound
-    )
+# recipes: strictness, regularity and atoms
 
 
 @recipe("strictness-finset", "strictness-witness", bounds=("max_dom", "max_cod"),
@@ -338,7 +263,7 @@ def r_strictness_vec(ambient_dim: int = 3, sub_dim: int = 1):
     if sub_dim > ambient_dim:
         raise CertificateError(f"parameter 'sub_dim' must be at most 'ambient_dim' = "
                                f"{ambient_dim}, not {sub_dim}")
-    cat = VEC2
+    cat = lookup_category("vec2")
     cols = cat.basis_vectors(ambient_dim)[:sub_dim]
     b = cat.from_matrix(cat.obj(sub_dim), cat.obj(ambient_dim), cols)
     wit = strictness_witness(b)

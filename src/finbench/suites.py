@@ -3,6 +3,8 @@ so that its certificate can be replayed bit-exactly later.
 
 The recipes live at the bottom of the layer modules that do their work;
 importing this module imports those layers and so registers every recipe.
+It also imports every module that certs.RECIPE_MODULES or
+core.CATEGORY_MODULES names, so that no check of run_suite imports one.
 All randomness flows from the seed recorded in the certificate parameters.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 import time
 
 from .certs import FAIL, PARAMS, PASS, PASS_WITNESSED, RECIPES
-from . import functors, hausdorff, nominal, strictness, superfin  # noqa: F401
+from . import functors, hausdorff, nominal, strictness, superfin, symbolic, vec  # noqa: F401
 
 
 SUITES = {

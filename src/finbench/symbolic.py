@@ -1,6 +1,7 @@
-"""Finitely described infinite objects with decision procedures.
+"""Finitely described infinite objects with decision procedures, and the
+negative certificates about them.
 
-Registered kinds:
+Registered kinds, as ``core.SymbolicObject`` values:
 
 * ``ray``: graph on the naturals with edges n -> n+1 and nothing else.
 * ``cycle_family``: unary algebra given by the disjoint union of one cycle
@@ -8,26 +9,22 @@ Registered kinds:
 
 These objects expose bounded substructure enumeration and hom enumeration
 in a window instead of carriers.
+
+Negative certificates are lemma-schema checks: the universally quantified
+structural facts are verified on all instances up to the stated bounds, and
+the final inference (which quantifies over infinite objects) is recorded as a
+documented implication, not machine checked.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .core import Mor, Obj, Value
+from .certs import FAIL, CertificateError, recipe
+from .core import Mor, Obj, SymbolicObject, Value
 from .cats import GRA, UN
 
 WINDOW_DEFAULT = 32
-
-
-class SymbolicObject(Value):
-    _fields = ("kind", "cat")
-
-    def __init__(self, kind: str, cat: str):
-        self.__dict__.update(kind=kind, cat=cat)
-
-    def __repr__(self):
-        return f"Symbolic({self.kind})"
 
 
 RAY = SymbolicObject("ray", "gra")
@@ -188,3 +185,63 @@ def fg_subobjects(sym: SymbolicObject, bound: int, window: int = WINDOW_DEFAULT)
                     out.append(SymMor(sub, sym, sub.carrier))
         return out
     raise ValueError(sym.kind)
+
+
+# ---------------------------------------------------------------------------
+# negative certificates
+
+
+def no_finitary_endo_certificate(A: SymbolicObject, window: int = 32, path_bound: int = 8,
+                                 prime_bound: int = 23) -> dict:
+    """The lemma-schema certificate {"checked", "inference"} that A has no
+    finitary endomorphism: the hom tables checked up to the bounds, as sorted
+    [k, count] and [p, q, count] rows, and the documented inference."""
+    if A.kind == "ray":
+        table = []
+        for k in range(1, path_bound + 1):
+            homs, _ = homs_into(RAY, GRA.path(k), window)
+            for h in homs:
+                positions = [h(v) for v in sorted(h.dom.carrier)]
+                if any(b != a + 1 for a, b in zip(positions, positions[1:])):
+                    raise AssertionError("a path hom fails to advance by one")
+            table.append([k, len(homs)])
+        return {
+            "checked": {"path_hom_counts": table, "window": window, "path_bound": path_bound},
+            "inference": "every hom from a finite path advances positions by exactly one, "
+            "so every endomorphism is a forward shift with infinite image and "
+            "cannot factor through a finitely presentable graph",
+        }
+    if A.kind == "cycle_family":
+        ps = primes_upto(prime_bound)
+        table = []
+        for p in ps:
+            for q in ps:
+                n_homs = len(UN.hom_set(UN.cycle(p), UN.cycle(q)))
+                table.append([p, q, n_homs])
+                if (n_homs > 0) != (p % q == 0):
+                    raise AssertionError("divisibility law violated")
+        return {
+            "checked": {"prime_hom_table": table, "prime_bound": prime_bound},
+            "inference": "distinct prime cycles admit no homomorphisms between one another, "
+            "so every endomorphism preserves each summand and its image meets "
+            "all of them; the image is infinite and cannot factor through a "
+            "finitely presentable algebra",
+        }
+    raise ValueError(f"no certificate procedure for {A.kind}")
+
+
+# ---------------------------------------------------------------------------
+# recipe
+
+
+@recipe("no-finitary-endo", "no-finitary-endo",
+        bounds=("window", "path_bound", "prime_bound"),
+        limits={"window": (0, 512), "path_bound": (0, 64), "prime_bound": (0, 100)})
+def r_no_finitary_endo(subject: str, window: int = 32, path_bound: int = 8,
+                       prime_bound: int = 23):
+    subjects = {"ray": RAY, "cycle_family": CYCLE_FAMILY}
+    if subject not in subjects:
+        raise CertificateError(f"unknown subject {subject!r}")
+    return FAIL, no_finitary_endo_certificate(
+        subjects[subject], window=window, path_bound=path_bound, prime_bound=prime_bound
+    )

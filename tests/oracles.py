@@ -32,6 +32,7 @@ from finbench.core import (
     FunctorHandle,
     Mor,
     Partition,
+    SymbolicObject,
     canon,
     category_of,
     elem_key,
@@ -52,7 +53,7 @@ from finbench.perms import (
     transposition,
 )
 from finbench.superfin import evaluate, presentation
-from finbench.symbolic import CYCLE_FAMILY, SymbolicObject, SymMor, primes_upto
+from finbench.symbolic import CYCLE_FAMILY, SymMor, primes_upto
 
 
 def brute_homs(X, Y):

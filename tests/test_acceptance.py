@@ -54,7 +54,6 @@ from finbench.strictness import (
     atoms_of_presheaves,
     congruences,
     decomposition_roundtrip,
-    no_finitary_endo_certificate,
     quotient_by_partition,
     regular_presheaf,
     strictness_witness,
@@ -72,6 +71,7 @@ from finbench.superfin import (
     truncated_identity,
 )
 from finbench import symbolic as sy
+from finbench.symbolic import no_finitary_endo_certificate
 
 from oracles import brute_congruences, brute_homs, brute_subgroups
 

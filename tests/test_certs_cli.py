@@ -8,7 +8,7 @@ import typing
 import pytest
 
 import finbench.suites  # registers all recipes
-from finbench.cats import FINSET, GRA, UN, VEC2, Z2_GPD, gset_cat, gset_free_orbit
+from finbench.cats import FINSET, GRA, UN, Z2_GPD, gset_cat, gset_free_orbit
 from finbench.certs import (
     FAIL,
     LIMITS,
@@ -41,6 +41,7 @@ from finbench.serialize import (
 )
 from finbench.suites import SUITES, run_suite
 from finbench import symbolic as sy
+from finbench.vec import VEC2
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,29 @@ def test_mor_reader_refuses_maps_without_an_image_for_a_domain_element():
     path = obj_to_json(GRA.path(1))
     j = {"category": "gra", "dom": path, "cod": path, "maps": [[0, 0]]}
     with pytest.raises(ValueError, match="no image for 1"):
+        mor_from_json(j)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"maps": [[0, 0], [1, 1], [2, 1]]}, "2, which is outside the domain"),
+    ({"maps": [[0, 0], [1, 1], [0, 0]]}, "lists 0 twice"),
+    ({"maps": [[0, 0], [1, 1], [0, 1]]}, "lists 0 twice"),
+    ({"maps": None}, "not a list"),
+    ({"maps": {"0": 0, "1": 1}}, "not a list"),
+    ({"maps": [[0, 0], [1, 1, 1]]}, "not an \\[element, image\\] pair"),
+    ({"maps": [[0, 0], 1]}, "not an \\[element, image\\] pair"),
+    ({"category": "finset"}, "'finset' is not the domain's, 'gra'"),
+    ({"category": None}, "None is not the domain's"),
+    ({"dom": obj_to_json(sy.RAY)}, "domain of a morphism is a finite object"),
+], ids=["outside-domain", "twice", "twice-two-images", "maps-missing", "maps-object",
+        "triple", "not-a-pair", "other-category", "category-missing", "symbolic-domain"])
+def test_mor_reader_refuses_malformed_maps(change, message):
+    path = obj_to_json(GRA.path(1))
+    j = {"category": "gra", "dom": path, "cod": path, "maps": [[0, 0], [1, 1]]}
+    assert mor_from_json(j) == GRA.identity(GRA.path(1))
+    j.update(change)
+    j = {k: v for k, v in j.items() if v is not None}  # None: the key is missing
+    with pytest.raises(ValueError, match=message):
         mor_from_json(j)
 
 

@@ -11,8 +11,6 @@ from finbench.cats import (
     FINSET,
     GRA,
     UN,
-    VEC2,
-    VEC3,
     Z2_GPD,
     Z3_GPD,
     S3_GPD,
@@ -27,6 +25,7 @@ from finbench.cats import (
 from finbench.core import Mor, _fits, category_of
 from finbench.perms import compose_perm
 from finbench import symbolic as sy
+from finbench.vec import VEC2, VEC3
 
 from oracles import (
     brute_congruences,

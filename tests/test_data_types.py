@@ -20,9 +20,10 @@ from finbench.core import Value
 # module -> {data type: the fields that its equality, hash and repr read}
 DATA_TYPES = {
     "core": {"Obj": ("cat", "carrier", "structure"), "Mor": ("dom", "cod", "mapping"),
+             "SymbolicObject": ("kind", "cat"),
              "FunctorHandle": ("name", "source", "target", "on_obj", "on_mor")},
     "cats": {"FiniteGroupoid": ("name", "sorts", "mors", "comp", "ids")},
-    "symbolic": {"SymbolicObject": ("kind", "cat"), "SymMor": ("dom", "cod", "mapping")},
+    "symbolic": {"SymMor": ("dom", "cod", "mapping")},
     "colimits": {"Cocone": ("objects", "links", "apex", "legs")},
     "nominal": {"OrbitSpec": ("n", "gens"), "NominalSetSpec": ("orbits",),
                 "NomMor": ("dom", "cod", "images", "pool")},

@@ -6,11 +6,13 @@ imports only the layer module that its recipe table names.  These tests run
 `finbench.cli` as a new process, the way `python -m finbench.cli replay`
 does (through `runpy`), and print the `finbench` modules loaded at exit.
 No layer loads another only to share a result record, so each replay also
-leaves named layers unloaded.
+leaves named layers unloaded, and a replay that decodes no rational leaves
+`fractions` and `decimal` unloaded.
 """
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -20,24 +22,43 @@ import pytest
 
 from finbench.cats import Z2_GPD, gset_cat, gset_free_orbit
 from finbench.certs import RECIPE_MODULES, RECIPES, canonical_dumps, save_certificate
-from finbench.serialize import mor_from_json
+from finbench.core import CATEGORY_MODULES
+from finbench.serialize import mor_from_json, mor_to_json
 from finbench.suites import SUITES, run_suite  # registers all recipes
+from finbench.vec import VEC2
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
 
+# the finbench modules that a strictness replay loads only when its recipe
+# runs them, and the standard modules that only a rational needs
+NOT_STRICTNESS = {"finbench.vec", "finbench.symbolic", "fractions", "decimal"}
+
 # seed-0 suite checks replayed fresh: id -> (the recipe's module, suite,
-# check, the finbench modules that the replay must not load)
+# check, the other modules that the replay must load, the modules that it
+# must not load)
 REPLAY_CHECKS = {
-    "functors": ("functors", "un-counterexample", "finitarity-chain", {"strictness"}),
-    "nominal": ("nominal", "nominal-classification", "subgroup-counts", set()),
-    "nominal-chain": ("nominal", "nom-counterexample", "finitarity-chain", {"functors"}),
-    "strictness": ("strictness", "strictness", "vec-projection", set()),
-    "superfin": ("superfin", "superfin", "powerset-endo-probe",
-                 {"functors", "strictness", "colimits", "serialize", "symbolic"}),
-    "hausdorff": ("hausdorff", "hausdorff", "boundedness-witnesses",
-                  {"nominal", "superfin", "functors"}),
+    "functors": ("functors", "un-counterexample", "finitarity-chain", set(),
+                 {"finbench.strictness", "finbench.vec"}),
+    "prime-hom-table": ("symbolic", "un-counterexample", "prime-hom-table", set(),
+                        {"finbench.strictness", "finbench.serialize", "finbench.vec",
+                         "fractions"}),
+    "nominal": ("nominal", "nominal-classification", "subgroup-counts", set(),
+                {"finbench.symbolic", "finbench.serialize"}),
+    "nominal-chain": ("nominal", "nom-counterexample", "finitarity-chain", set(),
+                      {"finbench.functors", "finbench.symbolic"}),
+    "strictness": ("strictness", "strictness", "finset-exhaustive", set(), NOT_STRICTNESS),
+    "presheaf-fold": ("strictness", "strictness", "presheaf-fold", set(), NOT_STRICTNESS),
+    "regularity": ("strictness", "strictness", "regularity", set(), NOT_STRICTNESS),
+    "atoms": ("strictness", "atoms", "atoms-s3", set(), NOT_STRICTNESS),
+    "vec-projection": ("strictness", "strictness", "vec-projection", {"finbench.vec"},
+                       NOT_STRICTNESS - {"finbench.vec"}),
+    "superfin": ("superfin", "superfin", "powerset-endo-probe", set(),
+                 {"finbench.functors", "finbench.strictness", "finbench.colimits",
+                  "finbench.serialize", "finbench.symbolic"}),
+    "hausdorff": ("hausdorff", "hausdorff", "boundedness-witnesses", set(),
+                  {"finbench.nominal", "finbench.superfin", "finbench.functors"}),
 }
 
 
@@ -53,13 +74,16 @@ def _cli_replay(path):
 # Modules that no finbench process may load: importing dataclasses pulls in
 # inspect, ast, dis and tokenize, which cost a replay more than its own layer.
 SLOW_IMPORTS = ("dataclasses", "inspect")
+# Modules that only a process that decodes or computes with rationals loads
+RATIONALS = ("fractions", "decimal")
 
-# `python -m finbench.cli`, then the loaded finbench modules and slow imports
-# as stderr's last line
+# `python -m finbench.cli`, then the loaded finbench modules, slow imports and
+# rational modules as stderr's last line
 LOADED_AT_EXIT = f"""
 import atexit, runpy, sys
 atexit.register(lambda: print(*sorted(m for m in sys.modules if m.split(".")[0]
-                                      in ("finbench", *{SLOW_IMPORTS!r})), file=sys.stderr))
+                                      in ("finbench", *{SLOW_IMPORTS + RATIONALS!r})),
+                              file=sys.stderr))
 runpy.run_module("finbench.cli", run_name="__main__", alter_sys=True)
 """
 
@@ -71,7 +95,7 @@ def test_recipe_table_names_each_recipes_module():
 
 @pytest.mark.parametrize("case", sorted(REPLAY_CHECKS))
 def test_fresh_replay_imports_only_its_recipes_layer(tmp_path, case):
-    module, suite, check, not_loaded = REPLAY_CHECKS[case]
+    module, suite, check, also_loaded, not_loaded = REPLAY_CHECKS[case]
     _, recipe, params, _ = next(c for c in SUITES[suite] if c[0] == check)
     assert RECIPE_MODULES[recipe] == module
     path = tmp_path / "cert.json"
@@ -79,21 +103,36 @@ def test_fresh_replay_imports_only_its_recipes_layer(tmp_path, case):
     out = _python("-c", LOADED_AT_EXIT, "replay", str(path))
     assert (out.returncode, out.stdout) == (0, "replay: match\n"), out.stderr
     loaded = set(out.stderr.splitlines()[-1].split())
-    assert f"finbench.{module}" in loaded
+    assert {f"finbench.{module}", *also_loaded} <= loaded
     assert "finbench.suites" not in loaded
-    assert not loaded & {f"finbench.{m}" for m in not_loaded}
+    assert not loaded & not_loaded
     assert not loaded & set(SLOW_IMPORTS)
 
 
 def test_fresh_cli_import_loads_no_layer():
     out = _python("-c", "import sys, finbench.cli\n"
                         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'finbench'))\n"
-                        f"print(*sorted(set(sys.modules) & set({SLOW_IMPORTS!r})))")
+                        f"print(*sorted(set(sys.modules) & set({SLOW_IMPORTS + RATIONALS!r})))")
     assert out.returncode == 0, out.stderr
     finbench_modules, slow = out.stdout.split("\n")[:2]
     assert finbench_modules.split() == ["finbench", "finbench.cats", "finbench.certs",
                                         "finbench.cli", "finbench.core", "finbench.perms"]
     assert slow == ""
+
+
+def test_suites_import_loads_every_module_a_check_needs():
+    # run_suite is timed as the CLI's main path: no check may import a module
+    out = _python("-c", "import sys\n"
+                        "import finbench.suites\n"
+                        "print(*sorted(m for m in sys.modules if m.startswith('finbench.')))\n"
+                        "before = set(sys.modules)\n"
+                        "finbench.suites.run_suite('all', 0)\n"
+                        "print(*sorted(set(sys.modules) - before))")
+    assert out.returncode == 0, out.stderr
+    loaded, added = out.stdout.split("\n")[:2]
+    needed = {*RECIPE_MODULES.values(), *CATEGORY_MODULES.values()}
+    assert {f"finbench.{m}" for m in needed} <= set(loaded.split())
+    assert added == ""
 
 
 def test_no_library_module_imports_dataclasses_inspect_or_typing():
@@ -120,6 +159,43 @@ def test_presheaf_witness_reads_back_in_a_fresh_process():
     cat = gset_cat(Z2_GPD)
     _, injections = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
     assert mor_from_json(b) == injections[0]
+
+
+def test_vec_morphism_reads_back_in_a_fresh_process():
+    # the category table loads finbench.vec for the reader: nothing else does
+    f = VEC2.from_matrix(VEC2.obj(2), VEC2.obj(3), [(1, 0, 1), (0, 1, 1)])
+    text = canonical_dumps(mor_to_json(f))
+    out = _python("-c", "import json, sys\n"
+                        "from finbench.serialize import canonical_dumps, mor_from_json, mor_to_json\n"
+                        "before = 'finbench.vec' in sys.modules\n"
+                        "f = mor_from_json(json.loads(sys.argv[1]))\n"
+                        "print(before, type(f).__name__)\n"
+                        "print(canonical_dumps(mor_to_json(f)))",
+                  text)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False Mor\n" + text + "\n"
+    assert mor_from_json(json.loads(text)) == f
+
+
+@pytest.mark.parametrize("name", ["suites", "vec", "../vec", "finbench.vec", "cli", "vec4"])
+def test_unknown_category_name_imports_no_module(name):
+    # a category name read from JSON never chooses a module to import
+    j = {"category": name, "carrier": [], "structure": {"t": []}}
+    out = _python("-c", "import json, sys\n"
+                        "from finbench.serialize import mor_from_json, obj_from_json\n"
+                        "j = json.loads(sys.argv[1])\n"
+                        "before = set(sys.modules)\n"
+                        "for read, arg in ((obj_from_json, j),\n"
+                        "                  (mor_from_json, {'category': j['category'], 'dom': j,\n"
+                        "                                   'cod': j, 'maps': []})):\n"
+                        "    try:\n"
+                        "        read(arg)\n"
+                        "    except ValueError as exc:\n"
+                        "        print(exc)\n"
+                        "print(*sorted(set(sys.modules) - before))",
+                  json.dumps(j))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"unknown category {name!r}\n" * 2 + "\n"
 
 
 def _workloads():

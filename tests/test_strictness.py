@@ -12,8 +12,6 @@ from finbench.cats import (
     S3_GPD,
     TRIVIAL_GPD,
     UN,
-    VEC2,
-    VEC3,
     Z2_GPD,
     Z3_GPD,
     gset_cat,
@@ -32,12 +30,13 @@ from finbench.strictness import (
     decompose_into_atoms,
     decomposition_roundtrip,
     is_atom,
-    no_finitary_endo_certificate,
     quotient_by_partition,
     regular_presheaf,
     strictness_witness,
 )
 from finbench import symbolic as sy
+from finbench.symbolic import no_finitary_endo_certificate
+from finbench.vec import VEC2, VEC3
 
 from oracles import brute_congruences, random_gset
 
