@@ -26,10 +26,13 @@ A category supplies these hooks:
   kernel built on them serves ``hom_set``, ``lifts`` (the homs q with
   g . q = f, which factorization through a leg or a functor image needs)
   and ``find_iso``, and ``coequalizer`` is generic over ``quotient_obj``;
-- constructions: ``image_obj``, ``initial``, ``terminal``, ``coproduct``,
-  ``quotient_obj``, ``kernel_pair`` and ``subobjects_fg``.  A category
-  overrides only the ones something calls; the others raise
-  ``NotImplementedError``.
+- constructions: ``image_obj``, ``coproduct``, ``quotient_obj``,
+  ``kernel_pair`` and ``subobjects_fg``.  A category overrides only the
+  ones something calls; the others raise ``NotImplementedError``;
+- ``retraction(b)``: b_prime, a mono from a finite subobject holding the
+  image of b, and f: cod(b) -> dom(b_prime) with f . b_prime = id, the
+  strictness witness.  FinSet, presheaves (G-sets) and F_q override it in
+  their own modules; the default raises ValueError, as Un and Gra do.
 
 The search prunes by cycle equations.  Under one operation, an element x's
 orbit has a tail t and a period p, so op^(t + p)(x) = op^t(x), and a hom
@@ -646,9 +649,7 @@ class Category:
         return Mor(sub, X, tuple(sub.carrier))
 
     def retraction(self, b: Mor):
-        """(b_prime, f): b_prime a mono from a finite subobject holding the
-        image of b, and f: cod(b) -> dom(b_prime) with f . b_prime = id; a
-        ValueError in a category with no such procedure."""
+        """(b_prime, f), as the module docstring says; a ValueError by default."""
         raise ValueError(f"no retraction procedure for {self.name}")
 
     # ---- isomorphism search ------------------------------------------------------

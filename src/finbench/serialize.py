@@ -21,16 +21,12 @@ from .core import Mor, Obj, SymbolicObject, elem_key, lookup_category
 def enc_elem(x):
     if isinstance(x, bool):
         raise TypeError("booleans are not carrier elements")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) or x is None:
         return x
     if isinstance(x, tuple):
         return {"t": [enc_elem(v) for v in x]}
     if isinstance(x, frozenset):
         return {"f": [enc_elem(v) for v in sorted(x, key=elem_key)]}
-    if x is None:
-        return None
     import numbers
 
     if isinstance(x, numbers.Rational):
@@ -45,20 +41,38 @@ def dec_elem(j):
         raise ValueError("booleans are not carrier elements")
     if isinstance(j, (int, str)) or j is None:
         return j
-    if isinstance(j, dict):
-        if "t" in j:
-            return tuple(dec_elem(v) for v in j["t"])
-        if "f" in j:
-            return frozenset(dec_elem(v) for v in j["f"])
-        if "q" in j:
-            from fractions import Fraction
-
-            try:
-                num, den = j["q"].split("/")
-                return Fraction(int(num), int(den))
-            except (AttributeError, ValueError, ZeroDivisionError):
-                pass  # not a string "p/q" of two ints with q nonzero
+    if isinstance(j, dict) and len(j) == 1:
+        (tag, v), = j.items()
+        if tag == "t" and isinstance(v, list):
+            return tuple(map(dec_elem, v))
+        if tag == "f" and isinstance(v, list):
+            return frozenset(map(dec_elem, v))
+        if tag == "q":
+            return _rational(v)
     raise ValueError(f"cannot decode {j!r}")
+
+
+def _rational(text):
+    """The Fraction that a string "p/q" of two ints with q nonzero names;
+    a ValueError for anything else."""
+    from fractions import Fraction
+
+    try:
+        num, den = text.split("/")
+        return Fraction(int(num), int(den))
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot decode {text!r} as a rational \"p/q\"") from None
+
+
+def _field(j, key, kind):
+    """j[key] for a JSON object j whose key holds a value of type kind (a
+    JSON boolean is no int); a ValueError otherwise."""
+    if not isinstance(j, dict):
+        raise ValueError(f"expected a JSON object, not {j!r}")
+    value = j.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be a {kind.__name__}, not {value!r}")
+    return value
 
 
 def obj_to_json(X):
@@ -73,23 +87,25 @@ def obj_to_json(X):
 
 def obj_from_json(j):
     """The object j presents, rebuilt by its category's obj(...) so that it is
-    validated as every constructed object is; a ValueError when the rebuilt
-    carrier or structure differs from j's, or the category or symbolic kind
-    is unknown."""
-    if "symbolic" in j:
+    validated as every constructed object is; a ValueError when j is not
+    of that shape, the rebuilt carrier or structure differs from j's, or the
+    category or symbolic kind is unknown."""
+    if isinstance(j, dict) and "symbolic" in j:
         from .nominal import P_SUBSET_FAMILY
         from .symbolic import CYCLE_FAMILY, RAY
 
         kinds = {s.kind: s for s in (RAY, CYCLE_FAMILY, P_SUBSET_FAMILY)}
-        if j["symbolic"] not in kinds:
-            raise ValueError(f"unknown symbolic kind {j['symbolic']!r}")
-        return kinds[j["symbolic"]]
+        kind = _field(j, "symbolic", str)
+        if kind not in kinds:
+            raise ValueError(f"unknown symbolic kind {kind!r}")
+        return kinds[kind]
+    name = _field(j, "category", str)
     try:
-        cat = lookup_category(j["category"])
+        cat = lookup_category(name)
     except KeyError:
-        raise ValueError(f"unknown category {j['category']!r}") from None
-    carrier = tuple(dec_elem(x) for x in j["carrier"])
-    structure = dec_elem(j["structure"])
+        raise ValueError(f"unknown category {name!r}") from None
+    carrier = tuple(map(dec_elem, _field(j, "carrier", list)))
+    structure = dec_elem(j.get("structure"))
     try:
         X = cat.rebuild(carrier, structure)
     except (TypeError, IndexError, KeyError) as exc:
@@ -114,8 +130,8 @@ def mor_from_json(j):
     object of j's "category" and its "maps" is a list of [element, image]
     pairs that lists each domain element once and nothing else, or when the
     morphism's own checks fail."""
-    dom = obj_from_json(j["dom"])
-    cod = obj_from_json(j["cod"])
+    dom = obj_from_json(_field(j, "dom", dict))
+    cod = obj_from_json(_field(j, "cod", dict))
     if not isinstance(dom, Obj):
         raise ValueError("the domain of a morphism is a finite object")
     if j.get("category") != dom.cat:
@@ -151,7 +167,11 @@ def orbit_to_json(spec):
 def orbit_from_json(j):
     from .nominal import OrbitSpec
 
-    return OrbitSpec(j["n"], tuple(tuple(g) for g in j["generators"]))
+    n, gens = _field(j, "n", int), _field(j, "generators", list)
+    if n < 0 or not all(isinstance(g, list) for g in gens):
+        raise ValueError("an orbit is a support size n >= 0 and a list of generators, "
+                         "each a list")
+    return OrbitSpec(n, tuple(map(tuple, gens)))
 
 
 def nomset_to_json(spec):
@@ -161,7 +181,7 @@ def nomset_to_json(spec):
 def nomset_from_json(j):
     from .nominal import NominalSetSpec
 
-    return NominalSetSpec(tuple(orbit_from_json(o) for o in j["orbits"]))
+    return NominalSetSpec(tuple(map(orbit_from_json, _field(j, "orbits", list))))
 
 
 def space_to_json(space):
@@ -176,11 +196,13 @@ def space_from_json(j):
 
     from .hausdorff import FinMetricSpace
 
-    points = tuple(dec_elem(p) for p in j["points"])
+    points = tuple(map(dec_elem, _field(j, "points", list)))
+    rows = _field(j, "d", list)
     n = len(points)
+    if len(rows) != n or not all(isinstance(r, list) and len(r) == i for i, r in enumerate(rows)):
+        raise ValueError("'d' must list each point's distances to the points before it")
     matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i, row in enumerate(j["d"]):
+    for i, row in enumerate(rows):
         for k, entry in enumerate(row):
-            num, den = entry.split("/")
-            matrix[i][k] = matrix[k][i] = Fraction(int(num), int(den))
+            matrix[i][k] = matrix[k][i] = _rational(entry)
     return FinMetricSpace(points, tuple(tuple(r) for r in matrix))

@@ -1,4 +1,5 @@
-"""Strictness squares and atom decompositions of presheaf categories.
+"""Strictness squares from each category's retraction, and the atoms of
+presheaf categories with the decomposition round trip.
 
 A witness function returns a plain value that it has checked, or None.
 """
@@ -33,57 +34,11 @@ from .serialize import mor_to_json, obj_to_json
 # strictness witnesses
 
 
-def _retraction(b: Mor):
-    """(b_prime, f): b_prime a mono from a finite subobject of cod(b) that
-    holds the image of b, and f: cod(b) -> dom(b_prime) with f . b_prime = id.
-
-    FinSet keeps the image, or one point when it is empty, and sends the
-    rest to its least point; G-sets fold the other orbits onto isomorphic
-    kept ones.  Any other category gives its own ``Category.retraction``:
-    F_q projects onto the echelon image along a standard complement, and a
-    category without one raises ValueError.
-    """
-    cat = category_of(b.dom)
-    A = b.cod
-    if cat is FINSET:
-        keep = set(b.mapping) or set(A.carrier[:1])
-        B = cat.subalgebra(A, keep)
-        f = cat.mor(A, B, {a: a if a in keep else B.carrier[0] for a in A.carrier})
-        return cat.sub_mono(A, B), f
-    if isinstance(cat, PresheafCat):
-        return _presheaf_fold(cat, A, set(b.mapping))
-    return cat.retraction(b)
-
-
-def _presheaf_fold(cat: PresheafCat, A: Obj, keep_elems: set):
-    """Subalgebra on the components that meet keep_elems plus one component
-    per other isomorphism class, and the fold of every other component onto
-    the first kept one isomorphic to it; returns (b_prime, f)."""
-    comps = decompose_into_atoms(cat, A)
-    kept = [K for K in comps if set(K.carrier) & keep_elems]
-    folds = []
-    for K in comps:
-        if set(K.carrier) & keep_elems:
-            continue
-        for J in kept:
-            iso = cat.find_iso(K, J)
-            if iso is not None:
-                folds.append((K, iso))
-                break
-        else:
-            kept.append(K)
-    Bp = cat.subalgebra(A, {x for J in kept for x in J.carrier})
-    mapping = {x: x for J in kept for x in J.carrier}
-    for K, iso in folds:
-        mapping.update((x, iso(x)) for x in K.carrier)
-    return cat.sub_mono(A, Bp), cat.mor(A, Bp, mapping)
-
-
 def strictness_witness(b: Mor):
-    """(b_prime, f) from the category's retraction when the strictness
-    square b = b_prime . f . b commutes, else None."""
+    """(b_prime, f) from the category's ``Category.retraction`` when the
+    strictness square b = b_prime . f . b commutes, else None."""
     cat = category_of(b.dom)
-    b_prime, f = _retraction(b)
+    b_prime, f = cat.retraction(b)
     if cat.compose(b_prime, cat.compose(f, b)) != b:
         return None
     return b_prime, f
@@ -150,25 +105,15 @@ def regular_presheaf(cat: PresheafCat, base_sort) -> Obj:
     carriers = {}
     for c, m in elems:
         carriers.setdefault(c, []).append(m)
-    ops = {}
-    for g, gd, gc in gpd.mors:
-        table = {}
-        for c, m in elems:
-            if c != gd:
-                continue
-            table[m] = gpd.compose_names(g, m)
-        ops[g] = table
+    ops = {g: {m: gpd.compose_names(g, m) for c, m in elems if c == gd}
+           for g, gd, _ in gpd.mors}
     return cat.obj(carriers, ops)
 
 
 def is_atom(cat, X: Obj) -> bool:
     """Nonempty and generated by each of its elements."""
-    if X.size == 0:
-        return False
-    full = set(X.carrier)
-    return all(
-        set(cat.generated_subalgebra(X, x).carrier) == full for x in X.carrier
-    )
+    return X.size > 0 and all(
+        cat.generated_subalgebra(X, x).size == X.size for x in X.carrier)
 
 
 def atoms_of_presheaves(gpd: FiniteGroupoid):
@@ -179,8 +124,7 @@ def atoms_of_presheaves(gpd: FiniteGroupoid):
     for sort in gpd.sorts:
         R = regular_presheaf(cat, sort)
         for part in congruences(cat, R):
-            q = quotient_by_partition(cat, R, part)
-            Q = q.cod
+            Q = quotient_by_partition(cat, R, part).cod
             if not is_atom(cat, Q):
                 raise AssertionError("quotient of a representable is not an atom")
             if not any(cat.is_isomorphic(Q, seen) for seen in found):
@@ -188,29 +132,8 @@ def atoms_of_presheaves(gpd: FiniteGroupoid):
     return found
 
 
-def decompose_into_atoms(cat: PresheafCat, X: Obj):
-    """One generated subalgebra per generation class; they partition the
-    carrier and their coproduct is isomorphic to X."""
-    comps = []
-    seen = set()
-    for x in X.carrier:
-        if x in seen:
-            continue
-        sub = cat.generated_subalgebra(X, x)
-        members = set(sub.carrier)
-        if members & seen:
-            # groupoid actions give disjoint or equal components
-            raise AssertionError("components are not disjoint")
-        seen |= members
-        comps.append(sub)
-    return comps
-
-
 def decomposition_roundtrip(cat: PresheafCat, X: Obj) -> bool:
-    parts = decompose_into_atoms(cat, X)
-    if not parts:
-        return X.size == 0
-    recombined, _ = cat.coproduct(parts)
+    recombined, _ = cat.coproduct(cat.components(X))
     return cat.is_isomorphic(recombined, X)
 
 
@@ -224,9 +147,7 @@ def r_strictness_finset(max_dom: int = 4, max_cod: int = 5):
     total = witnessed = 0
     sample = None
     for d in range(max_dom + 1):
-        for c in range(max_cod + 1):
-            if d > 0 and c == 0:
-                continue
+        for c in range(1 if d else 0, max_cod + 1):
             D, C = FINSET.obj(range(d)), FINSET.obj(range(c))
             for images in itertools.product(range(c), repeat=d):
                 b = FINSET.mor(D, C, dict(enumerate(images)))

@@ -36,6 +36,7 @@ from finbench.serialize import (
     nomset_to_json,
     obj_from_json,
     obj_to_json,
+    orbit_from_json,
     space_from_json,
     space_to_json,
 )
@@ -160,6 +161,48 @@ def test_mor_reader_refuses_malformed_maps(change, message):
     j = {k: v for k, v in j.items() if v is not None}  # None: the key is missing
     with pytest.raises(ValueError, match=message):
         mor_from_json(j)
+
+
+_PATH = obj_to_json(GRA.path(1))
+# a valid payload for each JSON reader, which the cases below alter
+_VALID = {
+    obj_from_json: {"category": "finset", "carrier": [0, 1], "structure": {"t": []}},
+    mor_from_json: {"category": "gra", "dom": _PATH, "cod": _PATH, "maps": [[0, 0], [1, 1]]},
+    space_from_json: {"points": [0, 1], "d": [[], ["1/2"]]},
+    orbit_from_json: {"n": 2, "generators": [[1, 0]]},
+    nomset_from_json: {"orbits": [{"n": 2, "generators": [[1, 0]]}]},
+}
+
+
+@pytest.mark.parametrize("read, change", [
+    (obj_from_json, {"carrier": None, "structure": None}),
+    (obj_from_json, {"category": ["finset"]}),
+    (obj_from_json, {"symbolic": ["ray"]}),
+    (obj_from_json, {"carrier": 5}),
+    (obj_from_json, {"structure": {"t": 5}}),
+    (obj_from_json, list),
+    (mor_from_json, {"category": None, "dom": None, "cod": None, "maps": None}),
+    (mor_from_json, {"dom": [_PATH]}),
+    (space_from_json, {"d": None}),
+    (space_from_json, {"d": [[], [5]]}),
+    (space_from_json, {"d": [[], ["1/0"]]}),
+    (space_from_json, {"d": [[], ["1/2"], ["1/2", "1/2"]]}),
+    (orbit_from_json, {"generators": None}),
+    (orbit_from_json, {"n": "2"}),
+    (nomset_from_json, {"orbits": 5}),
+], ids=["obj-only-category", "obj-category-list", "obj-symbolic-list", "obj-carrier-int",
+        "obj-tuple-of-int", "obj-list", "mor-empty", "mor-dom-list", "space-no-d",
+        "space-int-entry", "space-zero-denominator", "space-extra-row", "orbit-no-generators",
+        "orbit-n-string", "nomset-orbits-int"])
+def test_json_readers_refuse_wrongly_shaped_payloads(read, change):
+    j = _VALID[read]
+    read(j)  # the unaltered payload reads
+    if change is list:
+        j = [[k, v] for k, v in j.items()]  # a JSON list of the same entries
+    else:
+        j = {k: v for k, v in {**j, **change}.items() if v is not None}  # None: key missing
+    with pytest.raises(ValueError):
+        read(j)
 
 
 @pytest.mark.parametrize("j", [{"q": 5}, {"q": "1/0"}, {"q": "a/b"}, {"q": "1/2/3"},

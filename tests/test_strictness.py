@@ -1,8 +1,10 @@
 """Strictness witnesses, atoms, and the negative certificates."""
 
+import ast
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -22,12 +24,11 @@ from finbench.cats import (
 import finbench.suites  # registers all recipes
 from finbench import cats, strictness
 from finbench.certs import PASS_WITNESSED, RECIPES
-from finbench.core import category_of, elem_key
+from finbench.core import Category, category_of, elem_key
 from finbench.perms import subgroups_of_sym
 from finbench.strictness import (
     atoms_of_presheaves,
     congruences,
-    decompose_into_atoms,
     decomposition_roundtrip,
     is_atom,
     quotient_by_partition,
@@ -48,7 +49,7 @@ from oracles import brute_congruences, random_gset
 def _assert_retraction(b):
     """The retraction (b_prime, f) splits, and the square through it holds."""
     cat = category_of(b.dom)
-    b_prime, f = strictness._retraction(b)
+    b_prime, f = cat.retraction(b)
     assert cat.is_mono(b_prime) and b_prime.cod == b.cod
     assert cat.compose(f, b_prime) == cat.identity(b_prime.dom)
     assert cat.compose(b_prime, cat.compose(f, b)) == b
@@ -92,6 +93,33 @@ def test_finset_retraction_on_random_maps():
         image = set(b.mapping)
         assert b_prime.dom.size == (max(len(image), 1) if c else 0)
         assert image <= set(b_prime.mapping)
+
+
+def test_finset_retraction_is_the_fold_over_the_trivial_group():
+    # all 1,280 maps of strictness-finset, each element x relabelled ("*", x)
+    triv = gset_cat(TRIVIAL_GPD)
+    ident = TRIVIAL_GPD.mors[0][0]
+
+    def relabel(n):
+        return triv.obj({"*": range(n)}, {ident: {x: x for x in range(n)}})
+
+    def shape(m):
+        return m.dom.carrier, m.cod.carrier, m.mapping
+
+    def starred(m):
+        star = lambda xs: tuple(("*", x) for x in xs)
+        return star(m.dom.carrier), star(m.cod.carrier), star(m.mapping)
+
+    total = 0
+    for d in range(5):
+        for c in range(1 if d else 0, 6):
+            D, C = FINSET.obj(range(d)), FINSET.obj(range(c))
+            for images in itertools.product(range(c), repeat=d):
+                b = FINSET.mor(D, C, dict(enumerate(images)))
+                fold = triv.retraction(triv.mor(relabel(d), relabel(c), starred(b)[2]))
+                assert tuple(map(starred, FINSET.retraction(b))) == tuple(map(shape, fold))
+                total += 1
+    assert total == 1280
 
 
 @pytest.mark.parametrize("gpd", [Z2_GPD, Z3_GPD, S3_GPD], ids=lambda g: g.name)
@@ -149,6 +177,68 @@ def test_unary_algebras_and_graphs_have_no_retraction():
             strictness_witness(b)
 
 
+# Each category answers for itself through its Category hooks, so no module
+# outside the ones that define categories tests which category it holds.
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "finbench"
+CATEGORY_HOMES = ("core", "cats", "vec")
+CATEGORY_VALUES = {"FINSET", "GRA", "UN", "VEC2", "VEC3"}
+
+
+def _category_classes():
+    out, todo = set(), [Category]
+    while todo:
+        cls = todo.pop()
+        out.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return out
+
+
+def _names_in(node):
+    """Names and attribute names in node, through tuple, list and set displays."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return set().union(*map(_names_in, node.elts))
+    return set()
+
+
+def category_branches(source):
+    """Lines of source that compare a value with a registered category or a
+    category class, or pass a category class to isinstance or issubclass."""
+    classes = _category_classes()
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            named = set().union(*map(_names_in, (node.left, *node.comparators)))
+            if named & (CATEGORY_VALUES | classes):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2 \
+                and _names_in(node.args[1]) & classes:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_category_branch_scan_sees_each_form():
+    source = ("if cat is FINSET: pass\n"
+              "if cats.UN == cat: pass\n"
+              "if cat in (GRA, VEC2): pass\n"
+              "if isinstance(cat, PresheafCat): pass\n"
+              "if isinstance(cat, (int, cats.VecCat)): pass\n"
+              "if type(cat) is UnCat: pass\n"
+              "if cat is other or isinstance(cat, dict): pass\n")
+    assert category_branches(source) == [1, 2, 3, 4, 5, 6]
+
+
+def test_no_module_outside_the_categories_branches_on_one():
+    found = [f"{path.name}:{line}" for path in sorted(LIBRARY.glob("*.py"))
+             if path.stem not in CATEGORY_HOMES
+             for line in category_branches(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 # ---------------------------------------------------------------------------
 # atoms
 
@@ -189,14 +279,14 @@ def test_atoms_match_partition_oracle(gpd):
 def test_decompose_singleton():
     cat = gset_cat(Z2_GPD)
     X = gset_fixed_point(cat)
-    parts = decompose_into_atoms(cat, X)
+    parts = cat.components(X)
     assert len(parts) == 1 and parts[0] == X
 
 
 def test_decompose_free_plus_fixed():
     cat = gset_cat(Z2_GPD)
     X, _ = cat.coproduct([gset_free_orbit(cat), gset_fixed_point(cat)])
-    parts = decompose_into_atoms(cat, X)
+    parts = cat.components(X)
     assert sorted(p.size for p in parts) == [1, 2]
     assert decomposition_roundtrip(cat, X)
 
@@ -204,7 +294,7 @@ def test_decompose_free_plus_fixed():
 def test_decompose_two_regular_z3_orbits():
     cat = gset_cat(Z3_GPD)
     X, _ = cat.coproduct([gset_free_orbit(cat, 0), gset_free_orbit(cat, 1)])
-    parts = decompose_into_atoms(cat, X)
+    parts = cat.components(X)
     assert sorted(p.size for p in parts) == [3, 3]
     assert decomposition_roundtrip(cat, X)
 
