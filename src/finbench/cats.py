@@ -1,6 +1,6 @@
 """Concrete computable categories: finite sets, directed graphs, unary
-algebras and presheaves on a finite groupoid.  The F_q vector spaces are in
-finbench.vec, which a process loads only when it uses them.
+algebras and the actions of a finite group (G-sets).  The F_q vector spaces
+are in finbench.vec, which a process loads only when it uses them.
 
 Objects are finite carrier presentations (see core.Obj); each category wires
 its structure into the generic hom/factorization/colimit machinery.
@@ -21,19 +21,19 @@ from .core import (
     elem_key,
     register_category,
 )
-from .perms import compose_perm, identity_perm
+from .perms import closed_under, compose_perm, mulclose
 
 
 # ---------------------------------------------------------------------------
-# many-sorted unary algebras: the shared construction layer
+# unary algebras: the shared construction layer
 
 
 class UnaryAlgebraCat(Category):
-    """Categories of (many-sorted) unary algebras: finite sets, Un and
-    presheaves on a finite groupoid.  Coproducts, kernel pairs, images,
-    quotients and subalgebras are carrier constructions with the operations
-    restricted, written once here through op_successors/op_apply and four
-    hooks: _build, _tag, _coproduct_order and _pair.
+    """Categories of unary algebras: finite sets, Un and the actions of a
+    finite group.  Coproducts, kernel pairs, images, quotients and
+    subalgebras are carrier constructions with the operations restricted,
+    written once here through op_successors/op_apply and three hooks:
+    _build, _tag and _pair.
 
     Each construction lists its carrier in elem_key order as it builds it,
     so nothing is re-sorted: a subalgebra, an image or a quotient keeps the
@@ -48,11 +48,6 @@ class UnaryAlgebraCat(Category):
     def _tag(self, i, x):
         """Element x of the i-th summand of a coproduct."""
         return (i, x)
-
-    def _coproduct_order(self, objs):
-        """The pairs (i, x), x in the i-th summand, in elem_key order of
-        their tags: summand by summand."""
-        return [(i, x) for i, X in enumerate(objs) for x in X.carrier]
 
     def _pair(self, x, y):
         """Element of a kernel pair for x and y with equal images."""
@@ -71,7 +66,8 @@ class UnaryAlgebraCat(Category):
         return self.subalgebra(f.cod, f.mapping)
 
     def coproduct(self, objs):
-        home = {self._tag(i, x): (objs[i], i, x) for i, x in self._coproduct_order(objs)}
+        # summand by summand: the elem_key order of the tags
+        home = {self._tag(i, x): (X, i, x) for i, X in enumerate(objs) for x in X.carrier}
 
         def op_of(op_id, e):
             X, i, x = home[e]
@@ -92,8 +88,7 @@ class UnaryAlgebraCat(Category):
                            lambda op_id, r: rep[self.op_apply(X, op_id, r)])
 
     def kernel_pair(self, f):
-        # homs preserve sorts, so f(x) == f(y) already puts x and y in one
-        # sort; the nested loop lists the pairs in elem_key order
+        # the nested loop lists the pairs in elem_key order
         X = f.dom
         home = {self._pair(x, y): (x, y) for x in X.carrier for y in X.carrier if f(x) == f(y)}
 
@@ -343,219 +338,122 @@ def _un_cycle(p: int) -> Obj:
 
 
 # ---------------------------------------------------------------------------
-# presheaves on a finite groupoid, presented as S-sorted unary algebras
+# actions of a finite permutation group, presented as unary algebras
 
 
-class FiniteGroupoid(Value):
-    """Finite groupoid: sorts, morphisms (name, dom, cod), composition table.
-    The table is checked to be typed, unital, associative and invertible on
-    every composable pair.
+class FiniteGroup(Value):
+    """A finite group of permutations of range(n) in one-line notation: a
+    name and its elements in elem_key order, the identity first.  A
+    ValueError when the elements are not permutations of one degree or are
+    not closed under composition; a finite set of permutations closed under
+    composition holds the identity and every inverse, so it is a group.
 
-    Presheaves are encoded as covariant functors on the groupoid (equivalent
-    to presheaves, since every morphism is invertible): one carrier per sort
-    plus one unary operation per groupoid morphism satisfying
-    op_g(op_f(x)) = op_{g o f}(x) and op_id(x) = x.
+    Its actions are the presheaves on its one-object groupoid (equivalent,
+    since every element is invertible): a carrier plus one unary operation
+    per element g, with op_g(op_f(x)) = op_(g o f)(x) and op_e(x) = x.
     """
 
-    _fields = ("name", "sorts", "mors", "comp", "ids")
+    _fields = ("name", "elements")
 
-    def __init__(self, name: str, sorts: tuple, mors: tuple, comp: tuple, ids: tuple):
-        # mors: (mor_name, dom_sort, cod_sort); comp: ((g_name, f_name), h_name)
-        # with h = g o f; ids: (sort, mor_name)
-        self.__dict__.update(name=name, sorts=sorts, mors=mors, comp=comp, ids=ids)
+    def __init__(self, name: str, elements):
+        self.__dict__.update(name=name, elements=tuple(sorted(set(elements), key=elem_key)))
         self.__post_init__()
 
     def __post_init__(self):
-        comp = self.__dict__["_comp"] = dict(self.comp)
-        info = {m: (d, c) for m, d, c in self.mors}
-        if len(info) != len(self.mors):
-            raise ValueError("duplicate morphism name")
-        idm = dict(self.ids)
-        if any(info.get(idm.get(s)) != (s, s) for s in self.sorts):
-            raise ValueError("every sort needs an identity morphism on it")
-        for g, gd, gc in self.mors:
-            for f, fd, fc in self.mors:
-                if fc != gd:
-                    continue
-                h = comp.get((g, f))
-                if h not in info:
-                    raise ValueError(f"composite of {g} and {f} is not a morphism")
-                if info[h] != (fd, gc):
-                    raise ValueError("composition types broken")
-        for m, d, c in self.mors:
-            if comp[(m, idm[d])] != m or comp[(idm[c], m)] != m:
-                raise ValueError("identity law fails")
-        for h, hd, _ in self.mors:
-            for g, gd, gc in self.mors:
-                if gc != hd:
-                    continue
-                hg = comp[(h, g)]
-                for f, _, fc in self.mors:
-                    if fc == gd and comp[(hg, f)] != comp[(h, comp[(g, f)])]:
-                        raise ValueError("composition is not associative")
-        for m, d, c in self.mors:
-            if not any(
-                info[n] == (c, d) and comp[(n, m)] == idm[d] and comp[(m, n)] == idm[c]
-                for n, _, _ in self.mors
-            ):
-                raise ValueError(f"no inverse for {m}")
-
-    def compose_names(self, g, f):
-        return self._comp[(g, f)]
-
-
-def group_groupoid(name, elements) -> FiniteGroupoid:
-    """One-sorted groupoid from a permutation group; a ValueError when the
-    elements are not closed under composition."""
-    els = sorted(set(elements), key=elem_key)
-    n = len(els[0])
-    mors = tuple((g, "*", "*") for g in els)
-    comp = tuple((((g, f), compose_perm(g, f))) for g in els for f in els)
-    return FiniteGroupoid(name, ("*",), mors, comp, (("*", identity_perm(n)),))
+        els = self.elements
+        e = tuple(range(len(els[0]))) if els else ()
+        if not els or any(tuple(sorted(g)) != e for g in els):
+            raise ValueError(f"{self.name}: the elements are not permutations of one degree")
+        if not closed_under(set(els), els, len(e)):
+            raise ValueError(f"{self.name}: the elements are not closed under composition")
 
 
 class PresheafCat(UnaryAlgebraCat):
-    """Presheaves on a finite groupoid; carrier elements are (sort, value)."""
+    """Actions of a finite group: carrier elements are ("*", value), and
+    the operations are the group's elements."""
 
-    def __init__(self, gpd: FiniteGroupoid):
-        self.gpd = gpd
-        self.name = f"psh({gpd.name})"
-        self._ids = dict(gpd.ids)
-        # operation names in elem_key order, the order of the structure tuple
-        self._names = sorted((m for m, _, _ in gpd.mors), key=elem_key)
-        self._sorts = sorted(gpd.sorts, key=elem_key)
-        self._dom = {m: d for m, d, _ in gpd.mors}
-        self._cod = {m: c for m, _, c in gpd.mors}
-        # Generators in gpd.mors order: each morphism that the identities,
-        # closed under left composition with the generators so far, miss.
-        # Every morphism is then a word in the generators after an identity,
-        # so by associativity and the identity laws the composition laws
-        # with a generator on the left imply all the others, by induction on
-        # the word: op_(g o a) op_f = op_g op_a op_f = op_(g o (a o f)).
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.name = f"psh({group.name})"
+        # Generators in element order: each element outside the subgroup that
+        # the generators so far generate.  Every element is then a word in
+        # the generators, so by associativity and the identity law the
+        # composition laws with a generator on the left imply all the others,
+        # by induction on the word: op_(g o a) op_f = op_g op_a op_f =
+        # op_(g o (a o f)).
         self.generators = []
-        reached = set(self._ids.values())
-        for m, _, _ in gpd.mors:
-            if m in reached:
-                continue
-            self.generators.append(m)
-            frontier = list(reached)
-            while frontier:
-                f = frontier.pop()
-                for g in self.generators:
-                    if self._cod[f] != self._dom[g]:
-                        continue
-                    h = gpd.compose_names(g, f)
-                    if h not in reached:
-                        reached.add(h)
-                        frontier.append(h)
-        # (g, f, g o f, dom f) for each generator g and each f composable with it
-        self._laws = [
-            (g, f, gpd.compose_names(g, f), fd)
-            for g in self.generators
-            for f, fd, fc in gpd.mors
-            if fc == self._dom[g]
-        ]
+        for g in group.elements:
+            if g not in mulclose(self.generators, len(g)):
+                self.generators.append(g)
+        # (g, f, g o f) for each generator g and each element f
+        self._laws = [(g, f, compose_perm(g, f)) for g in self.generators for f in group.elements]
 
-    def obj(self, carriers: dict, ops: dict) -> Obj:
-        """carriers: sort -> values; ops: mor_name -> {value: value}."""
-        def image(m, x):
-            given = ops.get(m, {})
-            return (self._cod[m], given[x[1]]) if x[1] in given else None
+    def obj(self, values, ops: dict) -> Obj:
+        """The action on values in which element g sends v to ops[g][v]."""
+        def image(g, x):
+            try:
+                return ("*", ops[g][x[1]])
+            except KeyError:
+                raise ValueError(f"operation {g} not total") from None
 
-        return self._presheaf(canon((s, v) for s, vs in carriers.items() for v in vs), image)
+        return self._presheaf(canon(("*", v) for v in values), image)
 
     def rebuild(self, carrier, structure) -> Obj:
-        carriers = {}
-        for s, v in carrier:
-            carriers.setdefault(s, []).append(v)
-        return self.obj(carriers, {m: {x[1]: y[1] for x, y in pairs} for m, pairs in structure[1]})
+        return self.obj([x[1] for x in carrier],
+                        {g: {x[1]: y[1] for x, y in pairs} for g, pairs in structure[1]})
 
     def _build(self, carrier, op_of):
         return self._presheaf(carrier, op_of)
 
     def _presheaf(self, carrier, image):
-        """The presheaf on a carrier in elem_key order whose operation m
-        sends x to image(m, x), None where undefined; checks totality, that
-        each image lies in the carrier at m's codomain sort, and the
-        groupoid laws."""
+        """The action on a carrier in elem_key order in which g sends x to
+        image(g, x); checks that each image lies in the carrier and the group
+        laws."""
         cset = frozenset(carrier)
-        by_sort = {}
-        for x in carrier:
-            by_sort.setdefault(x[0], []).append(x)
-        tables = {}
-        for m, d, c in self.gpd.mors:
-            table = tables[m] = {}
-            for x in by_sort.get(d, ()):
-                y = image(m, x)
-                if y is None:
-                    raise ValueError(f"operation {m} not total")
-                if y not in cset or y[0] != c:
-                    raise ValueError(f"operation {m} leaves the carrier")
-                table[x] = y
-        self._check_laws(by_sort, tables)
-        # in _names order, as op_tables reads them back from the structure;
+        # in element order, as op_tables reads them back from the structure;
         # each table lists the carrier in order: already canon order
-        tables = {m: tables[m] for m in self._names}
-        tagged = tuple((m, tuple(t.items())) for m, t in tables.items())
+        tables = {g: {x: image(g, x) for x in carrier} for g in self.group.elements}
+        for g, table in tables.items():
+            if not cset.issuperset(table.values()):
+                raise ValueError(f"operation {g} leaves the carrier")
+        if any(x != y for x, y in tables[self.group.elements[0]].items()):
+            raise ValueError("identity operation is not the identity")
+        for g, f, h in self._laws:
+            tg, tf, th = tables[g], tables[f], tables[h]
+            if any(tg[tf[x]] != th[x] for x in carrier):
+                raise ValueError("composition equation fails")
+        tagged = tuple((g, tuple(t.items())) for g, t in tables.items())
         X = Obj(self.name, carrier, ("ops", tagged))
         X.__dict__["_carrier_set"] = cset
         X.__dict__["_op_tables"] = tables
         return X
 
-    def _check_laws(self, by_sort, tables):
-        for s, xs in by_sort.items():
-            ident = tables[self._ids[s]]
-            if any(ident[x] != x for x in xs):
-                raise ValueError("identity operation is not the identity")
-        for g, f, h, fd in self._laws:
-            tg, tf, th = tables[g], tables[f], tables[h]
-            if any(tg[tf[x]] != th[x] for x in by_sort.get(fd, ())):
-                raise ValueError("composition equation fails")
-
     def op_tables(self, X):
         return X.__dict__["_op_tables"]  # built by _presheaf
 
-    def op(self, X, mor_name, x):
-        return self.op_tables(X)[mor_name].get(x)
+    def op(self, X, g, x):
+        return self.op_tables(X)[g][x]
 
     def generator_tables(self, X):
         tables = self.op_tables(X)
-        return {m: tables[m] for m in self.generators}
+        return {g: tables[g] for g in self.generators}
 
     def preserves_structure(self, f):
-        # Naturality on the generators gives it on every composite of them,
-        # by the composition laws of f.dom and f.cod, and on the identities
-        # because f keeps sorts: every morphism is a word in the generators
-        # after an identity (see __init__).
-        img = f._lookup
-        if any(x[0] != y[0] for x, y in img.items()):
-            return False
-        dst = self.op_tables(f.cod)
-        for m, table in self.generator_tables(f.dom).items():
-            target = dst[m]
-            if any(img[y] != target.get(img[x]) for x, y in table.items()):
+        # Naturality on the generators gives it on every element, a word in
+        # the generators, by the composition laws of f.dom and f.cod (see
+        # __init__).
+        img, dst = f._lookup, self.op_tables(f.cod)
+        for g, table in self.generator_tables(f.dom).items():
+            target = dst[g]
+            if any(img[y] != target[img[x]] for x, y in table.items()):
                 return False
         return True
 
-    def candidate_targets(self, X, x, Y):
-        return [y for y in Y.carrier if y[0] == x[0]]
-
-    def iso_invariant(self, X):
-        per_sort = {s: 0 for s in self.gpd.sorts}
-        for s, _ in X.carrier:
-            per_sort[s] += 1
-        return (X.size, tuple(sorted(per_sort.items())))
-
     def _tag(self, i, x):
-        return (x[0], (i, x[1]))
-
-    def _coproduct_order(self, objs):
-        # tags (sort, (i, value)): sort by sort, then summand, then value
-        return [(i, x) for s in self._sorts for i, X in enumerate(objs)
-                for x in X.carrier if x[0] == s]
+        return ("*", (i, x[1]))
 
     def _pair(self, x, y):
-        return (x[0], (x[1], y[1]))
+        return ("*", (x[1], y[1]))
 
     def components(self, X):
         """One generated subalgebra per generation class; they partition the
@@ -565,7 +463,7 @@ class PresheafCat(UnaryAlgebraCat):
             if x not in seen:
                 sub = self.generated_subalgebra(X, x)
                 if not seen.isdisjoint(sub.carrier):
-                    # groupoid actions give disjoint or equal components
+                    # group actions give disjoint or equal components
                     raise AssertionError("components are not disjoint")
                 seen.update(sub.carrier)
                 comps.append(sub)
@@ -593,48 +491,42 @@ class PresheafCat(UnaryAlgebraCat):
         return self.sub_mono(A, Bp), self.mor(A, Bp, mapping)
 
 
-def presheaf_cat(gpd: FiniteGroupoid) -> PresheafCat:
-    """The registered presheaf category on gpd, built on first request."""
-    return register_category(PresheafCat(gpd))
+def presheaf_cat(group: FiniteGroup) -> PresheafCat:
+    """The registered category of actions of group, built on first request."""
+    return register_category(PresheafCat(group))
 
 
-# standard acting groups
+# standard acting groups (named for their one-object groupoids)
 
-TRIVIAL_GPD = group_groupoid("triv", [(0,)])
-Z2_GPD = group_groupoid("z2", [(0, 1), (1, 0)])
-Z3_GPD = group_groupoid("z3", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
-S3_GPD = group_groupoid("s3", list(itertools.permutations(range(3))))
+TRIVIAL_GPD = FiniteGroup("triv", [(0,)])
+Z2_GPD = FiniteGroup("z2", [(0, 1), (1, 0)])
+Z3_GPD = FiniteGroup("z3", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+S3_GPD = FiniteGroup("s3", itertools.permutations(range(3)))
 
 # registered on import, so that their objects read back from JSON in a
 # process that has not built them yet
-for _gpd in (TRIVIAL_GPD, Z2_GPD, Z3_GPD, S3_GPD):
-    presheaf_cat(_gpd)
+for _group in (TRIVIAL_GPD, Z2_GPD, Z3_GPD, S3_GPD):
+    presheaf_cat(_group)
 
 
-def gset_cat(gpd) -> PresheafCat:
-    return presheaf_cat(gpd)
-
-
-def group_elements(gpd: FiniteGroupoid):
-    return [m for m, _, _ in gpd.mors]
+def gset_cat(group) -> PresheafCat:
+    return presheaf_cat(group)
 
 
 def gset_free_orbit(cat: PresheafCat, tag=0) -> Obj:
-    """Regular action of a one-sorted groupoid on itself."""
-    els = group_elements(cat.gpd)
+    """Regular action of the group on itself."""
+    els = cat.group.elements
     ops = {g: {(tag, h): (tag, compose_perm(g, h)) for h in els} for g in els}
-    return cat.obj({"*": [(tag, h) for h in els]}, ops)
+    return cat.obj([(tag, h) for h in els], ops)
 
 
 def gset_fixed_point(cat: PresheafCat) -> Obj:
-    els = group_elements(cat.gpd)
-    ops = {g: {(0, "pt"): (0, "pt")} for g in els}
-    return cat.obj({"*": [(0, "pt")]}, ops)
+    return cat.obj([(0, "pt")], {g: {(0, "pt"): (0, "pt")} for g in cat.group.elements})
 
 
 def gset_from_cosets(cat: PresheafCat, subgroup, tag=0) -> Obj:
     """Left translation action on left cosets of the given subgroup."""
-    els = group_elements(cat.gpd)
+    els = cat.group.elements
     sub = set(subgroup)
     cosets = {frozenset(compose_perm(x, h) for h in sub) for x in els}
     ops = {
@@ -643,7 +535,7 @@ def gset_from_cosets(cat: PresheafCat, subgroup, tag=0) -> Obj:
         }
         for g in els
     }
-    return cat.obj({"*": [(tag, c) for c in cosets]}, ops)
+    return cat.obj([(tag, c) for c in cosets], ops)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ under a unique name.  Objects and morphisms are immutable value types carrying
 that name, so generic machinery (hom search, lifts, factorization, quotients,
 subobject enumeration) dispatches through the registry.  A category whose
 module is loaded only on use, as the F_q spaces of ``finbench.vec`` are, is
-named in ``CATEGORY_MODULES``, and ``lookup_category`` loads it by name.  Carriers are plain
-tuples of hashable elements; S-sorted categories tag elements with their sort.
+named in ``CATEGORY_MODULES``, and ``lookup_category`` loads it by name.
+Carriers are plain tuples of hashable elements.
 
 Every ``Obj`` carrier is in ``elem_key`` order.  A carrier built outside the
 library gets that order from ``canon`` in a category's public ``obj(...)``.
@@ -18,12 +18,11 @@ off the hot paths, still build theirs through ``obj``.  Otherwise
 
 A category supplies these hooks:
 
-- structure: ``preserves_structure``, ``op_successors``/``op_tables`` (unary
-  operations, which ``op_apply`` reads), ``generator_tables`` (the
+- structure: ``preserves_structure``, ``op_successors``/``op_tables`` (total
+  unary operations, which ``op_apply`` reads), ``generator_tables`` (the
   operations the others are composites of, which the search propagates
-  along), ``candidate_targets`` (sorts),
-  ``relation_check`` (edges) and ``iso_invariant``; one depth-first search
-  kernel built on them serves ``hom_set``, ``lifts`` (the homs q with
+  along), ``relation_check`` (edges) and ``iso_invariant``; one depth-first
+  search kernel built on them serves ``hom_set``, ``lifts`` (the homs q with
   g . q = f, which factorization through a leg or a functor image needs)
   and ``find_iso``, and ``coequalizer`` is generic over ``quotient_obj``;
 - constructions: ``image_obj``, ``coproduct``, ``quotient_obj``,
@@ -39,18 +38,15 @@ orbit has a tail t and a period p, so op^(t + p)(x) = op^t(x), and a hom
 sends x only to an element y whose own tail is at most t and whose period
 divides p.  ``cycle_signatures`` keeps each element's (tail, period) per
 generating operation on the object, from one walk of each operation's
-functional graph; an orbit that leaves the operation's domain, as a
-cross-sort presheaf operation does, gives no equation.  At a branch point the search
-applies the rule only after one of x's targets has failed propagation, so a
-search that never fails builds no signatures.  ``candidate_targets`` stays a
-sort-level filter.
+functional graph.  At a branch point the search applies the rule only after
+one of x's targets has failed propagation, so a search that never fails
+builds no signatures.
 
 ``cats.UnaryAlgebraCat`` writes the constructions once for finite sets, unary
-algebras and presheaves, from ``op_successors``/``op_apply`` and four hooks
-of its own: ``_build`` (the object on a carrier, already in ``elem_key``
-order, with given operations), ``_tag`` (a coproduct element),
-``_coproduct_order`` (the summands' elements in the order of their tags) and
-``_pair`` (a kernel-pair element).
+algebras and G-sets, from ``op_successors``/``op_apply`` and three hooks of
+its own: ``_build`` (the object on a carrier, already in ``elem_key`` order,
+with given operations), ``_tag`` (a coproduct element) and ``_pair`` (a
+kernel-pair element).
 
 A :class:`FunctorHandle` is a functor between registered categories given by
 its two maps; every layer that builds or probes functors shares it from here.
@@ -303,10 +299,10 @@ class Partition:
 
 def _orbit_shapes(carrier, index, table) -> list:
     """The (tail, period) of each element's orbit under the operation
-    table, in carrier order, or None when the orbit leaves the table's
-    domain; one walk of the functional graph on carrier positions (index
-    maps each element to its position), which enters each element once."""
-    nxt = list(map(index.get, map(table.get, carrier)))  # None: undefined
+    table, in carrier order; one walk of the functional graph on carrier
+    positions (index maps each element to its position), which enters each
+    element once."""
+    nxt = list(map(index.__getitem__, map(table.__getitem__, carrier)))
     shape = [None] * len(nxt)
     at = [-1] * len(nxt)  # the step, counted over all walks, that entered it
     steps = 0
@@ -314,14 +310,12 @@ def _orbit_shapes(carrier, index, table) -> list:
         if at[i] >= 0:
             continue
         path, j, first = [], i, steps
-        while j is not None and at[j] < 0:
+        while at[j] < 0:
             at[j] = steps
             steps += 1
             path.append(j)
             j = nxt[j]
-        if j is None:  # the orbit leaves the domain
-            end = None
-        elif at[j] >= first:  # this walk closed a new cycle at j
+        if at[j] >= first:  # this walk closed a new cycle at j
             k = at[j] - first
             end = (0, len(path) - k)
             for m in path[k:]:
@@ -330,8 +324,7 @@ def _orbit_shapes(carrier, index, table) -> list:
         else:
             end = shape[j]
         for m in reversed(path):
-            if end is not None:
-                end = (end[0] + 1, end[1])
+            end = (end[0] + 1, end[1])
             shape[m] = end
     return shape
 
@@ -339,10 +332,8 @@ def _orbit_shapes(carrier, index, table) -> list:
 def _fits(sx, sy) -> bool:
     """Whether an element with cycle signature sy satisfies every cycle
     equation op^(t + p) = op^t of signature sx: its own tail is at most t
-    and its period divides p, for each operation that gives sx an
-    equation."""
-    return all(b is not None and b[0] <= a[0] and a[1] % b[1] == 0
-               for a, b in zip(sx, sy) if a is not None)
+    and its period divides p, for each operation."""
+    return all(b[0] <= a[0] and a[1] % b[1] == 0 for a, b in zip(sx, sy))
 
 
 _REGISTRY: dict[str, "Category"] = {}
@@ -408,7 +399,7 @@ class Category:
         return True
 
     def op_tables(self, X: Obj) -> dict:
-        """{op_id: {x: op(x)}} over the elements where op is defined."""
+        """{op_id: {x: op(x)}}, each table total on the carrier."""
         return {}
 
     def generator_tables(self, X: Obj) -> dict:
@@ -419,18 +410,17 @@ class Category:
 
     def op_successors(self, X: Obj, x):
         """Functional constraints: pairs (op_id, op(x)) for unary operations."""
-        return tuple((op_id, t[x]) for op_id, t in self.op_tables(X).items() if x in t)
+        return tuple((op_id, t[x]) for op_id, t in self.op_tables(X).items())
 
     def op_apply(self, X: Obj, op_id, x):
-        """Apply op_id in X, or None when undefined; mirror of op_successors."""
-        return self.op_tables(X)[op_id].get(x)
+        """Apply op_id in X; mirror of op_successors."""
+        return self.op_tables(X)[op_id][x]
 
     def cycle_signatures(self, X: Obj) -> dict:
         """{x: signature}, built once per object: for each operation in
         generator_tables order, which is the same for every object of a
         category, the (tail, period) of x's orbit under that operation
-        alone, so op^(tail + period)(x) = op^tail(x), or None when the orbit
-        leaves the operation's domain and gives no such equation."""
+        alone, so op^(tail + period)(x) = op^tail(x)."""
         sigs = X.__dict__.get("_cycle_sigs")
         if sigs is None:
             index = {x: i for i, x in enumerate(X.carrier)}
@@ -439,13 +429,6 @@ class Category:
             sigs = X.__dict__["_cycle_sigs"] = (
                 dict(zip(X.carrier, zip(*cols))) if cols else dict.fromkeys(X.carrier, ()))
         return sigs
-
-    def candidate_targets(self, X: Obj, x, Y: Obj):
-        """Codomain elements a hom may send x to (sort filtering etc.).  It
-        stays a sort-level filter, never a structural one:
-        ``strictness.congruences`` reads it as the pairs a congruence may
-        identify."""
-        return Y.carrier
 
     def relation_check(self, X: Obj, Y: Obj):
         """Relational constraints (edges), built once per search: None, or
@@ -478,7 +461,7 @@ class Category:
 
     def hom_set(self, X: Obj, Y: Obj) -> list[Mor]:
         """All structure-preserving maps X -> Y, duplicate free, in the
-        lexicographic order of candidate_targets."""
+        lexicographic order of Y's carrier."""
         return list(self._search(X, Y, injective=False))
 
     def lifts(self, f, g):
@@ -498,7 +481,7 @@ class Category:
 
     def _search(self, X: Obj, Y: Obj, injective: bool, over=None):
         """Yield the structure-preserving maps X -> Y (only the injective ones
-        when asked) depth first in candidate_targets order; with ``over``, a
+        when asked) depth first in carrier order; with ``over``, a
         dict from each x to a set, only the maps choosing x's value in over[x].
 
         Backtracking on one assignment, with propagation along the
@@ -546,7 +529,7 @@ class Category:
                     b2 = table.get(b)
                     c = assign.get(a2)
                     if c is None:
-                        if b2 is None or injective and b2 in used:
+                        if injective and b2 in used:
                             return new, False
                         assign[a2] = b2
                         new.append(a2)
@@ -563,9 +546,7 @@ class Category:
                 yield Mor(X, Y, tuple(assign[x] for x in xs))
                 return
             x = xs[i]
-            targets = self.candidate_targets(X, x, Y)
-            if over is not None:
-                targets = [y for y in targets if y in over[x]]
+            targets = Y.carrier if over is None else [y for y in Y.carrier if y in over[x]]
             failed = False
             for y in targets:
                 if y in used or failed and not fits(x, y):

@@ -251,16 +251,18 @@ def subgroups_of_Sn(n: int):
     return [tuple(sorted(h)) for h in subgroups_of_sym(n)]
 
 
-def orbit_iso_map(a: OrbitSpec, b: OrbitSpec, pool=None):
-    """Equivariant bijection between pool realizations, as a NomMor, or None.
+def orbit_iso_map(a: OrbitSpec, b: OrbitSpec):
+    """Equivariant bijection between the realizations over a's default pool,
+    as a NomMor, or None.
 
     An equivariant map out of a single orbit is fixed by the image of the
     base tuple, and any image that orbit_map_candidates offers gives one.
     Such a map onto the single orbit b is onto; equal group orders give both
-    orbits the same number of elements over the pool, so it is one-to-one."""
+    orbits the same number of elements over the pool, so it is one-to-one.
+    Equal invariants give a and b the same n, hence the same default pool."""
     if a.invariant != b.invariant:
         return None
-    pool = pool or max(a.default_pool(), b.default_pool())
+    pool = a.default_pool()
     found = orbit_map_candidates(a, NominalSetSpec((b,)), pool)
     if not found:
         return None

@@ -53,15 +53,19 @@ def dec_elem(j):
 
 
 def _rational(text):
-    """The Fraction that a string "p/q" of two ints with q nonzero names;
-    a ValueError for anything else."""
+    """The Fraction that a string "p/q" names, in the one form that
+    enc_elem writes: lowest terms and q positive, with no spaces,
+    underscores or plus sign; a ValueError for anything else."""
     from fractions import Fraction
 
     try:
         num, den = text.split("/")
-        return Fraction(int(num), int(den))
+        q = Fraction(int(num), int(den))
     except (AttributeError, ValueError, ZeroDivisionError):
         raise ValueError(f"cannot decode {text!r} as a rational \"p/q\"") from None
+    if text != f"{q.numerator}/{q.denominator}":
+        raise ValueError(f"{text!r} is not the canonical \"p/q\" of {q}")
+    return q
 
 
 def _field(j, key, kind):
@@ -88,9 +92,11 @@ def obj_to_json(X):
 def obj_from_json(j):
     """The object j presents, rebuilt by its category's obj(...) so that it is
     validated as every constructed object is; a ValueError when j is not
-    of that shape, the rebuilt carrier or structure differs from j's, or the
-    category or symbolic kind is unknown."""
-    if isinstance(j, dict) and "symbolic" in j:
+    of that shape, the rebuilt carrier or structure differs from j's, the
+    category or symbolic kind is unknown, or a symbolic kind comes with
+    another category than its own."""
+    name = _field(j, "category", str)
+    if "symbolic" in j:
         from .nominal import P_SUBSET_FAMILY
         from .symbolic import CYCLE_FAMILY, RAY
 
@@ -98,8 +104,9 @@ def obj_from_json(j):
         kind = _field(j, "symbolic", str)
         if kind not in kinds:
             raise ValueError(f"unknown symbolic kind {kind!r}")
+        if name != kinds[kind].cat:
+            raise ValueError(f"category {name!r} is not the {kind}'s, {kinds[kind].cat!r}")
         return kinds[kind]
-    name = _field(j, "category", str)
     try:
         cat = lookup_category(name)
     except KeyError:

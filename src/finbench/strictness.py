@@ -17,7 +17,7 @@ from .cats import (
     TRIVIAL_GPD,
     Z2_GPD,
     Z3_GPD,
-    FiniteGroupoid,
+    FiniteGroup,
     PresheafCat,
     gset_cat,
     gset_free_orbit,
@@ -26,7 +26,7 @@ from .cats import (
     random_finset_mor,
     random_un_surjection,
 )
-from .perms import subgroups_of_sym
+from .perms import compose_perm, subgroups_of_sym
 from .serialize import mor_to_json, obj_to_json
 
 
@@ -49,7 +49,7 @@ def strictness_witness(b: Mor):
 
 
 def congruences(cat, X: Obj):
-    """All op-compatible, sort-respecting equivalences, via pair closure."""
+    """All op-compatible equivalences, via pair closure."""
 
     def op_pairs(a, b):
         # what a congruence must also identify once it identifies a and b
@@ -64,8 +64,6 @@ def congruences(cat, X: Obj):
         part.close([(a, b)], op_pairs)
         return frozenset(frozenset(c) for c in part.classes())
 
-    # only elements a hom could identify: a congruence respects sorts
-    allowed = {x: frozenset(cat.candidate_targets(X, x, X)) for x in X.carrier}
     discrete = frozenset(frozenset([x]) for x in X.carrier)
     found = {discrete}
     queue = [discrete]
@@ -73,7 +71,7 @@ def congruences(cat, X: Obj):
         part = queue.pop()
         lookup = {x: cls for cls in part for x in cls}
         for x, y in itertools.combinations(X.carrier, 2):
-            if lookup[x] is lookup[y] or y not in allowed[x]:
+            if lookup[x] is lookup[y]:
                 continue
             bigger = close(part, x, y)
             if bigger not in found:
@@ -97,17 +95,11 @@ def quotient_by_partition(cat, X: Obj, partition) -> Mor:
     return cat.mor(X, Q, rep)
 
 
-def regular_presheaf(cat: PresheafCat, base_sort) -> Obj:
-    """Representable algebra at a sort: morphisms out of it, with
-    postcomposition as the action."""
-    gpd = cat.gpd
-    elems = [(c, m) for m, d, c in gpd.mors if d == base_sort]
-    carriers = {}
-    for c, m in elems:
-        carriers.setdefault(c, []).append(m)
-    ops = {g: {m: gpd.compose_names(g, m) for c, m in elems if c == gd}
-           for g, gd, _ in gpd.mors}
-    return cat.obj(carriers, ops)
+def regular_presheaf(cat: PresheafCat) -> Obj:
+    """The representable action: the group's elements, with composition on
+    the left as the action."""
+    els = cat.group.elements
+    return cat.obj(els, {g: {h: compose_perm(g, h) for h in els} for g in els})
 
 
 def is_atom(cat, X: Obj) -> bool:
@@ -116,19 +108,18 @@ def is_atom(cat, X: Obj) -> bool:
         cat.generated_subalgebra(X, x).size == X.size for x in X.carrier)
 
 
-def atoms_of_presheaves(gpd: FiniteGroupoid):
-    """All quotients of representables up to isomorphism, each atom verified
-    to have no proper nonempty subalgebra."""
-    cat = presheaf_cat(gpd)
+def atoms_of_presheaves(group: FiniteGroup):
+    """All quotients of the representable up to isomorphism, each atom
+    verified to have no proper nonempty subalgebra."""
+    cat = presheaf_cat(group)
+    R = regular_presheaf(cat)
     found = []
-    for sort in gpd.sorts:
-        R = regular_presheaf(cat, sort)
-        for part in congruences(cat, R):
-            Q = quotient_by_partition(cat, R, part).cod
-            if not is_atom(cat, Q):
-                raise AssertionError("quotient of a representable is not an atom")
-            if not any(cat.is_isomorphic(Q, seen) for seen in found):
-                found.append(Q)
+    for part in congruences(cat, R):
+        Q = quotient_by_partition(cat, R, part).cod
+        if not is_atom(cat, Q):
+            raise AssertionError("quotient of a representable is not an atom")
+        if not any(cat.is_isomorphic(Q, seen) for seen in found):
+            found.append(Q)
     return found
 
 
@@ -201,11 +192,8 @@ def _gset_surjection_sampler(rng, cat, subgroups):
     free = gset_free_orbit(cat, "probe")
 
     def action_map(X, target):
-        mapping = {}
-        for s, v in free.carrier:
-            _, g = v  # free-orbit values are (tag, group element)
-            mapping[(s, v)] = cat.op(X, g, target)
-        return cat.mor(free, X, mapping)
+        # free-orbit values are (tag, group element)
+        return cat.mor(free, X, {x: cat.op(X, x[1][1], target) for x in free.carrier})
 
     def sample():
         X = draw()
@@ -256,11 +244,10 @@ def r_atoms(group: str = "z2", seed: int = 0, samples: int = 25):
     if group not in GROUPS:
         raise CertificateError(f"parameter 'group' must be one of "
                                f"{', '.join(GROUPS)}, not {group!r}")
-    gpd = GROUPS[group]
-    cat = presheaf_cat(gpd)
-    atoms = atoms_of_presheaves(gpd)
+    cat = presheaf_cat(GROUPS[group])
+    atoms = atoms_of_presheaves(cat.group)
     rng = random.Random(seed)
-    subgroups = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
+    subgroups = [tuple(h) for h in subgroups_of_sym(len(cat.group.elements[0]))]
     draw = gset_sampler(rng, cat, subgroups, 8)
     verdicts = {}  # a draw equal to an earlier one has its verdict
     for _ in range(samples):

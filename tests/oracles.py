@@ -17,8 +17,7 @@ orbit on every draw, and the maps of a subset orbit into a nominal set come
 from the stabilizer criterion at the base support, the single-orbit
 classes from orbits generated by whole subgroups, and the homs into the
 prime cycle family from anchor offsets per component.  The module also holds
-fixtures that only tests build, such as a two-sorted groupoid, and test
-inputs for the live kernels: probe objects, identity and hom functors, the
+test inputs for the live kernels: probe objects, identity and hom functors, the
 functor-law check, constant presentations and the maps that evaluations
 induce.
 """
@@ -27,7 +26,7 @@ import itertools
 import math
 from operator import sub
 
-from finbench.cats import FINSET, UN, FiniteGroupoid, gset_fixed_point, gset_from_cosets
+from finbench.cats import FINSET, UN, gset_fixed_point, gset_from_cosets
 from finbench.core import (
     FunctorHandle,
     Mor,
@@ -84,12 +83,9 @@ def factorizations_by_fibers(f, g):
 
 def orbit_by_iteration(table, x):
     """(tail, period) of x under the operation table {x: op(x)}, by applying
-    it until an element repeats, or None when the orbit leaves the table's
-    domain."""
+    it until an element repeats."""
     seen = []
     while x not in seen:
-        if x not in table:
-            return None
         seen.append(x)
         x = table[x]
     return seen.index(x), len(seen) - seen.index(x)
@@ -196,7 +192,7 @@ def set_partitions(items):
 
 
 def brute_congruences(cat, X):
-    """All partitions compatible with the unary operations (and sorts)."""
+    """All partitions compatible with the unary operations."""
     out = []
     for part in set_partitions(list(X.carrier)):
         lookup = {}
@@ -205,10 +201,6 @@ def brute_congruences(cat, X):
                 lookup[x] = i
         ok = True
         for cls in part:
-            sorts = {x[0] for x in cls if isinstance(x, tuple) and len(x) == 2}
-            if hasattr(cat, "gpd") and len(sorts) > 1:
-                ok = False
-                break
             for x in cls:
                 for op_id, x2 in cat.op_successors(X, x):
                     y2 = cat.op_apply(X, op_id, cls[0])
@@ -382,15 +374,12 @@ def powfin_endo_dfs(m):
     return out
 
 
-def presheaf_structure_by_canon(cat, carriers, ops):
-    """A presheaf's structure as first built: each operation's pairs through
+def presheaf_structure_by_canon(cat, values, ops):
+    """A G-set's structure as first built: each operation's pairs through
     canon, then the tagged operations sorted by elem_key over
-    (name, pairs)."""
-    carrier = canon((s, v) for s, vs in carriers.items() for v in vs)
-    tagged = []
-    for m, d, c in cat.gpd.mors:
-        pairs = [((d, v), (c, ops[m][v])) for s, v in carrier if s == d]
-        tagged.append((m, canon(pairs)))
+    (element, pairs)."""
+    tagged = [(g, canon((("*", v), ("*", ops[g][v])) for v in values))
+              for g in cat.group.elements]
     return ("ops", tuple(sorted(tagged, key=elem_key)))
 
 
@@ -410,30 +399,25 @@ def equivalence_from_subgroup_by_index(S, n):
     return eq
 
 
-def presheaf_laws_broken(gpd, carriers, ops):
-    """The groupoid laws that total operation tables break: ("id", s) when
-    the identity of sort s moves a value, and (g, f) for every composable
-    pair with op_g(op_f(x)) != op_(g o f)(x) for some x.  carriers maps a
-    sort to its values and ops a morphism name to {value: value}, as
-    PresheafCat.obj takes them."""
-    comp = dict(gpd.comp)
-    broken = [("id", s) for s, m in gpd.ids
-              if any(ops[m][x] != x for x in carriers.get(s, ()))]
-    for g, gd, _ in gpd.mors:
-        for f, fd, fc in gpd.mors:
-            if fc == gd and any(ops[g][ops[f][x]] != ops[comp[(g, f)]][x]
-                                for x in carriers.get(fd, ())):
+def presheaf_laws_broken(group, values, ops):
+    """The action laws that total operation tables break: ("id", e) when
+    the identity e moves a value, and (g, f) for every pair of elements
+    with op_g(op_f(x)) != op_(g o f)(x) for some x.  ops maps a group
+    element to {value: value}, as PresheafCat.obj takes it."""
+    e = identity_perm(len(group.elements[0]))
+    broken = [("id", e)] if any(ops[e][x] != x for x in values) else []
+    for g in group.elements:
+        for f in group.elements:
+            if any(ops[g][ops[f][x]] != ops[compose_perm(g, f)][x] for x in values):
                 broken.append((g, f))
     return broken
 
 
 def natural_on_all_tables(X, Y, mapping):
-    """Whether mapping, aligned with X's carrier, keeps sorts and commutes
-    with every operation of the presheaves X and Y, each table read from the
-    objects' structure tuples."""
+    """Whether mapping, aligned with X's carrier, commutes with every
+    operation of the G-sets X and Y, each table read from the objects'
+    structure tuples."""
     look = dict(zip(X.carrier, mapping))
-    if any(x[0] != y[0] for x, y in look.items()):
-        return False
     target = {m: dict(pairs) for m, pairs in Y.structure[1]}
     return all(look[ox] == target[m].get(look[x])
                for m, pairs in X.structure[1] for x, ox in pairs)
@@ -462,22 +446,6 @@ def random_gset(rng, cat, subgroups, max_size=8):
     return out
 
 
-def two_object_iso_groupoid() -> FiniteGroupoid:
-    """Connected groupoid on two sorts with trivial vertex groups."""
-    mors = (("ia", "a", "a"), ("ib", "b", "b"), ("u", "a", "b"), ("v", "b", "a"))
-    comp = (
-        (("ia", "ia"), "ia"),
-        (("ib", "ib"), "ib"),
-        (("u", "ia"), "u"),
-        (("ib", "u"), "u"),
-        (("v", "ib"), "v"),
-        (("ia", "v"), "v"),
-        (("v", "u"), "ia"),
-        (("u", "v"), "ib"),
-    )
-    return FiniteGroupoid("pairgpd", ("a", "b"), mors, comp, (("a", "ia"), ("b", "ib")))
-
-
 def finset_probes(max_size):
     """The finite sets 0, 1, ..., max_size, as probes for universal
     properties and cancellation."""
@@ -485,8 +453,8 @@ def finset_probes(max_size):
 
 
 def presheaf_terminal(cat):
-    """One point per sort, fixed by every operation."""
-    return cat.obj({s: [0] for s in cat.gpd.sorts}, {m: {0: 0} for m, _, _ in cat.gpd.mors})
+    """One point, fixed by every operation."""
+    return cat.obj([0], {g: {0: 0} for g in cat.group.elements})
 
 
 def un_has_fixed_point(X):
@@ -642,17 +610,15 @@ def nom_identity(X, pool):
 
 
 def _is_presheaf(cat):
-    return hasattr(cat, "gpd")
+    return hasattr(cat, "group")
 
 
 def algebra_by_definition(cat, elems, op):
     """The object of cat on elems whose operation m sends x to op(m, x)."""
     elems = list(elems)
     if _is_presheaf(cat):
-        carriers = {s: [v for t, v in elems if t == s] for s in cat.gpd.sorts}
-        ops = {m: {x[1]: op(m, x)[1] for x in elems if x[0] == d}
-               for m, d, _ in cat.gpd.mors}
-        return cat.obj(carriers, ops)
+        return cat.obj([x[1] for x in elems],
+                       {g: {x[1]: op(g, x)[1] for x in elems} for g in cat.group.elements})
     if cat.name == "un":
         return cat.obj(elems, {x: op("op", x) for x in elems})
     return cat.obj(elems)
@@ -669,8 +635,8 @@ def closed_by_definition(cat, X, sub):
 
 
 def coproduct_by_definition(cat, objs):
-    """(object, injection mappings): summand i tagged by i, with the sort of
-    a presheaf element kept outside the tag."""
+    """(object, injection mappings): summand i tagged by i, with the "*" of
+    a G-set element kept outside the tag."""
     def tag(i, x):
         return (x[0], (i, x[1])) if _is_presheaf(cat) else (i, x)
 
@@ -687,7 +653,7 @@ def coproduct_by_definition(cat, objs):
 
 def kernel_pair_by_definition(cat, f):
     """(object, first and second projection mappings) on the pairs that f
-    identifies; a presheaf pair keeps its common sort outside."""
+    identifies; a G-set pair keeps its "*" outside."""
     def pair(x, y):
         return (x[0], (x[1], y[1])) if _is_presheaf(cat) else (x, y)
 

@@ -177,7 +177,7 @@ def test_criterion_05_atoms():
         (TRIVIAL_GPD, 1), (Z2_GPD, 2), (Z3_GPD, 2), (S3_GPD, 4),
     ):
         cat = gset_cat(gpd)
-        subs = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
+        subs = [tuple(h) for h in subgroups_of_sym(len(gpd.elements[0]))]
         draw = gset_sampler(rng, cat, subs, 8)
         for _ in range(100):
             X = draw()
@@ -187,7 +187,7 @@ def test_criterion_05_atoms():
         assert len(atoms) == expected_atoms
         # oracle: all partitions of the regular algebra, filtered and
         # quotiented independently of the pair-closure enumeration
-        R = regular_presheaf(cat, gpd.sorts[0])
+        R = regular_presheaf(cat)
         oracle_atoms = []
         for part in brute_congruences(cat, R):
             Q = quotient_by_partition(cat, R, part).cod

@@ -26,10 +26,12 @@ from finbench.certs import (
     save_certificate,
 )
 from finbench.cli import main
+from finbench.core import Obj
 from finbench.hausdorff import random_metric_space
 from finbench.nominal import NominalSetSpec, pn_orbit
 from finbench.serialize import (
     dec_elem,
+    enc_elem,
     mor_from_json,
     mor_to_json,
     nomset_from_json,
@@ -164,6 +166,10 @@ def test_mor_reader_refuses_malformed_maps(change, message):
 
 
 _PATH = obj_to_json(GRA.path(1))
+# a Z2-set's one fixed point, whose carrier element ("a", 0) has a sort
+# other than "*", as no action's element has
+_OTHER_SORT = obj_to_json(Obj(gset_cat(Z2_GPD).name, (("a", 0),), (
+    "ops", tuple((g, ((("a", 0), ("a", 0)),)) for g in Z2_GPD.elements))))
 # a valid payload for each JSON reader, which the cases below alter
 _VALID = {
     obj_from_json: {"category": "finset", "carrier": [0, 1], "structure": {"t": []}},
@@ -181,19 +187,25 @@ _VALID = {
     (obj_from_json, {"carrier": 5}),
     (obj_from_json, {"structure": {"t": 5}}),
     (obj_from_json, list),
+    (obj_from_json, {"symbolic": "ray"}),
+    (obj_from_json, {"category": None, "carrier": None, "structure": None, "symbolic": "ray"}),
+    (obj_from_json, _OTHER_SORT),
     (mor_from_json, {"category": None, "dom": None, "cod": None, "maps": None}),
     (mor_from_json, {"dom": [_PATH]}),
     (space_from_json, {"d": None}),
     (space_from_json, {"d": [[], [5]]}),
     (space_from_json, {"d": [[], ["1/0"]]}),
     (space_from_json, {"d": [[], ["1/2"], ["1/2", "1/2"]]}),
+    (space_from_json, {"d": [[], ["2/4"]]}),
     (orbit_from_json, {"generators": None}),
     (orbit_from_json, {"n": "2"}),
     (nomset_from_json, {"orbits": 5}),
 ], ids=["obj-only-category", "obj-category-list", "obj-symbolic-list", "obj-carrier-int",
-        "obj-tuple-of-int", "obj-list", "mor-empty", "mor-dom-list", "space-no-d",
-        "space-int-entry", "space-zero-denominator", "space-extra-row", "orbit-no-generators",
-        "orbit-n-string", "nomset-orbits-int"])
+        "obj-tuple-of-int", "obj-list", "obj-symbolic-other-category",
+        "obj-symbolic-no-category", "obj-psh-other-sort", "mor-empty", "mor-dom-list",
+        "space-no-d", "space-int-entry", "space-zero-denominator", "space-extra-row",
+        "space-non-canonical-entry", "orbit-no-generators", "orbit-n-string",
+        "nomset-orbits-int"])
 def test_json_readers_refuse_wrongly_shaped_payloads(read, change):
     j = _VALID[read]
     read(j)  # the unaltered payload reads
@@ -206,10 +218,32 @@ def test_json_readers_refuse_wrongly_shaped_payloads(read, change):
 
 
 @pytest.mark.parametrize("j", [{"q": 5}, {"q": "1/0"}, {"q": "a/b"}, {"q": "1/2/3"},
-                               {"q": None}, True, 1.5, {}])
+                               {"q": None}, True, 1.5, {},
+                               # parsed by int and Fraction, but not as enc_elem writes
+                               {"q": " 1_0/3 "}, {"q": "+1/3"}, {"q": "01/3"}, {"q": "1 /3"},
+                               {"q": "2/4"}, {"q": "1/-3"}, {"q": "-0/1"}])
 def test_element_reader_refuses_malformed_encodings(j):
     with pytest.raises(ValueError):
         dec_elem(j)
+
+
+def test_rational_reader_takes_what_the_writer_writes():
+    from fractions import Fraction
+
+    for q in (Fraction(0), Fraction(10, 3), Fraction(-1, 3), Fraction(1, 2), Fraction(7)):
+        assert dec_elem(enc_elem(q)) == q
+    assert [enc_elem(Fraction(n, 3))["q"] for n in (10, 1, -1)] == ["10/3", "1/3", "-1/3"]
+
+
+def test_symbolic_reader_takes_each_kind_with_its_own_category():
+    from finbench.nominal import P_SUBSET_FAMILY
+
+    for X in (sy.RAY, sy.CYCLE_FAMILY, P_SUBSET_FAMILY):
+        assert obj_from_json(obj_to_json(X)) is X
+        for other in ("gra", "un", "nom"):
+            if other != X.cat:
+                with pytest.raises(ValueError, match="is not the"):
+                    obj_from_json({"category": other, "symbolic": X.kind})
 
 
 def test_nomset_roundtrip():

@@ -22,7 +22,7 @@ DATA_TYPES = {
     "core": {"Obj": ("cat", "carrier", "structure"), "Mor": ("dom", "cod", "mapping"),
              "SymbolicObject": ("kind", "cat"),
              "FunctorHandle": ("name", "source", "target", "on_obj", "on_mor")},
-    "cats": {"FiniteGroupoid": ("name", "sorts", "mors", "comp", "ids")},
+    "cats": {"FiniteGroup": ("name", "elements")},
     "symbolic": {"SymMor": ("dom", "cod", "mapping")},
     "colimits": {"Cocone": ("objects", "links", "apex", "legs")},
     "nominal": {"OrbitSpec": ("n", "gens"), "NominalSetSpec": ("orbits",),
@@ -69,7 +69,7 @@ def _samples():
     chain = functors.path_chain(2)
     out = {
         "Obj": path, "Mor": GRA.identity(path), "FunctorHandle": functors.un_counterexample(),
-        "FiniteGroupoid": Z2_GPD, "SymbolicObject": symbolic.RAY,
+        "FiniteGroup": Z2_GPD, "SymbolicObject": symbolic.RAY,
         "SymMor": symbolic.SymMor(path, symbolic.RAY, (3, 4)), "Cocone": chain,
         "OrbitSpec": orbit, "NominalSetSpec": nominal.p_prefix(2),
         "NomMor": nominal.all_equivariant_maps(nominal.ONE, nominal.ONE)[0],

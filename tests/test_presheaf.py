@@ -16,14 +16,13 @@ from finbench.cats import (
     UN,
     Z2_GPD,
     Z3_GPD,
-    FiniteGroupoid,
-    group_groupoid,
+    FiniteGroup,
     gset_cat,
     gset_free_orbit,
     presheaf_cat,
 )
-from finbench.core import Mor
-from finbench.perms import compose_perm
+from finbench.core import Mor, Obj
+from finbench.perms import closed_under, compose_perm
 from finbench.certs import canonical_dumps
 from finbench.serialize import obj_from_json, obj_to_json
 
@@ -34,7 +33,6 @@ from oracles import (
     presheaf_structure_by_canon,
     presheaf_terminal,
     random_gset,
-    two_object_iso_groupoid,
     unary_structure_by_canon,
 )
 
@@ -48,71 +46,55 @@ E2, S2 = (0, 1), (1, 0)
 
 def test_presheaf_rejects_partial_operation():
     with pytest.raises(ValueError, match="not total"):
-        Z2.obj({"*": [0, 1]}, {E2: {0: 0, 1: 1}, S2: {0: 1}})
+        Z2.obj([0, 1], {E2: {0: 0, 1: 1}, S2: {0: 1}})
 
 
 def test_presheaf_rejects_missing_operation():
     with pytest.raises(ValueError, match="not total"):
-        Z2.obj({"*": [0, 1]}, {E2: {0: 0, 1: 1}})
+        Z2.obj([0, 1], {E2: {0: 0, 1: 1}})
 
 
 def test_presheaf_rejects_image_outside_carrier():
     with pytest.raises(ValueError, match="leaves the carrier"):
-        Z2.obj({"*": [0, 1]}, {E2: {0: 0, 1: 1}, S2: {0: 1, 1: 2}})
+        Z2.obj([0, 1], {E2: {0: 0, 1: 1}, S2: {0: 1, 1: 2}})
 
 
 def test_presheaf_rejects_image_of_the_wrong_sort():
-    cat = presheaf_cat(two_object_iso_groupoid())
-    # u: a -> b sends 0 to ("b", 0), which is not in the carrier
-    with pytest.raises(ValueError, match="operation u leaves the carrier"):
-        cat.obj({"a": [0], "b": [1]}, {"ia": {0: 0}, "ib": {1: 1}, "u": {0: 0}, "v": {1: 0}})
+    # a payload whose swap sends ("*", 0) to ("a", 1): every element of a
+    # G-set is ("*", value), so the reader refuses it
+    wrong = Obj(Z2.name, (("*", 0), ("*", 1)), ("ops", (
+        (E2, ((("*", 0), ("*", 0)), (("*", 1), ("*", 1)))),
+        (S2, ((("*", 0), ("a", 1)), (("*", 1), ("*", 0)))),
+    )))
+    with pytest.raises(ValueError, match="not a valid psh"):
+        obj_from_json(obj_to_json(wrong))
 
 
 def test_presheaf_rejects_non_identity_identity():
     with pytest.raises(ValueError, match="identity operation is not the identity"):
-        Z2.obj({"*": [0, 1]}, {E2: {0: 1, 1: 0}, S2: {0: 1, 1: 0}})
+        Z2.obj([0, 1], {E2: {0: 1, 1: 0}, S2: {0: 1, 1: 0}})
 
 
 def test_presheaf_rejects_failed_composition_law():
     # the swap of Z2 acting as a 3-cycle: s(s(x)) != x = id(x)
     with pytest.raises(ValueError, match="composition equation fails"):
-        Z2.obj({"*": [0, 1, 2]}, {E2: {0: 0, 1: 1, 2: 2}, S2: {0: 1, 1: 2, 2: 0}})
-
-
-def test_presheaf_rejects_failed_composition_across_sorts():
-    cat = presheaf_cat(two_object_iso_groupoid())
-    # u and v are not mutually inverse: v(u(0)) = 1 but ia(0) = 0
-    with pytest.raises(ValueError, match="composition equation fails"):
-        cat.obj(
-            {"a": [0, 1], "b": [0, 1]},
-            {"ia": {0: 0, 1: 1}, "ib": {0: 0, 1: 1}, "u": {0: 0, 1: 1}, "v": {0: 1, 1: 0}},
-        )
-
-
-def test_groupoid_rejects_duplicate_morphism_names():
-    with pytest.raises(ValueError, match="duplicate morphism name"):
-        FiniteGroupoid(
-            "dup", ("*",), (("e", "*", "*"), ("e", "*", "*")), ((("e", "e"), "e"),),
-            (("*", "e"),),
-        )
-
-
-def test_groupoid_rejects_non_associative_table():
-    # an order-5 loop: a Latin square with identity e, so every element has
-    # an inverse, but (a a) b = e b = b while a (a b) = a c = d
-    rows = ("eabcd", "aecdb", "bdeac", "cbdea", "dcabe")
-    els = "eabcd"
-    comp = tuple(((g, f), rows[i][j]) for i, g in enumerate(els) for j, f in enumerate(els))
-    with pytest.raises(ValueError, match="not associative"):
-        FiniteGroupoid("loop5", ("*",), tuple((x, "*", "*") for x in els), comp, (("*", "e"),))
+        Z2.obj([0, 1, 2], {E2: {0: 0, 1: 1, 2: 2}, S2: {0: 1, 1: 2, 2: 0}})
 
 
 def test_groupoid_rejects_composites_outside_and_missing_identities():
     # (1,2,0) o (1,2,0) = (2,0,1) is not among the elements
-    with pytest.raises(ValueError, match="is not a morphism"):
-        group_groupoid("bad", [(0, 1, 2), (1, 2, 0)])
-    with pytest.raises(ValueError, match="identity morphism"):
-        FiniteGroupoid("noid", ("*",), (("e", "*", "*"),), ((("e", "e"), "e"),), ())
+    with pytest.raises(ValueError, match="not closed under composition"):
+        FiniteGroup("bad", [(0, 1, 2), (1, 2, 0)])
+    # (1,2,0) o (2,0,1) is the identity, which is missing
+    with pytest.raises(ValueError, match="not closed under composition"):
+        FiniteGroup("noid", [(1, 2, 0), (2, 0, 1)])
+    # closed under composition and holding the identity (0, 1), but (0, 0)
+    # is no permutation, so this is no group
+    assert closed_under({(0, 0), (0, 1)}, [(0, 0), (0, 1)], 2)
+    with pytest.raises(ValueError, match="not permutations of one degree"):
+        FiniteGroup("nogroup", [(0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="not permutations of one degree"):
+        FiniteGroup("mixed", [(0,), (0, 1)])
 
 
 def test_unary_rejects_partial_and_escaping_operations():
@@ -153,15 +135,15 @@ def _subgroups(els):
     return out
 
 
-SUBGROUPS = {name: _subgroups([m for m, _, _ in g.mors]) for name, g in GROUPS.items()}
+SUBGROUPS = {name: _subgroups(g.elements) for name, g in GROUPS.items()}
 
 
 @st.composite
 def gsets(draw):
-    """(cat, carriers, ops): a disjoint union of coset actions, relabelled."""
+    """(cat, values, ops): a disjoint union of coset actions, relabelled."""
     name = draw(st.sampled_from(sorted(GROUPS)))
     gpd = GROUPS[name]
-    els = [m for m, _, _ in gpd.mors]
+    els = gpd.elements
     orbits = draw(st.lists(st.sampled_from(SUBGROUPS[name]), min_size=1, max_size=3))
     points = []
     for i, H in enumerate(orbits):
@@ -174,30 +156,7 @@ def gsets(draw):
             for i, c in points}
         for g in els
     }
-    return gset_cat(gpd), {"*": list(labels)}, ops
-
-
-_PAIR = two_object_iso_groupoid()
-# the same groupoid with its morphisms listed out of name order
-_PAIR_REVERSED = FiniteGroupoid(
-    "pairgpd-reversed", _PAIR.sorts, _PAIR.mors[::-1], _PAIR.comp, _PAIR.ids
-)
-
-
-@st.composite
-def pair_groupoid_objects(draw):
-    """(cat, carriers, ops) on a two-object groupoid: u is a bijection."""
-    cat = presheaf_cat(draw(st.sampled_from([_PAIR, _PAIR_REVERSED])))
-    k = draw(st.integers(0, 5))
-    a = draw(st.lists(LABELS, min_size=k, max_size=k, unique=True))
-    b = draw(st.permutations(draw(st.lists(LABELS, min_size=k, max_size=k, unique=True))))
-    ops = {
-        "ia": {x: x for x in a},
-        "ib": {y: y for y in b},
-        "u": dict(zip(a, b)),
-        "v": dict(zip(b, a)),
-    }
-    return cat, {"a": a, "b": b}, ops
+    return gset_cat(gpd), labels, ops
 
 
 def _rebuilt(X):
@@ -207,15 +166,14 @@ def _rebuilt(X):
     return Y
 
 
-def _check_presheaf(cat, carriers, ops):
-    X = cat.obj(carriers, ops)
-    assert X.structure == presheaf_structure_by_canon(cat, carriers, ops)
+def _check_presheaf(cat, values, ops):
+    X = cat.obj(values, ops)
+    assert X.structure == presheaf_structure_by_canon(cat, values, ops)
     Y = _rebuilt(X)
-    for m, d, _ in cat.gpd.mors:
+    for g in cat.group.elements:
         for x in X.carrier:
-            if x[0] == d:
-                assert cat.op(Y, m, x) == cat.op(X, m, x)
-                assert cat.op(X, m, x)[1] == ops[m][x[1]]
+            assert cat.op(Y, g, x) == cat.op(X, g, x)
+            assert cat.op(X, g, x)[1] == ops[g][x[1]]
     for x in X.carrier:
         assert cat.op_successors(Y, x) == cat.op_successors(X, x)
     T = presheaf_terminal(cat)
@@ -228,17 +186,11 @@ def _check_presheaf(cat, carriers, ops):
 @settings(max_examples=60, deadline=None)
 @given(gsets())
 def test_gset_structure_matches_canonical_construction(case):
-    cat, carriers, ops = case
-    X = _check_presheaf(cat, carriers, ops)
-    if cat.gpd.sorts == ("*",) and len(cat.gpd.mors) > 1:
+    cat, values, ops = case
+    X = _check_presheaf(cat, values, ops)
+    if len(cat.group.elements) > 1:
         free = gset_free_orbit(cat, "probe")
         assert len(cat.hom_set(free, _rebuilt(X))) == len(cat.hom_set(free, X))
-
-
-@settings(max_examples=40, deadline=None)
-@given(pair_groupoid_objects())
-def test_pair_groupoid_structure_matches_canonical_construction(case):
-    _check_presheaf(*case)
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,55 +210,44 @@ def test_unary_structure_matches_canonical_construction(data):
 # composition laws checked on generators, against every composable pair
 
 
-LAW_GROUPOIDS = {"z2": Z2_GPD, "z3": Z3_GPD, "s3": S3_GPD, "pair": _PAIR}
+LAW_GROUPS = {"z2": Z2_GPD, "z3": Z3_GPD, "s3": S3_GPD}
 
 
-@pytest.mark.parametrize("gpd, laws", [(TRIVIAL_GPD, 0), (Z2_GPD, 2), (Z3_GPD, 3), (S3_GPD, 12),
-                                       (_PAIR, 4), (_PAIR_REVERSED, 4)])
+@pytest.mark.parametrize("gpd, laws", [(TRIVIAL_GPD, 0), (Z2_GPD, 2), (Z3_GPD, 3), (S3_GPD, 12)])
 def test_generators_reach_every_morphism(gpd, laws):
     cat = presheaf_cat(gpd)
     assert len(cat._laws) == laws
-    dom = {m: d for m, d, _ in gpd.mors}
-    cod = {m: c for m, _, c in gpd.mors}
-    reached = {m for _, m in gpd.ids}
+    reached = {tuple(range(len(gpd.elements[0])))}
     frontier = list(reached)
     while frontier:
         f = frontier.pop()
         for g in cat.generators:
-            if cod[f] != dom[g]:
-                continue
-            h = gpd.compose_names(g, f)
+            h = compose_perm(g, f)
             if h not in reached:
                 reached.add(h)
                 frontier.append(h)
-    assert reached == {m for m, _, _ in gpd.mors}
+    assert reached == set(gpd.elements)
 
 
 def _lawful_tables(rng, gpd):
-    """(carriers, ops) of a presheaf on gpd: a random union of coset actions
-    for a group, a random bijection and its inverse for the pair groupoid."""
-    if gpd is _PAIR:
-        a = list(range(rng.randint(1, 3)))
-        b = rng.sample(a, len(a))
-        return {"a": a, "b": b}, {"ia": {x: x for x in a}, "ib": {y: y for y in b},
-                                  "u": dict(zip(a, b)), "v": dict(zip(b, a))}
+    """(values, ops) of an action of gpd: a random union of coset actions."""
     cat = gset_cat(gpd)
-    subs = [tuple(h) for h in _subgroups([m for m, _, _ in gpd.mors])]
+    subs = [tuple(h) for h in _subgroups(gpd.elements)]
     X = random_gset(rng, cat, subs, max_size=6)
-    ops = {m: {x[1]: cat.op(X, m, x)[1] for x in X.carrier} for m, _, _ in gpd.mors}
-    return {"*": [x[1] for x in X.carrier]}, ops
+    ops = {g: {x[1]: cat.op(X, g, x)[1] for x in X.carrier} for g in gpd.elements}
+    return [x[1] for x in X.carrier], ops
 
 
-def _accepts(cat, carriers, ops):
+def _accepts(cat, values, ops):
     try:
-        cat.obj(carriers, ops)
+        cat.obj(values, ops)
     except ValueError as exc:
         assert "composition equation fails" in str(exc) or "identity" in str(exc)
         return False
     return True
 
 
-@pytest.mark.parametrize("name", sorted(LAW_GROUPOIDS))
+@pytest.mark.parametrize("name", sorted(LAW_GROUPS))
 def test_generator_laws_accept_exactly_the_lawful_tables(name):
     """Random total tables of three kinds: lawful ones; lawful ones with one
     entry of one non-generator operation changed; and identities with every
@@ -314,28 +255,26 @@ def test_generator_laws_accept_exactly_the_lawful_tables(name):
     generator on the left, accepts exactly what the all-pairs oracle
     accepts.  A table that breaks a law breaks one with a generator on the
     left or an identity law: the reduction's claim, seen by the oracle."""
-    gpd = LAW_GROUPOIDS[name]
+    gpd = LAW_GROUPS[name]
     cat = presheaf_cat(gpd)
-    cod = {m: c for m, _, c in gpd.mors}
-    non_generators = [m for m, _, _ in gpd.mors if m not in cat.generators]
+    non_generators = [g for g in gpd.elements if g not in cat.generators]
     rng = random.Random(name)
     outcomes = Counter()
     for trial in range(300):
-        carriers, ops = _lawful_tables(rng, gpd)
+        values, ops = _lawful_tables(rng, gpd)
         kind = trial % 3
         if kind == 1:
             m = rng.choice(non_generators)
-            targets = carriers[cod[m]]
-            if len(targets) < 2:
+            if len(values) < 2:
                 continue
             x = rng.choice(list(ops[m]))
-            ops[m][x] = rng.choice([y for y in targets if y != ops[m][x]])
+            ops[m][x] = rng.choice([y for y in values if y != ops[m][x]])
         elif kind == 2:
-            ids = {m for _, m in gpd.ids}
-            ops = {m: table if m in ids else {x: rng.choice(carriers[cod[m]]) for x in table}
+            e = gpd.elements[0]
+            ops = {m: table if m == e else {x: rng.choice(values) for x in table}
                    for m, table in ops.items()}
-        broken = presheaf_laws_broken(gpd, carriers, ops)
-        assert _accepts(cat, carriers, ops) == (not broken)
+        broken = presheaf_laws_broken(gpd, values, ops)
+        assert _accepts(cat, values, ops) == (not broken)
         if broken:
             assert any(g == "id" or g in cat.generators for g, _ in broken)
         outcomes[(kind, not broken)] += 1
@@ -360,11 +299,11 @@ def _unchecked_mor(X, Y, mapping):
     return f
 
 
-@pytest.mark.parametrize("name", ["z3", "s3", "pair"])
+@pytest.mark.parametrize("name", ["z3", "s3"])
 def test_naturality_on_generators_agrees_with_every_table(name):
-    """Random maps between random presheaves: homs, homs with one image
-    moved, and arbitrary maps, which on the pair groupoid may break sorts."""
-    gpd = LAW_GROUPOIDS[name]
+    """Random maps between random G-sets: homs, homs with one image moved,
+    and arbitrary maps."""
+    gpd = LAW_GROUPS[name]
     cat = presheaf_cat(gpd)
     rng = random.Random(f"natural/{name}")
     verdicts = Counter()
@@ -374,7 +313,7 @@ def test_naturality_on_generators_agrees_with_every_table(name):
         for mapping in maps[:]:
             moved = list(mapping)
             i = rng.randrange(len(moved))
-            moved[i] = rng.choice([y for y in Y.carrier if y[0] == moved[i][0]])
+            moved[i] = rng.choice(Y.carrier)
             maps.append(moved)
         maps += [[rng.choice(Y.carrier) for _ in X.carrier] for _ in range(4)]
         for mapping in maps:
@@ -386,10 +325,10 @@ def test_naturality_on_generators_agrees_with_every_table(name):
 
 @pytest.mark.parametrize("name", ["z3", "s3"])
 def test_search_on_generators_gives_the_brute_homs_in_order(name):
-    gpd = LAW_GROUPOIDS[name]
+    gpd = LAW_GROUPS[name]
     cat = gset_cat(gpd)
-    assert len(cat.generator_tables(gset_free_orbit(cat))) < len(gpd.mors) - 1
-    subs = [tuple(h) for h in _subgroups([m for m, _, _ in gpd.mors])]
+    assert len(cat.generator_tables(gset_free_orbit(cat))) < len(gpd.elements) - 1
+    subs = [tuple(h) for h in _subgroups(gpd.elements)]
     rng = random.Random(f"homs/{name}")
     for _ in range(15):
         X = random_gset(rng, cat, subs, max_size=5)

@@ -98,10 +98,10 @@ def test_finset_retraction_on_random_maps():
 def test_finset_retraction_is_the_fold_over_the_trivial_group():
     # all 1,280 maps of strictness-finset, each element x relabelled ("*", x)
     triv = gset_cat(TRIVIAL_GPD)
-    ident = TRIVIAL_GPD.mors[0][0]
+    ident = TRIVIAL_GPD.elements[0]
 
     def relabel(n):
-        return triv.obj({"*": range(n)}, {ident: {x: x for x in range(n)}})
+        return triv.obj(range(n), {ident: {x: x for x in range(n)}})
 
     def shape(m):
         return m.dom.carrier, m.cod.carrier, m.mapping
@@ -126,7 +126,7 @@ def test_finset_retraction_is_the_fold_over_the_trivial_group():
 def test_gset_retraction_on_random_maps(gpd):
     rng = random.Random(11)
     cat = gset_cat(gpd)
-    draw = gset_sampler(rng, cat, [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))], 6)
+    draw = gset_sampler(rng, cat, [tuple(h) for h in subgroups_of_sym(len(gpd.elements[0]))], 6)
     tried = 0
     for _ in range(40):
         X, A = draw(), draw()
@@ -257,8 +257,7 @@ def test_atom_counts(gpd, count):
 @pytest.mark.parametrize("gpd", [TRIVIAL_GPD, Z2_GPD, Z3_GPD, S3_GPD])
 def test_atoms_match_partition_oracle(gpd):
     cat = gset_cat(gpd)
-    base_sort = gpd.sorts[0]
-    R = regular_presheaf(cat, base_sort)
+    R = regular_presheaf(cat)
     ours = congruences(cat, R)
     oracle = brute_congruences(cat, R)
     assert sorted(map(sorted, (map(sorted, p) for p in ours))) == sorted(
@@ -303,7 +302,7 @@ def test_decomposition_roundtrip_random():
     rng = random.Random(17)
     for gpd in (Z2_GPD, Z3_GPD, S3_GPD):
         cat = gset_cat(gpd)
-        subs = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
+        subs = [tuple(h) for h in subgroups_of_sym(len(gpd.elements[0]))]
         draw = gset_sampler(rng, cat, subs, 8)
         for _ in range(25):
             assert decomposition_roundtrip(cat, draw())
@@ -315,7 +314,7 @@ def test_gset_sampler_matches_fresh_orbits(group):
     # at both carrier bounds the recipes use
     gpd = strictness.GROUPS[group]
     cat = gset_cat(gpd)
-    subs = [tuple(h) for h in subgroups_of_sym(len(gpd.mors[0][0]))]
+    subs = [tuple(h) for h in subgroups_of_sym(len(gpd.elements[0]))]
     for seed in range(20):
         max_size = (6, 8)[seed % 2]
         rng, ref = random.Random(seed), random.Random(seed)
@@ -382,8 +381,8 @@ def _congruence_samples():
     for _ in range(8):
         X = draw()
         label = {x: i for i, x in enumerate(X.carrier)}
-        out.append(s3.obj({"*": range(X.size)}, {
-            g: {label[x]: label[s3.op(X, g, x)] for x in X.carrier} for g, _, _ in S3_GPD.mors}))
+        out.append(s3.obj(range(X.size), {
+            g: {label[x]: label[s3.op(X, g, x)] for x in X.carrier} for g in S3_GPD.elements}))
     return out
 
 
