@@ -431,9 +431,6 @@ class PresheafCat(UnaryAlgebraCat):
     def op_tables(self, X):
         return X.__dict__["_op_tables"]  # built by _presheaf
 
-    def op(self, X, g, x):
-        return self.op_tables(X)[g][x]
-
     def generator_tables(self, X):
         tables = self.op_tables(X)
         return {g: tables[g] for g in self.generators}

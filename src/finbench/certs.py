@@ -90,9 +90,11 @@ class Certificate(Value):
         missing = [k for k in ("kind", "inputs", "verdict", "witness") if k not in payload]
         if missing:
             raise CertificateError(f"certificate lacks {', '.join(missing)}")
+        _refuse_unknown_keys(payload, Certificate._fields, "certificate")
         inputs = payload["inputs"]
         if not isinstance(inputs, dict):
             raise CertificateError("certificate inputs are not a JSON object")
+        _refuse_unknown_keys(inputs, ("recipe", "params"), "certificate inputs")
         if not isinstance(inputs.get("recipe"), str):
             raise CertificateError("certificate recipe is not a string")
         if not isinstance(inputs.get("params", {}), dict):
@@ -109,6 +111,14 @@ class Certificate(Value):
             payload["witness"],
             payload.get("bounds", {}),
         )
+
+
+def _refuse_unknown_keys(obj: dict, known, where: str):
+    # a key that the writer never writes makes a malformed file, not a
+    # disagreement with the recomputed certificate
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise CertificateError(f"{where} has unknown keys {', '.join(map(repr, unknown))}")
 
 
 def canonical_dumps(payload) -> str:

@@ -1,46 +1,151 @@
 """Command line runner: execute demo suites, write machine-readable reports,
 and replay previously saved certificates.
 
+    finbench run --suite NAME [--seed N] [--bound N] [--json PATH]
+                 [--metrics PATH] [--verbose]
+    finbench replay CERT
+
+`parse` reads the two commands without argparse, whose import and parser
+set-up cost each `finbench replay` process more than the parsing needs.  It
+takes what argparse takes: `--opt value` and `--opt=value`, a unique prefix
+of an option, the last of a repeated option, a negative integer as a value,
+`--` before a path that starts with "-", and `-h`/`--help`, which prints
+the help and exits 0.
+
 Exit codes: 0 when every check matches its expectation, 1 when a certified
 check disagrees (counterexample suites expect their FAIL certificates), 2 on
-usage errors.
+usage errors, which print the command's usage and one error line.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .certs import CertificateError, canonical_dumps, load_certificate, replay
 
+# each command's options: name -> (key, default); a False default makes a
+# flag, and an int default reads the value with int()
+OPTIONS = {
+    None: {},
+    "run": {"--suite": ("suite", None), "--seed": ("seed", 0), "--bound": ("bound", 8),
+            "--json": ("json_path", None), "--metrics": ("metrics_path", None),
+            "--verbose": ("verbose", False)},
+    "replay": {},
+}
+USAGE = {
+    None: "usage: finbench [-h] {run,replay} ...\n",
+    "run": "usage: finbench run [-h] --suite SUITE [--seed SEED] [--bound BOUND]\n"
+           "                    [--json JSON_PATH] [--metrics METRICS_PATH] [--verbose]\n",
+    "replay": "usage: finbench replay [-h] certificate\n",
+}
+HELP = {
+    None: """
+witness and counterexample workbench for functor finiteness properties
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="finbench",
-        description="witness and counterexample workbench for functor "
-        "finiteness properties",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+positional arguments:
+  {run,replay}
+    run         run a demo suite
+    replay      recompute a certificate and compare
 
-    runp = sub.add_parser("run", help="run a demo suite")
-    runp.add_argument(
-        "--suite",
-        required=True,
-        help="a suite name, or all; an unknown name lists the suites",
-    )
-    runp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-    runp.add_argument("--bound", type=int, default=8, help="search bound recorded in reports")
-    runp.add_argument("--json", dest="json_path", default=None, help="write the report here")
-    runp.add_argument("--metrics", dest="metrics_path", default=None,
-                      help="write each check's wall time, the Python version and nproc "
-                      "here as JSON; the report does not change")
-    runp.add_argument("--verbose", action="store_true")
+options:
+  -h, --help    show this help message and exit
+""",
+    "run": """
+options:
+  -h, --help            show this help message and exit
+  --suite SUITE         a suite name, or all; an unknown name lists the suites
+  --seed SEED           seed for all sampling
+  --bound BOUND         search bound recorded in reports
+  --json JSON_PATH      write the report here
+  --metrics METRICS_PATH
+                        write each check's wall time, the Python version and
+                        nproc here as JSON; the report does not change
+  --verbose
+""",
+    "replay": """
+positional arguments:
+  certificate  path to a certificate JSON file
 
-    rep = sub.add_parser("replay", help="recompute a certificate and compare")
-    rep.add_argument("certificate", help="path to a certificate JSON file")
-    return parser
+options:
+  -h, --help   show this help message and exit
+""",
+}
+
+
+class UsageError(Exception):
+    """args: the command whose usage is printed (None before one is named)
+    and the error line."""
+
+
+def _is_value(arg):
+    """Whether arg is a value rather than an option: a word that does not
+    start with "-", a lone "-", or a negative integer."""
+    return arg[:1] != "-" or arg == "-" or arg[1:].isdecimal()
+
+
+def parse(argv):
+    """The command line as attributes: command, help, and the command's
+    options or certificate path; raises UsageError."""
+    command = argv[0] if argv and argv[0] in ("run", "replay") else None
+    options = OPTIONS[command]
+    values = {"command": command, "help": False, **dict(options.values())}
+    args, positional, unknown = argv[1:] if command else argv[:], [], []
+
+    def fail(message):
+        raise UsageError(command, message)
+
+    while args:
+        arg = args.pop(0)
+        if arg == "--":
+            positional += args
+            break
+        if _is_value(arg):
+            if command is None:
+                fail(f"argument command: invalid choice: {arg!r} (choose from 'run', 'replay')")
+            positional.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        found = [o for o in ("--help", *options) if o.startswith(name)] if name[:2] == "--" else []
+        if name == "-h" or name in options:
+            found = [name]
+        if not found:
+            unknown.append(arg)  # reported at the end, so a later -h still helps
+            continue
+        if len(found) > 1:
+            fail(f"ambiguous option: {name} could match {', '.join(found)}")
+        opt = found[0]
+        key, default = options.get(opt, (None, False))  # -h and --help: no key
+        if default is False:
+            if eq:
+                fail(f"argument {opt}: ignored explicit argument {value!r}")
+            if key is None:
+                return SimpleNamespace(command=command, help=True)
+            value = True
+        elif not eq:
+            if not args or not _is_value(args[0]):
+                fail(f"argument {opt}: expected one argument")
+            value = args.pop(0)
+        if type(default) is int:
+            try:
+                value = int(value)
+            except ValueError:
+                fail(f"argument {opt}: invalid int value: {value!r}")
+        values[key] = value
+    if command is None:
+        fail("the following arguments are required: command")
+    if command == "run" and values["suite"] is None:
+        fail("the following arguments are required: --suite")
+    wanted = int(command == "replay")
+    if len(positional) < wanted:
+        fail("the following arguments are required: certificate")
+    if unknown or len(positional) > wanted:
+        fail(f"unrecognized arguments: {' '.join(unknown + positional[wanted:])}")
+    if wanted:
+        values["certificate"] = positional[0]
+    return SimpleNamespace(**values)
 
 
 def check_outputs(paths):
@@ -79,8 +184,16 @@ def write_metrics(path, suite, seed, timings):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parse(list(sys.argv[1:] if argv is None else argv))
+    except UsageError as exc:
+        command, message = exc.args
+        prog = f"finbench {command}" if command else "finbench"
+        print(f"{USAGE[command]}{prog}: error: {message}", file=sys.stderr)
+        return 2
+    if args.help:
+        print(USAGE[args.command] + HELP[args.command], end="")
+        return 0
 
     if args.command == "run":
         # the suites import every layer; a replay needs only its recipe's
@@ -116,26 +229,23 @@ def main(argv=None) -> int:
         print(("all checks matched" if ok else "mismatched checks present"))
         return 0 if ok else 1
 
-    if args.command == "replay":
-        try:
-            cert = load_certificate(args.certificate)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load certificate: {exc}", file=sys.stderr)
-            return 2
-        try:
-            diffs = replay(cert)
-        except CertificateError as exc:
-            print(f"cannot replay certificate: {exc}", file=sys.stderr)
-            return 2
-        if not diffs:
-            print("replay: match")
-            return 0
-        print("replay: MISMATCH")
-        for d in diffs:
-            print("  " + d)
-        return 1
-
-    return 2
+    try:
+        cert = load_certificate(args.certificate)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load certificate: {exc}", file=sys.stderr)
+        return 2
+    try:
+        diffs = replay(cert)
+    except CertificateError as exc:
+        print(f"cannot replay certificate: {exc}", file=sys.stderr)
+        return 2
+    if not diffs:
+        print("replay: match")
+        return 0
+    print("replay: MISMATCH")
+    for d in diffs:
+        print("  " + d)
+    return 1
 
 
 if __name__ == "__main__":

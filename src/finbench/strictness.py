@@ -193,7 +193,7 @@ def _gset_surjection_sampler(rng, cat, subgroups):
 
     def action_map(X, target):
         # free-orbit values are (tag, group element)
-        return cat.mor(free, X, {x: cat.op(X, x[1][1], target) for x in free.carrier})
+        return cat.mor(free, X, {x: cat.op_apply(X, x[1][1], target) for x in free.carrier})
 
     def sample():
         X = draw()

@@ -25,7 +25,7 @@ from finbench.certs import (
     replay,
     save_certificate,
 )
-from finbench.cli import main
+from finbench.cli import HELP, USAGE, main, parse
 from finbench.core import Obj
 from finbench.hausdorff import random_metric_space
 from finbench.nominal import NominalSetSpec, pn_orbit
@@ -417,6 +417,142 @@ def test_cli_replay_roundtrip(tmp_path):
     assert main(["replay", str(tmp_path / "missing.json")]) == 2
 
 
+def _argparse_cli():
+    """The parser that the CLI built with argparse: the oracle for its help
+    texts and for the command lines it accepts.  Returns the parser and its
+    subparsers by command."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="finbench",
+        description="witness and counterexample workbench for functor "
+        "finiteness properties",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    runp = sub.add_parser("run", help="run a demo suite")
+    runp.add_argument("--suite", required=True,
+                      help="a suite name, or all; an unknown name lists the suites")
+    runp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
+    runp.add_argument("--bound", type=int, default=8, help="search bound recorded in reports")
+    runp.add_argument("--json", dest="json_path", default=None, help="write the report here")
+    runp.add_argument("--metrics", dest="metrics_path", default=None,
+                      help="write each check's wall time, the Python version and nproc "
+                      "here as JSON; the report does not change")
+    runp.add_argument("--verbose", action="store_true")
+    rep = sub.add_parser("replay", help="recompute a certificate and compare")
+    rep.add_argument("certificate", help="path to a certificate JSON file")
+    return parser, {"run": runp, "replay": rep}
+
+
+# usage errors: (command line, the command whose usage is printed, error line)
+USAGE_ERRORS = [
+    ([], None, "the following arguments are required: command"),
+    (["bogus"], None, "argument command: invalid choice: 'bogus' (choose from 'run', 'replay')"),
+    (["run"], "run", "the following arguments are required: --suite"),
+    (["run", "--seed", "3"], "run", "the following arguments are required: --suite"),
+    (["run", "--suite", "all", "--nope"], "run", "unrecognized arguments: --nope"),
+    (["run", "--suite", "all", "-v"], "run", "unrecognized arguments: -v"),
+    (["run", "--suite", "all", "extra"], "run", "unrecognized arguments: extra"),
+    (["run", "--suite"], "run", "argument --suite: expected one argument"),
+    (["run", "--json", "--suite", "all"], "run", "argument --json: expected one argument"),
+    (["run", "--suite", "all", "--seed", "x"], "run", "argument --seed: invalid int value: 'x'"),
+    (["run", "--suite", "all", "--bound=1.5"], "run",
+     "argument --bound: invalid int value: '1.5'"),
+    (["run", "--suite", "all", "--seed="], "run", "argument --seed: invalid int value: ''"),
+    (["run", "--suite", "all", "--verbose=1"], "run",
+     "argument --verbose: ignored explicit argument '1'"),
+    (["run", "--s", "all"], "run", "ambiguous option: --s could match --suite, --seed"),
+    (["run", "--sui", "all", "--x=1"], "run", "unrecognized arguments: --x=1"),
+    (["replay"], "replay", "the following arguments are required: certificate"),
+    (["replay", "a.json", "b.json"], "replay", "unrecognized arguments: b.json"),
+    (["replay", "--json", "a.json"], "replay", "unrecognized arguments: --json"),
+]
+USAGE_ERROR_IDS = ["no-command", "unknown-command", "no-suite", "no-suite-with-seed",
+                   "unknown-option", "unknown-short-option", "extra-argument", "no-value",
+                   "option-as-value", "non-int-seed", "non-int-bound", "empty-seed",
+                   "flag-with-value", "ambiguous-prefix", "unknown-prefix", "no-certificate",
+                   "two-certificates", "replay-option"]
+# command lines that parse, each with forms argparse took
+ACCEPTED = [
+    ["run", "--suite", "all"],
+    ["run", "--suite=all", "--seed=5", "--bound=3"],
+    ["run", "--sui", "all", "--se", "-5", "--b", "12"],
+    ["run", "--suite", "x", "--suite", "hausdorff", "--seed", "1", "--seed", "+2"],
+    ["run", "--verbose", "--json", "r.json", "--metrics=m.json", "--suite", "all"],
+    ["run", "--suite", "all", "--json=", "--seed", "1_0"],
+    ["run", "--v", "--j", "-", "--m", "-", "--suite", "-3"],
+    ["replay", "cert.json"],
+    ["replay", "--", "-cert.json"],
+    ["replay", "-"],
+]
+HELP_LINES = [(["-h"], None), (["--help"], None), (["--he", "run"], None),
+              (["run", "-h"], "run"), (["run", "--suite", "all", "--h"], "run"),
+              (["replay", "--help"], "replay"), (["replay", "a.json", "-h"], "replay")]
+
+
+def _argparse_result(argv):
+    """The argparse oracle's options for argv, or its exit code."""
+    try:
+        return vars(_argparse_cli()[0].parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, command, message", USAGE_ERRORS, ids=USAGE_ERROR_IDS)
+def test_usage_error_exits_2_with_the_usage_and_one_error_line(capsys, argv, command, message):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    prog = f"finbench {command}" if command else "finbench"
+    assert out.out == ""
+    assert out.err == f"{USAGE[command]}{prog}: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, command", HELP_LINES)
+def test_help_prints_the_commands_help_and_exits_0(capsys, argv, command):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (USAGE[command] + HELP[command], "")
+
+
+def test_help_texts_are_what_argparse_printed(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    parser, commands = _argparse_cli()
+    for command, p in ((None, parser), *commands.items()):
+        assert p.format_usage() == USAGE[command]
+        assert p.format_help() == USAGE[command] + HELP[command]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED)
+def test_parser_reads_what_argparse_read(argv):
+    got = vars(parse(argv))
+    assert got.pop("help") is False
+    assert got == _argparse_result(argv)
+
+
+def test_parser_refuses_and_helps_where_argparse_did(capsys):
+    for argv, _, _ in USAGE_ERRORS:
+        assert _argparse_result(argv) == 2, argv
+    for argv, _ in HELP_LINES:
+        assert _argparse_result(argv) == 0, argv
+
+
+def test_option_forms_give_the_same_report(tmp_path):
+    paths = [tmp_path / f"{i}.json" for i in range(3)]
+    assert main(["run", "--suite", "hausdorff", "--seed", "5", "--json", str(paths[0])]) == 0
+    assert main(["run", "--suite=hausdorff", "--seed=5", f"--json={paths[1]}"]) == 0
+    assert main(["run", "--su", "hausdorff", "--se=5", "--j", str(paths[2])]) == 0
+    assert len({p.read_bytes() for p in paths}) == 1
+    report = json.loads(paths[0].read_text())
+    assert (report["suite"], report["seed"], report["bound"]) == ("hausdorff", 5, 8)
+
+
+def test_unique_prefix_runs_every_suite_at_the_default_seed_and_bound(tmp_path):
+    path = tmp_path / "all.json"
+    assert main(["run", "--sui", "all", "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert (report["suite"], report["seed"], report["bound"]) == ("all", 0, 8)
+    assert len(report["checks"]) == sum(len(checks) for checks in SUITES.values())
+
+
 def _malformed_replay(tmp_path, capsys, payload):
     """Replay a hand-edited certificate, given as a JSON value or as raw
     text; return the exit code and stderr."""
@@ -652,3 +788,22 @@ def test_replay_changed_witness_leaf_or_label_still_mismatches(tmp_path, capsys)
     payload = _no_finitary_endo_payload()
     del payload["bounds"]
     assert _malformed_replay(tmp_path, capsys, payload)[0] == 1
+
+
+def _vec_projection_payload():
+    _, recipe, params, _ = next(c for c in SUITES["strictness"] if c[0] == "vec-projection")
+    return RECIPES[recipe](**params).to_payload()
+
+
+@pytest.mark.parametrize("where, key", [(None, "extra"), ("inputs", "note")],
+                         ids=["top-level", "inputs"])
+def test_replay_unknown_key_exits_2(tmp_path, capsys, where, key):
+    # a key the writer never writes is a malformed file, not a disagreement
+    payload = _vec_projection_payload()
+    (payload[where] if where else payload)[key] = {"x": 1}
+    with pytest.raises(CertificateError, match=repr(key)):
+        Certificate.from_payload(payload)
+    code, err = _malformed_replay(tmp_path, capsys, payload)
+    assert code == 2
+    assert err.count("\n") == 1 and repr(key) in err
+    assert "Traceback" not in err

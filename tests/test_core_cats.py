@@ -358,7 +358,7 @@ def test_presheaf_ops_satisfy_composition():
     g = Z3_GPD.elements[1]
     h = compose_perm(g, g)
     for x in free.carrier:
-        assert cat.op(free, g, cat.op(free, g, x)) == cat.op(free, h, x)
+        assert cat.op_apply(free, g, cat.op_apply(free, g, x)) == cat.op_apply(free, h, x)
 
 
 def test_presheaf_hom_respects_sorts():
@@ -610,7 +610,7 @@ def _relabel(X, p):
     if cat is GRA:
         return GRA.obj([p[x] for x in X.carrier], [(p[u], p[v]) for u, v in GRA.edges(X)])
     return cat.obj([p[v] for _, v in X.carrier],
-                   {g: {p[x[1]]: p[cat.op(X, g, x)[1]] for x in X.carrier}
+                   {g: {p[x[1]]: p[cat.op_apply(X, g, x)[1]] for x in X.carrier}
                     for g in cat.group.elements})
 
 
@@ -734,7 +734,7 @@ def _labelled_obj(draw, kind, max_size):
             return X
         p = dict(zip((v for _, v in X.carrier), labels))
         return cat.obj(list(p.values()),
-                       {m: {p[x[1]]: p[cat.op(X, m, x)[1]] for x in X.carrier}
+                       {m: {p[x[1]]: p[cat.op_apply(X, m, x)[1]] for x in X.carrier}
                         for m in cat.group.elements})
     n = draw(st.integers(0, max_size))
     points = labels[:n]

@@ -172,8 +172,8 @@ def _check_presheaf(cat, values, ops):
     Y = _rebuilt(X)
     for g in cat.group.elements:
         for x in X.carrier:
-            assert cat.op(Y, g, x) == cat.op(X, g, x)
-            assert cat.op(X, g, x)[1] == ops[g][x[1]]
+            assert cat.op_apply(Y, g, x) == cat.op_apply(X, g, x)
+            assert cat.op_apply(X, g, x)[1] == ops[g][x[1]]
     for x in X.carrier:
         assert cat.op_successors(Y, x) == cat.op_successors(X, x)
     T = presheaf_terminal(cat)
@@ -234,7 +234,7 @@ def _lawful_tables(rng, gpd):
     cat = gset_cat(gpd)
     subs = [tuple(h) for h in _subgroups(gpd.elements)]
     X = random_gset(rng, cat, subs, max_size=6)
-    ops = {g: {x[1]: cat.op(X, g, x)[1] for x in X.carrier} for g in gpd.elements}
+    ops = {g: {x[1]: cat.op_apply(X, g, x)[1] for x in X.carrier} for g in gpd.elements}
     return [x[1] for x in X.carrier], ops
 
 

@@ -72,8 +72,9 @@ def _cli_replay(path):
 
 
 # Modules that no finbench process may load: importing dataclasses pulls in
-# inspect, ast, dis and tokenize, which cost a replay more than its own layer.
-SLOW_IMPORTS = ("dataclasses", "inspect")
+# inspect, ast, dis and tokenize, which cost a replay more than its own layer,
+# and argparse pulls in gettext, whose catalogue searches import locale.
+SLOW_IMPORTS = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 # Modules that only a process that decodes or computes with rationals loads
 RATIONALS = ("fractions", "decimal")
 

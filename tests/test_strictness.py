@@ -382,7 +382,8 @@ def _congruence_samples():
         X = draw()
         label = {x: i for i, x in enumerate(X.carrier)}
         out.append(s3.obj(range(X.size), {
-            g: {label[x]: label[s3.op(X, g, x)] for x in X.carrier} for g in S3_GPD.elements}))
+            g: {label[x]: label[s3.op_apply(X, g, x)] for x in X.carrier}
+            for g in S3_GPD.elements}))
     return out
 
 
