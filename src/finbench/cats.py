@@ -205,14 +205,23 @@ class GraphCat(Category):
             u not in assign or v not in assign or (assign[u], assign[v]) in target
             for x in new for u, v in incident[x])
 
+    def point_invariants(self, X):
+        """{v: (out-degree, in-degree, whether v has a loop)}, built once per
+        object and kept on it."""
+        keys = X.__dict__.get("_degrees")
+        if keys is None:
+            outd, ind = dict.fromkeys(X.carrier, 0), dict.fromkeys(X.carrier, 0)
+            for u, v in self.edges(X):
+                outd[u] += 1
+                ind[v] += 1
+            edges = self.edge_set(X)
+            keys = X.__dict__["_degrees"] = {
+                v: (outd[v], ind[v], (v, v) in edges) for v in X.carrier}
+        return keys
+
     def iso_invariant(self, X):
-        es = self.edges(X)
-        outd = {v: 0 for v in X.carrier}
-        ind = {v: 0 for v in X.carrier}
-        for u, v in es:
-            outd[u] += 1
-            ind[v] += 1
-        return (X.size, len(es), tuple(sorted((outd[v], ind[v]) for v in X.carrier)))
+        degrees = sorted(key[:2] for key in self.point_invariants(X).values())
+        return (X.size, len(self.edges(X)), tuple(degrees))
 
     def image_obj(self, f):
         # image edges are f-images of edges, not the induced relation
@@ -512,9 +521,9 @@ def gset_cat(group) -> PresheafCat:
 
 def gset_free_orbit(cat: PresheafCat, tag=0) -> Obj:
     """Regular action of the group on itself."""
-    els = cat.group.elements
-    ops = {g: {(tag, h): (tag, compose_perm(g, h)) for h in els} for g in els}
-    return cat.obj([(tag, h) for h in els], ops)
+    # the elements in elem_key order, all with one tag: a carrier in order
+    carrier = tuple(("*", (tag, h)) for h in cat.group.elements)
+    return cat._build(carrier, lambda g, x: ("*", (tag, compose_perm(g, x[1][1]))))
 
 
 def gset_fixed_point(cat: PresheafCat) -> Obj:
@@ -522,17 +531,18 @@ def gset_fixed_point(cat: PresheafCat) -> Obj:
 
 
 def gset_from_cosets(cat: PresheafCat, subgroup, tag=0) -> Obj:
-    """Left translation action on left cosets of the given subgroup."""
-    els = cat.group.elements
+    """Left translation action on left cosets of the given subgroup: g
+    sends xH to (g o x)H, the set of the g o y for y in xH."""
     sub = set(subgroup)
-    cosets = {frozenset(compose_perm(x, h) for h in sub) for x in els}
-    ops = {
-        g: {
-            (tag, c): (tag, frozenset(compose_perm(g, x) for x in c)) for c in cosets
-        }
-        for g in els
-    }
-    return cat.obj([(tag, c) for c in cosets], ops)
+    coset_of, rep = {}, {}  # each element's coset, and a member of each coset
+    for x in cat.group.elements:
+        c = coset_of[x] = frozenset(compose_perm(x, h) for h in sub)
+        rep.setdefault(c, x)
+    # The cosets are sets of |H| permutations of one degree, so their
+    # elem_key order is the order of their sorted member tuples.
+    carrier = tuple(("*", (tag, c)) for c in sorted(rep, key=sorted))
+    return cat._build(
+        carrier, lambda g, x: ("*", (tag, coset_of[compose_perm(g, rep[x[1][1]])])))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ set-up cost each `finbench replay` process more than the parsing needs.  It
 takes what argparse takes: `--opt value` and `--opt=value`, a unique prefix
 of an option, the last of a repeated option, a negative integer as a value,
 `--` before a path that starts with "-", and `-h`/`--help`, which prints
-the help and exits 0.
+the help and exits 0.  Unlike argparse, it refuses an empty `--json` or
+`--metrics` path, which would write nothing.
 
 Exit codes: 0 when every check matches its expectation, 1 when a certified
 check disagrees (counterexample suites expect their FAIL certificates), 2 on
@@ -133,6 +134,8 @@ def parse(argv):
                 value = int(value)
             except ValueError:
                 fail(f"argument {opt}: invalid int value: {value!r}")
+        elif value == "" and opt in ("--json", "--metrics"):
+            fail(f"argument {opt}: expected a path, not an empty value")
         values[key] = value
     if command is None:
         fail("the following arguments are required: command")

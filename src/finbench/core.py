@@ -12,19 +12,25 @@ Every ``Obj`` carrier is in ``elem_key`` order.  A carrier built outside the
 library gets that order from ``canon`` in a category's public ``obj(...)``.
 The unary-algebra constructions keep it by construction (a subalgebra, image
 or quotient filters its parent's carrier, and coproducts and kernel pairs
-list their tags in order), so they never sort; graphs and vector spaces,
-off the hot paths, still build theirs through ``obj``.  Otherwise
-``elem_key`` stays at the JSON boundary and for carriers from outside.
+list their tags in order), so they never sort, and the coset G-sets of
+``cats`` sort their cosets once, by their members, without ``elem_key``;
+graphs and vector spaces, off the hot paths, still build theirs through
+``obj``.  Otherwise ``elem_key`` stays at the JSON boundary and for
+carriers from outside.
 
 A category supplies these hooks:
 
 - structure: ``preserves_structure``, ``op_successors``/``op_tables`` (total
   unary operations, which ``op_apply`` reads), ``generator_tables`` (the
   operations the others are composites of, which the search propagates
-  along), ``relation_check`` (edges) and ``iso_invariant``; one depth-first
-  search kernel built on them serves ``hom_set``, ``lifts`` (the homs q with
-  g . q = f, which factorization through a leg or a functor image needs)
-  and ``find_iso``, and ``coequalizer`` is generic over ``quotient_obj``;
+  along), ``relation_check`` (edges), ``iso_invariant`` and
+  ``point_invariants`` (a key per point that every isomorphism keeps: the
+  cycle signatures below by default, the degrees in graphs); one
+  depth-first search kernel built on them serves ``hom_set``, ``lifts``
+  (the homs q with g . q = f, which factorization through a leg or a
+  functor image needs) and ``find_iso``, which tries for each point only
+  the targets with its key, and ``coequalizer`` is generic over
+  ``quotient_obj``;
 - constructions: ``image_obj``, ``coproduct``, ``quotient_obj``,
   ``kernel_pair`` and ``subobjects_fg``.  A category overrides only the
   ones something calls; the others raise ``NotImplementedError``;
@@ -430,6 +436,12 @@ class Category:
                 dict(zip(X.carrier, zip(*cols))) if cols else dict.fromkeys(X.carrier, ()))
         return sigs
 
+    def point_invariants(self, X: Obj) -> dict:
+        """{x: key} in carrier order, for a key that every isomorphism
+        keeps: find_iso sends x only to the points with x's key.  The cycle
+        signatures by default."""
+        return self.cycle_signatures(X)
+
     def relation_check(self, X: Obj, Y: Obj):
         """Relational constraints (edges), built once per search: None, or
         ok(assign, new) checking those among assigned elements that involve
@@ -473,16 +485,17 @@ class Category:
         """
         if f.cod != g.cod:
             raise ValueError("lift of morphisms with different codomains")
-        fiber = {}
+        fiber = {}  # each fiber in carrier order
         for y, z in zip(g.dom.carrier, g.mapping):
-            fiber.setdefault(z, set()).add(y)
+            fiber.setdefault(z, []).append(y)
         over = {x: fiber.get(f(x), ()) for x in f.dom.carrier}
         return self._search(f.dom, g.dom, injective=False, over=over)
 
     def _search(self, X: Obj, Y: Obj, injective: bool, over=None):
         """Yield the structure-preserving maps X -> Y (only the injective ones
         when asked) depth first in carrier order; with ``over``, a
-        dict from each x to a set, only the maps choosing x's value in over[x].
+        dict from each x to a list of points of Y in carrier order, only the
+        maps choosing x's value in over[x].
 
         Backtracking on one assignment, with propagation along the
         generating unary operations, which reaches the same elements as
@@ -546,9 +559,8 @@ class Category:
                 yield Mor(X, Y, tuple(assign[x] for x in xs))
                 return
             x = xs[i]
-            targets = Y.carrier if over is None else [y for y in Y.carrier if y in over[x]]
             failed = False
-            for y in targets:
+            for y in Y.carrier if over is None else over[x]:
                 if y in used or failed and not fits(x, y):
                     continue
                 new, ok = step(x, y)
@@ -637,10 +649,17 @@ class Category:
 
     def find_iso(self, X: Obj, Y: Obj):
         """The first injective hom X -> Y in hom_set order that is an
-        isomorphism, or None."""
+        isomorphism, or None.  The search tries for x only the points of Y
+        with x's point_invariants key; every isomorphism is among the homs
+        it still yields, in the same order."""
         if X.size != Y.size or self.iso_invariant(X) != self.iso_invariant(Y):
             return None
-        return next((f for f in self._search(X, Y, injective=True) if self.is_iso(f)), None)
+        alike = {}
+        for y, key in self.point_invariants(Y).items():
+            alike.setdefault(key, []).append(y)
+        over = {x: alike.get(key, ()) for x, key in self.point_invariants(X).items()}
+        found = self._search(X, Y, injective=True, over=over)
+        return next((f for f in found if self.is_iso(f)), None)
 
     def is_isomorphic(self, X: Obj, Y: Obj) -> bool:
         return self.find_iso(X, Y) is not None

@@ -479,11 +479,20 @@ ACCEPTED = [
     ["run", "--sui", "all", "--se", "-5", "--b", "12"],
     ["run", "--suite", "x", "--suite", "hausdorff", "--seed", "1", "--seed", "+2"],
     ["run", "--verbose", "--json", "r.json", "--metrics=m.json", "--suite", "all"],
-    ["run", "--suite", "all", "--json=", "--seed", "1_0"],
+    ["run", "--suite", "all", "--json=r.json", "--seed", "1_0"],
     ["run", "--v", "--j", "-", "--m", "-", "--suite", "-3"],
     ["replay", "cert.json"],
     ["replay", "--", "-cert.json"],
     ["replay", "-"],
+]
+# empty output paths, which argparse took as no path: the run exited 0 and
+# wrote no report; (command line, option)
+EMPTY_PATHS = [
+    (["run", "--suite", "all", "--json="], "--json"),
+    (["run", "--suite", "all", "--json", ""], "--json"),
+    (["run", "--metrics=", "--suite", "all"], "--metrics"),
+    (["run", "--suite", "all", "--metrics", ""], "--metrics"),
+    (["run", "--suite", "all", "--j=", "--seed", "1"], "--json"),
 ]
 HELP_LINES = [(["-h"], None), (["--help"], None), (["--he", "run"], None),
               (["run", "-h"], "run"), (["run", "--suite", "all", "--h"], "run"),
@@ -505,6 +514,18 @@ def test_usage_error_exits_2_with_the_usage_and_one_error_line(capsys, argv, com
     prog = f"finbench {command}" if command else "finbench"
     assert out.out == ""
     assert out.err == f"{USAGE[command]}{prog}: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, option", EMPTY_PATHS)
+def test_empty_output_path_is_a_usage_error(capsys, argv, option):
+    # the only command lines that argparse accepted and this parser refuses
+    key = {"--json": "json_path", "--metrics": "metrics_path"}[option]
+    assert _argparse_result(argv)[key] == ""
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"{USAGE['run']}finbench run: error: argument {option}: "
+                       "expected a path, not an empty value\n")
 
 
 @pytest.mark.parametrize("argv, command", HELP_LINES)

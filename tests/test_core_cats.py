@@ -1013,6 +1013,52 @@ def test_search_skips_targets_that_break_a_cycle_equation():
     assert "_cycle_sigs" not in X.__dict__ and "_cycle_sigs" not in six.__dict__
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_isomorphism_keeps_the_point_invariants(data):
+    # find_iso tries for x only the points with x's key, which is sound when
+    # every isomorphism keeps the keys; checked on all of them, by brute force
+    kind = data.draw(st.sampled_from(["un", "s3", "gra"]))
+    X = data.draw(_small_obj(kind, 6))
+    cat = category_of(X)
+    labels = [x[1] if kind == "s3" else x for x in X.carrier]
+    copy = _relabel(X, dict(zip(labels, data.draw(st.permutations(labels)))))
+    keys, copy_keys = cat.point_invariants(X), cat.point_invariants(copy)
+    isos = [h for h in _injective_brute(X, copy) if cat.is_iso(h)]
+    assert isos
+    for h in isos:
+        assert all(copy_keys[h(x)] == keys[x] for x in X.carrier)
+    if cat is GRA:  # the degrees, counted directly
+        degrees = sorted((sum(u == v for u, _ in GRA.edges(X)),
+                          sum(w == v for _, w in GRA.edges(X))) for v in X.carrier)
+        assert GRA.iso_invariant(X) == (X.size, len(GRA.edges(X)), tuple(degrees))
+
+
+def test_find_iso_tries_one_target_per_vertex_when_the_degrees_differ(monkeypatch):
+    # a transitive tournament with one loop: every vertex has its own
+    # (out-degree, in-degree, loop) key, so each vertex has one target
+    X = GRA.obj(range(6), [(u, v) for u in range(6) for v in range(u + 1, 6)] + [(2, 2)])
+    Y = _relabel(X, dict(enumerate([3, 5, 0, 4, 1, 2])))
+    assert len(set(GRA.point_invariants(X).values())) == X.size
+    tried, real = [], GRA.relation_check
+
+    def counting(X, Y):  # one edge check per target tried: graphs have no operations
+        check = real(X, Y)
+
+        def counted(assign, new):
+            tried.append(new[0])
+            return check(assign, new)
+
+        return counted
+
+    monkeypatch.setattr(GRA, "relation_check", counting)
+    first = next(f for f in GRA._search(X, Y, injective=True) if GRA.is_iso(f))
+    assert len(tried) > X.size  # unfiltered, the search tries more
+    tried.clear()
+    assert GRA.find_iso(X, Y) == first
+    assert tried == list(X.carrier)
+
+
 def test_has_cycle_matches_walks_as_long_as_the_carrier():
     # by pigeonhole, a finite graph has a cycle iff it has a walk with as
     # many edges as vertices

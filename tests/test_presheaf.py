@@ -19,10 +19,11 @@ from finbench.cats import (
     FiniteGroup,
     gset_cat,
     gset_free_orbit,
+    gset_from_cosets,
     presheaf_cat,
 )
 from finbench.core import Mor, Obj
-from finbench.perms import closed_under, compose_perm
+from finbench.perms import closed_under, compose_perm, subgroups_of_sym
 from finbench.certs import canonical_dumps
 from finbench.serialize import obj_from_json, obj_to_json
 
@@ -336,3 +337,31 @@ def test_search_on_generators_gives_the_brute_homs_in_order(name):
         assert cat.hom_set(X, Y) == brute_homs(X, Y)
         bijections = [h for h in brute_homs(Y, Y) if h.is_injective()]
         assert cat.find_iso(Y, Y) == bijections[0]
+
+
+def _cosets_through_obj(cat, subgroup, tag):
+    """The coset action built through the public obj, which sorts the
+    carrier with canon and maps each coset member by member: the reference
+    for gset_from_cosets."""
+    els = cat.group.elements
+    cosets = {frozenset(compose_perm(x, h) for h in subgroup) for x in els}
+    ops = {g: {(tag, c): (tag, frozenset(compose_perm(g, x) for x in c)) for c in cosets}
+           for g in els}
+    return cat.obj([(tag, c) for c in cosets], ops)
+
+
+@pytest.mark.parametrize("gpd", [TRIVIAL_GPD, Z2_GPD, Z3_GPD, S3_GPD])
+def test_coset_gsets_equal_the_ones_obj_builds(gpd):
+    # every subgroup of S_n, also those outside a smaller group, in which
+    # (g o x)H = g(xH) still defines the same action on the sets xH
+    cat = gset_cat(gpd)
+    els = gpd.elements
+    for tag in (0, 1, "probe"):
+        built = [(gset_from_cosets(cat, H, tag), _cosets_through_obj(cat, H, tag))
+                 for H in subgroups_of_sym(len(els[0]))]
+        free = {g: {(tag, h): (tag, compose_perm(g, h)) for h in els} for g in els}
+        built.append((gset_free_orbit(cat, tag), cat.obj([(tag, h) for h in els], free)))
+        for X, want in built:
+            assert X == want
+            assert cat.op_tables(X) == cat.op_tables(want)
+            assert list(cat.op_tables(X)) == list(cat.op_tables(want))
