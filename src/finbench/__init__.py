@@ -2,7 +2,7 @@
 finiteness properties of functors on computable categories."""
 
 from .core import Mor, Obj, category_of, lookup_category
-from .cats import FINSET, GRA, UN, presheaf_cat
+from .cats import FINSET, GRA, UN, gset_cat
 
 __all__ = [
     "Mor",
@@ -14,7 +14,7 @@ __all__ = [
     "UN",
     "VEC2",
     "VEC3",
-    "presheaf_cat",
+    "gset_cat",
 ]
 
 

@@ -32,17 +32,22 @@ class UnaryAlgebraCat(Category):
     """Categories of unary algebras: finite sets, Un and the actions of a
     finite group.  Coproducts, kernel pairs, images, quotients and
     subalgebras are carrier constructions with the operations restricted,
-    written once here through op_successors/op_apply and three hooks:
-    _build, _tag and _pair.
+    written once here on the operation tables {op_id: {x: op(x)}}, which
+    go into _build and come out of op_tables, and two more hooks: _tag and
+    _pair.  op_ids names the operations of every object of the category, so
+    that an empty coproduct has them too.
 
     Each construction lists its carrier in elem_key order as it builds it,
     so nothing is re-sorted: a subalgebra, an image or a quotient keeps the
     parent's order, and coproducts and kernel pairs come out summand by
     summand and pair by pair, which is the elem_key order of the tags."""
 
-    def _build(self, carrier, op_of) -> Obj:
-        """The object on the carrier tuple, already in elem_key order, whose
-        operation op_id sends x to op_of(op_id, x); validated as obj does."""
+    op_ids = ()
+
+    def _build(self, carrier, tables) -> Obj:
+        """The object on the carrier tuple, already in elem_key order, with
+        the operation tables {op_id: {x: op(x)}}, one per op_ids entry and
+        each keyed by the carrier in order; validated as obj does."""
         raise NotImplementedError
 
     def _tag(self, i, x):
@@ -60,64 +65,63 @@ class UnaryAlgebraCat(Category):
         carrier = tuple(x for x in X.carrier if x in keep)
         if len(carrier) != len(keep):
             raise ValueError("subalgebra elements outside the carrier")
-        return self._build(carrier, lambda op_id, x: self.op_apply(X, op_id, x))
+        return self._build(carrier, {m: {x: t[x] for x in carrier}
+                                     for m, t in self.op_tables(X).items()})
 
     def image_obj(self, f):
         return self.subalgebra(f.cod, f.mapping)
 
     def coproduct(self, objs):
         # summand by summand: the elem_key order of the tags
-        home = {self._tag(i, x): (X, i, x) for i, X in enumerate(objs) for x in X.carrier}
-
-        def op_of(op_id, e):
-            X, i, x = home[e]
-            return self._tag(i, self.op_apply(X, op_id, x))
-
-        out = self._build(tuple(home), op_of)
-        injections = [
-            Mor(X, out, tuple(self._tag(i, x) for x in X.carrier))
-            for i, X in enumerate(objs)
-        ]
+        tags = [{x: self._tag(i, x) for x in X.carrier} for i, X in enumerate(objs)]
+        tables = {m: {} for m in self.op_ids}
+        for X, tag in zip(objs, tags):
+            for m, t in self.op_tables(X).items():
+                tables[m].update((e, tag[t[x]]) for x, e in tag.items())
+        out = self._build(tuple(e for tag in tags for e in tag.values()), tables)
+        injections = [Mor(X, out, tuple(tag.values())) for X, tag in zip(objs, tags)]
         return out, injections
 
     def quotient_obj(self, X, rep):
         reps = set(rep.values())
         if not X.carrier_set.issuperset(reps):
             raise ValueError("class representatives outside the carrier")
-        return self._build(tuple(x for x in X.carrier if x in reps),
-                           lambda op_id, r: rep[self.op_apply(X, op_id, r)])
+        carrier = tuple(x for x in X.carrier if x in reps)
+        return self._build(carrier, {m: {r: rep[t[r]] for r in carrier}
+                                     for m, t in self.op_tables(X).items()})
 
     def kernel_pair(self, f):
         # the nested loop lists the pairs in elem_key order
         X = f.dom
         home = {self._pair(x, y): (x, y) for x in X.carrier for y in X.carrier if f(x) == f(y)}
-
-        def op_of(op_id, e):
-            x, y = home[e]
-            return self._pair(self.op_apply(X, op_id, x), self.op_apply(X, op_id, y))
-
-        P = self._build(tuple(home), op_of)
+        P = self._build(tuple(home), {
+            m: {e: self._pair(t[x], t[y]) for e, (x, y) in home.items()}
+            for m, t in self.op_tables(X).items()})
         p1 = Mor(P, X, tuple(x for x, _ in home.values()))
         p2 = Mor(P, X, tuple(y for _, y in home.values()))
         return p1, p2
 
     def subobjects_fg(self, X, bound=None):
         """Subalgebras: the subsets closed under every operation."""
+        tables = self.op_tables(X).values()
         monos = []
         limit = X.size if bound is None else min(bound, X.size)
         for k in range(limit + 1):
             for sub in itertools.combinations(X.carrier, k):
                 sset = set(sub)
-                if all(y in sset for x in sub for _, y in self.op_successors(X, x)):
+                if all(t[x] in sset for x in sub for t in tables):
                     monos.append(self.sub_mono(X, self.subalgebra(X, sub)))
         return monos
 
     def generated_subalgebra(self, X, x):
         """Closure of {x} under every operation."""
+        tables = self.op_tables(X).values()
         seen = {x}
         frontier = [x]
         while frontier:
-            for _, b in self.op_successors(X, frontier.pop()):
+            a = frontier.pop()
+            for t in tables:
+                b = t[a]
                 if b not in seen:
                     seen.add(b)
                     frontier.append(b)
@@ -139,7 +143,7 @@ class FinSetCat(UnaryAlgebraCat):
         and structure of an object of this category come from."""
         return self.obj(carrier)
 
-    def _build(self, carrier, op_of):
+    def _build(self, carrier, tables):
         return Obj(self.name, carrier)
 
     def retraction(self, b):
@@ -277,38 +281,33 @@ GRA = register_category(GraphCat())
 
 class UnCat(UnaryAlgebraCat):
     name = "un"
+    op_ids = ("op",)
 
     def obj(self, elems, op) -> Obj:
         """The algebra on elems whose operation is the callable or dict op."""
-        return self._algebra(canon(elems), op if callable(op) else op.get)
+        carrier = canon(elems)
+        op = op if callable(op) else op.get
+        return self._build(carrier, {"op": {x: op(x) for x in carrier}})
 
     def rebuild(self, carrier, structure) -> Obj:
         return self.obj(carrier, dict(structure[1]))
 
-    def _build(self, carrier, op_of):
-        return self._algebra(carrier, lambda x: op_of("op", x))
-
-    def _algebra(self, carrier, op):
-        """The algebra on a carrier in elem_key order, checking that op (None
-        where undefined) is total on it and stays in it."""
+    def _build(self, carrier, tables):
+        """The algebra on a carrier in elem_key order with the table
+        {"op": {x: op(x)}}, checking that the operation (None where
+        undefined) stays in the carrier."""
         cset = frozenset(carrier)
-        table = {}
-        for x in carrier:
-            y = op(x)
-            if y not in cset:
-                raise ValueError("operation not total on carrier")
-            table[x] = y
+        table = tables["op"]
+        if not cset.issuperset(table.values()):
+            raise ValueError("operation not total on carrier")
         # distinct first components in carrier order: already canon order
         X = Obj(self.name, carrier, ("op", tuple(table.items())))
         X.__dict__["_carrier_set"] = cset
-        X.__dict__["_op_tables"] = {"op": table}
+        X.__dict__["_op_tables"] = tables
         return X
 
     def op_tables(self, X):
-        return X.__dict__["_op_tables"]  # built by _algebra
-
-    def op(self, X, x):
-        return self.op_tables(X)["op"][x]
+        return X.__dict__["_op_tables"]  # built by _build
 
     def cycle(self, p: int) -> Obj:
         """Algebra on p elements whose operation is a single p-cycle."""
@@ -379,11 +378,12 @@ class FiniteGroup(Value):
 
 class PresheafCat(UnaryAlgebraCat):
     """Actions of a finite group: carrier elements are ("*", value), and
-    the operations are the group's elements."""
+    the operations, op_ids, are the group's elements."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.name = f"psh({group.name})"
+        self.op_ids = group.elements
         # Generators in element order: each element outside the subgroup that
         # the generators so far generate.  Every element is then a word in
         # the generators, so by associativity and the identity law the
@@ -399,29 +399,25 @@ class PresheafCat(UnaryAlgebraCat):
 
     def obj(self, values, ops: dict) -> Obj:
         """The action on values in which element g sends v to ops[g][v]."""
-        def image(g, x):
+        carrier = canon(("*", v) for v in values)
+        tables = {}
+        for g in self.op_ids:
             try:
-                return ("*", ops[g][x[1]])
+                op = ops[g]
+                tables[g] = {x: ("*", op[x[1]]) for x in carrier}
             except KeyError:
                 raise ValueError(f"operation {g} not total") from None
-
-        return self._presheaf(canon(("*", v) for v in values), image)
+        return self._build(carrier, tables)
 
     def rebuild(self, carrier, structure) -> Obj:
         return self.obj([x[1] for x in carrier],
                         {g: {x[1]: y[1] for x, y in pairs} for g, pairs in structure[1]})
 
-    def _build(self, carrier, op_of):
-        return self._presheaf(carrier, op_of)
-
-    def _presheaf(self, carrier, image):
-        """The action on a carrier in elem_key order in which g sends x to
-        image(g, x); checks that each image lies in the carrier and the group
-        laws."""
+    def _build(self, carrier, tables):
+        """The action on a carrier in elem_key order with the tables
+        {g: {x: g x}}, in element order; checks that each image lies in the
+        carrier and the group laws."""
         cset = frozenset(carrier)
-        # in element order, as op_tables reads them back from the structure;
-        # each table lists the carrier in order: already canon order
-        tables = {g: {x: image(g, x) for x in carrier} for g in self.group.elements}
         for g, table in tables.items():
             if not cset.issuperset(table.values()):
                 raise ValueError(f"operation {g} leaves the carrier")
@@ -431,6 +427,7 @@ class PresheafCat(UnaryAlgebraCat):
             tg, tf, th = tables[g], tables[f], tables[h]
             if any(tg[tf[x]] != th[x] for x in carrier):
                 raise ValueError("composition equation fails")
+        # each table lists the carrier in order: already canon order
         tagged = tuple((g, tuple(t.items())) for g, t in tables.items())
         X = Obj(self.name, carrier, ("ops", tagged))
         X.__dict__["_carrier_set"] = cset
@@ -438,7 +435,7 @@ class PresheafCat(UnaryAlgebraCat):
         return X
 
     def op_tables(self, X):
-        return X.__dict__["_op_tables"]  # built by _presheaf
+        return X.__dict__["_op_tables"]  # built by _build
 
     def generator_tables(self, X):
         tables = self.op_tables(X)
@@ -497,7 +494,7 @@ class PresheafCat(UnaryAlgebraCat):
         return self.sub_mono(A, Bp), self.mor(A, Bp, mapping)
 
 
-def presheaf_cat(group: FiniteGroup) -> PresheafCat:
+def gset_cat(group: FiniteGroup) -> PresheafCat:
     """The registered category of actions of group, built on first request."""
     return register_category(PresheafCat(group))
 
@@ -512,18 +509,16 @@ S3_GPD = FiniteGroup("s3", itertools.permutations(range(3)))
 # registered on import, so that their objects read back from JSON in a
 # process that has not built them yet
 for _group in (TRIVIAL_GPD, Z2_GPD, Z3_GPD, S3_GPD):
-    presheaf_cat(_group)
-
-
-def gset_cat(group) -> PresheafCat:
-    return presheaf_cat(group)
+    gset_cat(_group)
 
 
 def gset_free_orbit(cat: PresheafCat, tag=0) -> Obj:
     """Regular action of the group on itself."""
     # the elements in elem_key order, all with one tag: a carrier in order
-    carrier = tuple(("*", (tag, h)) for h in cat.group.elements)
-    return cat._build(carrier, lambda g, x: ("*", (tag, compose_perm(g, x[1][1]))))
+    els = cat.group.elements
+    point = {h: ("*", (tag, h)) for h in els}
+    return cat._build(tuple(point.values()), {
+        g: {x: point[compose_perm(g, h)] for h, x in point.items()} for g in els})
 
 
 def gset_fixed_point(cat: PresheafCat) -> Obj:
@@ -540,9 +535,10 @@ def gset_from_cosets(cat: PresheafCat, subgroup, tag=0) -> Obj:
         rep.setdefault(c, x)
     # The cosets are sets of |H| permutations of one degree, so their
     # elem_key order is the order of their sorted member tuples.
-    carrier = tuple(("*", (tag, c)) for c in sorted(rep, key=sorted))
-    return cat._build(
-        carrier, lambda g, x: ("*", (tag, coset_of[compose_perm(g, rep[x[1][1]])])))
+    point = {c: ("*", (tag, c)) for c in sorted(rep, key=sorted)}
+    return cat._build(tuple(point.values()), {
+        g: {x: point[coset_of[compose_perm(g, rep[c])]] for c, x in point.items()}
+        for g in cat.group.elements})
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +570,8 @@ def random_un_surjection(rng):
     X = random_un_obj(rng)
     if X.size >= 2:
         a, b = rng.sample(list(X.carrier), 2)
-        rep = Partition(X.carrier).close(
-            [(a, b)], lambda x, y: [(UN.op(X, x), UN.op(X, y))]).reps()
+        op = UN.op_tables(X)["op"]
+        rep = Partition(X.carrier).close([(a, b)], lambda x, y: [(op[x], op[y])]).reps()
         return UN.mor(X, UN.quotient_obj(X, rep), rep)
     return UN.identity(X)
 

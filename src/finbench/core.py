@@ -20,16 +20,16 @@ carriers from outside.
 
 A category supplies these hooks:
 
-- structure: ``preserves_structure``, ``op_successors``/``op_tables`` (total
-  unary operations, which ``op_apply`` reads), ``generator_tables`` (the
-  operations the others are composites of, which the search propagates
-  along), ``relation_check`` (edges), ``iso_invariant`` and
-  ``point_invariants`` (a key per point that every isomorphism keeps: the
-  cycle signatures below by default, the degrees in graphs); one
-  depth-first search kernel built on them serves ``hom_set``, ``lifts``
-  (the homs q with g . q = f, which factorization through a leg or a
-  functor image needs) and ``find_iso``, which tries for each point only
-  the targets with its key, and ``coequalizer`` is generic over
+- structure: ``preserves_structure``, ``op_tables`` (the total unary
+  operations as tables ``{op_id: {x: op(x)}}``, the one form in which they
+  are read), ``generator_tables`` (the operations the others are composites
+  of, which the search propagates along), ``relation_check`` (edges),
+  ``iso_invariant`` and ``point_invariants`` (a key per point that every
+  isomorphism keeps: the cycle signatures below by default, the degrees in
+  graphs); one depth-first search kernel built on them serves ``hom_set``,
+  ``lifts`` (the homs q with g . q = f, which factorization through a leg
+  or a functor image needs) and ``find_iso``, which tries for each point
+  only the targets with its key, and ``coequalizer`` is generic over
   ``quotient_obj``;
 - constructions: ``image_obj``, ``coproduct``, ``quotient_obj``,
   ``kernel_pair`` and ``subobjects_fg``.  A category overrides only the
@@ -49,10 +49,10 @@ one of x's targets has failed propagation, so a search that never fails
 builds no signatures.
 
 ``cats.UnaryAlgebraCat`` writes the constructions once for finite sets, unary
-algebras and G-sets, from ``op_successors``/``op_apply`` and three hooks of
-its own: ``_build`` (the object on a carrier, already in ``elem_key`` order,
-with given operations), ``_tag`` (a coproduct element) and ``_pair`` (a
-kernel-pair element).
+algebras and G-sets, on ``op_tables`` and three hooks of its own: ``_build``
+(the object on a carrier, already in ``elem_key`` order, from its operation
+tables, one per entry of the category's ``op_ids``), ``_tag`` (a coproduct
+element) and ``_pair`` (a kernel-pair element).
 
 A :class:`FunctorHandle` is a functor between registered categories given by
 its two maps; every layer that builds or probes functors shares it from here.
@@ -413,14 +413,6 @@ class Category:
         of, so that a map commuting with these commutes with all; the same
         ids for every object of a category."""
         return self.op_tables(X)
-
-    def op_successors(self, X: Obj, x):
-        """Functional constraints: pairs (op_id, op(x)) for unary operations."""
-        return tuple((op_id, t[x]) for op_id, t in self.op_tables(X).items())
-
-    def op_apply(self, X: Obj, op_id, x):
-        """Apply op_id in X; mirror of op_successors."""
-        return self.op_tables(X)[op_id][x]
 
     def cycle_signatures(self, X: Obj) -> dict:
         """{x: signature}, built once per object: for each operation in

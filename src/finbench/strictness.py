@@ -22,11 +22,10 @@ from .cats import (
     gset_cat,
     gset_free_orbit,
     gset_sampler,
-    presheaf_cat,
     random_finset_mor,
     random_un_surjection,
 )
-from .perms import compose_perm, subgroups_of_sym
+from .perms import subgroups_of_sym
 from .serialize import mor_to_json, obj_to_json
 
 
@@ -50,10 +49,11 @@ def strictness_witness(b: Mor):
 
 def congruences(cat, X: Obj):
     """All op-compatible equivalences, via pair closure."""
+    tables = cat.op_tables(X).values()
 
     def op_pairs(a, b):
         # what a congruence must also identify once it identifies a and b
-        return [(a2, cat.op_apply(X, op_id, b)) for op_id, a2 in cat.op_successors(X, a)]
+        return [(t[a], t[b]) for t in tables]
 
     def close(partition, a, b):
         part = Partition(X.carrier)
@@ -95,13 +95,6 @@ def quotient_by_partition(cat, X: Obj, partition) -> Mor:
     return cat.mor(X, Q, rep)
 
 
-def regular_presheaf(cat: PresheafCat) -> Obj:
-    """The representable action: the group's elements, with composition on
-    the left as the action."""
-    els = cat.group.elements
-    return cat.obj(els, {g: {h: compose_perm(g, h) for h in els} for g in els})
-
-
 def is_atom(cat, X: Obj) -> bool:
     """Nonempty and generated by each of its elements."""
     return X.size > 0 and all(
@@ -109,10 +102,10 @@ def is_atom(cat, X: Obj) -> bool:
 
 
 def atoms_of_presheaves(group: FiniteGroup):
-    """All quotients of the representable up to isomorphism, each atom
-    verified to have no proper nonempty subalgebra."""
-    cat = presheaf_cat(group)
-    R = regular_presheaf(cat)
+    """All quotients of the representable, the free orbit, up to
+    isomorphism, each atom verified to have no proper nonempty subalgebra."""
+    cat = gset_cat(group)
+    R = gset_free_orbit(cat)
     found = []
     for part in congruences(cat, R):
         Q = quotient_by_partition(cat, R, part).cod
@@ -193,7 +186,8 @@ def _gset_surjection_sampler(rng, cat, subgroups):
 
     def action_map(X, target):
         # free-orbit values are (tag, group element)
-        return cat.mor(free, X, {x: cat.op_apply(X, x[1][1], target) for x in free.carrier})
+        tables = cat.op_tables(X)
+        return cat.mor(free, X, {x: tables[x[1][1]][target] for x in free.carrier})
 
     def sample():
         X = draw()
@@ -244,7 +238,7 @@ def r_atoms(group: str = "z2", seed: int = 0, samples: int = 25):
     if group not in GROUPS:
         raise CertificateError(f"parameter 'group' must be one of "
                                f"{', '.join(GROUPS)}, not {group!r}")
-    cat = presheaf_cat(GROUPS[group])
+    cat = gset_cat(GROUPS[group])
     atoms = atoms_of_presheaves(cat.group)
     rng = random.Random(seed)
     subgroups = [tuple(h) for h in subgroups_of_sym(len(cat.group.elements[0]))]

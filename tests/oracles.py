@@ -97,7 +97,7 @@ def pair_through_chain(X, a, b):
     A chain with tail t and period p admits a hom picking out any element
     whose own tail is at most t and whose cycle length divides p.
     """
-    op = {x: UN.op(X, x) for x in X.carrier}
+    op = UN.op_tables(X)["op"]
     ta, pa = orbit_by_iteration(op, a)
     tb, pb = orbit_by_iteration(op, b)
     t = max(ta, tb)
@@ -112,7 +112,7 @@ def pair_through_chain(X, a, b):
         cur = start
         for i in range(total):
             images[i] = cur
-            cur = UN.op(X, cur)
+            cur = op[cur]
         return images
 
     return UN.mor(chain, X, walk(a)), UN.mor(chain, X, walk(b))
@@ -193,6 +193,7 @@ def set_partitions(items):
 
 def brute_congruences(cat, X):
     """All partitions compatible with the unary operations."""
+    tables = cat.op_tables(X).values()
     out = []
     for part in set_partitions(list(X.carrier)):
         lookup = {}
@@ -202,9 +203,8 @@ def brute_congruences(cat, X):
         ok = True
         for cls in part:
             for x in cls:
-                for op_id, x2 in cat.op_successors(X, x):
-                    y2 = cat.op_apply(X, op_id, cls[0])
-                    if lookup[x2] != lookup[y2]:
+                for t in tables:
+                    if lookup[t[x]] != lookup[t[cls[0]]]:
                         ok = False
                         break
                 if not ok:
@@ -458,7 +458,8 @@ def presheaf_terminal(cat):
 
 
 def un_has_fixed_point(X):
-    return any(UN.op(X, x) == x for x in X.carrier)
+    op = UN.op_tables(X)["op"]
+    return any(op[x] == x for x in X.carrier)
 
 
 def homs_into_cycle_family_by_offsets(A, window):
@@ -497,9 +498,10 @@ def _prime_divisors(n):
 
 def _un_components(A):
     """Weak components of a unary algebra with their unique cycle length."""
+    op = UN.op_tables(A)["op"]
     part = Partition(A.carrier)
     for x in A.carrier:
-        part.union(x, UN.op(A, x))
+        part.union(x, op[x])
     return [(sorted(elems, key=elem_key), UN.tail_period(A, elems[0])[1])
             for elems in part.classes()]
 
@@ -507,19 +509,20 @@ def _un_components(A):
 def _offsets_to_cycle(A, component):
     """Offsets o(v) with f(v) = rotate(f(anchor), o(v)) for any hom into a
     cycle; well defined since the target operation is invertible."""
+    op = UN.op_tables(A)["op"]
     anchor = component[0]
     members = set(component)
     offsets = {anchor: 0}
     frontier = [anchor]
     while frontier:
         a = frontier.pop()
-        b = UN.op(A, a)
+        b = op[a]
         if b not in offsets:
             offsets[b] = offsets[a] + 1
             frontier.append(b)
         # backward edges
         for c in component:
-            if UN.op(A, c) == a and c not in offsets:
+            if op[c] == a and c not in offsets:
                 offsets[c] = offsets[a] - 1
                 frontier.append(c)
     if set(offsets) != members:
@@ -626,12 +629,13 @@ def algebra_by_definition(cat, elems, op):
 
 def restrict_by_definition(cat, X, elems):
     """The subalgebra of X on the closed subset elems."""
-    return algebra_by_definition(cat, elems, lambda m, x: cat.op_apply(X, m, x))
+    tables = cat.op_tables(X)
+    return algebra_by_definition(cat, elems, lambda m, x: tables[m][x])
 
 
 def closed_by_definition(cat, X, sub):
     """sub contains the image of each of its elements under every operation."""
-    return all(y in sub for x in sub for _, y in cat.op_successors(X, x))
+    return all(t[x] in sub for x in sub for t in cat.op_tables(X).values())
 
 
 def coproduct_by_definition(cat, objs):
@@ -644,7 +648,7 @@ def coproduct_by_definition(cat, objs):
 
     def op(m, e):
         X, i, x = home[e]
-        return tag(i, cat.op_apply(X, m, x))
+        return tag(i, cat.op_tables(X)[m][x])
 
     return algebra_by_definition(cat, home, op), [
         tuple(tag(i, x) for x in X.carrier) for i, X in enumerate(objs)
@@ -662,7 +666,8 @@ def kernel_pair_by_definition(cat, f):
 
     def op(m, e):
         x, y = home[e]
-        return pair(cat.op_apply(X, m, x), cat.op_apply(X, m, y))
+        t = cat.op_tables(X)[m]
+        return pair(t[x], t[y])
 
     P = algebra_by_definition(cat, home, op)
     return (P, tuple(home[e][0] for e in P.carrier),
@@ -694,7 +699,7 @@ def quotient_by_definition(cat, Y, classes):
     """Quotient of Y on the elem_key-least member of each class."""
     rep = {x: min(cls, key=elem_key) for cls in classes for x in cls}
     return algebra_by_definition(
-        cat, set(rep.values()), lambda m, r: rep[cat.op_apply(Y, m, r)])
+        cat, set(rep.values()), lambda m, r: rep[cat.op_tables(Y)[m][r]])
 
 
 def subalgebras_by_definition(cat, X, bound=None):

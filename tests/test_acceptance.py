@@ -18,6 +18,7 @@ from finbench.cats import (
     Z2_GPD,
     Z3_GPD,
     gset_cat,
+    gset_free_orbit,
     gset_sampler,
     random_finset_mor,
     random_un_surjection,
@@ -55,7 +56,6 @@ from finbench.strictness import (
     congruences,
     decomposition_roundtrip,
     quotient_by_partition,
-    regular_presheaf,
     strictness_witness,
 )
 from finbench.strictness import regularity_check, _gset_surjection_sampler
@@ -187,7 +187,7 @@ def test_criterion_05_atoms():
         assert len(atoms) == expected_atoms
         # oracle: all partitions of the regular algebra, filtered and
         # quotiented independently of the pair-closure enumeration
-        R = regular_presheaf(cat)
+        R = gset_free_orbit(cat)
         oracle_atoms = []
         for part in brute_congruences(cat, R):
             Q = quotient_by_partition(cat, R, part).cod

@@ -3,6 +3,7 @@ coproducts, coequalizers, kernel pairs, subobjects, and isomorphism search."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from finbench.cats import (
     FINSET,
     GRA,
     UN,
+    TRIVIAL_GPD,
     Z2_GPD,
     Z3_GPD,
     S3_GPD,
@@ -171,7 +173,7 @@ def test_un_factorize_image_is_subalgebra():
         e, m = UN.factorize(f)
         assert UN.compose(m, e) == f
         members = set(m.dom.carrier)
-        assert all(UN.op(m.dom, x) in members for x in members)
+        assert all(UN.op_tables(m.dom)["op"][x] in members for x in members)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +232,21 @@ def test_un_epi_agrees_with_cancellation():
 def test_empty_coproduct_is_initial():
     out, injs = UN.coproduct([])
     assert out == UN.obj((), {}) and injs == []
+
+
+@pytest.mark.parametrize("cat", [FINSET, UN] + [
+    gset_cat(g) for g in (TRIVIAL_GPD, Z2_GPD, Z3_GPD, S3_GPD)], ids=lambda c: c.name)
+def test_empty_coproduct_has_every_operation(cat):
+    # the operation ids come from the category, not from the summands
+    out, injs = cat.coproduct([])
+    if cat is FINSET:
+        want = FINSET.obj(())
+    elif cat is UN:
+        want = UN.obj((), {})
+    else:
+        want = cat.obj((), {g: {} for g in cat.group.elements})
+    assert out == want and injs == []
+    assert list(cat.op_tables(out)) == list(cat.op_tables(want)) == list(cat.op_ids)
 
 
 def test_un_coproduct_two_cycles():
@@ -357,8 +374,9 @@ def test_presheaf_ops_satisfy_composition():
     free = gset_free_orbit(cat)
     g = Z3_GPD.elements[1]
     h = compose_perm(g, g)
+    tables = cat.op_tables(free)
     for x in free.carrier:
-        assert cat.op_apply(free, g, cat.op_apply(free, g, x)) == cat.op_apply(free, h, x)
+        assert tables[g][tables[g][x]] == tables[h][x]
 
 
 def test_presheaf_hom_respects_sorts():
@@ -606,11 +624,13 @@ def _relabel(X, p):
     if cat is FINSET:
         return FINSET.obj(p[x] for x in X.carrier)
     if cat is UN:
-        return UN.obj([p[x] for x in X.carrier], {p[x]: p[UN.op(X, x)] for x in X.carrier})
+        op = UN.op_tables(X)["op"]
+        return UN.obj([p[x] for x in X.carrier], {p[x]: p[op[x]] for x in X.carrier})
     if cat is GRA:
         return GRA.obj([p[x] for x in X.carrier], [(p[u], p[v]) for u, v in GRA.edges(X)])
+    tables = cat.op_tables(X)
     return cat.obj([p[v] for _, v in X.carrier],
-                   {g: {p[x[1]]: p[cat.op_apply(X, g, x)[1]] for x in X.carrier}
+                   {g: {p[x[1]]: p[tables[g][x][1]] for x in X.carrier}
                     for g in cat.group.elements})
 
 
@@ -733,8 +753,9 @@ def _labelled_obj(draw, kind, max_size):
         if not draw(st.booleans()):
             return X
         p = dict(zip((v for _, v in X.carrier), labels))
+        tables = cat.op_tables(X)
         return cat.obj(list(p.values()),
-                       {m: {p[x[1]]: p[cat.op_apply(X, m, x)[1]] for x in X.carrier}
+                       {m: {p[x[1]]: p[tables[m][x][1]] for x in X.carrier}
                         for m in cat.group.elements})
     n = draw(st.integers(0, max_size))
     points = labels[:n]
@@ -868,9 +889,10 @@ def _fold(cat, C):
     return cat.mor(D, C, {i(x): x for i in injections for x in C.carrier})
 
 
-def _search_cases():
-    """(name, search, |domain|): hom_set, find_iso and lifts on Un, S3-set
-    and graph inputs, each search with an answer to find."""
+def _search_cases(double=False):
+    """(name, search): hom_set, find_iso and lifts on Un, S3-set and graph
+    inputs, each search with an answer to find; with double, each search
+    runs on the domain X + X in place of X."""
     s3 = gset_cat(S3_GPD)
     cases = []
     for cat, X, Y in [
@@ -883,30 +905,49 @@ def _search_cases():
         copy = _relabel(X, dict(zip(labels, reversed(labels))))
         g = _fold(cat, Y)
         f = cat.hom_set(X, Y)[-1]
+        if double:
+            fold = _fold(cat, X)
+            X, copy, f = fold.dom, _fold(cat, copy).dom, cat.compose(f, fold)
         cases += [
-            (f"{cat.name} hom_set", lambda cat=cat, X=X, Y=Y: cat.hom_set(X, Y), X.size),
-            (f"{cat.name} find_iso", lambda cat=cat, X=X, c=copy: cat.find_iso(X, c), X.size),
-            (f"{cat.name} lifts", lambda cat=cat, f=f, g=g: list(cat.lifts(f, g)), X.size),
+            (f"{cat.name} hom_set", lambda cat=cat, X=X, Y=Y: cat.hom_set(X, Y)),
+            (f"{cat.name} find_iso", lambda cat=cat, X=X, c=copy: cat.find_iso(X, c)),
+            (f"{cat.name} lifts", lambda cat=cat, f=f, g=g: list(cat.lifts(f, g))),
         ]
     return cases
 
 
-def test_search_reads_successors_once_and_applies_no_operation(monkeypatch):
-    # propagation reads Y's tables directly: op_successors at most once per
-    # element of the domain, op_apply never
-    calls = {"op_successors": 0, "op_apply": 0}
+def test_search_reads_the_tables_once_per_search(monkeypatch):
+    # propagation reads the domain's and the codomain's tables once per
+    # search, so the reads do not grow with the domain: a search on X + X
+    # reads them no more often than one on X.  The Mor validation of each
+    # hom found reads them once per hom and is not counted.
+    reads, validating = Counter(), []
     for cls in (type(UN), type(gset_cat(S3_GPD)), type(GRA)):
-        for name in calls:
-            def counting(self, *args, _real=getattr(cls, name), _name=name):
-                calls[_name] += 1
-                return _real(self, *args)
+        for name in ("op_tables", "generator_tables"):
+            def counting(self, X, _real=getattr(cls, name), _name=name):
+                if not validating:
+                    reads[_name] += 1
+                return _real(self, X)
 
             monkeypatch.setattr(cls, name, counting)
-    for name, search, size in _search_cases():
-        calls.update(op_successors=0, op_apply=0)
-        assert search(), name
-        assert calls["op_successors"] <= size, name
-        assert calls["op_apply"] == 0, name
+
+        def checking(self, f, _real=cls.preserves_structure):
+            validating.append(f)
+            try:
+                return _real(self, f)
+            finally:
+                validating.pop()
+
+        monkeypatch.setattr(cls, "preserves_structure", checking)
+    for (name, search), (_, doubled) in zip(_search_cases(), _search_cases(double=True)):
+        counts = []
+        for run in (search, doubled):
+            run()  # builds the signatures and invariants kept on the objects
+            reads.clear()
+            assert run(), name
+            counts.append(+reads)
+        assert counts[0]["generator_tables"] > 0, name
+        assert counts[1] <= counts[0], (name, counts)
 
 
 def _injective_brute(X, Y):

@@ -20,7 +20,6 @@ from finbench.cats import (
     gset_cat,
     gset_free_orbit,
     gset_from_cosets,
-    presheaf_cat,
 )
 from finbench.core import Mor, Obj
 from finbench.perms import closed_under, compose_perm, subgroups_of_sym
@@ -171,12 +170,12 @@ def _check_presheaf(cat, values, ops):
     X = cat.obj(values, ops)
     assert X.structure == presheaf_structure_by_canon(cat, values, ops)
     Y = _rebuilt(X)
+    tables, rebuilt = cat.op_tables(X), cat.op_tables(Y)
     for g in cat.group.elements:
         for x in X.carrier:
-            assert cat.op_apply(Y, g, x) == cat.op_apply(X, g, x)
-            assert cat.op_apply(X, g, x)[1] == ops[g][x[1]]
-    for x in X.carrier:
-        assert cat.op_successors(Y, x) == cat.op_successors(X, x)
+            assert rebuilt[g][x] == tables[g][x]
+            assert tables[g][x][1] == ops[g][x[1]]
+    assert list(rebuilt.items()) == list(tables.items())
     T = presheaf_terminal(cat)
     assert len(cat.hom_set(Y, Y)) == len(cat.hom_set(X, X))
     assert len(cat.hom_set(Y, T)) == len(cat.hom_set(X, T)) == 1
@@ -202,7 +201,7 @@ def test_unary_structure_matches_canonical_construction(data):
     X = UN.obj(labels, op)
     assert X.structure == unary_structure_by_canon(labels, op)
     Y = _rebuilt(X)
-    assert [UN.op(Y, x) for x in X.carrier] == [op[x] for x in X.carrier]
+    assert [UN.op_tables(Y)["op"][x] for x in X.carrier] == [op[x] for x in X.carrier]
     assert len(UN.hom_set(Y, Y)) == len(UN.hom_set(X, X))
     assert len(UN.hom_set(UN.cycle(2), Y)) == len(UN.hom_set(UN.cycle(2), X))
 
@@ -216,7 +215,7 @@ LAW_GROUPS = {"z2": Z2_GPD, "z3": Z3_GPD, "s3": S3_GPD}
 
 @pytest.mark.parametrize("gpd, laws", [(TRIVIAL_GPD, 0), (Z2_GPD, 2), (Z3_GPD, 3), (S3_GPD, 12)])
 def test_generators_reach_every_morphism(gpd, laws):
-    cat = presheaf_cat(gpd)
+    cat = gset_cat(gpd)
     assert len(cat._laws) == laws
     reached = {tuple(range(len(gpd.elements[0])))}
     frontier = list(reached)
@@ -235,7 +234,8 @@ def _lawful_tables(rng, gpd):
     cat = gset_cat(gpd)
     subs = [tuple(h) for h in _subgroups(gpd.elements)]
     X = random_gset(rng, cat, subs, max_size=6)
-    ops = {g: {x[1]: cat.op_apply(X, g, x)[1] for x in X.carrier} for g in gpd.elements}
+    tables = cat.op_tables(X)
+    ops = {g: {x[1]: tables[g][x][1] for x in X.carrier} for g in gpd.elements}
     return [x[1] for x in X.carrier], ops
 
 
@@ -257,7 +257,7 @@ def test_generator_laws_accept_exactly_the_lawful_tables(name):
     accepts.  A table that breaks a law breaks one with a generator on the
     left or an identity law: the reduction's claim, seen by the oracle."""
     gpd = LAW_GROUPS[name]
-    cat = presheaf_cat(gpd)
+    cat = gset_cat(gpd)
     non_generators = [g for g in gpd.elements if g not in cat.generators]
     rng = random.Random(name)
     outcomes = Counter()
@@ -305,7 +305,7 @@ def test_naturality_on_generators_agrees_with_every_table(name):
     """Random maps between random G-sets: homs, homs with one image moved,
     and arbitrary maps."""
     gpd = LAW_GROUPS[name]
-    cat = presheaf_cat(gpd)
+    cat = gset_cat(gpd)
     rng = random.Random(f"natural/{name}")
     verdicts = Counter()
     for _ in range(40):
