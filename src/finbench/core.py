@@ -44,9 +44,9 @@ orbit has a tail t and a period p, so op^(t + p)(x) = op^t(x), and a hom
 sends x only to an element y whose own tail is at most t and whose period
 divides p.  ``cycle_signatures`` keeps each element's (tail, period) per
 generating operation on the object, from one walk of each operation's
-functional graph.  At a branch point the search applies the rule only after
-one of x's targets has failed propagation, so a search that never fails
-builds no signatures.
+functional graph.  At a branch point the search tests each target against
+the rule before it propagates, so a hom set that the rule empties at its
+first branch element costs no propagation.
 
 ``cats.UnaryAlgebraCat`` writes the constructions once for finite sets, unary
 algebras and G-sets, on ``op_tables`` and three hooks of its own: ``_build``
@@ -494,28 +494,23 @@ class Category:
         propagation along all of them and, by their composition laws,
         checks the same equations; each step checks relations and
         injectivity only for the elements it assigned, and is undone on
-        return.  Once a target of x
-        has failed, the remaining targets y must also pass the cycle rule
+        return.  Every target y of x must first pass the cycle rule
         (``_fits`` on the cycle signatures of x and y), which every hom
-        satisfies; its verdicts are memoised per pair of signatures.
+        satisfies, so a branch element with no fitting target costs no
+        propagation; its verdicts are memoised per pair of signatures.
         """
         xs = X.carrier
         tables = self.generator_tables(Y)
-        # each x's successors, paired with the table of their operation in Y
-        succ = {x: [] for x in xs}
-        for op_id, table in self.generator_tables(X).items():
-            for a, a2 in table.items():
-                succ[a].append((tables[op_id], a2))
+        if tables:  # without operations there are no cycle equations
+            sig_x, sig_y = self.cycle_signatures(X), self.cycle_signatures(Y)
+        fit = {}
+        # each x's successors, paired with the table of their operation in Y;
+        # built on the first step
+        succ = {}
         check = self.relation_check(X, Y)
         assign, used = {}, set()  # used: the values taken, when injective
-        prune = bool(tables)  # without operations there are no cycle equations
-        sig_x = sig_y = None  # the cycle signatures, read once needed
-        fit = {}
 
         def fits(x, y):
-            nonlocal sig_x, sig_y
-            if sig_x is None:
-                sig_x, sig_y = self.cycle_signatures(X), self.cycle_signatures(Y)
             key = (sig_x[x], sig_y[y])
             ok = fit.get(key)
             if ok is None:
@@ -524,6 +519,11 @@ class Category:
 
         def step(x, y):
             # assign x -> y and what the operations force: (new elements, ok)
+            if not succ:
+                succ.update((a, []) for a in xs)
+                for op_id, table in self.generator_tables(X).items():
+                    for a, a2 in table.items():
+                        succ[a].append((tables[op_id], a2))
             assign[x] = y
             new = [x]
             if injective:
@@ -551,15 +551,12 @@ class Category:
                 yield Mor(X, Y, tuple(assign[x] for x in xs))
                 return
             x = xs[i]
-            failed = False
             for y in Y.carrier if over is None else over[x]:
-                if y in used or failed and not fits(x, y):
+                if y in used or tables and not fits(x, y):
                     continue
                 new, ok = step(x, y)
                 if ok:
                     yield from extend(i + 1)
-                else:
-                    failed = prune
                 if injective:
                     used.difference_update([assign[a] for a in new])
                 for a in new:

@@ -1039,19 +1039,55 @@ class _CountingTable(dict):
 
 def test_search_skips_targets_that_break_a_cycle_equation():
     # a hom sends the 12-cycle's first point to a point whose period divides
-    # 12: once its first target in the 5-cycle has failed, the other four
-    # are skipped, so one 12-step propagation reads the table, not five
+    # 12: every target is tested before it is propagated, so no point of the
+    # 5-cycle starts a propagation and the table is never read
     X = UN.obj(range(12), lambda i: (i + 1) % 12)
     Y = UN.obj(range(5), lambda i: (i + 1) % 5)
-    UN.cycle_signatures(Y)  # built once per object, before the count
     table = Y.__dict__["_op_tables"]["op"] = _CountingTable(UN.op_tables(Y)["op"])
     assert UN.hom_set(X, Y) == []
-    assert table.reads == 12
-    # no signature is built before a target fails: every target of the
-    # 12-cycle's first point in a 6-cycle gives a hom
-    X, six = UN.obj(range(12), lambda i: (i + 1) % 12), UN.obj(range(6), lambda i: (i + 1) % 6)
+    assert table.reads == 0
+    # every point of a 6-cycle fits: six propagations of 12 reads, one per hom
+    six = UN.obj(range(6), lambda i: (i + 1) % 6)
+    table = six.__dict__["_op_tables"]["op"] = _CountingTable(UN.op_tables(six)["op"])
     assert len(UN.hom_set(X, six)) == 6
-    assert "_cycle_sigs" not in X.__dict__ and "_cycle_sigs" not in six.__dict__
+    assert table.reads == 72
+
+
+def test_lifts_skip_fiber_points_that_break_a_cycle_equation():
+    # lifts of C_2 -> 1 through B -> 1, B a 3-cycle on 0, 1, 2 and a 2-cycle
+    # on 3, 4: the fiber's first point 0 has period 3, which does not divide
+    # 2, so only 3 and 4 start a propagation (2 reads each), one per lift
+    B = UN.obj(range(5), [1, 2, 0, 4, 3].__getitem__)
+    one, two = UN.obj([0], lambda i: 0), UN.obj(range(2), lambda i: 1 - i)
+    f, g = Mor(two, one, (0, 0)), Mor(B, one, (0,) * 5)
+    table = B.__dict__["_op_tables"]["op"] = _CountingTable(UN.op_tables(B)["op"])
+    assert [h.mapping for h in UN.lifts(f, g)] == [(3, 4), (4, 3)]
+    assert table.reads == 4
+    # a fiber in which no point fits: no propagation starts
+    C = UN.obj(range(3), lambda i: (i + 1) % 3)
+    table = C.__dict__["_op_tables"]["op"] = _CountingTable(UN.op_tables(C)["op"])
+    assert list(UN.lifts(f, Mor(C, one, (0, 0, 0)))) == []
+    assert table.reads == 0
+
+
+def _cycle_sum_homs(ps, qs):
+    """|hom(sum of C_p, sum of C_q)| = prod over p of sum of q dividing p."""
+    total = 1
+    for p in ps:
+        total *= sum(q for q in qs if p % q == 0)
+    return total
+
+
+def test_hom_counts_between_sums_of_cycles_match_the_closed_form():
+    # the summands have different cycle signatures, so a pruning fault that
+    # drops some homs but not all changes a count
+    def sums(top, most):
+        return [c for k in range(1, most + 1) for c in itertools.combinations(range(1, top + 1), k)]
+
+    pairs = [(ps, qs) for ps in sums(9, 2) for qs in sums(6, 3)]
+    assert len(pairs) == 1845
+    for ps, qs in pairs:
+        assert len(UN.hom_set(UN.cycles_sum(ps), UN.cycles_sum(qs))) == _cycle_sum_homs(ps, qs), (ps, qs)
 
 
 @settings(max_examples=80, deadline=None)

@@ -82,3 +82,17 @@ def test_metrics_sidecar_leaves_report_bytes_unchanged(tmp_path, capsys):
     assert all(c["wall_s"] > 0 for c in metrics["checks"])
     assert metrics["python"] == platform.python_version()
     assert metrics["nproc"] >= 1
+
+
+def test_fault_scan_sites_occur_once():
+    # the catalogue stays live through refactors: every planted fault's
+    # site is one exact text in the current src/ (the scan itself is slow)
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("fault_scan", ROOT / "scripts" / "fault_scan.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    assert len(scan.FAULTS) == 11
+    for path, old, new, kernel in scan.FAULTS:
+        assert old != new, kernel
+        assert (ROOT / "src" / path).read_text().count(old) == 1, kernel
