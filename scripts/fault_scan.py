@@ -29,18 +29,22 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # (file under src/, exact old text, new text, kernel: the planted fault)
 FAULTS = [
     ("finbench/core.py",
-     "                    elif c != b2:\n                        return new, False",
-     "                    elif False:\n                        return new, False",
+     "                        elif c != b2:\n                            ok = False",
+     "                        elif False:\n                            ok = False",
      "_search ignores a propagation conflict"),
     ("finbench/core.py",
-     "            return new, check is None or check(assign, new)",
-     "            return new, True",
+     "                    ok = check(assign, new)",
+     "                    ok = True",
      "_search skips relation_check"),
     ("finbench/core.py",
      "        assign, used = {}, set()  # used: the values taken, when injective\n",
      "        assign, used = {}, set()  # used: the values taken, when injective\n"
      "        injective = False\n",
      "_search skips the injectivity test"),
+    ("finbench/core.py",
+     "                for a in new:\n                    del assign[a]",
+     "                for a in new[:1]:\n                    del assign[a]",
+     "_search undoes only the branch element's own assignment on backtrack"),
     ("finbench/core.py",
      "    return all(b[0] <= a[0] and a[1] % b[1] == 0 for a, b in zip(sx, sy))",
      "    return all(b[0] <= a[0] and a[1] == b[1] for a, b in zip(sx, sy))",

@@ -46,7 +46,11 @@ divides p.  ``cycle_signatures`` keeps each element's (tail, period) per
 generating operation on the object, from one walk of each operation's
 functional graph.  At a branch point the search tests each target against
 the rule before it propagates, so a hom set that the rule empties at its
-first branch element costs no propagation.
+first branch element costs no propagation.  The kernel is one generator
+over an explicit stack of branch frames, with no recursion and no nested
+function: a search's depth is bounded by memory, not by the recursion
+limit, and a search that ends or is dropped is freed by reference
+counting, with nothing left for the cycle collector.
 
 ``cats.UnaryAlgebraCat`` writes the constructions once for finite sets, unary
 algebras and G-sets, on ``op_tables`` and three hooks of its own: ``_build``
@@ -489,80 +493,102 @@ class Category:
         dict from each x to a list of points of Y in carrier order, only the
         maps choosing x's value in over[x].
 
-        Backtracking on one assignment, with propagation along the
-        generating unary operations, which reaches the same elements as
-        propagation along all of them and, by their composition laws,
-        checks the same equations; each step checks relations and
-        injectivity only for the elements it assigned, and is undone on
-        return.  Every target y of x must first pass the cycle rule
-        (``_fits`` on the cycle signatures of x and y), which every hom
-        satisfies, so a branch element with no fitting target costs no
-        propagation; its verdicts are memoised per pair of signatures.
+        One generator over an explicit stack of branch frames
+        [position, target iterator, elements assigned], with no recursion
+        and no nested function: a search as deep as X is large needs no
+        more of Python's stack than a shallow one, and a finished or
+        abandoned search holds no reference cycle, so reference counting
+        frees it.  A frame's target assigns x and what propagation along
+        the generating unary operations forces (which reaches the same
+        elements as propagation along all of them and, by their
+        composition laws, checks the same equations); relations and
+        injectivity are checked only for the elements it assigned, and on
+        backtrack, before the frame's next target, all of them are undone.
+        Every target y of x must first pass the cycle rule (``_fits`` on
+        the cycle signatures of x and y), which every hom satisfies, so a
+        branch element with no fitting target costs no propagation; its
+        verdicts are memoised per pair of signatures.
         """
-        xs = X.carrier
+        xs, n = X.carrier, X.size
         tables = self.generator_tables(Y)
         if tables:  # without operations there are no cycle equations
             sig_x, sig_y = self.cycle_signatures(X), self.cycle_signatures(Y)
         fit = {}
         # each x's successors, paired with the table of their operation in Y;
-        # built on the first step
-        succ = {}
+        # built on the first propagation
+        succ = None
         check = self.relation_check(X, Y)
         assign, used = {}, set()  # used: the values taken, when injective
-
-        def fits(x, y):
-            key = (sig_x[x], sig_y[y])
-            ok = fit.get(key)
-            if ok is None:
-                ok = fit[key] = _fits(*key)
-            return ok
-
-        def step(x, y):
-            # assign x -> y and what the operations force: (new elements, ok)
-            if not succ:
-                succ.update((a, []) for a in xs)
-                for op_id, table in self.generator_tables(X).items():
-                    for a, a2 in table.items():
-                        succ[a].append((tables[op_id], a2))
-            assign[x] = y
-            new = [x]
-            if injective:
-                used.add(y)
-            for a in new:  # new grows while this runs
-                b = assign[a]
-                for table, a2 in succ[a]:
-                    b2 = table.get(b)
-                    c = assign.get(a2)
-                    if c is None:
-                        if injective and b2 in used:
-                            return new, False
-                        assign[a2] = b2
-                        new.append(a2)
-                        if injective:
-                            used.add(b2)
-                    elif c != b2:
-                        return new, False
-            return new, check is None or check(assign, new)
-
-        def extend(i):
-            while i < len(xs) and xs[i] in assign:
+        stack, i = [], 0
+        while True:
+            while i < n and xs[i] in assign:  # the next branch element
                 i += 1
-            if i == len(xs):
-                yield Mor(X, Y, tuple(assign[x] for x in xs))
-                return
-            x = xs[i]
-            for y in Y.carrier if over is None else over[x]:
-                if y in used or tables and not fits(x, y):
-                    continue
-                new, ok = step(x, y)
-                if ok:
-                    yield from extend(i + 1)
+            if i == n:
+                yield Mor(X, Y, tuple(map(assign.__getitem__, xs)))
+            else:
+                stack.append([i, iter(Y.carrier if over is None else over[xs[i]]), ()])
+            while stack:  # undo the top frame's target, then try its next one
+                frame = stack[-1]
+                i, targets, new = frame
                 if injective:
-                    used.difference_update([assign[a] for a in new])
+                    used.difference_update(map(assign.__getitem__, new))
                 for a in new:
                     del assign[a]
-
-        return extend(0)
+                x = xs[i]
+                if tables:
+                    sx = sig_x[x]
+                for y in targets:
+                    if y in used:
+                        continue
+                    if tables:
+                        key = (sx, sig_y[y])
+                        ok = fit.get(key)
+                        if ok is None:
+                            ok = fit[key] = _fits(sx, key[1])
+                        if not ok:
+                            continue
+                    break
+                else:
+                    stack.pop()
+                    continue
+                if succ is None:
+                    succ = {}
+                    for a in xs:
+                        succ[a] = []
+                    for op_id, table in self.generator_tables(X).items():
+                        for a, a2 in table.items():
+                            succ[a].append((tables[op_id], a2))
+                # assign x -> y and what the operations force
+                assign[x] = y
+                frame[2] = new = [x]
+                if injective:
+                    used.add(y)
+                ok = True
+                for a in new:  # new grows while this runs
+                    b = assign[a]
+                    for table, a2 in succ[a]:
+                        b2 = table.get(b)
+                        c = assign.get(a2)
+                        if c is None:
+                            if injective and b2 in used:
+                                ok = False
+                                break
+                            assign[a2] = b2
+                            new.append(a2)
+                            if injective:
+                                used.add(b2)
+                        elif c != b2:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if ok and check is not None:
+                    ok = check(assign, new)
+                if ok:
+                    i += 1
+                    break
+            else:
+                return
 
     # ---- mono / epi --------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Category backbone: hom enumeration, lifts, factorization, mono/epi,
 coproducts, coequalizers, kernel pairs, subobjects, and isomorphism search."""
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -948,6 +949,42 @@ def test_search_reads_the_tables_once_per_search(monkeypatch):
             counts.append(+reads)
         assert counts[0]["generator_tables"] > 0, name
         assert counts[1] <= counts[0], (name, counts)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # a search is one generator over a stack of frames, with no closures
+    # that refer to each other, so reference counting frees it whether it
+    # ran to the end (hom_set), was left part way (lifts) or stopped at its
+    # first answer (find_iso); the collector is off so that none of its
+    # own runs takes the garbage first
+    s3 = gset_cat(S3_GPD)
+    folds = [_fold(UN, UN.cycle(3)), _fold(s3, _coset_gset(s3, _S3_SUBGROUPS[1:3])),
+             _fold(GRA, GRA.obj(range(3), [(0, 0), (0, 1), (1, 0), (1, 2)]))]
+    cases = _search_cases()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, search in cases:
+            assert search(), name
+        for g in folds:  # the identity and the swap of the two summands first
+            lifts = category_of(g.dom).lifts(g, g)
+            assert next(lifts) != next(lifts)
+            del lifts
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+
+
+def test_deep_searches_do_not_hit_the_recursion_limit():
+    # the frames of a search are on a list, not on Python's stack: each
+    # point here is its own branch element, past the default limit of 1,000
+    one = FINSET.obj([0])
+    assert [h.mapping for h in FINSET.hom_set(FINSET.obj(range(1500)), one)] == [(0,) * 1500]
+    fixed = UN.obj(range(1500), lambda i: i)
+    point = UN.cycle(1)
+    assert [h.mapping for h in UN.hom_set(fixed, point)] == [point.carrier * 1500]
+    edgeless = GRA.obj(range(1200), [])
+    assert GRA.find_iso(edgeless, edgeless) == GRA.identity(edgeless)
 
 
 def _injective_brute(X, Y):
