@@ -37,13 +37,13 @@ FAULTS = [
      "                    ok = True",
      "_search skips relation_check"),
     ("finbench/core.py",
-     "        assign, used = {}, set()  # used: the values taken, when injective\n",
-     "        assign, used = {}, set()  # used: the values taken, when injective\n"
+     "        assign, used = [None] * n, [False] * len(ys)  # used: positions taken, if injective\n",
+     "        assign, used = [None] * n, [False] * len(ys)  # used: positions taken, if injective\n"
      "        injective = False\n",
      "_search skips the injectivity test"),
     ("finbench/core.py",
-     "                for a in new:\n                    del assign[a]",
-     "                for a in new[:1]:\n                    del assign[a]",
+     "                for a in new:\n                    assign[a] = None",
+     "                for a in new[:1]:\n                    assign[a] = None",
      "_search undoes only the branch element's own assignment on backtrack"),
     ("finbench/core.py",
      "    return all(b[0] <= a[0] and a[1] % b[1] == 0 for a, b in zip(sx, sy))",

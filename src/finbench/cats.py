@@ -19,6 +19,7 @@ from .core import (
     Value,
     canon,
     elem_key,
+    lookup_category,
     register_category,
 )
 from .perms import closed_under, compose_perm, mulclose
@@ -201,12 +202,15 @@ class GraphCat(Category):
         return all((img[u], img[v]) in target for u, v in self.edges(f.dom))
 
     def relation_check(self, X, Y):
-        target, incident = self.edge_set(Y), {x: set() for x in X.carrier}
-        for e in self.edges(X):  # the edges at each vertex, loops included
-            incident[e[0]].add(e)
-            incident[e[1]].add(e)
+        """The edge check on vertex positions."""
+        px, py = self._index(X)[0], self._index(Y)[0]
+        target = {(py[u], py[v]) for u, v in self.edges(Y)}
+        incident = [set() for _ in X.carrier]  # the edges at each position
+        for u, v in self.edges(X):
+            incident[px[u]].add((px[u], px[v]))
+            incident[px[v]].add((px[u], px[v]))
         return lambda assign, new: all(
-            u not in assign or v not in assign or (assign[u], assign[v]) in target
+            assign[u] is None or assign[v] is None or (assign[u], assign[v]) in target
             for x in new for u, v in incident[x])
 
     def point_invariants(self, X):
@@ -328,13 +332,14 @@ class UnCat(UnaryAlgebraCat):
 
     def iso_invariant(self, X):
         """The size and the sorted multiset of (tail, period) pairs."""
-        return (X.size, tuple(sorted(sig[0] for sig in self.cycle_signatures(X).values())))
+        return (X.size, tuple(sorted(sig[0] for sig in self._index(X)[2])))
 
     def tail_period(self, X, x):
         """(tail, period): the steps from x until the operation enters its
         cycle, and that cycle's length (every finite orbit ends in one);
-        read from cycle_signatures."""
-        return self.cycle_signatures(X)[x][0]
+        read from X's index."""
+        pos, _, sigs = self._index(X)
+        return sigs[pos[x]][0]
 
 
 UN = register_category(UnCat())
@@ -496,7 +501,10 @@ class PresheafCat(UnaryAlgebraCat):
 
 def gset_cat(group: FiniteGroup) -> PresheafCat:
     """The registered category of actions of group, built on first request."""
-    return register_category(PresheafCat(group))
+    try:
+        return lookup_category(f"psh({group.name})")
+    except KeyError:
+        return register_category(PresheafCat(group))
 
 
 # standard acting groups (named for their one-object groupoids)

@@ -39,18 +39,18 @@ A category supplies these hooks:
   strictness witness.  FinSet, presheaves (G-sets) and F_q override it in
   their own modules; the default raises ValueError, as Un and Gra do.
 
-The search prunes by cycle equations.  Under one operation, an element x's
-orbit has a tail t and a period p, so op^(t + p)(x) = op^t(x), and a hom
-sends x only to an element y whose own tail is at most t and whose period
-divides p.  ``cycle_signatures`` keeps each element's (tail, period) per
-generating operation on the object, from one walk of each operation's
-functional graph.  At a branch point the search tests each target against
-the rule before it propagates, so a hom set that the rule empties at its
-first branch element costs no propagation.  The kernel is one generator
-over an explicit stack of branch frames, with no recursion and no nested
-function: a search's depth is bounded by memory, not by the recursion
-limit, and a search that ends or is dropped is freed by reference
-counting, with nothing left for the cycle collector.
+The search steps on carrier positions.  ``Category._index`` indexes an
+object once and keeps the index on it: each element's position, each
+generating operation as the list of its images' positions, and each
+position's cycle signature.  Under one operation an element x's orbit has a
+tail t and a period p, so op^(t + p)(x) = op^t(x), and a hom sends x only to
+an element whose own tail is at most t and whose period divides p; the
+search tests each target of a branch element against this rule before it
+propagates, so a hom set that the rule empties at its first branch element
+costs no propagation.  The kernel is one generator over an explicit stack
+of branch frames, with no recursion and no nested function: a search's
+depth is bounded by memory, not by the recursion limit, and a search that
+ends or is dropped is freed by reference counting.
 
 ``cats.UnaryAlgebraCat`` writes the constructions once for finite sets, unary
 algebras and G-sets, on ``op_tables`` and three hooks of its own: ``_build``
@@ -73,7 +73,15 @@ import importlib
 
 
 def elem_key(x):
-    """Total order key for carrier elements (ints, strings, tuples, frozensets)."""
+    """Total order key for carrier elements (ints, strings, tuples, frozensets);
+    exact ints, tuples and strs are dispatched before the isinstance tests."""
+    t = type(x)
+    if t is int:
+        return (0, x)
+    if t is tuple:
+        return (2, len(x), tuple(map(elem_key, x)))
+    if t is str:
+        return (1, x)
     if isinstance(x, bool):
         return (0, int(x))
     if isinstance(x, int):
@@ -307,12 +315,10 @@ class Partition:
         return {x: members[0] for members in self.classes() for x in members}
 
 
-def _orbit_shapes(carrier, index, table) -> list:
-    """The (tail, period) of each element's orbit under the operation
-    table, in carrier order; one walk of the functional graph on carrier
-    positions (index maps each element to its position), which enters each
-    element once."""
-    nxt = list(map(index.__getitem__, map(table.__getitem__, carrier)))
+def _orbit_shapes(nxt) -> list:
+    """The (tail, period) of each position's orbit under the operation
+    given as the list of its images' positions; one walk of the functional
+    graph, which enters each position once."""
     shape = [None] * len(nxt)
     at = [-1] * len(nxt)  # the step, counted over all walks, that entered it
     steps = 0
@@ -418,19 +424,26 @@ class Category:
         ids for every object of a category."""
         return self.op_tables(X)
 
-    def cycle_signatures(self, X: Obj) -> dict:
-        """{x: signature}, built once per object: for each operation in
-        generator_tables order, which is the same for every object of a
-        category, the (tail, period) of x's orbit under that operation
-        alone, so op^(tail + period)(x) = op^tail(x)."""
-        sigs = X.__dict__.get("_cycle_sigs")
-        if sigs is None:
-            index = {x: i for i, x in enumerate(X.carrier)}
-            cols = [_orbit_shapes(X.carrier, index, t)
+    def _index(self, X: Obj) -> tuple:
+        """X's index (pos, gens, sigs), built on the first request and kept
+        on X: pos maps each element to its position, gens lists each
+        generating operation, in generator_tables order, as its images'
+        positions, and sigs holds each position's cycle signature."""
+        index = X.__dict__.get("_index")
+        if index is None:
+            xs = X.carrier
+            pos = {x: i for i, x in enumerate(xs)}
+            gens = [list(map(pos.__getitem__, map(t.__getitem__, xs)))
                     for t in self.generator_tables(X).values()]
-            sigs = X.__dict__["_cycle_sigs"] = (
-                dict(zip(X.carrier, zip(*cols))) if cols else dict.fromkeys(X.carrier, ()))
-        return sigs
+            sigs = list(zip(*map(_orbit_shapes, gens))) if gens else [()] * len(xs)
+            index = X.__dict__["_index"] = (pos, gens, sigs)
+        return index
+
+    def cycle_signatures(self, X: Obj) -> dict:
+        """{x: signature} in carrier order, from X's index: for each operation
+        in generator_tables order, the same for every object of a category,
+        the (tail, period) of x's orbit, so op^(tail + period)(x) = op^tail(x)."""
+        return dict(zip(X.carrier, self._index(X)[2]))
 
     def point_invariants(self, X: Obj) -> dict:
         """{x: key} in carrier order, for a key that every isomorphism
@@ -440,8 +453,8 @@ class Category:
 
     def relation_check(self, X: Obj, Y: Obj):
         """Relational constraints (edges), built once per search: None, or
-        ok(assign, new) checking those among assigned elements that involve
-        an element of the list new."""
+        ok(assign, new) checking those among assigned positions that involve
+        a position in the list new; assign lists each image position or None."""
         return None
 
     def iso_invariant(self, X: Obj):
@@ -481,102 +494,80 @@ class Category:
         """
         if f.cod != g.cod:
             raise ValueError("lift of morphisms with different codomains")
-        fiber = {}  # each fiber in carrier order
-        for y, z in zip(g.dom.carrier, g.mapping):
-            fiber.setdefault(z, []).append(y)
-        over = {x: fiber.get(f(x), ()) for x in f.dom.carrier}
+        fiber = {}  # each fiber's positions in carrier order
+        for j, z in enumerate(g.mapping):
+            fiber.setdefault(z, []).append(j)
+        over = [fiber.get(z, ()) for z in f.mapping]
         return self._search(f.dom, g.dom, injective=False, over=over)
 
     def _search(self, X: Obj, Y: Obj, injective: bool, over=None):
         """Yield the structure-preserving maps X -> Y (only the injective ones
-        when asked) depth first in carrier order; with ``over``, a
-        dict from each x to a list of points of Y in carrier order, only the
-        maps choosing x's value in over[x].
-
-        One generator over an explicit stack of branch frames
-        [position, target iterator, elements assigned], with no recursion
-        and no nested function: a search as deep as X is large needs no
-        more of Python's stack than a shallow one, and a finished or
-        abandoned search holds no reference cycle, so reference counting
-        frees it.  A frame's target assigns x and what propagation along
-        the generating unary operations forces (which reaches the same
-        elements as propagation along all of them and, by their
-        composition laws, checks the same equations); relations and
-        injectivity are checked only for the elements it assigned, and on
-        backtrack, before the frame's next target, all of them are undone.
-        Every target y of x must first pass the cycle rule (``_fits`` on
-        the cycle signatures of x and y), which every hom satisfies, so a
-        branch element with no fitting target costs no propagation; its
-        verdicts are memoised per pair of signatures.
+        when asked) depth first in carrier order; with ``over``, a list
+        giving each position of X the positions of Y, in order, that may be
+        its value.  assign lists each position's image position or None,
+        and used marks the image positions taken.  A branch frame [position,
+        target iterator, positions assigned] assigns x and what propagation
+        along the generating operations forces (which reaches and checks
+        what all of them would, by their composition laws); relations and
+        injectivity are checked only for the positions a frame assigned, all
+        of which are undone before its next target.  Each target must first
+        pass the cycle rule (``_fits``), memoised per pair of signatures.
+        Each hom is yielded as a validated Mor.
         """
-        xs, n = X.carrier, X.size
-        tables = self.generator_tables(Y)
-        if tables:  # without operations there are no cycle equations
-            sig_x, sig_y = self.cycle_signatures(X), self.cycle_signatures(Y)
+        n, ys = X.size, Y.carrier
+        (_, gens_x, sig_x), (_, gens_y, sig_y) = self._index(X), self._index(Y)
+        pairs = list(zip(gens_x, gens_y))  # each operation's lists in X and Y
         fit = {}
-        # each x's successors, paired with the table of their operation in Y;
-        # built on the first propagation
-        succ = None
         check = self.relation_check(X, Y)
-        assign, used = {}, set()  # used: the values taken, when injective
+        assign, used = [None] * n, [False] * len(ys)  # used: positions taken, if injective
         stack, i = [], 0
         while True:
-            while i < n and xs[i] in assign:  # the next branch element
+            while i < n and assign[i] is not None:  # the next branch element
                 i += 1
             if i == n:
-                yield Mor(X, Y, tuple(map(assign.__getitem__, xs)))
+                yield Mor(X, Y, tuple(map(ys.__getitem__, assign)))
             else:
-                stack.append([i, iter(Y.carrier if over is None else over[xs[i]]), ()])
+                stack.append([i, iter(range(len(ys)) if over is None else over[i]), ()])
             while stack:  # undo the top frame's target, then try its next one
                 frame = stack[-1]
                 i, targets, new = frame
                 if injective:
-                    used.difference_update(map(assign.__getitem__, new))
+                    for a in new:
+                        used[assign[a]] = False
                 for a in new:
-                    del assign[a]
-                x = xs[i]
-                if tables:
-                    sx = sig_x[x]
+                    assign[a] = None
+                sx = sig_x[i]
                 for y in targets:
-                    if y in used:
+                    if used[y]:
                         continue
-                    if tables:
-                        key = (sx, sig_y[y])
-                        ok = fit.get(key)
-                        if ok is None:
-                            ok = fit[key] = _fits(sx, key[1])
-                        if not ok:
-                            continue
-                    break
+                    key = (sx, sig_y[y])
+                    ok = fit.get(key)
+                    if ok is None:
+                        ok = fit[key] = _fits(sx, key[1])
+                    if ok:
+                        break
                 else:
                     stack.pop()
                     continue
-                if succ is None:
-                    succ = {}
-                    for a in xs:
-                        succ[a] = []
-                    for op_id, table in self.generator_tables(X).items():
-                        for a, a2 in table.items():
-                            succ[a].append((tables[op_id], a2))
                 # assign x -> y and what the operations force
-                assign[x] = y
-                frame[2] = new = [x]
+                assign[i] = y
+                frame[2] = new = [i]
                 if injective:
-                    used.add(y)
+                    used[y] = True
                 ok = True
                 for a in new:  # new grows while this runs
                     b = assign[a]
-                    for table, a2 in succ[a]:
-                        b2 = table.get(b)
-                        c = assign.get(a2)
+                    for xt, yt in pairs:
+                        a2, b2 = xt[a], yt[b]
+                        c = assign[a2]
                         if c is None:
-                            if injective and b2 in used:
+                            if used[b2]:
                                 ok = False
                                 break
                             assign[a2] = b2
                             new.append(a2)
                             if injective:
-                                used.add(b2)
+                                used[b2] = True
                         elif c != b2:
                             ok = False
                             break
@@ -669,10 +660,10 @@ class Category:
         it still yields, in the same order."""
         if X.size != Y.size or self.iso_invariant(X) != self.iso_invariant(Y):
             return None
-        alike = {}
-        for y, key in self.point_invariants(Y).items():
-            alike.setdefault(key, []).append(y)
-        over = {x: alike.get(key, ()) for x, key in self.point_invariants(X).items()}
+        alike = {}  # each key's positions in carrier order
+        for j, key in enumerate(self.point_invariants(Y).values()):
+            alike.setdefault(key, []).append(j)
+        over = [alike.get(key, ()) for key in self.point_invariants(X).values()]
         found = self._search(X, Y, injective=True, over=over)
         return next((f for f in found if self.is_iso(f)), None)
 

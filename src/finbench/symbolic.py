@@ -218,7 +218,8 @@ def no_finitary_endo_certificate(A: SymbolicObject, window: int = 32, path_bound
             for q in ps:
                 n_homs = len(UN.hom_set(UN.cycle(p), UN.cycle(q)))
                 table.append([p, q, n_homs])
-                if (n_homs > 0) != (p % q == 0):
+                # the closed form: q homs when q divides p, none otherwise
+                if n_homs != (q if p % q == 0 else 0):
                     raise AssertionError("divisibility law violated")
         return {
             "checked": {"prime_hom_table": table, "prime_bound": prime_bound},

@@ -16,7 +16,8 @@ maximum per pair of rows, random G-sets are drawn by rebuilding each coset
 orbit on every draw, and the maps of a subset orbit into a nominal set come
 from the stabilizer criterion at the base support, the single-orbit
 classes from orbits generated by whole subgroups, and the homs into the
-prime cycle family from anchor offsets per component.  The module also holds
+prime cycle family from anchor offsets per component.  Carrier elements
+are ordered by one chain of isinstance tests.  The module also holds
 test inputs for the live kernels: probe objects, identity and hom functors, the
 functor-law check, constant presentations and the maps that evaluations
 induce.
@@ -34,7 +35,6 @@ from finbench.core import (
     SymbolicObject,
     canon,
     category_of,
-    elem_key,
     lookup_category,
 )
 from finbench.nominal import (
@@ -53,6 +53,22 @@ from finbench.perms import (
 )
 from finbench.superfin import evaluate, presentation
 from finbench.symbolic import CYCLE_FAMILY, SymMor, primes_upto
+
+
+def elem_key_by_isinstance(x):
+    """core.elem_key as one chain of isinstance tests, without its dispatch
+    on exact types: the order that the library's key must reproduce."""
+    if isinstance(x, bool):
+        return (0, int(x))
+    if isinstance(x, int):
+        return (0, x)
+    if isinstance(x, str):
+        return (1, x)
+    if isinstance(x, tuple):
+        return (2, len(x), tuple(elem_key_by_isinstance(y) for y in x))
+    if isinstance(x, frozenset):
+        return (3, len(x), tuple(sorted(elem_key_by_isinstance(y) for y in x)))
+    raise TypeError(f"unsupported carrier element: {x!r}")
 
 
 def brute_homs(X, Y):
@@ -254,7 +270,7 @@ def class_min(spec, t):
 def orbit_elements_brute(spec, pool):
     """Class minimum of every injective tuple, in elem_key order."""
     reps = {class_min(spec, t) for t in itertools.permutations(range(pool), spec.n)}
-    return tuple(sorted(reps, key=elem_key))
+    return tuple(sorted(reps, key=elem_key_by_isinstance))
 
 
 def transpositions(n):
@@ -380,7 +396,7 @@ def presheaf_structure_by_canon(cat, values, ops):
     (element, pairs)."""
     tagged = [(g, canon((("*", v), ("*", ops[g][v])) for v in values))
               for g in cat.group.elements]
-    return ("ops", tuple(sorted(tagged, key=elem_key)))
+    return ("ops", tuple(sorted(tagged, key=elem_key_by_isinstance)))
 
 
 def unary_structure_by_canon(elems, op):
@@ -502,7 +518,7 @@ def _un_components(A):
     part = Partition(A.carrier)
     for x in A.carrier:
         part.union(x, op[x])
-    return [(sorted(elems, key=elem_key), UN.tail_period(A, elems[0])[1])
+    return [(sorted(elems, key=elem_key_by_isinstance), UN.tail_period(A, elems[0])[1])
             for elems in part.classes()]
 
 
@@ -691,13 +707,13 @@ def coequalizer_by_definition(cat, f, g):
         if a is not b:
             a |= b
             classes.remove(b)
-    rep = {y: min(cls, key=elem_key) for cls in classes for y in cls}
+    rep = {y: min(cls, key=elem_key_by_isinstance) for cls in classes for y in cls}
     return quotient_by_definition(cat, f.cod, classes), rep
 
 
 def quotient_by_definition(cat, Y, classes):
     """Quotient of Y on the elem_key-least member of each class."""
-    rep = {x: min(cls, key=elem_key) for cls in classes for x in cls}
+    rep = {x: min(cls, key=elem_key_by_isinstance) for cls in classes for x in cls}
     return algebra_by_definition(
         cat, set(rep.values()), lambda m, r: rep[cat.op_tables(Y)[m][r]])
 
@@ -803,7 +819,7 @@ def vec_subspaces_by_combinations(cat, X):
         for r in range(dim + 1)
         for vecs in itertools.combinations(X.carrier, r)
     }
-    return [vec_subspace_mono(cat, W, X) for W in sorted(spans, key=elem_key)]
+    return [vec_subspace_mono(cat, W, X) for W in sorted(spans, key=elem_key_by_isinstance)]
 
 
 def vec_standard(dim):

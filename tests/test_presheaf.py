@@ -17,6 +17,7 @@ from finbench.cats import (
     Z2_GPD,
     Z3_GPD,
     FiniteGroup,
+    PresheafCat,
     gset_cat,
     gset_free_orbit,
     gset_from_cosets,
@@ -337,6 +338,26 @@ def test_search_on_generators_gives_the_brute_homs_in_order(name):
         assert cat.hom_set(X, Y) == brute_homs(X, Y)
         bijections = [h for h in brute_homs(Y, Y) if h.is_injective()]
         assert cat.find_iso(Y, Y) == bijections[0]
+
+
+def test_gset_cat_builds_a_category_once_per_group_name(monkeypatch):
+    # a registered name is looked up before anything is built: no generators
+    # are closed and no laws composed again
+    built, real = [], PresheafCat.__init__
+
+    def counting(self, group):
+        built.append(group.name)
+        real(self, group)
+
+    monkeypatch.setattr(PresheafCat, "__init__", counting)
+    s3 = gset_cat(S3_GPD)
+    assert gset_cat(S3_GPD) is s3
+    assert built == []
+    # a group not registered yet is built on its first request only
+    copy = FiniteGroup("z2-copy", Z2_GPD.elements)
+    first = gset_cat(copy)
+    assert built == ["z2-copy"] and first.name == "psh(z2-copy)"
+    assert gset_cat(copy) is first and built == ["z2-copy"]
 
 
 def _cosets_through_obj(cat, subgroup, tag):
