@@ -78,6 +78,14 @@ FAULTS = [
      "        if other[1] != base[1]:",
      "        if False:",
      "colimits._merged never disagrees"),
+    ("finbench/strictness.py",
+     "            if f not in passed:",
+     "            if not passed:",
+     "regularity's memo decides only the first draw"),
+    ("finbench/hausdorff.py",
+     "    kept = space.__dict__",
+     "    kept = subset_space.__dict__",
+     "subset_space keeps one slot for all spaces"),
 ]
 
 SEEDS = (0, 7)

@@ -34,8 +34,9 @@ from .core import Value
 
 class FinMetricSpace(Value):
     """Fields points, den and rows, the integer matrix aligned with points:
-    d = rows[i][j] / den; the index point -> position takes no part in
-    equality."""
+    d = rows[i][j] / den.  The index point -> position, and the subset space
+    that subset_space keeps in the instance dict under "_subset_space" once
+    it has built it, take no part in equality or hash."""
 
     _fields = ("points", "den", "rows")
 
@@ -184,16 +185,25 @@ def subset_space(space: FinMetricSpace) -> FinMetricSpace:
     Subsets are index tuples in combinations order.  near[S][x] is the
     distance from point x to S, and far[S][T] = max of near[T][x] over x in S
     is the directed distance from S to T; the Hausdorff distance of S and T
-    is the larger of far[S][T] and far[T][S]."""
-    subs = [
-        c for r in range(1, space.size + 1)
-        for c in itertools.combinations(range(space.size), r)
-    ]
-    near = _fold_members(min, subs, space.rows)
-    far = _fold_members(max, subs, list(zip(*near)))
-    table = [list(map(max, row, col)) for row, col in zip(far, zip(*far))]
-    points = tuple(frozenset(map(space.points.__getitem__, c)) for c in subs)
-    return FinMetricSpace.from_ints(points, space.den, table)
+    is the larger of far[S][T] and far[T][S].
+
+    It is built, and its axioms checked, on the first call for a space and
+    kept in that space's instance dict under "_subset_space", so later
+    calls, subset_map's included, return the same object; the slot is freed
+    with the space."""
+    kept = space.__dict__
+    H = kept.get("_subset_space")
+    if H is None:
+        subs = [
+            c for r in range(1, space.size + 1)
+            for c in itertools.combinations(range(space.size), r)
+        ]
+        near = _fold_members(min, subs, space.rows)
+        far = _fold_members(max, subs, list(zip(*near)))
+        table = [list(map(max, row, col)) for row, col in zip(far, zip(*far))]
+        points = tuple(frozenset(map(space.points.__getitem__, c)) for c in subs)
+        H = kept["_subset_space"] = FinMetricSpace.from_ints(points, space.den, table)
+    return H
 
 
 def _fold_members(op, subs, vectors):

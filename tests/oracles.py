@@ -12,7 +12,9 @@ under scaled sums, coordinates by trying every coefficient tuple, and
 subspaces by spanning every combination of carrier vectors.  Presheaf laws
 are checked on every composable pair, naturality of a map of presheaves on
 every operation table, the triangle law of an integer distance matrix by a
-maximum per pair of rows, random G-sets are drawn by rebuilding each coset
+maximum per pair of rows, the subset space of a metric space by a fresh
+build on every call, the regularity recipe by a check of every draw, a
+repeated one too, random G-sets are drawn by rebuilding each coset
 orbit on every draw, and the maps of a subset orbit into a nominal set come
 from the stabilizer criterion at the base support, the single-orbit
 classes from orbits generated by whole subgroups, and the homs into the
@@ -25,9 +27,20 @@ induce.
 
 import itertools
 import math
+import random
 from operator import sub
 
-from finbench.cats import FINSET, UN, gset_fixed_point, gset_from_cosets
+from finbench.cats import (
+    FINSET,
+    UN,
+    Z2_GPD,
+    gset_cat,
+    gset_fixed_point,
+    gset_from_cosets,
+    random_finset_mor,
+    random_un_surjection,
+)
+from finbench.certs import FAIL, PASS_WITNESSED
 from finbench.core import (
     FunctorHandle,
     Mor,
@@ -37,6 +50,7 @@ from finbench.core import (
     category_of,
     lookup_category,
 )
+from finbench.hausdorff import FinMetricSpace, _fold_members
 from finbench.nominal import (
     NomMor,
     OrbitSpec,
@@ -49,8 +63,11 @@ from finbench.perms import (
     all_perms,
     compose_perm,
     identity_perm,
+    subgroups_of_sym,
     transposition,
 )
+from finbench.serialize import mor_to_json
+from finbench.strictness import _gset_surjection_sampler, regularity_check
 from finbench.superfin import evaluate, presentation
 from finbench.symbolic import CYCLE_FAMILY, SymMor, primes_upto
 
@@ -334,6 +351,42 @@ def hausdorff_by_definition(space, M, N):
     forward = max(min(d(x, y) for y in N) for x in M)
     backward = max(min(d(y, x) for x in M) for y in N)
     return max(forward, backward)
+
+
+def subset_space_unkept(space):
+    """hausdorff.subset_space as a fresh build on every call, kept nowhere:
+    the subsets as index tuples in combinations order, their distances to
+    each point folded by min, and the directed distances by max."""
+    subs = [
+        c for r in range(1, space.size + 1)
+        for c in itertools.combinations(range(space.size), r)
+    ]
+    near = _fold_members(min, subs, space.rows)
+    far = _fold_members(max, subs, list(zip(*near)))
+    table = [list(map(max, row, col)) for row, col in zip(far, zip(*far))]
+    points = tuple(frozenset(map(space.points.__getitem__, c)) for c in subs)
+    return FinMetricSpace.from_ints(points, space.den, table)
+
+
+def regularity_every_draw(seed, count, check=regularity_check):
+    """The regularity recipe's (verdict, witness) with check run on every
+    draw, a repeated one too: the first draw that check refuses fails."""
+    rng = random.Random(seed)
+    z2 = gset_cat(Z2_GPD)
+    z2_subgroups = [tuple(h) for h in subgroups_of_sym(2)]
+    samplers = (
+        ("finset", lambda: random_finset_mor(rng, surjective=True)),
+        ("un", lambda: random_un_surjection(rng)),
+        ("z2-set", _gset_surjection_sampler(rng, z2, z2_subgroups)),
+    )
+    checked = {"finset": 0, "un": 0, "z2-set": 0}
+    for _ in range(count):
+        for catname, sample in samplers:
+            f = sample()
+            if not check(f):
+                return FAIL, {"category": catname, "morphism": mor_to_json(f)}
+            checked[catname] += 1
+    return PASS_WITNESSED, {"mode": "coequalizer-of-kernel-pair", "checked": checked}
 
 
 def powfin_endo_dfs(m):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -20,10 +21,11 @@ from finbench.hausdorff import (
     subset_map,
     subset_space,
 )
-from finbench.certs import canonical_dumps
+from finbench import hausdorff
+from finbench.certs import PASS_WITNESSED, RECIPES, canonical_dumps
 from finbench.serialize import space_from_json, space_to_json
 
-from oracles import hausdorff_by_definition, triangle_by_pairs
+from oracles import hausdorff_by_definition, subset_space_unkept, triangle_by_pairs
 
 
 def _half_space():
@@ -429,3 +431,71 @@ def test_eight_point_base_builds_and_rejects_a_planted_violation():
     _set(rows, i, j, detour + 1)
     with pytest.raises(ValueError, match="^triangle inequality fails$"):
         FinMetricSpace.from_ints(H.points, H.den, rows)
+
+
+# ---------------------------------------------------------------------------
+# one subset space per space, kept in the space's instance dict
+
+
+def test_subset_spaces_match_the_unkept_build():
+    # the first 10 spaces that hausdorff-axioms draws at each seed
+    for seed in range(16):
+        rng = random.Random(seed)
+        for _ in range(10):
+            X = random_metric_space(rng, rng.randint(1, 5))
+            expected = subset_space_unkept(X)
+            for _ in range(2):  # the build, then the kept space
+                H = subset_space(X)
+                assert H == expected
+                assert (H.points, H.den, H.rows) == (expected.points, expected.den, expected.rows)
+
+
+def test_subset_space_is_kept_on_its_space():
+    X = random_metric_space(random.Random(3), 4)
+    H = subset_space(X)
+    assert subset_space(X) is H
+    assert subset_map(nonexpanding(X, X, lambda x: x)).dom is H
+
+
+def test_an_equal_space_built_apart_gets_an_equal_subset_space():
+    X = random_metric_space(random.Random(3), 4)
+    twin = random_metric_space(random.Random(3), 4)
+    H = subset_space(X)
+    assert twin == X and twin is not X
+    assert subset_space(twin) == H and subset_space(twin) is not H
+
+
+def test_the_kept_subset_space_takes_no_part_in_equality():
+    X = random_metric_space(random.Random(5), 3)
+    bare = random_metric_space(random.Random(5), 3)
+    subset_space(X)
+    assert "_subset_space" in X.__dict__ and "_subset_space" not in bare.__dict__
+    assert X == bare and bare == X and hash(X) == hash(bare)
+
+
+def test_the_kept_subset_space_is_freed_with_its_space():
+    X = random_metric_space(random.Random(5), 3)
+    kept = weakref.ref(subset_space(X))
+    assert kept() is not None
+    del X
+    assert kept() is None
+
+
+def test_functoriality_builds_each_subset_space_once(monkeypatch):
+    # seed 0, 15 samples: X, Y and X plus a far point, so 45 builds for the
+    # 180 subset spaces that the samples ask for
+    folds, calls = [0], [0]
+    real_fold, real_space = hausdorff._fold_members, hausdorff.subset_space
+
+    def counting_fold(*args):
+        folds[0] += 1
+        return real_fold(*args)
+
+    def counting_space(space):
+        calls[0] += 1
+        return real_space(space)
+
+    monkeypatch.setattr(hausdorff, "_fold_members", counting_fold)
+    monkeypatch.setattr(hausdorff, "subset_space", counting_space)
+    assert RECIPES["hausdorff-functoriality"](0).verdict == PASS_WITNESSED
+    assert calls[0] == 180 and folds[0] == 2 * 45

@@ -23,9 +23,10 @@ from finbench.cats import (
 )
 import finbench.suites  # registers all recipes
 from finbench import cats, strictness
-from finbench.certs import PASS_WITNESSED, RECIPES
+from finbench.certs import FAIL, PASS_WITNESSED, RECIPES, Certificate
 from finbench.core import Category, category_of, elem_key
 from finbench.perms import subgroups_of_sym
+from finbench.serialize import mor_to_json
 from finbench.strictness import (
     atoms_of_presheaves,
     congruences,
@@ -38,7 +39,7 @@ from finbench import symbolic as sy
 from finbench.symbolic import no_finitary_endo_certificate
 from finbench.vec import VEC2, VEC3
 
-from oracles import brute_congruences, random_gset
+from oracles import brute_congruences, random_gset, regularity_every_draw
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +368,62 @@ def test_atoms_runs_the_roundtrip_once_per_distinct_draw(monkeypatch):
     cert = RECIPES["atoms"]("triv", 0)
     assert cert.verdict == PASS_WITNESSED and cert.witness["roundtrips"] == 25
     assert seen == distinct
+
+
+@pytest.mark.parametrize("count", [1, 10, 100])
+def test_regularity_certificates_match_the_every_draw_oracle(count):
+    for seed in range(16):
+        cert = RECIPES["regularity"](seed, count)
+        verdict, witness = regularity_every_draw(seed, count)
+        inputs = {"recipe": "regularity", "params": {"seed": seed, "count": count}}
+        assert cert.dumps() == Certificate("colimit-test", inputs, verdict, witness, {}).dumps()
+
+
+def _seed0_regularity_draws():
+    """The 300 maps that the seed-0 regularity recipe draws, in order."""
+    draws = []
+    assert regularity_every_draw(0, 100, lambda f: draws.append(f) or True)[0] == PASS_WITNESSED
+    return draws
+
+
+def test_regularity_decides_each_distinct_draw_once(monkeypatch):
+    draws = _seed0_regularity_draws()
+    calls = []
+    real = strictness.regularity_check
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(strictness, "regularity_check", counting)
+    cert = RECIPES["regularity"](0)
+    assert cert.witness["checked"] == {"finset": 100, "un": 100, "z2-set": 100}
+    assert len(draws) == 300 and len(calls) == 142
+    assert calls == list(dict.fromkeys(draws))
+
+
+def test_regularity_fails_a_repeated_draw_at_its_first_draw(monkeypatch):
+    draws = _seed0_regularity_draws()
+    times = Counter(draws)
+    # the repeated map drawn first last, so that repeats come before it
+    bad = max((f for f in times if times[f] > 1), key=draws.index)
+    first = draws.index(bad)
+    assert first > 0 and bad in draws[first + 1:]
+    assert len(set(draws[:first])) < first  # the memo has skipped a repeat
+    calls = []
+    real = strictness.regularity_check
+
+    def refusing(f):
+        calls.append(f)
+        return f != bad and real(f)
+
+    monkeypatch.setattr(strictness, "regularity_check", refusing)
+    cert = RECIPES["regularity"](0)
+    category = ("finset", "un", "z2-set")[first % 3]
+    assert (cert.verdict, cert.witness) == (FAIL, {"category": category,
+                                                   "morphism": mor_to_json(bad)})
+    assert (cert.verdict, cert.witness) == regularity_every_draw(0, 100, lambda f: f != bad)
+    assert calls == list(dict.fromkeys(draws[:first + 1]))
 
 
 def _congruence_samples():
