@@ -94,7 +94,9 @@ class UnaryAlgebraCat(Category):
     def kernel_pair(self, f):
         # the nested loop lists the pairs in elem_key order
         X = f.dom
-        home = {self._pair(x, y): (x, y) for x in X.carrier for y in X.carrier if f(x) == f(y)}
+        images = list(zip(X.carrier, f.mapping))
+        home = {self._pair(x, y): (x, y)
+                for x, fx in images for y, fy in images if fx == fy}
         P = self._build(tuple(home), {
             m: {e: self._pair(t[x], t[y]) for e, (x, y) in home.items()}
             for m, t in self.op_tables(X).items()})
@@ -150,12 +152,24 @@ class FinSetCat(UnaryAlgebraCat):
     def retraction(self, b):
         """Keeps the image of b, or one point when it is empty, and sends
         the rest to its least point.  Not the orbit fold of psh(triv): that
-        gives the same maps up to relabelling, about 10 times slower."""
+        gives the same maps up to relabelling, about 10 times slower.
+
+        The pair depends only on b's codomain and image.  It is built on the
+        first call for them and kept in the codomain's instance dict under
+        "_retractions", a dict keyed by the image as a frozenset, so later
+        calls return the same pair.  The slot takes no part in equality; a
+        kept pair refers back to its codomain, so the cycle collector frees
+        the two together."""
         A = b.cod
-        keep = set(b.mapping) or set(A.carrier[:1])
-        B = self.subalgebra(A, keep)
-        f = self.mor(A, B, {a: a if a in keep else B.carrier[0] for a in A.carrier})
-        return self.sub_mono(A, B), f
+        kept = A.__dict__.setdefault("_retractions", {})
+        image = frozenset(b.mapping)
+        pair = kept.get(image)
+        if pair is None:
+            keep = image or frozenset(A.carrier[:1])
+            B = self.subalgebra(A, keep)
+            f = Mor(A, B, tuple(a if a in keep else B.carrier[0] for a in A.carrier))
+            pair = kept[image] = (self.sub_mono(A, B), f)
+        return pair
 
 
 FINSET = register_category(FinSetCat())
@@ -326,9 +340,11 @@ class UnCat(UnaryAlgebraCat):
         return self.obj(elems, lambda e: (e[0], (e[1] + 1) % e[0]))
 
     def preserves_structure(self, f):
+        # f(op x) and op(f x) for each x in carrier order
         src, dst = self.op_tables(f.dom)["op"], self.op_tables(f.cod)["op"]
         img = f._lookup
-        return all(img[src[x]] == dst[y] for x, y in img.items())
+        return (list(map(img.__getitem__, map(src.__getitem__, f.dom.carrier)))
+                == list(map(dst.__getitem__, f.mapping)))
 
     def iso_invariant(self, X):
         """The size and the sorted multiset of (tail, period) pairs."""
@@ -426,11 +442,12 @@ class PresheafCat(UnaryAlgebraCat):
         for g, table in tables.items():
             if not cset.issuperset(table.values()):
                 raise ValueError(f"operation {g} leaves the carrier")
-        if any(x != y for x, y in tables[self.group.elements[0]].items()):
+        # each operation's images, in carrier order
+        images = {g: list(map(t.__getitem__, carrier)) for g, t in tables.items()}
+        if images[self.group.elements[0]] != list(carrier):
             raise ValueError("identity operation is not the identity")
         for g, f, h in self._laws:
-            tg, tf, th = tables[g], tables[f], tables[h]
-            if any(tg[tf[x]] != th[x] for x in carrier):
+            if list(map(tables[g].__getitem__, images[f])) != images[h]:
                 raise ValueError("composition equation fails")
         # each table lists the carrier in order: already canon order
         tagged = tuple((g, tuple(t.items())) for g, t in tables.items())
@@ -450,10 +467,11 @@ class PresheafCat(UnaryAlgebraCat):
         # Naturality on the generators gives it on every element, a word in
         # the generators, by the composition laws of f.dom and f.cod (see
         # __init__).
-        img, dst = f._lookup, self.op_tables(f.cod)
+        # f(g x) and g(f x) for each x in carrier order
+        img, dst, xs = f._lookup, self.op_tables(f.cod), f.dom.carrier
         for g, table in self.generator_tables(f.dom).items():
-            target = dst[g]
-            if any(img[y] != target[img[x]] for x, y in table.items()):
+            if (list(map(img.__getitem__, map(table.__getitem__, xs)))
+                    != list(map(dst[g].__getitem__, f.mapping))):
                 return False
         return True
 

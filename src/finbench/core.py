@@ -472,10 +472,12 @@ class Category:
         return type(g)(f.dom, g.cod, tuple(map(g._lookup.__getitem__, f.mapping)))
 
     def mor(self, dom: Obj, cod: Obj, mapping) -> Mor:
+        """The Mor dom -> cod given by a callable, a dict keyed by dom's
+        carrier, or the images in carrier order."""
         if callable(mapping):
-            return Mor(dom, cod, tuple(mapping(x) for x in dom.carrier))
+            return Mor(dom, cod, tuple(map(mapping, dom.carrier)))
         if isinstance(mapping, dict):
-            return Mor(dom, cod, tuple(mapping[x] for x in dom.carrier))
+            return Mor(dom, cod, tuple(map(mapping.__getitem__, dom.carrier)))
         return Mor(dom, cod, tuple(mapping))
 
     # ---- hom enumeration ---------------------------------------------------
@@ -629,8 +631,8 @@ class Category:
         # under every operation and their equivalence closure is already a
         # congruence: nothing needs propagating.
         part = Partition(Y.carrier)
-        for x in f.dom.carrier:
-            part.union(f(x), g(x))
+        for a, b in zip(f.mapping, g.mapping):
+            part.union(a, b)
         rep = part.reps()
         Q = self.quotient_obj(Y, rep)
         return Mor(Y, Q, tuple(rep[y] for y in Y.carrier))

@@ -134,7 +134,7 @@ def r_strictness_finset(max_dom: int = 4, max_cod: int = 5):
         for c in range(1 if d else 0, max_cod + 1):
             D, C = FINSET.obj(range(d)), FINSET.obj(range(c))
             for images in itertools.product(range(c), repeat=d):
-                b = FINSET.mor(D, C, dict(enumerate(images)))
+                b = Mor(D, C, images)
                 total += 1
                 wit = strictness_witness(b)
                 if wit is not None:
@@ -204,7 +204,7 @@ def regularity_check(f: Mor) -> bool:
     p1, p2 = cat.kernel_pair(f)
     q = cat.coequalizer(p1, p2)
     try:
-        j = cat.mor(q.cod, f.cod, {q(x): f(x) for x in f.dom.carrier})
+        j = cat.mor(q.cod, f.cod, dict(zip(q.mapping, f.mapping)))
     except (ValueError, KeyError):
         return False
     return cat.is_iso(j) and cat.compose(j, q) == f

@@ -261,7 +261,7 @@ def escaping_element(F: FunctorHandle, n: int, probes):
         FX = F.on_obj(X)
         covered = set()
         for f in itertools.product(X.carrier, repeat=n):
-            mor = FINSET.mor(Nobj, X, dict(zip(range(n), f)))
+            mor = Mor(Nobj, X, f)
             covered.update(F.on_mor(mor).mapping)
         missing = [x for x in FX.carrier if x not in covered]
         if missing:
@@ -289,7 +289,8 @@ def power_functor() -> FunctorHandle:
 
     def on_mor(f: Mor):
         FX, FY = on_obj(f.dom), on_obj(f.cod)
-        return FINSET.mor(FX, FY, lambda s: frozenset(f(x) for x in s))
+        image = f._lookup.__getitem__
+        return FINSET.mor(FX, FY, lambda s: frozenset(map(image, s)))
 
     return FunctorHandle("power-finite", "finset", "finset", on_obj, on_mor)
 

@@ -10,15 +10,17 @@ algebra's quotient by one identification from coequalizing a pair of homs
 out of a chain, and F_q linear algebra from enumeration: spans by closing
 under scaled sums, coordinates by trying every coefficient tuple, and
 subspaces by spanning every combination of carrier vectors.  Presheaf laws
-are checked on every composable pair, naturality of a map of presheaves on
-every operation table, the triangle law of an integer distance matrix by a
-maximum per pair of rows, the subset space of a metric space by a fresh
-build on every call, the regularity recipe by a check of every draw, a
-repeated one too, random G-sets are drawn by rebuilding each coset
-orbit on every draw, and the maps of a subset orbit into a nominal set come
-from the stabilizer criterion at the base support, the single-orbit
-classes from orbits generated by whole subgroups, and the homs into the
-prime cycle family from anchor offsets per component.  Carrier elements
+are checked on every composable pair, naturality of a map of unary
+algebras or presheaves on every operation table read from the structure
+tuples, the triangle law of an integer distance matrix by a maximum per
+pair of rows, the subset space of a metric space by a fresh build on
+every call, a finite set's retraction the same way, the regularity
+recipe by a check of every draw, a repeated one too, random G-sets are
+drawn by rebuilding each coset orbit on every draw, and the maps of a
+subset orbit into a nominal set come from the stabilizer criterion at
+the base support, the single-orbit classes from orbits generated by
+whole subgroups, and the homs into the prime cycle family from anchor
+offsets per component.  Carrier elements
 are ordered by one chain of isinstance tests.  The module also holds
 test inputs for the live kernels: probe objects, identity and hom functors, the
 functor-law check, constant presentations and the maps that evaluations
@@ -368,6 +370,17 @@ def subset_space_unkept(space):
     return FinMetricSpace.from_ints(points, space.den, table)
 
 
+def retraction_unkept(b):
+    """FinSetCat.retraction as a fresh build on every call, kept nowhere:
+    the subset on b's image, or on the least point when the image is
+    empty, and the map that sends the rest to the subset's least point."""
+    A = b.cod
+    keep = set(b.mapping) or set(A.carrier[:1])
+    B = FINSET.subalgebra(A, keep)
+    f = FINSET.mor(A, B, {a: a if a in keep else B.carrier[0] for a in A.carrier})
+    return FINSET.sub_mono(A, B), f
+
+
 def regularity_every_draw(seed, count, check=regularity_check):
     """The regularity recipe's (verdict, witness) with check run on every
     draw, a repeated one too: the first draw that check refuses fails."""
@@ -482,14 +495,23 @@ def presheaf_laws_broken(group, values, ops):
     return broken
 
 
+def _structure_tables(X):
+    """{op: {x: op(x)}} read from X's structure tuple: ("op", pairs) for a
+    unary algebra, ("ops", ((g, pairs), ...)) for a G-set."""
+    kind, body = X.structure
+    if kind == "op":
+        return {"op": dict(body)}
+    return {m: dict(pairs) for m, pairs in body}
+
+
 def natural_on_all_tables(X, Y, mapping):
     """Whether mapping, aligned with X's carrier, commutes with every
-    operation of the G-sets X and Y, each table read from the objects'
-    structure tuples."""
+    operation of the unary algebras or G-sets X and Y, each table read
+    from the objects' structure tuples."""
     look = dict(zip(X.carrier, mapping))
-    target = {m: dict(pairs) for m, pairs in Y.structure[1]}
+    target = _structure_tables(Y)
     return all(look[ox] == target[m].get(look[x])
-               for m, pairs in X.structure[1] for x, ox in pairs)
+               for m, table in _structure_tables(X).items() for x, ox in table.items())
 
 
 def random_gset(rng, cat, subgroups, max_size=8):

@@ -22,7 +22,7 @@ from finbench.cats import (
     gset_free_orbit,
     gset_from_cosets,
 )
-from finbench.core import Mor, Obj
+from finbench.core import Mor, Obj, canon
 from finbench.perms import closed_under, compose_perm, subgroups_of_sym
 from finbench.certs import canonical_dumps
 from finbench.serialize import obj_from_json, obj_to_json
@@ -301,6 +301,31 @@ def _unchecked_mor(X, Y, mapping):
     return f
 
 
+def _candidate_maps(rng, cat, X, Y):
+    """Maps X -> Y as image lists: up to 3 homs, each again with one image
+    moved, and 4 arbitrary maps."""
+    maps = [h.mapping for h in cat.hom_set(X, Y)[:3]]
+    for mapping in maps[:]:
+        moved = list(mapping)
+        i = rng.randrange(len(moved))
+        moved[i] = rng.choice(Y.carrier)
+        maps.append(moved)
+    return maps + [[rng.choice(Y.carrier) for _ in X.carrier] for _ in range(4)]
+
+
+def _assert_naturality_agrees(rng, cat, pairs):
+    """preserves_structure agrees with the all-tables oracle on the
+    candidate maps between each pair, drawn after the pair, and both
+    verdicts are seen."""
+    verdicts = Counter()
+    for X, Y in pairs:
+        for mapping in _candidate_maps(rng, cat, X, Y):
+            expected = natural_on_all_tables(X, Y, mapping)
+            assert cat.preserves_structure(_unchecked_mor(X, Y, mapping)) == expected
+            verdicts[expected] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
 @pytest.mark.parametrize("name", ["z3", "s3"])
 def test_naturality_on_generators_agrees_with_every_table(name):
     """Random maps between random G-sets: homs, homs with one image moved,
@@ -308,21 +333,8 @@ def test_naturality_on_generators_agrees_with_every_table(name):
     gpd = LAW_GROUPS[name]
     cat = gset_cat(gpd)
     rng = random.Random(f"natural/{name}")
-    verdicts = Counter()
-    for _ in range(40):
-        X, Y = (cat.obj(*_lawful_tables(rng, gpd)) for _ in range(2))
-        maps = [h.mapping for h in cat.hom_set(X, Y)[:3]]
-        for mapping in maps[:]:
-            moved = list(mapping)
-            i = rng.randrange(len(moved))
-            moved[i] = rng.choice(Y.carrier)
-            maps.append(moved)
-        maps += [[rng.choice(Y.carrier) for _ in X.carrier] for _ in range(4)]
-        for mapping in maps:
-            expected = natural_on_all_tables(X, Y, mapping)
-            assert cat.preserves_structure(_unchecked_mor(X, Y, mapping)) == expected
-            verdicts[expected] += 1
-    assert verdicts[True] > 0 and verdicts[False] > 0
+    pairs = (tuple(cat.obj(*_lawful_tables(rng, gpd)) for _ in range(2)) for _ in range(40))
+    _assert_naturality_agrees(rng, cat, pairs)
 
 
 @pytest.mark.parametrize("name", ["z3", "s3"])
@@ -338,6 +350,82 @@ def test_search_on_generators_gives_the_brute_homs_in_order(name):
         assert cat.hom_set(X, Y) == brute_homs(X, Y)
         bijections = [h for h in brute_homs(Y, Y) if h.is_injective()]
         assert cat.find_iso(Y, Y) == bijections[0]
+
+
+# ---------------------------------------------------------------------------
+# the law and naturality checks read each table in carrier order, whatever
+# the order of its keys
+
+
+def _reversed_tables(cat, values, ops):
+    """(carrier, tables) for cat._build from values and ops as obj takes
+    them, each table keyed in the reverse of carrier order."""
+    carrier = canon(("*", v) for v in values)
+    return carrier, {g: {x: ("*", ops[g][x[1]]) for x in reversed(carrier)}
+                     for g in cat.op_ids}
+
+
+def _builds(cat, carrier, tables):
+    try:
+        cat._build(carrier, tables)
+    except ValueError as exc:
+        assert "composition equation fails" in str(exc) or "identity" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(LAW_GROUPS))
+def test_law_checks_ignore_the_key_order_of_the_tables(name):
+    """Lawful tables, lawful ones with one entry of any operation changed,
+    and identities with every other operation random, each keyed in
+    reverse carrier order: _build accepts exactly what the all-pairs
+    oracle accepts."""
+    gpd = LAW_GROUPS[name]
+    cat = gset_cat(gpd)
+    e = gpd.elements[0]
+    rng = random.Random(f"order/{name}")
+    outcomes = Counter()
+    for trial in range(300):
+        values, ops = _lawful_tables(rng, gpd)
+        kind = trial % 3
+        if kind == 1 and len(values) > 1:
+            m = rng.choice(gpd.elements)
+            x = rng.choice(values)
+            ops[m][x] = rng.choice([y for y in values if y != ops[m][x]])
+        elif kind == 2:
+            ops = {m: table if m == e else {x: rng.choice(values) for x in table}
+                   for m, table in ops.items()}
+        lawful = not presheaf_laws_broken(gpd, values, ops)
+        assert _builds(cat, *_reversed_tables(cat, values, ops)) == lawful
+        outcomes[(kind, lawful, len(values) > 1)] += 1
+    # lawful and broken tables both seen with keys out of carrier order
+    assert outcomes[(0, True, True)] > 0 and outcomes[(0, False, True)] == 0
+    assert outcomes[(1, False, True)] > 0 and outcomes[(1, True, True)] == 0
+    assert outcomes[(2, False, True)] > 0
+
+
+@pytest.mark.parametrize("name", ["z3", "s3"])
+def test_naturality_ignores_the_key_order_of_the_tables(name):
+    gpd = LAW_GROUPS[name]
+    cat = gset_cat(gpd)
+    rng = random.Random(f"natural-order/{name}")
+    pairs = [tuple(cat._build(*_reversed_tables(cat, *_lawful_tables(rng, gpd)))
+                   for _ in range(2)) for _ in range(40)]
+    assert any(next(iter(cat.op_tables(X)[gpd.elements[0]])) != X.carrier[0]
+               for X, _ in pairs)
+    _assert_naturality_agrees(rng, cat, pairs)
+
+
+def test_unary_naturality_ignores_the_key_order_of_the_table():
+    rng = random.Random("natural-order/un")
+
+    def reversed_algebra():
+        carrier = tuple(range(rng.randint(1, 5)))
+        return UN._build(carrier, {"op": {x: rng.choice(carrier) for x in reversed(carrier)}})
+
+    pairs = [(reversed_algebra(), reversed_algebra()) for _ in range(60)]
+    assert any(next(iter(UN.op_tables(X)["op"])) != X.carrier[0] for X, _ in pairs)
+    _assert_naturality_agrees(rng, UN, pairs)
 
 
 def test_gset_cat_builds_a_category_once_per_group_name(monkeypatch):

@@ -92,7 +92,7 @@ def test_fault_scan_sites_occur_once():
     spec = importlib.util.spec_from_file_location("fault_scan", ROOT / "scripts" / "fault_scan.py")
     scan = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scan)
-    assert len(scan.FAULTS) == 14
+    assert len(scan.FAULTS) == 16
     for path, old, new, kernel in scan.FAULTS:
         assert old != new, kernel
         assert (ROOT / "src" / path).read_text().count(old) == 1, kernel

@@ -1,8 +1,12 @@
 """Strictness witnesses, atoms, and the negative certificates."""
 
 import ast
+import gc
+import hashlib
 import itertools
+import operator
 import random
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from finbench.cats import (
 import finbench.suites  # registers all recipes
 from finbench import cats, strictness
 from finbench.certs import FAIL, PASS_WITNESSED, RECIPES, Certificate
-from finbench.core import Category, category_of, elem_key
+from finbench.core import Category, Mor, category_of, elem_key
 from finbench.perms import subgroups_of_sym
 from finbench.serialize import mor_to_json
 from finbench.strictness import (
@@ -39,7 +43,7 @@ from finbench import symbolic as sy
 from finbench.symbolic import no_finitary_endo_certificate
 from finbench.vec import VEC2, VEC3
 
-from oracles import brute_congruences, random_gset, regularity_every_draw
+from oracles import brute_congruences, random_gset, regularity_every_draw, retraction_unkept
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +124,76 @@ def test_finset_retraction_is_the_fold_over_the_trivial_group():
                 assert tuple(map(starred, FINSET.retraction(b))) == tuple(map(shape, fold))
                 total += 1
     assert total == 1280
+
+
+# ---------------------------------------------------------------------------
+# one FinSet retraction per codomain and image, kept in the codomain's
+# instance dict
+
+
+def _strictness_finset_codomains():
+    """(C, the images of every map into C) for each of strictness-finset's
+    default (d, c), with one codomain object per pair, as the recipe builds
+    them."""
+    for d in range(5):
+        for c in range(1 if d else 0, 6):
+            D, C = FINSET.obj(range(d)), FINSET.obj(range(c))
+            yield C, [Mor(D, C, images) for images in itertools.product(range(c), repeat=d)]
+
+
+def test_kept_retractions_match_the_unkept_build():
+    total = built = 0
+    for C, maps in _strictness_finset_codomains():
+        first = {}  # each image's pair, from its first map
+        for b in maps:
+            pair = FINSET.retraction(b)
+            assert pair == retraction_unkept(b)
+            assert first.setdefault(frozenset(b.mapping), pair) is pair
+            assert all(map(operator.is_, strictness_witness(b), pair))
+        total += len(maps)
+        built += len(first)
+        assert C.__dict__["_retractions"] == first
+    assert (total, built) == (1280, 162)
+
+
+def test_strictness_finset_builds_one_retraction_per_image(monkeypatch):
+    calls = []
+    real = FINSET.subalgebra
+
+    def counting(X, elems):
+        calls.append(X)
+        return real(X, elems)
+
+    monkeypatch.setattr(FINSET, "subalgebra", counting)
+    cert = RECIPES["strictness-finset"]()
+    assert cert.verdict == PASS_WITNESSED
+    assert cert.witness["witnessed"] == cert.witness["total"] == 1280
+    assert len(calls) == 162
+
+
+def test_an_equal_codomain_built_apart_gets_an_equal_retraction():
+    C, twin = FINSET.obj(range(4)), FINSET.obj(range(4))
+    pair = FINSET.retraction(Mor(FINSET.obj(range(2)), C, (1, 3)))
+    again = FINSET.retraction(Mor(FINSET.obj(range(3)), twin, (3, 1, 3)))
+    assert twin == C and twin is not C
+    assert again == pair and again is not pair
+
+
+def test_the_kept_retractions_take_no_part_in_equality():
+    C, bare = FINSET.obj(range(3)), FINSET.obj(range(3))
+    FINSET.retraction(Mor(FINSET.obj(range(1)), C, (2,)))
+    assert "_retractions" in C.__dict__ and "_retractions" not in bare.__dict__
+    assert C == bare and bare == C and hash(C) == hash(bare)
+
+
+def test_the_kept_retractions_are_freed_with_their_codomain():
+    C = FINSET.obj(range(3))
+    b = Mor(FINSET.obj(range(2)), C, (0, 0))
+    kept, home = weakref.ref(FINSET.retraction(b)[1]), weakref.ref(C)
+    assert kept() is not None
+    del C, b
+    gc.collect()  # a kept pair refers back to its codomain: one cycle
+    assert kept() is None and home() is None
 
 
 @pytest.mark.parametrize("gpd", [Z2_GPD, Z3_GPD, S3_GPD], ids=lambda g: g.name)
@@ -377,6 +451,24 @@ def test_regularity_certificates_match_the_every_draw_oracle(count):
         verdict, witness = regularity_every_draw(seed, count)
         inputs = {"recipe": "regularity", "params": {"seed": seed, "count": count}}
         assert cert.dumps() == Certificate("colimit-test", inputs, verdict, witness, {}).dumps()
+
+
+# sha256 of the certificate bytes, first 16 hex digits, as first recorded
+# when regularity_check read every image by calling the morphism
+REGULARITY_DIGESTS = {
+    0: "e581b28ead4cc56d", 1: "c9fcd0700e87782f", 2: "00d85005464e2028",
+    3: "0742ef62ff7bde82", 4: "753a02383c6472b2", 5: "6baf03d7015b1c98",
+    6: "2307bfa4b6c9c0cb", 7: "0a2d61e38f908482", 8: "b2614408b6aab0ed",
+    9: "b299af2d010c4c3e", 10: "1d3847b1584d5446", 11: "05097d152d548a36",
+    12: "2dd323d5c13f205f", 13: "64d5a63949de2947", 14: "d74533363372d64c",
+    15: "4bad66c5836e7e1f",
+}
+
+
+def test_regularity_certificates_keep_their_bytes():
+    fresh = {seed: hashlib.sha256(RECIPES["regularity"](seed).dumps().encode()).hexdigest()[:16]
+             for seed in REGULARITY_DIGESTS}
+    assert fresh == REGULARITY_DIGESTS
 
 
 def _seed0_regularity_draws():
